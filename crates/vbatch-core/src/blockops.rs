@@ -96,11 +96,17 @@ pub fn lu_solve_transposed_inplace_scratch<T: Scalar>(
 /// given by its combined `L\U` factors: the right-division of the
 /// block-ILU(0) sweep, `A_ik := A_ik · A_kk^{-1}`.
 ///
-/// Row `i` of the result satisfies `A^T · row_i^T = old_row_i^T`, so
-/// each row is gathered (strided) into `scratch[..n]`, solved through
-/// [`lu_solve_transposed_inplace_scratch`] (which uses
-/// `scratch[n..2n]`), and scattered back. `scratch.len() >= 2 n`; no
-/// heap allocation.
+/// With `P A = L U` the result is `B · U^{-1} · L^{-1} · P`, computed
+/// on whole unit-stride columns of `B`: a forward sweep with `U`
+/// (column `k` takes an AXPY from every finished column `j < k`, then
+/// is scaled by `1 / u_kk`), a backward sweep with the unit `L`
+/// (column `k` takes an AXPY from every column `i > k`), and a column
+/// scatter through the pivots (column `k` lands at `row_of_step[k]`).
+/// Every element sees exactly the fma sequence of solving its row
+/// against `A^T` with [`lu_solve_transposed_inplace_scratch`], so the
+/// result is bitwise that of the row-by-row solve while every inner
+/// loop runs over the `m` contiguous rows of a column.
+/// `scratch.len() >= m * n` (the scatter target); no heap allocation.
 pub fn trsm_right_lu_inplace<T: Scalar>(
     m: usize,
     n: usize,
@@ -109,18 +115,47 @@ pub fn trsm_right_lu_inplace<T: Scalar>(
     bmat: &mut [T],
     scratch: &mut [T],
 ) {
+    debug_assert_eq!(lu.len(), n * n);
+    debug_assert_eq!(row_of_step.len(), n);
     debug_assert_eq!(bmat.len(), m * n);
-    debug_assert!(scratch.len() >= 2 * n);
-    let (row, solve_scratch) = scratch.split_at_mut(n);
-    for i in 0..m {
-        for (j, r) in row.iter_mut().enumerate() {
-            *r = bmat[j * m + i];
+    debug_assert!(scratch.len() >= m * n);
+    if m == 0 {
+        return;
+    }
+    // forward: Z U = B
+    for k in 0..n {
+        let col = &lu[k * n..k * n + n];
+        let (done, rest) = bmat.split_at_mut(k * m);
+        let bk = &mut rest[..m];
+        for (j, bj) in done.chunks_exact(m).enumerate() {
+            let u = -col[j];
+            for (x, &y) in bk.iter_mut().zip(bj) {
+                *x = u.mul_add(y, *x);
+            }
         }
-        lu_solve_transposed_inplace_scratch(n, lu, row_of_step, row, solve_scratch);
-        for (j, r) in row.iter().enumerate() {
-            bmat[j * m + i] = *r;
+        let d = col[k];
+        for x in bk.iter_mut() {
+            *x /= d;
         }
     }
+    // backward: Y L = Z (unit diagonal)
+    for k in (0..n).rev() {
+        let col = &lu[k * n..k * n + n];
+        let (head, tail) = bmat.split_at_mut((k + 1) * m);
+        let bk = &mut head[k * m..];
+        for (bi, &l) in tail.chunks_exact(m).zip(&col[k + 1..]) {
+            let l = -l;
+            for (x, &y) in bk.iter_mut().zip(bi) {
+                *x = l.mul_add(y, *x);
+            }
+        }
+    }
+    // X = Y P: column k lands at row_of_step[k]
+    let out = &mut scratch[..m * n];
+    for (yk, &r) in bmat.chunks_exact(m).zip(row_of_step) {
+        out[r * m..r * m + m].copy_from_slice(yk);
+    }
+    bmat.copy_from_slice(out);
 }
 
 #[cfg(test)]
@@ -128,6 +163,88 @@ mod tests {
     use super::*;
     use crate::dense::DenseMat;
     use crate::lu::implicit::getrf_implicit_inplace;
+    use vbatch_rt::SmallRng;
+
+    /// The row-wise right-division the column-oriented kernel replaced,
+    /// kept as its bitwise oracle: gather row `i` of `B` (stride `m`),
+    /// solve it against `A^T`, scatter it back.
+    fn trsm_right_lu_rowwise<T: Scalar>(
+        m: usize,
+        n: usize,
+        lu: &[T],
+        row_of_step: &[usize],
+        bmat: &mut [T],
+    ) {
+        let mut row = vec![T::ZERO; n];
+        let mut scratch = vec![T::ZERO; n];
+        for i in 0..m {
+            for (j, r) in row.iter_mut().enumerate() {
+                *r = bmat[j * m + i];
+            }
+            lu_solve_transposed_inplace_scratch(n, lu, row_of_step, &mut row, &mut scratch);
+            for (j, r) in row.iter().enumerate() {
+                bmat[j * m + i] = *r;
+            }
+        }
+    }
+
+    /// Bitwise equality, except that any NaN matches any NaN: Rust
+    /// leaves the sign and payload of a computed NaN unspecified, and
+    /// the two kernels compile to different instruction forms.
+    fn same_bits<T: Scalar>(x: T, y: T) -> bool {
+        let (x, y) = (x.to_f64(), y.to_f64());
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    fn trsm_matches_rowwise_oracle<T: Scalar>() {
+        let mut rng = SmallRng::seed_from_u64(0x7125);
+        let unit = |rng: &mut SmallRng| T::from_f64(rng.gen_f64() * 2.0 - 1.0);
+        for m in 1..=33usize {
+            for n in 1..=33usize {
+                // random factors (boosted diagonal) and a random pivot
+                // sequence: the kernel never looks at where they came from
+                let mut lu: Vec<T> = (0..n * n).map(|_| unit(&mut rng)).collect();
+                for k in 0..n {
+                    lu[k * n + k] += T::from_f64(if rng.gen_bool(0.5) { 2.0 } else { -2.0 });
+                }
+                let mut perm: Vec<usize> = (0..n).collect();
+                for k in (1..n).rev() {
+                    perm.swap(k, rng.gen_range(0..k + 1));
+                }
+                let mut b: Vec<T> = (0..m * n).map(|_| unit(&mut rng)).collect();
+                // zeros in both operands, and one NaN in B every few cases
+                for _ in 0..(m * n) / 5 {
+                    b[rng.gen_range(0..m * n)] = T::ZERO;
+                }
+                if n > 1 {
+                    let (i, j) = (rng.gen_range(1..n), rng.gen_range(0..n));
+                    if i != j {
+                        lu[j * n + i] = T::ZERO;
+                    }
+                }
+                if (m + n) % 4 == 0 {
+                    b[rng.gen_range(0..m * n)] = T::from_f64(f64::NAN);
+                }
+                let mut expect = b.clone();
+                trsm_right_lu_rowwise(m, n, &lu, &perm, &mut expect);
+                let mut scratch = vec![T::ZERO; m * n];
+                trsm_right_lu_inplace(m, n, &lu, &perm, &mut b, &mut scratch);
+                for (e, (&x, &y)) in b.iter().zip(&expect).enumerate() {
+                    assert!(same_bits(x, y), "m={m} n={n} element {e}: {x} vs {y}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trsm_right_is_bitwise_the_rowwise_solve_f64() {
+        trsm_matches_rowwise_oracle::<f64>();
+    }
+
+    #[test]
+    fn trsm_right_is_bitwise_the_rowwise_solve_f32() {
+        trsm_matches_rowwise_oracle::<f32>();
+    }
 
     #[test]
     fn gemm_neg_acc_matches_dense() {
@@ -181,7 +298,7 @@ mod tests {
         // B: 2x3
         let b = DenseMat::from_row_major(2, 3, &[1.0, 2.0, 3.0, -1.0, 0.5, 2.0]);
         let mut bdata = b.as_slice().to_vec();
-        let mut scratch = vec![0.0; 6];
+        let mut scratch = vec![0.0; 2 * 3];
         trsm_right_lu_inplace(2, 3, &lu, perm.as_slice(), &mut bdata, &mut scratch);
         // check B_new * A == B elementwise
         let bnew = DenseMat::from_col_major(2, 3, &bdata);
@@ -200,7 +317,7 @@ mod tests {
         let perm = [0usize, 1, 2, 3];
         let mut b: Vec<f64> = (0..12).map(|i| i as f64 - 5.0).collect();
         let orig = b.clone();
-        let mut scratch = vec![0.0; 8];
+        let mut scratch = vec![0.0; 3 * 4];
         trsm_right_lu_inplace(3, 4, &lu, &perm, &mut b, &mut scratch);
         assert_eq!(b, orig);
     }

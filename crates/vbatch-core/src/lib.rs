@@ -74,7 +74,8 @@ pub use perm::Permutation;
 pub use qr::{geqp3, QrFactors};
 pub use scalar::Scalar;
 pub use trsv::{
-    lu_solve_inplace, lu_solve_inplace_scratch, trsv_lower_unit, trsv_upper, TrsvVariant,
+    lu_solve_inplace, lu_solve_inplace_scratch, lu_solve_multi_inplace_scratch, trsv_lower_unit,
+    trsv_upper, TrsvVariant,
 };
 pub use widen::{
     demote_slice, gh_solve_widened_scratch, lu_solve_interleaved_slot_widened_scratch,

@@ -30,10 +30,31 @@ const UNPIVOTED: usize = usize::MAX;
 /// the GPU kernel's permuted off-load) and the returned permutation maps
 /// elimination steps to original rows.
 pub fn getrf_implicit_inplace<T: Scalar>(n: usize, a: &mut [T]) -> FactorResult<Permutation> {
+    let mut step_of_row = vec![UNPIVOTED; n];
+    let mut col = vec![T::ZERO; n];
+    getrf_implicit_inplace_scratch(n, a, &mut step_of_row, &mut col)?;
+    Ok(Permutation::from_step_of_row(&step_of_row))
+}
+
+/// [`getrf_implicit_inplace`] on caller-provided scratch, for callers
+/// that factorize many blocks in a row: `step_of_row` (`len == n`)
+/// receives the paper's `p` vector — `step_of_row[r]` is the
+/// elimination step at which original row `r` became the pivot, the
+/// inverse of the row-of-step sequence the solves take — and `col`
+/// (`len >= n`) holds one column during the final row swap. No heap
+/// allocation; factors and pivots are those of the allocating form.
+pub fn getrf_implicit_inplace_scratch<T: Scalar>(
+    n: usize,
+    a: &mut [T],
+    step_of_row: &mut [usize],
+    col: &mut [T],
+) -> FactorResult<()> {
     debug_assert_eq!(a.len(), n * n);
+    debug_assert_eq!(step_of_row.len(), n);
+    debug_assert!(col.len() >= n);
     check_finite(n, a)?;
     // p[r] = elimination step at which original row r became the pivot
-    let mut step_of_row = vec![UNPIVOTED; n];
+    step_of_row.fill(UNPIVOTED);
 
     for k in 0..n {
         // --- implicit pivot selection over the not-yet-pivoted rows ------
@@ -80,15 +101,15 @@ pub fn getrf_implicit_inplace<T: Scalar>(n: usize, a: &mut [T]) -> FactorResult<
 
     // --- combined row swap: row r moves to position step_of_row[r] -------
     // (the "p(p) = 1:m; Di = Di(p,:)" tail of Fig. 1 bottom)
-    let mut scratch = vec![T::ZERO; n];
+    let saved = &mut col[..n];
     for j in 0..n {
-        let col = &mut a[j * n..j * n + n];
-        scratch.copy_from_slice(col);
+        let col_j = &mut a[j * n..j * n + n];
+        saved.copy_from_slice(col_j);
         for r in 0..n {
-            col[step_of_row[r]] = scratch[r];
+            col_j[step_of_row[r]] = saved[r];
         }
     }
-    Ok(Permutation::from_step_of_row(&step_of_row))
+    Ok(())
 }
 
 #[cfg(test)]

@@ -139,10 +139,107 @@ pub fn lu_solve_inplace_scratch<T: Scalar>(
     trsv_upper(variant, n, lu, b);
 }
 
+/// Eager `getrs` of `nrhs` right-hand sides at once: `b` is the
+/// column-major `n × nrhs` matrix of right-hand sides, solved in place.
+///
+/// The permuted right-hand sides are gathered *transposed* into
+/// `scratch` (`scratch[k * nrhs + c] = b[c * n + row_of_step(k)]`), so
+/// each step of the two eager sweeps reads one factor entry and updates
+/// a whole unit-stride row of `nrhs` values — the factor is streamed
+/// once for all right-hand sides instead of once per column. Every
+/// element sees exactly the operation sequence of
+/// [`lu_solve_inplace_scratch`] with [`TrsvVariant::Eager`] on its own
+/// column, so the results are bitwise identical to solving column by
+/// column. `row_of_step(k)` is the pivot row of step `k` (a closure, so
+/// strided pivot lanes need no copy); `scratch.len() >= n * nrhs`; no
+/// heap allocation.
+pub fn lu_solve_multi_inplace_scratch<T: Scalar>(
+    n: usize,
+    nrhs: usize,
+    lu: &[T],
+    row_of_step: impl Fn(usize) -> usize,
+    b: &mut [T],
+    scratch: &mut [T],
+) {
+    debug_assert_eq!(lu.len(), n * n);
+    debug_assert_eq!(b.len(), n * nrhs);
+    debug_assert!(scratch.len() >= n * nrhs);
+    if n == 0 || nrhs == 0 {
+        return;
+    }
+    let w = &mut scratch[..n * nrhs];
+    for (k, wk) in w.chunks_exact_mut(nrhs).enumerate() {
+        let r = row_of_step(k);
+        for (c, x) in wk.iter_mut().enumerate() {
+            *x = b[c * n + r];
+        }
+    }
+    // w(k+1..n, :) -= L(k+1..n, k) * w(k, :)
+    for k in 0..n - 1 {
+        let col = &lu[k * n..k * n + n];
+        let (head, tail) = w.split_at_mut((k + 1) * nrhs);
+        let wk = &head[k * nrhs..];
+        for (wi, &l) in tail.chunks_exact_mut(nrhs).zip(&col[k + 1..]) {
+            let l = -l;
+            for (x, &y) in wi.iter_mut().zip(wk) {
+                *x = l.mul_add(y, *x);
+            }
+        }
+    }
+    // w(k, :) /= U(k, k); w(0..k, :) -= U(0..k, k) * w(k, :)
+    for k in (0..n).rev() {
+        let col = &lu[k * n..k * n + n];
+        let (head, tail) = w.split_at_mut(k * nrhs);
+        let wk = &mut tail[..nrhs];
+        let d = col[k];
+        for x in wk.iter_mut() {
+            *x /= d;
+        }
+        for (wi, &u) in head.chunks_exact_mut(nrhs).zip(&col[..k]) {
+            let u = -u;
+            for (x, &y) in wi.iter_mut().zip(wk.iter()) {
+                *x = u.mul_add(y, *x);
+            }
+        }
+    }
+    for (i, wi) in w.chunks_exact(nrhs).enumerate() {
+        for (c, &x) in wi.iter().enumerate() {
+            b[c * n + i] = x;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dense::DenseMat;
+
+    #[test]
+    fn multi_rhs_solve_is_bitwise_the_column_solves() {
+        use vbatch_rt::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(0x3175);
+        for n in 1..=33usize {
+            for nrhs in [1usize, 2, 7, 33, 70] {
+                let mut lu: Vec<f64> = (0..n * n).map(|_| rng.gen_f64() * 2.0 - 1.0).collect();
+                for k in 0..n {
+                    lu[k * n + k] += 2.0;
+                }
+                let mut perm: Vec<usize> = (0..n).collect();
+                for k in (1..n).rev() {
+                    perm.swap(k, rng.gen_range(0..k + 1));
+                }
+                let mut b: Vec<f64> = (0..n * nrhs).map(|_| rng.gen_f64() - 0.5).collect();
+                let mut expect = b.clone();
+                let mut scratch = vec![0.0; n * nrhs];
+                for col in expect.chunks_exact_mut(n) {
+                    lu_solve_inplace_scratch(TrsvVariant::Eager, n, &lu, &perm, col, &mut scratch);
+                }
+                lu_solve_multi_inplace_scratch(n, nrhs, &lu, |k| perm[k], &mut b, &mut scratch);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&b), bits(&expect), "n={n} nrhs={nrhs}");
+            }
+        }
+    }
 
     /// Column-major data for a 3x3 combined LU with L strictly lower.
     fn sample_lu() -> (usize, Vec<f64>) {

@@ -12,9 +12,9 @@
 use crate::plan::KernelChoice;
 use vbatch_core::{
     gh_solve_widened_scratch, lu_solve_inplace_scratch, lu_solve_interleaved_slot_scratch,
-    lu_solve_interleaved_slot_widened_scratch, lu_solve_widened_scratch, residual_into,
-    CholeskyFactors, FactorError, GhFactors, MatrixBatch, Permutation, QrFactors, Scalar,
-    StoragePrecision, TrsvVariant, VectorBatch,
+    lu_solve_interleaved_slot_widened_scratch, lu_solve_multi_inplace_scratch,
+    lu_solve_widened_scratch, residual_into, CholeskyFactors, FactorError, GhFactors, MatrixBatch,
+    Permutation, QrFactors, Scalar, StoragePrecision, TrsvVariant, VectorBatch,
 };
 
 /// Numerical health classification of one factorized block, assigned by
@@ -636,6 +636,67 @@ impl<T: Scalar> FactorizedBatch<T> {
                     seg,
                     scratch,
                 );
+            }
+        }
+    }
+
+    /// Scratch elements [`FactorizedBatch::solve_block_multi_inplace_with`]
+    /// needs for `nrhs` right-hand sides against block `block`: the
+    /// transposed right-hand sides for the native LU forms (plus the
+    /// unpacked factor for an interleaved slot), the single-column
+    /// requirement for the forms solved column by column.
+    pub fn solve_multi_scratch_elems(&self, block: usize, nrhs: usize) -> usize {
+        let n = self.sizes[block];
+        match &self.factors[block] {
+            BlockFactor::Lu { .. } => n * nrhs,
+            BlockFactor::InterleavedLu { .. } => n * n + n * nrhs,
+            _ => self.solve_scratch_elems(block),
+        }
+    }
+
+    /// Solve block `block` against every column of the column-major
+    /// `n × nrhs` matrix `rhs` in place — the setup-time normalisation
+    /// `Ũ_i* = D_i^{-1} Ū_i*` of a whole block row in one call.
+    ///
+    /// The native LU forms read their factor once for all columns: an
+    /// interleaved slot is gathered out of its class (stride `count`)
+    /// into contiguous scratch a single time, and the eager sweeps run
+    /// with the right-hand sides as the unit-stride inner dimension
+    /// ([`lu_solve_multi_inplace_scratch`]). Every other form is solved
+    /// column by column through
+    /// [`FactorizedBatch::solve_block_inplace_with`]. Either way each
+    /// column's result is bitwise what `solve_block_inplace_with`
+    /// returns for it, so a normalised factor composes with the
+    /// prepared apply exactly as before.
+    /// `scratch.len() >= solve_multi_scratch_elems(block, nrhs)`; no
+    /// heap allocation.
+    pub fn solve_block_multi_inplace_with(&self, block: usize, rhs: &mut [T], scratch: &mut [T]) {
+        let n = self.sizes[block];
+        if n == 0 {
+            return;
+        }
+        debug_assert_eq!(rhs.len() % n, 0);
+        let nrhs = rhs.len() / n;
+        debug_assert!(scratch.len() >= self.solve_multi_scratch_elems(block, nrhs));
+        match &self.factors[block] {
+            BlockFactor::Lu { n, lu, perm } => {
+                let perm = perm.as_slice();
+                lu_solve_multi_inplace_scratch(*n, nrhs, lu, |k| perm[k], rhs, scratch);
+            }
+            BlockFactor::InterleavedLu { class, slot } => {
+                let cl = &self.interleaved[*class];
+                let (count, slot) = (cl.count(), *slot);
+                let (lu, w) = scratch.split_at_mut(n * n);
+                for (e, x) in lu.iter_mut().enumerate() {
+                    *x = cl.data[e * count + slot];
+                }
+                let piv = &cl.piv;
+                lu_solve_multi_inplace_scratch(n, nrhs, lu, |k| piv[k * count + slot], rhs, w);
+            }
+            _ => {
+                for col in rhs.chunks_exact_mut(n) {
+                    self.solve_block_inplace_with(block, col, scratch);
+                }
             }
         }
     }

@@ -79,14 +79,19 @@ impl<T: Scalar> BlockTriangular<T> {
             row_ptr.push(col_idx.len());
         }
         let mut data = vec![T::ZERO; total];
+        // entry_of[j] = entry of block (i, j) while block row i is
+        // scattered, usize::MAX for a block column outside the row
+        let mut entry_of = vec![usize::MAX; nb];
         for i in 0..nb {
             let m = part.size(i);
             let row0 = part_ptr[i];
-            let row_cols = &col_idx[row_ptr[i]..row_ptr[i + 1]];
+            for e in row_ptr[i]..row_ptr[i + 1] {
+                entry_of[col_idx[e]] = e;
+            }
             for r in part.range(i) {
                 let lr = r - row0;
                 for (&c, &v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
-                    let j = part.block_of(c);
+                    let j = pattern.block_of(c);
                     let keep = match kind {
                         TriKind::Lower => j < i,
                         TriKind::Upper => j > i,
@@ -94,13 +99,14 @@ impl<T: Scalar> BlockTriangular<T> {
                     if !keep {
                         continue;
                     }
-                    let e = row_ptr[i]
-                        + row_cols
-                            .binary_search(&j)
-                            .expect("pattern covers every stored entry");
+                    let e = entry_of[j];
+                    assert!(e != usize::MAX, "pattern covers every stored entry");
                     let lc = c - part_ptr[j];
                     data[data_off[e] + lc * m + lr] = v;
                 }
+            }
+            for e in row_ptr[i]..row_ptr[i + 1] {
+                entry_of[col_idx[e]] = usize::MAX;
             }
         }
         BlockTriangular {
@@ -158,14 +164,30 @@ impl<T: Scalar> BlockTriangular<T> {
     /// Dense data of entry `e` (column-major, `size_i × size_j` where
     /// `i` is the owning block row and `j = col_of(e)`).
     pub fn block_data(&self, e: usize) -> &[T] {
-        let end = self.data_off.get(e + 1).copied().unwrap_or(self.data.len());
-        &self.data[self.data_off[e]..end]
+        &self.data[self.data_off[e]..self.data_start(e + 1)]
     }
 
     /// Mutable dense data of entry `e`.
     pub fn block_data_mut(&mut self, e: usize) -> &mut [T] {
-        let end = self.data_off.get(e + 1).copied().unwrap_or(self.data.len());
+        let end = self.data_start(e + 1);
         &mut self.data[self.data_off[e]..end]
+    }
+
+    /// Start of entry `e`'s block in `data`; the end of `data` for the
+    /// one-past-the-last entry.
+    fn data_start(&self, e: usize) -> usize {
+        self.data_off.get(e).copied().unwrap_or(self.data.len())
+    }
+
+    /// Mutable dense data of the whole block row `i`: its stored blocks
+    /// lie back to back in ascending block column, so together they are
+    /// one column-major `size_i × Σ size_j` panel.
+    pub fn row_data_mut(&mut self, i: usize) -> &mut [T] {
+        let (start, end) = (
+            self.data_start(self.row_ptr[i]),
+            self.data_start(self.row_ptr[i + 1]),
+        );
+        &mut self.data[start..end]
     }
 
     /// Nominal flops of one full sweep.
@@ -234,11 +256,21 @@ impl<T: Scalar> BlockTriangular<T> {
     /// over the thread pool. Rows of one level write disjoint segments
     /// and read only earlier-level segments, so the result is bitwise
     /// identical to the sequential forms.
+    ///
+    /// A level goes parallel only when it has a row for every worker
+    /// thread: opening the scoped-thread region costs far more than a
+    /// block row's GEMVs, and the long-chain schedules of banded and
+    /// FEM patterns (hundreds of levels one or two rows wide) would
+    /// otherwise pay it on every level.
     pub fn sweep_levels_parallel(&self, sched: &LevelSchedule, v: &mut [T]) {
         debug_assert_eq!(sched.kind(), self.kind);
+        // asked of the OS only once a level could use it
+        let mut threads = None;
         for l in 0..sched.num_levels() {
             let rows = sched.level(l);
-            if rows.len() < 2 {
+            if rows.len() < 2
+                || rows.len() < *threads.get_or_insert_with(vbatch_rt::par::num_threads)
+            {
                 for &i in rows {
                     self.sweep_row(i, v);
                 }
@@ -425,6 +457,47 @@ mod tests {
             tri.sweep_levels(&sched, &mut lvl);
             assert_eq!(seq, lvl);
             let mut par = x;
+            tri.sweep_levels_parallel(&sched, &mut par);
+            assert_eq!(seq, par);
+        }
+    }
+
+    #[test]
+    fn wide_levels_run_parallel_and_stay_bitwise_sequential() {
+        // an arrow pattern: every block row couples to block 0 only, so
+        // each triangle has one level holding all other rows — wide
+        // enough to cross the parallel threshold on any host
+        use vbatch_sparse::CooMatrix;
+        let nb = 4 * vbatch_rt::par::num_threads().max(2);
+        let bs = 3;
+        let n = nb * bs;
+        let mut coo = CooMatrix::new(n, n);
+        for b in 0..nb {
+            for r in 0..bs {
+                coo.push(b * bs + r, b * bs + r, 4.0);
+                if b > 0 {
+                    for c in 0..bs {
+                        let v = ((b * 7 + r * 3 + c) % 11) as f64 / 11.0 - 0.4;
+                        coo.push(b * bs + r, c, v);
+                        coo.push(c, b * bs + r, -v);
+                    }
+                }
+            }
+        }
+        let a = coo.to_csr();
+        let part = BlockPartition::uniform(n, bs);
+        let pattern = BlockPattern::build(&a, &part);
+        let x: Vec<f64> = (0..n).map(|i| ((i * 13) % 19) as f64 / 7.0 - 1.0).collect();
+        for kind in [TriKind::Lower, TriKind::Upper] {
+            let tri = BlockTriangular::extract(kind, &a, &part, &pattern);
+            let sched = match kind {
+                TriKind::Lower => LevelSchedule::lower(&pattern),
+                TriKind::Upper => LevelSchedule::upper(&pattern),
+            };
+            assert_eq!(sched.max_width(), nb - 1);
+            let mut seq = x.clone();
+            tri.sweep_sequential(&mut seq);
+            let mut par = x.clone();
             tri.sweep_levels_parallel(&sched, &mut par);
             assert_eq!(seq, par);
         }

@@ -6,8 +6,8 @@
 
 use vbatch_core::{BatchLayout, DenseMat, MatrixBatch, Scalar, VectorBatch};
 use vbatch_exec::{
-    Backend, BatchPlan, ClassLayout, CpuRayon, CpuSequential, ExecStats, KernelChoice, PlanMethod,
-    SimtSim,
+    Backend, BatchPlan, BlockFactor, BlockTriangular, ClassLayout, CpuRayon, CpuSequential,
+    CpuSimd, ExecStats, HealthPolicy, KernelChoice, PlanMethod, PrecisionPolicy, SimtSim,
 };
 use vbatch_rt::{run_cases, testgen, SmallRng};
 
@@ -187,4 +187,198 @@ fn crossover_depends_on_precision() {
     assert_eq!(sp.kernel_for(0), KernelChoice::SmallLu);
     assert_eq!(f32::BYTES, 4);
     assert_eq!(f64::BYTES, 8);
+}
+
+/// Stable name of a factor variant, for the coverage check below.
+fn factor_kind(f: &BlockFactor<f64>) -> &'static str {
+    match f {
+        BlockFactor::Lu { .. } => "lu",
+        BlockFactor::Gh(_) => "gh",
+        BlockFactor::Inv { .. } => "inv",
+        BlockFactor::Chol(_) => "chol",
+        BlockFactor::ScalarJacobi { .. } => "scalar_jacobi",
+        BlockFactor::EquilibratedLu { .. } => "equilibrated_lu",
+        BlockFactor::InterleavedLu { .. } => "interleaved_lu",
+        BlockFactor::LuLower { .. } => "lu_lower",
+        BlockFactor::GhLower { .. } => "gh_lower",
+        BlockFactor::Qr(_) => "qr",
+        BlockFactor::InterleavedLuLower { .. } => "interleaved_lu_lower",
+    }
+}
+
+/// The block-ILU(0) normalisation solves a whole block row per call;
+/// each column must come out bitwise as the per-column
+/// `solve_block_inplace_with` returns it — for the two fast paths
+/// (blocked and interleaved native LU) and for every variant that falls
+/// back to the column loop. Swept over everything `PrecondOptions` can
+/// select: layout × precision × health, with a singular block that
+/// degrades to scalar Jacobi and a badly scaled one for the guarded
+/// triage to recover.
+#[test]
+fn multi_rhs_normalisation_is_bitwise_the_column_solves() {
+    let mut seen = std::collections::BTreeSet::new();
+    run_cases(
+        "multi_rhs_normalisation_is_bitwise_the_column_solves",
+        12,
+        |rng, _case| {
+            // classes: packed (3×3), Gauss-Huard (12), small LU with a
+            // populous class (24×3) and a lone member (30), blocked LU
+            // (40), plus a ragged tail
+            let mut sizes = vec![3, 3, 3, 12, 24, 24, 24, 30, 40, 1, 7];
+            sizes.extend(testgen::ragged_sizes(rng, 33, 4));
+            let raw = testgen::dd_batch_of(rng, &sizes);
+            let mut batch = MatrixBatch::zeros(&sizes);
+            for i in 0..batch.len() {
+                batch.block_mut(i).copy_from_slice(&raw.blocks[i]);
+            }
+            // block 5 (order 24): two equal rows -> scalar-Jacobi fallback
+            {
+                let b = batch.block_mut(5);
+                for c in 0..24 {
+                    b[c * 24 + 1] = b[c * 24];
+                }
+            }
+            // block 7 (order 30): rows scaled 12 decades apart
+            {
+                let b = batch.block_mut(7);
+                for c in 0..30 {
+                    b[c * 30] *= 1e6;
+                    b[c * 30 + 29] *= 1e-6;
+                }
+            }
+            let backends: [&dyn Backend<f64>; 2] = [&CpuSequential, &CpuSimd];
+            for backend in backends {
+                for layout in [
+                    BatchLayout::Blocked,
+                    BatchLayout::Interleaved { class_capacity: 2 },
+                ] {
+                    for precision in [
+                        PrecisionPolicy::FullDp,
+                        PrecisionPolicy::mixed::<f64>(),
+                        PrecisionPolicy::ForceSp,
+                    ] {
+                        for health in [HealthPolicy::Off, HealthPolicy::guarded::<f64>()] {
+                            let plan = BatchPlan::for_method_with_layout::<f64>(
+                                &sizes,
+                                PlanMethod::Auto,
+                                layout,
+                            )
+                            .with_health(health)
+                            .with_precision(precision);
+                            let mut stats = ExecStats::new();
+                            let f = backend.factorize(batch.clone(), &plan, &mut stats);
+                            assert!(f.fallback_count() >= 1);
+                            for (i, &n) in sizes.iter().enumerate() {
+                                seen.insert(factor_kind(&f.factors[i]));
+                                for nrhs in [1usize, 5, 37] {
+                                    let rhs: Vec<f64> =
+                                        (0..n * nrhs).map(|_| rng.gen_range(-2.0..2.0)).collect();
+                                    let mut expect = rhs.clone();
+                                    let mut scratch = vec![0.0; f.solve_scratch_elems(i)];
+                                    for col in expect.chunks_exact_mut(n) {
+                                        f.solve_block_inplace_with(i, col, &mut scratch);
+                                    }
+                                    let mut got = rhs;
+                                    let mut scratch =
+                                        vec![0.0; f.solve_multi_scratch_elems(i, nrhs)];
+                                    f.solve_block_multi_inplace_with(i, &mut got, &mut scratch);
+                                    let bits = |v: &[f64]| {
+                                        v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                                    };
+                                    assert_eq!(
+                                        bits(&got),
+                                        bits(&expect),
+                                        "{} {} {} {health:?} block {i} ({}) nrhs {nrhs}",
+                                        backend.name(),
+                                        layout.label(),
+                                        precision.label(),
+                                        factor_kind(&f.factors[i]),
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        },
+    );
+    for kind in [
+        "lu",
+        "interleaved_lu",
+        "gh",
+        "scalar_jacobi",
+        "lu_lower",
+        "interleaved_lu_lower",
+        "gh_lower",
+    ] {
+        assert!(
+            seen.contains(kind),
+            "sweep never produced a {kind} factor: {seen:?}"
+        );
+    }
+}
+
+/// `BlockTriangular::extract` scatters through the pattern's row→block
+/// table and a per-row entry stamp; the oracle places every nonzero
+/// with `BlockPartition::block_of` into a dense copy. Ragged partitions
+/// with size-1 blocks, no forced diagonal (so some block rows have no
+/// off-diagonal entries), both triangles.
+#[test]
+fn triangular_extract_matches_block_of_per_entry_oracle() {
+    use vbatch_sparse::{BlockPartition, BlockPattern, CooMatrix, TriKind};
+    run_cases(
+        "triangular_extract_matches_block_of_per_entry_oracle",
+        96,
+        |rng, _case| {
+            let (n, entries) = testgen::coo_entries(rng);
+            let mut coo = CooMatrix::new(n, n);
+            for &(i, j, v) in &entries {
+                coo.push(i, j, v);
+            }
+            let a = coo.to_csr();
+            let part = BlockPartition::from_ptr(testgen::ragged_partition_ptr(rng, n));
+            let nb = part.len();
+            let pattern = BlockPattern::build(&a, &part);
+            for kind in [TriKind::Lower, TriKind::Upper] {
+                let keep = |i: usize, j: usize| match kind {
+                    TriKind::Lower => j < i,
+                    TriKind::Upper => j > i,
+                };
+                // oracle: dense strict block triangle, one block_of per entry
+                let mut dense = vec![0.0f64; n * n];
+                let mut present = vec![false; nb * nb];
+                for r in 0..n {
+                    for (&c, &v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
+                        let (i, j) = (part.block_of(r), part.block_of(c));
+                        if keep(i, j) {
+                            dense[r * n + c] = v;
+                            present[i * nb + j] = true;
+                        }
+                    }
+                }
+                let tri = BlockTriangular::extract(kind, &a, &part, &pattern);
+                assert_eq!(tri.nnz_blocks(), present.iter().filter(|&&p| p).count());
+                for i in 0..nb {
+                    let cols: Vec<usize> = tri.row_entries(i).map(|e| tri.col_of(e)).collect();
+                    let want: Vec<usize> = (0..nb).filter(|&j| present[i * nb + j]).collect();
+                    assert_eq!(cols, want, "block row {i}: sorted, duplicate-free columns");
+                    let m = part.size(i);
+                    for e in tri.row_entries(i) {
+                        let j = tri.col_of(e);
+                        let block = tri.block_data(e);
+                        assert_eq!(block.len(), m * part.size(j));
+                        for (lc, c) in part.range(j).enumerate() {
+                            for (lr, r) in part.range(i).enumerate() {
+                                assert_eq!(
+                                    block[lc * m + lr].to_bits(),
+                                    dense[r * n + c].to_bits(),
+                                    "({r},{c})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        },
+    );
 }

@@ -142,3 +142,46 @@ fn trace_event_count_matches_spans_emitted() {
         prep.unit_count()
     );
 }
+
+/// Block-ILU(0) setup books every stage under a phase of its own —
+/// diagonal, pattern and triangle extraction (`Extract`), the host IKJ
+/// sweep (`Sweep`), the batched diagonal factorization (`Factorize`)
+/// and the upper-factor normalisation (`Solve`) — so `SetupReport.stats`
+/// explains the setup: the four are all non-zero, and their sum stays
+/// within the wall time of the call (the same contract as above).
+#[test]
+fn bilu_setup_phases_explain_the_setup_within_wall_time() {
+    use std::sync::Arc;
+    use vbatch_precond::{BlockIlu0, BlockPreconditioner, PrecondOptions};
+    use vbatch_sparse::gen::laplace::laplace_2d;
+    use vbatch_sparse::BlockPartition;
+
+    let a = laplace_2d::<f64>(24, 24);
+    let part = BlockPartition::uniform(a.nrows(), 6);
+    let wall0 = Instant::now();
+    let m = BlockIlu0::setup_opts(
+        &a,
+        &part,
+        Arc::new(CpuSequential),
+        PrecondOptions::default(),
+    )
+    .unwrap();
+    let wall = wall0.elapsed();
+    let stats = m.setup_report().stats;
+
+    let booked = [Phase::Extract, Phase::Sweep, Phase::Factorize, Phase::Solve];
+    let mut sum = std::time::Duration::ZERO;
+    for p in booked {
+        let t = stats.phase_time(p);
+        assert!(t.as_nanos() > 0, "{} not booked", p.label());
+        sum += t;
+    }
+    for p in [Phase::Invert, Phase::Gemv, Phase::Apply, Phase::Reduce] {
+        assert_eq!(stats.phase_time(p).as_nanos(), 0, "{}", p.label());
+    }
+    assert!(
+        sum <= wall,
+        "phase sum {sum:?} exceeds wall time {wall:?} of the setup"
+    );
+    assert!(sum <= m.setup_time);
+}

@@ -26,21 +26,81 @@ use crate::options::{BjMethod, PrecondOptions};
 use crate::traits::{BlockPreconditioner, PrecondKind, Preconditioner, SetupReport};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use vbatch_core::lu::implicit::getrf_implicit_inplace;
-use vbatch_core::{gemm_neg_acc, trsm_right_lu_inplace, FactorError, Permutation, Scalar};
+use vbatch_core::lu::implicit::getrf_implicit_inplace_scratch;
+use vbatch_core::{gemm_neg_acc, trsm_right_lu_inplace, FactorError, MatrixBatch, Scalar};
 use vbatch_exec::{
     inject_batch, Backend, BatchPlan, BlockHealth, BlockStatus, BlockTriangular, ExecStats,
     FactorizedBatch, FaultClass, Phase, PreparedApply, RecoveryStep,
 };
 use vbatch_sparse::{BlockPartition, BlockPattern, CsrMatrix, LevelSchedule, TriKind};
 
-/// Sweep-time factorization of a finished pivot block, used to form
-/// `L_ik = A_ik · D_k^{-1}` during the IKJ sweep. Singular pivots
-/// degrade to sanitized reciprocal-diagonal scaling (the sweep-side
-/// analogue of the scalar-Jacobi fallback) instead of aborting.
-enum DiagFactor<T> {
-    Lu { lu: Vec<T>, perm: Permutation },
-    Scaled { inv_diag: Vec<T> },
+/// Sweep-time factorizations of the finished pivot blocks, used to form
+/// `L_ik = A_ik · D_k^{-1}` during the IKJ sweep: one flat buffer for
+/// all factors, one for all pivot sequences, and the factorization
+/// scratch, allocated once for the whole sweep. Singular pivots degrade
+/// to sanitized reciprocal-diagonal scaling (the sweep-side analogue of
+/// the scalar-Jacobi fallback) instead of aborting.
+struct SweepPivots<'a, T: Scalar> {
+    part: &'a BlockPartition,
+    /// Combined `L\U` of every finished pivot block — or, for a block
+    /// flagged in `scaled`, its reciprocal diagonal in the first `n`
+    /// entries.
+    lu: MatrixBatch<T>,
+    /// Row-of-step pivot sequences, block `k` at `part.range(k)`.
+    row_of_step: Vec<usize>,
+    scaled: Vec<bool>,
+    step_of_row: Vec<usize>,
+    col: Vec<T>,
+}
+
+impl<'a, T: Scalar> SweepPivots<'a, T> {
+    fn new(part: &'a BlockPartition, sizes: &[usize]) -> Self {
+        let max_n = part.max_size();
+        SweepPivots {
+            part,
+            lu: MatrixBatch::zeros(sizes),
+            row_of_step: vec![0; part.total()],
+            scaled: vec![false; part.len()],
+            step_of_row: vec![0; max_n],
+            col: vec![T::ZERO; max_n],
+        }
+    }
+
+    /// Factorize the finished diagonal block `block` as pivot `k`;
+    /// `false` when it was singular and degraded to scaling.
+    fn factorize(&mut self, k: usize, block: &[T]) -> bool {
+        let n = self.lu.size(k);
+        let lu = self.lu.block_mut(k);
+        lu.copy_from_slice(block);
+        let step_of_row = &mut self.step_of_row[..n];
+        if getrf_implicit_inplace_scratch(n, lu, step_of_row, &mut self.col).is_ok() {
+            let row_of_step = &mut self.row_of_step[self.part.range(k)];
+            for (r, &step) in step_of_row.iter().enumerate() {
+                row_of_step[step] = r;
+            }
+            return true;
+        }
+        self.scaled[k] = true;
+        for d in 0..n {
+            let v = block[d * n + d];
+            lu[d] = if v != T::ZERO && v.is_finite() {
+                T::ONE / v
+            } else {
+                T::ONE
+            };
+        }
+        false
+    }
+
+    /// `L\U` factors and row-of-step sequence of pivot `k`.
+    fn lu(&self, k: usize) -> (&[T], &[usize]) {
+        (self.lu.block(k), &self.row_of_step[self.part.range(k)])
+    }
+
+    /// Reciprocal diagonal of a pivot that degraded to scaling.
+    fn inv_diag(&self, k: usize) -> &[T] {
+        &self.lu.block(k)[..self.lu.size(k)]
+    }
 }
 
 /// The assembled block-ILU(0) preconditioner.
@@ -101,9 +161,11 @@ impl<T: Scalar> BlockIlu0<T> {
             .map(|plan| inject_batch(&mut blocks, plan))
             .unwrap_or_default();
 
+        let extract_t0 = std::time::Instant::now();
         let pattern = BlockPattern::build(a, part);
         let mut lower = BlockTriangular::extract(TriKind::Lower, a, part, &pattern);
         let mut upper = BlockTriangular::extract(TriKind::Upper, a, part, &pattern);
+        stats.add_phase(Phase::Extract, extract_t0.elapsed());
 
         // --- blocked IKJ ILU(0) sweep ------------------------------------
         // for i:  for k < i in pattern:  L_ik = A_ik · D_k^{-1};
@@ -113,45 +175,33 @@ impl<T: Scalar> BlockIlu0<T> {
         // factorization below, exactly like block-Jacobi.
         let sweep_t0 = std::time::Instant::now();
         let max_n = part.max_size();
-        let mut diag_fact: Vec<Option<DiagFactor<T>>> = (0..nb).map(|_| None).collect();
-        let mut trsm_scratch = vec![T::ZERO; 2 * max_n];
+        let mut pivots = SweepPivots::new(part, blocks.sizes());
+        let mut trsm_scratch = vec![T::ZERO; max_n * max_n];
         let mut aik_buf = vec![T::ZERO; max_n * max_n];
         let mut akj_buf = vec![T::ZERO; max_n * max_n];
         let mut sweep_fallback_pivots = 0usize;
         let mut sweep_flops = 0.0f64;
         for i in 0..nb {
             let m = part.size(i);
-            // collect the lower entries of row i up front: the loop
-            // below mutates blocks of the same row
-            for kk in 0..pattern.lower_cols(i).len() {
-                let k = pattern.lower_cols(i)[kk];
+            // the lower entries of row i are its pattern columns k < i,
+            // ascending: every pivot row they name is finished
+            for e_ik in lower.row_entries(i) {
+                let k = lower.col_of(e_ik);
                 let nk = part.size(k);
-                let e_ik = lower
-                    .entry_index(i, k)
-                    .expect("lower pattern covers its own entries");
-                match diag_fact[k].as_ref().expect("pivot row finished first") {
-                    DiagFactor::Lu { lu, perm } => {
-                        trsm_right_lu_inplace(
-                            m,
-                            nk,
-                            lu,
-                            perm.as_slice(),
-                            lower.block_data_mut(e_ik),
-                            &mut trsm_scratch,
-                        );
-                        sweep_flops += (m * nk * nk) as f64;
-                    }
-                    DiagFactor::Scaled { inv_diag } => {
-                        let b = lower.block_data_mut(e_ik);
-                        for (c, &d) in inv_diag.iter().enumerate() {
-                            for r in 0..m {
-                                b[c * m + r] *= d;
-                            }
+                let b = lower.block_data_mut(e_ik);
+                if pivots.scaled[k] {
+                    for (col, &d) in b.chunks_exact_mut(m).zip(pivots.inv_diag(k)) {
+                        for x in col {
+                            *x *= d;
                         }
-                        sweep_flops += (m * nk) as f64;
                     }
+                    sweep_flops += (m * nk) as f64;
+                } else {
+                    let (lu, row_of_step) = pivots.lu(k);
+                    trsm_right_lu_inplace(m, nk, lu, row_of_step, b, &mut trsm_scratch);
+                    sweep_flops += (m * nk * nk) as f64;
                 }
-                aik_buf[..m * nk].copy_from_slice(lower.block_data(e_ik));
+                aik_buf[..m * nk].copy_from_slice(b);
                 // update every patterned A_ij, j > k, with -L_ik · U_kj
                 for ee in upper.row_entries(k) {
                     let j = upper.col_of(ee);
@@ -171,32 +221,15 @@ impl<T: Scalar> BlockIlu0<T> {
                 }
             }
             // row i finished: realize its pivot factor for later rows
-            let n = m;
-            let mut lu = blocks.block(i).to_vec();
-            diag_fact[i] = Some(match getrf_implicit_inplace(n, &mut lu) {
-                Ok(perm) => DiagFactor::Lu { lu, perm },
-                Err(_) => {
-                    sweep_fallback_pivots += 1;
-                    stats.record_health(BlockHealth::Singular);
-                    stats.record_recovery(RecoveryStep::ScalarJacobi);
-                    let block = blocks.block(i);
-                    let inv_diag = (0..n)
-                        .map(|d| {
-                            let v = block[d * n + d];
-                            if v != T::ZERO && v.is_finite() {
-                                T::ONE / v
-                            } else {
-                                T::ONE
-                            }
-                        })
-                        .collect();
-                    DiagFactor::Scaled { inv_diag }
-                }
-            });
+            if !pivots.factorize(i, blocks.block(i)) {
+                sweep_fallback_pivots += 1;
+                stats.record_health(BlockHealth::Singular);
+                stats.record_recovery(RecoveryStep::ScalarJacobi);
+            }
         }
         stats.add_flops(sweep_flops);
-        stats.add_phase(Phase::Factorize, sweep_t0.elapsed());
-        drop(diag_fact);
+        stats.add_phase(Phase::Sweep, sweep_t0.elapsed());
+        drop(pivots);
 
         // --- batched factorization of the updated diagonal ---------------
         let plan = BatchPlan::for_method_with_layout::<T>(
@@ -211,31 +244,25 @@ impl<T: Scalar> BlockIlu0<T> {
         let prepared = backend.prepare_apply(&factors);
 
         // --- normalize the upper factor with the realized solves ---------
-        // Ũ_ij = D_i^{-1} Ū_ij, column by column through the same
-        // per-block solve the apply's diagonal stage uses, so the apply
-        // composes to exactly U^{-1} L^{-1} of what is stored — even
-        // where a block degraded to a fallback.
+        // Ũ_i* = D_i^{-1} Ū_i*, one multi-right-hand-side solve per block
+        // row through the same per-block factors the apply's diagonal
+        // stage uses, so the apply composes to exactly U^{-1} L^{-1} of
+        // what is stored — even where a block degraded to a fallback.
+        let normalize_t0 = std::time::Instant::now();
         let mut solve_scratch = vec![
             T::ZERO;
             (0..nb)
-                .map(|i| factors.solve_scratch_elems(i))
+                .map(|i| {
+                    let cols = upper.row_entries(i).map(|e| part.size(upper.col_of(e)));
+                    factors.solve_multi_scratch_elems(i, cols.sum())
+                })
                 .max()
                 .unwrap_or(0)
         ];
         for i in 0..nb {
-            let m = part.size(i);
-            for e in upper.row_entries(i) {
-                let nj = part.size(upper.col_of(e));
-                let block = upper.block_data_mut(e);
-                for c in 0..nj {
-                    factors.solve_block_inplace_with(
-                        i,
-                        &mut block[c * m..(c + 1) * m],
-                        &mut solve_scratch,
-                    );
-                }
-            }
+            factors.solve_block_multi_inplace_with(i, upper.row_data_mut(i), &mut solve_scratch);
         }
+        stats.add_phase(Phase::Solve, normalize_t0.elapsed());
         let upper_tilde = upper;
 
         // --- health triage of the off-diagonal factors --------------------

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 use vbatch_core::{BatchLayout, DenseMat};
-use vbatch_exec::{Backend, CpuRayon, CpuSequential, SimtSim};
+use vbatch_exec::{Backend, CpuRayon, CpuSequential, CpuSimd, SimtSim};
 use vbatch_precond::{BjMethod, BlockIlu0, PrecondOptions, Preconditioner};
 use vbatch_rt::{run_cases, testgen, SmallRng};
 use vbatch_sparse::{BlockPartition, BlockPattern, CooMatrix, CsrMatrix};
@@ -222,6 +222,90 @@ fn bilu_apply_is_bitwise_identical_across_backends() {
             }
         },
     );
+}
+
+/// Golden for the setup kernels on a ragged partition: every block
+/// order 1..=32 twice (so each order forms an interleaved class of
+/// two), banded plus long-range couplings, and one block row with no
+/// off-diagonal block at all. The column-oriented right-division, the
+/// multi-right-hand-side normalisation (blocked, interleaved and
+/// column-loop variants all occur under the planner) and the stamped
+/// extraction must leave `L̃`, `Ũ` and the apply bitwise equal on the
+/// three CPU backends.
+#[test]
+fn bilu_factors_are_bitwise_identical_across_cpu_backends_on_ragged_partition() {
+    let mut rng = SmallRng::seed_from_u64(0xb11u64);
+    let mut sizes: Vec<usize> = (1..=32).chain(1..=32).collect();
+    for k in (1..sizes.len()).rev() {
+        sizes.swap(k, rng.gen_range(0..k + 1));
+    }
+    let mut ptr = vec![0usize];
+    for &s in &sizes {
+        ptr.push(ptr.last().unwrap() + s);
+    }
+    let part = BlockPartition::from_ptr(ptr);
+    let (nb, n) = (part.len(), part.total());
+    let isolated = nb / 2;
+    let mut coo = CooMatrix::new(n, n);
+    for b in 0..nb {
+        let rb = part.range(b);
+        for r in rb.clone() {
+            for c in rb.clone() {
+                let v = rng.gen_range(-1.0..1.0);
+                coo.push(r, c, if r == c { v + 40.0 } else { v });
+            }
+        }
+        for d in [1usize, 3, 17] {
+            let o = b + d;
+            if o >= nb || b == isolated || o == isolated {
+                continue;
+            }
+            let ro = part.range(o);
+            for _ in 0..(rb.len() + ro.len()) {
+                let (r, c) = (
+                    rng.gen_range(rb.start..rb.end),
+                    rng.gen_range(ro.start..ro.end),
+                );
+                coo.push(r, c, rng.gen_range(-1.0..1.0));
+                coo.push(c, r, rng.gen_range(-1.0..1.0));
+            }
+        }
+    }
+    let a = coo.to_csr();
+    let opts =
+        PrecondOptions::default().with_layout(BatchLayout::Interleaved { class_capacity: 2 });
+    let v: Vec<f64> = (0..n).map(|i| ((i * 29) % 31) as f64 / 7.0 - 2.0).collect();
+    let bits = |x: &[f64]| x.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+    let tri_bits = |t: &vbatch_exec::BlockTriangular<f64>| {
+        (0..t.nnz_blocks())
+            .flat_map(|e| t.block_data(e).iter().map(|x| x.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    let cpu_backends: [(&str, Arc<dyn Backend<f64>>); 3] = [
+        ("cpu-seq", Arc::new(CpuSequential)),
+        ("cpu-par", Arc::new(CpuRayon)),
+        ("cpu-simd", Arc::new(CpuSimd)),
+    ];
+    let mut golden = None;
+    for (name, backend) in cpu_backends {
+        let m = BlockIlu0::setup_opts(&a, &part, backend, opts.clone()).unwrap();
+        assert_eq!(m.fallback_blocks, 0, "{name}");
+        assert_eq!(m.sweep_fallback_pivots, 0, "{name}");
+        assert!(m.lower().row_entries(isolated).is_empty());
+        assert!(m.upper_tilde().row_entries(isolated).is_empty());
+        assert!(m.lower().nnz_blocks() > nb && m.upper_tilde().nnz_blocks() > nb);
+        let x = m.apply(&v);
+        assert!(x.iter().all(|t| t.is_finite()));
+        let got = (tri_bits(m.lower()), tri_bits(m.upper_tilde()), bits(&x));
+        match &golden {
+            None => golden = Some((name, got)),
+            Some((ref_name, want)) => {
+                assert!(got.0 == want.0, "{name}: L differs from {ref_name}");
+                assert!(got.1 == want.1, "{name}: U~ differs from {ref_name}");
+                assert!(got.2 == want.2, "{name}: apply differs from {ref_name}");
+            }
+        }
+    }
 }
 
 /// The level-scheduled sweeps inside the apply are bitwise equal to a

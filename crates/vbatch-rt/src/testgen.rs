@@ -120,6 +120,24 @@ pub fn ragged_sizes(rng: &mut SmallRng, max_n: usize, max_count: usize) -> Vec<u
         .collect()
 }
 
+/// Boundaries of a random ragged partition of `0..n`
+/// (`ptr[0] = 0 < … < ptr[last] = n`): blocks of `1..=5` rows, about
+/// four in ten forced to a single row.
+pub fn ragged_partition_ptr(rng: &mut SmallRng, n: usize) -> Vec<usize> {
+    let mut ptr = vec![0usize];
+    let mut at = 0;
+    while at < n {
+        let size = if rng.gen_bool(0.4) {
+            1
+        } else {
+            rng.gen_range(1usize..6)
+        };
+        at = (at + size).min(n);
+        ptr.push(at);
+    }
+    ptr
+}
+
 /// A ragged batch of [`dd_dense`] blocks.
 pub fn dd_batch(rng: &mut SmallRng, max_n: usize, max_count: usize) -> RawBatch {
     let sizes = ragged_sizes(rng, max_n, max_count);

@@ -23,6 +23,10 @@ pub struct BlockPattern {
     nblocks: usize,
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
+    /// Owning block of every scalar row/column
+    /// ([`BlockPartition::row_to_block`]), kept so the passes that
+    /// scatter `A` into this pattern do not search the partition again.
+    block_of: Vec<usize>,
 }
 
 impl BlockPattern {
@@ -30,6 +34,7 @@ impl BlockPattern {
     pub fn build<T: Scalar>(a: &CsrMatrix<T>, part: &BlockPartition) -> Self {
         assert_eq!(part.total(), a.nrows(), "partition must cover the matrix");
         let nb = part.len();
+        let block_of = part.row_to_block();
         let mut row_ptr = Vec::with_capacity(nb + 1);
         let mut col_idx = Vec::new();
         // stamp[j] = block row that last saw block column j
@@ -39,7 +44,7 @@ impl BlockPattern {
             let begin = col_idx.len();
             for r in part.range(i) {
                 for &c in a.row_cols(r) {
-                    let j = part.block_of(c);
+                    let j = block_of[c];
                     if stamp[j] != i {
                         stamp[j] = i;
                         col_idx.push(j);
@@ -53,6 +58,7 @@ impl BlockPattern {
             nblocks: nb,
             row_ptr,
             col_idx,
+            block_of,
         }
     }
 
@@ -88,6 +94,12 @@ impl BlockPattern {
         let row = self.row_cols(i);
         let split = row.partition_point(|&j| j <= i);
         &row[split..]
+    }
+
+    /// Block owning scalar row/column `r` of the partition the pattern
+    /// was built under (one table load).
+    pub fn block_of(&self, r: usize) -> usize {
+        self.block_of[r]
     }
 
     /// `true` when block `(i, j)` is present (binary search).

@@ -319,3 +319,49 @@ fn level_schedules_topologically_partition_the_block_dag() {
         },
     );
 }
+
+/// `BlockPattern::build` classifies nonzeros through the row→block
+/// table; the oracle asks `BlockPartition::block_of` (binary search)
+/// for every entry of a dense boolean block map. Ragged partitions with
+/// size-1 blocks; the matrix keeps no forced diagonal, so some block
+/// rows have no off-diagonal (or no) entries at all.
+#[test]
+fn block_pattern_matches_block_of_per_entry_oracle() {
+    use vbatch_sparse::BlockPattern;
+    run_cases(
+        "block_pattern_matches_block_of_per_entry_oracle",
+        96,
+        |rng, _case| {
+            let (n, entries) = coo_matrix(rng);
+            let mut coo = CooMatrix::new(n, n);
+            for &(i, j, v) in &entries {
+                coo.push(i, j, v);
+            }
+            let a = coo.to_csr();
+            let part = BlockPartition::from_ptr(testgen::ragged_partition_ptr(rng, n));
+            let nb = part.len();
+            assert_eq!(part.row_to_block().len(), n);
+            let mut present = vec![false; nb * nb];
+            for r in 0..n {
+                for &c in a.row_cols(r) {
+                    present[part.block_of(r) * nb + part.block_of(c)] = true;
+                }
+            }
+            let pattern = BlockPattern::build(&a, &part);
+            assert_eq!(pattern.len(), nb);
+            for r in 0..n {
+                assert_eq!(pattern.block_of(r), part.block_of(r));
+            }
+            for i in 0..nb {
+                let want: Vec<usize> = (0..nb).filter(|&j| present[i * nb + j]).collect();
+                // sorted and duplicate-free by construction of `want`
+                assert_eq!(pattern.row_cols(i), &want[..], "block row {i}");
+                let lower: Vec<usize> = want.iter().copied().filter(|&j| j < i).collect();
+                let upper: Vec<usize> = want.iter().copied().filter(|&j| j > i).collect();
+                assert_eq!(pattern.lower_cols(i), &lower[..]);
+                assert_eq!(pattern.upper_cols(i), &upper[..]);
+            }
+            assert_eq!(pattern.nnz_blocks(), present.iter().filter(|&&p| p).count());
+        },
+    );
+}
