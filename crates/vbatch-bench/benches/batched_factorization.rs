@@ -9,7 +9,7 @@ use std::sync::Arc;
 use vbatch_core::{
     batched_gh, batched_gje_invert, make_spd, potrf, DenseMat, Exec, GhLayout, MatrixBatch,
 };
-use vbatch_exec::{backend_for_exec, Backend, BatchPlan, ExecStats, PlanMethod};
+use vbatch_exec::{Backend, BatchPlan, CpuRayon, CpuSequential, ExecStats, PlanMethod};
 use vbatch_rt::bench::{bench, group};
 
 fn batch(n: usize, count: usize) -> MatrixBatch<f64> {
@@ -26,7 +26,7 @@ fn batch(n: usize, count: usize) -> MatrixBatch<f64> {
 
 fn bench_getrf() {
     group("batched_getrf (planner-selected LU family)");
-    let backend: Arc<dyn Backend<f64>> = backend_for_exec(Exec::Sequential);
+    let backend: Arc<dyn Backend<f64>> = Arc::new(CpuSequential);
     let count = 1_000;
     for n in [8usize, 16, 32] {
         let b = batch(n, count);
@@ -90,8 +90,8 @@ fn bench_parallel_scaling() {
     group("getrf_parallel_scaling (4000x32)");
     let b = batch(32, 4_000);
     let plan = BatchPlan::auto::<f64>(b.sizes());
-    for exec in [Exec::Sequential, Exec::Parallel] {
-        let backend: Arc<dyn Backend<f64>> = backend_for_exec(exec);
+    let backends: [Arc<dyn Backend<f64>>; 2] = [Arc::new(CpuSequential), Arc::new(CpuRayon)];
+    for backend in backends {
         bench(&format!("getrf/{}", backend.name()), || {
             let mut stats = ExecStats::new();
             let f = backend.factorize(black_box(b.clone()), &plan, &mut stats);

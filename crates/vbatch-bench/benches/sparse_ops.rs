@@ -2,8 +2,9 @@
 //! RCM reordering, and one full preconditioned IDR(4) solve.
 
 use std::hint::black_box;
-use vbatch_core::Exec;
-use vbatch_precond::{BjMethod, BlockJacobi};
+use std::sync::Arc;
+use vbatch_exec::CpuRayon;
+use vbatch_precond::{BjMethod, BlockJacobi, PrecondOptions};
 use vbatch_rt::bench::{bench, group};
 use vbatch_solver::{idr, SolveParams};
 use vbatch_sparse::gen::fem::{fem_block_matrix, MeshGraph};
@@ -40,7 +41,8 @@ fn bench_full_solve() {
     let part = supervariable_blocking(&a, 32);
     let rhs = vec![1.0; a.nrows()];
     bench("setup_plus_solve", || {
-        let m = BlockJacobi::setup(&a, &part, BjMethod::SmallLu, Exec::Parallel).unwrap();
+        let opts = PrecondOptions::default().with_method(BjMethod::SmallLu);
+        let m = BlockJacobi::setup_opts(&a, &part, Arc::new(CpuRayon), opts).unwrap();
         let r = idr(&a, &rhs, 4, &m, &SolveParams::default());
         assert!(r.converged());
         black_box(r.iterations)

@@ -9,10 +9,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use vbatch_core::{BatchLayout, Exec, MatrixBatch, Scalar};
+use vbatch_core::{BatchLayout, MatrixBatch, Scalar};
 use vbatch_exec::{
-    backend_for_exec, Backend, BatchPlan, CpuSequential, CpuSimd, ExecStats, HealthPolicy,
-    PrecisionPolicy,
+    Backend, BatchPlan, CpuRayon, CpuSequential, CpuSimd, ExecStats, HealthPolicy, PrecisionPolicy,
 };
 use vbatch_precond::{BjMethod, BlockIlu0, Jacobi, PrecondKind, PrecondOptions, Preconditioner};
 use vbatch_solver::{idr, idr_precond_kind, SolveParams, SpikeSolver, StopReason};
@@ -287,7 +286,7 @@ fn flag_value(flag: &str) -> Option<String> {
 /// error: reported on stderr, exit status 2.
 pub fn parse_backend_flag() -> (Arc<dyn Backend<f64>>, &'static str) {
     match flag_value("--backend").as_deref() {
-        None | Some("cpu") => (backend_for_exec(Exec::Parallel), "cpu"),
+        None | Some("cpu") => (Arc::new(CpuRayon), "cpu"),
         Some("simd") => (Arc::new(CpuSimd), "cpu-simd"),
         Some(other) => usage_error(&format!(
             "unknown --backend value {other:?} (expected cpu or simd)"
@@ -541,7 +540,7 @@ pub fn run_precond_idr(
     kind: PrecondKind,
     method: BjMethod,
 ) -> Option<SolveOutcome> {
-    run_precond_idr_on(a, bound, kind, method, backend_for_exec(Exec::Parallel))
+    run_precond_idr_on(a, bound, kind, method, Arc::new(CpuRayon))
 }
 
 /// [`run_precond_idr`] on an explicit execution backend — the engine of

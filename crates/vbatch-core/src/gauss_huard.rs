@@ -32,6 +32,7 @@ use crate::dense::DenseMat;
 use crate::error::{check_finite, FactorError, FactorResult};
 use crate::perm::Permutation;
 use crate::scalar::Scalar;
+use crate::widen::Stored;
 
 /// Storage layout of the Gauss-Huard working matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -157,23 +158,30 @@ impl<T: Scalar> GhFactors<T> {
     /// [`GhFactors::solve_inplace`] with caller-provided scratch
     /// (`scratch.len() >= n`) for the un-permute copy, so the
     /// steady-state apply performs no heap allocation. Bitwise
-    /// identical to the allocating form.
-    pub fn solve_inplace_scratch(&self, b: &mut [T], scratch: &mut [T]) {
+    /// identical to the allocating form. The right-hand side may be in
+    /// a wider working scalar `W` than the factors are stored in
+    /// (see [`crate::widen`]); arithmetic is always in `W`.
+    #[inline]
+    pub fn solve_inplace_scratch<W: Scalar>(&self, b: &mut [W], scratch: &mut [W])
+    where
+        T: Stored<W>,
+    {
         let n = self.order();
         debug_assert_eq!(b.len(), n);
         debug_assert!(scratch.len() >= n);
+        let at = |i: usize, j: usize| get(&self.m, self.layout, i, j).widen();
         for k in 0..n {
             // replay (1): subtract the multipliers of the lazy row update
             let mut acc = b[k];
             for j in 0..k {
-                acc = (-get(&self.m, self.layout, k, j)).mul_add(b[j], acc);
+                acc = (-at(k, j)).mul_add(b[j], acc);
             }
             // replay (3): the pivot division
-            acc /= get(&self.m, self.layout, k, k);
+            acc /= at(k, k);
             b[k] = acc;
             // replay (4): eliminate above
             for i in 0..k {
-                b[i] = (-get(&self.m, self.layout, i, k)).mul_add(acc, b[i]);
+                b[i] = (-at(i, k)).mul_add(acc, b[i]);
             }
         }
         // un-permute: the value computed at position k belongs to the

@@ -35,6 +35,7 @@
 use crate::batch::MatrixBatch;
 use crate::error::FactorError;
 use crate::scalar::Scalar;
+use crate::widen::Stored;
 
 /// How a batch (or one of its size classes) is laid out in memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,8 +88,12 @@ pub struct InterleavedClass<T> {
 
 impl<T: Scalar> InterleavedClass<T> {
     /// Pack the listed blocks of `batch` (all of one order) into an
-    /// interleaved class.
-    pub fn pack_from(batch: &MatrixBatch<T>, members: &[usize]) -> Self {
+    /// interleaved class, narrowing each element to the class's storage
+    /// scalar while gathering (a plain copy when it is the batch's own).
+    pub fn pack_from<W: Scalar>(batch: &MatrixBatch<W>, members: &[usize]) -> Self
+    where
+        T: Stored<W>,
+    {
         assert!(!members.is_empty(), "interleaved class must be non-empty");
         let n = batch.size(members[0]);
         let count = members.len();
@@ -96,7 +101,7 @@ impl<T: Scalar> InterleavedClass<T> {
             .checked_mul(n)
             .and_then(|sq| sq.checked_mul(count))
             .expect("interleaved class element count overflows usize");
-        let blocks: Vec<&[T]> = members
+        let blocks: Vec<&[W]> = members
             .iter()
             .map(|&b| {
                 assert_eq!(batch.size(b), n, "class members must share one order");
@@ -108,7 +113,7 @@ impl<T: Scalar> InterleavedClass<T> {
         let mut data = vec![T::ZERO; elems];
         for (e, lane) in data.chunks_exact_mut(count).enumerate() {
             for (dst, blk) in lane.iter_mut().zip(&blocks) {
-                *dst = blk[e];
+                *dst = T::narrow(blk[e]);
             }
         }
         InterleavedClass {
@@ -523,20 +528,22 @@ pub fn lu_solve_interleaved_slot<T: Scalar>(
 
 /// [`lu_solve_interleaved_slot`] with caller-provided scratch
 /// (`scratch.len() >= n`) for the permutation gather. Bitwise identical
-/// to the allocating form.
+/// to the allocating form. The class may be stored in a narrower scalar
+/// `S` than the working scalar `T` of `b` (see [`crate::widen`]).
 #[allow(clippy::too_many_arguments)] // mirrors the slot solve plus scratch
-pub fn lu_solve_interleaved_slot_scratch<T: Scalar>(
+#[inline]
+pub fn lu_solve_interleaved_slot_scratch<T: Scalar, S: Stored<T>>(
     n: usize,
     count: usize,
     slot: usize,
-    data: &[T],
+    data: &[S],
     row_of_step: &[usize],
     b: &mut [T],
     scratch: &mut [T],
 ) {
     debug_assert_eq!(b.len(), n);
     debug_assert!(scratch.len() >= n);
-    let at = |i: usize, j: usize| data[(j * n + i) * count + slot];
+    let at = |i: usize, j: usize| data[(j * n + i) * count + slot].widen();
     let permuted = &mut scratch[..n];
     for (k, p) in permuted.iter_mut().enumerate() {
         *p = b[row_of_step[k * count + slot]];

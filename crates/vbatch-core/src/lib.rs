@@ -78,7 +78,5 @@ pub use trsv::{
     trsv_upper, TrsvVariant,
 };
 pub use widen::{
-    demote_slice, gh_solve_widened_scratch, lu_solve_interleaved_slot_widened_scratch,
-    lu_solve_widened_scratch, residual_into, trsv_lower_unit_widened, trsv_upper_widened,
-    StoragePrecision,
+    narrow_slice, residual_into, Storage, StoragePrecision, Stored, StoredGh, StoredVec,
 };

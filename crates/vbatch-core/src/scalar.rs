@@ -10,6 +10,8 @@ use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
+use crate::widen::Stored;
+
 /// Real floating-point scalar usable in every kernel of the workspace.
 ///
 /// [`vbatch_rt::simd::SimdElem`] is a supertrait so every `Scalar` can
@@ -52,17 +54,12 @@ pub trait Scalar:
     /// The next-narrower storage format of this precision (`f32` for
     /// `f64`; `f32` is its own floor). Mixed-precision factor storage
     /// keeps SP factors of type `Self::Lower` and widens each element
-    /// back through [`Scalar::promote`] on read, so working precision
+    /// back through [`Stored::widen`] on read, so working precision
     /// stays `Self` throughout the solve.
-    type Lower: Scalar;
+    type Lower: Stored<Self>;
     /// `true` when [`Scalar::Lower`] is actually narrower than `Self`
-    /// (`false` at the `f32` floor, where demotion is the identity).
+    /// (`false` at the `f32` floor, where narrowing is the identity).
     const HAS_LOWER: bool;
-
-    /// Narrowing conversion into the storage format (round-to-nearest).
-    fn demote(self) -> Self::Lower;
-    /// Widening conversion back to working precision (exact).
-    fn promote(x: Self::Lower) -> Self;
 
     /// Machine epsilon of the format.
     fn epsilon() -> Self;
@@ -113,15 +110,6 @@ impl Scalar for f32 {
     const HAS_LOWER: bool = false;
 
     #[inline]
-    fn demote(self) -> f32 {
-        self
-    }
-    #[inline]
-    fn promote(x: f32) -> f32 {
-        x
-    }
-
-    #[inline]
     fn epsilon() -> Self {
         f32::EPSILON
     }
@@ -163,15 +151,6 @@ impl Scalar for f64 {
 
     type Lower = f32;
     const HAS_LOWER: bool = true;
-
-    #[inline]
-    fn demote(self) -> f32 {
-        self as f32
-    }
-    #[inline]
-    fn promote(x: f32) -> f64 {
-        x as f64
-    }
 
     #[inline]
     fn epsilon() -> Self {
@@ -245,20 +224,23 @@ mod tests {
     }
 
     #[test]
-    fn demote_promote_roundtrip() {
+    fn narrow_widen_roundtrip() {
         fn has_lower<T: Scalar>() -> bool {
             T::HAS_LOWER
         }
+        fn through_lower<T: Scalar>(x: T) -> T {
+            <T::Lower as Stored<T>>::narrow(x).widen()
+        }
         assert!(!has_lower::<f32>());
         assert!(has_lower::<f64>());
-        // demotion rounds, promotion is exact
-        let x = 1.0f64 + f64::EPSILON;
-        assert_eq!(f64::promote(x.demote()), 1.0);
-        let y = 0.5f64;
-        assert_eq!(f64::promote(y.demote()), y);
+        // narrowing rounds, widening is exact
+        assert_eq!(through_lower(1.0f64 + f64::EPSILON), 1.0);
+        assert_eq!(through_lower(0.5f64), 0.5);
         // the f32 floor is the identity
-        assert_eq!(0.25f32.demote(), 0.25f32);
-        assert_eq!(f32::promote(0.25f32), 0.25f32);
+        assert_eq!(
+            through_lower(0.25f32 + f32::EPSILON),
+            0.25f32 + f32::EPSILON
+        );
     }
 
     #[test]

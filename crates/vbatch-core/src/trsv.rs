@@ -19,6 +19,7 @@
 //! the diagonal.
 
 use crate::scalar::Scalar;
+use crate::widen::Stored;
 
 /// Which algorithmic variant of the triangular sweep to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,14 +36,24 @@ impl TrsvVariant {
 }
 
 #[inline]
-fn at<T: Copy>(a: &[T], n: usize, i: usize, j: usize) -> T {
+fn at<T: Scalar, S: Stored<T>>(a: &[S], n: usize, i: usize, j: usize) -> T {
     debug_assert!(i < n && j < n);
-    a[j * n + i]
+    a[j * n + i].widen()
 }
 
 /// Solve `L y = b` in place with `L` unit lower triangular, stored in the
 /// strict lower triangle of the column-major `n x n` matrix `a`.
-pub fn trsv_lower_unit<T: Scalar>(variant: TrsvVariant, n: usize, a: &[T], b: &mut [T]) {
+///
+/// Like every solve in this module the factor may be stored in a
+/// narrower scalar `S` than the working scalar `T` of `b`
+/// (see [`crate::widen`]); arithmetic is always in `T`.
+#[inline]
+pub fn trsv_lower_unit<T: Scalar, S: Stored<T>>(
+    variant: TrsvVariant,
+    n: usize,
+    a: &[S],
+    b: &mut [T],
+) {
     debug_assert_eq!(a.len(), n * n);
     debug_assert_eq!(b.len(), n);
     match variant {
@@ -51,7 +62,7 @@ pub fn trsv_lower_unit<T: Scalar>(variant: TrsvVariant, n: usize, a: &[T], b: &m
             for k in 1..n {
                 let mut acc = b[k];
                 for j in 0..k {
-                    acc = (-at(a, n, k, j)).mul_add(b[j], acc);
+                    acc = (-at::<T, S>(a, n, k, j)).mul_add(b[j], acc);
                 }
                 b[k] = acc;
             }
@@ -62,7 +73,7 @@ pub fn trsv_lower_unit<T: Scalar>(variant: TrsvVariant, n: usize, a: &[T], b: &m
                 let bk = b[k];
                 let col = &a[k * n..k * n + n];
                 for i in k + 1..n {
-                    b[i] = (-col[i]).mul_add(bk, b[i]);
+                    b[i] = (-col[i].widen()).mul_add(bk, b[i]);
                 }
             }
         }
@@ -71,7 +82,8 @@ pub fn trsv_lower_unit<T: Scalar>(variant: TrsvVariant, n: usize, a: &[T], b: &m
 
 /// Solve `U x = b` in place with `U` upper triangular (diagonal included)
 /// stored in the upper triangle of the column-major `n x n` matrix `a`.
-pub fn trsv_upper<T: Scalar>(variant: TrsvVariant, n: usize, a: &[T], b: &mut [T]) {
+#[inline]
+pub fn trsv_upper<T: Scalar, S: Stored<T>>(variant: TrsvVariant, n: usize, a: &[S], b: &mut [T]) {
     debug_assert_eq!(a.len(), n * n);
     debug_assert_eq!(b.len(), n);
     match variant {
@@ -79,18 +91,18 @@ pub fn trsv_upper<T: Scalar>(variant: TrsvVariant, n: usize, a: &[T], b: &mut [T
             for k in (0..n).rev() {
                 let mut acc = b[k];
                 for j in k + 1..n {
-                    acc = (-at(a, n, k, j)).mul_add(b[j], acc);
+                    acc = (-at::<T, S>(a, n, k, j)).mul_add(b[j], acc);
                 }
-                b[k] = acc / at(a, n, k, k);
+                b[k] = acc / at::<T, S>(a, n, k, k);
             }
         }
         TrsvVariant::Eager => {
             for k in (0..n).rev() {
-                let bk = b[k] / at(a, n, k, k);
+                let bk = b[k] / at::<T, S>(a, n, k, k);
                 b[k] = bk;
                 let col = &a[k * n..k * n + n];
                 for i in 0..k {
-                    b[i] = (-col[i]).mul_add(bk, b[i]);
+                    b[i] = (-col[i].widen()).mul_add(bk, b[i]);
                 }
             }
         }
@@ -119,10 +131,11 @@ pub fn lu_solve_inplace<T: Scalar>(
 /// vector, so the steady-state apply path performs no heap allocation.
 /// Element-exact copies only — results are bitwise identical to the
 /// allocating form.
-pub fn lu_solve_inplace_scratch<T: Scalar>(
+#[inline]
+pub fn lu_solve_inplace_scratch<T: Scalar, S: Stored<T>>(
     variant: TrsvVariant,
     n: usize,
-    lu: &[T],
+    lu: &[S],
     row_of_step: &[usize],
     b: &mut [T],
     scratch: &mut [T],

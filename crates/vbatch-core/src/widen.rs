@@ -1,36 +1,32 @@
-//! Widening solve paths for mixed-precision factor storage.
+//! Storage precision as a type parameter.
 //!
 //! The paper's Fig. 4/5 show the SP batched factorization running at
 //! roughly twice the DP flop rate with half the memory traffic; the
 //! block-Jacobi *apply*, however, must stay accurate in the working
-//! precision of the Krylov solver. These kernels close that gap: the
-//! factors are stored in [`Scalar::Lower`] (SP when `T = f64`) and every
-//! element is widened back through [`Scalar::promote`] as it is read, so
-//! the right-hand side and every accumulation stay in `T`. Combined with
-//! one step of iterative refinement against the retained full-precision
-//! block (the same correction the `EquilibratedLu` recovery path runs),
-//! a well-conditioned block solved through the widened path converges to
-//! working accuracy — the storage-vs-working precision split of the
-//! mixed block-Jacobi literature.
-//!
-//! Each widened solve mirrors its native counterpart operation for
-//! operation ([`crate::trsv::lu_solve_inplace_scratch`],
-//! [`crate::gauss_huard::GhFactors::solve_inplace_scratch`],
-//! [`crate::interleaved::lu_solve_interleaved_slot_scratch`]); the only
-//! difference is the promotion on each factor read.
+//! precision of the Krylov solver. So factors may be *stored* narrower
+//! than they are *applied*: every solve kernel of this crate
+//! ([`crate::trsv`], [`crate::gauss_huard`], the per-slot solve of
+//! [`crate::interleaved`]) takes the factor's storage scalar `S` and the
+//! working scalar `T` as separate type parameters, related by
+//! [`Stored`], and widens each factor element as it reads it — the
+//! right-hand side and every accumulation stay in `T`. The `S = T`
+//! instance is the native kernel (the widening is the identity and
+//! compiles away); the `S = T::Lower` instance runs the same fused
+//! multiply-add sequence per element on widened reads. Combined with one
+//! step of iterative refinement against the retained working-precision
+//! block ([`residual_into`]), a well-conditioned block solved through
+//! narrowed factors converges to working accuracy.
 
-use crate::gauss_huard::{GhFactors, GhLayout};
+use crate::gauss_huard::GhFactors;
 use crate::scalar::Scalar;
-use crate::trsv::TrsvVariant;
 
 /// Which storage format a factor actually occupies, relative to the
 /// working precision of the batch it belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum StoragePrecision {
-    /// Stored in the working precision `T` (the historical layout).
+    /// Stored in the working precision `T`.
     Native,
-    /// Stored demoted to [`Scalar::Lower`]; applied through the
-    /// widening solves of this module.
+    /// Stored narrowed to [`Scalar::Lower`] and widened on read.
     Lower,
 }
 
@@ -48,181 +44,98 @@ impl StoragePrecision {
     }
 }
 
-/// Demote a full-precision block into fresh lower-precision storage.
-pub fn demote_slice<T: Scalar>(a: &[T]) -> Vec<T::Lower> {
-    a.iter().map(|&v| v.demote()).collect()
+/// A factor container in one of the two storage precisions of a working
+/// scalar: `N` holds `T` values, `L` holds `T::Lower` values. Code that
+/// must run on either matches once and calls a kernel generic over
+/// [`Stored`] in each arm.
+#[derive(Clone, Debug)]
+pub enum Storage<N, L> {
+    /// Working-precision storage.
+    Native(N),
+    /// Narrowed storage.
+    Lower(L),
 }
 
-#[inline]
-fn at_widened<T: Scalar>(a: &[T::Lower], n: usize, i: usize, j: usize) -> T {
-    debug_assert!(i < n && j < n);
-    T::promote(a[j * n + i])
-}
-
-/// Widened [`crate::trsv::trsv_lower_unit`]: `L` is stored in
-/// `T::Lower`, `b` and all arithmetic stay in `T`.
-pub fn trsv_lower_unit_widened<T: Scalar>(
-    variant: TrsvVariant,
-    n: usize,
-    a: &[T::Lower],
-    b: &mut [T],
-) {
-    debug_assert_eq!(a.len(), n * n);
-    debug_assert_eq!(b.len(), n);
-    match variant {
-        TrsvVariant::Lazy => {
-            for k in 1..n {
-                let mut acc = b[k];
-                for j in 0..k {
-                    acc = (-at_widened::<T>(a, n, k, j)).mul_add(b[j], acc);
-                }
-                b[k] = acc;
-            }
-        }
-        TrsvVariant::Eager => {
-            for k in 0..n.saturating_sub(1) {
-                let bk = b[k];
-                let col = &a[k * n..k * n + n];
-                for i in k + 1..n {
-                    b[i] = (-T::promote(col[i])).mul_add(bk, b[i]);
-                }
-            }
+impl<N, L> Storage<N, L> {
+    /// Which arm this is.
+    pub fn precision(&self) -> StoragePrecision {
+        match self {
+            Storage::Native(_) => StoragePrecision::Native,
+            Storage::Lower(_) => StoragePrecision::Lower,
         }
     }
 }
 
-/// Widened [`crate::trsv::trsv_upper`]: `U` is stored in `T::Lower`,
-/// `b` and all arithmetic stay in `T`.
-pub fn trsv_upper_widened<T: Scalar>(variant: TrsvVariant, n: usize, a: &[T::Lower], b: &mut [T]) {
-    debug_assert_eq!(a.len(), n * n);
-    debug_assert_eq!(b.len(), n);
-    match variant {
-        TrsvVariant::Lazy => {
-            for k in (0..n).rev() {
-                let mut acc = b[k];
-                for j in k + 1..n {
-                    acc = (-at_widened::<T>(a, n, k, j)).mul_add(b[j], acc);
-                }
-                b[k] = acc / at_widened::<T>(a, n, k, k);
-            }
-        }
-        TrsvVariant::Eager => {
-            for k in (0..n).rev() {
-                let bk = b[k] / at_widened::<T>(a, n, k, k);
-                b[k] = bk;
-                let col = &a[k * n..k * n + n];
-                for i in 0..k {
-                    b[i] = (-T::promote(col[i])).mul_add(bk, b[i]);
-                }
-            }
-        }
+/// Factor values of working scalar `T` in either storage precision.
+pub type StoredVec<T> = Storage<Vec<T>, Vec<<T as Scalar>::Lower>>;
+/// Gauss-Huard factors of working scalar `T` in either storage precision.
+pub type StoredGh<T> = Storage<GhFactors<T>, GhFactors<<T as Scalar>::Lower>>;
+
+/// The widening-read relation: a factor element stored as `Self` is read
+/// into working precision `T`. Reflexive for every [`Scalar`] (the
+/// native case) and implemented for `T::Lower` (`f32` stored, `f64`
+/// working); [`Scalar::Lower`] is bounded by it, so generic code can
+/// always instantiate a kernel at `S = T::Lower`.
+pub trait Stored<T: Scalar>: Scalar {
+    /// The [`Storage`] arm containers of `Self` values belong in.
+    const STORAGE: StoragePrecision;
+    /// Widening read into working precision (exact).
+    fn widen(self) -> T;
+    /// Narrowing conversion into the storage format (round-to-nearest).
+    fn narrow(x: T) -> Self;
+    /// Tag factor values with their storage precision.
+    fn store_vec(values: Vec<Self>) -> StoredVec<T>;
+    /// Tag Gauss-Huard factors with their storage precision.
+    fn store_gh(factors: GhFactors<Self>) -> StoredGh<T>;
+}
+
+impl<T: Scalar> Stored<T> for T {
+    const STORAGE: StoragePrecision = StoragePrecision::Native;
+    #[inline]
+    fn widen(self) -> T {
+        self
+    }
+    #[inline]
+    fn narrow(x: T) -> T {
+        x
+    }
+    fn store_vec(values: Vec<T>) -> StoredVec<T> {
+        Storage::Native(values)
+    }
+    fn store_gh(factors: GhFactors<T>) -> StoredGh<T> {
+        Storage::Native(factors)
     }
 }
 
-/// Widened [`crate::trsv::lu_solve_inplace_scratch`]: full
-/// `getrs`-style solve against a combined LU factor stored in
-/// `T::Lower`. `scratch.len() >= n` for the permutation gather.
-pub fn lu_solve_widened_scratch<T: Scalar>(
-    variant: TrsvVariant,
-    n: usize,
-    lu: &[T::Lower],
-    row_of_step: &[usize],
-    b: &mut [T],
-    scratch: &mut [T],
-) {
-    debug_assert_eq!(row_of_step.len(), n);
-    debug_assert!(scratch.len() >= n);
-    let permuted = &mut scratch[..n];
-    for (k, &r) in row_of_step.iter().enumerate() {
-        permuted[k] = b[r];
+impl Stored<f64> for f32 {
+    const STORAGE: StoragePrecision = StoragePrecision::Lower;
+    #[inline]
+    fn widen(self) -> f64 {
+        self as f64
     }
-    b.copy_from_slice(permuted);
-    trsv_lower_unit_widened(variant, n, lu, b);
-    trsv_upper_widened(variant, n, lu, b);
-}
-
-#[inline]
-fn gh_get<T: Scalar>(f: &GhFactors<T::Lower>, i: usize, j: usize) -> T {
-    match f.layout {
-        GhLayout::Normal => T::promote(f.m[(i, j)]),
-        GhLayout::Transposed => T::promote(f.m[(j, i)]),
+    #[inline]
+    fn narrow(x: f64) -> f32 {
+        x as f32
+    }
+    fn store_vec(values: Vec<f32>) -> StoredVec<f64> {
+        Storage::Lower(values)
+    }
+    fn store_gh(factors: GhFactors<f32>) -> StoredGh<f64> {
+        Storage::Lower(factors)
     }
 }
 
-/// Widened Gauss-Huard solve: replay the recorded transformations of a
-/// `T::Lower` factor against a `T` right-hand side
-/// ([`GhFactors::solve_inplace_scratch`] with promotion on every factor
-/// read). `scratch.len() >= n` for the un-permute copy.
-pub fn gh_solve_widened_scratch<T: Scalar>(
-    f: &GhFactors<T::Lower>,
-    b: &mut [T],
-    scratch: &mut [T],
-) {
-    let n = f.order();
-    debug_assert_eq!(b.len(), n);
-    debug_assert!(scratch.len() >= n);
-    for k in 0..n {
-        let mut acc = b[k];
-        for j in 0..k {
-            acc = (-gh_get::<T>(f, k, j)).mul_add(b[j], acc);
-        }
-        acc /= gh_get::<T>(f, k, k);
-        b[k] = acc;
-        for i in 0..k {
-            b[i] = (-gh_get::<T>(f, i, k)).mul_add(acc, b[i]);
-        }
-    }
-    let y = &mut scratch[..n];
-    y.copy_from_slice(b);
-    for k in 0..n {
-        b[f.q.row_of_step(k)] = y[k];
-    }
-}
-
-/// Widened per-slot solve over an interleaved class whose factor data
-/// is stored in `T::Lower`
-/// ([`crate::interleaved::lu_solve_interleaved_slot_scratch`] with
-/// promotion on every factor read). `row_of_step` uses the class-wide
-/// interleaved pivot layout (`row_of_step[k * count + slot]`);
-/// `scratch.len() >= n`.
-pub fn lu_solve_interleaved_slot_widened_scratch<T: Scalar>(
-    n: usize,
-    count: usize,
-    slot: usize,
-    data: &[T::Lower],
-    row_of_step: &[usize],
-    b: &mut [T],
-    scratch: &mut [T],
-) {
-    debug_assert_eq!(b.len(), n);
-    debug_assert!(scratch.len() >= n);
-    let at = |i: usize, j: usize| T::promote(data[(j * n + i) * count + slot]);
-    let permuted = &mut scratch[..n];
-    for (k, p) in permuted.iter_mut().enumerate() {
-        *p = b[row_of_step[k * count + slot]];
-    }
-    b.copy_from_slice(permuted);
-    for k in 0..n.saturating_sub(1) {
-        let bk = b[k];
-        for i in k + 1..n {
-            b[i] = (-at(i, k)).mul_add(bk, b[i]);
-        }
-    }
-    for k in (0..n).rev() {
-        let bk = b[k] / at(k, k);
-        b[k] = bk;
-        for i in 0..k {
-            b[i] = (-at(i, k)).mul_add(bk, b[i]);
-        }
-    }
+/// Copy a working-precision block into fresh storage of scalar `S`
+/// (a plain copy for `S = T`, a rounding demotion for `S = T::Lower`).
+pub fn narrow_slice<T: Scalar, S: Stored<T>>(a: &[T]) -> Vec<S> {
+    a.iter().map(|&v| S::narrow(v)).collect()
 }
 
 /// One step of iterative refinement against the retained full-precision
 /// block: `resid := saved_rhs - A x`, computed in `T` with fused
-/// multiply-adds, exactly as the `EquilibratedLu` recovery apply does.
-/// `a` is the column-major `n x n` block, `x` the current iterate,
-/// `saved_rhs` the original right-hand side; the residual lands in
-/// `resid` (length `n`).
+/// multiply-adds. `a` is the column-major `n x n` block, `x` the current
+/// iterate, `saved_rhs` the original right-hand side; the residual lands
+/// in `resid` (length `n`).
 pub fn residual_into<T: Scalar>(n: usize, a: &[T], x: &[T], saved_rhs: &[T], resid: &mut [T]) {
     debug_assert_eq!(a.len(), n * n);
     resid.copy_from_slice(saved_rhs);
@@ -238,10 +151,11 @@ pub fn residual_into<T: Scalar>(n: usize, a: &[T], x: &[T], saved_rhs: &[T], res
 mod tests {
     use super::*;
     use crate::dense::DenseMat;
-    use crate::gauss_huard::gh_factorize;
+    use crate::gauss_huard::{gh_factorize, GhLayout};
+    use crate::interleaved::lu_solve_interleaved_slot_scratch;
     use crate::interleaved::InterleavedClass;
     use crate::lu::implicit::getrf_implicit_inplace;
-    use crate::trsv::lu_solve_inplace_scratch;
+    use crate::trsv::{lu_solve_inplace_scratch, TrsvVariant};
     use crate::MatrixBatch;
 
     fn dd_mat(n: usize, seed: usize) -> DenseMat<f64> {
@@ -259,50 +173,16 @@ mod tests {
     }
 
     #[test]
-    fn widened_lu_solve_at_f32_floor_matches_native_bitwise() {
-        // for T = f32 the promotion is the identity, so the widened path
-        // must reproduce the native solve exactly
-        for n in [1usize, 3, 7, 16] {
-            let a = DenseMat::<f32>::from_fn(n, n, |i, j| dd_mat(n, 5)[(i, j)] as f32);
-            let mut lu = a.as_slice().to_vec();
-            let perm = getrf_implicit_inplace(n, &mut lu).unwrap();
-            let b0: Vec<f32> = (0..n).map(|i| 1.0 + (i % 4) as f32).collect();
-            let mut scratch = vec![0.0f32; n];
-            let mut native = b0.clone();
-            lu_solve_inplace_scratch(
-                TrsvVariant::Eager,
-                n,
-                &lu,
-                perm.as_slice(),
-                &mut native,
-                &mut scratch,
-            );
-            let mut widened = b0.clone();
-            lu_solve_widened_scratch::<f32>(
-                TrsvVariant::Eager,
-                n,
-                &lu,
-                perm.as_slice(),
-                &mut widened,
-                &mut scratch,
-            );
-            for (a, b) in native.iter().zip(&widened) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn widened_lu_solve_recovers_dp_solution_to_sp_accuracy() {
+    fn sp_stored_lu_solve_recovers_dp_solution_to_sp_accuracy() {
         for n in [2usize, 5, 12, 24] {
             let a = dd_mat(n, 9);
             let x_true: Vec<f64> = (0..n).map(|i| 1.0 - 0.5 * (i % 3) as f64).collect();
             let b = a.matvec(&x_true);
-            let mut lu_sp = demote_slice(a.as_slice());
+            let mut lu_sp = narrow_slice::<f64, f32>(a.as_slice());
             let perm = getrf_implicit_inplace(n, &mut lu_sp).unwrap();
             let mut x = b.clone();
             let mut scratch = vec![0.0f64; n];
-            lu_solve_widened_scratch::<f64>(
+            lu_solve_inplace_scratch::<f64, f32>(
                 TrsvVariant::Eager,
                 n,
                 &lu_sp,
@@ -321,7 +201,7 @@ mod tests {
             let mut resid = vec![0.0f64; n];
             residual_into(n, a.as_slice(), &x, &b, &mut resid);
             let mut e = resid.clone();
-            lu_solve_widened_scratch::<f64>(
+            lu_solve_inplace_scratch::<f64, f32>(
                 TrsvVariant::Eager,
                 n,
                 &lu_sp,
@@ -342,7 +222,7 @@ mod tests {
     }
 
     #[test]
-    fn widened_gh_solve_recovers_solution() {
+    fn sp_stored_gh_solve_recovers_solution() {
         for n in [2usize, 6, 13] {
             let a = dd_mat(n, 3);
             let x_true: Vec<f64> = (0..n).map(|i| 0.5 + (i % 5) as f64).collect();
@@ -352,7 +232,7 @@ mod tests {
                 let f = gh_factorize(&a_sp, layout).unwrap();
                 let mut x = b.clone();
                 let mut scratch = vec![0.0f64; n];
-                gh_solve_widened_scratch::<f64>(&f, &mut x, &mut scratch);
+                f.solve_inplace_scratch(&mut x, &mut scratch);
                 for (got, want) in x.iter().zip(&x_true) {
                     assert!(
                         (got - want).abs() < 1e-3 * (1.0 + want.abs()),
@@ -364,19 +244,19 @@ mod tests {
     }
 
     #[test]
-    fn widened_interleaved_slot_solve_matches_widened_blocked() {
-        // demote a batch, pack + factorize interleaved in SP, and check
-        // each slot's widened solve against the widened blocked solve of
-        // the same demoted block (identical arithmetic mod op order)
+    fn sp_stored_interleaved_slot_solve_recovers_solution() {
+        // pack a DP batch narrowing to SP, factorize interleaved in SP,
+        // and check each slot's solve (DP right-hand side, widened
+        // factor reads) against the DP solution
         let n = 4;
         let count = 5;
         let batch =
             MatrixBatch::<f64>::uniform_from_fn(count, n, |blk, i, j| dd_mat(n, blk)[(i, j)]);
         let members: Vec<usize> = (0..count).collect();
-        let sp = MatrixBatch::<f32>::uniform_from_fn(count, n, |blk, i, j| {
-            batch.block(blk)[j * n + i] as f32
-        });
-        let class = InterleavedClass::pack_from(&sp, &members);
+        let class = InterleavedClass::<f32>::pack_from(&batch, &members);
+        for (slot, &blk) in members.iter().enumerate() {
+            assert_eq!(class.get(slot, 1, 2), batch.block(blk)[2 * n + 1] as f32);
+        }
         let (n2, _blocks, mut data) = class.into_parts();
         assert_eq!(n2, n);
         let mut row_of_step = vec![0usize; n * count];
@@ -387,7 +267,7 @@ mod tests {
             let b0: Vec<f64> = (0..n).map(|i| 1.0 + ((slot + i) % 3) as f64).collect();
             let mut x = b0.clone();
             let mut scratch = vec![0.0f64; n];
-            lu_solve_interleaved_slot_widened_scratch::<f64>(
+            lu_solve_interleaved_slot_scratch::<f64, f32>(
                 n,
                 count,
                 slot,

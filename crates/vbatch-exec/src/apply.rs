@@ -1,30 +1,26 @@
-//! Prepared preconditioner apply: the steady-state (per-Krylov-
-//! iteration) solve path with all dispatch decisions and scratch
-//! buffers precomputed at setup.
+//! Prepared apply: the one CPU solve path, with all dispatch decisions
+//! and scratch buffers precomputed.
 //!
-//! [`crate::Backend::solve`] rebuilds its dispatch every call: segment
-//! tables from the [`vbatch_core::VectorBatch`], the class-membership
-//! partition, gather buffers for the interleaved classes, and a
-//! permutation copy inside every LU solve. That is fine for one-shot
-//! use but the preconditioner apply runs on *every* Krylov iteration —
-//! the paper keeps this path allocation-free by holding the RHS in
+//! The preconditioner apply runs on *every* Krylov iteration — the
+//! paper keeps this path allocation-free by holding the RHS in
 //! registers and folding the pivot permutation into its load (§III-B).
 //! [`PreparedApply`] is the host analogue: built once per factorized
 //! batch, it stores
 //!
 //! * the ordered list of *apply units* — one per blocked system, one
-//!   per interleaved size class (gather → class-wide sweep → scatter);
+//!   per native interleaved size class (gather → class-wide sweep →
+//!   scatter);
 //! * each unit's flat-vector offsets, so the apply operates directly on
 //!   the solver's `&mut [T]` with no `VectorBatch` round-trip;
 //! * each unit's scratch buffer, pre-sized for the block's solve form
 //!   and locked per unit so disjoint units can run concurrently.
 //!
-//! After the prepared apply is built, [`crate::Backend::solve_prepared`]
-//! performs zero heap allocations on the CPU backends — proven by the
-//! counting-allocator tests in `vbatch-solver` — and its results are
-//! bitwise identical to `Backend::solve` (the scratch kernels perform
-//! the same operations in the same order; only the storage of the
-//! temporaries changed).
+//! [`crate::Backend::solve_prepared`] runs the units and, on the CPU
+//! backends, performs zero heap allocations — proven by the
+//! counting-allocator tests in `vbatch-solver`. The one-shot
+//! [`crate::Backend::solve`] of the CPU backends is the same path with
+//! the preparation paid per call: it builds a `PreparedApply`, runs it
+//! once and drops it.
 #![deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 
 use crate::factors::{BlockFactor, FactorizedBatch};
@@ -36,8 +32,10 @@ use vbatch_core::{
 /// One unit of prepared apply work: a single blocked system, or all
 /// healthy slots of one interleaved size class.
 pub(crate) enum ApplyUnit<T> {
-    /// One blocked system: segment `offset .. offset + len` of the flat
-    /// vector, solved through `FactorizedBatch::solve_block_inplace_with`.
+    /// One system solved on its own — any factor that is not a slot of
+    /// a native interleaved class: segment `offset .. offset + len` of
+    /// the flat vector, through
+    /// `FactorizedBatch::solve_block_inplace_with`.
     Block {
         /// Block index into the factorized batch.
         block: usize,

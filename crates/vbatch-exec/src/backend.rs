@@ -6,14 +6,13 @@ use crate::factors::{BlockStatus, FactorizedBatch};
 use crate::plan::BatchPlan;
 use crate::stats::{ExecStats, Phase};
 use crate::tri::BlockTriangular;
-use std::sync::Arc;
 use std::time::Instant;
-use vbatch_core::{Exec, MatrixBatch, Scalar, VectorBatch};
+use vbatch_core::{MatrixBatch, Scalar, VectorBatch};
 use vbatch_sparse::{BlockPartition, CsrMatrix, LevelSchedule};
 
 /// An executor for variable-size batched work. Implementations:
-/// [`crate::CpuSequential`], [`crate::CpuRayon`] and
-/// [`crate::SimtSim`]. All methods take an [`ExecStats`] sink; every
+/// [`crate::CpuSequential`], [`crate::CpuRayon`], [`crate::CpuSimd`]
+/// and [`crate::SimtSim`]. All methods take an [`ExecStats`] sink; every
 /// backend fills in the kernel histogram, flops, failures and phase
 /// timings the same way, so consumers can compare runs across backends.
 pub trait Backend<T: Scalar>: Send + Sync {
@@ -39,7 +38,13 @@ pub trait Backend<T: Scalar>: Send + Sync {
         stats: &mut ExecStats,
     ) -> FactorizedBatch<T>;
 
-    /// Solve every block system in place: `rhs[i] := A_i^{-1} rhs[i]`.
+    /// Solve every block system in place: `rhs[i] := A_i^{-1} rhs[i]` —
+    /// the one-shot form. On the CPU backends this is
+    /// [`Backend::prepare_apply`] + the prepared apply path with the
+    /// preparation paid per call (timed as [`Phase::Solve`]); callers
+    /// that solve against the same factors more than once hold a
+    /// [`PreparedApply`] and call [`Backend::solve_prepared`]. It is the
+    /// simulator's native path.
     fn solve(&self, factors: &FactorizedBatch<T>, rhs: &mut VectorBatch<T>, stats: &mut ExecStats);
 
     /// Precompute the apply dispatch (unit order, flat-vector offsets,
@@ -51,12 +56,10 @@ pub trait Backend<T: Scalar>: Send + Sync {
 
     /// Solve every block system of the flat vector `v` in place through
     /// a prepared apply workspace — the steady-state (per-Krylov-
-    /// iteration) form of [`Backend::solve`], with results bitwise
-    /// identical to it. The CPU backends run this without heap
-    /// allocations; the default implementation is an allocating compat
-    /// path (used by the simulator) that round-trips through
-    /// [`Backend::solve`]. Timing lands in [`Phase::Apply`] and the
-    /// workspace high-water mark in
+    /// iteration) form. The CPU backends run this without heap
+    /// allocations; the default implementation (used by the simulator)
+    /// round-trips through [`Backend::solve`]. Timing lands in
+    /// [`Phase::Apply`] and the workspace high-water mark in
     /// [`ExecStats::record_apply`].
     fn solve_prepared(
         &self,
@@ -111,13 +114,4 @@ pub trait Backend<T: Scalar>: Send + Sync {
         y: &mut VectorBatch<T>,
         stats: &mut ExecStats,
     );
-}
-
-/// Map the legacy [`vbatch_core::Exec`] toggle to a backend, for
-/// callers migrating from the old sequential/parallel API.
-pub fn backend_for_exec<T: Scalar>(exec: Exec) -> Arc<dyn Backend<T>> {
-    match exec {
-        Exec::Sequential => Arc::new(crate::cpu::CpuSequential),
-        Exec::Parallel => Arc::new(crate::cpu::CpuRayon),
-    }
 }

@@ -1,23 +1,25 @@
-//! Host backends: sequential reference and the scoped-thread parallel
+//! Host backends: the sequential reference, the scoped-thread parallel
 //! driver (`CpuRayon`, named for the rayon-style parallel surface it
-//! uses from `vbatch-rt`). Both wrap the native kernels of
-//! `vbatch-core`; they differ only in how blocks are distributed.
+//! uses from `vbatch-rt`) and the wide-lane [`CpuSimd`]. All wrap the
+//! native kernels of `vbatch-core` through the same factorize / apply
+//! functions; they differ only in how blocks are distributed and which
+//! interleaved kernels run.
 
 use crate::apply::{run_apply_unit, FlatVecPtr, PreparedApply};
 use crate::backend::Backend;
+use crate::cpu_simd::CpuSimd;
 use crate::factors::{
     block_diag, scalar_jacobi_from_diag, BlockFactor, BlockStatus, FactorizedBatch,
-    InterleavedLuClass, InterleavedLuLowerClass,
+    InterleavedLuClass, Wrapper,
 };
 use crate::plan::{BatchPlan, ClassLayout, KernelChoice, PrecisionPolicy};
 use crate::stats::{ExecStats, Phase};
 use std::time::Instant;
 use vbatch_core::lu::implicit::getrf_implicit_inplace;
 use vbatch_core::{
-    batched_gemv, demote_slice, getrf_interleaved_class, getrf_interleaved_class_simd,
-    gh_factorize, gje_invert, lu_solve_interleaved_class, lu_solve_interleaved_class_scratch_simd,
-    potrf, DenseMat, Exec, FactorError, GhLayout, InterleavedClass, MatrixBatch, Scalar,
-    StoragePrecision, VectorBatch,
+    batched_gemv, getrf_interleaved_class, getrf_interleaved_class_simd, gh_factorize, gje_invert,
+    narrow_slice, potrf, DenseMat, Exec, FactorError, GhLayout, InterleavedClass, MatrixBatch,
+    Scalar, StoragePrecision, Stored, VectorBatch,
 };
 use vbatch_rt::par::{num_threads, par_map_vec};
 use vbatch_rt::prelude::*;
@@ -29,87 +31,33 @@ pub struct CpuSequential;
 /// Blocks distributed over the scoped-thread pool of `vbatch-rt`.
 pub struct CpuRayon;
 
-/// Factorize one block with the planned kernel, degrading to scalar
-/// Jacobi on failure.
-pub(crate) fn factor_block<T: Scalar>(
-    n: usize,
-    mut data: Vec<T>,
-    kernel: KernelChoice,
-) -> (BlockFactor<T>, BlockStatus) {
-    let diag = block_diag(n, &data);
-    let fallback = |kernel: KernelChoice, error: FactorError, diag: &[T]| {
-        let (factor, sanitized) = scalar_jacobi_from_diag(diag);
-        (factor, BlockStatus::fallback(kernel, error, sanitized, n))
-    };
-    match kernel {
-        KernelChoice::PackedLu | KernelChoice::SmallLu | KernelChoice::BlockedLu => {
-            match getrf_implicit_inplace(n, &mut data) {
-                Ok(perm) => (
-                    BlockFactor::Lu { n, lu: data, perm },
-                    BlockStatus::factorized(kernel),
-                ),
-                Err(e) => fallback(kernel, e, &diag),
-            }
-        }
-        KernelChoice::GaussHuard | KernelChoice::GaussHuardT => {
-            let layout = if kernel == KernelChoice::GaussHuardT {
-                GhLayout::Transposed
-            } else {
-                GhLayout::Normal
-            };
-            let mat = DenseMat::from_col_major(n, n, &data);
-            match gh_factorize(&mat, layout) {
-                Ok(f) => (BlockFactor::Gh(f), BlockStatus::factorized(kernel)),
-                Err(e) => fallback(kernel, e, &diag),
-            }
-        }
-        KernelChoice::GjeInvert => {
-            let mat = DenseMat::from_col_major(n, n, &data);
-            match gje_invert(&mat) {
-                Ok(inv) => (
-                    BlockFactor::Inv {
-                        n,
-                        inv: inv.as_slice().to_vec(),
-                    },
-                    BlockStatus::factorized(kernel),
-                ),
-                Err(e) => fallback(kernel, e, &diag),
-            }
-        }
-        KernelChoice::Cholesky => {
-            let mat = DenseMat::from_col_major(n, n, &data);
-            match potrf(&mat) {
-                Ok(f) => (BlockFactor::Chol(f), BlockStatus::factorized(kernel)),
-                Err(e) => fallback(kernel, e, &diag),
-            }
-        }
-    }
-}
-
-/// Factorize one block in *lowered* storage precision: the LU/GH-family
-/// factors are computed on the demoted copy, the original block is
-/// retained in working precision for the apply's refinement residual.
-/// Inversion and Cholesky have no widening apply path and stay native.
-pub(crate) fn factor_block_lower<T: Scalar>(
+/// Factorize one block with the planned kernel, storing LU/GH-family
+/// factors in scalar `S` (computed on the block narrowed to `S`) and
+/// degrading to scalar Jacobi on failure. Inversion and Cholesky have no
+/// widening apply path and always stay native.
+pub(crate) fn factor_block<T: Scalar, S: Stored<T>>(
     n: usize,
     block: &[T],
     kernel: KernelChoice,
 ) -> (BlockFactor<T>, BlockStatus) {
-    let fallback = |kernel: KernelChoice, error: FactorError, data: &[T]| {
-        let diag = block_diag(n, data);
-        let (factor, sanitized) = scalar_jacobi_from_diag(&diag);
+    let fallback = |error: FactorError| {
+        let (factor, sanitized) = scalar_jacobi_from_diag(&block_diag(n, block));
         (factor, BlockStatus::fallback(kernel, error, sanitized, n))
+    };
+    let factorized = |factor: BlockFactor<T>, precision: StoragePrecision| {
+        let mut status = BlockStatus::factorized(kernel);
+        status.precision = precision;
+        (factor, status)
     };
     match kernel {
         KernelChoice::PackedLu | KernelChoice::SmallLu | KernelChoice::BlockedLu => {
-            let mut lu = demote_slice(block);
+            let mut lu = narrow_slice::<T, S>(block);
             match getrf_implicit_inplace(n, &mut lu) {
                 Ok(perm) => {
-                    let mut status = BlockStatus::factorized(kernel);
-                    status.precision = StoragePrecision::Lower;
-                    (BlockFactor::LuLower { n, lu, perm }, status)
+                    let lu = S::store_vec(lu);
+                    factorized(BlockFactor::Lu { lu, perm }, S::STORAGE)
                 }
-                Err(e) => fallback(kernel, e, block),
+                Err(e) => fallback(e),
             }
         }
         KernelChoice::GaussHuard | KernelChoice::GaussHuardT => {
@@ -118,18 +66,23 @@ pub(crate) fn factor_block_lower<T: Scalar>(
             } else {
                 GhLayout::Normal
             };
-            let lo = demote_slice(block);
-            let mat = DenseMat::from_col_major(n, n, &lo);
+            let mat = DenseMat::from_col_major(n, n, &narrow_slice::<T, S>(block));
             match gh_factorize(&mat, layout) {
-                Ok(gh) => {
-                    let mut status = BlockStatus::factorized(kernel);
-                    status.precision = StoragePrecision::Lower;
-                    (BlockFactor::GhLower { gh }, status)
-                }
-                Err(e) => fallback(kernel, e, block),
+                Ok(f) => factorized(BlockFactor::Gh(S::store_gh(f)), S::STORAGE),
+                Err(e) => fallback(e),
             }
         }
-        KernelChoice::GjeInvert | KernelChoice::Cholesky => factor_block(n, block.to_vec(), kernel),
+        KernelChoice::GjeInvert => match gje_invert(&DenseMat::from_col_major(n, n, block)) {
+            Ok(inv) => {
+                let inv = inv.as_slice().to_vec();
+                factorized(BlockFactor::Inv { n, inv }, StoragePrecision::Native)
+            }
+            Err(e) => fallback(e),
+        },
+        KernelChoice::Cholesky => match potrf(&DenseMat::from_col_major(n, n, block)) {
+            Ok(f) => factorized(BlockFactor::Chol(f), StoragePrecision::Native),
+            Err(e) => fallback(e),
+        },
     }
 }
 
@@ -167,16 +120,19 @@ fn interleaved_chunk_slots<T>(n: usize) -> usize {
 }
 
 /// Factorize one interleaved chunk (a contiguous span of one size
-/// class): pack, run the class-wide sweep, and report per-slot errors.
-/// Slots are numerically independent, so chunking never changes
-/// results — only locality and how much parallelism the class exposes.
-fn factor_interleaved_chunk<T: Scalar>(
+/// class) in storage scalar `S`: pack — narrowing *while gathering*, one
+/// strided read of the native blocks and one contiguous write of the
+/// storage-precision slab — run the class-wide sweep, and report
+/// per-slot errors. Slots are numerically independent, so chunking
+/// never changes results — only locality and how much parallelism the
+/// class exposes.
+fn factor_interleaved_chunk<T: Scalar, S: Stored<T>>(
     blocks: &MatrixBatch<T>,
     n: usize,
-    members: Vec<usize>,
+    members: &[usize],
     simd: bool,
-) -> (InterleavedLuClass<T>, Vec<Option<FactorError>>) {
-    let packed = InterleavedClass::pack_from(blocks, &members);
+) -> (InterleavedLuClass<S>, Vec<Option<FactorError>>) {
+    let packed = InterleavedClass::<S>::pack_from(blocks, members);
     let (_, member_idx, mut data) = packed.into_parts();
     let count = member_idx.len();
     let mut piv = vec![0usize; n * count];
@@ -196,51 +152,72 @@ fn factor_interleaved_chunk<T: Scalar>(
     )
 }
 
-/// Lowered-precision variant of [`factor_interleaved_chunk`]: the class
-/// sweep runs on demoted data (twice the lanes per SIMD register). The
-/// pack demotes *while gathering* — one strided read of the native
-/// blocks, one contiguous write of the storage-precision slab — so the
-/// lowered path moves strictly less data than the native one (the
-/// refinement residual reads the batch-wide retained copy instead of a
-/// per-class working-precision duplicate).
-fn factor_interleaved_chunk_lower<T: Scalar>(
+/// The factorization phase in storage scalar `S`: one isolated
+/// factorization per blocked block (the worker narrows straight out of
+/// the shared batch), one class-wide sweep per interleaved chunk, with
+/// every block's outcome handed to `place`; returns the factorized
+/// classes.
+fn factorize_in<T: Scalar, S: Stored<T>>(
     blocks: &MatrixBatch<T>,
-    n: usize,
-    members: Vec<usize>,
+    plan: &BatchPlan,
+    blocked_idx: Vec<usize>,
+    chunks: Vec<(usize, Vec<usize>)>,
+    parallel: bool,
     simd: bool,
-) -> (InterleavedLuLowerClass<T>, Vec<Option<FactorError>>) {
-    let count = members.len();
-    let slices: Vec<&[T]> = members
-        .iter()
-        .map(|&b| {
-            assert_eq!(blocks.size(b), n, "class members must share one order");
-            blocks.block(b)
-        })
-        .collect();
-    // same lane-major element order as `InterleavedClass::pack_from`,
-    // demoted element-by-element (bitwise identical to demoting a
-    // native pack after the fact)
-    let mut data = vec![<T::Lower as Scalar>::ZERO; n * n * count];
-    for (e, lane) in data.chunks_exact_mut(count).enumerate() {
-        for (dst, blk) in lane.iter_mut().zip(&slices) {
-            *dst = blk[e].demote();
-        }
-    }
-    let mut piv = vec![0usize; n * count];
-    let errs = if simd {
-        getrf_interleaved_class_simd(n, count, &mut data, &mut piv)
-    } else {
-        getrf_interleaved_class(n, count, &mut data, &mut piv)
+    mut place: impl FnMut(usize, BlockFactor<T>, BlockStatus),
+) -> Vec<InterleavedLuClass<S>> {
+    let sizes = blocks.sizes();
+    let block_work = |i: usize| {
+        let _span = vbatch_trace::span!("factorize.block", sizes[i]);
+        let (f, s) = factor_block::<T, S>(sizes[i], blocks.block(i), plan.kernel_for(i));
+        (i, f, s)
     };
-    (
-        InterleavedLuLowerClass {
-            n,
-            blocks: members,
-            data,
-            piv,
-        },
-        errs,
-    )
+    let block_results: Vec<(usize, BlockFactor<T>, BlockStatus)> = if parallel {
+        par_map_vec(blocked_idx, block_work)
+    } else {
+        blocked_idx.into_iter().map(block_work).collect()
+    };
+    for (i, f, s) in block_results {
+        place(i, f, s);
+    }
+
+    let chunk_work = |(n, members): (usize, Vec<usize>)| {
+        let _span = vbatch_trace::span!("factorize.chunk", n * members.len());
+        factor_interleaved_chunk::<T, S>(blocks, n, &members, simd)
+    };
+    let chunk_results: Vec<(InterleavedLuClass<S>, Vec<Option<FactorError>>)> = if parallel {
+        par_map_vec(chunks, chunk_work)
+    } else {
+        chunks.into_iter().map(chunk_work).collect()
+    };
+    let mut classes = Vec::with_capacity(chunk_results.len());
+    for (class, errs) in chunk_results {
+        let class_idx = classes.len();
+        for (slot, err) in errs.into_iter().enumerate() {
+            let blk = class.blocks[slot];
+            let kernel = plan.kernel_for(blk);
+            match err {
+                None => {
+                    let factor = BlockFactor::InterleavedLu {
+                        class: class_idx,
+                        slot,
+                        storage: S::STORAGE,
+                    };
+                    let mut status = BlockStatus::factorized(kernel);
+                    status.precision = S::STORAGE;
+                    place(blk, factor, status);
+                }
+                Some(error) => {
+                    let diag = block_diag(class.n, blocks.block(blk));
+                    let (factor, sanitized) = scalar_jacobi_from_diag(&diag);
+                    let status = BlockStatus::fallback(kernel, error, sanitized, class.n);
+                    place(blk, factor, status);
+                }
+            }
+        }
+        classes.push(class);
+    }
+    classes
 }
 
 pub(crate) fn factorize_cpu<T: Scalar>(
@@ -278,55 +255,8 @@ pub(crate) fn factorize_cpu<T: Scalar>(
     };
     stats.record_layout(interleaved_label, (blocks.len() - blocked_idx.len()) as u64);
 
-    // Precision policy: the lowered path only exists where the scalar
-    // actually has a narrower storage format; at the f32 floor every
-    // policy degenerates to the (bitwise-preserved) native path.
-    let lowered = plan.precision().lowers_storage() && T::HAS_LOWER;
-
-    let mut factors: Vec<Option<BlockFactor<T>>> = (0..blocks.len()).map(|_| None).collect();
-    let mut status: Vec<Option<BlockStatus>> = (0..blocks.len()).map(|_| None).collect();
-
-    // Blocked blocks: one isolated factorization per block. Under a
-    // lowering policy the worker demotes straight out of the shared
-    // batch — no per-block working-precision copy is ever made (the
-    // retained batch serves the refinement residuals); the native path
-    // keeps its owned copy and factorizes it in place.
-    let shared = &blocks;
-    let block_results: Vec<(usize, BlockFactor<T>, BlockStatus)> = if lowered {
-        let work = |i: usize| {
-            let _span = vbatch_trace::span!("factorize.block", sizes[i]);
-            let (f, s) = factor_block_lower(sizes[i], shared.block(i), plan.kernel_for(i));
-            (i, f, s)
-        };
-        if parallel {
-            par_map_vec(blocked_idx, work)
-        } else {
-            blocked_idx.into_iter().map(work).collect()
-        }
-    } else {
-        let items: Vec<(usize, Vec<T>)> = blocked_idx
-            .iter()
-            .map(|&i| (i, blocks.block(i).to_vec()))
-            .collect();
-        let block_work = |(i, data): (usize, Vec<T>)| {
-            let _span = vbatch_trace::span!("factorize.block", sizes[i]);
-            let (f, s) = factor_block(sizes[i], data, plan.kernel_for(i));
-            (i, f, s)
-        };
-        if parallel {
-            par_map_vec(items, block_work)
-        } else {
-            items.into_iter().map(block_work).collect()
-        }
-    };
-    for (i, f, s) in block_results {
-        factors[i] = Some(f);
-        status[i] = Some(s);
-    }
-
     // Interleaved classes: split each class into cache-sized chunks
-    // (further divided for the thread pool when parallel) and run the
-    // class-wide sweep on each.
+    // (further divided for the thread pool when parallel).
     let chunk_target = if parallel { num_threads().max(1) } else { 1 };
     let mut chunks: Vec<(usize, Vec<usize>)> = Vec::new();
     for (n, members) in class_members {
@@ -336,97 +266,42 @@ pub(crate) fn factorize_cpu<T: Scalar>(
             chunks.push((n, c.to_vec()));
         }
     }
-    let blocks_ref = &blocks;
-    let mut interleaved = Vec::new();
-    let mut interleaved_lower = Vec::new();
-    if lowered {
-        let chunk_work = |(n, members): (usize, Vec<usize>)| {
-            let _span = vbatch_trace::span!("factorize.chunk", n * members.len());
-            factor_interleaved_chunk_lower(blocks_ref, n, members, simd)
-        };
-        let chunk_results: Vec<(InterleavedLuLowerClass<T>, Vec<Option<FactorError>>)> = if parallel
-        {
-            par_map_vec(chunks, chunk_work)
-        } else {
-            chunks.into_iter().map(chunk_work).collect()
-        };
-        interleaved_lower.reserve(chunk_results.len());
-        for (class, errs) in chunk_results {
-            let class_idx = interleaved_lower.len();
-            for (slot, err) in errs.into_iter().enumerate() {
-                let blk = class.blocks[slot];
-                let kernel = plan.kernel_for(blk);
-                match err {
-                    None => {
-                        factors[blk] = Some(BlockFactor::InterleavedLuLower {
-                            class: class_idx,
-                            slot,
-                        });
-                        let mut s = BlockStatus::factorized(kernel);
-                        s.precision = StoragePrecision::Lower;
-                        status[blk] = Some(s);
-                    }
-                    Some(error) => {
-                        let diag = block_diag(class.n, blocks.block(blk));
-                        let (factor, sanitized) = scalar_jacobi_from_diag(&diag);
-                        factors[blk] = Some(factor);
-                        status[blk] =
-                            Some(BlockStatus::fallback(kernel, error, sanitized, class.n));
-                    }
-                }
-            }
-            interleaved_lower.push(class);
-        }
-    } else {
-        let chunk_work = |(n, members): (usize, Vec<usize>)| {
-            let _span = vbatch_trace::span!("factorize.chunk", n * members.len());
-            factor_interleaved_chunk(blocks_ref, n, members, simd)
-        };
-        let chunk_results: Vec<(InterleavedLuClass<T>, Vec<Option<FactorError>>)> = if parallel {
-            par_map_vec(chunks, chunk_work)
-        } else {
-            chunks.into_iter().map(chunk_work).collect()
-        };
-        interleaved.reserve(chunk_results.len());
-        for (class, errs) in chunk_results {
-            let class_idx = interleaved.len();
-            for (slot, err) in errs.into_iter().enumerate() {
-                let blk = class.blocks[slot];
-                let kernel = plan.kernel_for(blk);
-                match err {
-                    None => {
-                        factors[blk] = Some(BlockFactor::InterleavedLu {
-                            class: class_idx,
-                            slot,
-                        });
-                        status[blk] = Some(BlockStatus::factorized(kernel));
-                    }
-                    Some(error) => {
-                        let diag = block_diag(class.n, blocks.block(blk));
-                        let (factor, sanitized) = scalar_jacobi_from_diag(&diag);
-                        factors[blk] = Some(factor);
-                        status[blk] =
-                            Some(BlockStatus::fallback(kernel, error, sanitized, class.n));
-                    }
-                }
-            }
-            interleaved.push(class);
-        }
-    }
 
-    // Every index was routed to exactly one of the two partitions
-    // above, so both vectors are fully populated.
-    let factors: Vec<BlockFactor<T>> = factors
+    // Precision policy, dispatched once for the whole phase: the lowered
+    // instance only exists where the scalar actually has a narrower
+    // storage format; at the f32 floor every policy degenerates to the
+    // (bitwise-preserved) native instance.
+    let lowered = plan.precision().lowers_storage() && T::HAS_LOWER;
+    let mut placed: Vec<Option<(BlockFactor<T>, BlockStatus)>> =
+        (0..blocks.len()).map(|_| None).collect();
+    let place = |i: usize, f: BlockFactor<T>, s: BlockStatus| placed[i] = Some((f, s));
+    let (interleaved, interleaved_lower) = if lowered {
+        let classes =
+            factorize_in::<T, T::Lower>(&blocks, plan, blocked_idx, chunks, parallel, simd, place);
+        (Vec::new(), classes)
+    } else {
+        let classes =
+            factorize_in::<T, T>(&blocks, plan, blocked_idx, chunks, parallel, simd, place);
+        (classes, Vec::new())
+    };
+
+    // Every index was routed to exactly one of the two layout
+    // partitions, so every slot is populated.
+    let (factors, status): (Vec<_>, Vec<_>) = placed
         .into_iter()
-        .map(|f| f.expect("block covered by neither layout partition"))
-        .collect();
-    let status: Vec<BlockStatus> = status
-        .into_iter()
-        .map(|s| s.expect("block covered by neither layout partition"))
+        .map(|p| p.expect("block covered by neither layout partition"))
+        .unzip();
+    // every lowered factor refines against the retained original
+    let wrappers = status
+        .iter()
+        .map(|s: &BlockStatus| {
+            (s.precision == StoragePrecision::Lower).then_some(Wrapper::RefineRetained)
+        })
         .collect();
     let mut batch = FactorizedBatch {
         sizes,
         factors,
+        wrappers,
         status,
         interleaved,
         interleaved_lower,
@@ -439,8 +314,8 @@ pub(crate) fn factorize_cpu<T: Scalar>(
     }
     crate::health::triage_batch(&blocks, &mut batch, plan.health());
     if lowered {
-        // the widening applies read their refinement residuals out of
-        // the retained batch; the native path consumes it as before
+        // the refinement wrappers read their residuals out of the
+        // retained batch; the native path consumes it as before
         batch.retained = Some(blocks);
     }
     record_statuses(&batch.status, stats);
@@ -448,121 +323,23 @@ pub(crate) fn factorize_cpu<T: Scalar>(
     batch
 }
 
-/// One unit of solve work: either a single blocked system or all the
-/// healthy slots of one interleaved class (gather → class-wide sweep →
-/// scatter).
-enum SolveUnit<'a, T> {
-    Block(usize, &'a mut [T]),
-    Class(usize, Vec<(usize, &'a mut [T])>),
-}
-
-fn run_solve_unit<T: Scalar>(factors: &FactorizedBatch<T>, unit: SolveUnit<'_, T>, simd: bool) {
-    match unit {
-        SolveUnit::Block(i, seg) => factors.solve_block_inplace(i, seg),
-        SolveUnit::Class(c, mut members) => {
-            let cls = &factors.interleaved[c];
-            let (n, count) = (cls.n, cls.count());
-            // Gather into full-width lanes: absent slots (fallbacks,
-            // sanitized to identity factors) solve a zero rhs and are
-            // simply not scattered back.
-            let mut x = vec![T::ZERO; n * count];
-            for (slot, seg) in &members {
-                for i in 0..n {
-                    x[i * count + slot] = seg[i];
-                }
-            }
-            if simd {
-                let mut scratch = vec![T::ZERO; n * count];
-                lu_solve_interleaved_class_scratch_simd(
-                    n,
-                    count,
-                    &cls.data,
-                    &cls.piv,
-                    &mut x,
-                    &mut scratch,
-                );
-            } else {
-                lu_solve_interleaved_class(n, count, &cls.data, &cls.piv, &mut x);
-            }
-            for (slot, seg) in &mut members {
-                for i in 0..n {
-                    seg[i] = x[i * count + *slot];
-                }
-            }
-        }
-    }
-}
-
-pub(crate) fn solve_cpu<T: Scalar>(
-    factors: &FactorizedBatch<T>,
-    rhs: &mut VectorBatch<T>,
-    parallel: bool,
-    simd: bool,
-    stats: &mut ExecStats,
-) {
-    assert_eq!(factors.sizes, rhs.sizes(), "factors do not match rhs");
-    let _span = vbatch_trace::span!("exec.solve", factors.sizes.len());
-    let t0 = Instant::now();
-    if factors.interleaved.is_empty() {
-        if parallel {
-            rhs.segs_mut()
-                .into_par_iter()
-                .enumerate()
-                .for_each(|(i, seg)| factors.solve_block_inplace(i, seg));
-        } else {
-            factors.solve_all_inplace(rhs);
-        }
-    } else {
-        let mut segs: Vec<Option<&mut [T]>> = rhs.segs_mut().into_iter().map(Some).collect();
-        let mut units: Vec<SolveUnit<'_, T>> = Vec::new();
-        for (c, cls) in factors.interleaved.iter().enumerate() {
-            let mut members = Vec::with_capacity(cls.count());
-            for (slot, &blk) in cls.blocks.iter().enumerate() {
-                if matches!(factors.factors[blk], BlockFactor::InterleavedLu { .. }) {
-                    members.push((slot, segs[blk].take().expect("segment claimed twice")));
-                }
-            }
-            if !members.is_empty() {
-                units.push(SolveUnit::Class(c, members));
-            }
-        }
-        for (i, seg) in segs.into_iter().enumerate() {
-            if let Some(seg) = seg {
-                units.push(SolveUnit::Block(i, seg));
-            }
-        }
-        if parallel {
-            par_map_vec(units, |u| run_solve_unit(factors, u, simd));
-        } else {
-            for u in units {
-                run_solve_unit(factors, u, simd);
-            }
-        }
-    }
-    stats.add_flops(factors.sizes.iter().map(|&n| 2.0 * (n * n) as f64).sum());
-    stats.add_phase(Phase::Solve, t0.elapsed());
-}
-
-/// Steady-state apply through a [`PreparedApply`]: run every unit
-/// against the flat vector, sequentially or over the thread pool. The
-/// sequential path performs zero heap allocations (every temporary
-/// lives in the prepared per-unit scratch); the parallel path allocates
+/// Run every unit of a prepared apply against the flat vector,
+/// sequentially or over the thread pool — the one CPU apply path. The
+/// sequential form performs zero heap allocations (every temporary
+/// lives in the prepared per-unit scratch); the parallel form allocates
 /// only inside the thread-pool harness, never per block.
-pub(crate) fn solve_prepared_cpu<T: Scalar>(
+fn run_prepared<T: Scalar>(
     factors: &FactorizedBatch<T>,
     prepared: &PreparedApply<T>,
     v: &mut [T],
     parallel: bool,
     simd: bool,
-    stats: &mut ExecStats,
 ) {
     assert_eq!(
         v.len(),
         prepared.total(),
         "prepared apply does not match vector"
     );
-    let _span = vbatch_trace::span!("exec.apply", prepared.unit_count());
-    let t0 = Instant::now();
     let units = prepared.units();
     if parallel && units.len() > 1 {
         let ptr = FlatVecPtr::new(v);
@@ -578,7 +355,44 @@ pub(crate) fn solve_prepared_cpu<T: Scalar>(
             run_apply_unit(factors, unit, v, simd);
         }
     }
-    stats.add_flops(factors.sizes.iter().map(|&n| 2.0 * (n * n) as f64).sum());
+}
+
+fn solve_flops<T: Scalar>(factors: &FactorizedBatch<T>) -> f64 {
+    factors.sizes.iter().map(|&n| 2.0 * (n * n) as f64).sum()
+}
+
+/// One-shot [`Backend::solve`]: prepare, then the prepared apply path,
+/// accounted as [`Phase::Solve`].
+pub(crate) fn solve_cpu<T: Scalar>(
+    factors: &FactorizedBatch<T>,
+    rhs: &mut VectorBatch<T>,
+    parallel: bool,
+    simd: bool,
+    stats: &mut ExecStats,
+) {
+    assert_eq!(factors.sizes, rhs.sizes(), "factors do not match rhs");
+    let _span = vbatch_trace::span!("exec.solve", factors.sizes.len());
+    let t0 = Instant::now();
+    let prepared = PreparedApply::new(factors);
+    run_prepared(factors, &prepared, rhs.as_mut_slice(), parallel, simd);
+    stats.add_flops(solve_flops(factors));
+    stats.add_phase(Phase::Solve, t0.elapsed());
+}
+
+/// Steady-state [`Backend::solve_prepared`], accounted as
+/// [`Phase::Apply`].
+pub(crate) fn solve_prepared_cpu<T: Scalar>(
+    factors: &FactorizedBatch<T>,
+    prepared: &PreparedApply<T>,
+    v: &mut [T],
+    parallel: bool,
+    simd: bool,
+    stats: &mut ExecStats,
+) {
+    let _span = vbatch_trace::span!("exec.apply", prepared.unit_count());
+    let t0 = Instant::now();
+    run_prepared(factors, prepared, v, parallel, simd);
+    stats.add_flops(solve_flops(factors));
     stats.add_phase(Phase::Apply, t0.elapsed());
     stats.record_apply(prepared.workspace_hwm_elems());
 }
@@ -639,11 +453,16 @@ pub(crate) fn gemv_cpu<T: Scalar>(
     blocks: &MatrixBatch<T>,
     x: &VectorBatch<T>,
     y: &mut VectorBatch<T>,
-    exec: Exec,
+    parallel: bool,
     stats: &mut ExecStats,
 ) {
     let _span = vbatch_trace::span!("exec.gemv", blocks.len());
     let t0 = Instant::now();
+    let exec = if parallel {
+        Exec::Parallel
+    } else {
+        Exec::Sequential
+    };
     batched_gemv(blocks, x, y, exec);
     stats.add_flops(blocks.sizes().iter().map(|&n| 2.0 * (n * n) as f64).sum());
     stats.add_phase(Phase::Gemv, t0.elapsed());
@@ -661,8 +480,13 @@ pub(crate) fn extract_cpu<T: Scalar>(
     batch
 }
 
+/// The host backends are one implementation under three execution
+/// policies: whether the setup-side calls (factorize, invert, GEMV) and
+/// the apply-side calls (solve, prepared solve, triangular sweep) fan
+/// out over the thread pool, and whether interleaved classes run the
+/// explicit wide-lane kernels.
 macro_rules! impl_cpu_backend {
-    ($ty:ty, $name:literal, $parallel:literal, $exec:expr) => {
+    ($ty:ty, $name:literal, setup_parallel: $setup:literal, apply_parallel: $apply:literal, simd: $simd:literal) => {
         impl<T: Scalar> Backend<T> for $ty {
             fn name(&self) -> &'static str {
                 $name
@@ -683,7 +507,7 @@ macro_rules! impl_cpu_backend {
                 plan: &BatchPlan,
                 stats: &mut ExecStats,
             ) -> FactorizedBatch<T> {
-                factorize_cpu(blocks, plan, $parallel, false, stats)
+                factorize_cpu(blocks, plan, $setup, $simd, stats)
             }
 
             fn solve(
@@ -692,7 +516,7 @@ macro_rules! impl_cpu_backend {
                 rhs: &mut VectorBatch<T>,
                 stats: &mut ExecStats,
             ) {
-                solve_cpu(factors, rhs, $parallel, false, stats)
+                solve_cpu(factors, rhs, $apply, $simd, stats)
             }
 
             fn solve_prepared(
@@ -702,7 +526,7 @@ macro_rules! impl_cpu_backend {
                 v: &mut [T],
                 stats: &mut ExecStats,
             ) {
-                solve_prepared_cpu(factors, prepared, v, $parallel, false, stats)
+                solve_prepared_cpu(factors, prepared, v, $apply, $simd, stats)
             }
 
             fn sweep_triangular(
@@ -712,7 +536,7 @@ macro_rules! impl_cpu_backend {
                 v: &mut [T],
                 stats: &mut ExecStats,
             ) {
-                crate::tri::sweep_cpu(tri, sched, v, $parallel, stats)
+                crate::tri::sweep_cpu(tri, sched, v, $apply, stats)
             }
 
             fn invert(
@@ -720,7 +544,7 @@ macro_rules! impl_cpu_backend {
                 blocks: &MatrixBatch<T>,
                 stats: &mut ExecStats,
             ) -> (MatrixBatch<T>, Vec<BlockStatus>) {
-                invert_cpu(blocks, $parallel, stats)
+                invert_cpu(blocks, $setup, stats)
             }
 
             fn apply_gemv(
@@ -730,14 +554,17 @@ macro_rules! impl_cpu_backend {
                 y: &mut VectorBatch<T>,
                 stats: &mut ExecStats,
             ) {
-                gemv_cpu(blocks, x, y, $exec, stats)
+                gemv_cpu(blocks, x, y, $setup, stats)
             }
         }
     };
 }
 
-impl_cpu_backend!(CpuSequential, "cpu-seq", false, Exec::Sequential);
-impl_cpu_backend!(CpuRayon, "cpu-par", true, Exec::Parallel);
+impl_cpu_backend!(CpuSequential, "cpu-seq", setup_parallel: false, apply_parallel: false, simd: false);
+impl_cpu_backend!(CpuRayon, "cpu-par", setup_parallel: true, apply_parallel: true, simd: false);
+// setup fans out like `CpuRayon`; the apply side stays sequential (see
+// the `cpu_simd` module docs)
+impl_cpu_backend!(CpuSimd, "cpu-simd", setup_parallel: true, apply_parallel: false, simd: true);
 
 #[cfg(test)]
 mod tests {

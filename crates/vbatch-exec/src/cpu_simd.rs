@@ -2,7 +2,7 @@
 //!
 //! [`CpuSimd`] maps one interleaved *slot per vector lane* — the CPU
 //! realization of the paper's one-matrix-per-SIMT-lane mapping — and
-//! routes every class the plan marked [`ClassLayout::Interleaved`]
+//! routes every class the plan marked [`crate::ClassLayout::Interleaved`]
 //! through the lane-wide GETRF/TRSV kernels of
 //! `vbatch_core::interleaved_simd`:
 //!
@@ -30,86 +30,20 @@
 //! zero-allocation guarantee that `vbatch-solver`'s counting-allocator
 //! tests pin down.
 
-use crate::apply::PreparedApply;
-use crate::backend::Backend;
-use crate::cpu::{factorize_cpu, invert_cpu, solve_cpu, solve_prepared_cpu};
-use crate::factors::{BlockStatus, FactorizedBatch};
-use crate::plan::BatchPlan;
-use crate::stats::ExecStats;
-use vbatch_core::{Exec, MatrixBatch, Scalar, VectorBatch};
-use vbatch_sparse::{BlockPartition, CsrMatrix};
-
 /// Wide-lane host backend: interleaved classes on explicit SIMD
 /// chunks, everything else on the `CpuRayon` paths. See the module
-/// docs for the lane mapping and execution policy.
+/// docs for the lane mapping and execution policy; the [`crate::Backend`]
+/// implementation sits with the other host backends in [`crate::cpu`].
 pub struct CpuSimd;
-
-impl<T: Scalar> Backend<T> for CpuSimd {
-    fn name(&self) -> &'static str {
-        "cpu-simd"
-    }
-
-    fn extract_blocks(
-        &self,
-        a: &CsrMatrix<T>,
-        part: &BlockPartition,
-        stats: &mut ExecStats,
-    ) -> MatrixBatch<T> {
-        crate::cpu::extract_cpu(a, part, stats)
-    }
-
-    fn factorize(
-        &self,
-        blocks: MatrixBatch<T>,
-        plan: &BatchPlan,
-        stats: &mut ExecStats,
-    ) -> FactorizedBatch<T> {
-        // parallel=true: blocked/ragged blocks go through the same
-        // scoped-thread pool as CpuRayon; interleaved chunks run the
-        // lane kernels (and parallelize across chunks when the pool
-        // has threads to spare)
-        factorize_cpu(blocks, plan, true, true, stats)
-    }
-
-    fn solve(&self, factors: &FactorizedBatch<T>, rhs: &mut VectorBatch<T>, stats: &mut ExecStats) {
-        solve_cpu(factors, rhs, false, true, stats)
-    }
-
-    fn solve_prepared(
-        &self,
-        factors: &FactorizedBatch<T>,
-        prepared: &PreparedApply<T>,
-        v: &mut [T],
-        stats: &mut ExecStats,
-    ) {
-        solve_prepared_cpu(factors, prepared, v, false, true, stats)
-    }
-
-    fn invert(
-        &self,
-        blocks: &MatrixBatch<T>,
-        stats: &mut ExecStats,
-    ) -> (MatrixBatch<T>, Vec<BlockStatus>) {
-        invert_cpu(blocks, true, stats)
-    }
-
-    fn apply_gemv(
-        &self,
-        blocks: &MatrixBatch<T>,
-        x: &VectorBatch<T>,
-        y: &mut VectorBatch<T>,
-        stats: &mut ExecStats,
-    ) {
-        crate::cpu::gemv_cpu(blocks, x, y, Exec::Parallel, stats)
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Backend;
     use crate::cpu::{CpuRayon, CpuSequential};
-    use crate::plan::ClassLayout;
-    use vbatch_core::BatchLayout;
+    use crate::plan::{BatchPlan, ClassLayout};
+    use crate::stats::ExecStats;
+    use vbatch_core::{BatchLayout, MatrixBatch, VectorBatch};
     use vbatch_rt::SmallRng;
 
     fn random_batch(sizes: &[usize], seed: u64) -> MatrixBatch<f64> {

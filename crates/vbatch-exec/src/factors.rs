@@ -1,7 +1,23 @@
-//! Host-side factorized batch: the interchange format between a
-//! backend's `factorize` and `solve` calls, with per-block status.
+//! The factor store: what [`crate::Backend::factorize`] produces and
+//! every solve path consumes, with per-block status.
 //!
-//! The solve arms in this module are apply-phase hot paths (they run on
+//! A block's entry is three orthogonal pieces of data:
+//!
+//! * [`BlockFactor`] — the *kernel family* whose solve applies it (LU in
+//!   the block's own storage, LU in a slot of an interleaved class,
+//!   Gauss-Huard, explicit inverse, Cholesky, QR, scalar Jacobi);
+//! * the *storage precision* of its values, carried by the
+//!   [`Storage`] arm the values sit in — the solve kernels are generic
+//!   over it ([`vbatch_core::Stored`]), so a lowered factor runs the
+//!   same code as a native one;
+//! * an optional [`Wrapper`] around the family's bare solve: one
+//!   refinement step against the working-precision original, with or
+//!   without row/column scalings ([`refine_once`]).
+//!
+//! The LU families are read through one [`LuView`] (element accessor +
+//! pivot row per step), whatever their storage and layout.
+//!
+//! The solves in this module are apply-phase hot paths (they run on
 //! every preconditioned Krylov iteration): the `disallowed_methods` /
 //! `disallowed_macros` deny below forbids `Vec::new` / `vec!` /
 //! `to_vec` here so per-apply allocations cannot creep back in.
@@ -11,10 +27,9 @@
 
 use crate::plan::KernelChoice;
 use vbatch_core::{
-    gh_solve_widened_scratch, lu_solve_inplace_scratch, lu_solve_interleaved_slot_scratch,
-    lu_solve_interleaved_slot_widened_scratch, lu_solve_multi_inplace_scratch,
-    lu_solve_widened_scratch, residual_into, CholeskyFactors, FactorError, GhFactors, MatrixBatch,
-    Permutation, QrFactors, Scalar, StoragePrecision, TrsvVariant, VectorBatch,
+    lu_solve_inplace_scratch, lu_solve_interleaved_slot_scratch, lu_solve_multi_inplace_scratch,
+    residual_into, CholeskyFactors, DenseMat, FactorError, LuFactors, MatrixBatch, Permutation,
+    QrFactors, Scalar, Storage, StoragePrecision, Stored, StoredGh, StoredVec, TrsvVariant,
 };
 
 /// Numerical health classification of one factorized block, assigned by
@@ -104,7 +119,8 @@ pub struct BlockStatus {
     /// Precision the block's factors are *stored* in. The working
     /// precision of the apply is always the batch scalar `T`;
     /// [`StoragePrecision::Lower`] means the solve widens SP factors
-    /// element-by-element and refines against the retained DP block.
+    /// element-by-element and refines against the retained DP block
+    /// ([`Wrapper::RefineRetained`]).
     pub precision: StoragePrecision,
     /// `true` when a mixed-precision policy promoted this block back to
     /// native-precision factors because its condition estimate exceeded
@@ -166,21 +182,44 @@ impl BlockStatus {
     }
 }
 
-/// One block's factors, in whatever form the planned kernel produces.
+/// Run `$body` with `$v` bound to the payload of either [`Storage`]
+/// arm — the one place a runtime storage precision turns into the type
+/// parameter of a storage-generic kernel.
+macro_rules! on_storage {
+    ($storage:expr, $v:ident => $body:expr) => {
+        match $storage {
+            Storage::Native($v) => $body,
+            Storage::Lower($v) => $body,
+        }
+    };
+}
+pub(crate) use on_storage;
+
+/// One block's factors: the kernel family that applies them and where
+/// their values live.
 #[derive(Clone, Debug)]
 pub enum BlockFactor<T: Scalar> {
-    /// Combined `L\U` (column-major, pivot order) plus the pivot
-    /// sequence, from any of the LU kernels.
+    /// Combined `L\U` (column-major, pivot order) in the block's own
+    /// storage, plus the pivot sequence, from any of the LU kernels.
     Lu {
-        /// Block order.
-        n: usize,
-        /// Combined factors, column-major.
-        lu: Vec<T>,
+        /// Combined factors, column-major, in either storage precision.
+        lu: StoredVec<T>,
         /// Row-of-step pivot sequence.
         perm: Permutation,
     },
-    /// Gauss-Huard factors (either storage layout).
-    Gh(GhFactors<T>),
+    /// Combined `L\U` in slot `slot` of an interleaved size class:
+    /// [`FactorizedBatch::interleaved`]`[class]` for native storage,
+    /// [`FactorizedBatch::interleaved_lower`]`[class]` for lowered.
+    InterleavedLu {
+        /// Index into the class list `storage` selects.
+        class: usize,
+        /// Slot of this block within the class.
+        slot: usize,
+        /// Which class list holds the values.
+        storage: StoragePrecision,
+    },
+    /// Gauss-Huard factors (either layout, either storage precision).
+    Gh(StoredGh<T>),
     /// Explicit inverse (column-major), from GJE inversion.
     Inv {
         /// Block order.
@@ -190,213 +229,212 @@ pub enum BlockFactor<T: Scalar> {
     },
     /// Cholesky factor for SPD blocks.
     Chol(CholeskyFactors<T>),
+    /// Column-pivoted Householder QR — the rank-revealing recovery tier
+    /// above equilibration.
+    Qr(QrFactors<T>),
     /// Scalar-Jacobi fallback: the reciprocal diagonal of the original
     /// block (identity where the diagonal was zero or non-finite).
     ScalarJacobi {
         /// Reciprocal diagonal entries.
         inv_diag: Vec<T>,
     },
-    /// LU of the equilibrated block `diag(r) * A * diag(c)`, produced by
-    /// the health triage pass for ill-conditioned blocks. The apply
-    /// solves through the scalings and adds one step of iterative
-    /// refinement against the retained original block.
-    EquilibratedLu {
-        /// Block order.
-        n: usize,
-        /// Combined factors of the equilibrated block, column-major.
-        lu: Vec<T>,
-        /// Row-of-step pivot sequence.
-        perm: Permutation,
+}
+
+/// What the apply wraps around a block's bare kernel solve: one step of
+/// iterative refinement ([`refine_once`]) against the block's
+/// working-precision original.
+#[derive(Clone, Debug)]
+pub enum Wrapper<T> {
+    /// Refine against the block's original in
+    /// [`FactorizedBatch::retained`] — every lowered-precision factor;
+    /// lowered factors never carry a working-precision duplicate.
+    RefineRetained,
+    /// The factors are of the equilibrated block
+    /// `diag(r) * A * diag(c)` (health triage recovery): solve through
+    /// the scalings and refine against the block's own copy of `A`.
+    Equilibrated {
         /// Row scalings.
         r: Vec<T>,
         /// Column scalings.
         c: Vec<T>,
-        /// The original (unequilibrated) block, column-major, kept for
-        /// the refinement residual.
+        /// The original (unequilibrated) block, column-major.
         a: Vec<T>,
-    },
-    /// The block's LU factors live in an interleaved size class
-    /// ([`FactorizedBatch::interleaved`]) rather than a per-block
-    /// allocation.
-    InterleavedLu {
-        /// Index into [`FactorizedBatch::interleaved`].
-        class: usize,
-        /// Slot of this block within the class.
-        slot: usize,
-    },
-    /// Combined `L\U` stored in *lowered* precision (`T::Lower`),
-    /// produced by the mixed/SP precision policies. The apply widens
-    /// each factor element on read, accumulates in `T`, and adds one
-    /// step of iterative refinement whose residual reads the block out
-    /// of the batch-wide retained copy ([`FactorizedBatch::retained`])
-    /// — lowered factors never carry their own working-precision
-    /// duplicate.
-    LuLower {
-        /// Block order.
-        n: usize,
-        /// Combined factors in storage precision, column-major.
-        lu: Vec<T::Lower>,
-        /// Row-of-step pivot sequence.
-        perm: Permutation,
-    },
-    /// Gauss-Huard factors stored in lowered precision, applied through
-    /// the widening replay with one refinement step against the
-    /// retained native block ([`FactorizedBatch::retained`]).
-    GhLower {
-        /// Factors in storage precision.
-        gh: GhFactors<T::Lower>,
-    },
-    /// Column-pivoted Householder QR in working precision — the
-    /// rank-revealing escalation tier above [`BlockFactor::EquilibratedLu`].
-    Qr(QrFactors<T>),
-    /// The block's lowered-precision LU factors live in an interleaved
-    /// size class ([`FactorizedBatch::interleaved_lower`]).
-    InterleavedLuLower {
-        /// Index into [`FactorizedBatch::interleaved_lower`].
-        class: usize,
-        /// Slot of this block within the class.
-        slot: usize,
     },
 }
 
+/// `x := solve(b)`, then one step of iterative refinement against the
+/// column-major `n × n` block `a`: `x += solve(b − A x)`, keeping only
+/// finite corrections. `seg` holds `b` on entry and `x` on return;
+/// `solve(v, inner)` applies the approximate inverse in place with `n`
+/// elements of scratch. `scratch.len() >= 4 n` (saved right-hand side,
+/// residual, correction, the inner solves' scratch); no heap allocation.
+pub fn refine_once<T: Scalar>(
+    n: usize,
+    a: &[T],
+    seg: &mut [T],
+    scratch: &mut [T],
+    mut solve: impl FnMut(&mut [T], &mut [T]),
+) {
+    debug_assert_eq!(seg.len(), n);
+    let (saved, rest) = scratch[..4 * n].split_at_mut(n);
+    let (resid, rest) = rest.split_at_mut(n);
+    let (e, inner) = rest.split_at_mut(n);
+    saved.copy_from_slice(seg);
+    solve(seg, inner);
+    residual_into(n, a, seg, saved, resid);
+    e.copy_from_slice(resid);
+    solve(e, inner);
+    for (x, &ei) in seg.iter_mut().zip(e.iter()) {
+        if ei.is_finite() {
+            *x += ei;
+        }
+    }
+}
+
+/// One block's combined `L\U` factor wherever it lives, read through
+/// one accessor: column-major element `e` sits at
+/// `data[e * stride + offset]` and the pivot row of step `k` at
+/// `piv[k * stride + offset]` — `stride = 1` for a block's own storage,
+/// the class population (with `offset` the slot) for an interleaved
+/// class.
+#[derive(Clone, Copy, Debug)]
+pub struct LuView<'a, S> {
+    n: usize,
+    data: &'a [S],
+    piv: &'a [usize],
+    stride: usize,
+    offset: usize,
+}
+
+impl<'a, S: Scalar> LuView<'a, S> {
+    fn own(lu: &'a [S], perm: &'a Permutation) -> Self {
+        LuView {
+            n: perm.len(),
+            data: lu,
+            piv: perm.as_slice(),
+            stride: 1,
+            offset: 0,
+        }
+    }
+
+    /// Block order.
+    pub fn order(&self) -> usize {
+        self.n
+    }
+
+    /// Element `(i, j)` of the combined factor.
+    #[inline]
+    pub fn at(&self, i: usize, j: usize) -> S {
+        self.data[(j * self.n + i) * self.stride + self.offset]
+    }
+
+    /// Original row chosen as pivot of step `k`.
+    #[inline]
+    pub fn row_of_step(&self, k: usize) -> usize {
+        self.piv[k * self.stride + self.offset]
+    }
+
+    /// The permuted eager `getrs` solve against this factor, in place on
+    /// `b` (working scalar `T`); `scratch.len() >= n`, no heap
+    /// allocation. A strided view runs the same operation sequence as a
+    /// contiguous one, so the layouts agree bitwise.
+    #[inline]
+    pub fn solve_inplace<T: Scalar>(&self, b: &mut [T], scratch: &mut [T])
+    where
+        S: Stored<T>,
+    {
+        if self.stride == 1 {
+            lu_solve_inplace_scratch(TrsvVariant::Eager, self.n, self.data, self.piv, b, scratch);
+        } else {
+            lu_solve_interleaved_slot_scratch(
+                self.n,
+                self.stride,
+                self.offset,
+                self.data,
+                self.piv,
+                b,
+                scratch,
+            );
+        }
+    }
+
+    /// Scratch elements [`LuView::solve_multi_inplace`] needs for `nrhs`
+    /// right-hand sides: the transposed right-hand sides, plus the
+    /// unpacked factor for a strided view.
+    pub fn multi_scratch_elems(&self, nrhs: usize) -> usize {
+        let gather = if self.stride == 1 { 0 } else { self.n * self.n };
+        gather + self.n * nrhs
+    }
+
+    /// Solve against every column of the column-major `n × nrhs` matrix
+    /// `rhs` in place, reading the factor once for all columns
+    /// ([`lu_solve_multi_inplace_scratch`]): a strided view is gathered
+    /// into contiguous scratch a single time. Each column's result is
+    /// bitwise [`LuView::solve_inplace`]'s. No heap allocation.
+    pub fn solve_multi_inplace(&self, nrhs: usize, rhs: &mut [S], scratch: &mut [S]) {
+        let (n, stride, offset) = (self.n, self.stride, self.offset);
+        let piv = self.piv;
+        let row_of_step = |k: usize| piv[k * stride + offset];
+        if stride == 1 {
+            lu_solve_multi_inplace_scratch(n, nrhs, self.data, row_of_step, rhs, scratch);
+        } else {
+            let (lu, w) = scratch.split_at_mut(n * n);
+            for (e, x) in lu.iter_mut().enumerate() {
+                *x = self.data[e * stride + offset];
+            }
+            lu_solve_multi_inplace_scratch(n, nrhs, lu, row_of_step, rhs, w);
+        }
+    }
+
+    /// Contiguous copy of the factor and its pivots, for the host
+    /// condition estimator.
+    // setup-time triage, not an apply path
+    #[allow(clippy::disallowed_methods)]
+    pub fn to_factors(&self) -> LuFactors<S> {
+        LuFactors {
+            lu: DenseMat::from_fn(self.n, self.n, |i, j| self.at(i, j)),
+            perm: Permutation::from_row_of_step(self.pivots()),
+        }
+    }
+
+    /// The whole row-of-step pivot sequence.
+    // test/diagnostic and setup-time API, not an apply path
+    #[allow(clippy::disallowed_methods)]
+    pub fn pivots(&self) -> Vec<usize> {
+        (0..self.n).map(|k| self.row_of_step(k)).collect()
+    }
+}
+
 /// LU factors of one interleaved size class: `blocks.len()` systems of
-/// order `n`, with combined `L\U` values stored element-interleaved
-/// (`data[(j*n + i) * count + slot]`) and row-of-step pivot lanes
-/// (`piv[k * count + slot]`).
+/// order `n`, with combined `L\U` values of storage scalar `S` stored
+/// element-interleaved (`data[(j*n + i) * count + slot]`) and
+/// row-of-step pivot lanes (`piv[k * count + slot]`).
 #[derive(Clone, Debug)]
-pub struct InterleavedLuClass<T> {
+pub struct InterleavedLuClass<S> {
     /// Block order of the class.
     pub n: usize,
     /// Slot → original block index.
     pub blocks: Vec<usize>,
     /// Interleaved combined `L\U` factors.
-    pub data: Vec<T>,
+    pub data: Vec<S>,
     /// Interleaved row-of-step pivot lanes.
     pub piv: Vec<usize>,
 }
 
-impl<T: Scalar> InterleavedLuClass<T> {
+impl<S: Scalar> InterleavedLuClass<S> {
     /// Number of slots in the class.
     pub fn count(&self) -> usize {
         self.blocks.len()
     }
 
-    /// Solve one slot's system in place (strided host path; bitwise
-    /// identical to the class-wide sweep).
-    pub fn solve_slot_inplace(&self, slot: usize, seg: &mut [T]) {
-        // setup/compat path: the prepared apply uses the scratch form
-        #[allow(clippy::disallowed_macros)]
-        let mut scratch = vec![T::ZERO; self.n];
-        self.solve_slot_inplace_scratch(slot, seg, &mut scratch);
-    }
-
-    /// [`InterleavedLuClass::solve_slot_inplace`] with caller scratch
-    /// (`scratch.len() >= n`); performs no heap allocation.
-    pub fn solve_slot_inplace_scratch(&self, slot: usize, seg: &mut [T], scratch: &mut [T]) {
-        lu_solve_interleaved_slot_scratch(
-            self.n,
-            self.count(),
-            slot,
-            &self.data,
-            &self.piv,
-            seg,
-            scratch,
-        );
-    }
-
-    /// Row-of-step pivot sequence of one slot.
-    pub fn slot_row_of_step(&self, slot: usize) -> Vec<usize> {
-        // test/diagnostic API, not an apply path
-        #[allow(clippy::disallowed_macros)]
-        let mut out = vec![0usize; self.n];
-        self.slot_row_of_step_into(slot, &mut out);
-        out
-    }
-
-    /// Non-allocating [`InterleavedLuClass::slot_row_of_step`]: write
-    /// slot `slot`'s pivot sequence into `out` (`out.len() == n`).
-    pub fn slot_row_of_step_into(&self, slot: usize, out: &mut [usize]) {
-        debug_assert_eq!(out.len(), self.n);
-        let count = self.count();
-        for (k, o) in out.iter_mut().enumerate() {
-            *o = self.piv[k * count + slot];
-        }
-    }
-}
-
-/// Lowered-precision LU factors of one interleaved size class. The
-/// widening apply's refinement residual reads each slot's original
-/// block out of the batch-wide retained copy
-/// ([`FactorizedBatch::retained`]) — the class keeps no
-/// working-precision duplicate, which is what lets the lowered
-/// factorization pack *less* data than the native one.
-#[derive(Clone, Debug)]
-pub struct InterleavedLuLowerClass<T: Scalar> {
-    /// Block order of the class.
-    pub n: usize,
-    /// Slot → original block index.
-    pub blocks: Vec<usize>,
-    /// Interleaved combined `L\U` factors in storage precision.
-    pub data: Vec<T::Lower>,
-    /// Interleaved row-of-step pivot lanes.
-    pub piv: Vec<usize>,
-}
-
-impl<T: Scalar> InterleavedLuLowerClass<T> {
-    /// Number of slots in the class.
-    pub fn count(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Widening solve of one slot's system with one refinement step
-    /// against the slot's original block `orig` (column-major, order
-    /// `n` — the caller reads it out of the retained batch).
-    /// `scratch.len() >= 4 n` (saved RHS, residual, correction, inner
-    /// permutation gather); no heap allocation.
-    pub fn solve_slot_inplace_scratch(
-        &self,
-        slot: usize,
-        orig: &[T],
-        seg: &mut [T],
-        scratch: &mut [T],
-    ) {
-        let n = self.n;
-        let count = self.count();
-        debug_assert_eq!(seg.len(), n);
-        debug_assert_eq!(orig.len(), n * n);
-        debug_assert!(scratch.len() >= 4 * n);
-        let (saved, rest) = scratch[..4 * n].split_at_mut(n);
-        let (resid, rest) = rest.split_at_mut(n);
-        let (e, inner) = rest.split_at_mut(n);
-        saved.copy_from_slice(seg);
-        lu_solve_interleaved_slot_widened_scratch(
-            n, count, slot, &self.data, &self.piv, seg, inner,
-        );
-        // residual against the retained original block (column-major
-        // traversal — the same element order the interleaved copy used,
-        // so the refinement bits are unchanged)
-        resid.copy_from_slice(saved);
-        for (j, &xj) in seg.iter().enumerate() {
-            for (i, ri) in resid.iter_mut().enumerate() {
-                *ri = (-orig[j * n + i]).mul_add(xj, *ri);
-            }
-        }
-        e.copy_from_slice(resid);
-        lu_solve_interleaved_slot_widened_scratch(n, count, slot, &self.data, &self.piv, e, inner);
-        for (x, &ei) in seg.iter_mut().zip(e.iter()) {
-            if ei.is_finite() {
-                *x += ei;
-            }
-        }
-    }
-
-    /// Non-allocating pivot-sequence read of one slot
-    /// (`out.len() == n`).
-    pub fn slot_row_of_step_into(&self, slot: usize, out: &mut [usize]) {
-        debug_assert_eq!(out.len(), self.n);
-        let count = self.count();
-        for (k, o) in out.iter_mut().enumerate() {
-            *o = self.piv[k * count + slot];
+    /// The factor of slot `slot`, read in place with stride `count`.
+    pub fn slot_view(&self, slot: usize) -> LuView<'_, S> {
+        LuView {
+            n: self.n,
+            data: &self.data,
+            piv: &self.piv,
+            stride: self.count(),
+            offset: slot,
         }
     }
 }
@@ -427,33 +465,52 @@ pub(crate) fn block_diag<T: Scalar>(n: usize, data: &[T]) -> Vec<T> {
 
 /// A factorized variable-size batch with per-block status, produced by
 /// [`crate::Backend::factorize`] and consumed by
-/// [`crate::Backend::solve`].
+/// [`crate::Backend::solve`] / [`crate::Backend::solve_prepared`].
 #[derive(Clone, Debug)]
 pub struct FactorizedBatch<T: Scalar> {
     /// Block orders.
     pub sizes: Vec<usize>,
     /// Per-block factors.
     pub factors: Vec<BlockFactor<T>>,
+    /// Per-block wrapper around the factor's bare solve (`None`: the
+    /// bare solve is the apply).
+    pub wrappers: Vec<Option<Wrapper<T>>>,
     /// Per-block factorization status.
     pub status: Vec<BlockStatus>,
-    /// Interleaved size classes referenced by
-    /// [`BlockFactor::InterleavedLu`] entries (empty for a fully
+    /// Native-precision interleaved size classes (empty for a fully
     /// blocked factorization).
     pub interleaved: Vec<InterleavedLuClass<T>>,
-    /// Lowered-precision interleaved size classes referenced by
-    /// [`BlockFactor::InterleavedLuLower`] entries (empty under the
+    /// Lowered-precision interleaved size classes (empty under the
     /// full-precision policy).
-    pub interleaved_lower: Vec<InterleavedLuLowerClass<T>>,
+    pub interleaved_lower: Vec<InterleavedLuClass<T::Lower>>,
     /// The original batch in working precision, retained only under a
-    /// storage-lowering precision policy: the widening applies read
-    /// their refinement residuals out of it, so the lowered factors
-    /// never duplicate working-precision data per block. `None` under
-    /// `FullDp` (and at the `f32` floor), where factorization consumes
-    /// the batch as before.
+    /// storage-lowering precision policy: [`Wrapper::RefineRetained`]
+    /// reads its residuals out of it. `None` under `FullDp` (and at the
+    /// `f32` floor), where factorization consumes the batch.
     pub retained: Option<MatrixBatch<T>>,
 }
 
 impl<T: Scalar> FactorizedBatch<T> {
+    /// A batch whose factors all live in per-block storage: no
+    /// interleaved classes, no wrappers, nothing retained.
+    // setup-time construction, not an apply path
+    #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
+    pub fn blocked(
+        sizes: Vec<usize>,
+        factors: Vec<BlockFactor<T>>,
+        status: Vec<BlockStatus>,
+    ) -> Self {
+        FactorizedBatch {
+            wrappers: vec![None; sizes.len()],
+            sizes,
+            factors,
+            status,
+            interleaved: Vec::new(),
+            interleaved_lower: Vec::new(),
+            retained: None,
+        }
+    }
+
     /// Number of blocks.
     pub fn len(&self) -> usize {
         self.sizes.len()
@@ -469,64 +526,77 @@ impl<T: Scalar> FactorizedBatch<T> {
         self.status.iter().filter(|s| s.is_fallback()).count()
     }
 
-    /// Column-major working-precision data of block `block`, read out
-    /// of the retained batch. Only lowered factors call this; a batch
-    /// that holds lowered factors always carries its retained copy.
-    fn retained_block(&self, block: usize) -> &[T] {
-        self.retained
-            .as_ref()
-            .expect("lowered factors require the retained working-precision batch")
-            .block(block)
+    /// The block's combined `L\U` factor, when its kernel family is one
+    /// of the two LU forms.
+    pub fn lu_view(&self, block: usize) -> Option<Storage<LuView<'_, T>, LuView<'_, T::Lower>>> {
+        match &self.factors[block] {
+            BlockFactor::Lu { lu, perm } => Some(match lu {
+                Storage::Native(lu) => Storage::Native(LuView::own(lu, perm)),
+                Storage::Lower(lu) => Storage::Lower(LuView::own(lu, perm)),
+            }),
+            &BlockFactor::InterleavedLu {
+                class,
+                slot,
+                storage,
+            } => Some(match storage {
+                StoragePrecision::Native => {
+                    Storage::Native(self.interleaved[class].slot_view(slot))
+                }
+                StoragePrecision::Lower => {
+                    Storage::Lower(self.interleaved_lower[class].slot_view(slot))
+                }
+            }),
+            _ => None,
+        }
+    }
+
+    /// The block's LU factor when its apply is exactly the bare native
+    /// LU solve (native storage, no wrapper) — the form the read-once
+    /// multi-RHS solve takes over.
+    pub fn bare_native_lu(&self, block: usize) -> Option<LuView<'_, T>> {
+        match (&self.wrappers[block], self.lu_view(block)) {
+            (None, Some(Storage::Native(view))) => Some(view),
+            _ => None,
+        }
+    }
+
+    /// Scratch elements the bare kernel solve of block `block` needs:
+    /// `n` for the single-copy forms (permutation gather, GH un-permute,
+    /// GEMV input, QR reflector workspace), `0` for the copy-free ones.
+    fn bare_scratch_elems(&self, block: usize) -> usize {
+        match &self.factors[block] {
+            BlockFactor::Chol(_) | BlockFactor::ScalarJacobi { .. } => 0,
+            _ => self.sizes[block],
+        }
     }
 
     /// Scratch elements [`FactorizedBatch::solve_block_inplace_with`]
-    /// needs for block `block`: `n` for the single-copy forms, `4 n`
-    /// for the refining forms — equilibrated LU and every
-    /// lowered-precision factor (RHS copy, residual, correction, and
-    /// the permutation gather of the two inner solves) — `0` for the
-    /// copy-free forms.
+    /// needs for block `block`: the bare solve's, or `4 n` under a
+    /// refining [`Wrapper`].
     pub fn solve_scratch_elems(&self, block: usize) -> usize {
-        let n = self.sizes[block];
-        match &self.factors[block] {
-            BlockFactor::Lu { .. }
-            | BlockFactor::Gh(_)
-            | BlockFactor::Inv { .. }
-            | BlockFactor::InterleavedLu { .. }
-            | BlockFactor::Qr(_) => n,
-            BlockFactor::Chol(_) | BlockFactor::ScalarJacobi { .. } => 0,
-            BlockFactor::EquilibratedLu { .. }
-            | BlockFactor::LuLower { .. }
-            | BlockFactor::GhLower { .. }
-            | BlockFactor::InterleavedLuLower { .. } => 4 * n,
+        match self.wrappers[block] {
+            None => self.bare_scratch_elems(block),
+            Some(_) => 4 * self.sizes[block],
         }
     }
 
     /// Host reference solve of block `block` against segment `seg`
-    /// (used by the CPU backends and as the simulator's host path).
+    /// (the simulator's host path).
     pub fn solve_block_inplace(&self, block: usize, seg: &mut [T]) {
-        // setup/compat path: the prepared apply uses the scratch form
+        // compat path: the prepared apply uses the scratch form
         #[allow(clippy::disallowed_macros)]
         let mut scratch = vec![T::ZERO; self.solve_scratch_elems(block)];
         self.solve_block_inplace_with(block, seg, &mut scratch);
     }
 
-    /// [`FactorizedBatch::solve_block_inplace`] with caller-provided
-    /// scratch (`scratch.len() >= solve_scratch_elems(block)`): every
-    /// RHS copy — the permutation gather of the LU forms, the GH
-    /// un-permute, the GEMV input of the explicit inverse, the
-    /// refinement temporaries of the equilibrated path — lands in
-    /// `scratch`, so the apply performs zero heap allocations. Copies
-    /// are element-exact; results are bitwise identical to the
-    /// allocating form.
-    pub fn solve_block_inplace_with(&self, block: usize, seg: &mut [T], scratch: &mut [T]) {
-        let n = self.sizes[block];
-        debug_assert_eq!(seg.len(), n);
-        debug_assert!(scratch.len() >= self.solve_scratch_elems(block));
+    /// The kernel family's own solve, without the wrapper.
+    fn solve_bare(&self, block: usize, seg: &mut [T], scratch: &mut [T]) {
         match &self.factors[block] {
-            BlockFactor::Lu { n, lu, perm } => {
-                lu_solve_inplace_scratch(TrsvVariant::Eager, *n, lu, perm.as_slice(), seg, scratch);
+            BlockFactor::Lu { .. } | BlockFactor::InterleavedLu { .. } => {
+                let view = self.lu_view(block).expect("LU families have a view");
+                on_storage!(view, v => v.solve_inplace(seg, scratch));
             }
-            BlockFactor::Gh(f) => f.solve_inplace_scratch(seg, scratch),
+            BlockFactor::Gh(f) => on_storage!(f, f => f.solve_inplace_scratch(seg, scratch)),
             BlockFactor::Inv { n, inv } => {
                 let x = &mut scratch[..*n];
                 x.copy_from_slice(seg);
@@ -539,118 +609,57 @@ impl<T: Scalar> FactorizedBatch<T> {
                 }
             }
             BlockFactor::Chol(f) => f.solve_inplace(TrsvVariant::Eager, seg),
+            BlockFactor::Qr(f) => f.solve_inplace_scratch(seg, scratch),
             BlockFactor::ScalarJacobi { inv_diag } => {
                 for (s, &d) in seg.iter_mut().zip(inv_diag) {
                     *s *= d;
                 }
             }
-            BlockFactor::EquilibratedLu {
-                n,
-                lu,
-                perm,
-                r,
-                c,
-                a,
-            } => {
-                let n = *n;
-                let (b, rest) = scratch[..4 * n].split_at_mut(n);
-                let (resid, rest) = rest.split_at_mut(n);
-                let (e, perm_scratch) = rest.split_at_mut(n);
-                b.copy_from_slice(seg);
-                // x = diag(c) * (LU)^{-1} * diag(r) * b
-                let mut solve_scaled = |rhs: &[T], out: &mut [T]| {
-                    for (o, (&ri, &bi)) in out.iter_mut().zip(r.iter().zip(rhs)) {
-                        *o = ri * bi;
-                    }
-                    lu_solve_inplace_scratch(
-                        TrsvVariant::Eager,
-                        n,
-                        lu,
-                        perm.as_slice(),
-                        out,
-                        perm_scratch,
-                    );
-                    for (o, &ci) in out.iter_mut().zip(c) {
-                        *o *= ci;
-                    }
-                };
-                solve_scaled(b, seg);
-                // one step of iterative refinement against the original
-                // block: e = solve(b - A x), x += e
-                resid.copy_from_slice(b);
-                for (j, &xj) in seg.iter().enumerate() {
-                    for (i, ri) in resid.iter_mut().enumerate() {
-                        *ri = (-a[j * n + i]).mul_add(xj, *ri);
-                    }
-                }
-                e.fill(T::ZERO);
-                solve_scaled(resid, e);
-                for (x, &ei) in seg.iter_mut().zip(e.iter()) {
-                    if ei.is_finite() {
-                        *x += ei;
-                    }
-                }
-            }
-            BlockFactor::InterleavedLu { class, slot } => {
-                self.interleaved[*class].solve_slot_inplace_scratch(*slot, seg, scratch);
-            }
-            BlockFactor::LuLower { n, lu, perm } => {
-                let n = *n;
-                let a = self.retained_block(block);
-                let (saved, rest) = scratch[..4 * n].split_at_mut(n);
-                let (resid, rest) = rest.split_at_mut(n);
-                let (e, inner) = rest.split_at_mut(n);
-                saved.copy_from_slice(seg);
-                lu_solve_widened_scratch(TrsvVariant::Eager, n, lu, perm.as_slice(), seg, inner);
-                // one refinement step against the retained DP block
-                residual_into(n, a, seg, saved, resid);
-                e.copy_from_slice(resid);
-                lu_solve_widened_scratch(TrsvVariant::Eager, n, lu, perm.as_slice(), e, inner);
-                for (x, &ei) in seg.iter_mut().zip(e.iter()) {
-                    if ei.is_finite() {
-                        *x += ei;
-                    }
-                }
-            }
-            BlockFactor::GhLower { gh } => {
-                let a = self.retained_block(block);
-                let (saved, rest) = scratch[..4 * n].split_at_mut(n);
-                let (resid, rest) = rest.split_at_mut(n);
-                let (e, inner) = rest.split_at_mut(n);
-                saved.copy_from_slice(seg);
-                gh_solve_widened_scratch(gh, seg, inner);
-                residual_into(n, a, seg, saved, resid);
-                e.copy_from_slice(resid);
-                gh_solve_widened_scratch(gh, e, inner);
-                for (x, &ei) in seg.iter_mut().zip(e.iter()) {
-                    if ei.is_finite() {
-                        *x += ei;
-                    }
-                }
-            }
-            BlockFactor::Qr(f) => f.solve_inplace_scratch(seg, scratch),
-            BlockFactor::InterleavedLuLower { class, slot } => {
-                self.interleaved_lower[*class].solve_slot_inplace_scratch(
-                    *slot,
-                    self.retained_block(block),
-                    seg,
-                    scratch,
-                );
-            }
         }
     }
 
-    /// Scratch elements [`FactorizedBatch::solve_block_multi_inplace_with`]
-    /// needs for `nrhs` right-hand sides against block `block`: the
-    /// transposed right-hand sides for the native LU forms (plus the
-    /// unpacked factor for an interleaved slot), the single-column
-    /// requirement for the forms solved column by column.
-    pub fn solve_multi_scratch_elems(&self, block: usize, nrhs: usize) -> usize {
+    /// Solve block `block` against segment `seg` in place with
+    /// caller-provided scratch
+    /// (`scratch.len() >= solve_scratch_elems(block)`): every temporary
+    /// of the bare solve and of the refinement wrapper lands in
+    /// `scratch`, so the apply performs zero heap allocations.
+    pub fn solve_block_inplace_with(&self, block: usize, seg: &mut [T], scratch: &mut [T]) {
         let n = self.sizes[block];
-        match &self.factors[block] {
-            BlockFactor::Lu { .. } => n * nrhs,
-            BlockFactor::InterleavedLu { .. } => n * n + n * nrhs,
-            _ => self.solve_scratch_elems(block),
+        debug_assert_eq!(seg.len(), n);
+        debug_assert!(scratch.len() >= self.solve_scratch_elems(block));
+        let (a, scaling) = match &self.wrappers[block] {
+            None => return self.solve_bare(block, seg, scratch),
+            Some(Wrapper::RefineRetained) => {
+                let retained = self
+                    .retained
+                    .as_ref()
+                    .expect("lowered factors require the retained working-precision batch");
+                (retained.block(block), None)
+            }
+            Some(Wrapper::Equilibrated { r, c, a }) => (a.as_slice(), Some((r, c))),
+        };
+        refine_once(n, a, seg, scratch, |x, inner| {
+            // x := diag(c) * solve(diag(r) * x)
+            if let Some((r, _)) = scaling {
+                for (xi, &ri) in x.iter_mut().zip(r) {
+                    *xi *= ri;
+                }
+            }
+            self.solve_bare(block, x, inner);
+            if let Some((_, c)) = scaling {
+                for (xi, &ci) in x.iter_mut().zip(c) {
+                    *xi *= ci;
+                }
+            }
+        });
+    }
+
+    /// Scratch elements [`FactorizedBatch::solve_block_multi_inplace_with`]
+    /// needs for `nrhs` right-hand sides against block `block`.
+    pub fn solve_multi_scratch_elems(&self, block: usize, nrhs: usize) -> usize {
+        match self.bare_native_lu(block) {
+            Some(view) => view.multi_scratch_elems(nrhs),
+            None => self.solve_scratch_elems(block),
         }
     }
 
@@ -658,16 +667,13 @@ impl<T: Scalar> FactorizedBatch<T> {
     /// `n × nrhs` matrix `rhs` in place — the setup-time normalisation
     /// `Ũ_i* = D_i^{-1} Ū_i*` of a whole block row in one call.
     ///
-    /// The native LU forms read their factor once for all columns: an
-    /// interleaved slot is gathered out of its class (stride `count`)
-    /// into contiguous scratch a single time, and the eager sweeps run
-    /// with the right-hand sides as the unit-stride inner dimension
-    /// ([`lu_solve_multi_inplace_scratch`]). Every other form is solved
+    /// A bare native LU factor is read once for all columns
+    /// ([`LuView::solve_multi_inplace`]); every other form is solved
     /// column by column through
     /// [`FactorizedBatch::solve_block_inplace_with`]. Either way each
     /// column's result is bitwise what `solve_block_inplace_with`
     /// returns for it, so a normalised factor composes with the
-    /// prepared apply exactly as before.
+    /// prepared apply exactly.
     /// `scratch.len() >= solve_multi_scratch_elems(block, nrhs)`; no
     /// heap allocation.
     pub fn solve_block_multi_inplace_with(&self, block: usize, rhs: &mut [T], scratch: &mut [T]) {
@@ -678,22 +684,9 @@ impl<T: Scalar> FactorizedBatch<T> {
         debug_assert_eq!(rhs.len() % n, 0);
         let nrhs = rhs.len() / n;
         debug_assert!(scratch.len() >= self.solve_multi_scratch_elems(block, nrhs));
-        match &self.factors[block] {
-            BlockFactor::Lu { n, lu, perm } => {
-                let perm = perm.as_slice();
-                lu_solve_multi_inplace_scratch(*n, nrhs, lu, |k| perm[k], rhs, scratch);
-            }
-            BlockFactor::InterleavedLu { class, slot } => {
-                let cl = &self.interleaved[*class];
-                let (count, slot) = (cl.count(), *slot);
-                let (lu, w) = scratch.split_at_mut(n * n);
-                for (e, x) in lu.iter_mut().enumerate() {
-                    *x = cl.data[e * count + slot];
-                }
-                let piv = &cl.piv;
-                lu_solve_multi_inplace_scratch(n, nrhs, lu, |k| piv[k * count + slot], rhs, w);
-            }
-            _ => {
+        match self.bare_native_lu(block) {
+            Some(view) => view.solve_multi_inplace(nrhs, rhs, scratch),
+            None => {
                 for col in rhs.chunks_exact_mut(n) {
                     self.solve_block_inplace_with(block, col, scratch);
                 }
@@ -702,33 +695,15 @@ impl<T: Scalar> FactorizedBatch<T> {
     }
 
     /// Row-of-step pivot sequence of block `block`, when its factors
-    /// are an LU form (blocked or interleaved). Used by the golden
-    /// differential suite to assert bitwise pivot agreement.
-    // test/diagnostic API, not an apply path
-    #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
+    /// are an LU of the block as given (an equilibrated factor's pivots
+    /// are those of the scaled block, so it reports `None`). Used by
+    /// the golden differential suite to assert bitwise pivot agreement.
     pub fn row_of_step(&self, block: usize) -> Option<Vec<usize>> {
-        match &self.factors[block] {
-            BlockFactor::Lu { perm, .. } | BlockFactor::LuLower { perm, .. } => {
-                Some(perm.as_slice().to_vec())
-            }
-            BlockFactor::InterleavedLu { class, slot } => {
-                Some(self.interleaved[*class].slot_row_of_step(*slot))
-            }
-            BlockFactor::InterleavedLuLower { class, slot } => {
-                let cl = &self.interleaved_lower[*class];
-                let mut out = vec![0usize; cl.n];
-                cl.slot_row_of_step_into(*slot, &mut out);
-                Some(out)
-            }
-            _ => None,
+        if matches!(self.wrappers[block], Some(Wrapper::Equilibrated { .. })) {
+            return None;
         }
-    }
-
-    /// Host reference solve over a whole vector batch, sequentially.
-    pub fn solve_all_inplace(&self, rhs: &mut VectorBatch<T>) {
-        for (i, seg) in rhs.segs_mut().into_iter().enumerate() {
-            self.solve_block_inplace(i, seg);
-        }
+        self.lu_view(block)
+            .map(|view| on_storage!(view, v => v.pivots()))
     }
 }
 
@@ -736,7 +711,7 @@ impl<T: Scalar> FactorizedBatch<T> {
 #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 mod tests {
     use super::*;
-    use vbatch_core::{getrf, DenseMat, PivotStrategy};
+    use vbatch_core::{getrf, PivotStrategy};
 
     #[test]
     fn scalar_jacobi_guards_bad_diagonal() {
@@ -753,17 +728,14 @@ mod tests {
     #[test]
     fn inv_factor_applies_inverse() {
         // A = [[2, 0], [0, 4]], inv = [[0.5, 0], [0, 0.25]] col-major
-        let fb = FactorizedBatch {
-            sizes: vec![2],
-            factors: vec![BlockFactor::Inv {
+        let fb = FactorizedBatch::blocked(
+            vec![2],
+            vec![BlockFactor::Inv {
                 n: 2,
                 inv: vec![0.5, 0.0, 0.0, 0.25],
             }],
-            status: vec![BlockStatus::factorized(KernelChoice::GjeInvert)],
-            interleaved: Vec::new(),
-            interleaved_lower: Vec::new(),
-            retained: None,
-        };
+            vec![BlockStatus::factorized(KernelChoice::GjeInvert)],
+        );
         let mut seg = [8.0f64, 8.0];
         fb.solve_block_inplace(0, &mut seg);
         assert_eq!(seg, [4.0, 2.0]);
@@ -816,21 +788,21 @@ mod tests {
         let (r, c) = vbatch_core::equilibrate(&a).unwrap();
         let e = vbatch_core::apply_equilibration(&a, &r, &c);
         let f = getrf(&e, PivotStrategy::Implicit).unwrap();
-        let fb = FactorizedBatch {
-            sizes: vec![2],
-            factors: vec![BlockFactor::EquilibratedLu {
-                n: 2,
-                lu: f.lu.as_slice().to_vec(),
+        let mut fb = FactorizedBatch::blocked(
+            vec![2],
+            vec![BlockFactor::Lu {
+                lu: Storage::Native(f.lu.as_slice().to_vec()),
                 perm: f.perm,
-                r,
-                c,
-                a: a.as_slice().to_vec(),
             }],
-            status: vec![BlockStatus::factorized(KernelChoice::SmallLu)],
-            interleaved: Vec::new(),
-            interleaved_lower: Vec::new(),
-            retained: None,
-        };
+            vec![BlockStatus::factorized(KernelChoice::SmallLu)],
+        );
+        fb.wrappers[0] = Some(Wrapper::Equilibrated {
+            r,
+            c,
+            a: a.as_slice().to_vec(),
+        });
+        assert_eq!(fb.solve_scratch_elems(0), 8);
+        assert!(fb.row_of_step(0).is_none(), "pivots of the scaled block");
         let x_true = [1.5f64, -0.25];
         let mut seg = [
             a[(0, 0)] * x_true[0] + a[(0, 1)] * x_true[1],

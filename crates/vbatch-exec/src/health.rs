@@ -5,10 +5,11 @@
 //! gets a Hager/Higham 1-norm condition estimate. Blocks whose estimate
 //! exceeds the policy threshold are *recovered in place*: the original
 //! block is equilibrated (LAPACK `geequ`-style row/column scalings),
-//! refactorized, and replaced by a [`BlockFactor::EquilibratedLu`] whose
-//! apply adds one step of iterative refinement. Blocks that cannot be
-//! recovered escalate through the scalar-Jacobi fallback down to
-//! identity rows, and every step taken is recorded in the block's
+//! refactorized, and replaced by a native [`BlockFactor::Lu`] under a
+//! [`Wrapper::Equilibrated`] whose apply adds one step of iterative
+//! refinement. Blocks that cannot be recovered escalate through the
+//! rank-revealing QR and the scalar-Jacobi fallback down to identity
+//! rows, and every step taken is recorded in the block's
 //! [`BlockStatus::recovery`] chain — so the caller can always tell the
 //! difference between "factorized cleanly", "recovered exactly" and
 //! "degraded".
@@ -19,125 +20,80 @@
 //! layout-equivalence contract of the unguarded path.
 
 use crate::factors::{
-    block_diag, scalar_jacobi_from_diag, BlockFactor, BlockHealth, BlockStatus, FactorizedBatch,
-    RecoveryStep,
+    block_diag, on_storage, scalar_jacobi_from_diag, BlockFactor, BlockHealth, BlockStatus,
+    FactorizedBatch, RecoveryStep, Wrapper,
 };
 use crate::plan::HealthPolicy;
-use vbatch_core::lu::implicit::getrf_implicit_inplace;
 use vbatch_core::lu::LuFactors;
 use vbatch_core::{
-    apply_equilibration, condest1, demote_slice, equilibrate, geqp3, getrf, norm1, DenseMat,
-    MatrixBatch, Permutation, PivotStrategy, Scalar, StoragePrecision,
+    apply_equilibration, condest1, equilibrate, geqp3, getrf, narrow_slice, norm1, DenseMat,
+    MatrixBatch, PivotStrategy, Scalar, Storage, StoragePrecision, Stored,
 };
 
-/// Hager/Higham estimate evaluated entirely in the storage precision:
-/// the demoted block against its lowered LU factors. This is the right
-/// scale for promotion decisions — it measures how the factors the
-/// apply actually widens behave, and it costs a handful of SP
-/// triangular solves rather than a DP refactorization.
-fn condest_lowered<T: Scalar>(n: usize, lu: &[T::Lower], perm: &Permutation, a: &[T]) -> f64 {
-    let lo = demote_slice(a);
-    let a_lo = DenseMat::from_col_major(n, n, &lo);
-    let f = LuFactors {
-        lu: DenseMat::from_col_major(n, n, lu),
-        perm: perm.clone(),
+/// Hager/Higham estimate evaluated entirely in the factor's storage
+/// scalar `S`: the block narrowed to `S` against its `S` factors — or,
+/// for the families that expose no LU solve shape (Gauss-Huard,
+/// Cholesky), against a host refactorization of the narrowed block. For
+/// lowered factors this is the right scale for promotion decisions — it
+/// measures how the factors the apply actually widens behave, and it
+/// costs a handful of SP triangular solves rather than a DP
+/// refactorization.
+fn condest_in<T: Scalar, S: Stored<T>>(n: usize, a: &[T], factors: Option<LuFactors<S>>) -> f64 {
+    let a = DenseMat::from_col_major(n, n, &narrow_slice::<T, S>(a));
+    let factors = match factors {
+        Some(f) => f,
+        None => match getrf(&a, PivotStrategy::Implicit) {
+            Ok(f) => f,
+            Err(_) => return f64::INFINITY,
+        },
     };
-    condest1(&a_lo, &f).to_f64()
+    condest1(&a, &factors).to_f64()
 }
 
-/// Condition estimate of one exactly-factorized block, reusing the
-/// factors where they are an LU form and refactorizing on the host
-/// otherwise. Returns `None` for factor kinds that are not an exact
-/// block inverse (the scalar-Jacobi fallback) or were already triaged.
-fn condest_block<T: Scalar>(
-    a: &DenseMat<T>,
-    factor: &BlockFactor<T>,
-    batch: &FactorizedBatch<T>,
-) -> Option<f64> {
-    match factor {
-        BlockFactor::Lu { n, lu, perm } => {
-            let f = LuFactors {
-                lu: DenseMat::from_col_major(*n, *n, lu),
-                perm: perm.clone(),
-            };
-            Some(condest1(a, &f).to_f64())
+/// Condition estimate of block `block` (column-major original `a`),
+/// reusing the factors where they are an LU form. Returns `None` for
+/// factors that are not an exact inverse of the block as given (the
+/// scalar-Jacobi fallback) or were already triaged.
+fn condest_block<T: Scalar>(a: &[T], block: usize, batch: &FactorizedBatch<T>) -> Option<f64> {
+    if matches!(batch.wrappers[block], Some(Wrapper::Equilibrated { .. })) {
+        return None;
+    }
+    let n = batch.sizes[block];
+    match &batch.factors[block] {
+        BlockFactor::Lu { .. } | BlockFactor::InterleavedLu { .. } => {
+            let view = batch.lu_view(block).expect("LU families have a view");
+            Some(on_storage!(view, v => condest_in(n, a, Some(v.to_factors()))))
         }
-        BlockFactor::InterleavedLu { class, slot } => {
-            let cls = &batch.interleaved[*class];
-            let (n, count) = (cls.n, cls.count());
-            let lu = DenseMat::from_fn(n, n, |i, j| cls.data[(j * n + i) * count + slot]);
-            let f = LuFactors {
-                lu,
-                perm: Permutation::from_row_of_step(cls.slot_row_of_step(*slot)),
-            };
-            Some(condest1(a, &f).to_f64())
+        BlockFactor::Gh(Storage::Native(_)) | BlockFactor::Chol(_) => {
+            Some(condest_in::<T, T>(n, a, None))
         }
-        BlockFactor::Inv { n, inv } => {
+        BlockFactor::Gh(Storage::Lower(_)) => Some(condest_in::<T, T::Lower>(n, a, None)),
+        BlockFactor::Inv { inv, .. } => {
             // exact: the explicit inverse is already materialized
-            let inv = DenseMat::from_col_major(*n, *n, inv);
-            Some((norm1(a) * norm1(&inv)).to_f64())
+            let a = DenseMat::from_col_major(n, n, a);
+            let inv = DenseMat::from_col_major(n, n, inv);
+            Some((norm1(&a) * norm1(&inv)).to_f64())
         }
-        BlockFactor::Gh(_) | BlockFactor::Chol(_) => {
-            // the GH / Cholesky factor forms don't expose the LU solve
-            // shape the estimator needs; refactorize on the host
-            match getrf(a, PivotStrategy::Implicit) {
-                Ok(f) => Some(condest1(a, &f).to_f64()),
-                Err(_) => Some(f64::INFINITY),
-            }
-        }
-        BlockFactor::LuLower { n, lu, perm } => {
-            Some(condest_lowered::<T>(*n, lu, perm, a.as_slice()))
-        }
-        BlockFactor::GhLower { .. } => {
-            // GH factors don't expose the LU solve shape; refactorize
-            // the demoted block (still at the cheap SP flop rate)
-            let n = a.rows();
-            let mut lu = demote_slice(a.as_slice());
-            match getrf_implicit_inplace(n, &mut lu) {
-                Ok(perm) => Some(condest_lowered::<T>(n, &lu, &perm, a.as_slice())),
-                Err(_) => Some(f64::INFINITY),
-            }
-        }
-        BlockFactor::InterleavedLuLower { class, slot } => {
-            let cls = &batch.interleaved_lower[*class];
-            let (n, count) = (cls.n, cls.count());
-            let lu: Vec<T::Lower> = (0..n * n).map(|e| cls.data[e * count + slot]).collect();
-            let mut piv = vec![0usize; n];
-            cls.slot_row_of_step_into(*slot, &mut piv);
-            Some(condest_lowered::<T>(
-                n,
-                &lu,
-                &Permutation::from_row_of_step(piv),
-                a.as_slice(),
-            ))
-        }
-        BlockFactor::ScalarJacobi { .. }
-        | BlockFactor::EquilibratedLu { .. }
-        | BlockFactor::Qr(_) => None,
+        BlockFactor::ScalarJacobi { .. } | BlockFactor::Qr(_) => None,
     }
 }
 
 /// Conservatism of the pivot-growth screen: a block is certified safe
 /// without a full condition estimate only when its pivot spread sits
 /// this far below the promotion threshold. The spread reads the
-/// conditioning off the elimination pivots alone, so it can
+/// conditioning off recorded factor entries alone, so it can
 /// under-estimate; anything within one order of magnitude of the gate
 /// still pays for the Hager/Higham sweep.
 const SCREEN_SAFETY: f64 = 16.0;
 
-/// Free pivot-growth screen over a lowered factor: the spread
-/// `max|d_k| / min|d_k|` of the elimination pivots the factorization
-/// already recorded — the LU `U` diagonal (implicit pivoting keeps
-/// `U(k,k)` at row `row_of_step(k)` of column `k`) or the Gauss-Huard
-/// step pivots retained on `m`'s diagonal. Costs `O(n)` per block
-/// against the estimator's several `O(n²)` solves. Returns `None` for
-/// factor kinds that expose no pivot diagonal (those always take the
-/// full estimate).
-fn pivot_spread<T: Scalar>(
-    factor: &BlockFactor<T>,
-    batch: &FactorizedBatch<T>,
-    steps: &mut Vec<usize>,
-) -> Option<f64> {
+/// Free pivot-growth screen over a factor: the spread `max / min` of
+/// the magnitudes the factorization already recorded — entry
+/// `(row_of_step(k), k)` of each LU step, or the Gauss-Huard step pivots
+/// retained on `m`'s diagonal (invariant under the transposed layout).
+/// Costs `O(n)` per block against the estimator's several `O(n²)`
+/// solves. Returns `None` for families that expose no such entries
+/// (those always take the full estimate).
+fn pivot_spread<T: Scalar>(block: usize, batch: &FactorizedBatch<T>) -> Option<f64> {
     let mut lo = f64::INFINITY;
     let mut hi = 0.0f64;
     let mut feed = |v: f64| {
@@ -145,27 +101,14 @@ fn pivot_spread<T: Scalar>(
         lo = lo.min(v);
         hi = hi.max(v);
     };
-    match factor {
-        BlockFactor::LuLower { n, lu, perm, .. } => {
-            for k in 0..*n {
-                feed(lu[k * n + perm.row_of_step(k)].to_f64());
-            }
+    let n = batch.sizes[block];
+    match &batch.factors[block] {
+        BlockFactor::Lu { .. } | BlockFactor::InterleavedLu { .. } => {
+            let view = batch.lu_view(block).expect("LU families have a view");
+            on_storage!(view, v => (0..n).for_each(|k| feed(v.at(v.row_of_step(k), k).to_f64())));
         }
-        BlockFactor::GhLower { gh, .. } => {
-            // the diagonal is invariant under the transposed layout, so
-            // m[(k,k)] is the step-k column pivot either way
-            for k in 0..gh.order() {
-                feed(gh.m[(k, k)].to_f64());
-            }
-        }
-        BlockFactor::InterleavedLuLower { class, slot } => {
-            let cls = &batch.interleaved_lower[*class];
-            let (n, count) = (cls.n, cls.count());
-            steps.resize(n, 0);
-            cls.slot_row_of_step_into(*slot, steps);
-            for (k, &r) in steps.iter().enumerate() {
-                feed(cls.data[(k * n + r) * count + slot].to_f64());
-            }
+        BlockFactor::Gh(gh) => {
+            on_storage!(gh, gh => (0..n).for_each(|k| feed(gh.m[(k, k)].to_f64())));
         }
         _ => return None,
     }
@@ -192,19 +135,17 @@ pub(crate) fn promote_unsafe_blocks<T: Scalar>(
     threshold: f64,
 ) {
     let _span = vbatch_trace::span!("exec.promote", batch.len());
-    let mut steps = Vec::new();
     for i in 0..batch.len() {
         if batch.status[i].precision != StoragePrecision::Lower {
             continue;
         }
-        if let Some(spread) = pivot_spread(&batch.factors[i], batch, &mut steps) {
+        if let Some(spread) = pivot_spread(i, batch) {
             if spread * SCREEN_SAFETY <= threshold {
                 continue;
             }
         }
         let n = batch.sizes[i];
-        let a = DenseMat::from_col_major(n, n, blocks.block(i));
-        let Some(k) = condest_block(&a, &batch.factors[i], batch) else {
+        let Some(k) = condest_block(blocks.block(i), i, batch) else {
             continue;
         };
         batch.status[i].condest = Some(k);
@@ -213,10 +154,11 @@ pub(crate) fn promote_unsafe_blocks<T: Scalar>(
             continue;
         }
         let kernel = batch.status[i].kernel;
-        let (factor, mut status) = crate::cpu::factor_block(n, blocks.block(i).to_vec(), kernel);
+        let (factor, mut status) = crate::cpu::factor_block::<T, T>(n, blocks.block(i), kernel);
         status.condest = Some(k);
         status.promoted = true;
         batch.factors[i] = factor;
+        batch.wrappers[i] = None;
         batch.status[i] = status;
     }
 }
@@ -261,8 +203,7 @@ pub(crate) fn triage_batch<T: Scalar>(
         let k = match batch.status[i].condest {
             Some(k) => k,
             None => {
-                let a = DenseMat::from_col_major(n, n, blocks.block(i));
-                let Some(k) = condest_block(&a, &batch.factors[i], batch) else {
+                let Some(k) = condest_block(blocks.block(i), i, batch) else {
                     continue;
                 };
                 k
@@ -279,35 +220,33 @@ pub(crate) fn triage_batch<T: Scalar>(
         // then surrender to scalar Jacobi
         let recovered = equilibrate(&a).and_then(|(r, c)| {
             let e = apply_equilibration(&a, &r, &c);
-            getrf(&e, PivotStrategy::Implicit)
-                .ok()
-                .map(|f| BlockFactor::EquilibratedLu {
-                    n,
-                    lu: f.lu.as_slice().to_vec(),
+            getrf(&e, PivotStrategy::Implicit).ok().map(|f| (f, r, c))
+        });
+        // a recovered block stores working-precision factors again,
+        // whatever policy factorized it
+        batch.status[i].precision = StoragePrecision::Native;
+        batch.wrappers[i] = None;
+        match recovered {
+            Some((f, r, c)) => {
+                batch.factors[i] = BlockFactor::Lu {
+                    lu: Storage::Native(f.lu.as_slice().to_vec()),
                     perm: f.perm,
+                };
+                batch.wrappers[i] = Some(Wrapper::Equilibrated {
                     r,
                     c,
                     a: blocks.block(i).to_vec(),
-                })
-        });
-        match recovered {
-            Some(factor) => {
-                batch.factors[i] = factor;
+                });
                 batch.status[i].recovery.push(RecoveryStep::Equilibrated);
-                // a recovered block stores working-precision factors
-                // again, whatever policy factorized it
-                batch.status[i].precision = StoragePrecision::Native;
             }
             None => match geqp3(n, blocks.block(i)) {
                 Ok(f) => {
                     batch.factors[i] = BlockFactor::Qr(f);
                     batch.status[i].recovery.push(RecoveryStep::HouseholderQr);
-                    batch.status[i].precision = StoragePrecision::Native;
                 }
                 Err(_) => {
                     batch.factors[i] =
                         escalate_to_scalar_jacobi(n, blocks.block(i), &mut batch.status[i]);
-                    batch.status[i].precision = StoragePrecision::Native;
                 }
             },
         }
@@ -395,9 +334,10 @@ mod tests {
         let mut stats = ExecStats::new();
         let fact = CpuSequential.factorize(batch.clone(), &il, &mut stats);
         assert_eq!(fact.status[1].health, BlockHealth::IllConditioned);
+        assert!(matches!(fact.factors[1], BlockFactor::Lu { .. }));
         assert!(matches!(
-            fact.factors[1],
-            BlockFactor::EquilibratedLu { .. }
+            fact.wrappers[1],
+            Some(Wrapper::Equilibrated { .. })
         ));
         // healthy slots stay in the interleaved class
         assert!(matches!(fact.factors[0], BlockFactor::InterleavedLu { .. }));
@@ -427,20 +367,13 @@ mod tests {
         let sizes = vec![n];
         let mut blocks = MatrixBatch::<f64>::zeros(&sizes);
         blocks.block_mut(0).copy_from_slice(&[1.0, 1.0, 1.0, 1.0]);
-        let (factor, mut status) = crate::cpu::factor_block(
+        let (factor, mut status) = crate::cpu::factor_block::<f64, f64>(
             n,
-            vec![2.0, 0.0, 0.0, 2.0],
+            &[2.0, 0.0, 0.0, 2.0],
             crate::plan::KernelChoice::SmallLu,
         );
         status.condest = Some(1e30);
-        let mut batch = FactorizedBatch {
-            sizes,
-            factors: vec![factor],
-            status: vec![status],
-            interleaved: Vec::new(),
-            interleaved_lower: Vec::new(),
-            retained: None,
-        };
+        let mut batch = FactorizedBatch::blocked(sizes, vec![factor], vec![status]);
         triage_batch(&blocks, &mut batch, HealthPolicy::guarded::<f64>());
         assert_eq!(batch.status[0].health, BlockHealth::IllConditioned);
         assert!(matches!(batch.factors[0], BlockFactor::Qr(_)));

@@ -43,13 +43,13 @@ pub mod stats;
 pub mod tri;
 
 pub use apply::PreparedApply;
-pub use backend::{backend_for_exec, Backend};
+pub use backend::Backend;
 pub use cpu::{CpuRayon, CpuSequential};
 pub use cpu_simd::CpuSimd;
 pub use estimate::{estimate_planned_factor, PlannedEstimate};
 pub use factors::{
-    BlockFactor, BlockHealth, BlockStatus, FactorizedBatch, InterleavedLuClass,
-    InterleavedLuLowerClass, RecoveryStep,
+    refine_once, BlockFactor, BlockHealth, BlockStatus, FactorizedBatch, InterleavedLuClass,
+    LuView, RecoveryStep, Wrapper,
 };
 pub use fault::{apply_fault, expected_health, inject_batch, inject_rhs};
 pub use plan::{

@@ -14,7 +14,9 @@ use crate::plan::{BatchPlan, ClassLayout, KernelChoice};
 use crate::stats::{ExecStats, Phase};
 use std::collections::BTreeMap;
 use std::time::Instant;
-use vbatch_core::{batched_gemv, Exec, FactorError, GhLayout, MatrixBatch, Scalar, VectorBatch};
+use vbatch_core::{
+    batched_gemv, Exec, FactorError, GhLayout, MatrixBatch, Scalar, Storage, VectorBatch,
+};
 use vbatch_simt::kernels::multi::problems_per_warp;
 use vbatch_simt::{
     DeviceModel, ExtractBatch, ExtractStrategy, GemvBatch, GetrfLarge, GetrfMultiPerWarp,
@@ -181,8 +183,7 @@ impl<T: Scalar> Backend<T> for SimtSim {
                         stats.add_device_cost(&cost);
                         (
                             BlockFactor::Lu {
-                                n: sizes[i],
-                                lu: dev.factors_host(j),
+                                lu: Storage::Native(dev.factors_host(j)),
                                 perm: dev.perm_host(j),
                             },
                             BlockStatus::factorized(KernelChoice::SmallLu),
@@ -204,8 +205,7 @@ impl<T: Scalar> Backend<T> for SimtSim {
                                 stats.add_device_cost(&cost);
                                 (
                                     BlockFactor::Lu {
-                                        n: sizes[i],
-                                        lu: dev.factors_host(j),
+                                        lu: Storage::Native(dev.factors_host(j)),
                                         perm: dev.perm_host(j),
                                     },
                                     BlockStatus::factorized(KernelChoice::BlockedLu),
@@ -234,7 +234,7 @@ impl<T: Scalar> Backend<T> for SimtSim {
                     Ok(cost) => {
                         stats.add_device_cost(&cost);
                         (
-                            BlockFactor::Gh(dev.factors_host(j)),
+                            BlockFactor::Gh(Storage::Native(dev.factors_host(j))),
                             BlockStatus::factorized(kernel),
                         )
                     }
@@ -259,8 +259,7 @@ impl<T: Scalar> Backend<T> for SimtSim {
                                 for &j in &here {
                                     results[idx[j]] = Some((
                                         BlockFactor::Lu {
-                                            n,
-                                            lu: dev.factors_host(j),
+                                            lu: Storage::Native(dev.factors_host(j)),
                                             perm: dev.perm_host(j),
                                         },
                                         BlockStatus::factorized(KernelChoice::PackedLu),
@@ -272,9 +271,9 @@ impl<T: Scalar> Backend<T> for SimtSim {
                                 // its blocks one by one for per-block status
                                 for &j in &here {
                                     let i = idx[j];
-                                    results[i] = Some(factor_block(
+                                    results[i] = Some(factor_block::<T, T>(
                                         n,
-                                        blocks.block(i).to_vec(),
+                                        blocks.block(i),
                                         KernelChoice::PackedLu,
                                     ));
                                 }
@@ -288,9 +287,9 @@ impl<T: Scalar> Backend<T> for SimtSim {
 
         // --- host paths ---------------------------------------------------
         for &i in &host_idx {
-            results[i] = Some(factor_block(
+            results[i] = Some(factor_block::<T, T>(
                 sizes[i],
-                blocks.block(i).to_vec(),
+                blocks.block(i),
                 plan.kernel_for(i),
             ));
         }
@@ -300,14 +299,7 @@ impl<T: Scalar> Backend<T> for SimtSim {
             .into_iter()
             .map(|r| r.expect("block not routed to any kernel family"))
             .unzip();
-        let mut batch = FactorizedBatch {
-            sizes,
-            factors,
-            status,
-            interleaved: Vec::new(),
-            interleaved_lower: Vec::new(),
-            retained: None,
-        };
+        let mut batch = FactorizedBatch::blocked(sizes, factors, status);
         crate::health::triage_batch(&blocks, &mut batch, plan.health());
         record_statuses(&batch.status, stats);
         stats.add_phase(Phase::Factorize, t0.elapsed());
@@ -325,9 +317,18 @@ impl<T: Scalar> Backend<T> for SimtSim {
         let mut host_idx = Vec::new();
         for i in 0..factors.len() {
             let n = factors.sizes[i];
+            // the device kernels take over only bare native factors; a
+            // wrapped or lowered one keeps its host solve
+            if factors.wrappers[i].is_some() {
+                host_idx.push(i);
+                continue;
+            }
             match &factors.factors[i] {
-                BlockFactor::Lu { .. } if n <= WARP_SIZE => lu_idx.push(i),
-                BlockFactor::Gh(_) if n <= WARP_SIZE => {
+                BlockFactor::Lu {
+                    lu: Storage::Native(_),
+                    ..
+                } if n <= WARP_SIZE => lu_idx.push(i),
+                BlockFactor::Gh(Storage::Native(_)) if n <= WARP_SIZE => {
                     // the factorization kernel decides the factor layout
                     // the solve kernel streams
                     if factors.status[i].kernel == KernelChoice::GaussHuardT {
@@ -350,10 +351,14 @@ impl<T: Scalar> Backend<T> for SimtSim {
             let mut rhs_flat: Vec<T> = Vec::new();
             let mut vec_offsets = vec![0usize];
             for &i in &lu_idx {
-                if let BlockFactor::Lu { n, lu, perm } = &factors.factors[i] {
+                if let BlockFactor::Lu {
+                    lu: Storage::Native(lu),
+                    perm,
+                } = &factors.factors[i]
+                {
                     values.extend_from_slice(lu);
                     offsets.push(values.len());
-                    sizes_v.push(*n);
+                    sizes_v.push(perm.len());
                     piv.extend(perm.as_slice().iter().map(|&p| p as u32));
                     rhs_flat.extend_from_slice(rhs.seg(i));
                     vec_offsets.push(rhs_flat.len());
@@ -394,7 +399,7 @@ impl<T: Scalar> Backend<T> for SimtSim {
             let mut vec_offsets = vec![0usize];
             let mut dual: Vec<T> = Vec::new();
             for &i in idx {
-                if let BlockFactor::Gh(f) = &factors.factors[i] {
+                if let BlockFactor::Gh(Storage::Native(f)) = &factors.factors[i] {
                     canonical.extend(gh_canonical(f));
                     if storage == GhStorage::Dual {
                         dual.extend(gh_colmajor(f));

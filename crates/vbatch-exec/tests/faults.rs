@@ -25,8 +25,8 @@ use vbatch_exec::{
     CpuRayon, CpuSequential, CpuSimd, ExecStats, FaultClass, FaultPlan, HealthPolicy, PlanMethod,
     RecoveryStep, SimtSim,
 };
-use vbatch_precond::{BjMethod, BjOptions, BlockJacobi};
-use vbatch_solver::{idr, idr_block_jacobi_robust, RobustPolicy, SolveParams, StopReason};
+use vbatch_precond::{BjMethod, BlockJacobi, PrecondOptions};
+use vbatch_solver::{idr, idr_precond_robust, RobustPolicy, SolveParams, StopReason};
 use vbatch_sparse::gen::laplace::laplace_2d;
 use vbatch_sparse::BlockPartition;
 
@@ -133,12 +133,12 @@ fn mixed_faults_still_converge_through_block_jacobi_idr() {
     for backend in backends() {
         let name = backend.name();
         for layout in LAYOUTS {
-            let m = BlockJacobi::setup_with_options(
+            let m = BlockJacobi::setup_opts(
                 &a,
                 &part,
-                BjMethod::SmallLu,
                 backend.clone(),
-                BjOptions::guarded::<f64>()
+                PrecondOptions::guarded::<f64>()
+                    .with_method(BjMethod::SmallLu)
                     .with_layout(layout)
                     .with_fault(plan.clone()),
             )
@@ -262,12 +262,11 @@ fn rhs_faults_are_reported_not_iterated_on() {
     inject_rhs(&mut rhs, &assignment);
     assert!(rhs.seg(3)[0].is_nan());
 
-    let m = BlockJacobi::setup_with_options(
+    let m = BlockJacobi::setup_opts(
         &a,
         &part,
-        BjMethod::SmallLu,
         Arc::new(CpuSequential) as Arc<dyn Backend<f64>>,
-        BjOptions::guarded::<f64>(),
+        PrecondOptions::guarded::<f64>().with_method(BjMethod::SmallLu),
     )
     .unwrap();
     // the matrix faults are absent: every block is healthy
@@ -293,13 +292,13 @@ fn robust_policy_f32_nan_rhs_exhausts_fallback_without_restarting() {
     let mut b = vec![1.0f32; 36];
     b[0] = f32::NAN;
     let part = BlockPartition::uniform(36, 4);
-    let r = idr_block_jacobi_robust(
+    let r = idr_precond_robust::<f32, BlockJacobi<f32>>(
         &a,
         &b,
         4,
         &part,
-        BjMethod::SmallLu,
-        Arc::new(CpuSequential) as Arc<dyn Backend<f32>>,
+        Arc::new(CpuSequential),
+        PrecondOptions::default().with_method(BjMethod::SmallLu),
         &SolveParams::default(),
         &RobustPolicy::default(),
     )
@@ -339,13 +338,13 @@ fn robust_policy_f32_stagnation_forces_restart_then_gmres() {
     // improvement of the best norm counts as progress
     params.stagnation_rtol = 1e-2;
     let policy = RobustPolicy::default();
-    let r = idr_block_jacobi_robust(
+    let r = idr_precond_robust::<f32, BlockJacobi<f32>>(
         &a,
         &b,
         4,
         &part,
-        BjMethod::SmallLu,
-        Arc::new(CpuSequential) as Arc<dyn Backend<f32>>,
+        Arc::new(CpuSequential),
+        PrecondOptions::default().with_method(BjMethod::SmallLu),
         &params,
         &policy,
     )

@@ -4,10 +4,11 @@
 //! method, and the planner must honor the paper's kernel-selection
 //! rules (blocked LU above order 32, warp packing for uniform n ≤ 16).
 
-use vbatch_core::{BatchLayout, DenseMat, MatrixBatch, Scalar, VectorBatch};
+use vbatch_core::{BatchLayout, DenseMat, MatrixBatch, Scalar, StoragePrecision, VectorBatch};
 use vbatch_exec::{
     Backend, BatchPlan, BlockFactor, BlockTriangular, ClassLayout, CpuRayon, CpuSequential,
-    CpuSimd, ExecStats, HealthPolicy, KernelChoice, PlanMethod, PrecisionPolicy, SimtSim,
+    CpuSimd, ExecStats, FactorizedBatch, HealthPolicy, KernelChoice, PlanMethod, PrecisionPolicy,
+    SimtSim, Wrapper,
 };
 use vbatch_rt::{run_cases, testgen, SmallRng};
 
@@ -189,53 +190,60 @@ fn crossover_depends_on_precision() {
     assert_eq!(f64::BYTES, 8);
 }
 
-/// Stable name of a factor variant, for the coverage check below.
-fn factor_kind(f: &BlockFactor<f64>) -> &'static str {
-    match f {
-        BlockFactor::Lu { .. } => "lu",
-        BlockFactor::Gh(_) => "gh",
-        BlockFactor::Inv { .. } => "inv",
-        BlockFactor::Chol(_) => "chol",
-        BlockFactor::ScalarJacobi { .. } => "scalar_jacobi",
-        BlockFactor::EquilibratedLu { .. } => "equilibrated_lu",
-        BlockFactor::InterleavedLu { .. } => "interleaved_lu",
-        BlockFactor::LuLower { .. } => "lu_lower",
-        BlockFactor::GhLower { .. } => "gh_lower",
-        BlockFactor::Qr(_) => "qr",
-        BlockFactor::InterleavedLuLower { .. } => "interleaved_lu_lower",
-    }
+/// `family/storage/wrapper` of block `i` — one label per form the
+/// factor store can hold.
+fn factor_kind(f: &FactorizedBatch<f64>, i: usize) -> String {
+    let (family, storage) = match &f.factors[i] {
+        BlockFactor::Lu { lu, .. } => ("lu", lu.precision()),
+        BlockFactor::InterleavedLu { storage, .. } => ("interleaved_lu", *storage),
+        BlockFactor::Gh(gh) => ("gh", gh.precision()),
+        BlockFactor::Inv { .. } => ("inv", StoragePrecision::Native),
+        BlockFactor::Chol(_) => ("chol", StoragePrecision::Native),
+        BlockFactor::Qr(_) => ("qr", StoragePrecision::Native),
+        BlockFactor::ScalarJacobi { .. } => ("scalar_jacobi", StoragePrecision::Native),
+    };
+    let wrapper = match &f.wrappers[i] {
+        None => "bare",
+        Some(Wrapper::RefineRetained) => "refine_retained",
+        Some(Wrapper::Equilibrated { .. }) => "equilibrated",
+    };
+    format!("{family}/{}/{wrapper}", storage.label())
 }
 
 /// The block-ILU(0) normalisation solves a whole block row per call;
 /// each column must come out bitwise as the per-column
-/// `solve_block_inplace_with` returns it — for the two fast paths
-/// (blocked and interleaved native LU) and for every variant that falls
-/// back to the column loop. Swept over everything `PrecondOptions` can
-/// select: layout × precision × health, with a singular block that
-/// degrades to scalar Jacobi and a badly scaled one for the guarded
-/// triage to recover.
+/// `solve_block_inplace_with` returns it — for the read-once fast path
+/// (bare native LU, own storage or interleaved slot) and for every form
+/// that falls back to the column loop. Swept over everything
+/// `PrecondOptions` can select: method × layout × precision × health,
+/// with a singular block that degrades to scalar Jacobi, a badly scaled
+/// one the guarded triage equilibrates, and one whose equilibration
+/// underflows a whole column to zero so triage escalates to QR. Every
+/// kernel family × storage × wrapper form the library can produce must
+/// show up.
 #[test]
 fn multi_rhs_normalisation_is_bitwise_the_column_solves() {
     let mut seen = std::collections::BTreeSet::new();
     run_cases(
         "multi_rhs_normalisation_is_bitwise_the_column_solves",
-        12,
+        6,
         |rng, _case| {
             // classes: packed (3×3), Gauss-Huard (12), small LU with a
             // populous class (24×3) and a lone member (30), blocked LU
-            // (40), plus a ragged tail
-            let mut sizes = vec![3, 3, 3, 12, 24, 24, 24, 30, 40, 1, 7];
+            // (40), a lone order-2 block, plus a ragged tail
+            let mut sizes = vec![3, 3, 3, 12, 24, 24, 24, 30, 40, 1, 7, 2];
             sizes.extend(testgen::ragged_sizes(rng, 33, 4));
             let raw = testgen::dd_batch_of(rng, &sizes);
             let mut batch = MatrixBatch::zeros(&sizes);
             for i in 0..batch.len() {
                 batch.block_mut(i).copy_from_slice(&raw.blocks[i]);
             }
-            // block 5 (order 24): two equal rows -> scalar-Jacobi fallback
+            // block 5 (order 24): a zero row — an exactly zero pivot for
+            // every kernel family -> scalar-Jacobi fallback
             {
                 let b = batch.block_mut(5);
                 for c in 0..24 {
-                    b[c * 24 + 1] = b[c * 24];
+                    b[c * 24 + 1] = 0.0;
                 }
             }
             // block 7 (order 30): rows scaled 12 decades apart
@@ -246,54 +254,66 @@ fn multi_rhs_normalisation_is_bitwise_the_column_solves() {
                     b[c * 30 + 29] *= 1e-6;
                 }
             }
+            // block 11 (order 2): factorizes, but the row scalings
+            // 1e-150 take its second column (1e-180) below the smallest
+            // subnormal — rank-deficient after scaling, so equilibration
+            // gives up and the QR tier takes over
+            batch
+                .block_mut(11)
+                .copy_from_slice(&[1e150, 1e150, 1e-180, 2e-180]);
             let backends: [&dyn Backend<f64>; 2] = [&CpuSequential, &CpuSimd];
             for backend in backends {
-                for layout in [
-                    BatchLayout::Blocked,
-                    BatchLayout::Interleaved { class_capacity: 2 },
+                for method in [
+                    PlanMethod::Auto,
+                    PlanMethod::GjeInvert,
+                    PlanMethod::Cholesky,
                 ] {
-                    for precision in [
-                        PrecisionPolicy::FullDp,
-                        PrecisionPolicy::mixed::<f64>(),
-                        PrecisionPolicy::ForceSp,
+                    for layout in [
+                        BatchLayout::Blocked,
+                        BatchLayout::Interleaved { class_capacity: 2 },
                     ] {
-                        for health in [HealthPolicy::Off, HealthPolicy::guarded::<f64>()] {
-                            let plan = BatchPlan::for_method_with_layout::<f64>(
-                                &sizes,
-                                PlanMethod::Auto,
-                                layout,
-                            )
-                            .with_health(health)
-                            .with_precision(precision);
-                            let mut stats = ExecStats::new();
-                            let f = backend.factorize(batch.clone(), &plan, &mut stats);
-                            assert!(f.fallback_count() >= 1);
-                            for (i, &n) in sizes.iter().enumerate() {
-                                seen.insert(factor_kind(&f.factors[i]));
-                                for nrhs in [1usize, 5, 37] {
-                                    let rhs: Vec<f64> =
-                                        (0..n * nrhs).map(|_| rng.gen_range(-2.0..2.0)).collect();
-                                    let mut expect = rhs.clone();
-                                    let mut scratch = vec![0.0; f.solve_scratch_elems(i)];
-                                    for col in expect.chunks_exact_mut(n) {
-                                        f.solve_block_inplace_with(i, col, &mut scratch);
+                        for precision in [
+                            PrecisionPolicy::FullDp,
+                            PrecisionPolicy::mixed::<f64>(),
+                            PrecisionPolicy::ForceSp,
+                        ] {
+                            for health in [HealthPolicy::Off, HealthPolicy::guarded::<f64>()] {
+                                let plan = BatchPlan::for_method_with_layout::<f64>(
+                                    &sizes, method, layout,
+                                )
+                                .with_health(health)
+                                .with_precision(precision);
+                                let mut stats = ExecStats::new();
+                                let f = backend.factorize(batch.clone(), &plan, &mut stats);
+                                assert!(f.fallback_count() >= 1);
+                                for (i, &n) in sizes.iter().enumerate() {
+                                    seen.insert(factor_kind(&f, i));
+                                    for nrhs in [1usize, 5, 37] {
+                                        let rhs: Vec<f64> = (0..n * nrhs)
+                                            .map(|_| rng.gen_range(-2.0..2.0))
+                                            .collect();
+                                        let mut expect = rhs.clone();
+                                        let mut scratch = vec![0.0; f.solve_scratch_elems(i)];
+                                        for col in expect.chunks_exact_mut(n) {
+                                            f.solve_block_inplace_with(i, col, &mut scratch);
+                                        }
+                                        let mut got = rhs;
+                                        let mut scratch =
+                                            vec![0.0; f.solve_multi_scratch_elems(i, nrhs)];
+                                        f.solve_block_multi_inplace_with(i, &mut got, &mut scratch);
+                                        let bits = |v: &[f64]| {
+                                            v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                                        };
+                                        assert_eq!(
+                                            bits(&got),
+                                            bits(&expect),
+                                            "{} {method:?} {} {} {health:?} block {i} ({}) nrhs {nrhs}",
+                                            backend.name(),
+                                            layout.label(),
+                                            precision.label(),
+                                            factor_kind(&f, i),
+                                        );
                                     }
-                                    let mut got = rhs;
-                                    let mut scratch =
-                                        vec![0.0; f.solve_multi_scratch_elems(i, nrhs)];
-                                    f.solve_block_multi_inplace_with(i, &mut got, &mut scratch);
-                                    let bits = |v: &[f64]| {
-                                        v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-                                    };
-                                    assert_eq!(
-                                        bits(&got),
-                                        bits(&expect),
-                                        "{} {} {} {health:?} block {i} ({}) nrhs {nrhs}",
-                                        backend.name(),
-                                        layout.label(),
-                                        precision.label(),
-                                        factor_kind(&f.factors[i]),
-                                    );
                                 }
                             }
                         }
@@ -303,19 +323,28 @@ fn multi_rhs_normalisation_is_bitwise_the_column_solves() {
         },
     );
     for kind in [
-        "lu",
-        "interleaved_lu",
-        "gh",
-        "scalar_jacobi",
-        "lu_lower",
-        "interleaved_lu_lower",
-        "gh_lower",
+        "lu/native/bare",
+        "lu/native/equilibrated",
+        "lu/lower/refine_retained",
+        "interleaved_lu/native/bare",
+        "interleaved_lu/lower/refine_retained",
+        "gh/native/bare",
+        "gh/lower/refine_retained",
+        "inv/native/bare",
+        "chol/native/bare",
+        "qr/native/bare",
+        "scalar_jacobi/native/bare",
     ] {
         assert!(
             seen.contains(kind),
             "sweep never produced a {kind} factor: {seen:?}"
         );
     }
+    assert_eq!(
+        seen.len(),
+        11,
+        "a form the required set does not name: {seen:?}"
+    );
 }
 
 /// `BlockTriangular::extract` scatters through the pattern's row→block

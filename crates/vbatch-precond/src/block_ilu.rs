@@ -426,9 +426,12 @@ impl<T: Scalar> BlockPreconditioner<T> for BlockIlu0<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vbatch_core::Exec;
-    use vbatch_exec::backend_for_exec;
+    use vbatch_exec::{CpuRayon, CpuSequential};
     use vbatch_sparse::gen::laplace::laplace_2d;
+
+    fn seq() -> Arc<dyn Backend<f64>> {
+        Arc::new(CpuSequential)
+    }
 
     #[test]
     fn block_diagonal_matrix_reduces_to_block_jacobi() {
@@ -445,7 +448,7 @@ mod tests {
         }
         let a = coo.to_csr();
         let part = BlockPartition::uniform(n, 3);
-        let backend = backend_for_exec::<f64>(Exec::Sequential);
+        let backend = seq();
         let opts = PrecondOptions::default().with_method(BjMethod::SmallLu);
         let bilu = BlockIlu0::setup_opts(&a, &part, backend.clone(), opts.clone()).unwrap();
         let bj = crate::BlockJacobi::setup_opts(&a, &part, backend, opts).unwrap();
@@ -475,7 +478,7 @@ mod tests {
         }
         let a = coo.to_csr();
         let part = BlockPartition::uniform(n, 3);
-        let backend = backend_for_exec::<f64>(Exec::Sequential);
+        let backend = seq();
         let m = BlockIlu0::setup_opts(
             &a,
             &part,
@@ -510,15 +513,8 @@ mod tests {
         let a = laplace_2d::<f64>(10, 9);
         let part = BlockPartition::uniform(90, 7);
         let opts = PrecondOptions::default().with_method(BjMethod::SmallLu);
-        let seq = BlockIlu0::setup_opts(
-            &a,
-            &part,
-            backend_for_exec::<f64>(Exec::Sequential),
-            opts.clone(),
-        )
-        .unwrap();
-        let par = BlockIlu0::setup_opts(&a, &part, backend_for_exec::<f64>(Exec::Parallel), opts)
-            .unwrap();
+        let seq = BlockIlu0::setup_opts(&a, &part, seq(), opts.clone()).unwrap();
+        let par = BlockIlu0::setup_opts(&a, &part, Arc::new(CpuRayon), opts).unwrap();
         let v: Vec<f64> = (0..90).map(|i| (i as f64 * 0.37).sin()).collect();
         assert_eq!(seq.apply(&v), par.apply(&v));
     }
@@ -550,7 +546,7 @@ mod tests {
         let m = BlockIlu0::setup_opts(
             &a,
             &part,
-            backend_for_exec::<f64>(Exec::Sequential),
+            seq(),
             PrecondOptions::default().with_method(BjMethod::SmallLu),
         )
         .unwrap();
@@ -564,13 +560,7 @@ mod tests {
     fn apply_stats_track_levels_and_precond() {
         let a = laplace_2d::<f64>(6, 6);
         let part = BlockPartition::uniform(36, 4);
-        let m = BlockIlu0::setup_opts(
-            &a,
-            &part,
-            backend_for_exec::<f64>(Exec::Sequential),
-            PrecondOptions::default(),
-        )
-        .unwrap();
+        let m = BlockIlu0::setup_opts(&a, &part, seq(), PrecondOptions::default()).unwrap();
         let warm = m.apply_stats();
         assert!(warm.precond_compact().contains("bilu=0"));
         let v = vec![1.0f64; 36];

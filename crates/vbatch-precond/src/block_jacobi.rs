@@ -12,17 +12,18 @@
 //! batched block solves, and a [`BatchPlan`] picks the kernel for every
 //! size class (the paper's crossovers, warp packing and blocked-LU
 //! escalation). Singular diagonal blocks degrade to a scalar-Jacobi
-//! fallback per block instead of aborting the whole setup; use
-//! [`BlockJacobi::setup_strict`] to restore fail-fast semantics.
+//! fallback per block instead of aborting the whole setup; callers that
+//! need an exact factorization everywhere check
+//! [`BlockJacobi::statuses`] / [`BlockJacobi::fallback_blocks`].
 
-use crate::options::{BjMethod, BjOptions};
+use crate::options::{BjMethod, PrecondOptions};
 use crate::traits::{BlockPreconditioner, PrecondKind, Preconditioner, SetupReport};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use vbatch_core::{BatchLayout, Exec, FactorError, Scalar};
+use vbatch_core::{FactorError, Scalar};
 use vbatch_exec::{
-    backend_for_exec, inject_batch, Backend, BatchPlan, BlockStatus, ExecStats, FactorizedBatch,
-    FaultClass, Phase, PreparedApply,
+    inject_batch, Backend, BatchPlan, BlockStatus, ExecStats, FactorizedBatch, FaultClass, Phase,
+    PreparedApply,
 };
 use vbatch_sparse::{BlockPartition, CsrMatrix};
 
@@ -48,101 +49,19 @@ pub struct BlockJacobi<T: Scalar> {
     /// flops, per-phase timings).
     pub stats: ExecStats,
     /// The fault assignment injected at setup (empty unless
-    /// [`BjOptions::fault`] was set).
+    /// [`PrecondOptions::fault`] was set).
     fault_map: Vec<Option<FaultClass>>,
 }
 
 impl<T: Scalar> BlockJacobi<T> {
-    /// Set up from a matrix and a block partition on the default
-    /// backend for `exec`. Singular diagonal blocks degrade to a
-    /// scalar-Jacobi fallback (reported per block in
-    /// [`BlockJacobi::statuses`]) instead of failing the setup.
-    pub fn setup(
-        a: &CsrMatrix<T>,
-        part: &BlockPartition,
-        method: BjMethod,
-        exec: Exec,
-    ) -> Result<Self, FactorError> {
-        Self::setup_with_backend(a, part, method, backend_for_exec(exec))
-    }
-
-    /// Backwards-compatible alias of [`BlockJacobi::setup`]: fallback
-    /// on singular blocks is now the default behaviour.
-    pub fn setup_with_fallback(
-        a: &CsrMatrix<T>,
-        part: &BlockPartition,
-        method: BjMethod,
-        exec: Exec,
-    ) -> Result<Self, FactorError> {
-        Self::setup(a, part, method, exec)
-    }
-
-    /// Set up, failing on the first singular diagonal block instead of
-    /// degrading it — for callers that must know the factorization is
-    /// exact everywhere (e.g. method-comparison experiments).
-    pub fn setup_strict(
-        a: &CsrMatrix<T>,
-        part: &BlockPartition,
-        method: BjMethod,
-        exec: Exec,
-    ) -> Result<Self, FactorError> {
-        let m = Self::setup_with_backend(a, part, method, backend_for_exec(exec))?;
-        for status in m.statuses() {
-            if status.is_fallback() {
-                if let Some(error) = &status.error {
-                    return Err(error.clone());
-                }
-            }
-        }
-        Ok(m)
-    }
-
-    /// Set up on an explicit execution backend (CPU sequential, CPU
-    /// parallel, or the SIMT simulator), with the default batch layout
-    /// policy (populous uniform LU classes are interleaved).
-    pub fn setup_with_backend(
-        a: &CsrMatrix<T>,
-        part: &BlockPartition,
-        method: BjMethod,
-        backend: Arc<dyn Backend<T>>,
-    ) -> Result<Self, FactorError> {
-        Self::setup_opts(a, part, backend, BjOptions::default().with_method(method))
-    }
-
-    /// Set up with an explicit batch layout policy: the plan passes it
-    /// through to the backend, so both the batched factorization and
-    /// every per-iteration block solve use the chosen storage.
-    pub fn setup_with_layout(
-        a: &CsrMatrix<T>,
-        part: &BlockPartition,
-        method: BjMethod,
-        backend: Arc<dyn Backend<T>>,
-        layout: BatchLayout,
-    ) -> Result<Self, FactorError> {
-        Self::setup_opts(
-            a,
-            part,
-            backend,
-            BjOptions::default().with_method(method).with_layout(layout),
-        )
-    }
-
-    /// Historical fully-optioned entry point, now a thin wrapper: the
-    /// separate `method` argument overrides `opts.method`.
-    pub fn setup_with_options(
-        a: &CsrMatrix<T>,
-        part: &BlockPartition,
-        method: BjMethod,
-        backend: Arc<dyn Backend<T>>,
-        opts: BjOptions,
-    ) -> Result<Self, FactorError> {
-        Self::setup_opts(a, part, backend, opts.with_method(method))
-    }
-
-    /// The canonical options-driven setup (the
-    /// [`BlockPreconditioner::setup_opts`] entry point): method,
-    /// layout, health triage and optional pre-factorization fault
-    /// injection all come from `opts`. The fault assignment actually
+    /// The one constructor (also the
+    /// [`BlockPreconditioner::setup_opts`] entry point): extract the
+    /// diagonal blocks of `a` under `part` on `backend`, factorize them
+    /// and prepare the apply. Method, layout, precision policy, health
+    /// triage and optional pre-factorization fault injection all come
+    /// from `opts`. Singular diagonal blocks degrade to a scalar-Jacobi
+    /// fallback (reported per block in [`BlockJacobi::statuses`])
+    /// instead of failing the setup. The fault assignment actually
     /// applied is retained in [`BlockJacobi::fault_map`] so
     /// differential tests can cross-check the per-block statuses
     /// against the injected map.
@@ -150,7 +69,7 @@ impl<T: Scalar> BlockJacobi<T> {
         a: &CsrMatrix<T>,
         part: &BlockPartition,
         backend: Arc<dyn Backend<T>>,
-        opts: BjOptions,
+        opts: PrecondOptions,
     ) -> Result<Self, FactorError> {
         assert_eq!(part.total(), a.nrows(), "partition must cover the matrix");
         let _span = vbatch_trace::span!("bj.setup", part.len());
@@ -213,7 +132,7 @@ impl<T: Scalar> BlockJacobi<T> {
     }
 
     /// The fault assignment injected during setup: one entry per block
-    /// when [`BjOptions::fault`] was set, empty otherwise.
+    /// when [`PrecondOptions::fault`] was set, empty otherwise.
     pub fn fault_map(&self) -> &[Option<FaultClass>] {
         &self.fault_map
     }
@@ -271,7 +190,7 @@ impl<T: Scalar> BlockPreconditioner<T> for BlockJacobi<T> {
         a: &CsrMatrix<T>,
         part: &BlockPartition,
         backend: Arc<dyn Backend<T>>,
-        opts: BjOptions,
+        opts: PrecondOptions,
     ) -> Result<Self, FactorError> {
         BlockJacobi::setup_opts(a, part, backend, opts)
     }
@@ -301,10 +220,29 @@ impl<T: Scalar> BlockPreconditioner<T> for BlockJacobi<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vbatch_exec::FaultPlan;
+    use vbatch_core::BatchLayout;
+    use vbatch_exec::{CpuRayon, CpuSequential, FaultPlan};
     use vbatch_sparse::gen::fem::{fem_block_matrix, MeshGraph};
     use vbatch_sparse::gen::laplace::laplace_2d;
     use vbatch_sparse::supervariable_blocking;
+
+    fn seq() -> Arc<dyn Backend<f64>> {
+        Arc::new(CpuSequential)
+    }
+
+    fn par() -> Arc<dyn Backend<f64>> {
+        Arc::new(CpuRayon)
+    }
+
+    fn setup(
+        a: &CsrMatrix<f64>,
+        part: &BlockPartition,
+        method: BjMethod,
+        backend: Arc<dyn Backend<f64>>,
+    ) -> BlockJacobi<f64> {
+        let opts = PrecondOptions::default().with_method(method);
+        BlockJacobi::setup_opts(a, part, backend, opts).unwrap()
+    }
 
     fn test_problem() -> (CsrMatrix<f64>, BlockPartition) {
         let mesh = MeshGraph::grid2d(5, 4);
@@ -325,7 +263,7 @@ mod tests {
             BjMethod::GjeInvert,
             BjMethod::Auto,
         ] {
-            let m = BlockJacobi::setup(&a, &part, method, Exec::Sequential).unwrap();
+            let m = setup(&a, &part, method, seq());
             let v: Vec<f64> = (0..a.nrows()).map(|i| (i as f64) * 0.1 - 2.0).collect();
             let w = m.apply(&v);
             for b in 0..part.len() {
@@ -350,8 +288,9 @@ mod tests {
     fn cholesky_method_on_spd_blocks() {
         let a = laplace_2d::<f64>(6, 6);
         let part = BlockPartition::uniform(36, 6);
-        let m = BlockJacobi::setup_strict(&a, &part, BjMethod::Cholesky, Exec::Parallel).unwrap();
-        let lu = BlockJacobi::setup(&a, &part, BjMethod::SmallLu, Exec::Parallel).unwrap();
+        let m = setup(&a, &part, BjMethod::Cholesky, par());
+        assert_eq!(m.fallback_blocks, 0, "every block must be SPD");
+        let lu = setup(&a, &part, BjMethod::SmallLu, par());
         let v = vec![1.0; 36];
         let wc = m.apply(&v);
         let wl = lu.apply(&v);
@@ -374,11 +313,7 @@ mod tests {
             BjMethod::Auto,
         ]
         .iter()
-        .map(|&m| {
-            BlockJacobi::setup(&a, &part, m, Exec::Parallel)
-                .unwrap()
-                .apply(&v)
-        })
+        .map(|&m| setup(&a, &part, m, par()).apply(&v))
         .collect();
         for r in &results[1..] {
             for (x, y) in results[0].iter().zip(r) {
@@ -400,11 +335,14 @@ mod tests {
         coo.push(3, 3, 4.0);
         let a = coo.to_csr();
         let part = BlockPartition::uniform(4, 2);
-        // strict setup keeps the historical fail-fast contract
-        assert!(BlockJacobi::setup_strict(&a, &part, BjMethod::SmallLu, Exec::Sequential).is_err());
-        // default setup degrades only the offending block
-        let m = BlockJacobi::setup(&a, &part, BjMethod::SmallLu, Exec::Sequential).unwrap();
+        // setup degrades only the offending block and reports why
+        let m = setup(&a, &part, BjMethod::SmallLu, seq());
         assert_eq!(m.fallback_blocks, 1);
+        assert!(m.statuses()[0].error.is_none());
+        assert!(matches!(
+            m.statuses()[1].error,
+            Some(FactorError::SingularPivot { .. })
+        ));
         assert!(!m.statuses()[0].is_fallback());
         assert!(m.statuses()[1].is_fallback());
         // the fallback block acts like scalar Jacobi
@@ -417,7 +355,7 @@ mod tests {
     #[test]
     fn setup_records_kernel_histogram() {
         let (a, part) = test_problem();
-        let m = BlockJacobi::setup(&a, &part, BjMethod::Auto, Exec::Sequential).unwrap();
+        let m = setup(&a, &part, BjMethod::Auto, seq());
         let hist = m.stats.histogram_compact();
         assert!(!hist.is_empty(), "setup must record kernel choices");
         assert!(m.stats.flops > 0.0);
@@ -428,20 +366,19 @@ mod tests {
         let a = laplace_2d::<f64>(8, 8);
         let part = BlockPartition::uniform(64, 4); // 16 uniform blocks
         let v: Vec<f64> = (0..64).map(|i| ((i * 5) % 17) as f64 - 8.0).collect();
-        let blocked = BlockJacobi::setup_with_layout(
+        let lu = PrecondOptions::default().with_method(BjMethod::SmallLu);
+        let blocked = BlockJacobi::setup_opts(
             &a,
             &part,
-            BjMethod::SmallLu,
-            backend_for_exec(Exec::Sequential),
-            BatchLayout::Blocked,
+            seq(),
+            lu.clone().with_layout(BatchLayout::Blocked),
         )
         .unwrap();
-        let interleaved = BlockJacobi::setup_with_layout(
+        let interleaved = BlockJacobi::setup_opts(
             &a,
             &part,
-            BjMethod::SmallLu,
-            backend_for_exec(Exec::Sequential),
-            BatchLayout::Interleaved { class_capacity: 2 },
+            seq(),
+            lu.with_layout(BatchLayout::Interleaved { class_capacity: 2 }),
         )
         .unwrap();
         assert_eq!(interleaved.stats.layout_histogram()["interleaved"], 16);
@@ -455,12 +392,13 @@ mod tests {
         let a = laplace_2d::<f64>(8, 8);
         let part = BlockPartition::uniform(64, 4); // 16 blocks
         let plan = FaultPlan::new(7).with(FaultClass::ZeroRow, 0.1);
-        let m = BlockJacobi::setup_with_options(
+        let m = BlockJacobi::setup_opts(
             &a,
             &part,
-            BjMethod::SmallLu,
-            backend_for_exec(Exec::Sequential),
-            BjOptions::guarded::<f64>().with_fault(plan),
+            seq(),
+            PrecondOptions::guarded::<f64>()
+                .with_method(BjMethod::SmallLu)
+                .with_fault(plan),
         )
         .unwrap();
         let map = m.fault_map().to_vec();
@@ -474,30 +412,6 @@ mod tests {
         // the degraded preconditioner still applies finitely
         let w = m.apply(&vec![1.0; 64]);
         assert!(w.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn clean_options_setup_matches_layout_setup() {
-        let a = laplace_2d::<f64>(8, 8);
-        let part = BlockPartition::uniform(64, 4);
-        let v: Vec<f64> = (0..64).map(|i| ((i * 3) % 11) as f64 - 5.0).collect();
-        let base = BlockJacobi::setup_with_backend(
-            &a,
-            &part,
-            BjMethod::SmallLu,
-            backend_for_exec(Exec::Sequential),
-        )
-        .unwrap();
-        let opt = BlockJacobi::setup_with_options(
-            &a,
-            &part,
-            BjMethod::SmallLu,
-            backend_for_exec(Exec::Sequential),
-            BjOptions::default(),
-        )
-        .unwrap();
-        assert!(opt.fault_map().is_empty());
-        assert_eq!(base.apply(&v), opt.apply(&v));
     }
 
     #[test]
@@ -526,12 +440,8 @@ mod tests {
         let part = BlockPartition::uniform(6, 3);
         let v: Vec<f64> = vec![2.0, -1.0, 0.5, 1.0, 1.0, 1.0];
         let mut outputs = Vec::new();
-        for backend in [
-            backend_for_exec::<f64>(Exec::Sequential),
-            backend_for_exec::<f64>(Exec::Parallel),
-            Arc::new(vbatch_exec::SimtSim::new()),
-        ] {
-            let m = BlockJacobi::setup_with_backend(&a, &part, BjMethod::SmallLu, backend).unwrap();
+        for backend in [seq(), par(), Arc::new(vbatch_exec::SimtSim::new())] {
+            let m = setup(&a, &part, BjMethod::SmallLu, backend);
             assert_eq!(m.fallback_blocks, 1);
             assert!(m.statuses()[0].is_fallback());
             let w = m.apply(&v);
@@ -548,7 +458,7 @@ mod tests {
     #[test]
     fn apply_accumulates_workspace_stats() {
         let (a, part) = test_problem();
-        let m = BlockJacobi::setup(&a, &part, BjMethod::SmallLu, Exec::Sequential).unwrap();
+        let m = setup(&a, &part, BjMethod::SmallLu, seq());
         let v: Vec<f64> = (0..a.nrows()).map(|i| i as f64 * 0.25 - 1.0).collect();
         let _ = m.apply(&v);
         let _ = m.apply(&v);
@@ -562,7 +472,7 @@ mod tests {
     #[test]
     fn label_reports_method_and_bound() {
         let (a, part) = test_problem();
-        let m = BlockJacobi::setup(&a, &part, BjMethod::SmallLu, Exec::Sequential).unwrap();
+        let m = setup(&a, &part, BjMethod::SmallLu, seq());
         let l = Preconditioner::<f64>::label(&m);
         assert!(l.contains("LU"), "{l}");
         assert!(m.setup_time.as_nanos() > 0);

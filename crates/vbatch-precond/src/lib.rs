@@ -19,5 +19,5 @@ pub mod traits;
 pub use block_ilu::BlockIlu0;
 pub use block_jacobi::BlockJacobi;
 pub use jacobi::{Jacobi, JacobiError};
-pub use options::{BjMethod, BjOptions, PrecondOptions};
+pub use options::{BjMethod, PrecondOptions};
 pub use traits::{BlockPreconditioner, Identity, PrecondKind, Preconditioner, SetupReport};

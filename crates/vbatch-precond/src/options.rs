@@ -1,14 +1,10 @@
-//! Unified setup options for every block preconditioner.
+//! Setup options for every block preconditioner.
 //!
-//! Historically `BlockJacobi` grew three overlapping entry points
-//! (`setup` / `setup_with_layout` / `setup_with_options`) with the
-//! factorization method threaded as a separate argument. The
-//! [`Preconditioner`](crate::Preconditioner) trait needs a single
-//! canonical constructor shape, so [`PrecondOptions`] folds everything
-//! a block preconditioner can be configured with — batched
-//! factorization method, batch layout, health triage policy, fault
-//! injection — into one builder; the old entry points survive as thin
-//! wrappers over it.
+//! [`BlockPreconditioner::setup_opts`](crate::BlockPreconditioner::setup_opts)
+//! is the one constructor shape; [`PrecondOptions`] folds everything a
+//! block preconditioner can be configured with — batched factorization
+//! method, batch layout, precision policy, health triage policy, fault
+//! injection — into one builder.
 
 use vbatch_core::{BatchLayout, Scalar};
 use vbatch_exec::{FaultPlan, HealthPolicy, PlanMethod, PrecisionPolicy};
@@ -147,10 +143,6 @@ impl PrecondOptions {
         self
     }
 }
-
-/// Historical name of [`PrecondOptions`], kept for the existing
-/// block-Jacobi call sites.
-pub type BjOptions = PrecondOptions;
 
 #[cfg(test)]
 mod tests {

@@ -2,10 +2,34 @@
 //! any factorization method must apply the exact block-diagonal inverse,
 //! and all methods must agree with each other on arbitrary matrices.
 
-use vbatch_core::{DenseMat, Exec};
-use vbatch_precond::{BjMethod, BlockJacobi, Jacobi, Preconditioner};
+use std::sync::Arc;
+use vbatch_core::{DenseMat, FactorError};
+use vbatch_exec::{Backend, CpuRayon, CpuSequential};
+use vbatch_precond::{BjMethod, BlockJacobi, Jacobi, PrecondOptions, Preconditioner};
 use vbatch_rt::{run_cases, testgen, SmallRng};
 use vbatch_sparse::{supervariable_blocking, BlockPartition, CooMatrix, CsrMatrix};
+
+fn seq() -> Arc<dyn Backend<f64>> {
+    Arc::new(CpuSequential)
+}
+
+fn par() -> Arc<dyn Backend<f64>> {
+    Arc::new(CpuRayon)
+}
+
+fn bj(
+    a: &CsrMatrix<f64>,
+    part: &BlockPartition,
+    method: BjMethod,
+    backend: Arc<dyn Backend<f64>>,
+) -> Result<BlockJacobi<f64>, FactorError> {
+    BlockJacobi::setup_opts(
+        a,
+        part,
+        backend,
+        PrecondOptions::default().with_method(method),
+    )
+}
 
 fn random_block_system(nodes: usize, dof: usize, extra: &[(usize, usize, f64)]) -> CsrMatrix<f64> {
     let n = nodes * dof;
@@ -35,7 +59,7 @@ fn block_jacobi_applies_exact_block_inverse() {
             let part = BlockPartition::uniform(n, dof);
             let d = a.to_dense();
             let v: Vec<f64> = (0..n).map(|i| (i as f64) * 0.17 - 1.0).collect();
-            let m = BlockJacobi::setup(&a, &part, BjMethod::SmallLu, Exec::Sequential).unwrap();
+            let m = bj(&a, &part, BjMethod::SmallLu, seq()).unwrap();
             let w = m.apply(&v);
             for b in 0..part.len() {
                 let r = part.range(b);
@@ -58,17 +82,13 @@ fn all_methods_agree() {
         let part = supervariable_blocking(&a, (dof * 2).max(2));
         let n = a.nrows();
         let v: Vec<f64> = (0..n).map(|i| 1.0 - (i % 4) as f64 / 2.0).collect();
-        let reference = BlockJacobi::setup(&a, &part, BjMethod::SmallLu, Exec::Sequential)
-            .unwrap()
-            .apply(&v);
+        let reference = bj(&a, &part, BjMethod::SmallLu, seq()).unwrap().apply(&v);
         for method in [
             BjMethod::GaussHuard,
             BjMethod::GaussHuardT,
             BjMethod::GjeInvert,
         ] {
-            let w = BlockJacobi::setup(&a, &part, method, Exec::Parallel)
-                .unwrap()
-                .apply(&v);
+            let w = bj(&a, &part, method, par()).unwrap().apply(&v);
             for (p, q) in reference.iter().zip(&w) {
                 assert!((p - q).abs() < 1e-8, "{method:?}");
             }
@@ -86,7 +106,7 @@ fn size_one_partition_equals_scalar_jacobi() {
             let a = random_block_system(nodes, dof, &extra);
             let n = a.nrows();
             let part = BlockPartition::uniform(n, 1);
-            let bj = BlockJacobi::setup(&a, &part, BjMethod::SmallLu, Exec::Sequential).unwrap();
+            let bj = bj(&a, &part, BjMethod::SmallLu, seq()).unwrap();
             let jac = Jacobi::setup(&a).unwrap();
             let v: Vec<f64> = (0..n).map(|i| (i % 9) as f64 - 4.0).collect();
             let w1 = bj.apply(&v);
@@ -106,7 +126,7 @@ fn apply_is_linear() {
         let a = random_block_system(nodes, dof, &extra);
         let n = a.nrows();
         let part = supervariable_blocking(&a, 8);
-        let m = BlockJacobi::setup(&a, &part, BjMethod::SmallLu, Exec::Sequential).unwrap();
+        let m = bj(&a, &part, BjMethod::SmallLu, seq()).unwrap();
         let v: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
         let u: Vec<f64> = (0..n).map(|i| (i as f64 / 3.0).sin()).collect();
         // M^{-1}(alpha v + u) = alpha M^{-1} v + M^{-1} u

@@ -22,7 +22,7 @@
 //! * [`sync`] — bounded MPSC channels with non-destructive fullness
 //!   probes plus a cooperative [`sync::CancelToken`], the admission /
 //!   drain substrate of the batched-solve service;
-//! * [`bench`] — a wall-clock micro-benchmark harness for the
+//! * [`mod@bench`] — a wall-clock micro-benchmark harness for the
 //!   `harness = false` bench targets;
 //! * [`workspace`] — grow-once scratch buffers and a buffer free-list
 //!   arena so steady-state hot loops (the preconditioner apply, the

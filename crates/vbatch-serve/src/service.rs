@@ -1,5 +1,5 @@
 //! The service front door: sharded admission queues, worker threads
-//! running one [`crate::batcher::ShardBatcher`] each, and graceful
+//! running one `ShardBatcher` each, and graceful
 //! drain.
 //!
 //! Shutdown protocol: [`Service::shutdown`] (or drop) first flips the

@@ -272,7 +272,7 @@ mod tests {
 
         // scalar reference per class
         let members8: Vec<usize> = (0..11).collect();
-        let packed = InterleavedClass::pack_from(&batch, &members8);
+        let packed = InterleavedClass::<f64>::pack_from(&batch, &members8);
         let (_, _, mut ref_data) = packed.into_parts();
         let mut ref_piv = vec![0usize; 8 * 11];
         let errs = getrf_interleaved_class(8, 11, &mut ref_data, &mut ref_piv);

@@ -1,22 +1,21 @@
 //! Backend-parameterized preconditioned solve drivers, generic over the
-//! [`BlockPreconditioner`] trait: build the preconditioner (block-Jacobi
-//! or block-ILU(0)) on an explicit `vbatch-exec` backend and run the
-//! paper's IDR(s) on it, reporting the solve outcome together with the
-//! preconditioner setup statistics (kernel histogram, flops, fallback
-//! blocks). This is the seam experiments use to swap both the CPU
-//! backends / SIMT simulator and the preconditioner without touching
-//! solver code. The historical block-Jacobi entry points
-//! ([`idr_block_jacobi`], [`idr_block_jacobi_robust`], [`IdrBjSolver`])
-//! survive as thin instantiations of the generic drivers.
+//! [`BlockPreconditioner`] trait: build the preconditioner (block-Jacobi,
+//! block-ILU(0) or SPIKE) on an explicit `vbatch-exec` backend through
+//! its one options-driven constructor and run the paper's IDR(s) on it,
+//! reporting the solve outcome together with the preconditioner setup
+//! statistics (kernel histogram, flops, fallback blocks). This is the
+//! seam experiments use to swap both the CPU backends / SIMT simulator
+//! and the preconditioner without touching solver code: the one-shot
+//! [`idr_precond`] (or [`idr_precond_kind`] on a runtime token), the
+//! reusable [`IdrSolver`] handle, and the breakdown-recovering
+//! [`idr_precond_robust`].
 
 use crate::{gmres, idr, idr_with_workspace, KrylovWorkspace, SolveParams, SolveResult};
 use std::sync::Arc;
 use std::time::Duration;
 use vbatch_core::{FactorError, Scalar};
 use vbatch_exec::{Backend, ExecStats};
-use vbatch_precond::{
-    BjMethod, BlockIlu0, BlockJacobi, BlockPreconditioner, PrecondKind, PrecondOptions,
-};
+use vbatch_precond::{BlockIlu0, BlockJacobi, BlockPreconditioner, PrecondKind, PrecondOptions};
 use vbatch_sparse::{axpy, nrm2, residual, BlockPartition, CsrMatrix};
 
 /// A preconditioned solve plus the setup-phase execution statistics.
@@ -85,28 +84,6 @@ pub fn idr_precond_kind<T: Scalar>(
     }
 }
 
-/// Solve `A x = b` with IDR(s) preconditioned by block-Jacobi set up on
-/// the given execution backend (thin wrapper over [`idr_precond`]).
-pub fn idr_block_jacobi<T: Scalar>(
-    a: &CsrMatrix<T>,
-    b: &[T],
-    s: usize,
-    part: &BlockPartition,
-    method: BjMethod,
-    backend: Arc<dyn Backend<T>>,
-    params: &SolveParams,
-) -> Result<PrecondSolve<T>, FactorError> {
-    idr_precond::<T, BlockJacobi<T>>(
-        a,
-        b,
-        s,
-        part,
-        backend,
-        PrecondOptions::default().with_method(method),
-        params,
-    )
-}
-
 fn finish_solve<T: Scalar, M: BlockPreconditioner<T>>(
     result: SolveResult<T>,
     m: &M,
@@ -144,10 +121,6 @@ pub struct IdrSolver<T: Scalar, M: BlockPreconditioner<T>> {
     params: SolveParams,
     backend_name: &'static str,
 }
-
-/// The historical name: the reusable IDR handle specialized to
-/// block-Jacobi.
-pub type IdrBjSolver<T> = IdrSolver<T, BlockJacobi<T>>;
 
 impl<T: Scalar, M: BlockPreconditioner<T>> IdrSolver<T, M> {
     /// Build the preconditioner on `backend` through its canonical
@@ -194,30 +167,8 @@ impl<T: Scalar, M: BlockPreconditioner<T>> IdrSolver<T, M> {
     }
 }
 
-impl<T: Scalar> IdrBjSolver<T> {
-    /// Historical block-Jacobi entry point (thin wrapper over
-    /// [`IdrSolver::setup_opts`]).
-    pub fn setup(
-        a: &CsrMatrix<T>,
-        s: usize,
-        part: &BlockPartition,
-        method: BjMethod,
-        backend: Arc<dyn Backend<T>>,
-        params: &SolveParams,
-    ) -> Result<Self, FactorError> {
-        Self::setup_opts(
-            a,
-            s,
-            part,
-            backend,
-            PrecondOptions::default().with_method(method),
-            params,
-        )
-    }
-}
-
 /// What a robust driver does when a solve ends abnormally
-/// ([`StopReason::is_abnormal`]): first restart IDR from the current
+/// ([`crate::StopReason::is_abnormal`]): first restart IDR from the current
 /// iterate (residual-system restart, up to `max_restarts` times), then
 /// hand the original system to restarted GMRES as a last resort.
 #[derive(Clone, Copy, Debug)]
@@ -253,7 +204,7 @@ pub struct RobustSolve<T> {
 /// abnormal stop the driver restarts IDR from the current iterate, and
 /// if it still cannot finish cleanly, falls back to GMRES(m) with the
 /// same preconditioner. A corrupted right-hand side (non-finite norm)
-/// is reported as [`StopReason::NonFinite`] without burning iterations.
+/// is reported as [`crate::StopReason::NonFinite`] without burning iterations.
 #[allow(clippy::too_many_arguments)] // mirrors idr_precond + policy
 pub fn idr_precond_robust<T: Scalar, M: BlockPreconditioner<T>>(
     a: &CsrMatrix<T>,
@@ -300,31 +251,6 @@ pub fn idr_precond_robust<T: Scalar, M: BlockPreconditioner<T>>(
     })
 }
 
-/// Historical block-Jacobi entry point (thin wrapper over
-/// [`idr_precond_robust`]).
-#[allow(clippy::too_many_arguments)] // mirrors idr_block_jacobi + policy
-pub fn idr_block_jacobi_robust<T: Scalar>(
-    a: &CsrMatrix<T>,
-    b: &[T],
-    s: usize,
-    part: &BlockPartition,
-    method: BjMethod,
-    backend: Arc<dyn Backend<T>>,
-    params: &SolveParams,
-    policy: &RobustPolicy,
-) -> Result<RobustSolve<T>, FactorError> {
-    idr_precond_robust::<T, BlockJacobi<T>>(
-        a,
-        b,
-        s,
-        part,
-        backend,
-        PrecondOptions::default().with_method(method),
-        params,
-        policy,
-    )
-}
-
 /// Fold a retry/fallback attempt into the running result: the iterate
 /// is `x`, counters and histories accumulate, the stop reason is the
 /// latest attempt's (upgraded to `Converged` if the true residual now
@@ -359,10 +285,34 @@ mod tests {
     use super::*;
     use crate::StopReason;
     use vbatch_exec::CpuSequential;
+    use vbatch_precond::BjMethod;
     use vbatch_sparse::gen::laplace::laplace_2d;
 
     fn backend() -> Arc<dyn Backend<f64>> {
         Arc::new(CpuSequential)
+    }
+
+    fn small_lu() -> PrecondOptions {
+        PrecondOptions::default().with_method(BjMethod::SmallLu)
+    }
+
+    fn idr_bj(a: &CsrMatrix<f64>, b: &[f64], part: &BlockPartition) -> PrecondSolve<f64> {
+        let params = SolveParams::default();
+        idr_precond::<f64, BlockJacobi<f64>>(a, b, 4, part, backend(), small_lu(), &params).unwrap()
+    }
+
+    fn idr_bj_robust(a: &CsrMatrix<f64>, b: &[f64], part: &BlockPartition) -> RobustSolve<f64> {
+        idr_precond_robust::<f64, BlockJacobi<f64>>(
+            a,
+            b,
+            4,
+            part,
+            backend(),
+            small_lu(),
+            &SolveParams::default(),
+            &RobustPolicy::default(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -370,17 +320,7 @@ mod tests {
         let a = laplace_2d::<f64>(8, 8);
         let b = vec![1.0; 64];
         let part = BlockPartition::uniform(64, 4);
-        let r = idr_block_jacobi_robust(
-            &a,
-            &b,
-            4,
-            &part,
-            BjMethod::SmallLu,
-            backend(),
-            &SolveParams::default(),
-            &RobustPolicy::default(),
-        )
-        .unwrap();
+        let r = idr_bj_robust(&a, &b, &part);
         assert!(r.solve.result.converged());
         assert_eq!(r.restarts, 0);
         assert!(!r.used_gmres);
@@ -391,22 +331,13 @@ mod tests {
         let a = laplace_2d::<f64>(8, 8);
         let b = vec![1.0; 64];
         let part = BlockPartition::uniform(64, 4);
-        let one_shot = idr_block_jacobi(
-            &a,
-            &b,
-            4,
-            &part,
-            BjMethod::SmallLu,
-            backend(),
-            &SolveParams::default(),
-        )
-        .unwrap();
-        let mut handle = IdrBjSolver::setup(
+        let one_shot = idr_bj(&a, &b, &part);
+        let mut handle = IdrSolver::<f64, BlockJacobi<f64>>::setup_opts(
             &a,
             4,
             &part,
-            BjMethod::SmallLu,
             backend(),
+            small_lu(),
             &SolveParams::default(),
         )
         .unwrap();
@@ -435,7 +366,7 @@ mod tests {
             4,
             &part,
             backend(),
-            PrecondOptions::default().with_method(BjMethod::SmallLu),
+            small_lu(),
             &SolveParams::default(),
         )
         .unwrap();
@@ -449,7 +380,7 @@ mod tests {
             4,
             &part,
             backend(),
-            PrecondOptions::default().with_method(BjMethod::SmallLu),
+            small_lu(),
             &SolveParams::default(),
         )
         .unwrap();
@@ -467,7 +398,7 @@ mod tests {
             4,
             &part,
             backend(),
-            PrecondOptions::default().with_method(BjMethod::SmallLu),
+            small_lu(),
             &SolveParams::default(),
         )
         .unwrap();
@@ -476,16 +407,7 @@ mod tests {
         assert!(r1.converged());
         assert_eq!(r1.x, r2.x);
         // BILU must not need more iterations than BJ on this SPD model
-        let bj = idr_block_jacobi(
-            &a,
-            &b,
-            4,
-            &part,
-            BjMethod::SmallLu,
-            backend(),
-            &SolveParams::default(),
-        )
-        .unwrap();
+        let bj = idr_bj(&a, &b, &part);
         assert!(r1.iterations <= bj.result.iterations);
     }
 
@@ -495,25 +417,14 @@ mod tests {
         let a = laplace_2d::<f64>(8, 8);
         let b = vec![1.0; 64];
         let part = BlockPartition::uniform(64, 4);
-        let dp = idr_block_jacobi(
-            &a,
-            &b,
-            4,
-            &part,
-            BjMethod::SmallLu,
-            backend(),
-            &SolveParams::default(),
-        )
-        .unwrap();
+        let dp = idr_bj(&a, &b, &part);
         let mixed = idr_precond::<f64, BlockJacobi<f64>>(
             &a,
             &b,
             4,
             &part,
             backend(),
-            PrecondOptions::default()
-                .with_method(BjMethod::SmallLu)
-                .with_precision(PrecisionPolicy::mixed::<f64>()),
+            small_lu().with_precision(PrecisionPolicy::mixed::<f64>()),
             &SolveParams::default(),
         )
         .unwrap();
@@ -546,17 +457,7 @@ mod tests {
         let mut b = vec![1.0; 36];
         b[0] = f64::NAN;
         let part = BlockPartition::uniform(36, 4);
-        let r = idr_block_jacobi_robust(
-            &a,
-            &b,
-            4,
-            &part,
-            BjMethod::SmallLu,
-            backend(),
-            &SolveParams::default(),
-            &RobustPolicy::default(),
-        )
-        .unwrap();
+        let r = idr_bj_robust(&a, &b, &part);
         assert_eq!(r.solve.result.reason, StopReason::NonFinite);
         assert!(r.used_gmres, "policy exhausts the fallback chain");
         assert_eq!(r.restarts, 0, "a NaN RHS cannot be restarted");

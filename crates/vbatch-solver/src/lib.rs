@@ -7,14 +7,14 @@
 //! `vbatch_precond::Preconditioner`, use the paper's stopping protocol
 //! ([`control`]: relative residual `1e-6`, cap 10,000) and report
 //! iterations, true final residual, timing and optional histories.
-//! The [`driver`] module adds a backend-parameterized entry point that
-//! builds the block-Jacobi preconditioner on an explicit
-//! `vbatch-exec` [`vbatch_exec::Backend`].
+//! The [`driver`] module adds backend-parameterized entry points that
+//! build any block preconditioner on an explicit `vbatch-exec`
+//! [`vbatch_exec::Backend`].
 //!
 //! Every solver distinguishes abnormal endings — recurrence
 //! [`StopReason::Breakdown`], [`StopReason::NonFinite`] residuals from
 //! faulted data, and optional [`StopReason::Stagnated`] detection — and
-//! [`driver::idr_block_jacobi_robust`] reacts to them with a
+//! [`driver::idr_precond_robust`] reacts to them with a
 //! restart-then-GMRES-fallback policy ([`driver::RobustPolicy`]).
 
 pub mod bicgstab;
@@ -30,8 +30,8 @@ pub use bicgstab::{bicgstab, bicgstab_with_workspace};
 pub use cg::{cg, cg_with_workspace};
 pub use control::{SolveParams, SolveResult, StagnationGuard, StopReason};
 pub use driver::{
-    idr_block_jacobi, idr_block_jacobi_robust, idr_precond, idr_precond_kind, idr_precond_robust,
-    IdrBjSolver, IdrSolver, PrecondSolve, RobustPolicy, RobustSolve,
+    idr_precond, idr_precond_kind, idr_precond_robust, IdrSolver, PrecondSolve, RobustPolicy,
+    RobustSolve,
 };
 pub use gmres::{gmres, gmres_with_workspace};
 pub use idr::{idr, idr_smoothed, idr_smoothed_with_workspace, idr_with_workspace};

@@ -12,7 +12,7 @@
 //! 1. all `p` partitions are factorized as **one** variable-size batch
 //!    (any backend × layout × precision policy);
 //! 2. the spikes come out of `2k` batched solves against those
-//!    factors;
+//!    factors, through the same prepared apply the warm passes use;
 //! 3. the interface unknowns satisfy a block-tridiagonal *reduced
 //!    system*; its **truncated** variant (justified for diagonally
 //!    dominant inputs, where spike magnitudes decay away from the
@@ -37,7 +37,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use vbatch_core::{FactorError, Scalar, VectorBatch};
+use vbatch_core::{FactorError, Scalar};
 use vbatch_exec::{
     inject_batch, Backend, BatchPlan, BlockStatus, ExecStats, FactorizedBatch, FaultClass, Phase,
     PreparedApply,
@@ -169,34 +169,34 @@ impl<T: Scalar> SpikeSolver<T> {
                     w_spikes[j] = vec![T::ZERO; sizes[j] * k];
                 }
             }
-            // One batched solve per spike column: partitions that lack
-            // the spike keep a zero right-hand side (and solve to
-            // zero), so each sweep stays a single batch call.
+            // One prepared batched solve per spike column, on one
+            // reused flat right-hand side (the flat vector tiles the
+            // partitions exactly): partitions that lack the spike keep
+            // a zero right-hand side (and solve to zero), so each sweep
+            // stays a single batch call.
+            let mut rhs = vec![T::ZERO; part.total()];
             for col in 0..k {
-                let mut rhs = VectorBatch::zeros(&sizes);
+                rhs.fill(T::ZERO);
                 for j in 0..p - 1 {
-                    let nj = sizes[j];
+                    let end = part.range(j).end;
                     let tip = blocks.upper_tips.block(j);
-                    let seg = rhs.seg_mut(j);
-                    for r in 0..k {
-                        seg[nj - k + r] = tip[col * k + r];
-                    }
+                    rhs[end - k..end].copy_from_slice(&tip[col * k..(col + 1) * k]);
                 }
-                backend.solve(&factors, &mut rhs, &mut stats);
+                backend.solve_prepared(&factors, &prepared, &mut rhs, &mut stats);
                 for j in 0..p - 1 {
                     let nj = sizes[j];
-                    v_spikes[j][col * nj..(col + 1) * nj].copy_from_slice(rhs.seg(j));
+                    v_spikes[j][col * nj..(col + 1) * nj].copy_from_slice(&rhs[part.range(j)]);
                 }
-                let mut rhs = VectorBatch::zeros(&sizes);
+                rhs.fill(T::ZERO);
                 for j in 1..p {
+                    let start = part.range(j).start;
                     let tip = blocks.lower_tips.block(j - 1);
-                    let seg = rhs.seg_mut(j);
-                    seg[..k].copy_from_slice(&tip[col * k..(col + 1) * k]);
+                    rhs[start..start + k].copy_from_slice(&tip[col * k..(col + 1) * k]);
                 }
-                backend.solve(&factors, &mut rhs, &mut stats);
+                backend.solve_prepared(&factors, &prepared, &mut rhs, &mut stats);
                 for j in 1..p {
                     let nj = sizes[j];
-                    w_spikes[j][col * nj..(col + 1) * nj].copy_from_slice(rhs.seg(j));
+                    w_spikes[j][col * nj..(col + 1) * nj].copy_from_slice(&rhs[part.range(j)]);
                 }
             }
         }
@@ -525,8 +525,8 @@ impl<T: Scalar> BlockPreconditioner<T> for SpikeSolver<T> {
 #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 mod tests {
     use super::*;
-    use vbatch_core::{solve_system, Exec};
-    use vbatch_exec::backend_for_exec;
+    use vbatch_core::solve_system;
+    use vbatch_exec::CpuSequential;
     use vbatch_sparse::CooMatrix;
 
     fn banded(n: usize, bw: usize, dominance: f64, seed: u64) -> CsrMatrix<f64> {
@@ -548,13 +548,8 @@ mod tests {
         let n = 96;
         let a = banded(n, 2, 2.0, 9);
         let sp = SpikePartition::detect(&a, 4).unwrap();
-        let m = SpikeSolver::setup(
-            &a,
-            &sp,
-            backend_for_exec(Exec::Sequential),
-            PrecondOptions::default(),
-        )
-        .unwrap();
+        let m = SpikeSolver::setup(&a, &sp, Arc::new(CpuSequential), PrecondOptions::default())
+            .unwrap();
         let b = rhs(n);
         let out = m.solve_with(&b, 1e-12, 60);
         assert!(
@@ -575,13 +570,8 @@ mod tests {
         let n = 24;
         let a = banded(n, 1, 2.0, 4);
         let sp = SpikePartition::detect(&a, 1).unwrap();
-        let m = SpikeSolver::setup(
-            &a,
-            &sp,
-            backend_for_exec(Exec::Sequential),
-            PrecondOptions::default(),
-        )
-        .unwrap();
+        let m = SpikeSolver::setup(&a, &sp, Arc::new(CpuSequential), PrecondOptions::default())
+            .unwrap();
         assert!(m.reduced.is_none());
         let out = m.solve(&rhs(n));
         assert!(out.converged);
@@ -595,7 +585,7 @@ mod tests {
         let res = SpikeSolver::setup_opts(
             &a,
             &part,
-            backend_for_exec(Exec::Sequential),
+            Arc::new(CpuSequential),
             PrecondOptions::default(),
         );
         let Err(err) = res else {

@@ -16,9 +16,9 @@
 
 use std::sync::Arc;
 
-use vbatch_core::{solve_system, BatchLayout, Exec};
+use vbatch_core::{solve_system, BatchLayout};
 use vbatch_exec::{
-    backend_for_exec, expected_health, Backend, CpuSequential, CpuSimd, FaultClass, FaultPlan,
+    expected_health, Backend, CpuRayon, CpuSequential, CpuSimd, FaultClass, FaultPlan,
     HealthPolicy, PrecisionPolicy, SimtSim,
 };
 use vbatch_precond::{BlockJacobi, PrecondOptions, Preconditioner};
@@ -41,8 +41,8 @@ fn rhs(n: usize, seed: u64) -> Vec<f64> {
 
 fn backends() -> Vec<(&'static str, Arc<dyn Backend<f64>>)> {
     vec![
-        ("seq", backend_for_exec(Exec::Sequential)),
-        ("rayon", backend_for_exec(Exec::Parallel)),
+        ("seq", Arc::new(CpuSequential)),
+        ("rayon", Arc::new(CpuRayon)),
         ("simd", Arc::new(CpuSimd)),
         ("simt", Arc::new(SimtSim::default())),
     ]
@@ -111,7 +111,7 @@ fn partition_counts_agree_to_tolerance() {
     let xref = solve_system(&a.to_dense(), &b).unwrap();
     let xnorm = xref.iter().fold(0.0f64, |m, x| m.max(x.abs()));
     let tol = 1e-9 * xnorm.max(1.0);
-    let backend = backend_for_exec(Exec::Sequential);
+    let backend: Arc<dyn Backend<f64>> = Arc::new(CpuSequential);
     for p in [1usize, 2, 4, 8] {
         let sp = SpikePartition::uniform(n, p, bw).unwrap();
         let m = SpikeSolver::setup(&a, &sp, backend.clone(), PrecondOptions::default()).unwrap();
@@ -161,13 +161,8 @@ fn preconditioner_apply_equals_first_solver_pass() {
     let a = banded(n, 2, 2.0, 19);
     let b = rhs(n, 7);
     let sp = SpikePartition::uniform(n, 6, 2).unwrap();
-    let m = SpikeSolver::setup(
-        &a,
-        &sp,
-        backend_for_exec(Exec::Sequential),
-        PrecondOptions::default(),
-    )
-    .unwrap();
+    let m =
+        SpikeSolver::setup(&a, &sp, Arc::new(CpuSequential), PrecondOptions::default()).unwrap();
     let pass = m.solve_with(&b, 1e-30, 0).x;
     let mut applied = b.clone();
     m.apply_inplace(&mut applied);
@@ -192,7 +187,7 @@ fn fault_injection_triages_exactly_and_refinement_still_converges() {
     let m = SpikeSolver::setup(
         &a,
         &sp,
-        backend_for_exec(Exec::Sequential),
+        Arc::new(CpuSequential),
         PrecondOptions::default()
             .with_health(HealthPolicy::guarded::<f64>())
             .with_fault(plan),
@@ -236,7 +231,7 @@ fn clean_guarded_setup_reports_all_partitions_healthy() {
     let m = SpikeSolver::setup(
         &a,
         &sp,
-        backend_for_exec(Exec::Sequential),
+        Arc::new(CpuSequential),
         PrecondOptions::default().with_health(HealthPolicy::guarded::<f64>()),
     )
     .unwrap();
@@ -264,7 +259,7 @@ fn spike_preconditions_idr_through_kind_dispatch() {
         &b,
         4,
         sp.part(),
-        backend_for_exec(Exec::Sequential),
+        Arc::new(CpuSequential),
         PrecondOptions::default(),
         &SolveParams::default(),
     )

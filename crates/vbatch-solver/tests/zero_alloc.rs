@@ -10,17 +10,30 @@
 //!   allocations — i.e. everything a solve allocates is per-solve
 //!   setup/teardown (`SolveResult`, final true-residual check), never
 //!   per-iteration.
+//!
+//! The counter is process-wide and the test harness runs tests on
+//! parallel threads, so every test holds [`serial`] for its whole body:
+//! a snapshot pair then brackets exactly one test's allocations.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use vbatch_exec::{Backend, CpuSequential, CpuSimd};
-use vbatch_precond::{BjMethod, BlockIlu0, PrecondOptions, Preconditioner};
+use vbatch_precond::{BjMethod, BlockIlu0, BlockJacobi, PrecondOptions, Preconditioner};
 use vbatch_rt::CountingAlloc;
-use vbatch_solver::{IdrBjSolver, IdrSolver, SolveParams, StopReason};
+use vbatch_solver::{IdrSolver, SolveParams, StopReason};
 use vbatch_sparse::gen::laplace::laplace_2d;
-use vbatch_sparse::BlockPartition;
+use vbatch_sparse::{BlockPartition, CsrMatrix};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Exclusive use of the allocation counter. A test that failed while
+/// holding the lock poisons it; the `()` inside cannot be left invalid,
+/// so the remaining tests recover the guard and still run.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn backend() -> Arc<dyn Backend<f64>> {
     Arc::new(CpuSequential)
@@ -30,14 +43,34 @@ fn simd_backend() -> Arc<dyn Backend<f64>> {
     Arc::new(CpuSimd)
 }
 
+fn small_lu() -> PrecondOptions {
+    PrecondOptions::default().with_method(BjMethod::SmallLu)
+}
+
+fn bj(
+    a: &CsrMatrix<f64>,
+    part: &BlockPartition,
+    backend: Arc<dyn Backend<f64>>,
+) -> BlockJacobi<f64> {
+    BlockJacobi::setup_opts(a, part, backend, small_lu()).unwrap()
+}
+
+fn idr_bj(
+    a: &CsrMatrix<f64>,
+    part: &BlockPartition,
+    backend: Arc<dyn Backend<f64>>,
+    params: &SolveParams,
+) -> IdrSolver<f64, BlockJacobi<f64>> {
+    IdrSolver::setup_opts(a, 4, part, backend, small_lu(), params).unwrap()
+}
+
 #[test]
 fn warm_prepared_apply_allocates_nothing() {
+    let _serial = serial();
     let a = laplace_2d::<f64>(16, 16);
     let n = a.nrows();
     let part = BlockPartition::uniform(n, 8);
-    let m =
-        vbatch_precond::BlockJacobi::setup_with_backend(&a, &part, BjMethod::SmallLu, backend())
-            .unwrap();
+    let m = bj(&a, &part, backend());
     let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
     // warm-up: first apply may fault in lazy state
     m.apply_inplace(&mut v);
@@ -62,13 +95,12 @@ fn warm_prepared_apply_allocates_nothing() {
 /// zero-alloc check plus the guarantee that the event counter stays 0.
 #[test]
 fn warm_apply_with_tracing_enabled_allocates_nothing() {
+    let _serial = serial();
     vbatch_trace::set_enabled(true);
     let a = laplace_2d::<f64>(16, 16);
     let n = a.nrows();
     let part = BlockPartition::uniform(n, 8);
-    let m =
-        vbatch_precond::BlockJacobi::setup_with_backend(&a, &part, BjMethod::SmallLu, backend())
-            .unwrap();
+    let m = bj(&a, &part, backend());
     let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
     m.apply_inplace(&mut v); // warm-up (ring already reserved at setup)
     let ev0 = vbatch_trace::thread_events_written();
@@ -101,6 +133,7 @@ fn warm_apply_with_tracing_enabled_allocates_nothing() {
 /// whole three-stage apply touches the heap zero times.
 #[test]
 fn warm_bilu_apply_allocates_nothing() {
+    let _serial = serial();
     let a = laplace_2d::<f64>(16, 16);
     let n = a.nrows();
     let part = BlockPartition::uniform(n, 8);
@@ -131,6 +164,7 @@ fn warm_bilu_apply_allocates_nothing() {
 /// additional allocations, exactly as for block-Jacobi.
 #[test]
 fn warm_bilu_idr_iterations_allocate_nothing() {
+    let _serial = serial();
     // 48x48 grid: block-ILU(0) needs ~25 IDR(4) iterations here, so
     // both capped runs below stop on MaxIterations
     let a = laplace_2d::<f64>(48, 48);
@@ -179,16 +213,11 @@ fn warm_bilu_idr_iterations_allocate_nothing() {
 /// delegate.
 #[test]
 fn warm_simd_prepared_apply_allocates_nothing() {
+    let _serial = serial();
     let a = laplace_2d::<f64>(16, 16);
     let n = a.nrows();
     let part = BlockPartition::uniform(n, 8);
-    let m = vbatch_precond::BlockJacobi::setup_with_backend(
-        &a,
-        &part,
-        BjMethod::SmallLu,
-        simd_backend(),
-    )
-    .unwrap();
+    let m = bj(&a, &part, simd_backend());
     let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
     m.apply_inplace(&mut v); // warm-up
     let before = ALLOC.snapshot();
@@ -208,6 +237,7 @@ fn warm_simd_prepared_apply_allocates_nothing() {
 /// the SIMD diagonal solve, zero heap traffic once warm.
 #[test]
 fn warm_simd_bilu_apply_allocates_nothing() {
+    let _serial = serial();
     let a = laplace_2d::<f64>(16, 16);
     let n = a.nrows();
     let part = BlockPartition::uniform(n, 8);
@@ -238,6 +268,7 @@ fn warm_simd_bilu_apply_allocates_nothing() {
 /// allocations, so the per-iteration SIMD apply path is heap-free.
 #[test]
 fn warm_simd_idr_iterations_allocate_nothing() {
+    let _serial = serial();
     let a = laplace_2d::<f64>(20, 20);
     let n = a.nrows();
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
@@ -246,8 +277,7 @@ fn warm_simd_idr_iterations_allocate_nothing() {
     let short = SolveParams::default().with_max_iters(4);
     let long = SolveParams::default().with_max_iters(24);
 
-    let mut handle =
-        IdrBjSolver::setup(&a, 4, &part, BjMethod::SmallLu, simd_backend(), &short).unwrap();
+    let mut handle = idr_bj(&a, &part, simd_backend(), &short);
     let warm = handle.solve(&a, &b);
     assert_eq!(warm.reason, StopReason::MaxIterations);
 
@@ -255,8 +285,7 @@ fn warm_simd_idr_iterations_allocate_nothing() {
     let r_short = handle.solve(&a, &b);
     let allocs_short = ALLOC.snapshot().allocs_since(&s0);
 
-    let mut handle_long =
-        IdrBjSolver::setup(&a, 4, &part, BjMethod::SmallLu, simd_backend(), &long).unwrap();
+    let mut handle_long = idr_bj(&a, &part, simd_backend(), &long);
     let warm_long = handle_long.solve(&a, &b);
     assert_eq!(warm_long.reason, StopReason::MaxIterations);
 
@@ -282,6 +311,7 @@ fn warm_simd_idr_iterations_allocate_nothing() {
 /// lowered interleaved path, not just blocked factors.
 #[test]
 fn warm_mixed_precision_apply_allocates_nothing() {
+    let _serial = serial();
     use vbatch_exec::PrecisionPolicy;
     let a = laplace_2d::<f64>(16, 16);
     let n = a.nrows();
@@ -291,7 +321,7 @@ fn warm_mixed_precision_apply_allocates_nothing() {
         vbatch_core::BatchLayout::interleaved(),
     ] {
         for policy in [PrecisionPolicy::mixed::<f64>(), PrecisionPolicy::ForceSp] {
-            let m = vbatch_precond::BlockJacobi::setup_opts(
+            let m = BlockJacobi::setup_opts(
                 &a,
                 &part,
                 backend(),
@@ -325,6 +355,7 @@ fn warm_mixed_precision_apply_allocates_nothing() {
 /// factors cost zero additional allocations.
 #[test]
 fn warm_mixed_idr_iterations_allocate_nothing() {
+    let _serial = serial();
     use vbatch_exec::PrecisionPolicy;
     let a = laplace_2d::<f64>(20, 20);
     let n = a.nrows();
@@ -337,7 +368,7 @@ fn warm_mixed_idr_iterations_allocate_nothing() {
     let short = SolveParams::default().with_max_iters(4);
     let long = SolveParams::default().with_max_iters(24);
 
-    let mut handle = IdrSolver::<f64, vbatch_precond::BlockJacobi<f64>>::setup_opts(
+    let mut handle = IdrSolver::<f64, BlockJacobi<f64>>::setup_opts(
         &a,
         4,
         &part,
@@ -353,15 +384,9 @@ fn warm_mixed_idr_iterations_allocate_nothing() {
     let r_short = handle.solve(&a, &b);
     let allocs_short = ALLOC.snapshot().allocs_since(&s0);
 
-    let mut handle_long = IdrSolver::<f64, vbatch_precond::BlockJacobi<f64>>::setup_opts(
-        &a,
-        4,
-        &part,
-        backend(),
-        opts,
-        &long,
-    )
-    .unwrap();
+    let mut handle_long =
+        IdrSolver::<f64, BlockJacobi<f64>>::setup_opts(&a, 4, &part, backend(), opts, &long)
+            .unwrap();
     let warm_long = handle_long.solve(&a, &b);
     assert_eq!(warm_long.reason, StopReason::MaxIterations);
 
@@ -385,6 +410,7 @@ fn warm_mixed_idr_iterations_allocate_nothing() {
 /// times (the interface workspace is sized at setup).
 #[test]
 fn warm_spike_apply_allocates_nothing() {
+    let _serial = serial();
     use vbatch_sparse::{CooMatrix, SpikePartition};
     let n = 96;
     let mut coo = CooMatrix::new(n, n);
@@ -414,6 +440,7 @@ fn warm_spike_apply_allocates_nothing() {
 /// pre-sized rings without heap traffic, exactly like block-Jacobi.
 #[test]
 fn warm_spike_apply_with_tracing_enabled_allocates_nothing() {
+    let _serial = serial();
     use vbatch_sparse::{CooMatrix, SpikePartition};
     vbatch_trace::set_enabled(true);
     let n = 96;
@@ -442,6 +469,7 @@ fn warm_spike_apply_with_tracing_enabled_allocates_nothing() {
 
 #[test]
 fn warm_idr_iterations_allocate_nothing() {
+    let _serial = serial();
     let a = laplace_2d::<f64>(20, 20);
     let n = a.nrows();
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
@@ -453,8 +481,7 @@ fn warm_idr_iterations_allocate_nothing() {
     let short = SolveParams::default().with_max_iters(4);
     let long = SolveParams::default().with_max_iters(24);
 
-    let mut handle =
-        IdrBjSolver::setup(&a, 4, &part, BjMethod::SmallLu, backend(), &short).unwrap();
+    let mut handle = idr_bj(&a, &part, backend(), &short);
     // warm-up solve grows every pool to its high-water size
     let warm = handle.solve(&a, &b);
     assert_eq!(warm.reason, StopReason::MaxIterations);
@@ -463,8 +490,7 @@ fn warm_idr_iterations_allocate_nothing() {
     let r_short = handle.solve(&a, &b);
     let allocs_short = ALLOC.snapshot().allocs_since(&s0);
 
-    let mut handle_long =
-        IdrBjSolver::setup(&a, 4, &part, BjMethod::SmallLu, backend(), &long).unwrap();
+    let mut handle_long = idr_bj(&a, &part, backend(), &long);
     let warm_long = handle_long.solve(&a, &b);
     assert_eq!(warm_long.reason, StopReason::MaxIterations);
 

@@ -7,6 +7,7 @@
 //! cargo run --release --example block_jacobi_solve
 //! ```
 
+use std::sync::Arc;
 use vbatch_lu::prelude::*;
 use vbatch_sparse::gen::fem::{fem_block_matrix, MeshGraph};
 
@@ -46,7 +47,8 @@ fn main() {
         BjMethod::GjeInvert,
     ] {
         let t = std::time::Instant::now();
-        let bj = BlockJacobi::setup(&a, &part, method, Exec::Parallel).unwrap();
+        let opts = PrecondOptions::default().with_method(method);
+        let bj = BlockJacobi::setup_opts(&a, &part, Arc::new(CpuRayon), opts).unwrap();
         let setup = bj.setup_time.as_secs_f64();
         let r = idr(&a, &b, 4, &bj, &params);
         report(

@@ -6,6 +6,7 @@
 //! cargo run --release --example convergence_study
 //! ```
 
+use std::sync::Arc;
 use vbatch_lu::prelude::*;
 
 fn main() {
@@ -30,8 +31,8 @@ fn main() {
         for bound in [8usize, 12, 16, 24, 32] {
             let part = supervariable_blocking(&a, bound);
             let t = std::time::Instant::now();
-            let bj = BlockJacobi::setup_with_fallback(&a, &part, BjMethod::SmallLu, Exec::Parallel)
-                .unwrap();
+            let opts = PrecondOptions::default().with_method(BjMethod::SmallLu);
+            let bj = BlockJacobi::setup_opts(&a, &part, Arc::new(CpuRayon), opts).unwrap();
             let r = idr(&a, &b, 4, &bj, &params);
             print_row(&format!("block-Jacobi({bound})"), &r, t.elapsed());
         }

@@ -9,6 +9,7 @@
 //! Without an argument, a sample matrix is generated, written to a
 //! temporary `.mtx` and read back — demonstrating the full round trip.
 
+use std::sync::Arc;
 use vbatch_lu::prelude::*;
 use vbatch_sparse::gen::fem::{fem_block_matrix, MeshGraph};
 use vbatch_sparse::{matrix_stats, read_matrix_market, write_matrix_market};
@@ -52,13 +53,9 @@ fn main() {
     let n = a.nrows();
     let b = vec![1.0; n];
     let params = SolveParams::default();
-    let bj = BlockJacobi::setup_with_fallback(
-        &a,
-        &part,
-        BjMethod::SmallLu,
-        vbatch_lu::core::Exec::Parallel,
-    )
-    .expect("preconditioner setup");
+    let opts = PrecondOptions::default().with_method(BjMethod::SmallLu);
+    let bj = BlockJacobi::setup_opts(&a, &part, Arc::new(CpuRayon), opts)
+        .expect("the partition covers the matrix");
     let t = std::time::Instant::now();
     let r = idr(&a, &b, 4, &bj, &params);
     println!(

@@ -12,7 +12,7 @@
 //!   stands in for the paper's CUDA layer;
 //! * [`sparse`] — CSR, supervariable blocking, extraction, generators;
 //! * [`exec`] — the execution layer: [`exec::Backend`] implementations
-//!   (sequential / parallel CPU, SIMT simulator) behind a
+//!   (sequential / parallel / wide-lane CPU, SIMT simulator) behind a
 //!   [`exec::BatchPlan`] that picks kernels per block using the paper's
 //!   crossovers;
 //! * [`precond`] — scalar and block-Jacobi preconditioners;
@@ -43,10 +43,12 @@ pub mod prelude {
         Scalar, TrsvVariant, VectorBatch,
     };
     pub use vbatch_exec::{
-        backend_for_exec, Backend, BatchPlan, BlockStatus, CpuRayon, CpuSequential, ExecStats,
-        KernelChoice, PlanMethod, SimtSim,
+        Backend, BatchPlan, BlockStatus, CpuRayon, CpuSequential, CpuSimd, ExecStats, KernelChoice,
+        PlanMethod, SimtSim,
     };
-    pub use vbatch_precond::{BjMethod, BlockJacobi, Identity, Jacobi, Preconditioner};
+    pub use vbatch_precond::{
+        BjMethod, BlockJacobi, Identity, Jacobi, PrecondOptions, Preconditioner,
+    };
     pub use vbatch_simt::{
         estimate_factor, estimate_solve, DeviceModel, FactorKernel, SolveKernel,
     };

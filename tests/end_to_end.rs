@@ -2,8 +2,19 @@
 //! supervariable blocking -> diagonal-block extraction -> batched
 //! factorization -> block-Jacobi preconditioned IDR(4).
 
+use std::sync::Arc;
 use vbatch_lu::prelude::*;
 use vbatch_sparse::gen::fem::{fem_block_matrix, MeshGraph};
+
+fn bj(
+    a: &CsrMatrix<f64>,
+    part: &BlockPartition,
+    method: BjMethod,
+    backend: impl Backend<f64> + 'static,
+) -> BlockJacobi<f64> {
+    let opts = PrecondOptions::default().with_method(method);
+    BlockJacobi::setup_opts(a, part, Arc::new(backend), opts).unwrap()
+}
 
 fn fem_problem() -> CsrMatrix<f64> {
     let mesh = MeshGraph::grid2d(12, 10);
@@ -21,7 +32,7 @@ fn block_jacobi_idr_beats_scalar_jacobi() {
     let r_scalar = idr(&a, &b, 4, &jac, &params);
 
     let part = supervariable_blocking(&a, 32);
-    let bj = BlockJacobi::setup(&a, &part, BjMethod::SmallLu, Exec::Parallel).unwrap();
+    let bj = bj(&a, &part, BjMethod::SmallLu, CpuRayon);
     let r_block = idr(&a, &b, 4, &bj, &params);
 
     assert!(
@@ -51,7 +62,7 @@ fn all_factorization_methods_give_same_preconditioner_quality() {
         BjMethod::GaussHuard,
         BjMethod::GaussHuardT,
     ] {
-        let bj = BlockJacobi::setup(&a, &part, m, Exec::Parallel).unwrap();
+        let bj = bj(&a, &part, m, CpuRayon);
         let r = idr(&a, &b, 4, &bj, &params);
         assert!(r.converged(), "{m:?} failed");
         iters.push(r.iterations);
@@ -98,7 +109,7 @@ fn simt_factorization_pipeline_solves_extracted_blocks() {
     let mut solve = LuTrsvBatch::from_factorization(&fact, &rhs);
     solve.run_all().unwrap();
     // compare against the CPU block-Jacobi application
-    let bj = BlockJacobi::setup(&a, &part, BjMethod::SmallLu, Exec::Sequential).unwrap();
+    let bj = bj(&a, &part, BjMethod::SmallLu, CpuSequential);
     let want = bj.apply(&rhs);
     let mut off = 0usize;
     for blk in 0..part.len() {

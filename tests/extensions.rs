@@ -1,9 +1,20 @@
 //! Integration tests for the extension features: large blocks, packed
 //! warps, GEMV application, SELL-P solver loops and smoothed IDR.
 
+use std::sync::Arc;
 use vbatch_lu::prelude::*;
 use vbatch_sparse::gen::fem::{fem_variable_block_matrix, mixed_dofs, MeshGraph};
 use vbatch_sparse::SellPMatrix;
+
+fn bj(
+    a: &CsrMatrix<f64>,
+    part: &BlockPartition,
+    method: BjMethod,
+    backend: impl Backend<f64> + 'static,
+) -> BlockJacobi<f64> {
+    let opts = PrecondOptions::default().with_method(method);
+    BlockJacobi::setup_opts(a, part, Arc::new(backend), opts).unwrap()
+}
 
 #[test]
 fn large_blocks_flow_through_block_jacobi_via_blocked_lu() {
@@ -17,7 +28,7 @@ fn large_blocks_flow_through_block_jacobi_via_blocked_lu() {
         part.max_size() > 32,
         "test needs blocks beyond the warp limit"
     );
-    let m = BlockJacobi::setup(&a, &part, BjMethod::SmallLu, Exec::Parallel).unwrap();
+    let m = bj(&a, &part, BjMethod::SmallLu, CpuRayon);
     let b = vec![1.0; a.nrows()];
     let r = idr(&a, &b, 4, &m, &SolveParams::default());
     assert!(r.converged());
@@ -69,7 +80,7 @@ fn gemv_kernel_equals_block_jacobi_inversion_apply() {
     let mut dev = GemvBatch::upload(&inv, &v);
     dev.run_all().unwrap();
     // CPU block-Jacobi (inversion-based) reference
-    let bj = BlockJacobi::setup(&a, &part, BjMethod::GjeInvert, Exec::Sequential).unwrap();
+    let bj = bj(&a, &part, BjMethod::GjeInvert, CpuSequential);
     let want = bj.apply(&v);
     let mut off = 0usize;
     for blk in 0..part.len() {
@@ -110,7 +121,7 @@ fn smoothed_idr_with_block_jacobi() {
     let p = vbatch_sparse::by_name("Chebyshev2").unwrap();
     let a = p.build();
     let part = supervariable_blocking(&a, 32);
-    let m = BlockJacobi::setup_with_fallback(&a, &part, BjMethod::SmallLu, Exec::Parallel).unwrap();
+    let m = bj(&a, &part, BjMethod::SmallLu, CpuRayon);
     let b = vec![1.0; a.nrows()];
     let plain = idr(&a, &b, 4, &m, &SolveParams::default());
     let smooth = idr_smoothed(&a, &b, 4, &m, &SolveParams::default());

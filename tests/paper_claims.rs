@@ -4,6 +4,7 @@
 //! future change to the kernels or the cost model breaks one of the
 //! reproduced *shapes*, this suite fails.
 
+use std::sync::Arc;
 use vbatch_lu::prelude::*;
 
 const BATCH: usize = 40_000;
@@ -94,8 +95,13 @@ fn claim_block_jacobi_helps() {
         let jac = Jacobi::setup(&a).unwrap();
         let r_j = idr(&a, &b, 4, &jac, &params);
         let part = supervariable_blocking(&a, 32);
-        let bj =
-            BlockJacobi::setup_with_fallback(&a, &part, BjMethod::SmallLu, Exec::Parallel).unwrap();
+        let bj = BlockJacobi::setup_opts(
+            &a,
+            &part,
+            Arc::new(CpuRayon),
+            PrecondOptions::default().with_method(BjMethod::SmallLu),
+        )
+        .unwrap();
         let r_b = idr(&a, &b, 4, &bj, &params);
         assert!(r_j.converged() && r_b.converged(), "{name}");
         if r_b.iterations < r_j.iterations {
@@ -118,10 +124,20 @@ fn claim_lu_gh_preconditioners_equivalent() {
         let b = vec![1.0; a.nrows()];
         let params = SolveParams::default();
         let part = supervariable_blocking(&a, 24);
-        let lu =
-            BlockJacobi::setup_with_fallback(&a, &part, BjMethod::SmallLu, Exec::Parallel).unwrap();
-        let gh = BlockJacobi::setup_with_fallback(&a, &part, BjMethod::GaussHuard, Exec::Parallel)
-            .unwrap();
+        let lu = BlockJacobi::setup_opts(
+            &a,
+            &part,
+            Arc::new(CpuRayon),
+            PrecondOptions::default().with_method(BjMethod::SmallLu),
+        )
+        .unwrap();
+        let gh = BlockJacobi::setup_opts(
+            &a,
+            &part,
+            Arc::new(CpuRayon),
+            PrecondOptions::default().with_method(BjMethod::GaussHuard),
+        )
+        .unwrap();
         let r_lu = idr(&a, &b, 4, &lu, &params);
         let r_gh = idr(&a, &b, 4, &gh, &params);
         assert!(r_lu.converged() && r_gh.converged());
@@ -162,9 +178,7 @@ fn claim_vendor_cannot_handle_variable_sizes() {
 // of bugs (index mix-ups in extraction, slot mix-ups in the interleaved
 // sweeps, scaling leaks in triage) that no single golden value pins.
 
-use std::sync::Arc;
 use vbatch_lu::core::BatchLayout;
-use vbatch_lu::precond::BjOptions;
 use vbatch_lu::sparse::gen::laplace::laplace_2d;
 
 const META_LAYOUTS: [BatchLayout; 2] = [
@@ -206,9 +220,9 @@ fn bj_idr(
     part: &BlockPartition,
     method: BjMethod,
     backend: Arc<dyn Backend<f64>>,
-    opts: BjOptions,
+    opts: PrecondOptions,
 ) -> SolveResult<f64> {
-    let m = BlockJacobi::setup_with_options(a, part, method, backend, opts).unwrap();
+    let m = BlockJacobi::setup_opts(a, part, backend, opts.with_method(method)).unwrap();
     idr(a, b, 4, &m, &SolveParams::default().with_tol(1e-9))
 }
 
@@ -243,7 +257,7 @@ fn metamorphic_block_permutation_invariance() {
         &part,
         BjMethod::SmallLu,
         Arc::new(CpuSequential),
-        BjOptions::default(),
+        PrecondOptions::default(),
     );
     assert!(reference.converged());
 
@@ -255,7 +269,7 @@ fn metamorphic_block_permutation_invariance() {
                 &part_p,
                 BjMethod::SmallLu,
                 backend.clone(),
-                BjOptions::default().with_layout(layout),
+                PrecondOptions::default().with_layout(layout),
             );
             assert!(rp.converged(), "{name}/{layout:?}");
             let unpermuted: Vec<f64> = {
@@ -302,15 +316,15 @@ fn metamorphic_symmetric_scaling_invariance() {
         &part,
         BjMethod::SmallLu,
         Arc::new(CpuSequential),
-        BjOptions::default(),
+        PrecondOptions::default(),
     );
     assert!(reference.converged());
 
     for (name, backend) in meta_backends() {
         for layout in META_LAYOUTS {
             for (policy, opts) in [
-                ("off", BjOptions::default()),
-                ("guarded", BjOptions::guarded::<f64>()),
+                ("off", PrecondOptions::default()),
+                ("guarded", PrecondOptions::guarded::<f64>()),
             ] {
                 let rs = bj_idr(
                     &asc,
@@ -346,21 +360,19 @@ fn metamorphic_gh_ght_transpose_consistency() {
 
     for (name, backend) in meta_backends() {
         for layout in META_LAYOUTS {
-            let opts = BjOptions::default().with_layout(layout);
-            let gh = BlockJacobi::setup_with_options(
+            let opts = PrecondOptions::default().with_layout(layout);
+            let gh = BlockJacobi::setup_opts(
                 &a,
                 &part,
-                BjMethod::GaussHuard,
                 backend.clone(),
-                opts.clone(),
+                opts.clone().with_method(BjMethod::GaussHuard),
             )
             .unwrap();
-            let ght = BlockJacobi::setup_with_options(
+            let ght = BlockJacobi::setup_opts(
                 &a,
                 &part,
-                BjMethod::GaussHuardT,
                 backend.clone(),
-                opts,
+                opts.with_method(BjMethod::GaussHuardT),
             )
             .unwrap();
             // the raw preconditioner action agrees to roundoff
