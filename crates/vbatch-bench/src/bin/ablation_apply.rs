@@ -18,7 +18,9 @@
 //! (`Backend::solve_prepared`, all dispatch and scratch precomputed).
 //! With the counting allocator installed as the global allocator, the
 //! table also reports heap allocations per application — the prepared
-//! column must read zero.
+//! column must read zero. The `simd` columns repeat the prepared
+//! measurement on `CpuSimd`, whose apply is the same code on the same
+//! thread (the CSV keeps its schema).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -208,8 +210,9 @@ fn main() {
     );
     for (i, &n) in [4usize, 8, 16, 24, 32].iter().enumerate() {
         let m = measure_apply(n, &CpuSequential, precision);
-        // the wide-lane backend over the same (interleaved) plan: its
-        // prepared apply must stay allocation-free too
+        // `CpuSimd` over the same (interleaved) plan runs the same
+        // sequential apply on the same kernels, so its two columns
+        // repeat `prep [us]` / `allocs/prep` up to timing noise
         let ms = measure_apply(n, &CpuSimd, precision);
         println!(
             "{n:>5} {:>12.1} {:>12.1} {:>8.2}x {:>12} {:>13} {:>10} {:>12.1} {:>12}",

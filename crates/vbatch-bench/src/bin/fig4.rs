@@ -12,9 +12,9 @@
 //! column plus its kernel-choice histogram), and three *measured* host
 //! columns: factorizing the same batch on `CpuSequential` with blocked
 //! vs interleaved storage (the CPU analogue of the paper's coalescing
-//! argument, see DESIGN.md "Interleaved layout"), and on the explicit
-//! wide-lane `CpuSimd` backend over the interleaved storage (DESIGN.md
-//! "SIMD backend").
+//! argument, see DESIGN.md "Interleaved layout"), and on `CpuSimd` over
+//! the interleaved storage — the same lane kernels with the chunks of a
+//! class spread over all threads.
 
 use vbatch_bench::{
     factor_health_compact, measure_cpu_factor_gflops_under, measure_precond_apply,

@@ -11,8 +11,9 @@
 //! Each row also reports the `vbatch-exec` planner's pick for the batch
 //! (the `planner` GFLOPS column plus its kernel-choice histogram), the
 //! planner's layout histogram, and measured host GFLOPS of the same
-//! batch factorized blocked vs interleaved on `CpuSequential` and
-//! interleaved on the wide-lane `CpuSimd` backend.
+//! batch factorized blocked vs interleaved on `CpuSequential` (one
+//! thread) and interleaved on `CpuSimd` (the same lane kernels on all
+//! threads).
 
 use vbatch_bench::{
     factor_health_compact, measure_cpu_factor_gflops_under, measure_precond_apply,

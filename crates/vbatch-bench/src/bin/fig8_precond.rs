@@ -13,8 +13,9 @@
 //!
 //! `--quick` runs a 12-problem subset with bounds {8, 32}.
 //! `--backend simd` routes setup and every per-iteration block solve
-//! through the wide-lane `CpuSimd` backend (recorded in the `backend`
-//! CSV column); the iteration counts must not change — only the times.
+//! through `CpuSimd` — parallel setup, sequential apply (recorded in
+//! the `backend` CSV column); the iteration counts must not change —
+//! only the times.
 
 use vbatch_bench::{
     fmt_outcome, parse_backend_flag, parse_precision_flag, run_precond_idr_under, write_csv,

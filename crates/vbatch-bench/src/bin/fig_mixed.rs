@@ -38,9 +38,10 @@ fn setup_seconds(
     batch.getrf_flops() / (gflops * 1e9)
 }
 
-/// [`setup_seconds`] through the wide-lane backend: lowered storage
-/// doubles the lanes per SIMD register, so this column is where the SP
-/// flop-rate advantage of the paper's mixed strategy shows up on a host.
+/// [`setup_seconds`] with the interleaved classes on all threads
+/// (`CpuSimd`). Lowered storage doubles the lanes per SIMD register, so
+/// the interleaved columns are where the SP flop-rate advantage of the
+/// paper's mixed strategy shows up on a host.
 fn setup_simd_seconds(batch: &vbatch_core::MatrixBatch<f64>, precision: PrecisionPolicy) -> f64 {
     let gflops = vbatch_bench::measure_simd_factor_gflops_under(batch, precision);
     batch.getrf_flops() / (gflops * 1e9)

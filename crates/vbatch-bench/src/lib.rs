@@ -33,12 +33,13 @@ pub const BLOCK_BOUNDS: [usize; 5] = [8, 12, 16, 24, 32];
 
 /// CSV schema of the Fig. 4 artifact. The `cpu_blocked` /
 /// `cpu_interleaved` / `cpu_simd` columns are *measured* host GFLOPS of
-/// the same batch: blocked vs interleaved storage on the scalar
-/// backend, and the interleaved storage again on the explicit wide-lane
-/// [`CpuSimd`] backend; `plan_layouts` records the planner's per-class
-/// layout histogram; `cpu_apply` is the measured prepared-apply
-/// throughput ([`measure_cpu_apply`]) and `ws_hwm` its resident
-/// workspace high-water mark in scalar elements.
+/// the same batch: blocked vs interleaved storage on one thread
+/// ([`CpuSequential`]), and the interleaved storage again — the same
+/// lane kernels — with setup on all threads ([`CpuSimd`]);
+/// `plan_layouts` records the planner's per-class layout histogram;
+/// `cpu_apply` is the measured prepared-apply throughput
+/// ([`measure_cpu_apply`]) and `ws_hwm` its resident workspace
+/// high-water mark in scalar elements.
 pub const FIG4_HEADER: [&str; 18] = [
     "precision",
     "precision_policy",
@@ -213,19 +214,14 @@ pub fn measure_cpu_factor_gflops<T: Scalar>(batch: &MatrixBatch<T>, layout: Batc
     measure_factor_gflops_on(&CpuSequential, batch, layout)
 }
 
-/// Measured wide-lane ([`CpuSimd`]) factorization throughput in GFLOPS
-/// over the interleaved layout under a precision policy.
+/// Measured [`CpuSimd`] (interleaved classes on all threads)
+/// factorization throughput in GFLOPS under a precision policy — the
+/// `cpu_simd` column of Figs. 4/5.
 pub fn measure_simd_factor_gflops_under<T: Scalar>(
     batch: &MatrixBatch<T>,
     precision: PrecisionPolicy,
 ) -> f64 {
     measure_factor_gflops_under(&CpuSimd, batch, BatchLayout::interleaved(), precision)
-}
-
-/// Measured wide-lane ([`CpuSimd`]) factorization throughput in GFLOPS
-/// over the interleaved layout — the `cpu_simd` column of Figs. 4/5.
-pub fn measure_simd_factor_gflops<T: Scalar>(batch: &MatrixBatch<T>) -> f64 {
-    measure_factor_gflops_on(&CpuSimd, batch, BatchLayout::interleaved())
 }
 
 /// Measured host (CpuSequential) *prepared-apply* throughput in GFLOPS
@@ -767,13 +763,6 @@ mod tests {
             let g = measure_cpu_factor_gflops(&batch, layout);
             assert!(g.is_finite() && g > 0.0, "{layout:?}: {g}");
         }
-    }
-
-    #[test]
-    fn measured_simd_gflops_are_finite_and_positive() {
-        let batch = uniform_bench_batch::<f64>(64, 8);
-        let g = measure_simd_factor_gflops(&batch);
-        assert!(g.is_finite() && g > 0.0, "{g}");
     }
 
     #[test]

@@ -1,35 +1,37 @@
-//! Explicit wide-lane kernels over the interleaved (SoA) layout.
+//! The class-wide kernels of the interleaved (SoA) layout: one system
+//! per vector lane.
 //!
-//! Same algorithms as [`crate::interleaved`] — branchless implicit-pivot
-//! GETRF and permuted eager TRSV over a size class — but the slot loop
-//! is re-blocked into `W`-wide [`vbatch_rt::simd::Chunk`] groups that
-//! run through the *entire* factorization before the next group starts:
+//! Branchless implicit-pivot GETRF and permuted eager TRSV over a size
+//! class stored as in [`crate::interleaved`]. The slots are taken in
+//! `W`-wide [`vbatch_rt::simd::Chunk`] groups, and each group runs
+//! through the *entire* factorization before the next one starts:
 //!
 //! ```text
-//! scalar class kernel            SIMD class kernel (W = 4)
-//! step 0: slots 0 1 2 ... c-1    slots 0..4: steps 0 1 ... n-1   <- chunk
-//! step 1: slots 0 1 2 ... c-1    slots 4..8: steps 0 1 ... n-1   <- chunk
-//! ...                            ... remainder slots at W = 1
+//! slots 0..4: steps 0 1 ... n-1   <- chunk (W = 4)
+//! slots 4..8: steps 0 1 ... n-1   <- chunk
+//! ... remainder slots at W = 1
 //! ```
 //!
-//! Two consequences:
+//! * **The blocked kernel is the oracle.** Slots never interact, every
+//!   lane op is the exact scalar IEEE op (true divide, single-rounding
+//!   `mul_add`, compare-and-blend selects), and per slot the operation
+//!   sequence is that of [`crate::lu::implicit::getrf_implicit_inplace`]
+//!   and of [`crate::trsv::lu_solve_inplace_scratch`] with
+//!   [`crate::trsv::TrsvVariant::Eager`]. So a slot's factors, pivot
+//!   sequence, [`FactorError`] and solution are bitwise those of the
+//!   per-block kernels on the same block, at *every* width including
+//!   the W = 1 remainder path. The one difference is what a failed
+//!   slot leaves behind: the per-block kernel returns `Err` with the
+//!   block half-eliminated, the class kernel reports the same error in
+//!   its per-slot map and sanitizes the slot to identity factors and an
+//!   identity pivot lane, so class-wide sweeps stay finite no-ops there
+//!   and the slot's lane mates are untouched.
+//! * **Locality.** One chunk's working set is `n*n*W` elements (16 KiB
+//!   at n = 16, W = 8, f64), so the whole elimination runs out of L1.
 //!
-//! * **bitwise identity** — slots never interact, every lane op is the
-//!   exact scalar IEEE op (true divide, single-rounding `mul_add`,
-//!   compare-and-blend selects), and per slot the operation order is
-//!   byte-for-byte the scalar kernel's; so the factors, pivot lanes,
-//!   error maps and solves agree bitwise with
-//!   [`crate::interleaved::getrf_interleaved_class`] /
-//!   [`crate::interleaved::lu_solve_interleaved_class_scratch`] at
-//!   *every* width, including the W = 1 remainder path;
-//! * **locality** — one chunk's working set is `n*n*W` elements
-//!   (16 KiB at n = 16, W = 8, f64), so the whole elimination runs out
-//!   of L1 instead of re-streaming the full class slab once per step.
-//!
-//! The row-pivoted flags are kept as `0.0`/`1.0` lanes of `T` (not the
-//! `usize` step lanes the scalar kernel compares against) so the hot
-//! selects compile to vector compare+blend instead of scalar control
-//! flow.
+//! The row-pivoted flags are kept as `0.0`/`1.0` lanes of `T` beside
+//! the `usize` step lanes, so the hot selects compile to vector
+//! compare+blend instead of scalar control flow.
 #![deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 
 use crate::error::FactorError;
@@ -63,10 +65,19 @@ pub fn getrf_interleaved_class_simd<T: Scalar>(
 /// Lane-wide implicit-pivot GETRF over an interleaved class at an
 /// explicit lane width (1, 2, 4 or 8).
 ///
-/// Contract: bitwise-identical `data` / `row_of_step` / error map to
-/// [`crate::interleaved::getrf_interleaved_class`] for every slot, at
-/// every width. Slots beyond the last full `width`-chunk run through
-/// the same code at W = 1 (the scalar remainder path).
+/// * `data` — interleaved class values (`n*n*count`), overwritten with
+///   the combined `L\U` factors *in pivot order* per slot;
+/// * `row_of_step` — `n*count` pivot lanes, filled with
+///   `row_of_step[k*count + slot]` = original row chosen at step `k`.
+///
+/// Contract: per slot, at every width, `data` and `row_of_step` are
+/// bitwise what [`crate::lu::implicit::getrf_implicit_inplace`] leaves
+/// for that block. Never aborts on a bad slot: where the per-block
+/// kernel returns `Err(e)` the returned vector holds `Some(e)` at the
+/// slot, whose factors are sanitized to the identity and whose pivot
+/// lane to the identity permutation. Slots beyond the last full
+/// `width`-chunk run through the same code at W = 1 (the remainder
+/// path).
 // Setup-time path: scratch allocation is fine here (the zero-alloc
 // contract covers the solve below, not factorization).
 #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
@@ -149,9 +160,10 @@ pub fn getrf_interleaved_class_simd_width<T: Scalar>(
 
 /// Factorize the `W` slots `[s0, s0+W)` of the class in place.
 ///
-/// Per slot this performs exactly the scalar class kernel's operation
-/// sequence (finite pre-scan, n steps of pivot-select / SCAL / GER,
-/// combined row swap, pivot lanes, failed-slot sanitation).
+/// Per slot this performs exactly the blocked implicit kernel's
+/// operation sequence (finite pre-scan, n steps of pivot-select / SCAL /
+/// GER, combined row swap), then fills the pivot lanes and sanitizes
+/// failed slots.
 ///
 /// Two formulations of each step coexist, chosen at runtime:
 ///
@@ -169,9 +181,9 @@ pub fn getrf_interleaved_class_simd_width<T: Scalar>(
 ///   compare-and-blend selects, which handles any divergence.
 ///
 /// Both forms execute the exact scalar IEEE op sequence per lane, so
-/// factors/pivots/errors stay bitwise identical to the scalar kernel
+/// factors/pivots/errors stay bitwise identical to the blocked kernel
 /// whichever path runs. Lanes dead from a fault may see garbage
-/// arithmetic in the fast path (the scalar kernel freezes them with
+/// arithmetic in the fast path (the blended form freezes them with
 /// `x/1` no-ops instead); their bits are rewritten by the final
 /// identity sanitation either way, so outputs agree.
 ///
@@ -224,8 +236,9 @@ fn getrf_chunk<T: Scalar, const W: usize>(
     // the finite pre-scan rides the pack loads: x - x is +0.0 for every
     // finite x and NaN for Inf/NaN, and NaN poisons the running sum;
     // the scalar per-element diagnosis (same column-major-first order
-    // as the scalar kernel) reruns only when a lane actually flags, so
-    // the probe's own accumulation order does not matter.
+    // as the blocked kernel's `check_finite`) reruns only when a lane
+    // actually flags, so the probe's own accumulation order does not
+    // matter.
     let mut probe = Chunk::<T, W>::zero();
     for j in 0..n {
         for i in 0..n {
@@ -267,8 +280,8 @@ fn getrf_chunk<T: Scalar, const W: usize>(
 
     for k in 0..n {
         if !alive.contains(&true) {
-            // every lane dead: the scalar kernel's remaining steps are
-            // all no-ops on dead lanes (divide by 1, zero pivot value)
+            // every lane dead: each slot's blocked factorization has
+            // already returned its error, and sanitation rewrites them
             break;
         }
 
@@ -459,8 +472,8 @@ fn getrf_chunk<T: Scalar, const W: usize>(
 
             // --- SCAL, fast path: divide only the unpivoted rows ------
             // (skipping a pivoted row == the blend that keeps its old
-            // bits; dead lanes divide by garbage instead of the scalar
-            // kernel's 1, and are rewritten by the final sanitation)
+            // bits; dead lanes divide by garbage instead of the blended
+            // form's 1, and are rewritten by the final sanitation)
             let dbase = (k * npad + rpiv) * W;
             let dv = Chunk::<T, W>::load(&ws[dbase..dbase + W]);
             for &r in &unpiv[..nun] {
@@ -500,8 +513,8 @@ fn getrf_chunk<T: Scalar, const W: usize>(
         }
 
         // --- SCAL, blended fallback: column k of the unpivoted rows ---
-        // failed lanes keep d = 1 (x/1 is bit-exact), like the scalar
-        // kernel; the select keeps already-pivoted rows' old bits
+        // failed lanes keep d = 1 (x/1 is bit-exact); the select keeps
+        // already-pivoted rows' old bits
         let mut d = [T::ONE; W];
         for w in 0..W {
             if alive[w] {
@@ -618,8 +631,13 @@ pub fn lu_solve_interleaved_class_scratch_simd<T: Scalar>(
 /// Lane-wide permuted eager TRSV over a factorized interleaved class at
 /// an explicit width, with caller-provided scratch
 /// (`scratch.len() >= n * count`) so the warm apply stays allocation
-/// free. Bitwise identical to
-/// [`crate::interleaved::lu_solve_interleaved_class_scratch`] per slot.
+/// free, in place on right-hand-side lanes `x[i*count + slot]`.
+///
+/// Per slot this performs exactly
+/// [`crate::trsv::lu_solve_inplace_scratch`] with
+/// [`crate::trsv::TrsvVariant::Eager`] — permute `b := P b`, unit-lower
+/// sweep, upper sweep — so the solution bits are those of the blocked
+/// solve.
 pub fn lu_solve_interleaved_class_scratch_simd_width<T: Scalar>(
     width: usize,
     n: usize,
@@ -717,132 +735,136 @@ fn solve_chunk<T: Scalar, const W: usize>(
 #[cfg(test)]
 // test scaffolding allocates freely; the tripwire guards the kernels
 #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::interleaved::{getrf_interleaved_class, lu_solve_interleaved_class_scratch};
+    use crate::lu::implicit::getrf_implicit_inplace;
+    use crate::trsv::{lu_solve_inplace_scratch, TrsvVariant};
 
-    /// Deterministic diagonally-dominant class data (same recipe as the
-    /// bench generator): data[(j*n+i)*count + s].
-    fn dd_class(n: usize, count: usize, seed: u64) -> Vec<f64> {
-        let mut data = vec![0.0f64; n * n * count];
+    /// Deterministic class data `data[(j*n+i)*count + s]`: entries in
+    /// `[-0.5, 0.5)`, diagonal shifted by `shift` — `n + 2` keeps every
+    /// pivot on the diagonal (uniform fast path), `0` leaves each slot
+    /// its own pivot order (blended fallback).
+    fn class_data<T: Scalar>(n: usize, count: usize, seed: u64, shift: f64) -> Vec<T> {
+        let mut data = vec![T::ZERO; n * n * count];
         for s in 0..count {
             for j in 0..n {
                 for i in 0..n {
-                    let h = (i as u64 * 131 + j as u64 * 37 + s as u64 * 17 + seed) % 1024;
-                    let mut v = (h as f64) / 1024.0 - 0.5;
-                    if i == j {
-                        v += n as f64 + 2.0;
-                    }
-                    data[(j * n + i) * count + s] = v;
+                    let h = (i as u64 * 131 + j as u64 * 37 + s as u64 * 17 + seed)
+                        .wrapping_mul(0x9e37_79b9)
+                        % 1024;
+                    let v = h as f64 / 1024.0 - 0.5 + if i == j { shift } else { 0.0 };
+                    data[(j * n + i) * count + s] = T::from_f64(v);
                 }
             }
         }
         data
     }
 
-    fn rhs(n: usize, count: usize) -> Vec<f64> {
-        (0..n * count).map(|i| 1.0 + (i % 7) as f64 * 0.5).collect()
+    /// Factorize and solve the class at `width` and hold every slot
+    /// against the per-block kernels on the same block: factors, pivot
+    /// sequence and solution bitwise where the block factorizes; the
+    /// same `FactorError`, identity factors, an identity pivot lane and
+    /// an untouched right-hand side where it does not. Returns the
+    /// error map.
+    pub(crate) fn assert_class_matches_per_block<T: Scalar>(
+        width: usize,
+        n: usize,
+        count: usize,
+        base: &[T],
+    ) -> Vec<Option<FactorError>> {
+        let ctx = format!("n={n} count={count} w={width}");
+        let x0: Vec<T> = (0..n * count)
+            .map(|i| T::from_f64(1.0 + (i % 7) as f64 * 0.5))
+            .collect();
+        let mut d = base.to_vec();
+        let mut piv = vec![0usize; n * count];
+        let errs = getrf_interleaved_class_simd_width(width, n, count, &mut d, &mut piv);
+        let mut x = x0.clone();
+        let mut scratch = vec![T::ZERO; n * count];
+        lu_solve_interleaved_class_scratch_simd_width(
+            width,
+            n,
+            count,
+            &d,
+            &piv,
+            &mut x,
+            &mut scratch,
+        );
+
+        let bits = |v: T| v.to_f64().to_bits();
+        for s in 0..count {
+            let slot_of =
+                |v: &[T], len: usize| -> Vec<T> { (0..len).map(|e| v[e * count + s]).collect() };
+            let lane: Vec<usize> = (0..n).map(|k| piv[k * count + s]).collect();
+            let mut blk = slot_of(base, n * n);
+            let mut want_x = slot_of(&x0, n);
+            match getrf_implicit_inplace(n, &mut blk) {
+                Ok(perm) => {
+                    assert_eq!(errs[s], None, "slot {s} {ctx}");
+                    assert_eq!(lane, perm.as_slice(), "slot {s} pivots {ctx}");
+                    lu_solve_inplace_scratch(
+                        TrsvVariant::Eager,
+                        n,
+                        &blk,
+                        perm.as_slice(),
+                        &mut want_x,
+                        &mut scratch,
+                    );
+                }
+                Err(e) => {
+                    assert_eq!(errs[s], Some(e), "slot {s} {ctx}");
+                    assert_eq!(lane, (0..n).collect::<Vec<_>>(), "slot {s} {ctx}");
+                    for (e, v) in blk.iter_mut().enumerate() {
+                        *v = if e % (n + 1) == 0 { T::ONE } else { T::ZERO };
+                    }
+                }
+            }
+            for (e, (a, b)) in slot_of(&d, n * n).into_iter().zip(blk).enumerate() {
+                assert_eq!(bits(a), bits(b), "slot {s} factor elem {e} {ctx}");
+            }
+            for (i, (a, b)) in slot_of(&x, n).into_iter().zip(want_x).enumerate() {
+                assert_eq!(bits(a), bits(b), "slot {s} solve row {i} {ctx}");
+            }
+        }
+        errs
     }
 
     #[test]
-    fn simd_getrf_and_solve_match_scalar_bitwise_at_every_width() {
+    fn class_kernels_match_per_block_kernels_bitwise_at_every_width() {
         for (n, count) in [(1, 1), (4, 7), (8, 16), (16, 13), (6, 33)] {
-            let base = dd_class(n, count, 3);
-            let mut ref_data = base.clone();
-            let mut ref_piv = vec![0usize; n * count];
-            let ref_errs = getrf_interleaved_class(n, count, &mut ref_data, &mut ref_piv);
-            let mut ref_x = rhs(n, count);
-            let mut scratch = vec![0.0; n * count];
-            lu_solve_interleaved_class_scratch(
-                n,
-                count,
-                &ref_data,
-                &ref_piv,
-                &mut ref_x,
-                &mut scratch,
-            );
-
-            for width in SUPPORTED_WIDTHS {
-                let mut d = base.clone();
-                let mut piv = vec![0usize; n * count];
-                let errs = getrf_interleaved_class_simd_width(width, n, count, &mut d, &mut piv);
-                assert_eq!(errs, ref_errs, "error map n={n} count={count} w={width}");
-                assert_eq!(piv, ref_piv, "pivot lanes n={n} count={count} w={width}");
-                for (i, (a, b)) in d.iter().zip(&ref_data).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "factor elem {i} n={n} count={count} w={width}"
-                    );
-                }
-                let mut x = rhs(n, count);
-                lu_solve_interleaved_class_scratch_simd_width(
-                    width,
-                    n,
-                    count,
-                    &d,
-                    &piv,
-                    &mut x,
-                    &mut scratch,
-                );
-                for (i, (a, b)) in x.iter().zip(&ref_x).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "solve elem {i} n={n} count={count} w={width}"
-                    );
+            for shift in [n as f64 + 2.0, 0.0] {
+                let f64s = class_data::<f64>(n, count, 3, shift);
+                let f32s = class_data::<f32>(n, count, 7, shift);
+                for width in SUPPORTED_WIDTHS {
+                    assert_class_matches_per_block(width, n, count, &f64s);
+                    assert_class_matches_per_block(width, n, count, &f32s);
                 }
             }
         }
     }
 
     #[test]
-    fn corrupt_slots_fail_identically_and_mates_are_untouched() {
+    fn corrupt_slots_fail_like_the_blocked_kernel_and_mates_are_untouched() {
         let n = 6;
         let count = 19; // 2 full AVX-512 chunks + remainder 3
-        let mut base = dd_class(n, count, 11);
-        // poison three slots inside the same prospective lane group:
-        // NaN, Inf, exact singularity (zero column)
-        base[(2 * n + 3) * count + 4] = f64::NAN;
-        base[(5 * n + 1) * count + 5] = f64::INFINITY;
-        for i in 0..n {
-            base[(3 * n + i) * count + 6] = 0.0;
-        }
-        let mut ref_data = base.clone();
-        let mut ref_piv = vec![0usize; n * count];
-        let ref_errs = getrf_interleaved_class(n, count, &mut ref_data, &mut ref_piv);
-        assert!(ref_errs[4].is_some() && ref_errs[5].is_some() && ref_errs[6].is_some());
-
-        for width in SUPPORTED_WIDTHS {
-            let mut d = base.clone();
-            let mut piv = vec![0usize; n * count];
-            let errs = getrf_interleaved_class_simd_width(width, n, count, &mut d, &mut piv);
-            assert_eq!(errs, ref_errs, "w={width}");
-            for (i, (a, b)) in d.iter().zip(&ref_data).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "elem {i} w={width}");
+        for shift in [n as f64 + 2.0, 0.0] {
+            let mut base = class_data::<f64>(n, count, 11, shift);
+            // poison three slots inside the same prospective lane group
+            // and one in the remainder: NaN, Inf, exact singularity
+            // (zero column), NaN
+            base[(2 * n + 3) * count + 4] = f64::NAN;
+            base[(5 * n + 1) * count + 5] = f64::INFINITY;
+            for i in 0..n {
+                base[(3 * n + i) * count + 6] = 0.0;
             }
-            assert_eq!(piv, ref_piv, "w={width}");
-        }
-    }
-
-    #[test]
-    fn f32_class_matches_scalar_bitwise() {
-        let (n, count) = (8, 21);
-        let mut base = vec![0.0f32; n * n * count];
-        for (i, v) in dd_class(n, count, 7).iter().enumerate() {
-            base[i] = *v as f32;
-        }
-        let mut ref_data = base.clone();
-        let mut ref_piv = vec![0usize; n * count];
-        let ref_errs = getrf_interleaved_class(n, count, &mut ref_data, &mut ref_piv);
-        for width in SUPPORTED_WIDTHS {
-            let mut d = base.clone();
-            let mut piv = vec![0usize; n * count];
-            let errs = getrf_interleaved_class_simd_width(width, n, count, &mut d, &mut piv);
-            assert_eq!(errs, ref_errs);
-            assert_eq!(piv, ref_piv);
-            for (a, b) in d.iter().zip(&ref_data) {
-                assert_eq!(a.to_bits(), b.to_bits(), "w={width}");
+            base[count - 1] = f64::NAN;
+            for width in SUPPORTED_WIDTHS {
+                let errs = assert_class_matches_per_block(width, n, count, &base);
+                assert_eq!(errs[4], Some(FactorError::NonFinite { row: 3, col: 2 }));
+                assert_eq!(errs[5], Some(FactorError::NonFinite { row: 1, col: 5 }));
+                assert!(matches!(errs[6], Some(FactorError::SingularPivot { .. })));
+                assert_eq!(errs[18], Some(FactorError::NonFinite { row: 0, col: 0 }));
+                assert_eq!(errs.iter().filter(|e| e.is_some()).count(), 4);
             }
         }
     }

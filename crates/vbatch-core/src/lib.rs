@@ -59,9 +59,7 @@ pub use error::{check_finite, FactorError, FactorResult};
 pub use gauss_huard::{gh_factorize, GhFactors, GhLayout};
 pub use gje::gje_invert;
 pub use interleaved::{
-    getrf_interleaved_class, lu_solve_interleaved_class, lu_solve_interleaved_class_scratch,
-    lu_solve_interleaved_slot, lu_solve_interleaved_slot_scratch, BatchLayout, InterleavedBatch,
-    InterleavedClass, DEFAULT_CLASS_CAPACITY,
+    lu_solve_interleaved_slot_scratch, BatchLayout, InterleavedClass, DEFAULT_CLASS_CAPACITY,
 };
 pub use interleaved_simd::{
     getrf_interleaved_class_simd, getrf_interleaved_class_simd_width,

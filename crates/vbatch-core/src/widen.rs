@@ -260,8 +260,12 @@ mod tests {
         let (n2, _blocks, mut data) = class.into_parts();
         assert_eq!(n2, n);
         let mut row_of_step = vec![0usize; n * count];
-        let errs =
-            crate::interleaved::getrf_interleaved_class(n, count, &mut data, &mut row_of_step);
+        let errs = crate::interleaved_simd::getrf_interleaved_class_simd(
+            n,
+            count,
+            &mut data,
+            &mut row_of_step,
+        );
         assert!(errs.iter().all(|e| e.is_none()));
         for slot in 0..count {
             let b0: Vec<f64> = (0..n).map(|i| 1.0 + ((slot + i) % 3) as f64).collect();

@@ -1,13 +1,11 @@
-//! Property tests of the interleaved (structure-of-arrays) batch
-//! container: pack→unpack round-trip identity, slot-permutation
-//! consistency, size-class partitioning, and bitwise agreement of the
-//! class-wide sweep kernels with the per-block reference kernels.
+//! Property tests of the interleaved (structure-of-arrays) layout:
+//! `InterleavedClass::pack_from` round-trip and slot order, and bitwise
+//! agreement of the class kernels with the per-block reference kernels.
 
-use std::collections::BTreeMap;
+mod common;
 
-use vbatch_core::interleaved::{getrf_interleaved_class, lu_solve_interleaved_class};
-use vbatch_core::lu::implicit::getrf_implicit_inplace;
-use vbatch_core::{lu_solve_inplace, InterleavedBatch, MatrixBatch, TrsvVariant};
+use common::assert_class_matches_per_block;
+use vbatch_core::{InterleavedClass, MatrixBatch, Scalar, SUPPORTED_WIDTHS};
 use vbatch_rt::testgen::{self, RawBatch};
 use vbatch_rt::{run_cases, SmallRng};
 
@@ -19,110 +17,79 @@ fn to_matrix_batch(raw: &RawBatch) -> MatrixBatch<f64> {
     batch
 }
 
-fn random_batch(rng: &mut SmallRng, max_n: usize, max_count: usize) -> MatrixBatch<f64> {
-    to_matrix_batch(&testgen::dd_batch(rng, max_n, max_count))
-}
-
 #[test]
-fn pack_unpack_roundtrip_is_identity() {
-    run_cases("interleaved_pack_unpack_roundtrip", 48, |rng, _case| {
-        let batch = random_batch(rng, 9, 40);
-        let il = InterleavedBatch::pack(&batch);
-        let back = il.unpack();
-        assert_eq!(back.sizes(), batch.sizes());
-        // bitwise identity: packing must not touch the values
-        assert_eq!(back.as_slice(), batch.as_slice());
-    });
-}
-
-#[test]
-fn slot_permutation_is_a_consistent_bijection() {
-    run_cases("interleaved_slot_permutation", 48, |rng, _case| {
-        let batch = random_batch(rng, 7, 30);
-        let il = InterleavedBatch::pack(&batch);
+fn pack_from_round_trips_and_keeps_slot_order() {
+    run_cases("interleaved_pack_from_roundtrip", 48, |rng, _case| {
+        let batch = to_matrix_batch(&testgen::dd_batch(rng, 9, 40));
+        // one class per distinct order, members in a rotated batch order
+        // so slot order is the caller's, not the batch's
+        let mut orders = batch.sizes().to_vec();
+        orders.sort_unstable();
+        orders.dedup();
         let mut seen = vec![false; batch.len()];
-        for blk in 0..batch.len() {
-            let (c, slot) = il.slot_of_block(blk);
-            let class = &il.classes()[c];
-            // the mapping and its inverse agree
-            assert_eq!(class.blocks()[slot], blk);
-            assert!(!seen[blk], "block {blk} mapped twice");
-            seen[blk] = true;
-            // slot values match the source block element-for-element
-            let n = class.n();
-            assert_eq!(n, batch.size(blk));
-            for j in 0..n {
-                for i in 0..n {
-                    assert_eq!(class.get(slot, i, j), batch.block(blk)[j * n + i]);
+        for n in orders {
+            let mut members: Vec<usize> =
+                (0..batch.len()).filter(|&b| batch.size(b) == n).collect();
+            let by = rng.gen_range(0usize..members.len());
+            members.rotate_left(by);
+            let class = InterleavedClass::<f64>::pack_from(&batch, &members);
+            assert_eq!((class.n(), class.count()), (n, members.len()));
+            assert_eq!(class.blocks(), &members[..]);
+            let mut back = vec![0.0; n * n];
+            for (slot, &blk) in members.iter().enumerate() {
+                assert!(!seen[blk], "block {blk} packed twice");
+                seen[blk] = true;
+                // bitwise identity: packing must not touch the values
+                class.unpack_slot(slot, &mut back);
+                assert_eq!(back, batch.block(blk));
+                for j in 0..n {
+                    for i in 0..n {
+                        assert_eq!(class.get(slot, i, j), batch.block(blk)[j * n + i]);
+                    }
                 }
             }
         }
-        assert!(seen.iter().all(|&s| s), "mapping must cover every block");
+        assert!(seen.iter().all(|&s| s), "classes must cover every block");
     });
 }
 
-#[test]
-fn size_classes_partition_exactly_the_input_sizes() {
-    run_cases("interleaved_size_class_partition", 48, |rng, _case| {
-        let batch = random_batch(rng, 10, 40);
-        let il = InterleavedBatch::pack(&batch);
-        let mut histogram = BTreeMap::<usize, usize>::new();
-        for &n in batch.sizes() {
-            *histogram.entry(n).or_insert(0) += 1;
-        }
-        let classes = il.classes();
-        assert_eq!(classes.len(), histogram.len());
-        // ascending by order, one class per distinct order, populations
-        // matching the size histogram exactly
-        for (class, (&n, &count)) in classes.iter().zip(histogram.iter()) {
-            assert_eq!(class.n(), n);
-            assert_eq!(class.count(), count);
-        }
-        let total: usize = classes.iter().map(|c| c.count()).sum();
-        assert_eq!(total, batch.len());
-    });
+/// A ragged class: diagonally dominant blocks (every pivot on the
+/// diagonal), plain random ones (each slot its own pivot order), and —
+/// one case in three — an exactly singular and a non-finite block.
+fn ragged_class<T: Scalar>(rng: &mut SmallRng, n: usize, count: usize) -> Vec<Vec<T>> {
+    let faulty = rng.gen_range(0usize..3) == 0;
+    let mut blocks: Vec<Vec<f64>> = (0..count)
+        .map(|s| match s % 2 {
+            0 => testgen::dd_dense(rng, n),
+            _ => (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+        })
+        .collect();
+    if faulty {
+        blocks[count / 2] = testgen::singular_dense(rng, n);
+        blocks[count - 1][0] = f64::INFINITY;
+    }
+    blocks
+        .into_iter()
+        .map(|b| b.into_iter().map(T::from_f64).collect())
+        .collect()
+}
+
+fn class_sweeps_match_per_block_kernels<T: Scalar>(rng: &mut SmallRng) {
+    let n = rng.gen_range(1usize..9);
+    let count = rng.gen_range(1usize..24);
+    let blocks = ragged_class::<T>(rng, n, count);
+    let x0: Vec<T> = (0..n * count)
+        .map(|_| T::from_f64(rng.gen_range(-3.0..3.0)))
+        .collect();
+    for width in SUPPORTED_WIDTHS {
+        assert_class_matches_per_block(width, n, &blocks, &x0);
+    }
 }
 
 #[test]
 fn class_sweeps_match_per_block_kernels_bitwise() {
     run_cases("interleaved_sweeps_match_blocked", 32, |rng, _case| {
-        let n = rng.gen_range(1usize..9);
-        let count = rng.gen_range(1usize..24);
-        let batch = random_batch_uniform(rng, n, count);
-        let il = InterleavedBatch::pack(&batch);
-        let mut class = il.classes()[0].clone();
-        let mut piv = vec![0usize; n * count];
-        let errs = getrf_interleaved_class(n, count, class.data_mut(), &mut piv);
-        assert!(errs.iter().all(|e| e.is_none()), "regular batch");
-
-        // right-hand sides, one lane per slot
-        let mut lanes = vec![0.0f64; n * count];
-        for v in lanes.iter_mut() {
-            *v = rng.gen_range(-3.0..3.0);
-        }
-        let mut x = lanes.clone();
-        lu_solve_interleaved_class(n, count, class.data(), &piv, &mut x);
-
-        for slot in 0..count {
-            let mut lu = batch.block(slot).to_vec();
-            let perm = getrf_implicit_inplace(n, &mut lu).unwrap();
-            // bitwise-identical factors
-            let mut unpacked = vec![0.0; n * n];
-            class.unpack_slot(slot, &mut unpacked);
-            assert_eq!(unpacked, lu, "slot {slot} factors");
-            // bitwise-identical pivot lanes
-            let lane: Vec<usize> = (0..n).map(|k| piv[k * count + slot]).collect();
-            assert_eq!(lane, perm.as_slice(), "slot {slot} pivots");
-            // bitwise-identical solves
-            let mut rhs: Vec<f64> = (0..n).map(|i| lanes[i * count + slot]).collect();
-            lu_solve_inplace(TrsvVariant::Eager, n, &lu, perm.as_slice(), &mut rhs);
-            for i in 0..n {
-                assert_eq!(x[i * count + slot], rhs[i], "slot {slot} row {i}");
-            }
-        }
+        class_sweeps_match_per_block_kernels::<f64>(rng);
+        class_sweeps_match_per_block_kernels::<f32>(rng);
     });
-}
-
-fn random_batch_uniform(rng: &mut SmallRng, n: usize, count: usize) -> MatrixBatch<f64> {
-    to_matrix_batch(&testgen::uniform_dd_batch(rng, n, count))
 }

@@ -1,112 +1,79 @@
-//! Remainder-handling property suite for the wide-lane interleaved
-//! kernels: batch (class) sizes that are **not** multiples of the lane
-//! width must produce results identical to the full-width path — the
-//! trailing slots go down the scalar (W = 1) remainder path, and per
-//! slot that path executes the same operation sequence, so everything
-//! is bitwise.
+//! Remainder-handling property suite for the interleaved class
+//! kernels: class populations that are **not** multiples of the lane
+//! width must produce the same bits as full lane groups — the trailing
+//! slots go down the W = 1 remainder path, and per slot that path
+//! executes the same operation sequence.
 //!
-//! For every width in {2, 4, 8}, both precisions, and randomized
-//! testgen batches, the counts exercised are the ISSUE's boundary set
-//! {1, W−1, W+1, 2W−1} plus a random count — each compared slot-by-slot
-//! against (a) the scalar interleaved kernel and (b) the same slots
+//! For every width in `SUPPORTED_WIDTHS`, both precisions, and
+//! randomized testgen batches, the counts exercised are the boundary
+//! set {1, W−1, W+1, 2W−1} plus a random count — each compared
+//! slot-by-slot against (a) the per-block kernels on the same block
+//! (`common::assert_class_matches_per_block`) and (b) the same slots
 //! factorized inside a *larger* class, proving chunk boundaries are
 //! invisible.
 
-use vbatch_core::{
-    getrf_interleaved_class, getrf_interleaved_class_simd_width,
-    lu_solve_interleaved_class_scratch, lu_solve_interleaved_class_scratch_simd_width,
-};
+mod common;
+
+use common::{assert_class_matches_per_block, pack, run_class};
+use vbatch_core::{Scalar, SUPPORTED_WIDTHS};
 use vbatch_rt::{run_cases, testgen, SmallRng};
 
-/// Pack `count` dense n×n blocks (column-major) into interleaved lanes.
-fn pack(blocks: &[Vec<f64>], n: usize) -> Vec<f64> {
-    let count = blocks.len();
-    let mut data = vec![0.0; n * n * count];
-    for (s, b) in blocks.iter().enumerate() {
-        for e in 0..n * n {
-            data[e * count + s] = b[e];
+/// `count` blocks of order `n`: diagonally dominant ones (every pivot
+/// on the diagonal), plain random ones (each slot its own pivot order),
+/// and — one case in four — an exactly singular and a NaN block.
+fn gen_blocks<T: Scalar>(rng: &mut SmallRng, n: usize, count: usize) -> Vec<Vec<T>> {
+    let faulty = rng.gen_range(0usize..4) == 0;
+    (0..count)
+        .map(|s| {
+            let mut b = match s % 3 {
+                0 => (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+                _ => testgen::dd_dense(rng, n),
+            };
+            if faulty && s == count / 2 {
+                b = testgen::singular_dense(rng, n);
+            }
+            if faulty && s + 1 == count {
+                b[n * n - 1] = f64::NAN;
+            }
+            b.into_iter().map(T::from_f64).collect()
+        })
+        .collect()
+}
+
+fn rhs<T: Scalar>(rng: &mut SmallRng, len: usize) -> Vec<T> {
+    (0..len)
+        .map(|_| T::from_f64(rng.gen_range(-4.0..4.0)))
+        .collect()
+}
+
+fn non_multiple_counts_match_per_block_kernels<T: Scalar>(rng: &mut SmallRng) {
+    for width in SUPPORTED_WIDTHS {
+        let n = rng.gen_range(1usize..13);
+        for count in [
+            1,
+            width - 1,
+            width + 1,
+            2 * width - 1,
+            rng.gen_range(1usize..40),
+        ] {
+            let blocks = gen_blocks::<T>(rng, n, count.max(1));
+            let x0 = rhs(rng, n * blocks.len());
+            assert_class_matches_per_block(width, n, &blocks, &x0);
         }
     }
-    data
-}
-
-fn gen_blocks(rng: &mut SmallRng, n: usize, count: usize) -> Vec<Vec<f64>> {
-    (0..count).map(|_| testgen::dd_dense(rng, n)).collect()
-}
-
-fn rhs(rng: &mut SmallRng, len: usize) -> Vec<f64> {
-    (0..len).map(|_| rng.gen_range(-4.0..4.0)).collect()
-}
-
-/// Factor + solve one class at `width`, returning (factors, pivots, x).
-fn run_simd(
-    width: usize,
-    n: usize,
-    count: usize,
-    data: &[f64],
-    x0: &[f64],
-) -> (Vec<f64>, Vec<usize>, Vec<f64>) {
-    let mut d = data.to_vec();
-    let mut piv = vec![0usize; n * count];
-    let errs = getrf_interleaved_class_simd_width(width, n, count, &mut d, &mut piv);
-    assert!(errs.iter().all(|e| e.is_none()), "dd batch must factorize");
-    let mut x = x0.to_vec();
-    let mut scratch = vec![0.0; n * count];
-    lu_solve_interleaved_class_scratch_simd_width(width, n, count, &d, &piv, &mut x, &mut scratch);
-    (d, piv, x)
 }
 
 #[test]
-fn non_multiple_counts_match_scalar_kernel_bitwise_f64() {
+fn non_multiple_counts_match_per_block_kernels_bitwise_f64() {
     run_cases("simd_remainder_f64", 12, |rng, _case| {
-        for width in [2usize, 4, 8] {
-            let n = rng.gen_range(1usize..13);
-            for count in [
-                1,
-                width - 1,
-                width + 1,
-                2 * width - 1,
-                rng.gen_range(1usize..40),
-            ] {
-                let count = count.max(1);
-                let blocks = gen_blocks(rng, n, count);
-                let data = pack(&blocks, n);
-                let x0 = rhs(rng, n * count);
+        non_multiple_counts_match_per_block_kernels::<f64>(rng)
+    });
+}
 
-                // scalar reference
-                let mut ref_d = data.clone();
-                let mut ref_piv = vec![0usize; n * count];
-                let errs = getrf_interleaved_class(n, count, &mut ref_d, &mut ref_piv);
-                assert!(errs.iter().all(|e| e.is_none()));
-                let mut ref_x = x0.clone();
-                let mut scratch = vec![0.0; n * count];
-                lu_solve_interleaved_class_scratch(
-                    n,
-                    count,
-                    &ref_d,
-                    &ref_piv,
-                    &mut ref_x,
-                    &mut scratch,
-                );
-
-                let (d, piv, x) = run_simd(width, n, count, &data, &x0);
-                assert_eq!(piv, ref_piv, "pivots n={n} count={count} w={width}");
-                for (i, (a, b)) in d.iter().zip(&ref_d).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "factor elem {i} n={n} count={count} w={width}"
-                    );
-                }
-                for (i, (a, b)) in x.iter().zip(&ref_x).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "solve elem {i} n={n} count={count} w={width}"
-                    );
-                }
-            }
-        }
+#[test]
+fn non_multiple_counts_match_per_block_kernels_bitwise_f32() {
+    run_cases("simd_remainder_f32", 8, |rng, _case| {
+        non_multiple_counts_match_per_block_kernels::<f32>(rng)
     });
 }
 
@@ -122,11 +89,11 @@ fn remainder_slots_are_identical_to_the_full_width_path() {
             // 2W+r slots: the final r ride the remainder path
             let r = rng.gen_range(1usize..width.max(2));
             let count = 2 * width + r;
-            let blocks = gen_blocks(rng, n, count);
-            let x0 = rhs(rng, n * count);
+            let blocks = gen_blocks::<f64>(rng, n, count);
+            let x0: Vec<f64> = rhs(rng, n * count);
 
             let data = pack(&blocks, n);
-            let (d, piv, x) = run_simd(width, n, count, &data, &x0);
+            let (d, piv, errs, x) = run_class(width, n, count, &data, &x0);
 
             // same blocks, padded with clones of themselves so every
             // original slot sits inside a full lane group
@@ -142,7 +109,8 @@ fn remainder_slots_are_identical_to_the_full_width_path() {
                     px0[i * pcount + s] = x0[i * count + s];
                 }
             }
-            let (pd, ppiv, px) = run_simd(width, n, pcount, &pdata, &px0);
+            let (pd, ppiv, perrs, px) = run_class(width, n, pcount, &pdata, &px0);
+            assert_eq!(errs[..], perrs[..count]);
 
             for s in 0..count {
                 for e in 0..n * n {
@@ -161,73 +129,6 @@ fn remainder_slots_are_identical_to_the_full_width_path() {
                         px[i * pcount + s].to_bits(),
                         "slot {s} row {i} n={n} w={width}"
                     );
-                }
-            }
-        }
-    });
-}
-
-#[test]
-fn non_multiple_counts_match_scalar_kernel_bitwise_f32() {
-    run_cases("simd_remainder_f32", 8, |rng, _case| {
-        for width in [2usize, 4, 8] {
-            let n = rng.gen_range(1usize..11);
-            for count in [1, width - 1, width + 1, 2 * width - 1] {
-                let count = count.max(1);
-                let blocks: Vec<Vec<f32>> = (0..count)
-                    .map(|_| {
-                        testgen::dd_dense(rng, n)
-                            .into_iter()
-                            .map(|v| v as f32)
-                            .collect()
-                    })
-                    .collect();
-                let mut data = vec![0.0f32; n * n * count];
-                for (s, b) in blocks.iter().enumerate() {
-                    for e in 0..n * n {
-                        data[e * count + s] = b[e];
-                    }
-                }
-                let x0: Vec<f32> = (0..n * count)
-                    .map(|_| rng.gen_range(-4.0..4.0) as f32)
-                    .collect();
-
-                let mut ref_d = data.clone();
-                let mut ref_piv = vec![0usize; n * count];
-                let errs = getrf_interleaved_class(n, count, &mut ref_d, &mut ref_piv);
-                assert!(errs.iter().all(|e| e.is_none()));
-                let mut ref_x = x0.clone();
-                let mut scratch = vec![0.0f32; n * count];
-                lu_solve_interleaved_class_scratch(
-                    n,
-                    count,
-                    &ref_d,
-                    &ref_piv,
-                    &mut ref_x,
-                    &mut scratch,
-                );
-
-                let mut d = data.clone();
-                let mut piv = vec![0usize; n * count];
-                let errs = getrf_interleaved_class_simd_width(width, n, count, &mut d, &mut piv);
-                assert!(errs.iter().all(|e| e.is_none()));
-                let mut x = x0.clone();
-                lu_solve_interleaved_class_scratch_simd_width(
-                    width,
-                    n,
-                    count,
-                    &d,
-                    &piv,
-                    &mut x,
-                    &mut scratch,
-                );
-
-                assert_eq!(piv, ref_piv, "n={n} count={count} w={width}");
-                for (a, b) in d.iter().zip(&ref_d) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "n={n} count={count} w={width}");
-                }
-                for (a, b) in x.iter().zip(&ref_x) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "n={n} count={count} w={width}");
                 }
             }
         }

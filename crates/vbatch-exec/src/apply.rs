@@ -12,8 +12,9 @@
 //!   scatter);
 //! * each unit's flat-vector offsets, so the apply operates directly on
 //!   the solver's `&mut [T]` with no `VectorBatch` round-trip;
-//! * each unit's scratch buffer, pre-sized for the block's solve form
-//!   and locked per unit so disjoint units can run concurrently.
+//! * one scratch slab for the whole batch, of which each unit owns a
+//!   range pre-sized for its solve form — one allocation at build time,
+//!   one lock per apply, disjoint ranges so units can run concurrently.
 //!
 //! [`crate::Backend::solve_prepared`] runs the units and, on the CPU
 //! backends, performs zero heap allocations — proven by the
@@ -24,14 +25,13 @@
 #![deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 
 use crate::factors::{BlockFactor, FactorizedBatch};
-use std::sync::Mutex;
-use vbatch_core::{
-    lu_solve_interleaved_class_scratch, lu_solve_interleaved_class_scratch_simd, Scalar,
-};
+use std::ops::Range;
+use std::sync::{Mutex, MutexGuard};
+use vbatch_core::{lu_solve_interleaved_class_scratch_simd, Scalar};
 
 /// One unit of prepared apply work: a single blocked system, or all
 /// healthy slots of one interleaved size class.
-pub(crate) enum ApplyUnit<T> {
+pub(crate) enum ApplyUnit {
     /// One system solved on its own — any factor that is not a slot of
     /// a native interleaved class: segment `offset .. offset + len` of
     /// the flat vector, through
@@ -43,8 +43,8 @@ pub(crate) enum ApplyUnit<T> {
         offset: usize,
         /// Segment length (= block order).
         len: usize,
-        /// Pre-sized solve scratch (`solve_scratch_elems` elements).
-        scratch: Mutex<Vec<T>>,
+        /// Solve scratch (`solve_scratch_elems` elements) in the slab.
+        scratch: Range<usize>,
     },
     /// One interleaved size class: gather the member segments into
     /// full-width lanes, run the class-wide sweep, scatter back.
@@ -54,9 +54,19 @@ pub(crate) enum ApplyUnit<T> {
         /// Healthy members as `(slot, flat-vector offset)`; fallback
         /// slots solve a zero RHS and are not scattered back.
         members: Vec<(usize, usize)>,
-        /// Gather lanes + permutation scratch (`2 * n * count`).
-        scratch: Mutex<Vec<T>>,
+        /// Gather lanes + permutation scratch (`2 * n * count`) in the
+        /// slab.
+        scratch: Range<usize>,
     },
+}
+
+impl ApplyUnit {
+    /// The unit's range of the [`PreparedApply`] scratch slab.
+    pub(crate) fn scratch(&self) -> Range<usize> {
+        match self {
+            ApplyUnit::Block { scratch, .. } | ApplyUnit::Class { scratch, .. } => scratch.clone(),
+        }
+    }
 }
 
 /// Precomputed apply dispatch for one factorized batch; see the module
@@ -64,13 +74,16 @@ pub(crate) enum ApplyUnit<T> {
 /// [`crate::Backend::solve_prepared`].
 pub struct PreparedApply<T: Scalar> {
     total: usize,
-    units: Vec<ApplyUnit<T>>,
+    units: Vec<ApplyUnit>,
     hwm_elems: usize,
+    /// One slab of `hwm_elems` elements; the units' scratch ranges
+    /// partition it.
+    scratch: Mutex<Vec<T>>,
 }
 
 impl<T: Scalar> PreparedApply<T> {
     /// Precompute the apply dispatch for `factors`: class membership,
-    /// flat-vector offsets, and per-unit scratch, none of which will be
+    /// flat-vector offsets, and the scratch slab, none of which will be
     /// recomputed (or reallocated) by later applies.
     // setup-time: the dispatch tables and scratch are allocated here, once
     #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
@@ -99,24 +112,24 @@ impl<T: Scalar> PreparedApply<T> {
                 }
             }
             if !members.is_empty() {
-                let scratch_len = 2 * cls.n * cls.count();
-                hwm_elems += scratch_len;
+                let scratch = hwm_elems..hwm_elems + 2 * cls.n * cls.count();
+                hwm_elems = scratch.end;
                 units.push(ApplyUnit::Class {
                     class: c,
                     members,
-                    scratch: Mutex::new(vec![T::ZERO; scratch_len]),
+                    scratch,
                 });
             }
         }
         for blk in 0..factors.len() {
             if !claimed[blk] {
-                let scratch_len = factors.solve_scratch_elems(blk);
-                hwm_elems += scratch_len;
+                let scratch = hwm_elems..hwm_elems + factors.solve_scratch_elems(blk);
+                hwm_elems = scratch.end;
                 units.push(ApplyUnit::Block {
                     block: blk,
                     offset: offsets[blk],
                     len: factors.sizes[blk],
-                    scratch: Mutex::new(vec![T::ZERO; scratch_len]),
+                    scratch,
                 });
             }
         }
@@ -124,6 +137,7 @@ impl<T: Scalar> PreparedApply<T> {
             total: acc,
             units,
             hwm_elems,
+            scratch: Mutex::new(vec![T::ZERO; hwm_elems]),
         }
     }
 
@@ -144,46 +158,36 @@ impl<T: Scalar> PreparedApply<T> {
         self.hwm_elems
     }
 
-    pub(crate) fn units(&self) -> &[ApplyUnit<T>] {
+    pub(crate) fn units(&self) -> &[ApplyUnit] {
         &self.units
+    }
+
+    /// The scratch slab, held for the duration of one apply.
+    pub(crate) fn lock_scratch(&self) -> MutexGuard<'_, Vec<T>> {
+        self.scratch.lock().expect("apply scratch poisoned")
     }
 }
 
 /// Run one apply unit against the flat vector `v`. Allocation-free:
-/// every temporary lives in the unit's pre-sized scratch. The per-unit
-/// mutex is uncontended in the sequential driver and held by exactly
-/// one thread per unit in the parallel driver.
-///
-/// `simd` routes interleaved-class sweeps through the explicit
-/// wide-lane TRSV (bitwise identical to the scalar sweep, and equally
-/// allocation-free — the lane kernels run out of the same prepared
-/// scratch).
+/// every temporary lives in `scratch`, the unit's range of the prepared
+/// slab ([`ApplyUnit::scratch`]).
 pub(crate) fn run_apply_unit<T: Scalar>(
     factors: &FactorizedBatch<T>,
-    unit: &ApplyUnit<T>,
+    unit: &ApplyUnit,
     v: &mut [T],
-    simd: bool,
+    scratch: &mut [T],
 ) {
     match unit {
         ApplyUnit::Block {
-            block,
-            offset,
-            len,
-            scratch,
+            block, offset, len, ..
         } => {
             let _span = vbatch_trace::span!("apply.block", *len);
-            let mut scratch = scratch.lock().expect("apply scratch poisoned");
-            factors.solve_block_inplace_with(*block, &mut v[*offset..*offset + *len], &mut scratch);
+            factors.solve_block_inplace_with(*block, &mut v[*offset..*offset + *len], scratch);
         }
-        ApplyUnit::Class {
-            class,
-            members,
-            scratch,
-        } => {
+        ApplyUnit::Class { class, members, .. } => {
             let cls = &factors.interleaved[*class];
             let (n, count) = (cls.n, cls.count());
             let _span = vbatch_trace::span!("apply.class", n * count);
-            let mut scratch = scratch.lock().expect("apply scratch poisoned");
             let (x, perm_scratch) = scratch.split_at_mut(n * count);
             // Gather into full-width lanes: absent slots (fallbacks,
             // sanitized to identity factors) solve a zero rhs and are
@@ -195,18 +199,7 @@ pub(crate) fn run_apply_unit<T: Scalar>(
                     x[i * count + slot] = seg[i];
                 }
             }
-            if simd {
-                lu_solve_interleaved_class_scratch_simd(
-                    n,
-                    count,
-                    &cls.data,
-                    &cls.piv,
-                    x,
-                    perm_scratch,
-                );
-            } else {
-                lu_solve_interleaved_class_scratch(n, count, &cls.data, &cls.piv, x, perm_scratch);
-            }
+            lu_solve_interleaved_class_scratch_simd(n, count, &cls.data, &cls.piv, x, perm_scratch);
             for &(slot, offset) in members {
                 let seg = &mut v[offset..offset + n];
                 for i in 0..n {
@@ -217,14 +210,15 @@ pub(crate) fn run_apply_unit<T: Scalar>(
     }
 }
 
-/// A shareable raw view of the flat apply vector for the parallel
-/// driver.
+/// A shareable raw view of the flat apply vector, or of the scratch
+/// slab, for the parallel driver.
 ///
 /// SAFETY contract: every apply unit of one [`PreparedApply`] touches a
 /// disjoint set of segments (each block index appears in exactly one
 /// unit, and segments of distinct blocks never overlap by
 /// construction of the offsets), so concurrent `slice()` calls from
-/// different units never alias.
+/// different units never alias; and the units' scratch ranges partition
+/// the slab, so concurrent `range()` calls never overlap.
 #[derive(Clone, Copy)]
 pub(crate) struct FlatVecPtr<T> {
     ptr: *mut T,
@@ -248,6 +242,17 @@ impl<T> FlatVecPtr<T> {
     #[allow(clippy::mut_from_ref)] // deliberate: scoped-thread shared view
     pub(crate) unsafe fn slice(&self) -> &mut [T] {
         std::slice::from_raw_parts_mut(self.ptr, self.len)
+    }
+
+    /// Reborrow `range` of the vector.
+    ///
+    /// # Safety
+    /// Ranges borrowed at the same time must be pairwise disjoint, and
+    /// no `slice()` borrow of the same vector may be live.
+    #[allow(clippy::mut_from_ref)] // deliberate: scoped-thread shared view
+    pub(crate) unsafe fn range(&self, range: Range<usize>) -> &mut [T] {
+        assert!(range.start <= range.end && range.end <= self.len);
+        std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len())
     }
 }
 
@@ -286,7 +291,11 @@ mod tests {
         assert_eq!(prep.total(), sizes.iter().sum::<usize>());
         assert!(prep.workspace_hwm_elems() > 0);
         let mut seen = vec![0usize; sizes.len()];
+        let mut slab_end = 0;
         for u in prep.units() {
+            // scratch ranges are handed out back to back
+            assert_eq!(u.scratch().start, slab_end);
+            slab_end = u.scratch().end;
             match u {
                 ApplyUnit::Block { block, .. } => seen[*block] += 1,
                 ApplyUnit::Class { class, members, .. } => {
@@ -297,6 +306,7 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&c| c == 1), "{seen:?}");
+        assert_eq!(slab_end, prep.workspace_hwm_elems());
     }
 
     #[test]

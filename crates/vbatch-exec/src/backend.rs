@@ -48,7 +48,7 @@ pub trait Backend<T: Scalar>: Send + Sync {
     fn solve(&self, factors: &FactorizedBatch<T>, rhs: &mut VectorBatch<T>, stats: &mut ExecStats);
 
     /// Precompute the apply dispatch (unit order, flat-vector offsets,
-    /// per-unit scratch) for repeated [`Backend::solve_prepared`] calls
+    /// scratch slab) for repeated [`Backend::solve_prepared`] calls
     /// against `factors`. Backend-independent by default.
     fn prepare_apply(&self, factors: &FactorizedBatch<T>) -> PreparedApply<T> {
         PreparedApply::new(factors)

@@ -1,13 +1,35 @@
-//! Host backends: the sequential reference, the scoped-thread parallel
-//! driver (`CpuRayon`, named for the rayon-style parallel surface it
-//! uses from `vbatch-rt`) and the wide-lane [`CpuSimd`]. All wrap the
-//! native kernels of `vbatch-core` through the same factorize / apply
-//! functions; they differ only in how blocks are distributed and which
-//! interleaved kernels run.
+//! Host backends: one kernel set under three threading policies.
+//!
+//! [`CpuSequential`], [`CpuRayon`] (named for the rayon-style parallel
+//! surface it uses from `vbatch-rt`) and [`CpuSimd`] run the same
+//! `vbatch-core` kernels through the same factorize / apply functions
+//! and produce the same bits; they differ only in whether the setup
+//! side and the apply side fan out over the thread pool:
+//!
+//! | backend         | setup threads | apply threads |
+//! |-----------------|---------------|---------------|
+//! | `CpuSequential` | no            | no            |
+//! | `CpuRayon`      | yes           | yes           |
+//! | `CpuSimd`       | yes           | no            |
+//!
+//! Blocked-layout blocks go through the per-block kernels. A class the
+//! plan marked [`ClassLayout::Interleaved`] maps one *slot per vector
+//! lane* — the CPU realization of the paper's one-matrix-per-SIMT-lane
+//! mapping — through the lane GETRF/TRSV of
+//! `vbatch_core::interleaved_simd`, whose per-slot results are bitwise
+//! those of the per-block kernels:
+//!
+//! ```text
+//! interleaved class (n=16, count=20k)      lane group (W = 8, AVX-512 DP)
+//! slot:   0  1  2  3  4  5  6  7 | 8 ...   one vector register holds
+//! a(0,0) [.  .  .  .  .  .  .  .]| .       a(i,j) of 8 matrices; the
+//! a(1,0) [.  .  .  .  .  .  .  .]| .       whole elimination for the
+//!  ...                           |         group runs before the next
+//! a(n,n) [.  .  .  .  .  .  .  .]| .       group starts (L1-resident)
+//! ```
 
 use crate::apply::{run_apply_unit, FlatVecPtr, PreparedApply};
 use crate::backend::Backend;
-use crate::cpu_simd::CpuSimd;
 use crate::factors::{
     block_diag, scalar_jacobi_from_diag, BlockFactor, BlockStatus, FactorizedBatch,
     InterleavedLuClass, Wrapper,
@@ -17,9 +39,9 @@ use crate::stats::{ExecStats, Phase};
 use std::time::Instant;
 use vbatch_core::lu::implicit::getrf_implicit_inplace;
 use vbatch_core::{
-    batched_gemv, getrf_interleaved_class, getrf_interleaved_class_simd, gh_factorize, gje_invert,
-    narrow_slice, potrf, DenseMat, Exec, FactorError, GhLayout, InterleavedClass, MatrixBatch,
-    Scalar, StoragePrecision, Stored, VectorBatch,
+    batched_gemv, getrf_interleaved_class_simd, gh_factorize, gje_invert, narrow_slice, potrf,
+    DenseMat, Exec, FactorError, GhLayout, InterleavedClass, MatrixBatch, Scalar, StoragePrecision,
+    Stored, VectorBatch,
 };
 use vbatch_rt::par::{num_threads, par_map_vec};
 use vbatch_rt::prelude::*;
@@ -30,6 +52,14 @@ pub struct CpuSequential;
 
 /// Blocks distributed over the scoped-thread pool of `vbatch-rt`.
 pub struct CpuRayon;
+
+/// Setup fans out like [`CpuRayon`]; the apply-side paths (`solve`,
+/// `solve_prepared`, `sweep_triangular`) stay on the calling thread:
+/// at preconditioner-apply sizes the scoped-thread harness' per-call
+/// setup (which also allocates) costs more than it buys, and a
+/// sequential apply keeps the warm-apply zero-allocation guarantee that
+/// `vbatch-solver`'s counting-allocator tests pin down.
+pub struct CpuSimd;
 
 /// Factorize one block with the planned kernel, storing LU/GH-family
 /// factors in scalar `S` (computed on the block narrowed to `S`) and
@@ -104,12 +134,12 @@ pub(crate) fn record_statuses(status: &[BlockStatus], stats: &mut ExecStats) {
     }
 }
 
-/// Per-chunk working-set budget for interleaved classes. Each
-/// elimination step revisits the whole chunk, so the chunk must stay
-/// cache-resident or every step streams it from memory and the layout
-/// loses to blocked storage (whose 2 KB blocks never leave L1). L2 is
-/// the sweet spot: wider lanes amortize the per-step lane bookkeeping
-/// better than the extra L1 misses cost.
+/// Per-chunk working-set budget for interleaved classes. The lane
+/// kernel eliminates one `W`-slot group at a time out of a packed
+/// L1-sized copy, so it reads and writes the chunk's slab once; the
+/// budget keeps that slab in L2 between the pack that writes it and the
+/// GETRF that reads it back, and bounds the unit of work the thread
+/// pool divides a class into.
 const INTERLEAVED_CHUNK_BYTES: usize = 128 * 1024;
 
 /// Slots per interleaved chunk: bound `n² · slots · sizeof(T)` by the
@@ -130,17 +160,12 @@ fn factor_interleaved_chunk<T: Scalar, S: Stored<T>>(
     blocks: &MatrixBatch<T>,
     n: usize,
     members: &[usize],
-    simd: bool,
 ) -> (InterleavedLuClass<S>, Vec<Option<FactorError>>) {
     let packed = InterleavedClass::<S>::pack_from(blocks, members);
     let (_, member_idx, mut data) = packed.into_parts();
     let count = member_idx.len();
     let mut piv = vec![0usize; n * count];
-    let errs = if simd {
-        getrf_interleaved_class_simd(n, count, &mut data, &mut piv)
-    } else {
-        getrf_interleaved_class(n, count, &mut data, &mut piv)
-    };
+    let errs = getrf_interleaved_class_simd(n, count, &mut data, &mut piv);
     (
         InterleavedLuClass {
             n,
@@ -163,7 +188,6 @@ fn factorize_in<T: Scalar, S: Stored<T>>(
     blocked_idx: Vec<usize>,
     chunks: Vec<(usize, Vec<usize>)>,
     parallel: bool,
-    simd: bool,
     mut place: impl FnMut(usize, BlockFactor<T>, BlockStatus),
 ) -> Vec<InterleavedLuClass<S>> {
     let sizes = blocks.sizes();
@@ -183,7 +207,7 @@ fn factorize_in<T: Scalar, S: Stored<T>>(
 
     let chunk_work = |(n, members): (usize, Vec<usize>)| {
         let _span = vbatch_trace::span!("factorize.chunk", n * members.len());
-        factor_interleaved_chunk::<T, S>(blocks, n, &members, simd)
+        factor_interleaved_chunk::<T, S>(blocks, n, &members)
     };
     let chunk_results: Vec<(InterleavedLuClass<S>, Vec<Option<FactorError>>)> = if parallel {
         par_map_vec(chunks, chunk_work)
@@ -224,7 +248,6 @@ pub(crate) fn factorize_cpu<T: Scalar>(
     blocks: MatrixBatch<T>,
     plan: &BatchPlan,
     parallel: bool,
-    simd: bool,
     stats: &mut ExecStats,
 ) -> FactorizedBatch<T> {
     assert_eq!(plan.len(), blocks.len(), "plan does not match batch");
@@ -239,21 +262,14 @@ pub(crate) fn factorize_cpu<T: Scalar>(
     for i in 0..blocks.len() {
         match plan.layout_for(i) {
             ClassLayout::Blocked => blocked_idx.push(i),
-            ClassLayout::Interleaved | ClassLayout::InterleavedSimd => {
-                class_members.entry(sizes[i]).or_default().push(i)
-            }
+            ClassLayout::Interleaved => class_members.entry(sizes[i]).or_default().push(i),
         }
     }
     stats.record_layout(ClassLayout::Blocked, blocked_idx.len() as u64);
-    // the SIMD backend records which kernels actually ran: interleaved
-    // classes it takes over show up as `interleaved-simd` in the layout
-    // histogram (totals still cover every block exactly once)
-    let interleaved_label = if simd {
-        ClassLayout::InterleavedSimd
-    } else {
-        ClassLayout::Interleaved
-    };
-    stats.record_layout(interleaved_label, (blocks.len() - blocked_idx.len()) as u64);
+    stats.record_layout(
+        ClassLayout::Interleaved,
+        (blocks.len() - blocked_idx.len()) as u64,
+    );
 
     // Interleaved classes: split each class into cache-sized chunks
     // (further divided for the thread pool when parallel).
@@ -277,11 +293,10 @@ pub(crate) fn factorize_cpu<T: Scalar>(
     let place = |i: usize, f: BlockFactor<T>, s: BlockStatus| placed[i] = Some((f, s));
     let (interleaved, interleaved_lower) = if lowered {
         let classes =
-            factorize_in::<T, T::Lower>(&blocks, plan, blocked_idx, chunks, parallel, simd, place);
+            factorize_in::<T, T::Lower>(&blocks, plan, blocked_idx, chunks, parallel, place);
         (Vec::new(), classes)
     } else {
-        let classes =
-            factorize_in::<T, T>(&blocks, plan, blocked_idx, chunks, parallel, simd, place);
+        let classes = factorize_in::<T, T>(&blocks, plan, blocked_idx, chunks, parallel, place);
         (classes, Vec::new())
     };
 
@@ -326,14 +341,14 @@ pub(crate) fn factorize_cpu<T: Scalar>(
 /// Run every unit of a prepared apply against the flat vector,
 /// sequentially or over the thread pool — the one CPU apply path. The
 /// sequential form performs zero heap allocations (every temporary
-/// lives in the prepared per-unit scratch); the parallel form allocates
-/// only inside the thread-pool harness, never per block.
+/// lives in the prepared scratch slab, locked once per apply); the
+/// parallel form allocates only inside the thread-pool harness, never
+/// per block.
 fn run_prepared<T: Scalar>(
     factors: &FactorizedBatch<T>,
     prepared: &PreparedApply<T>,
     v: &mut [T],
     parallel: bool,
-    simd: bool,
 ) {
     assert_eq!(
         v.len(),
@@ -341,18 +356,24 @@ fn run_prepared<T: Scalar>(
         "prepared apply does not match vector"
     );
     let units = prepared.units();
+    let mut slab = prepared.lock_scratch();
     if parallel && units.len() > 1 {
         let ptr = FlatVecPtr::new(v);
+        let slab = FlatVecPtr::new(&mut slab);
         (0..units.len()).into_par_iter().for_each(|i| {
             // SAFETY: each unit touches a disjoint set of segments
             // (PreparedApply invariant), so the reborrowed views from
             // concurrent units never alias.
             let view = unsafe { ptr.slice() };
-            run_apply_unit(factors, &units[i], view, simd);
+            // SAFETY: `PreparedApply::new` hands the units' scratch
+            // ranges out back to back, so they are disjoint by
+            // construction and no two units share a slab element.
+            let scratch = unsafe { slab.range(units[i].scratch()) };
+            run_apply_unit(factors, &units[i], view, scratch);
         });
     } else {
         for unit in units {
-            run_apply_unit(factors, unit, v, simd);
+            run_apply_unit(factors, unit, v, &mut slab[unit.scratch()]);
         }
     }
 }
@@ -367,14 +388,13 @@ pub(crate) fn solve_cpu<T: Scalar>(
     factors: &FactorizedBatch<T>,
     rhs: &mut VectorBatch<T>,
     parallel: bool,
-    simd: bool,
     stats: &mut ExecStats,
 ) {
     assert_eq!(factors.sizes, rhs.sizes(), "factors do not match rhs");
     let _span = vbatch_trace::span!("exec.solve", factors.sizes.len());
     let t0 = Instant::now();
     let prepared = PreparedApply::new(factors);
-    run_prepared(factors, &prepared, rhs.as_mut_slice(), parallel, simd);
+    run_prepared(factors, &prepared, rhs.as_mut_slice(), parallel);
     stats.add_flops(solve_flops(factors));
     stats.add_phase(Phase::Solve, t0.elapsed());
 }
@@ -386,12 +406,11 @@ pub(crate) fn solve_prepared_cpu<T: Scalar>(
     prepared: &PreparedApply<T>,
     v: &mut [T],
     parallel: bool,
-    simd: bool,
     stats: &mut ExecStats,
 ) {
     let _span = vbatch_trace::span!("exec.apply", prepared.unit_count());
     let t0 = Instant::now();
-    run_prepared(factors, prepared, v, parallel, simd);
+    run_prepared(factors, prepared, v, parallel);
     stats.add_flops(solve_flops(factors));
     stats.add_phase(Phase::Apply, t0.elapsed());
     stats.record_apply(prepared.workspace_hwm_elems());
@@ -480,13 +499,12 @@ pub(crate) fn extract_cpu<T: Scalar>(
     batch
 }
 
-/// The host backends are one implementation under three execution
-/// policies: whether the setup-side calls (factorize, invert, GEMV) and
-/// the apply-side calls (solve, prepared solve, triangular sweep) fan
-/// out over the thread pool, and whether interleaved classes run the
-/// explicit wide-lane kernels.
+/// The host backends are one implementation under two thread bits:
+/// whether the setup-side calls (factorize, invert, GEMV) and the
+/// apply-side calls (solve, prepared solve, triangular sweep) fan out
+/// over the thread pool.
 macro_rules! impl_cpu_backend {
-    ($ty:ty, $name:literal, setup_parallel: $setup:literal, apply_parallel: $apply:literal, simd: $simd:literal) => {
+    ($ty:ty, $name:literal, setup_parallel: $setup:literal, apply_parallel: $apply:literal) => {
         impl<T: Scalar> Backend<T> for $ty {
             fn name(&self) -> &'static str {
                 $name
@@ -507,7 +525,7 @@ macro_rules! impl_cpu_backend {
                 plan: &BatchPlan,
                 stats: &mut ExecStats,
             ) -> FactorizedBatch<T> {
-                factorize_cpu(blocks, plan, $setup, $simd, stats)
+                factorize_cpu(blocks, plan, $setup, stats)
             }
 
             fn solve(
@@ -516,7 +534,7 @@ macro_rules! impl_cpu_backend {
                 rhs: &mut VectorBatch<T>,
                 stats: &mut ExecStats,
             ) {
-                solve_cpu(factors, rhs, $apply, $simd, stats)
+                solve_cpu(factors, rhs, $apply, stats)
             }
 
             fn solve_prepared(
@@ -526,7 +544,7 @@ macro_rules! impl_cpu_backend {
                 v: &mut [T],
                 stats: &mut ExecStats,
             ) {
-                solve_prepared_cpu(factors, prepared, v, $apply, $simd, stats)
+                solve_prepared_cpu(factors, prepared, v, $apply, stats)
             }
 
             fn sweep_triangular(
@@ -560,11 +578,9 @@ macro_rules! impl_cpu_backend {
     };
 }
 
-impl_cpu_backend!(CpuSequential, "cpu-seq", setup_parallel: false, apply_parallel: false, simd: false);
-impl_cpu_backend!(CpuRayon, "cpu-par", setup_parallel: true, apply_parallel: true, simd: false);
-// setup fans out like `CpuRayon`; the apply side stays sequential (see
-// the `cpu_simd` module docs)
-impl_cpu_backend!(CpuSimd, "cpu-simd", setup_parallel: true, apply_parallel: false, simd: true);
+impl_cpu_backend!(CpuSequential, "cpu-seq", setup_parallel: false, apply_parallel: false);
+impl_cpu_backend!(CpuRayon, "cpu-par", setup_parallel: true, apply_parallel: true);
+impl_cpu_backend!(CpuSimd, "cpu-simd", setup_parallel: true, apply_parallel: false);
 
 #[cfg(test)]
 mod tests {
@@ -688,7 +704,7 @@ mod tests {
 
         let total: usize = sizes.iter().sum();
         let flat: Vec<f64> = (0..total).map(|i| (i % 11) as f64 / 2.0 - 2.0).collect();
-        for backend in [&CpuSequential as &dyn Backend<f64>, &CpuRayon] {
+        for backend in [&CpuSequential as &dyn Backend<f64>, &CpuRayon, &CpuSimd] {
             let mut sb = ExecStats::new();
             let mut si = ExecStats::new();
             let fb = backend.factorize(batch.clone(), &blocked_plan, &mut sb);
@@ -711,6 +727,71 @@ mod tests {
             assert_eq!(rb.as_slice(), ri.as_slice(), "{}", backend.name());
             assert!(ri.as_slice().iter().all(|v| v.is_finite()));
         }
+    }
+
+    #[test]
+    fn simd_backend_matches_the_other_host_backends_bitwise() {
+        use vbatch_core::BatchLayout;
+        // a populous interleavable class (non-multiple of every lane
+        // width), a second class, and a ragged blocked tail
+        let mut sizes = vec![8usize; 21];
+        sizes.extend(std::iter::repeat_n(16, 9));
+        sizes.push(30);
+        let batch = random_batch(&sizes, 99);
+        let plan = BatchPlan::auto_with_layout::<f64>(
+            &sizes,
+            BatchLayout::Interleaved { class_capacity: 2 },
+        );
+        let total: usize = sizes.iter().sum();
+        let flat: Vec<f64> = (0..total).map(|i| (i % 9) as f64 / 2.0 - 2.0).collect();
+
+        let mut s_ref = ExecStats::new();
+        let f_ref = CpuSequential.factorize(batch.clone(), &plan, &mut s_ref);
+        let mut r_ref = VectorBatch::from_flat(&sizes, &flat);
+        CpuSequential.solve(&f_ref, &mut r_ref, &mut s_ref);
+
+        let mut s = ExecStats::new();
+        let f = CpuSimd.factorize(batch.clone(), &plan, &mut s);
+        for blk in 0..sizes.len() {
+            assert_eq!(f_ref.row_of_step(blk), f.row_of_step(blk), "block {blk}");
+        }
+        let mut r = VectorBatch::from_flat(&sizes, &flat);
+        CpuSimd.solve(&f, &mut r, &mut s);
+        assert_eq!(r_ref.as_slice(), r.as_slice());
+
+        // prepared path is bitwise identical too
+        let prep = CpuSimd.prepare_apply(&f);
+        let mut v = flat.clone();
+        CpuSimd.solve_prepared(&f, &prep, &mut v, &mut s);
+        assert_eq!(v.as_slice(), r_ref.as_slice());
+
+        // parity with the parallel backend as well
+        let mut s_par = ExecStats::new();
+        let f_par = CpuRayon.factorize(batch, &plan, &mut s_par);
+        let mut r_par = VectorBatch::from_flat(&sizes, &flat);
+        CpuRayon.solve(&f_par, &mut r_par, &mut s_par);
+        assert_eq!(r_par.as_slice(), r.as_slice());
+    }
+
+    #[test]
+    fn simd_backend_matches_rayon_on_the_blocked_layout() {
+        use vbatch_core::BatchLayout;
+        let sizes = [5usize, 9, 17, 33, 2];
+        let batch = random_batch(&sizes, 31);
+        let plan = BatchPlan::auto_with_layout::<f64>(&sizes, BatchLayout::Blocked);
+        let total: usize = sizes.iter().sum();
+        let flat: Vec<f64> = (0..total).map(|i| 1.0 + (i % 5) as f64).collect();
+
+        let mut s1 = ExecStats::new();
+        let mut s2 = ExecStats::new();
+        let f1 = CpuSimd.factorize(batch.clone(), &plan, &mut s1);
+        let f2 = CpuRayon.factorize(batch, &plan, &mut s2);
+        let mut r1 = VectorBatch::from_flat(&sizes, &flat);
+        let mut r2 = VectorBatch::from_flat(&sizes, &flat);
+        CpuSimd.solve(&f1, &mut r1, &mut s1);
+        CpuRayon.solve(&f2, &mut r2, &mut s2);
+        assert_eq!(r1.as_slice(), r2.as_slice());
+        assert_eq!(s1.layout_histogram()["blocked"], 5);
     }
 
     #[test]

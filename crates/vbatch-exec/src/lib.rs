@@ -10,11 +10,11 @@
 //!   crossovers: Gauss-Huard below ≈16 (SP) / ≈23 (DP), the small-size
 //!   LU up to 32, multi-problem-per-warp packing for n ≤ 16, and the
 //!   two-rows-per-lane blocked LU above 32.
-//! * [`Backend`] — the *executor*. Three implementations share one
-//!   interface over [`vbatch_core::MatrixBatch`]es:
-//!   [`CpuSequential`], [`CpuRayon`] (the scoped-thread parallel
-//!   driver from `vbatch-rt`), and [`SimtSim`] (the warp-lockstep
-//!   functional simulator of `vbatch-simt`).
+//! * [`Backend`] — the *executor*. One interface over
+//!   [`vbatch_core::MatrixBatch`]es: the host backends
+//!   [`CpuSequential`], [`CpuRayon`] and [`CpuSimd`] (one kernel set
+//!   under three threading policies, see [`cpu`]), and [`SimtSim`] (the
+//!   warp-lockstep functional simulator of `vbatch-simt`).
 //!
 //! Factorization never aborts on the first singular block: each block
 //! carries its own [`BlockStatus`] — which kernel ran, the triaged
@@ -31,7 +31,6 @@
 pub mod apply;
 pub mod backend;
 pub mod cpu;
-pub mod cpu_simd;
 pub mod estimate;
 pub mod factors;
 pub mod fault;
@@ -44,8 +43,7 @@ pub mod tri;
 
 pub use apply::PreparedApply;
 pub use backend::Backend;
-pub use cpu::{CpuRayon, CpuSequential};
-pub use cpu_simd::CpuSimd;
+pub use cpu::{CpuRayon, CpuSequential, CpuSimd};
 pub use estimate::{estimate_planned_factor, PlannedEstimate};
 pub use factors::{
     refine_once, BlockFactor, BlockHealth, BlockStatus, FactorizedBatch, InterleavedLuClass,

@@ -55,18 +55,49 @@ impl KernelChoice {
 /// What the caller asks the planner for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlanMethod {
-    /// Let the planner pick per size class (paper crossovers).
+    /// Let the planner pick per size class (paper crossovers): warp
+    /// packing below the packing bound, Gauss-Huard below the crossover
+    /// order, small-size LU up to 32, blocked LU above.
     Auto,
-    /// Force the LU family (small-size LU ≤ 32, blocked LU above).
+    /// Force the LU family: small-size LU with implicit partial
+    /// pivoting (this paper) up to 32, blocked LU above.
     SmallLu,
-    /// Force Gauss-Huard (falls back to blocked LU above 32).
+    /// Force Gauss-Huard with column pivoting (falls back to blocked LU
+    /// above 32).
     GaussHuard,
-    /// Force Gauss-Huard-T (falls back to blocked LU above 32).
+    /// Force Gauss-Huard with transposed (solve-friendly) factor
+    /// storage (falls back to blocked LU above 32).
     GaussHuardT,
-    /// Force explicit inversion.
+    /// Force explicit inversion via Gauss-Jordan; applied as batched
+    /// GEMV.
     GjeInvert,
-    /// Force Cholesky (SPD blocks).
+    /// Force Cholesky (`L L^T`), for SPD blocks.
     Cholesky,
+}
+
+impl PlanMethod {
+    /// All fixed-kernel methods, in the paper's comparison order (the
+    /// planner-driven [`PlanMethod::Auto`] is intentionally excluded:
+    /// it mixes the others).
+    pub const ALL: [PlanMethod; 5] = [
+        PlanMethod::SmallLu,
+        PlanMethod::GaussHuard,
+        PlanMethod::GaussHuardT,
+        PlanMethod::GjeInvert,
+        PlanMethod::Cholesky,
+    ];
+
+    /// Short label used in experiment output.
+    pub fn label(self) -> &'static str {
+        match self {
+            PlanMethod::SmallLu => "LU",
+            PlanMethod::GaussHuard => "GH",
+            PlanMethod::GaussHuardT => "GH-T",
+            PlanMethod::GjeInvert => "GJE-inv",
+            PlanMethod::Cholesky => "Cholesky",
+            PlanMethod::Auto => "auto",
+        }
+    }
 }
 
 /// Crossover order below which Gauss-Huard beats the small-size LU
@@ -85,14 +116,8 @@ pub enum ClassLayout {
     /// One contiguous column-major slice per block.
     Blocked,
     /// The class is packed element-interleaved and processed by the
-    /// class-wide sweep kernels.
+    /// class-wide lane kernels.
     Interleaved,
-    /// Interleaved class executed by the explicit wide-lane SIMD
-    /// kernels. The planner never emits this: it is the stats-side
-    /// label `CpuSimd` records when it takes over a class the plan
-    /// marked [`ClassLayout::Interleaved`], so histograms show which
-    /// blocks actually went down the lane-wide path.
-    InterleavedSimd,
 }
 
 impl ClassLayout {
@@ -101,7 +126,6 @@ impl ClassLayout {
         match self {
             ClassLayout::Blocked => "blocked",
             ClassLayout::Interleaved => "interleaved",
-            ClassLayout::InterleavedSimd => "interleaved-simd",
         }
     }
 }
@@ -474,22 +498,18 @@ impl BatchPlan {
 
     /// Layout histogram over blocks, zero-count entries omitted.
     pub fn layout_histogram(&self) -> Vec<(ClassLayout, usize)> {
-        [
-            ClassLayout::Blocked,
-            ClassLayout::Interleaved,
-            ClassLayout::InterleavedSimd,
-        ]
-        .iter()
-        .filter_map(|&l| {
-            let c: usize = self
-                .classes
-                .iter()
-                .filter(|cl| cl.layout == l)
-                .map(|cl| cl.count)
-                .sum();
-            (c > 0).then_some((l, c))
-        })
-        .collect()
+        [ClassLayout::Blocked, ClassLayout::Interleaved]
+            .iter()
+            .filter_map(|&l| {
+                let c: usize = self
+                    .classes
+                    .iter()
+                    .filter(|cl| cl.layout == l)
+                    .map(|cl| cl.count)
+                    .sum();
+                (c > 0).then_some((l, c))
+            })
+            .collect()
     }
 
     /// Layout histogram as a compact `label=count;...` string for CSV.

@@ -145,7 +145,7 @@ impl<T: Scalar> Backend<T> for SimtSim {
         // same one the CPU backends run), keeping policy semantics —
         // promotion, refinement, stats — identical across backends.
         if plan.precision().lowers_storage() && T::HAS_LOWER {
-            return crate::cpu::factorize_cpu(blocks, plan, false, false, stats);
+            return crate::cpu::factorize_cpu(blocks, plan, false, stats);
         }
         let t0 = Instant::now();
         stats.add_flops(blocks.getrf_flops());

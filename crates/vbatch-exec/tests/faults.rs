@@ -168,8 +168,8 @@ fn mixed_faults_still_converge_through_block_jacobi_idr() {
 }
 
 /// Faults injected *inside a SIMD lane group* poison only their own
-/// slot: on `CpuSimd`, the whole group runs through the wide-lane
-/// elimination together, so a NaN/Inf/singular victim shares vector
+/// slot: the whole group runs through the lane elimination together,
+/// so a NaN/Inf/singular victim shares vector
 /// registers with up to `MAX_LANE_WIDTH − 1` healthy lane-mates. Those
 /// mates must come out **bitwise identical** to a fault-free run —
 /// factors, pivots, and solve outputs alike — and the reported status

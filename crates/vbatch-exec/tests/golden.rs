@@ -5,11 +5,10 @@
 //!
 //! Contracts locked down here:
 //!
-//! * the three CPU backends — sequential, parallel, and the explicit
-//!   wide-lane `CpuSimd` — agree **bitwise** across both layouts:
-//!   identical pivot sequences and identical solution bits, because the
-//!   interleaved sweeps (scalar and SIMD-chunked alike) execute the
-//!   exact per-slot operation order of the blocked kernels;
+//! * the three CPU backends — `CpuSequential`, `CpuRayon`, `CpuSimd` —
+//!   agree **bitwise** across both layouts: identical pivot sequences
+//!   and identical solution bits, because the interleaved lane kernels
+//!   execute the exact per-slot operation order of the blocked kernels;
 //! * every combination stays within `c · n · eps` of the dense
 //!   reference solve (`vbatch_core::solve_system`);
 //! * the SIMT simulator agrees with the CPU combinations to roundoff;

@@ -232,13 +232,9 @@ impl<T: Scalar> BlockIlu0<T> {
         drop(pivots);
 
         // --- batched factorization of the updated diagonal ---------------
-        let plan = BatchPlan::for_method_with_layout::<T>(
-            blocks.sizes(),
-            opts.method.plan_method(),
-            opts.layout,
-        )
-        .with_health(opts.health)
-        .with_precision(opts.precision);
+        let plan = BatchPlan::for_method_with_layout::<T>(blocks.sizes(), opts.method, opts.layout)
+            .with_health(opts.health)
+            .with_precision(opts.precision);
         let factors = backend.factorize(blocks, &plan, &mut stats);
         let fallback_blocks = factors.fallback_count();
         let prepared = backend.prepare_apply(&factors);

@@ -81,13 +81,9 @@ impl<T: Scalar> BlockJacobi<T> {
             .as_ref()
             .map(|plan| inject_batch(&mut blocks, plan))
             .unwrap_or_default();
-        let plan = BatchPlan::for_method_with_layout::<T>(
-            blocks.sizes(),
-            opts.method.plan_method(),
-            opts.layout,
-        )
-        .with_health(opts.health)
-        .with_precision(opts.precision);
+        let plan = BatchPlan::for_method_with_layout::<T>(blocks.sizes(), opts.method, opts.layout)
+            .with_health(opts.health)
+            .with_precision(opts.precision);
         let factors = backend.factorize(blocks, &plan, &mut stats);
         let fallback_blocks = factors.fallback_count();
         let prepared = backend.prepare_apply(&factors);

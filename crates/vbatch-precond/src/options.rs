@@ -7,64 +7,12 @@
 //! injection — into one builder.
 
 use vbatch_core::{BatchLayout, Scalar};
-use vbatch_exec::{FaultPlan, HealthPolicy, PlanMethod, PrecisionPolicy};
+use vbatch_exec::{FaultPlan, HealthPolicy, PrecisionPolicy};
 
 /// The batched factorization driving the diagonal-block solves (the
-/// four methods of §IV plus the Cholesky extension and the planner).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BjMethod {
-    /// Small-size LU with implicit partial pivoting (this paper).
-    SmallLu,
-    /// Gauss-Huard with column pivoting.
-    GaussHuard,
-    /// Gauss-Huard with transposed (solve-friendly) factor storage.
-    GaussHuardT,
-    /// Explicit inversion via Gauss-Jordan; applied as batched GEMV.
-    GjeInvert,
-    /// Cholesky (`L L^T`), for SPD diagonal blocks.
-    Cholesky,
-    /// Let the [`vbatch_exec::BatchPlan`] pick per size class: warp
-    /// packing below the packing bound, Gauss-Huard below the crossover
-    /// order, small-size LU up to 32, blocked LU above.
-    Auto,
-}
-
-impl BjMethod {
-    /// All fixed-kernel methods, in the paper's comparison order (the
-    /// planner-driven [`BjMethod::Auto`] is intentionally excluded: it
-    /// mixes the others).
-    pub const ALL: [BjMethod; 5] = [
-        BjMethod::SmallLu,
-        BjMethod::GaussHuard,
-        BjMethod::GaussHuardT,
-        BjMethod::GjeInvert,
-        BjMethod::Cholesky,
-    ];
-
-    /// Short label used in experiment output.
-    pub fn label(self) -> &'static str {
-        match self {
-            BjMethod::SmallLu => "LU",
-            BjMethod::GaussHuard => "GH",
-            BjMethod::GaussHuardT => "GH-T",
-            BjMethod::GjeInvert => "GJE-inv",
-            BjMethod::Cholesky => "Cholesky",
-            BjMethod::Auto => "auto",
-        }
-    }
-
-    /// The planner method this preconditioner method corresponds to.
-    pub fn plan_method(self) -> PlanMethod {
-        match self {
-            BjMethod::SmallLu => PlanMethod::SmallLu,
-            BjMethod::GaussHuard => PlanMethod::GaussHuard,
-            BjMethod::GaussHuardT => PlanMethod::GaussHuardT,
-            BjMethod::GjeInvert => PlanMethod::GjeInvert,
-            BjMethod::Cholesky => PlanMethod::Cholesky,
-            BjMethod::Auto => PlanMethod::Auto,
-        }
-    }
-}
+/// four methods of §IV plus the Cholesky extension and the planner):
+/// the planner's own request type under its historical name here.
+pub use vbatch_exec::PlanMethod as BjMethod;
 
 /// Every knob of a block-preconditioner setup: batched factorization
 /// method, batch layout, health triage policy, and an optional

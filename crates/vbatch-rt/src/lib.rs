@@ -24,18 +24,16 @@
 //!   drain substrate of the batched-solve service;
 //! * [`mod@bench`] — a wall-clock micro-benchmark harness for the
 //!   `harness = false` bench targets;
-//! * [`workspace`] — grow-once scratch buffers and a buffer free-list
-//!   arena so steady-state hot loops (the preconditioner apply, the
-//!   Krylov iteration bodies) perform zero heap allocations after
-//!   warm-up;
 //! * [`alloc_guard`] — a counting `GlobalAlloc` wrapper the zero-alloc
-//!   tests install to *prove* that claim rather than assume it;
+//!   tests install to *prove* that the steady-state hot loops (the
+//!   preconditioner apply, the Krylov iteration bodies) perform no heap
+//!   allocation rather than assume it;
 //! * [`testgen`] — the shared matrix/CSR input generators every
 //!   property suite builds its cases from (raw data only: this crate
 //!   sits below the container types);
 //! * [`simd`] — dependency-free portable wide-lane chunks
 //!   (`f64xN`/`f32xN`) with run-time width selection, the element type
-//!   the `CpuSimd` backend's interleaved kernels are written against.
+//!   the interleaved class kernels are written against.
 
 pub mod alloc_guard;
 pub mod bench;
@@ -47,7 +45,6 @@ pub mod rng;
 pub mod simd;
 pub mod sync;
 pub mod testgen;
-pub mod workspace;
 
 pub use alloc_guard::{AllocSnapshot, CountingAlloc};
 pub use chaos::{ChaosPlan, SkewClock};
@@ -57,4 +54,3 @@ pub use par::prelude;
 pub use rng::SmallRng;
 pub use simd::{lane_width, Chunk, Mask, SimdElem, MAX_LANE_WIDTH};
 pub use sync::{bounded, CancelToken, Receiver, RecvError, Sender, TrySendError};
-pub use workspace::{ScratchArena, Workspace};

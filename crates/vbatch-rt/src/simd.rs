@@ -1,4 +1,4 @@
-//! Portable explicit-wide-lane chunks for the SIMD backend.
+//! Portable explicit-wide-lane chunks for the interleaved class kernels.
 //!
 //! A [`Chunk<T, W>`] is a fixed-width array of `W` lanes of `T` whose
 //! element-wise operations are written as plain per-lane loops the
@@ -13,8 +13,8 @@
 //!   (`div` is a true division, `mul_add` a single-rounding fused
 //!   multiply-add, [`Chunk::select`] a compare-and-blend that returns
 //!   one of the two inputs **bitwise**, never an arithmetic mix) — this
-//!   is what makes the SIMD kernels bitwise-identical to the scalar
-//!   interleaved kernels for every slot;
+//!   is what makes the lane kernels bitwise-identical to the per-block
+//!   kernels for every slot;
 //! * masks are carried as lanes of `T` (`0.0` / `1.0` flag lanes built
 //!   by the kernels, or [`Mask`] bool arrays from comparisons) so the
 //!   hot selects vectorize instead of round-tripping through integer
@@ -24,8 +24,8 @@
 //! (AVX-512F → 64-byte vectors, AVX2 → 32, anything else → 16), clamped
 //! to the supported widths {2, 4, 8}; the `VBATCH_SIMD_WIDTH`
 //! environment variable overrides it (values 1, 2, 4, 8 — width 1
-//! forces the scalar remainder path everywhere, which CI uses to keep
-//! the fallback green on any host).
+//! forces the W = 1 remainder path everywhere, which CI uses to keep
+//! it green on any host).
 #![deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 
 use std::ops::{Add, Div, Mul, Neg, Sub};

@@ -26,7 +26,6 @@ pub mod kernels;
 pub mod launch;
 pub mod memory;
 pub mod shared;
-pub mod vector;
 pub mod warp;
 
 pub use cost::{CostCounter, CostTable, InstrClass};
@@ -45,5 +44,4 @@ pub use launch::{
 };
 pub use memory::{GlobalMem, GlobalMemU32, WARP_SIZE};
 pub use shared::SharedMem;
-pub use vector::{VectorExec, VectorFactors, VectorReport};
 pub use warp::{mask_below, mask_lane, Mask, Regs, WarpCtx, FULL_MASK};

@@ -141,13 +141,10 @@ impl<T: Scalar> SpikeSolver<T> {
 
         let part = sp.part();
         let sizes = part.sizes();
-        let plan = BatchPlan::for_method_with_layout::<T>(
-            blocks.diag.sizes(),
-            opts.method.plan_method(),
-            opts.layout,
-        )
-        .with_health(opts.health)
-        .with_precision(opts.precision);
+        let plan =
+            BatchPlan::for_method_with_layout::<T>(blocks.diag.sizes(), opts.method, opts.layout)
+                .with_health(opts.health)
+                .with_precision(opts.precision);
         let factors = backend.factorize(blocks.diag, &plan, &mut stats);
         let fallback_blocks = factors.fallback_count();
         let prepared = backend.prepare_apply(&factors);
@@ -225,13 +222,10 @@ impl<T: Scalar> SpikeSolver<T> {
                     }
                 }
             }
-            let rplan = BatchPlan::for_method_with_layout::<T>(
-                red.sizes(),
-                opts.method.plan_method(),
-                opts.layout,
-            )
-            .with_health(opts.health)
-            .with_precision(opts.precision);
+            let rplan =
+                BatchPlan::for_method_with_layout::<T>(red.sizes(), opts.method, opts.layout)
+                    .with_health(opts.health)
+                    .with_precision(opts.precision);
             let rfactors = backend.factorize(red, &rplan, &mut stats);
             let rprepared = backend.prepare_apply(&rfactors);
             Some(Reduced {

@@ -205,12 +205,11 @@ fn warm_bilu_idr_iterations_allocate_nothing() {
     );
 }
 
-/// The wide-lane backend honours the same contract: a warm `CpuSimd`
-/// block-Jacobi apply — which routes the interleaved classes through
-/// the explicit SIMD TRSV with caller-provided scratch — allocates
-/// exactly zero times. The default layout interleaves the uniform
-/// `n = 8` classes, so this measures the lane kernels, not a blocked
-/// delegate.
+/// `CpuSimd` honours the same contract: a warm block-Jacobi apply —
+/// which routes the interleaved classes through the lane TRSV out of
+/// the prepared scratch slab — allocates exactly zero times. The
+/// default layout interleaves the uniform `n = 8` classes, so this
+/// measures the lane kernels, not the per-block path.
 #[test]
 fn warm_simd_prepared_apply_allocates_nothing() {
     let _serial = serial();

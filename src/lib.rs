@@ -12,7 +12,8 @@
 //!   stands in for the paper's CUDA layer;
 //! * [`sparse`] — CSR, supervariable blocking, extraction, generators;
 //! * [`exec`] — the execution layer: [`exec::Backend`] implementations
-//!   (sequential / parallel / wide-lane CPU, SIMT simulator) behind a
+//!   (three host threading policies over one kernel set, SIMT
+//!   simulator) behind a
 //!   [`exec::BatchPlan`] that picks kernels per block using the paper's
 //!   crossovers;
 //! * [`precond`] — scalar and block-Jacobi preconditioners;
