@@ -11,7 +11,8 @@
 
 use std::time::Instant;
 use vbatch_bench::write_csv;
-use vbatch_core::{batched_getrf, DenseMat, Exec, MatrixBatch, PivotStrategy};
+use vbatch_core::{getrf_inplace, DenseMat, MatrixBatch, PivotStrategy};
+use vbatch_rt::par::par_map_vec;
 use vbatch_simt::kernels::getrf::{warp_cost, warp_cost_explicit_pivot};
 use vbatch_simt::{CostTable, DeviceModel, InstrClass};
 
@@ -66,10 +67,11 @@ fn main() {
         PivotStrategy::Explicit,
         PivotStrategy::None,
     ] {
-        let b = base.clone();
+        let mut b = base.clone();
         let t = Instant::now();
-        let f = batched_getrf(b, strat, Exec::Parallel)
-            .expect("diagonally dominant bench batch factorizes");
+        let f = par_map_vec(b.blocks_mut(), |(n, data)| {
+            getrf_inplace(strat, n, data).expect("diagonally dominant bench batch factorizes")
+        });
         println!("  {strat:?}: {:?} ({} blocks)", t.elapsed(), f.len());
     }
     let path = write_csv(

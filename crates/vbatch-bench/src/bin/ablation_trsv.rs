@@ -8,8 +8,9 @@
 use std::time::Instant;
 use vbatch_bench::write_csv;
 use vbatch_core::{
-    batched_getrf, DenseMat, Exec, MatrixBatch, PivotStrategy, TrsvVariant, VectorBatch,
+    getrf_inplace, lu_solve_inplace, DenseMat, MatrixBatch, PivotStrategy, TrsvVariant, VectorBatch,
 };
+use vbatch_rt::par::par_map_vec;
 use vbatch_simt::kernels::trsv::{lu_trsv_lazy_warp_cost, lu_trsv_warp_cost};
 use vbatch_simt::{CostTable, DeviceModel, InstrClass};
 
@@ -61,15 +62,27 @@ fn main() {
             })
         })
         .collect();
-    let base = MatrixBatch::from_matrices(&mats);
-    let sizes = base.sizes().to_vec();
-    let factors = batched_getrf(base, PivotStrategy::Implicit, Exec::Parallel)
-        .expect("diagonally dominant bench batch factorizes");
+    let mut factors = MatrixBatch::from_matrices(&mats);
+    let perms = par_map_vec(factors.blocks_mut(), |(n, data)| {
+        getrf_inplace(PivotStrategy::Implicit, n, data)
+            .expect("diagonally dominant bench batch factorizes")
+    });
     for variant in TrsvVariant::ALL {
-        let mut rhs = VectorBatch::zeros(&sizes);
+        let mut rhs = VectorBatch::zeros(factors.sizes());
         rhs.as_mut_slice().iter_mut().for_each(|v| *v = 1.0);
         let t = Instant::now();
-        factors.solve(&mut rhs, variant, Exec::Parallel);
+        par_map_vec(
+            rhs.segs_mut().into_iter().enumerate().collect(),
+            |(i, seg): (usize, &mut [f64])| {
+                lu_solve_inplace(
+                    variant,
+                    seg.len(),
+                    factors.block(i),
+                    perms[i].as_slice(),
+                    seg,
+                )
+            },
+        );
         println!("  {variant:?}: {:?}", t.elapsed());
     }
     let path = write_csv(

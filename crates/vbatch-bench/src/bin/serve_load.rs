@@ -21,7 +21,7 @@ use std::thread;
 use std::time::Duration;
 
 use vbatch_bench::write_csv;
-use vbatch_rt::bench::monotonic_ns;
+use vbatch_rt::clock::monotonic_ns;
 use vbatch_rt::rng::SmallRng;
 use vbatch_rt::testgen::hashed_dense;
 use vbatch_serve::{Outcome, RejectReason, ServeConfig, Service, SolveRequest, TenantId};

@@ -1,12 +1,14 @@
-//! In-place dense block operations for the block-ILU(0) sweep.
+//! In-place dense block operations: the block-ILU(0) sweep's level-3
+//! pieces and the per-block GEMV of the inversion-based apply.
 //!
 //! The sweep works on variable-size column-major blocks in place:
 //! `A_ik := A_ik · A_kk^{-1}` (a TRSM against the combined `L\U`
 //! factors of the finished diagonal block, applied through the
 //! transposed solve below) and `A_ij := A_ij − A_ik · A_kj` (a negated
 //! GEMM accumulation). The triangular apply additionally needs the
-//! negated GEMV accumulation `y := y − A x`. All kernels are
-//! allocation-free; scratch, where needed, is caller-provided.
+//! negated GEMV accumulation `y := y − A x`, and an explicitly inverted
+//! block is applied as `y := A x`. All kernels are allocation-free;
+//! scratch, where needed, is caller-provided.
 
 use crate::scalar::Scalar;
 
@@ -42,6 +44,26 @@ pub fn gemv_neg_acc<T: Scalar>(m: usize, n: usize, a: &[T], x: &[T], y: &mut [T]
         let col = &a[j * m..j * m + m];
         for i in 0..m {
             y[i] = (-col[i]).mul_add(xj, y[i]);
+        }
+    }
+}
+
+/// `y := A · x` with `A` (`n×n`) column-major — the GEMV-shaped apply
+/// of an explicitly inverted block (the inversion-based block-Jacobi of
+/// ref.\[4\]). Columns of zero `x` entries are skipped.
+/// Allocation-free.
+pub fn gemv<T: Scalar>(n: usize, a: &[T], x: &[T], y: &mut [T]) {
+    debug_assert_eq!(a.len(), n * n);
+    debug_assert_eq!(x.len(), n);
+    debug_assert_eq!(y.len(), n);
+    y.fill(T::ZERO);
+    for (j, &xj) in x.iter().enumerate() {
+        if xj == T::ZERO {
+            continue;
+        }
+        let col = &a[j * n..j * n + n];
+        for (o, &aij) in y.iter_mut().zip(col) {
+            *o = aij.mul_add(xj, *o);
         }
     }
 }

@@ -20,14 +20,13 @@
 //!   block-Jacobi alternative of ref.\[4\]);
 //! * [`cholesky`] — the paper's announced future-work extension for SPD
 //!   blocks;
-//! * [`batch`]/[`batched`] — variable-size batch containers and
-//!   sequential/parallel batched drivers.
+//! * [`batch`] — variable-size batch containers; running a kernel over
+//!   every block of one is `vbatch-exec`'s `Backend`.
 //!
 //! All kernels are generic over [`scalar::Scalar`] (`f32`/`f64`), the
 //! two precisions evaluated in the paper.
 
 pub mod batch;
-pub mod batched;
 pub mod blockops;
 pub mod cholesky;
 pub mod condest;
@@ -45,12 +44,8 @@ pub mod trsv;
 pub mod widen;
 
 pub use batch::{MatrixBatch, VectorBatch};
-pub use batched::{
-    batched_gemv, batched_getrf, batched_getrf_status, batched_gh, batched_gje_invert, BatchedGh,
-    BatchedLu, Exec,
-};
 pub use blockops::{
-    gemm_neg_acc, gemv_neg_acc, lu_solve_transposed_inplace_scratch, trsm_right_lu_inplace,
+    gemm_neg_acc, gemv, gemv_neg_acc, lu_solve_transposed_inplace_scratch, trsm_right_lu_inplace,
 };
 pub use cholesky::{make_spd, potrf, CholeskyFactors};
 pub use condest::{apply_equilibration, condest1, equilibrate, inverse_norm1_est, norm1};
@@ -67,7 +62,7 @@ pub use interleaved_simd::{
     SUPPORTED_WIDTHS,
 };
 pub use lu::blocked::getrf_blocked;
-pub use lu::{getrf, solve_system, LuFactors, PivotStrategy};
+pub use lu::{getrf, getrf_inplace, solve_system, LuFactors, PivotStrategy};
 pub use perm::Permutation;
 pub use qr::{geqp3, QrFactors};
 pub use scalar::Scalar;

@@ -123,14 +123,23 @@ pub fn getrf<T: Scalar>(a: &DenseMat<T>, strategy: PivotStrategy) -> FactorResul
             cols: a.cols(),
         });
     }
-    let n = a.rows();
     let mut lu = a.clone();
-    let perm = match strategy {
-        PivotStrategy::Explicit => explicit::getrf_explicit_inplace(n, lu.as_mut_slice())?,
-        PivotStrategy::Implicit => implicit::getrf_implicit_inplace(n, lu.as_mut_slice())?,
-        PivotStrategy::None => explicit::getrf_nopivot_inplace(n, lu.as_mut_slice())?,
-    };
+    let perm = getrf_inplace(strategy, a.rows(), lu.as_mut_slice())?;
     Ok(LuFactors { lu, perm })
+}
+
+/// [`getrf`] on a caller-owned column-major `n x n` block: `data` is
+/// overwritten with the combined factors.
+pub fn getrf_inplace<T: Scalar>(
+    strategy: PivotStrategy,
+    n: usize,
+    data: &mut [T],
+) -> FactorResult<Permutation> {
+    match strategy {
+        PivotStrategy::Explicit => explicit::getrf_explicit_inplace(n, data),
+        PivotStrategy::Implicit => implicit::getrf_implicit_inplace(n, data),
+        PivotStrategy::None => explicit::getrf_nopivot_inplace(n, data),
+    }
 }
 
 /// Convenience wrapper: factorize and solve a single system.

@@ -4,9 +4,8 @@
 //! (seeded, reproducible cases via `vbatch_rt::run_cases`).
 
 use vbatch_core::{
-    batched_getrf, getrf, gh_factorize, gje_invert, lu_solve_inplace, make_spd, potrf,
-    trsv_lower_unit, trsv_upper, DenseMat, Exec, GhLayout, MatrixBatch, Permutation, PivotStrategy,
-    Scalar, TrsvVariant, VectorBatch,
+    getrf, gh_factorize, gje_invert, lu_solve_inplace, make_spd, potrf, trsv_lower_unit,
+    trsv_upper, DenseMat, GhLayout, MatrixBatch, Permutation, PivotStrategy, Scalar, TrsvVariant,
 };
 use vbatch_rt::{run_cases, testgen, SmallRng};
 
@@ -163,43 +162,6 @@ fn permutation_roundtrip() {
         let double_inv = inv.inverse();
         assert_eq!(double_inv.as_slice(), p.as_slice());
         assert_eq!(p.is_odd(), inv.is_odd());
-    });
-}
-
-#[test]
-fn batched_solve_matches_per_block() {
-    run_cases("batched_solve_matches_per_block", 48, |rng, _case| {
-        let count = rng.gen_range(1usize..12);
-        let sizes: Vec<usize> = (0..count).map(|_| rng.gen_range(1usize..13)).collect();
-        let seed = rng.next_u64();
-        let mats: Vec<DenseMat<f64>> = sizes
-            .iter()
-            .enumerate()
-            .map(|(s, &n)| {
-                DenseMat::from_col_major(
-                    n,
-                    n,
-                    &testgen::hashed_dense(n, seed.wrapping_add(s as u64)),
-                )
-            })
-            .collect();
-        let batch = MatrixBatch::from_matrices(&mats);
-        let mut rhs = VectorBatch::zeros(&sizes);
-        for (i, m) in mats.iter().enumerate() {
-            let n = m.rows();
-            let xt: Vec<f64> = (0..n).map(|k| k as f64 * 0.3 - 0.7).collect();
-            rhs.seg_mut(i).copy_from_slice(&m.matvec(&xt));
-        }
-        let f = batched_getrf(batch, PivotStrategy::Implicit, Exec::Parallel).unwrap();
-        let mut x = rhs.clone();
-        f.solve(&mut x, TrsvVariant::Eager, Exec::Parallel);
-        // compare against solving each block on its own
-        for (i, m) in mats.iter().enumerate() {
-            let xi = vbatch_core::solve_system(m, rhs.seg(i)).unwrap();
-            for (p, q) in x.seg(i).iter().zip(&xi) {
-                assert!((p - q).abs() < 1e-9);
-            }
-        }
     });
 }
 

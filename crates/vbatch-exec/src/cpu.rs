@@ -39,9 +39,9 @@ use crate::stats::{ExecStats, Phase};
 use std::time::Instant;
 use vbatch_core::lu::implicit::getrf_implicit_inplace;
 use vbatch_core::{
-    batched_gemv, getrf_interleaved_class_simd, gh_factorize, gje_invert, narrow_slice, potrf,
-    DenseMat, Exec, FactorError, GhLayout, InterleavedClass, MatrixBatch, Scalar, StoragePrecision,
-    Stored, VectorBatch,
+    gemv, getrf_interleaved_class_simd, gh_factorize, gje_invert, narrow_slice, potrf, DenseMat,
+    FactorError, GhLayout, InterleavedClass, MatrixBatch, Scalar, StoragePrecision, Stored,
+    VectorBatch,
 };
 use vbatch_rt::par::{num_threads, par_map_vec};
 use vbatch_rt::prelude::*;
@@ -149,31 +149,45 @@ fn interleaved_chunk_slots<T>(n: usize) -> usize {
     (INTERLEAVED_CHUNK_BYTES / block_bytes).max(8)
 }
 
+/// One factorized interleaved chunk and its failed slots, ascending.
+type ChunkOutcome<S> = (InterleavedLuClass<S>, Vec<(usize, FactorError)>);
+
 /// Factorize one interleaved chunk (a contiguous span of one size
 /// class) in storage scalar `S`: pack — narrowing *while gathering*, one
 /// strided read of the native blocks and one contiguous write of the
-/// storage-precision slab — run the class-wide sweep, and report
-/// per-slot errors. Slots are numerically independent, so chunking
-/// never changes results — only locality and how much parallelism the
-/// class exposes.
+/// storage-precision slab — run the class-wide sweep, and report the
+/// slots that failed, ascending. Slots are numerically independent, so
+/// chunking never changes results — only locality and how much
+/// parallelism the class exposes.
+///
+/// Only the slab, the pivot lanes and the caller's own `members` leave
+/// the worker thread: a healthy chunk must hand the calling thread no
+/// small heap block of the worker's to free. One such block parked in
+/// the caller's allocator cache keeps glibc from returning the worker's
+/// heap, and then thread timing decides whether the next factorization
+/// page-faults its slabs in afresh or finds them resident — a 30 %
+/// swing of `batch_uniform32` (EXPERIMENTS.md §J).
 fn factor_interleaved_chunk<T: Scalar, S: Stored<T>>(
     blocks: &MatrixBatch<T>,
     n: usize,
-    members: &[usize],
-) -> (InterleavedLuClass<S>, Vec<Option<FactorError>>) {
-    let packed = InterleavedClass::<S>::pack_from(blocks, members);
-    let (_, member_idx, mut data) = packed.into_parts();
-    let count = member_idx.len();
+    members: Vec<usize>,
+) -> ChunkOutcome<S> {
+    let (_, _, mut data) = InterleavedClass::<S>::pack_from(blocks, &members).into_parts();
+    let count = members.len();
     let mut piv = vec![0usize; n * count];
-    let errs = getrf_interleaved_class_simd(n, count, &mut data, &mut piv);
+    let failed = getrf_interleaved_class_simd(n, count, &mut data, &mut piv)
+        .into_iter()
+        .enumerate()
+        .filter_map(|(slot, err)| Some((slot, err?)))
+        .collect();
     (
         InterleavedLuClass {
             n,
-            blocks: member_idx,
+            blocks: members,
             data,
             piv,
         },
-        errs,
+        failed,
     )
 }
 
@@ -207,20 +221,20 @@ fn factorize_in<T: Scalar, S: Stored<T>>(
 
     let chunk_work = |(n, members): (usize, Vec<usize>)| {
         let _span = vbatch_trace::span!("factorize.chunk", n * members.len());
-        factor_interleaved_chunk::<T, S>(blocks, n, &members)
+        factor_interleaved_chunk::<T, S>(blocks, n, members)
     };
-    let chunk_results: Vec<(InterleavedLuClass<S>, Vec<Option<FactorError>>)> = if parallel {
+    let chunk_results: Vec<ChunkOutcome<S>> = if parallel {
         par_map_vec(chunks, chunk_work)
     } else {
         chunks.into_iter().map(chunk_work).collect()
     };
     let mut classes = Vec::with_capacity(chunk_results.len());
-    for (class, errs) in chunk_results {
+    for (class, failed) in chunk_results {
         let class_idx = classes.len();
-        for (slot, err) in errs.into_iter().enumerate() {
-            let blk = class.blocks[slot];
+        let mut failed = failed.into_iter().peekable();
+        for (slot, &blk) in class.blocks.iter().enumerate() {
             let kernel = plan.kernel_for(blk);
-            match err {
+            match failed.next_if(|(s, _)| *s == slot) {
                 None => {
                     let factor = BlockFactor::InterleavedLu {
                         class: class_idx,
@@ -231,7 +245,7 @@ fn factorize_in<T: Scalar, S: Stored<T>>(
                     status.precision = S::STORAGE;
                     place(blk, factor, status);
                 }
-                Some(error) => {
+                Some((_, error)) => {
                     let diag = block_diag(class.n, blocks.block(blk));
                     let (factor, sanitized) = scalar_jacobi_from_diag(&diag);
                     let status = BlockStatus::fallback(kernel, error, sanitized, class.n);
@@ -477,12 +491,14 @@ pub(crate) fn gemv_cpu<T: Scalar>(
 ) {
     let _span = vbatch_trace::span!("exec.gemv", blocks.len());
     let t0 = Instant::now();
-    let exec = if parallel {
-        Exec::Parallel
+    assert_eq!(blocks.sizes(), x.sizes());
+    assert_eq!(blocks.sizes(), y.sizes());
+    let work = |(i, out): (usize, &mut [T])| gemv(blocks.size(i), blocks.block(i), x.seg(i), out);
+    if parallel {
+        y.segs_mut().into_par_iter().enumerate().for_each(work);
     } else {
-        Exec::Sequential
-    };
-    batched_gemv(blocks, x, y, exec);
+        y.segs_mut().into_iter().enumerate().for_each(work);
+    }
     stats.add_flops(blocks.sizes().iter().map(|&n| 2.0 * (n * n) as f64).sum());
     stats.add_phase(Phase::Gemv, t0.elapsed());
 }

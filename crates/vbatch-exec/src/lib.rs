@@ -51,7 +51,7 @@ pub use factors::{
 };
 pub use fault::{apply_fault, expected_health, inject_batch, inject_rhs};
 pub use plan::{
-    gh_crossover_order, BatchPlan, ClassLayout, HealthPolicy, KernelChoice, PlanMethod, PlanParams,
+    gh_crossover_order, BatchPlan, ClassLayout, HealthPolicy, KernelChoice, PlanMethod,
     PrecisionPolicy, SizeClass,
 };
 pub use serve::SizeClassHandle;

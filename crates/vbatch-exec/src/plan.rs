@@ -110,6 +110,12 @@ pub fn gh_crossover_order(element_bytes: usize) -> usize {
     }
 }
 
+/// Largest order eligible for multi-problem-per-warp packing.
+const PACK_MAX: usize = 16;
+
+/// Largest order the one-row-per-lane kernels handle (warp width).
+const SMALL_MAX: usize = 32;
+
 /// The memory layout the planner settled on for one size class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ClassLayout {
@@ -230,41 +236,6 @@ impl PrecisionPolicy {
     }
 }
 
-/// Tunable planner thresholds. [`PlanParams::for_scalar`] gives the
-/// paper's values for the element type.
-#[derive(Clone, Copy, Debug)]
-pub struct PlanParams {
-    /// Below this order GH wins over the small-size LU.
-    pub gh_crossover: usize,
-    /// Largest order eligible for multi-problem-per-warp packing.
-    pub pack_max: usize,
-    /// Largest order the one-row-per-lane kernels handle (warp width).
-    pub small_max: usize,
-    /// Batch layout policy: with [`BatchLayout::Interleaved`], LU-family
-    /// size classes whose population reaches `class_capacity` are
-    /// stored interleaved; everything else stays blocked.
-    pub layout: BatchLayout,
-    /// Post-factorization health triage policy.
-    pub health: HealthPolicy,
-    /// Storage-precision policy for factorization.
-    pub precision: PrecisionPolicy,
-}
-
-impl PlanParams {
-    /// Paper thresholds for scalar type `T`, with the default
-    /// interleaving policy, triage off, and full-precision storage.
-    pub fn for_scalar<T: Scalar>() -> Self {
-        PlanParams {
-            gh_crossover: gh_crossover_order(T::BYTES),
-            pack_max: 16,
-            small_max: 32,
-            layout: BatchLayout::interleaved(),
-            health: HealthPolicy::Off,
-            precision: PrecisionPolicy::FullDp,
-        }
-    }
-}
-
 /// One size class of a plan: `count` blocks of order `n`, all executed
 /// with the same kernel on the same layout.
 #[derive(Clone, Copy, Debug)]
@@ -293,9 +264,9 @@ pub struct BatchPlan {
 /// Interleaving pays only for the LU-family sweep kernels on small
 /// orders and needs enough slots per class to amortize the pack/unpack
 /// copies; ragged tails and the >32 blocked-LU path stay blocked.
-fn pick_layout(kernel: KernelChoice, count: usize, p: &PlanParams) -> ClassLayout {
+fn pick_layout(kernel: KernelChoice, count: usize, layout: BatchLayout) -> ClassLayout {
     let interleavable = matches!(kernel, KernelChoice::PackedLu | KernelChoice::SmallLu);
-    match p.layout {
+    match layout {
         BatchLayout::Interleaved { class_capacity } if interleavable && count >= class_capacity => {
             ClassLayout::Interleaved
         }
@@ -303,18 +274,18 @@ fn pick_layout(kernel: KernelChoice, count: usize, p: &PlanParams) -> ClassLayou
     }
 }
 
-fn pick(n: usize, count: usize, method: PlanMethod, p: &PlanParams) -> KernelChoice {
+fn pick<T: Scalar>(n: usize, count: usize, method: PlanMethod) -> KernelChoice {
     match method {
         PlanMethod::GjeInvert => KernelChoice::GjeInvert,
         PlanMethod::Cholesky => KernelChoice::Cholesky,
-        _ if n > p.small_max => KernelChoice::BlockedLu,
+        _ if n > SMALL_MAX => KernelChoice::BlockedLu,
         PlanMethod::SmallLu => KernelChoice::SmallLu,
         PlanMethod::GaussHuard => KernelChoice::GaussHuard,
         PlanMethod::GaussHuardT => KernelChoice::GaussHuardT,
         PlanMethod::Auto => {
-            if n <= p.pack_max && count >= 2 {
+            if n <= PACK_MAX && count >= 2 {
                 KernelChoice::PackedLu
-            } else if n < p.gh_crossover {
+            } else if n < gh_crossover_order(T::BYTES) {
                 KernelChoice::GaussHuard
             } else {
                 KernelChoice::SmallLu
@@ -324,8 +295,17 @@ fn pick(n: usize, count: usize, method: PlanMethod, p: &PlanParams) -> KernelCho
 }
 
 impl BatchPlan {
-    /// Plan with explicit parameters.
-    pub fn with_params(sizes: &[usize], method: PlanMethod, params: &PlanParams) -> Self {
+    /// Forced-method plan with an explicit layout policy: with
+    /// [`BatchLayout::Interleaved`], LU-family size classes whose
+    /// population reaches `class_capacity` are stored interleaved;
+    /// everything else stays blocked. Triage off, full-precision
+    /// storage (see [`BatchPlan::with_health`] /
+    /// [`BatchPlan::with_precision`]).
+    pub fn for_method_with_layout<T: Scalar>(
+        sizes: &[usize],
+        method: PlanMethod,
+        layout: BatchLayout,
+    ) -> Self {
         let mut counts = std::collections::BTreeMap::new();
         for &n in sizes {
             *counts.entry(n).or_insert(0usize) += 1;
@@ -333,12 +313,12 @@ impl BatchPlan {
         let classes: Vec<SizeClass> = counts
             .iter()
             .map(|(&n, &count)| {
-                let kernel = pick(n, count, method, params);
+                let kernel = pick::<T>(n, count, method);
                 SizeClass {
                     n,
                     count,
                     kernel,
-                    layout: pick_layout(kernel, count, params),
+                    layout: pick_layout(kernel, count, layout),
                 }
             })
             .collect();
@@ -349,8 +329,8 @@ impl BatchPlan {
             classes,
             choice,
             layouts,
-            health: params.health,
-            precision: params.precision,
+            health: HealthPolicy::Off,
+            precision: PrecisionPolicy::FullDp,
         }
     }
 
@@ -378,21 +358,17 @@ impl BatchPlan {
 
     /// Paper-crossover automatic plan for scalar type `T`.
     pub fn auto<T: Scalar>(sizes: &[usize]) -> Self {
-        Self::with_params(sizes, PlanMethod::Auto, &PlanParams::for_scalar::<T>())
+        Self::for_method::<T>(sizes, PlanMethod::Auto)
     }
 
     /// Plan honouring a forced method where the sizes allow it.
     pub fn for_method<T: Scalar>(sizes: &[usize], method: PlanMethod) -> Self {
-        Self::with_params(sizes, method, &PlanParams::for_scalar::<T>())
+        Self::for_method_with_layout::<T>(sizes, method, BatchLayout::interleaved())
     }
 
     /// Automatic plan with an explicit layout policy.
     pub fn auto_with_layout<T: Scalar>(sizes: &[usize], layout: BatchLayout) -> Self {
-        let params = PlanParams {
-            layout,
-            ..PlanParams::for_scalar::<T>()
-        };
-        Self::with_params(sizes, PlanMethod::Auto, &params)
+        Self::for_method_with_layout::<T>(sizes, PlanMethod::Auto, layout)
     }
 
     /// Service-runtime plan for one uniform size class: kernel and
@@ -416,12 +392,8 @@ impl BatchPlan {
             count <= capacity,
             "class population {count} exceeds capacity {capacity}"
         );
-        let params = PlanParams {
-            layout,
-            ..PlanParams::for_scalar::<T>()
-        };
-        let kernel = pick(n, capacity, PlanMethod::Auto, &params);
-        let class_layout = pick_layout(kernel, capacity, &params);
+        let kernel = pick::<T>(n, capacity, PlanMethod::Auto);
+        let class_layout = pick_layout(kernel, capacity, layout);
         BatchPlan {
             classes: vec![SizeClass {
                 n,
@@ -431,22 +403,9 @@ impl BatchPlan {
             }],
             choice: vec![kernel; count],
             layouts: vec![class_layout; count],
-            health: params.health,
-            precision: params.precision,
+            health: HealthPolicy::Off,
+            precision: PrecisionPolicy::FullDp,
         }
-    }
-
-    /// Forced-method plan with an explicit layout policy.
-    pub fn for_method_with_layout<T: Scalar>(
-        sizes: &[usize],
-        method: PlanMethod,
-        layout: BatchLayout,
-    ) -> Self {
-        let params = PlanParams {
-            layout,
-            ..PlanParams::for_scalar::<T>()
-        };
-        Self::with_params(sizes, method, &params)
     }
 
     /// Kernel selected for block `block`.
@@ -556,7 +515,7 @@ mod tests {
         for b in 0..5 {
             assert_eq!(plan.kernel_for(b), KernelChoice::PackedLu, "block {b}");
         }
-        // 17 > pack_max: two of them still are not packed
+        // 17 > PACK_MAX: two of them still are not packed
         assert_eq!(plan.kernel_for(5), KernelChoice::GaussHuard);
     }
 

@@ -14,9 +14,7 @@ use crate::plan::{BatchPlan, ClassLayout, KernelChoice};
 use crate::stats::{ExecStats, Phase};
 use std::collections::BTreeMap;
 use std::time::Instant;
-use vbatch_core::{
-    batched_gemv, Exec, FactorError, GhLayout, MatrixBatch, Scalar, Storage, VectorBatch,
-};
+use vbatch_core::{gemv, FactorError, GhLayout, MatrixBatch, Scalar, Storage, VectorBatch};
 use vbatch_simt::kernels::multi::problems_per_warp;
 use vbatch_simt::{
     DeviceModel, ExtractBatch, ExtractStrategy, GemvBatch, GetrfLarge, GetrfMultiPerWarp,
@@ -533,7 +531,9 @@ impl<T: Scalar> Backend<T> for SimtSim {
                 }
             }
         } else {
-            batched_gemv(blocks, x, y, Exec::Sequential);
+            for (i, out) in y.segs_mut().into_iter().enumerate() {
+                gemv(blocks.size(i), blocks.block(i), x.seg(i), out);
+            }
         }
         stats.add_flops(blocks.sizes().iter().map(|&n| 2.0 * (n * n) as f64).sum());
         stats.add_phase(Phase::Gemv, t0.elapsed());

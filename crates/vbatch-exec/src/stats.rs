@@ -97,6 +97,14 @@ pub struct ExecStats {
     pub promotions: u64,
 }
 
+/// A histogram as a compact `label=count;label=count` string for CSV.
+fn compact(map: &BTreeMap<&'static str, u64>) -> String {
+    map.iter()
+        .map(|(k, c)| format!("{k}={c}"))
+        .collect::<Vec<_>>()
+        .join(";")
+}
+
 impl ExecStats {
     /// Fresh, empty statistics.
     pub fn new() -> Self {
@@ -108,15 +116,6 @@ impl ExecStats {
         if blocks > 0 {
             *self.kernels.entry(k.label()).or_insert(0) += blocks;
             vbatch_trace::labeled_add("exec.kernel", k.label(), blocks);
-        }
-    }
-
-    /// Record `blocks` blocks handled by a host path outside the planned
-    /// kernel set (e.g. the simulator falling back above order 64).
-    pub fn record_host(&mut self, label: &'static str, blocks: u64) {
-        if blocks > 0 {
-            *self.kernels.entry(label).or_insert(0) += blocks;
-            vbatch_trace::labeled_add("exec.kernel", label, blocks);
         }
     }
 
@@ -215,11 +214,7 @@ impl ExecStats {
 
     /// Histogram as a compact `label=count;label=count` string for CSV.
     pub fn histogram_compact(&self) -> String {
-        self.kernels
-            .iter()
-            .map(|(k, c)| format!("{k}={c}"))
-            .collect::<Vec<_>>()
-            .join(";")
+        compact(&self.kernels)
     }
 
     /// Layout histogram (label → block count).
@@ -229,11 +224,7 @@ impl ExecStats {
 
     /// Layout histogram as a compact `label=count;...` string for CSV.
     pub fn layout_compact(&self) -> String {
-        self.layouts
-            .iter()
-            .map(|(k, c)| format!("{k}={c}"))
-            .collect::<Vec<_>>()
-            .join(";")
+        compact(&self.layouts)
     }
 
     /// Health histogram (label → block count).
@@ -243,11 +234,7 @@ impl ExecStats {
 
     /// Health histogram as a compact `label=count;...` string for CSV.
     pub fn health_compact(&self) -> String {
-        self.health
-            .iter()
-            .map(|(k, c)| format!("{k}={c}"))
-            .collect::<Vec<_>>()
-            .join(";")
+        compact(&self.health)
     }
 
     /// Record `rows` block rows processed at sweep level `level`.
@@ -270,15 +257,6 @@ impl ExecStats {
         &self.levels
     }
 
-    /// Level histogram as a compact `level=rows;...` string for CSV.
-    pub fn level_compact(&self) -> String {
-        self.levels
-            .iter()
-            .map(|(l, c)| format!("{l}={c}"))
-            .collect::<Vec<_>>()
-            .join(";")
-    }
-
     /// Record `applies` applications routed through the preconditioner
     /// labeled `p`. `applies == 0` still inserts the entry (hot-path
     /// pre-warming, as for [`ExecStats::record_level`]).
@@ -286,18 +264,9 @@ impl ExecStats {
         *self.precond.entry(p).or_insert(0) += applies;
     }
 
-    /// Preconditioner histogram (label → applies).
-    pub fn precond_histogram(&self) -> &BTreeMap<&'static str, u64> {
-        &self.precond
-    }
-
     /// Preconditioner histogram as a compact `label=count;...` string.
     pub fn precond_compact(&self) -> String {
-        self.precond
-            .iter()
-            .map(|(k, c)| format!("{k}={c}"))
-            .collect::<Vec<_>>()
-            .join(";")
+        compact(&self.precond)
     }
 
     /// Storage-precision histogram (label → block count).
@@ -305,27 +274,9 @@ impl ExecStats {
         &self.precisions
     }
 
-    /// Precision histogram as a compact `label=count;...` string.
-    pub fn precision_compact(&self) -> String {
-        self.precisions
-            .iter()
-            .map(|(k, c)| format!("{k}={c}"))
-            .collect::<Vec<_>>()
-            .join(";")
-    }
-
     /// Recovery-step histogram (label → application count).
     pub fn recovery_histogram(&self) -> &BTreeMap<&'static str, u64> {
         &self.recoveries
-    }
-
-    /// Recovery histogram as a compact `label=count;...` string.
-    pub fn recovery_compact(&self) -> String {
-        self.recoveries
-            .iter()
-            .map(|(k, c)| format!("{k}={c}"))
-            .collect::<Vec<_>>()
-            .join(";")
     }
 
     /// Fold another stats object into this one.
@@ -415,7 +366,8 @@ mod tests {
         assert_eq!(a.health_histogram()["healthy"], 2);
         assert_eq!(a.health_histogram()["singular"], 1);
         assert_eq!(a.health_compact(), "healthy=2;ill_conditioned=1;singular=1");
-        assert_eq!(a.recovery_compact(), "equilibrated=1;scalar_jacobi=2");
+        assert_eq!(a.recovery_histogram()["equilibrated"], 1);
+        assert_eq!(a.recovery_histogram()["scalar_jacobi"], 2);
     }
 
     #[test]
@@ -430,7 +382,10 @@ mod tests {
         b.record_precond("bilu", 2);
         a.merge(&b);
         assert_eq!(a.level_histogram()[&1], 5);
-        assert_eq!(a.level_compact(), "0=4;1=5;2=0");
+        assert_eq!(
+            a.level_histogram().iter().collect::<Vec<_>>(),
+            [(&0, &4), (&1, &5), (&2, &0)]
+        );
         assert_eq!(a.precond_compact(), "bilu=2;bj=1");
     }
 
@@ -447,7 +402,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.precision_histogram()["lower"], 5);
         assert_eq!(a.precision_histogram()["native"], 1);
-        assert_eq!(a.precision_compact(), "lower=5;native=1");
         assert_eq!(a.promotions, 3);
         // zero-count records stay out of the histogram
         a.record_precision(StoragePrecision::Native, 0);

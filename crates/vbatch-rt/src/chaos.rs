@@ -14,7 +14,7 @@
 //! so concurrent shard workers can consult one shared plan and still
 //! reproduce bit-identical schedules across runs and thread counts.
 
-use crate::bench::RawClock;
+use crate::clock::RawClock;
 use crate::rng::SmallRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -126,7 +126,7 @@ impl ChaosPlan {
     }
 }
 
-/// A deterministic misbehaving clock for [`crate::bench::MonoTimer`]:
+/// A deterministic misbehaving clock for [`crate::clock::MonoTimer`]:
 /// advances `tick_ns` per reading but steps *backwards* by `skew_ns`
 /// every `skew_every`-th reading — the VM clock-step scenario the
 /// monotonic clamp exists for. Service deadline logic tested against
@@ -167,7 +167,7 @@ impl RawClock for SkewClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bench::MonoTimer;
+    use crate::clock::MonoTimer;
 
     #[test]
     fn decisions_are_deterministic_and_order_free() {

@@ -1,29 +1,17 @@
-//! A minimal wall-clock micro-benchmark harness (`std`-only), used by
-//! the `harness = false` bench targets. Each measurement warms up once,
-//! then doubles the iteration count until the timed window exceeds a
-//! floor, reporting ns/iter — enough to compare kernel variants without
-//! an external benchmarking dependency.
+//! The process-wide monotonic clock.
 //!
-//! The harness reads time through [`MonoTimer`], a monotonic-clamped
-//! wrapper over a raw nanosecond clock. `Instant` is documented as
-//! monotonic, but under VM clock steps (live migration, host suspend)
-//! raw readings have been observed to regress on some platforms; the
-//! timer absorbs any backwards step by clamping to the largest reading
-//! seen so far, so deltas are never negative. [`monotonic_ns`] exposes
-//! the process-wide clamped clock — the timestamp source for the
-//! `vbatch-trace` event rings.
+//! Time is read through [`MonoTimer`], a monotonic-clamped wrapper over
+//! a raw nanosecond clock. `Instant` is documented as monotonic, but
+//! under VM clock steps (live migration, host suspend) raw readings
+//! have been observed to regress on some platforms; the timer absorbs
+//! any backwards step by clamping to the largest reading seen so far,
+//! so deltas are never negative. [`monotonic_ns`] exposes the
+//! process-wide clamped clock — the timestamp source for the
+//! `vbatch-trace` event rings and the `vbatch-serve` deadlines.
 
-use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
-
-/// Minimum measured window per benchmark; short enough for CI, long
-/// enough to dominate timer noise on the block sizes we test.
-const WINDOW: Duration = Duration::from_millis(200);
-
-/// Hard cap on iterations so trivially cheap closures still terminate.
-const MAX_ITERS: u64 = 1 << 22;
+use std::time::Instant;
 
 /// A raw nanosecond clock. The production implementation reads
 /// `Instant`; tests inject fake clocks that step backwards to exercise
@@ -89,30 +77,6 @@ static GLOBAL_TIMER: MonoTimer<StdClock> = MonoTimer::new(StdClock);
 /// read plus one relaxed `fetch_max`.
 pub fn monotonic_ns() -> u64 {
     GLOBAL_TIMER.now_ns()
-}
-
-/// Time `f`, printing `label` and ns/iter.
-pub fn bench<R>(label: &str, mut f: impl FnMut() -> R) {
-    black_box(f());
-    let mut iters = 1u64;
-    loop {
-        let start = monotonic_ns();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let elapsed = Duration::from_nanos(GLOBAL_TIMER.elapsed_ns(start));
-        if elapsed >= WINDOW || iters >= MAX_ITERS {
-            let per = elapsed.as_nanos() as f64 / iters as f64;
-            println!("{label:<56} {per:>14.1} ns/iter  ({iters} iters)");
-            return;
-        }
-        iters = iters.saturating_mul(2);
-    }
-}
-
-/// Print a section header separating benchmark groups.
-pub fn group(name: &str) {
-    println!("\n== {name} ==");
 }
 
 #[cfg(test)]

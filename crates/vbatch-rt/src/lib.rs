@@ -22,8 +22,8 @@
 //! * [`sync`] — bounded MPSC channels with non-destructive fullness
 //!   probes plus a cooperative [`sync::CancelToken`], the admission /
 //!   drain substrate of the batched-solve service;
-//! * [`mod@bench`] — a wall-clock micro-benchmark harness for the
-//!   `harness = false` bench targets;
+//! * [`clock`] — the process-wide monotonic-clamped nanosecond clock
+//!   behind the trace timestamps and the service deadlines;
 //! * [`alloc_guard`] — a counting `GlobalAlloc` wrapper the zero-alloc
 //!   tests install to *prove* that the steady-state hot loops (the
 //!   preconditioner apply, the Krylov iteration bodies) perform no heap
@@ -36,9 +36,9 @@
 //!   the interleaved class kernels are written against.
 
 pub mod alloc_guard;
-pub mod bench;
 pub mod chaos;
 pub mod check;
+pub mod clock;
 pub mod fault;
 pub mod par;
 pub mod rng;

@@ -16,8 +16,8 @@ use std::collections::BTreeMap;
 
 use vbatch_core::{BatchLayout, Scalar};
 use vbatch_exec::{Backend, CpuSequential, HealthPolicy, PrecisionPolicy};
-use vbatch_rt::bench::{monotonic_ns, MonoTimer, RawClock};
 use vbatch_rt::chaos::ChaosPlan;
+use vbatch_rt::clock::{monotonic_ns, MonoTimer, RawClock};
 use vbatch_rt::sync::{bounded, CancelToken, Receiver, RecvError, Sender, TrySendError};
 
 use crate::batcher::{Envelope, FlushReason, ShardBatcher};
@@ -33,7 +33,7 @@ pub trait ServiceClock: Send + Sync + 'static {
     fn now_ns(&self) -> u64;
 }
 
-/// The default clock: [`vbatch_rt::bench::monotonic_ns`].
+/// The default clock: [`vbatch_rt::clock::monotonic_ns`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GlobalClock;
 

@@ -16,9 +16,9 @@ use std::time::Duration;
 
 use vbatch_core::BatchLayout;
 use vbatch_exec::{CpuSequential, HealthPolicy, PrecisionPolicy, SizeClassHandle};
-use vbatch_rt::bench::MonoTimer;
 use vbatch_rt::chaos::{ChaosPlan, SkewClock};
 use vbatch_rt::check::run_cases;
+use vbatch_rt::clock::MonoTimer;
 use vbatch_rt::testgen::hashed_dense;
 use vbatch_serve::{
     Outcome, RejectReason, ServeConfig, Service, ServiceBuilder, SolveRequest, TenantId,

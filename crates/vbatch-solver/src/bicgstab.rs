@@ -2,16 +2,17 @@
 //! nonsymmetric Krylov solver for cross-checking the IDR results (the
 //! MAGMA-sparse study the paper builds on, ref.\[11\], compares both).
 //!
-//! All nine iteration vectors come from a [`KrylovWorkspace`]; the
-//! iteration loop performs no heap allocations.
+//! The recurrence only: triage, stopping checks and the exit residual
+//! are [`crate::control`]'s one protocol. All nine iteration vectors
+//! come from a [`KrylovWorkspace`]; the iteration loop performs no heap
+//! allocations.
 #![deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 
-use crate::control::{SolveParams, SolveResult, StagnationGuard, StopReason};
+use crate::control::{divisor_fault, Run, SolveParams, SolveResult, StopReason};
 use crate::workspace::KrylovWorkspace;
-use std::time::Instant;
 use vbatch_core::Scalar;
 use vbatch_precond::Preconditioner;
-use vbatch_sparse::{axpy, dot, nrm2, residual, spmv, CsrMatrix};
+use vbatch_sparse::{axpy, dot, nrm2, spmv, CsrMatrix};
 
 /// Solve `A x = b` with preconditioned BiCGSTAB.
 pub fn bicgstab<T: Scalar, M: Preconditioner<T>>(
@@ -20,55 +21,13 @@ pub fn bicgstab<T: Scalar, M: Preconditioner<T>>(
     m: &M,
     params: &SolveParams,
 ) -> SolveResult<T> {
-    let mut ws = KrylovWorkspace::new();
-    bicgstab_with_workspace(a, b, m, params, &mut ws)
-}
-
-/// [`bicgstab`] drawing all iteration vectors from a caller-owned
-/// [`KrylovWorkspace`]. Results are bitwise identical to [`bicgstab`].
-pub fn bicgstab_with_workspace<T: Scalar, M: Preconditioner<T>>(
-    a: &CsrMatrix<T>,
-    b: &[T],
-    m: &M,
-    params: &SolveParams,
-    ws: &mut KrylovWorkspace<T>,
-) -> SolveResult<T> {
-    assert_eq!(a.nrows(), a.ncols());
-    assert_eq!(b.len(), a.nrows());
     let n = a.nrows();
     let _span = vbatch_trace::span!("solver.bicgstab", n);
-    let start = Instant::now();
-    let normb = nrm2(b).to_f64();
-    let mut history = Vec::with_capacity(if params.record_history {
-        params.max_iters + 2
-    } else {
-        0
-    });
-
-    let finish = |x: Vec<T>, iters: usize, reason: StopReason, history: Vec<f64>| {
-        let relres = if normb == 0.0 {
-            0.0
-        } else {
-            nrm2(&residual(a, &x, b)).to_f64() / normb
-        };
-        SolveResult {
-            x,
-            iterations: iters,
-            final_relres: relres,
-            reason,
-            solve_time: start.elapsed(),
-            history,
-        }
+    let ws = &mut KrylovWorkspace::new();
+    let mut run = match Run::begin(a, b, params, ws) {
+        Ok(run) => run,
+        Err(done) => return done,
     };
-    if normb == 0.0 {
-        return finish(ws.take(n), 0, StopReason::Converged, history);
-    }
-    if !normb.is_finite() {
-        // corrupted right-hand side: report it, don't iterate on NaN
-        return finish(ws.take(n), 0, StopReason::NonFinite, history);
-    }
-    let tolb = params.tol * normb;
-    let mut stagnation = StagnationGuard::new(params);
 
     let mut x = ws.take(n);
     let mut r = ws.take(n);
@@ -86,18 +45,16 @@ pub fn bicgstab_with_workspace<T: Scalar, M: Preconditioner<T>>(
     let mut shat = ws.take(n);
     let mut t = ws.take(n);
     let mut normr = nrm2(&r).to_f64();
-    if params.record_history {
-        history.push(normr / normb);
-    }
+    run.record(normr);
     let mut iter = 0usize;
     let mut stop: Option<StopReason> = None;
 
-    while normr > tolb && iter < params.max_iters {
+    while normr > run.target && iter < params.max_iters {
         let _step = vbatch_trace::span!("bicgstab.step", iter);
         vbatch_trace::counter!("solver.iterations", 1);
         let rho_new = dot(&r_hat, &r);
-        if rho_new == T::ZERO || !rho_new.is_finite() {
-            stop = Some(StopReason::Breakdown);
+        stop = divisor_fault(rho_new);
+        if stop.is_some() {
             break;
         }
         let beta = (rho_new / rho) * (alpha / omega);
@@ -111,19 +68,15 @@ pub fn bicgstab_with_workspace<T: Scalar, M: Preconditioner<T>>(
         spmv(a, &phat, &mut v);
         iter += 1;
         let denom = dot(&r_hat, &v);
-        if denom == T::ZERO || !denom.is_finite() {
-            stop = Some(StopReason::Breakdown);
+        stop = divisor_fault(denom);
+        if stop.is_some() {
             break;
         }
         alpha = rho / denom;
         s_vec.copy_from_slice(&r);
         axpy(-alpha, &v, &mut s_vec);
-        let norms = nrm2(&s_vec).to_f64();
-        if norms <= tolb {
+        if run.converged_early(nrm2(&s_vec).to_f64()) {
             axpy(alpha, &phat, &mut x);
-            if params.record_history {
-                history.push(norms / normb);
-            }
             stop = Some(StopReason::Converged);
             break;
         }
@@ -137,36 +90,25 @@ pub fn bicgstab_with_workspace<T: Scalar, M: Preconditioner<T>>(
             break;
         }
         omega = dot(&t, &s_vec) / tt;
-        if omega == T::ZERO || !omega.is_finite() {
-            stop = Some(StopReason::Breakdown);
+        stop = divisor_fault(omega);
+        if stop.is_some() {
             break;
         }
         axpy(alpha, &phat, &mut x);
         axpy(omega, &shat, &mut x);
-        // r takes over s_vec's values (former move-assign, now a swap so
-        // both buffers stay checked out)
+        // r takes over s_vec's values (a swap, so both buffers stay
+        // checked out)
         std::mem::swap(&mut r, &mut s_vec);
         axpy(-omega, &t, &mut r);
         normr = nrm2(&r).to_f64();
-        if params.record_history {
-            history.push(normr / normb);
-        }
-        if !normr.is_finite() {
-            stop = Some(StopReason::NonFinite);
-            break;
-        }
-        if normr > tolb && stagnation.observe(normr) {
-            stop = Some(StopReason::Stagnated);
+        stop = run.observe(normr);
+        if stop.is_some() {
             break;
         }
     }
-    let reason = stop.unwrap_or(if normr <= tolb {
-        StopReason::Converged
-    } else {
-        StopReason::MaxIterations
-    });
     ws.recycle_all([r, r_hat, v, p, phat, s_vec, shat, t]);
-    finish(x, iter, reason, history)
+    let reason = run.resolve(stop, normr);
+    run.finish(x, iter, reason, ws)
 }
 
 #[cfg(test)]
@@ -191,37 +133,5 @@ mod tests {
         let b: Vec<f64> = (0..100).map(|i| (i % 7) as f64 - 3.0).collect();
         let r = bicgstab(&a, &b, &Identity::new(100), &SolveParams::default());
         assert!(r.converged());
-    }
-
-    #[test]
-    fn zero_rhs() {
-        let a = laplace_2d::<f64>(4, 4);
-        let r = bicgstab(&a, &[0.0; 16], &Identity::new(16), &SolveParams::default());
-        assert!(r.converged());
-        assert_eq!(r.iterations, 0);
-    }
-
-    #[test]
-    fn respects_iteration_cap() {
-        let a = laplace_2d::<f64>(25, 25);
-        let b = vec![1.0; 625];
-        let params = SolveParams::default().with_max_iters(4);
-        let r = bicgstab(&a, &b, &Identity::new(625), &params);
-        assert_eq!(r.reason, StopReason::MaxIterations);
-    }
-
-    #[test]
-    fn workspace_reuse_is_bitwise_identical() {
-        let a = convection_diffusion_2d::<f64>(9, 9, 1.1);
-        let b = vec![1.0; 81];
-        let fresh = bicgstab(&a, &b, &Identity::new(81), &SolveParams::default());
-        let mut ws = KrylovWorkspace::for_bicgstab(81);
-        let r1 =
-            bicgstab_with_workspace(&a, &b, &Identity::new(81), &SolveParams::default(), &mut ws);
-        let r2 =
-            bicgstab_with_workspace(&a, &b, &Identity::new(81), &SolveParams::default(), &mut ws);
-        assert_eq!(fresh.x, r1.x);
-        assert_eq!(r1.x, r2.x);
-        assert_eq!(fresh.iterations, r1.iterations);
     }
 }

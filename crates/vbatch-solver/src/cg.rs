@@ -2,16 +2,17 @@
 //! suite (pairs naturally with the Cholesky-based block-Jacobi
 //! extension).
 //!
-//! All iteration vectors come from a [`KrylovWorkspace`]; the iteration
-//! loop performs no heap allocations.
+//! The recurrence only: triage, stopping checks and the exit residual
+//! are [`crate::control`]'s one protocol. All iteration vectors come
+//! from a [`KrylovWorkspace`]; the iteration loop performs no heap
+//! allocations.
 #![deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 
-use crate::control::{SolveParams, SolveResult, StopReason};
+use crate::control::{divisor_fault, Run, SolveParams, SolveResult, StopReason};
 use crate::workspace::KrylovWorkspace;
-use std::time::Instant;
 use vbatch_core::Scalar;
 use vbatch_precond::Preconditioner;
-use vbatch_sparse::{axpy, dot, nrm2, residual, spmv, CsrMatrix};
+use vbatch_sparse::{axpy, dot, nrm2, spmv, CsrMatrix};
 
 /// Solve the SPD system `A x = b` with preconditioned CG.
 pub fn cg<T: Scalar, M: Preconditioner<T>>(
@@ -20,50 +21,13 @@ pub fn cg<T: Scalar, M: Preconditioner<T>>(
     m: &M,
     params: &SolveParams,
 ) -> SolveResult<T> {
-    let mut ws = KrylovWorkspace::new();
-    cg_with_workspace(a, b, m, params, &mut ws)
-}
-
-/// [`cg`] drawing all iteration vectors from a caller-owned
-/// [`KrylovWorkspace`]. Results are bitwise identical to [`cg`].
-pub fn cg_with_workspace<T: Scalar, M: Preconditioner<T>>(
-    a: &CsrMatrix<T>,
-    b: &[T],
-    m: &M,
-    params: &SolveParams,
-    ws: &mut KrylovWorkspace<T>,
-) -> SolveResult<T> {
-    assert_eq!(a.nrows(), a.ncols());
-    assert_eq!(b.len(), a.nrows());
     let n = a.nrows();
     let _span = vbatch_trace::span!("solver.cg", n);
-    let start = Instant::now();
-    let normb = nrm2(b).to_f64();
-    let mut history = Vec::with_capacity(if params.record_history {
-        params.max_iters + 2
-    } else {
-        0
-    });
-
-    let finish = |x: Vec<T>, iters: usize, reason: StopReason, history: Vec<f64>| {
-        let relres = if normb == 0.0 {
-            0.0
-        } else {
-            nrm2(&residual(a, &x, b)).to_f64() / normb
-        };
-        SolveResult {
-            x,
-            iterations: iters,
-            final_relres: relres,
-            reason,
-            solve_time: start.elapsed(),
-            history,
-        }
+    let ws = &mut KrylovWorkspace::new();
+    let mut run = match Run::begin(a, b, params, ws) {
+        Ok(run) => run,
+        Err(done) => return done,
     };
-    if normb == 0.0 {
-        return finish(ws.take(n), 0, StopReason::Converged, history);
-    }
-    let tolb = params.tol * normb;
 
     let mut x = ws.take(n);
     let mut r = ws.take(n);
@@ -76,34 +40,26 @@ pub fn cg_with_workspace<T: Scalar, M: Preconditioner<T>>(
     let mut ap = ws.take(n);
     let mut rz = dot(&r, &z);
     let mut normr = nrm2(&r).to_f64();
-    if params.record_history {
-        history.push(normr / normb);
-    }
+    run.record(normr);
     let mut iter = 0usize;
     let mut stop: Option<StopReason> = None;
 
-    while normr > tolb && iter < params.max_iters {
+    while normr > run.target && iter < params.max_iters {
         let _step = vbatch_trace::span!("cg.step", iter);
         vbatch_trace::counter!("solver.iterations", 1);
         spmv(a, &p, &mut ap);
         iter += 1;
         let pap = dot(&p, &ap);
-        if pap == T::ZERO || !pap.is_finite() {
-            stop = Some(StopReason::Breakdown);
+        stop = divisor_fault(pap);
+        if stop.is_some() {
             break;
         }
         let alpha = rz / pap;
         axpy(alpha, &p, &mut x);
         axpy(-alpha, &ap, &mut r);
         normr = nrm2(&r).to_f64();
-        if params.record_history {
-            history.push(normr / normb);
-        }
-        if !normr.is_finite() {
-            stop = Some(StopReason::NonFinite);
-            break;
-        }
-        if normr <= tolb {
+        stop = run.observe(normr);
+        if stop.is_some() {
             break;
         }
         z.copy_from_slice(&r);
@@ -119,13 +75,9 @@ pub fn cg_with_workspace<T: Scalar, M: Preconditioner<T>>(
             p[i] = z[i] + beta * p[i];
         }
     }
-    let reason = stop.unwrap_or(if normr <= tolb {
-        StopReason::Converged
-    } else {
-        StopReason::MaxIterations
-    });
     ws.recycle_all([r, z, p, ap]);
-    finish(x, iter, reason, history)
+    let reason = run.resolve(stop, normr);
+    run.finish(x, iter, reason, ws)
 }
 
 #[cfg(test)]
@@ -151,52 +103,5 @@ mod tests {
         let jac = Jacobi::setup(&a).unwrap();
         let r = cg(&a, &b, &jac, &SolveParams::default());
         assert!(r.converged());
-    }
-
-    #[test]
-    fn zero_rhs() {
-        let a = laplace_2d::<f64>(3, 3);
-        let r = cg(&a, &[0.0; 9], &Identity::new(9), &SolveParams::default());
-        assert!(r.converged());
-        assert_eq!(r.iterations, 0);
-    }
-
-    #[test]
-    fn iteration_cap() {
-        let a = laplace_2d::<f64>(30, 30);
-        let b = vec![1.0; 900];
-        let r = cg(
-            &a,
-            &b,
-            &Identity::new(900),
-            &SolveParams::default().with_max_iters(3),
-        );
-        assert_eq!(r.reason, StopReason::MaxIterations);
-        assert_eq!(r.iterations, 3);
-    }
-
-    #[test]
-    fn workspace_reuse_is_bitwise_identical() {
-        let a = laplace_2d::<f64>(10, 10);
-        let b = vec![1.0; 100];
-        let fresh = cg(&a, &b, &Identity::new(100), &SolveParams::default());
-        let mut ws = KrylovWorkspace::for_cg(100);
-        let r1 = cg_with_workspace(
-            &a,
-            &b,
-            &Identity::new(100),
-            &SolveParams::default(),
-            &mut ws,
-        );
-        let r2 = cg_with_workspace(
-            &a,
-            &b,
-            &Identity::new(100),
-            &SolveParams::default(),
-            &mut ws,
-        );
-        assert_eq!(fresh.x, r1.x);
-        assert_eq!(r1.x, r2.x);
-        assert_eq!(fresh.iterations, r1.iterations);
     }
 }

@@ -10,13 +10,14 @@
 //! reusable [`IdrSolver`] handle, and the breakdown-recovering
 //! [`idr_precond_robust`].
 
+use crate::control::true_residual_norm;
 use crate::{gmres, idr, idr_with_workspace, KrylovWorkspace, SolveParams, SolveResult};
 use std::sync::Arc;
 use std::time::Duration;
 use vbatch_core::{FactorError, Scalar};
 use vbatch_exec::{Backend, ExecStats};
 use vbatch_precond::{BlockIlu0, BlockJacobi, BlockPreconditioner, PrecondKind, PrecondOptions};
-use vbatch_sparse::{axpy, nrm2, residual, BlockPartition, CsrMatrix};
+use vbatch_sparse::{axpy, nrm2, BlockPartition, CsrMatrix};
 
 /// A preconditioned solve plus the setup-phase execution statistics.
 pub struct PrecondSolve<T> {
@@ -224,8 +225,8 @@ pub fn idr_precond_robust<T: Scalar, M: BlockPreconditioner<T>>(
     let mut used_gmres = false;
 
     while result.reason.is_abnormal() && restarts < policy.max_restarts {
-        let r = residual(a, &result.x, b);
-        if !nrm2(&r).to_f64().is_finite() {
+        let mut r = vec![T::ZERO; b.len()];
+        if !true_residual_norm(a, &result.x, b, &mut r).is_finite() {
             // the right-hand side (or iterate) is corrupted beyond what
             // a restart can repair
             break;
@@ -266,7 +267,7 @@ fn merge_attempts<T: Scalar>(
     let final_relres = if normb == 0.0 {
         0.0
     } else {
-        nrm2(&residual(a, &x, b)).to_f64() / normb
+        true_residual_norm(a, &x, b, &mut vec![T::ZERO; b.len()]) / normb
     };
     let mut history = prev.history.clone();
     history.extend_from_slice(&attempt.history);

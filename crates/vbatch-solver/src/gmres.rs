@@ -2,17 +2,22 @@
 //! Gram-Schmidt orthogonalization — the long-recurrence reference
 //! against the short-recurrence solvers (IDR, BiCGSTAB).
 //!
-//! The Krylov basis, Hessenberg columns (flat, row-major) and rotation
-//! state all come from a [`KrylovWorkspace`]; after warm-up neither the
-//! restart cycles nor the inner Arnoldi steps allocate.
+//! The recurrence only: triage, the restart-time check and the exit
+//! residual are [`crate::control`]'s one protocol — minus its
+//! stagnation guard: GMRES is [`crate::driver::idr_precond_robust`]'s
+//! last resort and spends its budget. The Krylov basis, Hessenberg
+//! columns (flat, row-major) and rotation state all come from a
+//! [`KrylovWorkspace`]; neither the restart cycles nor the inner Arnoldi
+//! steps allocate.
 #![deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 
-use crate::control::{SolveParams, SolveResult, StopReason};
+use crate::control::{
+    divisor_fault, true_residual_norm, Run, SolveParams, SolveResult, StopReason,
+};
 use crate::workspace::KrylovWorkspace;
-use std::time::Instant;
 use vbatch_core::Scalar;
 use vbatch_precond::Preconditioner;
-use vbatch_sparse::{axpy, dot, nrm2, residual, spmv, CsrMatrix};
+use vbatch_sparse::{axpy, dot, nrm2, spmv, CsrMatrix};
 
 /// Solve `A x = b` with preconditioned GMRES, restarting every
 /// `restart` iterations.
@@ -23,56 +28,14 @@ pub fn gmres<T: Scalar, M: Preconditioner<T>>(
     m: &M,
     params: &SolveParams,
 ) -> SolveResult<T> {
-    let mut ws = KrylovWorkspace::new();
-    gmres_with_workspace(a, b, restart, m, params, &mut ws)
-}
-
-/// [`gmres`] drawing the Krylov basis and all iteration state from a
-/// caller-owned [`KrylovWorkspace`]. Results are bitwise identical to
-/// [`gmres`].
-pub fn gmres_with_workspace<T: Scalar, M: Preconditioner<T>>(
-    a: &CsrMatrix<T>,
-    b: &[T],
-    restart: usize,
-    m: &M,
-    params: &SolveParams,
-    ws: &mut KrylovWorkspace<T>,
-) -> SolveResult<T> {
     assert!(restart >= 1);
-    assert_eq!(a.nrows(), a.ncols());
-    assert_eq!(b.len(), a.nrows());
     let n = a.nrows();
     let _span = vbatch_trace::span!("solver.gmres", n);
-    let start = Instant::now();
-    let normb = nrm2(b).to_f64();
-    let mut history = Vec::with_capacity(if params.record_history {
-        2 * (params.max_iters + 2)
-    } else {
-        0
-    });
-
-    let finish = |x: Vec<T>, iters: usize, reason: StopReason, history: Vec<f64>| {
-        let relres = if normb == 0.0 {
-            0.0
-        } else {
-            nrm2(&residual(a, &x, b)).to_f64() / normb
-        };
-        SolveResult {
-            x,
-            iterations: iters,
-            final_relres: relres,
-            reason,
-            solve_time: start.elapsed(),
-            history,
-        }
+    let ws = &mut KrylovWorkspace::new();
+    let mut run = match Run::begin(a, b, params, ws) {
+        Ok(run) => run,
+        Err(done) => return done,
     };
-    if normb == 0.0 {
-        return finish(ws.take(n), 0, StopReason::Converged, history);
-    }
-    if !normb.is_finite() {
-        // corrupted right-hand side: report it, don't iterate on NaN
-        return finish(ws.take(n), 0, StopReason::NonFinite, history);
-    }
     // left preconditioning: the Arnoldi residual is the *preconditioned*
     // one; convergence is still checked on the true residual at restarts
     let mut x = ws.take(n);
@@ -89,40 +52,20 @@ pub fn gmres_with_workspace<T: Scalar, M: Preconditioner<T>>(
     let mut g = ws.take(restart + 1);
     let mut y = ws.take(restart);
     let mut iter = 0usize;
-    let reason;
 
-    'outer: loop {
-        // true residual r = b - A x, computed in place
-        spmv(a, &x, &mut r);
-        for (ri, &bi) in r.iter_mut().zip(b) {
-            *ri = bi - *ri;
-        }
-        let true_normr = nrm2(&r).to_f64();
-        if params.record_history {
-            history.push(true_normr / normb);
-        }
-        if !true_normr.is_finite() {
-            reason = StopReason::NonFinite;
-            break 'outer;
-        }
-        if true_normr <= params.tol * normb {
-            reason = StopReason::Converged;
-            break 'outer;
+    let reason = loop {
+        let true_normr = true_residual_norm(a, &x, b, &mut r);
+        if let Some(why) = run.check(true_normr) {
+            break why;
         }
         if iter >= params.max_iters {
-            reason = StopReason::MaxIterations;
-            break 'outer;
+            break StopReason::MaxIterations;
         }
         m.apply_inplace(&mut r);
         let beta = nrm2(&r);
-        if !beta.is_finite() {
-            // the preconditioner produced NaN/Inf — a faulted block
-            reason = StopReason::NonFinite;
-            break 'outer;
-        }
-        if beta == T::ZERO {
-            reason = StopReason::Breakdown;
-            break 'outer;
+        // non-finite: the preconditioner produced NaN/Inf — a faulted block
+        if let Some(why) = divisor_fault(beta) {
+            break why;
         }
         // Arnoldi with MGS
         basis[0].copy_from_slice(&r);
@@ -165,10 +108,8 @@ pub fn gmres_with_workspace<T: Scalar, M: Preconditioner<T>>(
             g[k] = cs[k] * g[k];
             k_done = k + 1;
             let prec_res = g[k + 1].abs().to_f64();
-            if params.record_history {
-                history.push(prec_res / normb);
-            }
-            if hk1 == T::ZERO || prec_res <= params.tol * normb * 0.1 {
+            run.record(prec_res);
+            if hk1 == T::ZERO || prec_res <= run.target * 0.1 {
                 break;
             }
             if k + 1 < restart + 1 {
@@ -178,8 +119,7 @@ pub fn gmres_with_workspace<T: Scalar, M: Preconditioner<T>>(
         }
         // back-substitute y and update x
         if k_done == 0 {
-            reason = StopReason::Breakdown;
-            break 'outer;
+            break StopReason::Breakdown;
         }
         for i in (0..k_done).rev() {
             let mut acc = g[i];
@@ -191,11 +131,11 @@ pub fn gmres_with_workspace<T: Scalar, M: Preconditioner<T>>(
         for (j, &yj) in y[..k_done].iter().enumerate() {
             axpy(yj, &basis[j], &mut x);
         }
-    }
+    };
 
     ws.recycle_all([r, w, h, cs, sn, g, y]);
     ws.recycle_all(basis);
-    finish(x, iter, reason, history)
+    run.finish(x, iter, reason, ws)
 }
 
 #[cfg(test)]
@@ -229,54 +169,5 @@ mod tests {
         let jac = Jacobi::setup(&a).unwrap();
         let r = gmres(&a, &b, 20, &jac, &SolveParams::default());
         assert!(r.converged());
-    }
-
-    #[test]
-    fn zero_rhs() {
-        let a = laplace_2d::<f64>(3, 3);
-        let r = gmres(&a, &[0.0; 9], 5, &Identity::new(9), &SolveParams::default());
-        assert!(r.converged());
-        assert_eq!(r.iterations, 0);
-    }
-
-    #[test]
-    fn iteration_cap() {
-        let a = laplace_2d::<f64>(20, 20);
-        let b = vec![1.0; 400];
-        let r = gmres(
-            &a,
-            &b,
-            10,
-            &Identity::new(400),
-            &SolveParams::default().with_max_iters(7),
-        );
-        assert_eq!(r.reason, StopReason::MaxIterations);
-    }
-
-    #[test]
-    fn workspace_reuse_is_bitwise_identical() {
-        let a = convection_diffusion_2d::<f64>(9, 9, 0.8);
-        let b = vec![1.0; 81];
-        let fresh = gmres(&a, &b, 12, &Identity::new(81), &SolveParams::default());
-        let mut ws = KrylovWorkspace::for_gmres(81, 12);
-        let r1 = gmres_with_workspace(
-            &a,
-            &b,
-            12,
-            &Identity::new(81),
-            &SolveParams::default(),
-            &mut ws,
-        );
-        let r2 = gmres_with_workspace(
-            &a,
-            &b,
-            12,
-            &Identity::new(81),
-            &SolveParams::default(),
-            &mut ws,
-        );
-        assert_eq!(fresh.x, r1.x);
-        assert_eq!(r1.x, r2.x);
-        assert_eq!(fresh.iterations, r1.iterations);
     }
 }

@@ -9,19 +9,20 @@
 //! seeded, orthonormalized random `n x s` block, so runs are
 //! reproducible.
 //!
-//! All iteration vectors come from a [`KrylovWorkspace`]; the main loop
-//! performs no heap allocations — every temporary is checked out once
-//! before the loop and reused in place, and `mem::swap` replaces the
-//! former move-assignments into the `G`/`U` direction blocks.
+//! The recurrence only: triage, stopping checks and the exit residual
+//! are [`crate::control`]'s one protocol. All iteration vectors come
+//! from a [`KrylovWorkspace`]; the main loop performs no heap
+//! allocations — every temporary is checked out once before the loop
+//! and reused in place, and the `G`/`U` direction blocks are updated by
+//! `mem::swap`.
 #![deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 
-use crate::control::{SolveParams, SolveResult, StagnationGuard, StopReason};
+use crate::control::{divisor_fault, Run, SolveParams, SolveResult, StopReason};
 use crate::workspace::KrylovWorkspace;
-use std::time::Instant;
 use vbatch_core::Scalar;
 use vbatch_precond::Preconditioner;
 use vbatch_rt::SmallRng;
-use vbatch_sparse::{axpy, dot, nrm2, residual, spmv, CsrMatrix};
+use vbatch_sparse::{axpy, dot, nrm2, spmv, CsrMatrix};
 
 /// Angle safeguard for the omega computation ("maintaining the
 /// convergence" constant of van Gijzen's implementation).
@@ -107,19 +108,6 @@ pub fn idr_smoothed<T: Scalar, M: Preconditioner<T>>(
     idr_impl(a, b, s, m, params, true, &mut ws)
 }
 
-/// [`idr_smoothed`] drawing all iteration vectors from a caller-owned
-/// [`KrylovWorkspace`].
-pub fn idr_smoothed_with_workspace<T: Scalar, M: Preconditioner<T>>(
-    a: &CsrMatrix<T>,
-    b: &[T],
-    s: usize,
-    m: &M,
-    params: &SolveParams,
-    ws: &mut KrylovWorkspace<T>,
-) -> SolveResult<T> {
-    idr_impl(a, b, s, m, params, true, ws)
-}
-
 fn idr_impl<T: Scalar, M: Preconditioner<T>>(
     a: &CsrMatrix<T>,
     b: &[T],
@@ -130,52 +118,19 @@ fn idr_impl<T: Scalar, M: Preconditioner<T>>(
     ws: &mut KrylovWorkspace<T>,
 ) -> SolveResult<T> {
     assert!(s >= 1, "IDR needs s >= 1");
-    assert_eq!(a.nrows(), a.ncols());
-    assert_eq!(b.len(), a.nrows());
     assert_eq!(m.dim(), a.nrows());
     let n = a.nrows();
     let _span = vbatch_trace::span!("solver.idr", n);
-    let start = Instant::now();
-
-    let normb = nrm2(b).to_f64();
-    let mut history = Vec::with_capacity(if params.record_history {
-        params.max_iters + 2
-    } else {
-        0
-    });
-    let finish =
-        |x: Vec<T>, iterations: usize, reason: StopReason, history: Vec<f64>, start: Instant| {
-            let relres = if normb == 0.0 {
-                0.0
-            } else {
-                nrm2(&residual(a, &x, b)).to_f64() / normb
-            };
-            SolveResult {
-                x,
-                iterations,
-                final_relres: relres,
-                reason,
-                solve_time: start.elapsed(),
-                history,
-            }
-        };
-    if normb == 0.0 {
-        return finish(ws.take(n), 0, StopReason::Converged, history, start);
-    }
-    if !normb.is_finite() {
-        // corrupted right-hand side: report it, don't iterate on NaN
-        return finish(ws.take(n), 0, StopReason::NonFinite, history, start);
-    }
-    let tolb = params.tol * normb;
+    let mut run = match Run::begin(a, b, params, ws) {
+        Ok(run) => run,
+        Err(done) => return done,
+    };
 
     let mut x = ws.take(n);
     let mut r = ws.take(n);
     r.copy_from_slice(b);
     let mut normr = nrm2(&r).to_f64();
-    if params.record_history {
-        history.push(normr / normb);
-    }
-    let mut stagnation = StagnationGuard::new(params);
+    run.record(normr);
     let mut smoother = if smoothing {
         Some(Smoother::checkout(ws, &x, &r))
     } else {
@@ -205,7 +160,7 @@ fn idr_impl<T: Scalar, M: Preconditioner<T>>(
     let mut iter = 0usize;
     let mut stop: Option<StopReason> = None;
 
-    'cycles: while normr > tolb && iter < params.max_iters {
+    'cycles: while normr > run.target && iter < params.max_iters {
         // f = P^T r
         for (i, fi) in f.iter_mut().enumerate() {
             *fi = dot(&p[i], &r);
@@ -222,8 +177,8 @@ fn idr_impl<T: Scalar, M: Preconditioner<T>>(
                     acc -= ms[i * s + j] * c[j - k];
                 }
                 let d = ms[i * s + i];
-                if d == T::ZERO || !d.is_finite() {
-                    stop = Some(StopReason::Breakdown);
+                stop = divisor_fault(d);
+                if stop.is_some() {
                     break 'cycles;
                 }
                 c[i - k] = acc / d;
@@ -254,8 +209,8 @@ fn idr_impl<T: Scalar, M: Preconditioner<T>>(
                 ms[i * s + k] = dot(&p[i], &gk);
             }
             let mkk = ms[k * s + k];
-            if mkk == T::ZERO || !mkk.is_finite() {
-                stop = Some(StopReason::Breakdown);
+            stop = divisor_fault(mkk);
+            if stop.is_some() {
                 break 'cycles;
             }
             let beta = f[k] / mkk;
@@ -265,21 +220,14 @@ fn idr_impl<T: Scalar, M: Preconditioner<T>>(
             if let Some(sm) = smoother.as_mut() {
                 normr = sm.update(&x, &r);
             }
-            if params.record_history {
-                history.push(normr / normb);
-            }
-            if !normr.is_finite() {
-                stop = Some(StopReason::NonFinite);
-                break 'cycles;
-            }
-            if normr > tolb && stagnation.observe(normr) {
-                stop = Some(StopReason::Stagnated);
+            stop = run.observe(normr);
+            if stop.is_some() {
                 break 'cycles;
             }
             std::mem::swap(&mut g[k], &mut gk);
             std::mem::swap(&mut u[k], &mut uk);
-            if normr <= tolb || iter >= params.max_iters {
-                break;
+            if iter >= params.max_iters {
+                break 'cycles;
             }
             // update f for the remaining steps of this cycle
             for (i, fi) in f.iter_mut().enumerate() {
@@ -289,9 +237,6 @@ fn idr_impl<T: Scalar, M: Preconditioner<T>>(
                     *fi -= beta * ms[i * s + k];
                 }
             }
-        }
-        if normr <= tolb || iter >= params.max_iters {
-            break;
         }
         // dimension-reduction step: enter G_{j+1}
         let _step = vbatch_trace::span!("idr.reduce", iter);
@@ -312,8 +257,8 @@ fn idr_impl<T: Scalar, M: Preconditioner<T>>(
         if rho < KAPPA && rho > 0.0 {
             om *= T::from_f64(KAPPA / rho);
         }
-        if om == T::ZERO || !om.is_finite() {
-            stop = Some(StopReason::Breakdown);
+        stop = divisor_fault(om);
+        if stop.is_some() {
             break;
         }
         axpy(om, &v, &mut x);
@@ -322,34 +267,21 @@ fn idr_impl<T: Scalar, M: Preconditioner<T>>(
         if let Some(sm) = smoother.as_mut() {
             normr = sm.update(&x, &r);
         }
-        if params.record_history {
-            history.push(normr / normb);
-        }
-        if !normr.is_finite() {
-            stop = Some(StopReason::NonFinite);
-            break;
-        }
-        if normr > tolb && stagnation.observe(normr) {
-            stop = Some(StopReason::Stagnated);
+        stop = run.observe(normr);
+        if stop.is_some() {
             break;
         }
     }
 
-    let aborted = stop.is_some();
-    let reason = stop.unwrap_or(if normr <= tolb {
-        StopReason::Converged
-    } else {
-        StopReason::MaxIterations
-    });
+    let reason = run.resolve(stop, normr);
     // single exit point: recycle everything except the returned iterate
     ws.recycle_all([r, f, c, v, uk, gk, t, ms]);
     ws.recycle_all(p);
     ws.recycle_all(g);
     ws.recycle_all(u);
     let x_final = match smoother {
-        // abnormal stops return the raw iterate, matching the
-        // pre-workspace behavior of the early-return paths
-        Some(sm) if !aborted => {
+        // abnormal stops return the raw iterate
+        Some(sm) if !reason.is_abnormal() => {
             ws.recycle(x);
             ws.recycle(sm.rs);
             sm.xs
@@ -361,7 +293,7 @@ fn idr_impl<T: Scalar, M: Preconditioner<T>>(
         }
         None => x,
     };
-    finish(x_final, iter, reason, history, start)
+    run.finish(x_final, iter, reason, ws)
 }
 
 /// Build an orthonormal shadow block (modified Gram-Schmidt on seeded
@@ -416,7 +348,7 @@ mod tests {
         let r = idr(&a, &b, 4, &Identity::new(144), &SolveParams::default());
         assert!(r.converged());
         // verify the true residual independently
-        let res = residual(&a, &r.x, &b);
+        let res = vbatch_sparse::residual(&a, &r.x, &b);
         assert!(nrm2(&res) / nrm2(&b) < 1e-6);
     }
 
@@ -455,31 +387,6 @@ mod tests {
             let r = idr(&a, &b, s, &Identity::new(64), &SolveParams::default());
             assert!(r.converged(), "s={s}: {:?}", r.reason);
         }
-    }
-
-    #[test]
-    fn zero_rhs_returns_zero() {
-        let a = laplace_2d::<f64>(4, 4);
-        let r = idr(
-            &a,
-            &[0.0; 16],
-            4,
-            &Identity::new(16),
-            &SolveParams::default(),
-        );
-        assert!(r.converged());
-        assert_eq!(r.iterations, 0);
-        assert!(r.x.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn iteration_cap_respected() {
-        let a = laplace_2d::<f64>(20, 20);
-        let b = vec![1.0; 400];
-        let params = SolveParams::default().with_max_iters(5);
-        let r = idr(&a, &b, 4, &Identity::new(400), &params);
-        assert_eq!(r.reason, StopReason::MaxIterations);
-        assert!(r.iterations <= 6); // cycle may finish the step in flight
     }
 
     #[test]
@@ -526,55 +433,5 @@ mod tests {
         for (p, q) in r1.x.iter().zip(&r2.x) {
             assert!((p - q).abs() < 1e-7);
         }
-    }
-
-    #[test]
-    fn reproducible_runs() {
-        let a = convection_diffusion_2d::<f64>(9, 9, 0.5);
-        let b = vec![1.0; 81];
-        let r1 = idr(&a, &b, 4, &Identity::new(81), &SolveParams::default());
-        let r2 = idr(&a, &b, 4, &Identity::new(81), &SolveParams::default());
-        assert_eq!(r1.iterations, r2.iterations);
-        assert_eq!(r1.x, r2.x);
-    }
-
-    #[test]
-    fn workspace_reuse_is_bitwise_identical_to_fresh_allocation() {
-        let a = convection_diffusion_2d::<f64>(10, 10, 0.7);
-        let b = vec![1.0; 100];
-        let fresh = idr(&a, &b, 4, &Identity::new(100), &SolveParams::default());
-        let mut ws = KrylovWorkspace::for_idr(100, 4);
-        let r1 = idr_with_workspace(
-            &a,
-            &b,
-            4,
-            &Identity::new(100),
-            &SolveParams::default(),
-            &mut ws,
-        );
-        // second solve reuses dirty recycled buffers
-        let r2 = idr_with_workspace(
-            &a,
-            &b,
-            4,
-            &Identity::new(100),
-            &SolveParams::default(),
-            &mut ws,
-        );
-        assert_eq!(fresh.x, r1.x);
-        assert_eq!(r1.x, r2.x);
-        assert_eq!(fresh.iterations, r1.iterations);
-        assert!(ws.high_water() > 0);
-        // smoothed variant too (exercises the smoother checkout path)
-        let sf = idr_smoothed(&a, &b, 4, &Identity::new(100), &SolveParams::default());
-        let s1 = idr_smoothed_with_workspace(
-            &a,
-            &b,
-            4,
-            &Identity::new(100),
-            &SolveParams::default(),
-            &mut ws,
-        );
-        assert_eq!(sf.x, s1.x);
     }
 }

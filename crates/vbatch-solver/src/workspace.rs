@@ -1,8 +1,9 @@
 //! Reusable iteration-vector workspace for the Krylov solvers.
 //!
 //! Every solver in this crate checks its iteration vectors (residual,
-//! search directions, Krylov basis, shadow-space projections) out of a
-//! [`KrylovWorkspace`] instead of allocating them per solve — and,
+//! search directions, Krylov basis, shadow-space projections, the exit
+//! residual) out of a [`KrylovWorkspace`] — one per call, or the
+//! caller's through [`crate::idr_with_workspace`] — and,
 //! crucially, *never* allocates inside the iteration loop: all
 //! per-iteration temporaries are checked out once before the loop and
 //! reused in place. Combined with the prepared preconditioner apply of
@@ -15,9 +16,9 @@
 //! recycled buffer when one with sufficient capacity exists. Reuse is
 //! numerically invisible — a recycled buffer is re-zeroed on checkout,
 //! so solves through a shared workspace are bitwise identical to
-//! solves through fresh allocations (locked down by the
-//! `workspace_reuse_is_bitwise_identical*` tests in every solver
-//! module).
+//! solves through fresh allocations (locked down by the root
+//! `tests/krylov_contract.rs`: an `IdrSolver`'s second solve equals its
+//! first and the one-shot [`crate::idr()`]).
 
 use vbatch_core::Scalar;
 
@@ -49,30 +50,6 @@ impl<T: Scalar> KrylovWorkspace<T> {
         // f and c cycle vectors + the flat s*s projection matrix
         ws.seed(s, 2);
         ws.seed(s * s, 1);
-        ws
-    }
-
-    /// Workspace pre-seeded for GMRES(m): the basis block plus the
-    /// iteration temporaries and the flat Hessenberg/rotation storage.
-    pub fn for_gmres(n: usize, restart: usize) -> Self {
-        let mut ws = Self::new();
-        ws.seed(n, restart + 4);
-        ws.seed((restart + 1) * restart, 1);
-        ws.seed(restart + 1, 4);
-        ws
-    }
-
-    /// Workspace pre-seeded for BiCGSTAB on an order-`n` system.
-    pub fn for_bicgstab(n: usize) -> Self {
-        let mut ws = Self::new();
-        ws.seed(n, 9);
-        ws
-    }
-
-    /// Workspace pre-seeded for CG on an order-`n` system.
-    pub fn for_cg(n: usize) -> Self {
-        let mut ws = Self::new();
-        ws.seed(n, 6);
         ws
     }
 
@@ -124,11 +101,6 @@ impl<T: Scalar> KrylovWorkspace<T> {
     pub fn high_water(&self) -> usize {
         self.high_water
     }
-
-    /// Buffers currently waiting in the pool.
-    pub fn pooled(&self) -> usize {
-        self.free.len()
-    }
 }
 
 #[cfg(test)]
@@ -155,20 +127,20 @@ mod tests {
         let v2 = ws.take(8); // smaller fits in the same buffer
         assert_eq!(v2.as_ptr(), p);
         ws.recycle(v2);
-        assert_eq!(ws.pooled(), 1);
+        assert_eq!(ws.free.len(), 1);
     }
 
     #[test]
     fn preseeded_idr_workspace_covers_checkouts() {
         let (n, s) = (50, 4);
         let mut ws: KrylovWorkspace<f64> = KrylovWorkspace::for_idr(n, s);
-        let before = ws.pooled();
+        let before = ws.free.len();
         assert!(before >= 8 + 3 * s + 3);
         let a = ws.take(n);
         let b = ws.take(s);
         let c = ws.take(s * s);
         assert_eq!(ws.high_water(), 3);
         ws.recycle_all([a, b, c]);
-        assert_eq!(ws.pooled(), before);
+        assert_eq!(ws.free.len(), before);
     }
 }

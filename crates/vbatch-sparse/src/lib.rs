@@ -3,8 +3,7 @@
 //! Sparse substrate for the block-Jacobi pipeline of the ICPP'17 paper:
 //! CSR/COO storage ([`csr`], [`coo`]), SpMV and BLAS-1 helpers
 //! ([`mod@spmv`]), Matrix Market I/O ([`mm_io`]), reverse Cuthill-McKee
-//! reordering ([`reorder`]), the SELL-P SpMV format of MAGMA-sparse
-//! ([`sellp`]), **supervariable blocking** ([`blocking`],
+//! reordering ([`reorder`]), **supervariable blocking** ([`blocking`],
 //! §II-A of the paper), diagonal-block extraction ([`extract`],
 //! §III-C), and the synthetic 48-problem Table-I test suite plus its
 //! underlying generators ([`gen`]).
@@ -17,7 +16,6 @@ pub mod gen;
 pub mod mm_io;
 pub mod pattern;
 pub mod reorder;
-pub mod sellp;
 pub mod spike;
 pub mod spmv;
 pub mod stats;
@@ -33,7 +31,6 @@ pub use mm_io::{
 };
 pub use pattern::{BlockPattern, LevelSchedule, TriKind};
 pub use reorder::{is_permutation, reverse_cuthill_mckee};
-pub use sellp::SellPMatrix;
 pub use spike::{
     extract_spike_blocks, extract_spike_blocks_chunked, SpikeBlocks, SpikeError, SpikePartition,
 };

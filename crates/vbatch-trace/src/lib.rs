@@ -8,7 +8,7 @@
 //!
 //! * **event rings** — per-thread fixed-capacity ring buffers of span
 //!   begin/end and counter events, timestamped by the monotonic-clamped
-//!   clock in [`vbatch_rt::bench::monotonic_ns`]. Recording is a few
+//!   clock in [`vbatch_rt::clock::monotonic_ns`]. Recording is a few
 //!   relaxed atomic stores plus an index bump; rings are pre-sized at
 //!   setup time ([`reserve_thread_ring`]) so the steady state never
 //!   allocates;

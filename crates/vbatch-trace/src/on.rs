@@ -6,7 +6,7 @@
 //! * one relaxed load of the enabled flag,
 //! * one relaxed load of the interned site id (slow-path interning runs
 //!   once per site, into fixed static tables — no allocation),
-//! * one [`vbatch_rt::bench::monotonic_ns`] read,
+//! * one [`vbatch_rt::clock::monotonic_ns`] read,
 //! * three relaxed atomic stores into the thread's ring plus a relaxed
 //!   index bump,
 //! * and, on span close, three relaxed `fetch_add`s into the fixed
@@ -31,7 +31,7 @@ use crate::export::{
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use vbatch_rt::bench::monotonic_ns;
+use vbatch_rt::clock::monotonic_ns;
 
 /// Maximum distinct `span!`/`counter!` sites; the last slot absorbs any
 /// overflow so the fast path never branches on capacity.

@@ -54,11 +54,14 @@ fn main() {
         blocks.len(),
         blocks.total_elements()
     );
+    let plan = BatchPlan::for_method::<f64>(blocks.sizes(), PlanMethod::SmallLu);
+    let mut stats = ExecStats::new();
     let t = std::time::Instant::now();
-    let factors = batched_getrf(blocks, PivotStrategy::Implicit, Exec::Parallel).unwrap();
+    let factors = CpuRayon.factorize(blocks, &plan, &mut stats);
     println!(
         "batched LU of all blocks: {:?} ({} blocks)",
         t.elapsed(),
-        factors.len()
+        factors.status.len()
     );
+    assert_eq!(factors.fallback_count(), 0);
 }

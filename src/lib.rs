@@ -39,9 +39,9 @@ pub use vbatch_sparse as sparse;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use vbatch_core::{
-        batched_getrf, condest1, getrf, getrf_blocked, gh_factorize, gje_invert, potrf,
-        solve_system, DenseMat, Exec, GhLayout, LuFactors, MatrixBatch, Permutation, PivotStrategy,
-        Scalar, TrsvVariant, VectorBatch,
+        condest1, getrf, getrf_blocked, gh_factorize, gje_invert, potrf, solve_system, DenseMat,
+        GhLayout, LuFactors, MatrixBatch, Permutation, PivotStrategy, Scalar, TrsvVariant,
+        VectorBatch,
     };
     pub use vbatch_exec::{
         Backend, BatchPlan, BlockStatus, CpuRayon, CpuSequential, CpuSimd, ExecStats, KernelChoice,

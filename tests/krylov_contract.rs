@@ -1,0 +1,203 @@
+//! Frozen Krylov contract: every solver × every preconditioner family
+//! on two small suite problems, in both precisions, folded into FNV-1a
+//! digests that are pinned as constants.
+//!
+//! The solver unit tests prove each method solves its system; this file
+//! proves the methods still take *the same path* as before: one swapped
+//! check in the shared stopping protocol, one flipped sign in a
+//! recurrence, one reordered reduction changes an iteration count, a
+//! stop reason, a history entry or a solution bit, and with it a
+//! digest. The constants were recorded by running this file against the
+//! sources of the commit before the four copies of the stopping
+//! protocol were collapsed into one (PR 15) and must stay equal.
+//! `mul_add` is fused on every target and everything below runs on one
+//! thread, so they are host- and profile-independent.
+//!
+//! Hashed per solve: `iterations`, the stop reason, the recorded
+//! residual history, and the bits of `final_relres` and `x`.
+
+use std::sync::Arc;
+use vbatch_lu::prelude::*;
+use vbatch_precond::BlockIlu0;
+use vbatch_solver::IdrSolver;
+use vbatch_sparse::by_name;
+
+/// `(problem, SPD?, f64 digest, f32 digest)`. `dw1024` is the
+/// nonsymmetric waveguide band, `bcsstk38` an SPD stiffness matrix (the
+/// only one CG runs on).
+const FROZEN: [(&str, bool, u64, u64); 2] = [
+    ("dw1024", false, 0x8179901714b24aa5, 0x6fa72ff9bfda56d7),
+    ("bcsstk38", true, 0xa50ca9f8cc72bfdf, 0xeee0752a687c5fd9),
+];
+
+/// Budget per solve: enough for every f64 run to converge, small
+/// enough that GMRES(30) in f32 ends on the cap — both endings, and the
+/// f32 runs whose recurrence residual converges while the true one has
+/// not, are part of the contract.
+const MAX_ITERS: usize = 250;
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Every `f32` is exactly an `f64`, so hashing the widened bits
+    /// loses nothing for either scalar.
+    fn values<T: Scalar>(&mut self, v: &[T]) {
+        for x in v {
+            self.word(x.to_f64().to_bits());
+        }
+    }
+
+    fn result<T: Scalar>(&mut self, r: &SolveResult<T>) {
+        self.word(r.iterations as u64);
+        self.word(match r.reason {
+            StopReason::Converged => 1,
+            StopReason::MaxIterations => 2,
+            StopReason::Breakdown => 3,
+            StopReason::NonFinite => 4,
+            StopReason::Stagnated => 5,
+        });
+        self.word(r.history.len() as u64);
+        self.values(&r.history);
+        self.word(r.final_relres.to_bits());
+        self.values(&r.x);
+    }
+}
+
+fn cast<T: Scalar>(a: &CsrMatrix<f64>) -> CsrMatrix<T> {
+    CsrMatrix::from_raw(
+        a.nrows(),
+        a.ncols(),
+        a.row_ptr().to_vec(),
+        a.col_idx().to_vec(),
+        a.values().iter().map(|&v| T::from_f64(v)).collect(),
+    )
+}
+
+fn params() -> SolveParams {
+    SolveParams::default()
+        .with_max_iters(MAX_ITERS)
+        .with_history()
+}
+
+/// Every method on one `(A, M)` pair, folded into `h`.
+fn fold<T: Scalar, M: Preconditioner<T>>(h: &mut Fnv, a: &CsrMatrix<T>, m: &M, spd: bool) {
+    let b = vec![T::ONE; a.nrows()];
+    let p = params();
+    h.result(&idr(a, &b, 4, m, &p));
+    h.result(&idr_smoothed(a, &b, 4, m, &p));
+    h.result(&bicgstab(a, &b, m, &p));
+    if spd {
+        h.result(&cg(a, &b, m, &p));
+    }
+    h.result(&gmres(a, &b, 30, m, &p));
+}
+
+fn digest<T: Scalar>(problem: &str, spd: bool) -> u64 {
+    let a = cast::<T>(&by_name(problem).expect("suite problem").build());
+    let part = BlockPartition::uniform(a.nrows(), 8);
+    let backend = || Arc::new(CpuSequential) as Arc<dyn Backend<T>>;
+    let mut h = Fnv::new();
+    fold(&mut h, &a, &Identity::new(a.nrows()), spd);
+    let bj = BlockJacobi::setup_opts(&a, &part, backend(), PrecondOptions::default()).unwrap();
+    fold(&mut h, &a, &bj, spd);
+    let bilu = BlockIlu0::setup_opts(&a, &part, backend(), PrecondOptions::default()).unwrap();
+    fold(&mut h, &a, &bilu, spd);
+    h.0
+}
+
+#[test]
+fn krylov_paths_are_frozen() {
+    let mut moved = Vec::new();
+    for (problem, spd, want64, want32) in FROZEN {
+        let got = (digest::<f64>(problem, spd), digest::<f32>(problem, spd));
+        if got != (want64, want32) {
+            moved.push(format!(
+                "(\"{problem}\", {spd}, {:#018x}, {:#018x}),",
+                got.0, got.1
+            ));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "Krylov digests moved — iterations, reasons, histories or solution \
+         bits changed; re-record only if that is the PR's purpose:\n{}",
+        moved.join("\n")
+    );
+}
+
+/// The reusable handle draws every vector from recycled, dirty
+/// workspace buffers on its second solve; nothing of that may show.
+#[test]
+fn idr_solver_second_solve_equals_first_and_one_shot() {
+    let a = by_name("dw1024").expect("suite problem").build();
+    let b = vec![1.0; a.nrows()];
+    let part = BlockPartition::uniform(a.nrows(), 8);
+    let mut handle = IdrSolver::<f64, BlockJacobi<f64>>::setup_opts(
+        &a,
+        4,
+        &part,
+        Arc::new(CpuSequential),
+        PrecondOptions::default(),
+        &params(),
+    )
+    .unwrap();
+    let one_shot = idr(&a, &b, 4, handle.precond(), &params());
+    let mut want = Fnv::new();
+    want.result(&one_shot);
+    for pass in ["first", "second"] {
+        let mut got = Fnv::new();
+        got.result(&handle.solve(&a, &b));
+        assert_eq!(got.0, want.0, "{pass} handle solve differs from one-shot");
+    }
+}
+
+/// Order of the protocol's checks: a solve that reaches the tolerance
+/// on the very iteration its stagnation window would close has
+/// converged — the guard is never shown a converged residual. With
+/// `stagnation_rtol = 1` no residual counts as an improvement, so the
+/// window closes after exactly `stagnation_window` observed residuals.
+#[test]
+fn converged_outranks_stagnated_on_the_closing_iteration() {
+    let a = by_name("bcsstk38").expect("suite problem").build();
+    let b = vec![1.0; a.nrows()];
+    let part = BlockPartition::uniform(a.nrows(), 8);
+    let m = BlockJacobi::setup_opts(
+        &a,
+        &part,
+        Arc::new(CpuSequential) as Arc<dyn Backend<f64>>,
+        PrecondOptions::default(),
+    )
+    .unwrap();
+    type Solve<'a> = &'a dyn Fn(&SolveParams) -> SolveResult<f64>;
+    let runs: [(&str, Solve); 3] = [
+        ("idr", &|p| idr(&a, &b, 4, &m, p)),
+        ("bicgstab", &|p| bicgstab(&a, &b, &m, p)),
+        ("cg", &|p| cg(&a, &b, &m, p)),
+    ];
+    for (name, solve) in runs {
+        let free = solve(&SolveParams::default().with_history());
+        assert!(free.converged(), "{name}: {:?}", free.reason);
+        // the initial residual is recorded, not observed
+        let observed = free.history.len() - 1;
+        let mut p = SolveParams::default().with_stagnation_window(observed);
+        p.stagnation_rtol = 1.0;
+        let closing = solve(&p);
+        assert_eq!(closing.reason, StopReason::Converged, "{name}");
+        assert_eq!(closing.x, free.x, "{name}");
+        p.stagnation_window = observed - 1;
+        let early = solve(&p);
+        assert_eq!(early.reason, StopReason::Stagnated, "{name}");
+        assert!(early.iterations < free.iterations, "{name}");
+    }
+}
