@@ -28,7 +28,9 @@ use vbatch_bench::{
     parse_precision_flag, parse_precond_flag, uniform_bench_batch, write_csv, ABLATION_APPLY_HEADER,
 };
 use vbatch_core::VectorBatch;
-use vbatch_exec::{Backend, BatchPlan, CpuSequential, CpuSimd, ExecStats, PrecisionPolicy};
+use vbatch_exec::{
+    Backend, BatchPlan, BlockSolve, CpuSequential, CpuSimd, ExecStats, PrecisionPolicy,
+};
 use vbatch_precond::{BjMethod, BlockIlu0, BlockJacobi, PrecondKind, PrecondOptions};
 use vbatch_rt::CountingAlloc;
 use vbatch_simt::kernels::{gemv, getrf, trsv};
@@ -112,17 +114,16 @@ fn measure_trace_overhead(n: usize) -> (f64, f64) {
     let batch = uniform_bench_batch::<f64>(MEASURED_BATCH, n);
     let plan = BatchPlan::auto::<f64>(batch.sizes());
     let mut stats = ExecStats::new();
-    let factors = CpuSequential.factorize(batch.clone(), &plan, &mut stats);
-    let prep = CpuSequential.prepare_apply(&factors);
+    let solve = BlockSolve::new(Arc::new(CpuSequential), batch, &plan, &mut stats);
     let total = n * MEASURED_BATCH;
     let mut v: Vec<f64> = (0..total).map(|i| 1.0 + (i % 5) as f64).collect();
     let mut best = |on: bool| {
         vbatch_trace::set_enabled(on);
-        CpuSequential.solve_prepared(&factors, &prep, &mut v, &mut stats); // warm-up
+        solve.apply(&mut v, &mut stats); // warm-up
         let mut s = f64::INFINITY;
         for _ in 0..5 {
             let t0 = Instant::now();
-            CpuSequential.solve_prepared(&factors, &prep, &mut v, &mut stats);
+            solve.apply(&mut v, &mut stats);
             s = s.min(t0.elapsed().as_secs_f64());
         }
         s

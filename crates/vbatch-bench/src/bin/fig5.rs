@@ -16,12 +16,11 @@
 //! threads).
 
 use vbatch_bench::{
-    factor_health_compact, measure_cpu_factor_gflops_under, measure_precond_apply,
-    measure_simd_factor_gflops_under, parse_precision_flag, parse_precond_flag, size_sweep,
-    uniform_bench_batch, write_csv, FIG5_HEADER,
+    factor_health_compact, measure_factor_gflops, measure_precond_apply, parse_precision_flag,
+    parse_precond_flag, size_sweep, uniform_bench_batch, write_csv, FIG5_HEADER,
 };
 use vbatch_core::{BatchLayout, Scalar};
-use vbatch_exec::{estimate_planned_factor, BatchPlan, PrecisionPolicy};
+use vbatch_exec::{estimate_planned_factor, BatchPlan, CpuSequential, CpuSimd, PrecisionPolicy};
 use vbatch_precond::PrecondKind;
 use vbatch_simt::{estimate_factor, DeviceModel, FactorKernel};
 
@@ -72,9 +71,15 @@ fn sweep<T: Scalar>(
         row.push(format!("{g:.2}"));
         row.push(planned.histogram.clone());
         let bench = uniform_bench_batch::<T>(BATCH, n);
-        let g_blocked = measure_cpu_factor_gflops_under(&bench, BatchLayout::Blocked, precision);
-        let g_il = measure_cpu_factor_gflops_under(&bench, BatchLayout::interleaved(), precision);
-        let g_simd = measure_simd_factor_gflops_under(&bench, precision);
+        let g_blocked =
+            measure_factor_gflops(&CpuSequential, &bench, BatchLayout::Blocked, precision);
+        let g_il = measure_factor_gflops(
+            &CpuSequential,
+            &bench,
+            BatchLayout::interleaved(),
+            precision,
+        );
+        let g_simd = measure_factor_gflops(&CpuSimd, &bench, BatchLayout::interleaved(), precision);
         line.push_str(&format!("  cpu {g_blocked:.2}/{g_il:.2}/{g_simd:.2}"));
         row.push(format!("{g_blocked:.3}"));
         row.push(format!("{g_il:.3}"));

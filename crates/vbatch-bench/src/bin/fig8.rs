@@ -9,8 +9,10 @@
 //!
 //! `--quick` runs a 12-problem subset with bounds {8, 32}.
 
-use vbatch_bench::{run_bj_idr, write_csv, BLOCK_BOUNDS};
-use vbatch_precond::BjMethod;
+use std::sync::Arc;
+use vbatch_bench::{run_precond_idr, write_csv, BLOCK_BOUNDS};
+use vbatch_exec::{CpuRayon, PrecisionPolicy};
+use vbatch_precond::{BjMethod, PrecondKind};
 use vbatch_sparse::table1_suite;
 
 fn main() {
@@ -53,8 +55,10 @@ fn main() {
         let mut gh_better = 0usize;
         for p in &problems {
             let a = p.build();
-            let lu = run_bj_idr(&a, bound, BjMethod::SmallLu);
-            let gh = run_bj_idr(&a, bound, BjMethod::GaussHuard);
+            let [lu, gh] = [BjMethod::SmallLu, BjMethod::GaussHuard].map(|method| {
+                let (backend, dp) = (Arc::new(CpuRayon), PrecisionPolicy::FullDp);
+                run_precond_idr(&a, bound, PrecondKind::BlockJacobi, method, backend, dp)
+            });
             let (Some(lu), Some(gh)) = (lu, gh) else {
                 continue;
             };

@@ -18,7 +18,7 @@
 //! only the times.
 
 use vbatch_bench::{
-    fmt_outcome, parse_backend_flag, parse_precision_flag, run_precond_idr_under, write_csv,
+    fmt_outcome, parse_backend_flag, parse_precision_flag, run_precond_idr, write_csv,
     BLOCK_BOUNDS, FIG8_PRECOND_HEADER,
 };
 use vbatch_precond::{BjMethod, PrecondKind};
@@ -60,7 +60,7 @@ fn main() {
         let mut compared = 0usize;
         for p in &problems {
             let a = p.build();
-            let bj = run_precond_idr_under(
+            let bj = run_precond_idr(
                 &a,
                 bound,
                 PrecondKind::BlockJacobi,
@@ -68,7 +68,7 @@ fn main() {
                 backend.clone(),
                 precision,
             );
-            let bilu = run_precond_idr_under(
+            let bilu = run_precond_idr(
                 &a,
                 bound,
                 PrecondKind::BlockIlu0,

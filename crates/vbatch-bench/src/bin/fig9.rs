@@ -8,8 +8,10 @@
 //!
 //! `--quick` runs a 12-problem subset.
 
-use vbatch_bench::{run_bj_idr, write_csv};
-use vbatch_precond::BjMethod;
+use std::sync::Arc;
+use vbatch_bench::{run_precond_idr, write_csv};
+use vbatch_exec::{CpuRayon, PrecisionPolicy};
+use vbatch_precond::{BjMethod, PrecondKind};
 use vbatch_sparse::table1_suite;
 
 fn main() {
@@ -42,7 +44,8 @@ fn main() {
         let a = p.build();
         let mut times = [None; 3];
         for (i, &m) in methods.iter().enumerate() {
-            if let Some(o) = run_bj_idr(&a, 32, m) {
+            let (backend, dp) = (Arc::new(CpuRayon), PrecisionPolicy::FullDp);
+            if let Some(o) = run_precond_idr(&a, 32, PrecondKind::BlockJacobi, m, backend, dp) {
                 if o.converged {
                     times[i] = Some(o.total_s());
                 }

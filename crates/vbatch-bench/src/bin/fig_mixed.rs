@@ -19,9 +19,9 @@
 //! `--quick` shrinks the batch from the paper's 20,000 to 2,000.
 
 use std::sync::Arc;
-use vbatch_bench::{uniform_bench_batch, write_csv, FIG_MIXED_HEADER};
+use vbatch_bench::{measure_factor_gflops, uniform_bench_batch, write_csv, FIG_MIXED_HEADER};
 use vbatch_core::BatchLayout;
-use vbatch_exec::{Backend, CpuSequential, PrecisionPolicy};
+use vbatch_exec::{Backend, CpuSequential, CpuSimd, PrecisionPolicy};
 use vbatch_precond::{BjMethod, PrecondKind, PrecondOptions};
 use vbatch_solver::{idr_precond_kind, SolveParams};
 use vbatch_sparse::gen::laplace::laplace_2d;
@@ -34,7 +34,7 @@ fn setup_seconds(
     layout: BatchLayout,
     precision: PrecisionPolicy,
 ) -> f64 {
-    let gflops = vbatch_bench::measure_cpu_factor_gflops_under(batch, layout, precision);
+    let gflops = measure_factor_gflops(&CpuSequential, batch, layout, precision);
     batch.getrf_flops() / (gflops * 1e9)
 }
 
@@ -43,7 +43,7 @@ fn setup_seconds(
 /// the interleaved columns are where the SP flop-rate advantage of the
 /// paper's mixed strategy shows up on a host.
 fn setup_simd_seconds(batch: &vbatch_core::MatrixBatch<f64>, precision: PrecisionPolicy) -> f64 {
-    let gflops = vbatch_bench::measure_simd_factor_gflops_under(batch, precision);
+    let gflops = measure_factor_gflops(&CpuSimd, batch, BatchLayout::interleaved(), precision);
     batch.getrf_flops() / (gflops * 1e9)
 }
 

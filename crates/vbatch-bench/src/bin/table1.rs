@@ -8,8 +8,10 @@
 //!
 //! `--quick` runs a 12-problem subset.
 
-use vbatch_bench::{fmt_outcome, run_bj_idr, run_jacobi_idr, write_csv, BLOCK_BOUNDS};
-use vbatch_precond::BjMethod;
+use std::sync::Arc;
+use vbatch_bench::{fmt_outcome, run_jacobi_idr, run_precond_idr, write_csv, BLOCK_BOUNDS};
+use vbatch_exec::{CpuRayon, PrecisionPolicy};
+use vbatch_precond::{BjMethod, PrecondKind};
 use vbatch_sparse::table1_suite;
 
 fn main() {
@@ -62,7 +64,14 @@ fn main() {
         row.push(jt);
         let mut bound_outcomes = Vec::new();
         for &bound in &BLOCK_BOUNDS {
-            let o = run_bj_idr(&a, bound, BjMethod::SmallLu);
+            let o = run_precond_idr(
+                &a,
+                bound,
+                PrecondKind::BlockJacobi,
+                BjMethod::SmallLu,
+                Arc::new(CpuRayon),
+                PrecisionPolicy::FullDp,
+            );
             let (it, t) = fmt_outcome(&o);
             print!(" | {it:>6} {t:>8}");
             row.push(it);

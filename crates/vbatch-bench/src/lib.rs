@@ -11,7 +11,8 @@ use std::time::Instant;
 
 use vbatch_core::{BatchLayout, MatrixBatch, Scalar};
 use vbatch_exec::{
-    Backend, BatchPlan, CpuRayon, CpuSequential, CpuSimd, ExecStats, HealthPolicy, PrecisionPolicy,
+    Backend, BatchPlan, BlockSolve, CpuRayon, CpuSequential, CpuSimd, ExecStats, HealthPolicy,
+    PrecisionPolicy,
 };
 use vbatch_precond::{BjMethod, BlockIlu0, Jacobi, PrecondKind, PrecondOptions, Preconditioner};
 use vbatch_solver::{idr, idr_precond_kind, SolveParams, SpikeSolver, StopReason};
@@ -112,10 +113,11 @@ pub const FIG_MIXED_HEADER: [&str; 12] = [
 
 /// CSV schema of the `fig_spike` artifact: the SPIKE partition-scaling
 /// sweep (EXPERIMENTS.md §H). Phase columns come from the solver's
-/// [`ExecStats`] spans (`factor_ms` the batched partition
-/// factorization, `reduce_ms` the spike formation plus the reduced
-/// coupling system, `apply_ms` the cumulative warm applies of the
-/// refinement loop).
+/// [`ExecStats`] phases and do not overlap: `factor_ms` both batched
+/// factorizations (partitions and reduced coupling blocks), `reduce_ms`
+/// the spike formation (its `2k` batched solves and the copies around
+/// them) plus the reduced assembly, `apply_ms` the cumulative warm
+/// applies of the refinement loop.
 pub const FIG_SPIKE_HEADER: [&str; 12] = [
     "precision",
     "n",
@@ -162,10 +164,12 @@ pub fn uniform_bench_batch<T: Scalar>(count: usize, n: usize) -> MatrixBatch<T> 
     })
 }
 
-/// Measured host factorization throughput in GFLOPS on an explicit
-/// backend under a forced batch layout *and precision policy*, using
-/// the paper's `2/3 n³` flop count.
-pub fn measure_factor_gflops_under<T: Scalar>(
+/// Measured host factorization throughput in GFLOPS on `backend` under
+/// a forced batch layout and precision policy, using the paper's
+/// `2/3 n³` flop count. Times the bare [`Backend::factorize`] call —
+/// the thing it measures — not a [`BlockSolve`], whose constructor also
+/// prepares the apply.
+pub fn measure_factor_gflops<T: Scalar>(
     backend: &dyn Backend<T>,
     batch: &MatrixBatch<T>,
     layout: BatchLayout,
@@ -187,43 +191,6 @@ pub fn measure_factor_gflops_under<T: Scalar>(
     batch.getrf_flops() / best / 1e9
 }
 
-/// Measured host factorization throughput in GFLOPS on an explicit
-/// backend under a forced batch layout, using the paper's `2/3 n³` flop
-/// count (full working precision — the historical columns).
-pub fn measure_factor_gflops_on<T: Scalar>(
-    backend: &dyn Backend<T>,
-    batch: &MatrixBatch<T>,
-    layout: BatchLayout,
-) -> f64 {
-    measure_factor_gflops_under(backend, batch, layout, PrecisionPolicy::FullDp)
-}
-
-/// Measured host (CpuSequential) factorization throughput in GFLOPS
-/// under a forced batch layout and precision policy.
-pub fn measure_cpu_factor_gflops_under<T: Scalar>(
-    batch: &MatrixBatch<T>,
-    layout: BatchLayout,
-    precision: PrecisionPolicy,
-) -> f64 {
-    measure_factor_gflops_under(&CpuSequential, batch, layout, precision)
-}
-
-/// Measured host (CpuSequential) factorization throughput in GFLOPS
-/// under a forced batch layout, using the paper's `2/3 n³` flop count.
-pub fn measure_cpu_factor_gflops<T: Scalar>(batch: &MatrixBatch<T>, layout: BatchLayout) -> f64 {
-    measure_factor_gflops_on(&CpuSequential, batch, layout)
-}
-
-/// Measured [`CpuSimd`] (interleaved classes on all threads)
-/// factorization throughput in GFLOPS under a precision policy — the
-/// `cpu_simd` column of Figs. 4/5.
-pub fn measure_simd_factor_gflops_under<T: Scalar>(
-    batch: &MatrixBatch<T>,
-    precision: PrecisionPolicy,
-) -> f64 {
-    measure_factor_gflops_under(&CpuSimd, batch, BatchLayout::interleaved(), precision)
-}
-
 /// Measured host (CpuSequential) *prepared-apply* throughput in GFLOPS
 /// (the paper's `2 n²` flops per block application) plus the prepared
 /// workspace high-water mark in scalar elements. This is the
@@ -232,21 +199,27 @@ pub fn measure_simd_factor_gflops_under<T: Scalar>(
 pub fn measure_cpu_apply<T: Scalar>(batch: &MatrixBatch<T>, layout: BatchLayout) -> (f64, usize) {
     let plan = BatchPlan::auto_with_layout::<T>(batch.sizes(), layout);
     let mut stats = ExecStats::new();
-    let factors = CpuSequential.factorize(batch.clone(), &plan, &mut stats);
-    let prep = CpuSequential.prepare_apply(&factors);
+    let solve = BlockSolve::new(Arc::new(CpuSequential), batch.clone(), &plan, &mut stats);
     let total: usize = batch.sizes().iter().sum();
+    let best = best_warm_apply_s(total, |v| solve.apply(v, &mut stats));
+    let flops: f64 = batch.sizes().iter().map(|&n| 2.0 * (n * n) as f64).sum();
+    (flops / best / 1e9, solve.workspace_hwm_elems())
+}
+
+/// Best-of-three seconds of one in-place `apply` to the bench vector of
+/// length `total`, after one untimed warm-up application.
+fn best_warm_apply_s<T: Scalar>(total: usize, mut apply: impl FnMut(&mut [T])) -> f64 {
     let mut v: Vec<T> = (0..total)
         .map(|i| T::from_f64(1.0 + (i % 5) as f64))
         .collect();
-    CpuSequential.solve_prepared(&factors, &prep, &mut v, &mut stats); // warm-up
+    apply(&mut v); // warm-up
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let t0 = Instant::now();
-        CpuSequential.solve_prepared(&factors, &prep, &mut v, &mut stats);
+        apply(&mut v);
         best = best.min(t0.elapsed().as_secs_f64());
     }
-    let flops: f64 = batch.sizes().iter().map(|&n| 2.0 * (n * n) as f64).sum();
-    (flops / best / 1e9, prep.workspace_hwm_elems())
+    best
 }
 
 /// Report a bad command-line flag value and exit with the conventional
@@ -365,59 +338,29 @@ pub fn banded_bench_system<T: Scalar>(
 /// recovery GEMVs) on the same system split into `count / 4`
 /// partitions.
 pub fn measure_precond_apply<T: Scalar>(kind: PrecondKind, count: usize, n: usize) -> (f64, usize) {
+    let seq = Arc::new(CpuSequential) as Arc<dyn Backend<T>>;
+    let opts = PrecondOptions::default()
+        .with_method(BjMethod::SmallLu)
+        .with_layout(BatchLayout::Blocked);
     match kind {
         PrecondKind::BlockJacobi => {
             measure_cpu_apply(&uniform_bench_batch::<T>(count, n), BatchLayout::Blocked)
         }
         PrecondKind::BlockIlu0 => {
             let (a, part) = block_tridiag_system::<T>(count, n);
-            let m = BlockIlu0::setup_opts(
-                &a,
-                &part,
-                Arc::new(CpuSequential) as Arc<dyn Backend<T>>,
-                PrecondOptions::default()
-                    .with_method(BjMethod::SmallLu)
-                    .with_layout(BatchLayout::Blocked),
-            )
-            .expect("bilu bench setup");
-            let mut v: Vec<T> = (0..part.total())
-                .map(|i| T::from_f64(1.0 + (i % 5) as f64))
-                .collect();
-            m.apply_inplace(&mut v); // warm-up
-            let mut best = f64::INFINITY;
-            for _ in 0..3 {
-                let t0 = Instant::now();
-                m.apply_inplace(&mut v);
-                best = best.min(t0.elapsed().as_secs_f64());
-            }
+            let m = BlockIlu0::setup_opts(&a, &part, seq, opts).expect("bilu bench setup");
+            let best = best_warm_apply_s(part.total(), |v| m.apply_inplace(v));
             let flops = count as f64 * 2.0 * (n * n) as f64
                 + m.lower().sweep_flops()
                 + m.upper_tilde().sweep_flops();
-            (flops / best / 1e9, m.prepared().workspace_hwm_elems())
+            (flops / best / 1e9, m.apply_stats().workspace_hwm_elems)
         }
         PrecondKind::Spike => {
             let (a, _) = block_tridiag_system::<T>(count, n);
             let p = (count / 4).max(1);
             let sp = SpikePartition::detect(&a, p).expect("spike bench partition");
-            let m = SpikeSolver::setup(
-                &a,
-                &sp,
-                Arc::new(CpuSequential) as Arc<dyn Backend<T>>,
-                PrecondOptions::default()
-                    .with_method(BjMethod::SmallLu)
-                    .with_layout(BatchLayout::Blocked),
-            )
-            .expect("spike bench setup");
-            let mut v: Vec<T> = (0..sp.part().total())
-                .map(|i| T::from_f64(1.0 + (i % 5) as f64))
-                .collect();
-            m.apply_inplace(&mut v); // warm-up
-            let mut best = f64::INFINITY;
-            for _ in 0..3 {
-                let t0 = Instant::now();
-                m.apply_inplace(&mut v);
-                best = best.min(t0.elapsed().as_secs_f64());
-            }
+            let m = SpikeSolver::setup(&a, &sp, seq, opts).expect("spike bench setup");
+            let best = best_warm_apply_s(sp.part().total(), |v| m.apply_inplace(v));
             // Per apply: the prepared diagonal solve (2 n_j² each), the
             // reduced coupling solve (p − 1 blocks of 2 (2k)²) and one
             // n_j × k recovery GEMV per spike present.
@@ -520,42 +463,15 @@ pub fn run_jacobi_idr(a: &CsrMatrix<f64>) -> Option<SolveOutcome> {
     run_with(a, &m, setup_s)
 }
 
-/// Run IDR(4) with block-Jacobi under a supervariable bound. Setup and
-/// the per-iteration block solves go through the `vbatch-exec` backend
-/// layer; singular blocks degrade per block to scalar Jacobi.
-pub fn run_bj_idr(a: &CsrMatrix<f64>, bound: usize, method: BjMethod) -> Option<SolveOutcome> {
-    run_precond_idr(a, bound, PrecondKind::BlockJacobi, method)
-}
-
-/// Run IDR(4) with the selected block preconditioner (the generic form
-/// of [`run_bj_idr`], dispatched through the [`vbatch_precond`] trait
-/// layer — the engine of the BJ-vs-BILU comparison bin).
+/// Run IDR(4) with the block preconditioner `kind` under a
+/// supervariable bound, on an explicit execution backend and precision
+/// policy — the engine of the suite bins and of their `--precond`,
+/// `--backend` and `--precision` flags. Setup and the per-iteration
+/// block solves go through the `vbatch-exec` backend layer; singular
+/// blocks degrade per block to scalar Jacobi; under a lowering policy
+/// the diagonal-block factors are stored narrowed and applied through
+/// the widening refinement solves.
 pub fn run_precond_idr(
-    a: &CsrMatrix<f64>,
-    bound: usize,
-    kind: PrecondKind,
-    method: BjMethod,
-) -> Option<SolveOutcome> {
-    run_precond_idr_on(a, bound, kind, method, Arc::new(CpuRayon))
-}
-
-/// [`run_precond_idr`] on an explicit execution backend — the engine of
-/// the `--backend` flag of the comparison bins (e.g. `--backend simd`
-/// runs every per-iteration block solve through [`CpuSimd`]).
-pub fn run_precond_idr_on(
-    a: &CsrMatrix<f64>,
-    bound: usize,
-    kind: PrecondKind,
-    method: BjMethod,
-    backend: Arc<dyn Backend<f64>>,
-) -> Option<SolveOutcome> {
-    run_precond_idr_under(a, bound, kind, method, backend, PrecisionPolicy::FullDp)
-}
-
-/// [`run_precond_idr_on`] under an explicit precision policy — the
-/// engine of the `--precision` flag: diagonal-block factors are stored
-/// per policy and applied through the widening refinement solves.
-pub fn run_precond_idr_under(
     a: &CsrMatrix<f64>,
     bound: usize,
     kind: PrecondKind,
@@ -620,6 +536,11 @@ mod tests {
     use super::*;
     use vbatch_sparse::gen::laplace::laplace_2d;
 
+    fn run_idr(a: &CsrMatrix<f64>, kind: PrecondKind, precision: PrecisionPolicy) -> SolveOutcome {
+        let backend = Arc::new(CpuSequential);
+        run_precond_idr(a, 16, kind, BjMethod::SmallLu, backend, precision).unwrap()
+    }
+
     #[test]
     fn csv_roundtrip() {
         let p = write_csv(
@@ -644,7 +565,7 @@ mod tests {
     #[test]
     fn block_jacobi_runner_converges() {
         let a = laplace_2d::<f64>(12, 12);
-        let o = run_bj_idr(&a, 16, BjMethod::SmallLu).unwrap();
+        let o = run_idr(&a, PrecondKind::BlockJacobi, PrecisionPolicy::FullDp);
         assert!(o.converged);
     }
 
@@ -690,27 +611,13 @@ mod tests {
 
     #[test]
     fn precision_policy_runner_matches_full_dp_iterations_here() {
-        use vbatch_exec::CpuSequential;
         let a = laplace_2d::<f64>(12, 12);
-        let backend: Arc<dyn Backend<f64>> = Arc::new(CpuSequential);
-        let dp = run_precond_idr_under(
+        let dp = run_idr(&a, PrecondKind::BlockJacobi, PrecisionPolicy::FullDp);
+        let mixed = run_idr(
             &a,
-            16,
             PrecondKind::BlockJacobi,
-            BjMethod::SmallLu,
-            backend.clone(),
-            PrecisionPolicy::FullDp,
-        )
-        .unwrap();
-        let mixed = run_precond_idr_under(
-            &a,
-            16,
-            PrecondKind::BlockJacobi,
-            BjMethod::SmallLu,
-            backend,
             PrecisionPolicy::mixed::<f64>(),
-        )
-        .unwrap();
+        );
         assert!(dp.converged && mixed.converged);
         // the widened refinement apply preserves preconditioner quality:
         // the iteration count may shift by at most a couple
@@ -731,14 +638,14 @@ mod tests {
             PrecisionPolicy::ForceSp,
         ] {
             for layout in [BatchLayout::Blocked, BatchLayout::interleaved()] {
-                let g = measure_cpu_factor_gflops_under(&batch, layout, precision);
+                let g = measure_factor_gflops(&CpuSequential, &batch, layout, precision);
                 assert!(
                     g.is_finite() && g > 0.0,
                     "{layout:?}/{}: {g}",
                     precision.label()
                 );
             }
-            let g = measure_simd_factor_gflops_under(&batch, precision);
+            let g = measure_factor_gflops(&CpuSimd, &batch, BatchLayout::interleaved(), precision);
             assert!(g.is_finite() && g > 0.0, "simd/{}: {g}", precision.label());
         }
     }
@@ -757,15 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn measured_layout_gflops_are_finite_and_positive() {
-        let batch = uniform_bench_batch::<f64>(64, 8);
-        for layout in [BatchLayout::Blocked, BatchLayout::interleaved()] {
-            let g = measure_cpu_factor_gflops(&batch, layout);
-            assert!(g.is_finite() && g > 0.0, "{layout:?}: {g}");
-        }
-    }
-
-    #[test]
     fn measured_apply_gflops_and_hwm_are_sane() {
         let batch = uniform_bench_batch::<f64>(64, 8);
         for layout in [BatchLayout::Blocked, BatchLayout::interleaved()] {
@@ -778,8 +676,8 @@ mod tests {
     #[test]
     fn block_ilu_runner_converges_and_beats_block_jacobi_here() {
         let a = laplace_2d::<f64>(12, 12);
-        let bj = run_precond_idr(&a, 16, PrecondKind::BlockJacobi, BjMethod::SmallLu).unwrap();
-        let bilu = run_precond_idr(&a, 16, PrecondKind::BlockIlu0, BjMethod::SmallLu).unwrap();
+        let bj = run_idr(&a, PrecondKind::BlockJacobi, PrecisionPolicy::FullDp);
+        let bilu = run_idr(&a, PrecondKind::BlockIlu0, PrecisionPolicy::FullDp);
         assert!(bj.converged && bilu.converged);
         assert!(bilu.iters <= bj.iters);
     }

@@ -269,18 +269,6 @@ impl<T: Scalar> VectorBatch<T> {
         Self::zeros(mats.sizes())
     }
 
-    /// Reshape in place into a zeroed uniform batch of `count` segments
-    /// of length `n`, reusing the existing allocations when they are
-    /// large enough (see [`MatrixBatch::reset_uniform`]).
-    pub fn reset_uniform(&mut self, count: usize, n: usize) {
-        self.sizes.clear();
-        self.sizes.resize(count, n);
-        self.offsets.clear();
-        self.offsets.extend((0..=count).map(|i| i * n));
-        self.data.clear();
-        self.data.resize(count * n, T::ZERO);
-    }
-
     /// Number of segments.
     #[inline]
     pub fn len(&self) -> usize {
@@ -455,13 +443,6 @@ mod tests {
         b.reset_uniform(4, 3);
         assert_eq!(b.data.capacity(), cap);
         assert_eq!(b.total_elements(), 36);
-
-        let mut v = VectorBatch::<f64>::from_flat(&[2, 2], &[1., 2., 3., 4.]);
-        let vcap = v.data.capacity();
-        v.reset_uniform(1, 3);
-        assert_eq!(v.sizes(), &[3]);
-        assert_eq!(v.as_slice(), &[0., 0., 0.]);
-        assert!(v.data.capacity() >= vcap.min(3));
     }
 
     #[test]

@@ -70,8 +70,10 @@ impl ApplyUnit {
 }
 
 /// Precomputed apply dispatch for one factorized batch; see the module
-/// docs. Build with [`crate::Backend::prepare_apply`], run with
-/// [`crate::Backend::solve_prepared`].
+/// docs. Built by [`crate::Backend::prepare_apply`] and run by
+/// [`crate::Backend::solve_prepared`] — in production both inside a
+/// [`crate::BlockSolve`], which keeps it with the factors it was built
+/// from.
 pub struct PreparedApply<T: Scalar> {
     total: usize,
     units: Vec<ApplyUnit>,
@@ -225,7 +227,14 @@ pub(crate) struct FlatVecPtr<T> {
     len: usize,
 }
 
+// SAFETY: the pointer comes from a `&mut [T]` the parallel driver holds
+// for the whole scoped-thread region, so sending the view moves nothing
+// but the right to write `T`s from another thread — `T: Send`.
 unsafe impl<T: Send> Send for FlatVecPtr<T> {}
+// SAFETY: a shared view hands out `&mut` reborrows only through the
+// two `unsafe fn`s below, whose callers keep concurrent borrows on
+// disjoint elements (the contract above); no `&T` is ever shared, so
+// `T: Send` suffices.
 unsafe impl<T: Send> Sync for FlatVecPtr<T> {}
 
 impl<T> FlatVecPtr<T> {
@@ -236,12 +245,17 @@ impl<T> FlatVecPtr<T> {
         }
     }
 
-    /// Reborrow the whole vector. Callers must uphold the disjointness
-    /// contract above: at most one live borrow per apply unit, units
-    /// touching disjoint segments.
+    /// Reborrow the whole vector.
+    ///
+    /// # Safety
+    /// Callers must uphold the disjointness contract above: at most one
+    /// live borrow per apply unit, units touching disjoint segments,
+    /// and the vector `new` was given must still be mutably borrowed.
     #[allow(clippy::mut_from_ref)] // deliberate: scoped-thread shared view
     pub(crate) unsafe fn slice(&self) -> &mut [T] {
-        std::slice::from_raw_parts_mut(self.ptr, self.len)
+        // SAFETY: `ptr`/`len` are the parts of the live `&mut [T]` given
+        // to `new`; aliasing is the caller's obligation stated above.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
     }
 
     /// Reborrow `range` of the vector.
@@ -252,7 +266,9 @@ impl<T> FlatVecPtr<T> {
     #[allow(clippy::mut_from_ref)] // deliberate: scoped-thread shared view
     pub(crate) unsafe fn range(&self, range: Range<usize>) -> &mut [T] {
         assert!(range.start <= range.end && range.end <= self.len);
-        std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len())
+        // SAFETY: the assert keeps the range inside the `&mut [T]` given
+        // to `new`; disjointness is the caller's obligation stated above.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len()) }
     }
 }
 
@@ -343,6 +359,7 @@ mod tests {
     fn flat_vec_ptr_roundtrip() {
         let mut v = vec![1.0f64, 2.0, 3.0];
         let p = FlatVecPtr::new(&mut v);
+        // SAFETY: the only borrow of `v` while `s` lives.
         unsafe {
             let s = p.slice();
             s[1] = 9.0;

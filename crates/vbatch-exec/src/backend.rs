@@ -39,12 +39,12 @@ pub trait Backend<T: Scalar>: Send + Sync {
     ) -> FactorizedBatch<T>;
 
     /// Solve every block system in place: `rhs[i] := A_i^{-1} rhs[i]` —
-    /// the one-shot form. On the CPU backends this is
-    /// [`Backend::prepare_apply`] + the prepared apply path with the
-    /// preparation paid per call (timed as [`Phase::Solve`]); callers
-    /// that solve against the same factors more than once hold a
-    /// [`PreparedApply`] and call [`Backend::solve_prepared`]. It is the
-    /// simulator's native path.
+    /// the one-shot form, and the simulator's native path. On the CPU
+    /// backends it is [`Backend::prepare_apply`] + the prepared apply
+    /// path with the preparation paid per call (timed as
+    /// [`Phase::Solve`]) and has no production caller: every holder
+    /// goes through a [`crate::BlockSolve`], which owns the factors and
+    /// the [`PreparedApply`] built from them.
     fn solve(&self, factors: &FactorizedBatch<T>, rhs: &mut VectorBatch<T>, stats: &mut ExecStats);
 
     /// Precompute the apply dispatch (unit order, flat-vector offsets,
@@ -57,10 +57,11 @@ pub trait Backend<T: Scalar>: Send + Sync {
     /// Solve every block system of the flat vector `v` in place through
     /// a prepared apply workspace — the steady-state (per-Krylov-
     /// iteration) form. The CPU backends run this without heap
-    /// allocations; the default implementation (used by the simulator)
-    /// round-trips through [`Backend::solve`]. Timing lands in
-    /// [`Phase::Apply`] and the workspace high-water mark in
-    /// [`ExecStats::record_apply`].
+    /// allocations and book it as [`Phase::Apply`]; the default
+    /// implementation (used by the simulator) round-trips through
+    /// [`Backend::solve`], which books its own [`Phase::Solve`], and
+    /// books only the round trip's remainder as [`Phase::Apply`]. The
+    /// workspace high-water mark lands in [`ExecStats::record_apply`].
     fn solve_prepared(
         &self,
         factors: &FactorizedBatch<T>,
@@ -70,10 +71,12 @@ pub trait Backend<T: Scalar>: Send + Sync {
     ) {
         debug_assert_eq!(v.len(), prepared.total());
         let t0 = Instant::now();
+        let booked = stats.phase_total();
         let mut rhs = VectorBatch::from_flat(&factors.sizes, v);
         self.solve(factors, &mut rhs, stats);
         v.copy_from_slice(rhs.as_slice());
-        stats.add_phase(Phase::Apply, t0.elapsed());
+        let nested = stats.phase_total() - booked;
+        stats.add_phase(Phase::Apply, t0.elapsed().saturating_sub(nested));
         stats.record_apply(prepared.workspace_hwm_elems());
     }
 
@@ -84,9 +87,8 @@ pub trait Backend<T: Scalar>: Send + Sync {
     /// backends and to [`BlockTriangular::sweep_sequential`]; backends
     /// differ only in how independent rows of one level are executed
     /// (and, for the simulator, in the device cost charged). Timing
-    /// lands in [`Phase::Sweep`] and the per-level row counts in
-    /// [`ExecStats::record_levels`]. Allocation-free after the first
-    /// (warm-up) sweep.
+    /// lands in [`Phase::Sweep`]. Allocation-free where the backend
+    /// sweeps on the calling thread.
     fn sweep_triangular(
         &self,
         tri: &BlockTriangular<T>,

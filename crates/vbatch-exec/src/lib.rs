@@ -2,7 +2,7 @@
 //!
 //! The batch *execution layer*: every consumer of the variable-size
 //! batched kernels (block-Jacobi setup/apply, the benchmark figure
-//! bins, the solvers) goes through two abstractions defined here
+//! bins, the solvers) goes through three abstractions defined here
 //! instead of matching on kernels directly:
 //!
 //! * [`BatchPlan`] — the *planner*. Given the size distribution of a
@@ -15,6 +15,12 @@
 //!   [`CpuSequential`], [`CpuRayon`] and [`CpuSimd`] (one kernel set
 //!   under three threading policies, see [`cpu`]), and [`SimtSim`] (the
 //!   warp-lockstep functional simulator of `vbatch-simt`).
+//! * [`BlockSolve`] — the *owner*. A plan run on a backend: the
+//!   factorized batch and the prepared apply built from it as one
+//!   value with two verbs, `new` (setup) and `apply` (per Krylov
+//!   iteration). Every preconditioner and the serve handle hold one
+//!   rather than calling the backend's factorize / prepare / solve
+//!   methods themselves.
 //!
 //! Factorization never aborts on the first singular block: each block
 //! carries its own [`BlockStatus`] — which kernel ran, the triaged
@@ -30,6 +36,7 @@
 
 pub mod apply;
 pub mod backend;
+pub mod block_solve;
 pub mod cpu;
 pub mod estimate;
 pub mod factors;
@@ -43,6 +50,7 @@ pub mod tri;
 
 pub use apply::PreparedApply;
 pub use backend::Backend;
+pub use block_solve::BlockSolve;
 pub use cpu::{CpuRayon, CpuSequential, CpuSimd};
 pub use estimate::{estimate_planned_factor, PlannedEstimate};
 pub use factors::{

@@ -10,15 +10,15 @@
 //! * the [`BatchPlan`] for every member count seen so far (plan
 //!   construction walks the size distribution and applies the paper's
 //!   crossovers — pure overhead to repeat for an identical shape);
-//! * the RHS staging [`VectorBatch`], recycled in place through
-//!   [`VectorBatch::reset_uniform`];
+//! * the flat RHS staging vector, recycled in place;
 //! * one cumulative [`ExecStats`] sink, so service metrics aggregate
 //!   across flushes for free.
 //!
-//! The matrix staging itself is rebuilt per flush: [`Backend::factorize`]
-//! consumes the batch by value (its storage becomes factor storage or is
-//! dropped), so those allocations are inherent to the current backend
-//! contract and are the documented exception on this warm path.
+//! A flush is the preconditioner's two verbs: one [`BlockSolve`] built
+//! from the staged matrices under the cached plan, applied once to the
+//! staged right-hand sides. Both are rebuilt per flush — factorization
+//! consumes the batch by value — the documented allocation exception on
+//! this warm path, and where a refactorizing `BlockSolve` would be kept.
 //!
 //! Isolation contract: with the blocked layout every block is
 //! factorized and solved independently, so a member's result is a pure
@@ -29,11 +29,12 @@
 //! end to end.
 
 use crate::backend::Backend;
+use crate::block_solve::BlockSolve;
 use crate::factors::BlockStatus;
 use crate::plan::{BatchPlan, HealthPolicy, PrecisionPolicy};
 use crate::stats::ExecStats;
 use std::sync::Arc;
-use vbatch_core::{BatchLayout, MatrixBatch, Scalar, VectorBatch};
+use vbatch_core::{BatchLayout, MatrixBatch, Scalar};
 
 /// A reusable solve handle for one size class (block order `n`) with a
 /// bounded member count, owned by one shard worker — not `Sync`-shared;
@@ -49,8 +50,8 @@ pub struct SizeClassHandle<T: Scalar> {
     sizes: Vec<usize>,
     /// Plan cache, indexed by member count (`1..=capacity`).
     plans: Vec<Option<BatchPlan>>,
-    /// Recycled RHS staging.
-    rhs: VectorBatch<T>,
+    /// Recycled flat RHS staging (`count · n` elements per flush).
+    rhs: Vec<T>,
     /// Cumulative statistics across every flush of this handle.
     stats: ExecStats,
     flushes: u64,
@@ -69,8 +70,6 @@ impl<T: Scalar> SizeClassHandle<T> {
     ) -> Self {
         assert!(n >= 1, "block order must be at least 1");
         assert!(capacity >= 1, "class capacity must be at least 1");
-        let mut plans = Vec::with_capacity(capacity + 1);
-        plans.resize_with(capacity + 1, || None);
         SizeClassHandle {
             n,
             capacity,
@@ -79,8 +78,8 @@ impl<T: Scalar> SizeClassHandle<T> {
             layout,
             precision,
             sizes: vec![n; capacity],
-            plans,
-            rhs: VectorBatch::zeros(&[]),
+            plans: vec![None; capacity + 1],
+            rhs: Vec::new(),
             stats: ExecStats::new(),
             flushes: 0,
         }
@@ -131,10 +130,10 @@ impl<T: Scalar> SizeClassHandle<T> {
             assert_eq!(b.len(), n * n, "block {i}: expected order {n}");
             batch.block_mut(i).copy_from_slice(b);
         }
-        self.rhs.reset_uniform(count, n);
+        self.rhs.clear();
         for (i, r) in rhs.iter().enumerate() {
             assert_eq!(r.len(), n, "rhs {i}: expected length {n}");
-            self.rhs.seg_mut(i).copy_from_slice(r);
+            self.rhs.extend_from_slice(r);
         }
 
         let plan = self.plans[count].get_or_insert_with(|| {
@@ -144,14 +143,14 @@ impl<T: Scalar> SizeClassHandle<T> {
                 .with_health(self.health)
                 .with_precision(self.precision)
         });
-        let factors = self.backend.factorize(batch, plan, &mut self.stats);
-        self.backend.solve(&factors, &mut self.rhs, &mut self.stats);
+        let solve = BlockSolve::new(self.backend.clone(), batch, plan, &mut self.stats);
+        solve.apply(&mut self.rhs, &mut self.stats);
 
-        for (i, r) in rhs.iter_mut().enumerate() {
-            r.copy_from_slice(self.rhs.seg(i));
+        for (r, x) in rhs.iter_mut().zip(self.rhs.chunks_exact(n)) {
+            r.copy_from_slice(x);
         }
         self.flushes += 1;
-        factors.status
+        solve.into_statuses()
     }
 }
 

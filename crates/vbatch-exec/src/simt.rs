@@ -495,7 +495,6 @@ impl<T: Scalar> Backend<T> for SimtSim {
         stats.add_device_cost(&cost);
         stats.add_flops(tri.sweep_flops());
         stats.add_phase(Phase::Sweep, t0.elapsed());
-        stats.record_levels(sched);
     }
 
     fn invert(

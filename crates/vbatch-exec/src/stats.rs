@@ -7,6 +7,13 @@
 //! labeled counter or phase-duration histogram. With the `trace`
 //! feature off the forwarding calls are inert inline stubs, so the
 //! local histograms remain the only cost.
+//!
+//! The histograms are filled at setup. What an *apply* touches — phase
+//! times, apply count, workspace high-water mark, flops — is plain
+//! fields and one array indexed by [`Phase`], so no apply can allocate
+//! a map node. Per-level sweep counts and per-preconditioner apply
+//! counts are not kept: both follow from `applies` and the holder's
+//! `LevelSchedule`.
 
 use crate::factors::{BlockHealth, RecoveryStep};
 use crate::plan::{ClassLayout, KernelChoice};
@@ -14,7 +21,6 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 use vbatch_core::StoragePrecision;
 use vbatch_simt::CostCounter;
-use vbatch_sparse::LevelSchedule;
 
 /// Phases a backend reports timings for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -43,6 +49,9 @@ pub enum Phase {
 }
 
 impl Phase {
+    /// Number of phases: the length of the per-phase time table.
+    const COUNT: usize = Phase::Reduce as usize + 1;
+
     /// Stable label.
     pub fn label(self) -> &'static str {
         match self {
@@ -72,7 +81,7 @@ pub struct ExecStats {
     pub flops: f64,
     /// Blocks whose factorization failed and degraded to the fallback.
     pub failures: usize,
-    phase_times: BTreeMap<&'static str, Duration>,
+    phase_times: [Duration; Phase::COUNT],
     /// Summed device cost counters (SIMT backend only).
     pub device_cost: Option<CostCounter>,
     /// Largest apply-workspace footprint observed, in scalar elements
@@ -80,21 +89,19 @@ pub struct ExecStats {
     pub workspace_hwm_elems: usize,
     /// Prepared-apply invocations folded into these stats.
     pub applies: u64,
-    /// Level-set sweep histogram: level index → block rows processed at
-    /// that level, summed over sweeps. Local-only (no trace
-    /// forwarding): updated on the triangular-apply hot path, where the
-    /// entries are pre-warmed at setup so steady-state updates never
-    /// allocate.
-    levels: BTreeMap<usize, u64>,
-    /// Preconditioner-kind histogram: label → applies routed through
-    /// that preconditioner. Local-only for the same hot-path reason.
-    precond: BTreeMap<&'static str, u64>,
     /// Storage-precision histogram: label → blocks whose factors are
     /// stored in that precision.
     precisions: BTreeMap<&'static str, u64>,
     /// Blocks a mixed-precision policy promoted back to native-precision
     /// factors (condition estimate above the promotion threshold).
     pub promotions: u64,
+}
+
+/// Add the counts of `from` into `into`.
+fn merge_counts(into: &mut BTreeMap<&'static str, u64>, from: &BTreeMap<&'static str, u64>) {
+    for (k, c) in from {
+        *into.entry(k).or_insert(0) += c;
+    }
 }
 
 /// A histogram as a compact `label=count;label=count` string for CSV.
@@ -166,7 +173,7 @@ impl ExecStats {
 
     /// Accumulate wall-clock time for a phase.
     pub fn add_phase(&mut self, phase: Phase, d: Duration) {
-        *self.phase_times.entry(phase.label()).or_default() += d;
+        self.phase_times[phase as usize] += d;
         let ns = d.as_nanos().min(u64::MAX as u128) as u64;
         // one static site per phase so the registry keeps separate
         // latency histograms without runtime string formatting
@@ -194,10 +201,14 @@ impl ExecStats {
 
     /// Total recorded time for a phase.
     pub fn phase_time(&self, phase: Phase) -> Duration {
-        self.phase_times
-            .get(phase.label())
-            .copied()
-            .unwrap_or_default()
+        self.phase_times[phase as usize]
+    }
+
+    /// Total recorded time over all phases. A stage wrapping calls that
+    /// book phases of their own reads this before and after and books
+    /// only its elapsed time minus the difference: each instant once.
+    pub fn phase_total(&self) -> Duration {
+        self.phase_times.iter().sum()
     }
 
     /// Merge a device cost counter into the accumulated total.
@@ -237,38 +248,6 @@ impl ExecStats {
         compact(&self.health)
     }
 
-    /// Record `rows` block rows processed at sweep level `level`.
-    /// `rows == 0` still inserts the entry — setup paths use that to
-    /// pre-warm the histogram so steady-state updates never allocate a
-    /// map node.
-    pub fn record_level(&mut self, level: usize, rows: u64) {
-        *self.levels.entry(level).or_insert(0) += rows;
-    }
-
-    /// Fold one full sweep of `sched` into the level histogram.
-    pub fn record_levels(&mut self, sched: &LevelSchedule) {
-        for l in 0..sched.num_levels() {
-            self.record_level(l, sched.level(l).len() as u64);
-        }
-    }
-
-    /// Level histogram (level index → block rows processed).
-    pub fn level_histogram(&self) -> &BTreeMap<usize, u64> {
-        &self.levels
-    }
-
-    /// Record `applies` applications routed through the preconditioner
-    /// labeled `p`. `applies == 0` still inserts the entry (hot-path
-    /// pre-warming, as for [`ExecStats::record_level`]).
-    pub fn record_precond(&mut self, p: &'static str, applies: u64) {
-        *self.precond.entry(p).or_insert(0) += applies;
-    }
-
-    /// Preconditioner histogram as a compact `label=count;...` string.
-    pub fn precond_compact(&self) -> String {
-        compact(&self.precond)
-    }
-
     /// Storage-precision histogram (label → block count).
     pub fn precision_histogram(&self) -> &BTreeMap<&'static str, u64> {
         &self.precisions
@@ -281,32 +260,16 @@ impl ExecStats {
 
     /// Fold another stats object into this one.
     pub fn merge(&mut self, other: &ExecStats) {
-        for (k, c) in &other.kernels {
-            *self.kernels.entry(k).or_insert(0) += c;
-        }
-        for (k, c) in &other.layouts {
-            *self.layouts.entry(k).or_insert(0) += c;
-        }
-        for (k, c) in &other.health {
-            *self.health.entry(k).or_insert(0) += c;
-        }
-        for (k, c) in &other.recoveries {
-            *self.recoveries.entry(k).or_insert(0) += c;
-        }
-        for (&l, c) in &other.levels {
-            *self.levels.entry(l).or_insert(0) += c;
-        }
-        for (k, c) in &other.precond {
-            *self.precond.entry(k).or_insert(0) += c;
-        }
-        for (k, c) in &other.precisions {
-            *self.precisions.entry(k).or_insert(0) += c;
-        }
+        merge_counts(&mut self.kernels, &other.kernels);
+        merge_counts(&mut self.layouts, &other.layouts);
+        merge_counts(&mut self.health, &other.health);
+        merge_counts(&mut self.recoveries, &other.recoveries);
+        merge_counts(&mut self.precisions, &other.precisions);
         self.promotions += other.promotions;
         self.flops += other.flops;
         self.failures += other.failures;
-        for (p, d) in &other.phase_times {
-            *self.phase_times.entry(p).or_default() += *d;
+        for (mine, theirs) in self.phase_times.iter_mut().zip(other.phase_times) {
+            *mine += theirs;
         }
         if let Some(c) = &other.device_cost {
             self.add_device_cost(c);
@@ -347,6 +310,8 @@ mod tests {
         assert_eq!(a.failures, 1);
         assert_eq!(a.phase_time(Phase::Factorize), Duration::from_millis(8));
         assert_eq!(a.phase_time(Phase::Solve), Duration::from_millis(2));
+        assert_eq!(a.phase_time(Phase::Reduce), Duration::ZERO);
+        assert_eq!(a.phase_total(), Duration::from_millis(10));
         // BTreeMap ordering: alphabetical by label
         assert_eq!(a.histogram_compact(), "gauss-huard=2;small-lu=4");
     }
@@ -368,25 +333,6 @@ mod tests {
         assert_eq!(a.health_compact(), "healthy=2;ill_conditioned=1;singular=1");
         assert_eq!(a.recovery_histogram()["equilibrated"], 1);
         assert_eq!(a.recovery_histogram()["scalar_jacobi"], 2);
-    }
-
-    #[test]
-    fn level_and_precond_histograms_merge() {
-        let mut a = ExecStats::new();
-        a.record_level(0, 4);
-        a.record_level(1, 2);
-        a.record_precond("bj", 1);
-        let mut b = ExecStats::new();
-        b.record_level(1, 3);
-        b.record_level(2, 0); // pre-warm: entry present at zero
-        b.record_precond("bilu", 2);
-        a.merge(&b);
-        assert_eq!(a.level_histogram()[&1], 5);
-        assert_eq!(
-            a.level_histogram().iter().collect::<Vec<_>>(),
-            [(&0, &4), (&1, &5), (&2, &0)]
-        );
-        assert_eq!(a.precond_compact(), "bilu=2;bj=1");
     }
 
     #[test]

@@ -307,9 +307,8 @@ impl<T: Scalar> BlockTriangular<T> {
 }
 
 /// Shared CPU sweep driver: level-scheduled execution (parallel within
-/// a level when `parallel`), phase timing, flops and the level
-/// histogram. Allocation-free after the first call warmed the
-/// histogram entries.
+/// a level when `parallel`), phase timing and flops. Allocation-free on
+/// one thread.
 pub(crate) fn sweep_cpu<T: Scalar>(
     tri: &BlockTriangular<T>,
     sched: &LevelSchedule,
@@ -327,7 +326,6 @@ pub(crate) fn sweep_cpu<T: Scalar>(
     }
     stats.add_flops(tri.sweep_flops());
     stats.add_phase(crate::stats::Phase::Sweep, t0.elapsed());
-    stats.record_levels(sched);
 }
 
 #[cfg(test)]

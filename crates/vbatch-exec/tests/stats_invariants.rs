@@ -2,7 +2,10 @@
 //! invariants:
 //!
 //! * per-phase wall-clock entries are non-negative and their sum never
-//!   exceeds the wall time of the run that produced them;
+//!   exceeds the wall time of the run that produced them — every
+//!   instant is booked once, also where one stage wraps calls that book
+//!   phases of their own (the SPIKE setup's `Reduce`, the simulator's
+//!   prepared apply);
 //! * for a batch with no fallbacks, the kernel histogram totals exactly
 //!   the block count (and `failures` accounts for the rest otherwise);
 //! * when tracing is compiled in and enabled, the number of ring events
@@ -12,7 +15,7 @@
 
 use std::time::Instant;
 use vbatch_core::{BatchLayout, MatrixBatch, VectorBatch};
-use vbatch_exec::{Backend, BatchPlan, CpuSequential, ExecStats, Phase, PlanMethod};
+use vbatch_exec::{Backend, BatchPlan, CpuSequential, ExecStats, Phase, PlanMethod, SimtSim};
 use vbatch_rt::{testgen, SmallRng};
 
 fn uniform_batch(count: usize, n: usize, seed: u64) -> MatrixBatch<f64> {
@@ -184,4 +187,85 @@ fn bilu_setup_phases_explain_the_setup_within_wall_time() {
         "phase sum {sum:?} exceeds wall time {wall:?} of the setup"
     );
     assert!(sum <= m.setup_time);
+}
+
+/// The simulator has no prepared path of its own: the trait's default
+/// `solve_prepared` round-trips through `solve`, which books `Solve`.
+/// The round trip books only its remainder as `Apply`, so the two
+/// together stay within the wall time of the applies — booking the
+/// whole round trip as `Apply` on top of `Solve` counted every device
+/// solve twice.
+#[test]
+fn simt_prepared_apply_books_each_instant_once() {
+    let batch = uniform_batch(24, 8, 53);
+    let plan = BatchPlan::auto::<f64>(batch.sizes());
+    let sim = SimtSim::new();
+    let factors = sim.factorize(batch, &plan, &mut ExecStats::new());
+    let prep = Backend::<f64>::prepare_apply(&sim, &factors);
+    let mut v = vec![1.0f64; 24 * 8];
+
+    let mut stats = ExecStats::new();
+    let wall0 = Instant::now();
+    sim.solve_prepared(&factors, &prep, &mut v, &mut stats);
+    sim.solve_prepared(&factors, &prep, &mut v, &mut stats);
+    let wall = wall0.elapsed();
+
+    assert!(stats.phase_time(Phase::Solve).as_nanos() > 0);
+    assert_eq!(
+        stats.phase_total(),
+        stats.phase_time(Phase::Solve) + stats.phase_time(Phase::Apply)
+    );
+    assert!(
+        stats.phase_total() <= wall,
+        "phase sum {:?} exceeds wall time {wall:?} of the applies",
+        stats.phase_total()
+    );
+    assert_eq!(stats.applies, 2);
+}
+
+/// SPIKE setup books extraction (`Extract`), both batched
+/// factorizations (`Factorize`), the `2k` batched spike solves
+/// (`Apply`) and — as `Reduce` — only what spike formation and reduced
+/// assembly take beyond those, so the four sum to at most the setup
+/// time. `Reduce` wrapping the nested solves and the reduced
+/// factorization whole booked them twice.
+#[test]
+fn spike_setup_phases_sum_within_the_setup_time() {
+    use std::sync::Arc;
+    use vbatch_precond::PrecondOptions;
+    use vbatch_solver::SpikeSolver;
+    use vbatch_sparse::{CooMatrix, SpikePartition};
+
+    let (n, bw) = (4096, 4);
+    let mut coo = CooMatrix::new(n, n);
+    for (i, j, v) in testgen::banded_system_triplets(n, bw, 2.0, 61) {
+        coo.push(i, j, v);
+    }
+    let a = coo.to_csr();
+    let sp = SpikePartition::uniform(n, 128, bw).unwrap();
+    let m = SpikeSolver::<f64>::setup(&a, &sp, Arc::new(CpuSequential), PrecondOptions::default())
+        .unwrap();
+
+    for p in [
+        Phase::Extract,
+        Phase::Factorize,
+        Phase::Apply,
+        Phase::Reduce,
+    ] {
+        assert!(
+            m.stats.phase_time(p).as_nanos() > 0,
+            "{} not booked",
+            p.label()
+        );
+    }
+    for p in [Phase::Solve, Phase::Invert, Phase::Gemv, Phase::Sweep] {
+        assert_eq!(m.stats.phase_time(p).as_nanos(), 0, "{}", p.label());
+    }
+    assert_eq!(m.stats.applies, 2 * bw as u64);
+    assert!(
+        m.stats.phase_total() <= m.setup_time,
+        "phase sum {:?} exceeds setup time {:?}",
+        m.stats.phase_total(),
+        m.setup_time
+    );
 }

@@ -7,36 +7,30 @@
 //! baselines), explicit Gauss-Jordan inversion (PMAM'17, ref.\[4\]) or
 //! Cholesky (the paper's future-work extension, SPD blocks only).
 //!
-//! Both phases run through the `vbatch-exec` execution layer: a
-//! [`Backend`] owns extraction, factorization and the per-iteration
-//! batched block solves, and a [`BatchPlan`] picks the kernel for every
-//! size class (the paper's crossovers, warp packing and blocked-LU
-//! escalation). Singular diagonal blocks degrade to a scalar-Jacobi
-//! fallback per block instead of aborting the whole setup; callers that
-//! need an exact factorization everywhere check
-//! [`BlockJacobi::statuses`] / [`BlockJacobi::fallback_blocks`].
+//! The preconditioner is extraction plus one [`BlockSolve`]: the
+//! backend extracts, [`PrecondOptions::plan`] picks the kernel for
+//! every size class (the paper's crossovers, warp packing and
+//! blocked-LU escalation), and the `BlockSolve` owns the factorized
+//! batch and the per-iteration batched block solves. Singular diagonal
+//! blocks degrade to a scalar-Jacobi fallback per block instead of
+//! aborting the whole setup; callers that need an exact factorization
+//! everywhere check [`BlockJacobi::statuses`] /
+//! [`BlockJacobi::fallback_blocks`].
 
 use crate::options::{BjMethod, PrecondOptions};
 use crate::traits::{BlockPreconditioner, PrecondKind, Preconditioner, SetupReport};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use vbatch_core::{FactorError, Scalar};
-use vbatch_exec::{
-    inject_batch, Backend, BatchPlan, BlockStatus, ExecStats, FactorizedBatch, FaultClass, Phase,
-    PreparedApply,
-};
+use vbatch_exec::{Backend, BlockSolve, BlockStatus, ExecStats, FaultClass};
 use vbatch_sparse::{BlockPartition, CsrMatrix};
 
 /// The assembled block-Jacobi preconditioner.
 pub struct BlockJacobi<T: Scalar> {
     part: BlockPartition,
-    factors: FactorizedBatch<T>,
     method: BjMethod,
-    backend: Arc<dyn Backend<T>>,
-    /// Apply dispatch + scratch, precomputed once at setup so every
-    /// [`Preconditioner::apply_inplace`] is allocation-free on the CPU
-    /// backends.
-    prepared: PreparedApply<T>,
+    /// The factorized diagonal blocks and their prepared apply.
+    diag: BlockSolve<T>,
     /// Accumulated apply-phase statistics (timings, workspace
     /// high-water mark), behind a mutex because the `Preconditioner`
     /// trait applies through `&self`.
@@ -76,31 +70,16 @@ impl<T: Scalar> BlockJacobi<T> {
         let start = std::time::Instant::now();
         let mut stats = ExecStats::new();
         let mut blocks = backend.extract_blocks(a, part, &mut stats);
-        let fault_map = opts
-            .fault
-            .as_ref()
-            .map(|plan| inject_batch(&mut blocks, plan))
-            .unwrap_or_default();
-        let plan = BatchPlan::for_method_with_layout::<T>(blocks.sizes(), opts.method, opts.layout)
-            .with_health(opts.health)
-            .with_precision(opts.precision);
-        let factors = backend.factorize(blocks, &plan, &mut stats);
-        let fallback_blocks = factors.fallback_count();
-        let prepared = backend.prepare_apply(&factors);
-        // Pre-warm the steady-state histogram entries so the first
-        // apply does not pay their one-time node insertions.
-        let mut apply_stats = ExecStats::new();
-        apply_stats.add_phase(Phase::Apply, Duration::ZERO);
-        apply_stats.record_precond(PrecondKind::BlockJacobi.label(), 0);
+        let fault_map = opts.inject(&mut blocks);
+        let plan = opts.plan::<T>(blocks.sizes());
+        let diag = BlockSolve::new(backend, blocks, &plan, &mut stats);
         Ok(BlockJacobi {
             part: part.clone(),
-            factors,
             method: opts.method,
-            backend,
-            prepared,
-            apply_stats: Mutex::new(apply_stats),
+            fallback_blocks: diag.fallback_count(),
+            diag,
+            apply_stats: Mutex::new(ExecStats::new()),
             setup_time: start.elapsed(),
-            fallback_blocks,
             stats,
             fault_map,
         })
@@ -119,12 +98,7 @@ impl<T: Scalar> BlockJacobi<T> {
     /// Per-block factorization status: which kernel factorized each
     /// block, or which error degraded it to the scalar-Jacobi fallback.
     pub fn statuses(&self) -> &[BlockStatus] {
-        &self.factors.status
-    }
-
-    /// The execution backend applying the block solves.
-    pub fn backend(&self) -> &dyn Backend<T> {
-        self.backend.as_ref()
+        self.diag.statuses()
     }
 
     /// The fault assignment injected during setup: one entry per block
@@ -133,15 +107,9 @@ impl<T: Scalar> BlockJacobi<T> {
         &self.fault_map
     }
 
-    /// The prepared apply dispatch built at setup (unit count,
-    /// workspace footprint).
-    pub fn prepared(&self) -> &PreparedApply<T> {
-        &self.prepared
-    }
-
     /// Snapshot of the accumulated apply-phase statistics: total
-    /// [`Phase::Apply`] wall-clock, number of applies, and the
-    /// workspace high-water mark in elements.
+    /// [`vbatch_exec::Phase::Apply`] wall-clock, number of applies, and
+    /// the workspace high-water mark in elements.
     pub fn apply_stats(&self) -> ExecStats {
         self.apply_stats
             .lock()
@@ -151,17 +119,15 @@ impl<T: Scalar> BlockJacobi<T> {
 }
 
 impl<T: Scalar> Preconditioner<T> for BlockJacobi<T> {
-    /// Apply `M^{-1} v` through the backend's prepared apply: no
-    /// private block loop, no per-call dispatch rebuild, and — on the
-    /// CPU backends — no heap allocation. Timings and workspace
-    /// high-water marks accumulate in [`BlockJacobi::apply_stats`].
+    /// Apply `M^{-1} v` through the prepared batched solve: no private
+    /// block loop, no per-call dispatch rebuild, and — on the CPU
+    /// backends — no heap allocation. Timings and workspace high-water
+    /// marks accumulate in [`BlockJacobi::apply_stats`].
     fn apply_inplace(&self, v: &mut [T]) {
         debug_assert_eq!(v.len(), self.part.total());
         let _span = vbatch_trace::span!("bj.apply", v.len());
         let mut stats = self.apply_stats.lock().expect("apply stats poisoned");
-        stats.record_precond(PrecondKind::BlockJacobi.label(), 1);
-        self.backend
-            .solve_prepared(&self.factors, &self.prepared, v, &mut stats);
+        self.diag.apply(v, &mut stats);
     }
 
     fn dim(&self) -> usize {
@@ -196,7 +162,7 @@ impl<T: Scalar> BlockPreconditioner<T> for BlockJacobi<T> {
     }
 
     fn statuses(&self) -> &[BlockStatus] {
-        &self.factors.status
+        self.diag.statuses()
     }
 
     fn setup_report(&self) -> SetupReport {
@@ -204,7 +170,7 @@ impl<T: Scalar> BlockPreconditioner<T> for BlockJacobi<T> {
             setup_time: self.setup_time,
             fallback_blocks: self.fallback_blocks,
             stats: self.stats.clone(),
-            backend_name: self.backend.name(),
+            backend_name: self.diag.backend().name(),
         }
     }
 
@@ -217,7 +183,7 @@ impl<T: Scalar> BlockPreconditioner<T> for BlockJacobi<T> {
 mod tests {
     use super::*;
     use vbatch_core::BatchLayout;
-    use vbatch_exec::{CpuRayon, CpuSequential, FaultPlan};
+    use vbatch_exec::{CpuRayon, CpuSequential, FaultPlan, Phase};
     use vbatch_sparse::gen::fem::{fem_block_matrix, MeshGraph};
     use vbatch_sparse::gen::laplace::laplace_2d;
     use vbatch_sparse::supervariable_blocking;
@@ -460,8 +426,10 @@ mod tests {
         let _ = m.apply(&v);
         let s = m.apply_stats();
         assert_eq!(s.applies, 2);
-        assert_eq!(s.workspace_hwm_elems, m.prepared().workspace_hwm_elems());
-        assert!(m.prepared().unit_count() > 0);
+        assert!(
+            s.workspace_hwm_elems > 0,
+            "the prepared scratch is resident"
+        );
         assert!(s.phase_time(Phase::Apply).as_nanos() > 0);
     }
 

@@ -6,8 +6,8 @@
 //! method, batch layout, precision policy, health triage policy, fault
 //! injection — into one builder.
 
-use vbatch_core::{BatchLayout, Scalar};
-use vbatch_exec::{FaultPlan, HealthPolicy, PrecisionPolicy};
+use vbatch_core::{BatchLayout, MatrixBatch, Scalar};
+use vbatch_exec::{inject_batch, BatchPlan, FaultClass, FaultPlan, HealthPolicy, PrecisionPolicy};
 
 /// The batched factorization driving the diagonal-block solves (the
 /// four methods of §IV plus the Cholesky extension and the planner):
@@ -90,6 +90,26 @@ impl PrecondOptions {
         self.fault = Some(plan);
         self
     }
+
+    /// The batch plan these options select for blocks of orders
+    /// `sizes`: method and layout pick kernel and storage per size
+    /// class, health and precision ride along. Every holder of a
+    /// [`vbatch_exec::BlockSolve`] plans through here.
+    pub fn plan<T: Scalar>(&self, sizes: &[usize]) -> BatchPlan {
+        BatchPlan::for_method_with_layout::<T>(sizes, self.method, self.layout)
+            .with_health(self.health)
+            .with_precision(self.precision)
+    }
+
+    /// Corrupt `blocks` with the configured fault plan, if any, and
+    /// return the assignment applied: one entry per block, or empty
+    /// when no plan is set.
+    pub fn inject<T: Scalar>(&self, blocks: &mut MatrixBatch<T>) -> Vec<Option<FaultClass>> {
+        self.fault
+            .as_ref()
+            .map(|plan| inject_batch(blocks, plan))
+            .unwrap_or_default()
+    }
 }
 
 #[cfg(test)]
@@ -110,5 +130,9 @@ mod tests {
         assert!(o.precision.lowers_storage());
         assert_eq!(PrecondOptions::default().method, BjMethod::Auto);
         assert_eq!(PrecondOptions::default().precision, PrecisionPolicy::FullDp);
+        // the plan carries the planner knobs; no fault plan, no faults
+        let plan = o.plan::<f64>(&[4, 4, 9]);
+        assert_eq!((plan.health(), plan.precision()), (o.health, o.precision));
+        assert!(o.inject(&mut MatrixBatch::<f64>::zeros(&[2, 2])).is_empty());
     }
 }

@@ -91,24 +91,30 @@ impl Default for CountingAlloc {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         self.count_alloc(layout.size());
-        System.alloc(layout)
+        // SAFETY: the caller's `GlobalAlloc::alloc` contract, forwarded.
+        unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         self.deallocs.fetch_add(1, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // this `layout` (the caller's `dealloc` contract, forwarded).
+        unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         self.count_alloc(layout.size());
-        System.alloc_zeroed(layout)
+        // SAFETY: the caller's `alloc_zeroed` contract, forwarded.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // a grow-in-place still touches the heap; count it as one
         // allocation so "zero allocations" really means untouched
         self.count_alloc(new_size);
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // this `layout` (the caller's `realloc` contract, forwarded).
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
@@ -123,6 +129,8 @@ mod tests {
         let a = CountingAlloc::new();
         let layout = Layout::from_size_align(64, 8).unwrap();
         let before = a.snapshot();
+        // SAFETY: `layout` has non-zero size, and `p` is freed once, by
+        // the allocator that returned it, with the layout it was given.
         unsafe {
             let p = a.alloc(layout);
             assert!(!p.is_null());

@@ -6,8 +6,10 @@
 //! `A = D S`, where `D = diag(A_1, ..., A_p)` collects the partition
 //! diagonal blocks and `S` is the identity plus the **spikes**
 //! `V_j = A_j^{-1} [0; B_j]` (right) and `W_j = A_j^{-1} [C_{j-1}; 0]`
-//! (left) induced by the coupling tips. Every dense sub-problem runs
-//! through the existing [`BatchPlan`]/[`Backend`] pipeline:
+//! (left) induced by the coupling tips. The split is the
+//! preconditioner's two verbs used twice — the solver holds two
+//! [`BlockSolve`]s (partitions, reduced system), both planned by
+//! [`PrecondOptions::plan`], plus the spikes between them:
 //!
 //! 1. all `p` partitions are factorized as **one** variable-size batch
 //!    (any backend × layout × precision policy);
@@ -38,24 +40,13 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use vbatch_core::{FactorError, Scalar};
-use vbatch_exec::{
-    inject_batch, Backend, BatchPlan, BlockStatus, ExecStats, FactorizedBatch, FaultClass, Phase,
-    PreparedApply,
-};
+use vbatch_exec::{Backend, BlockSolve, BlockStatus, ExecStats, FaultClass, Phase};
 use vbatch_precond::{
     BlockPreconditioner, PrecondKind, PrecondOptions, Preconditioner, SetupReport,
 };
 use vbatch_sparse::{
     extract_spike_blocks, nrm2, spmv, BlockPartition, CsrMatrix, SpikeError, SpikePartition,
 };
-
-/// The factorized reduced (interface) system: `p - 1` independent
-/// `2k × 2k` blocks of the truncated SPIKE variant, prepared for
-/// allocation-free warm solves.
-struct Reduced<T: Scalar> {
-    factors: FactorizedBatch<T>,
-    prepared: PreparedApply<T>,
-}
 
 /// Result of one direct SPIKE solve ([`SpikeSolver::solve`]).
 #[derive(Clone, Debug)]
@@ -83,19 +74,19 @@ pub struct SpikeSolver<T: Scalar> {
     /// The monolithic matrix, retained for refinement residuals.
     a: CsrMatrix<T>,
     spart: SpikePartition,
-    backend: Arc<dyn Backend<T>>,
-    factors: FactorizedBatch<T>,
-    prepared: PreparedApply<T>,
+    /// The `p` factorized partitions `D` and their prepared apply.
+    partitions: BlockSolve<T>,
     /// Right spikes `V_j` (`n_j × k`, column-major); empty for the
     /// last partition and when the bandwidth is zero.
     v_spikes: Vec<Vec<T>>,
     /// Left spikes `W_j` (`n_j × k`, column-major); empty for the
     /// first partition and when the bandwidth is zero.
     w_spikes: Vec<Vec<T>>,
-    /// Truncated reduced system; `None` when there are no interfaces
-    /// (single partition or zero bandwidth), where the SPIKE pass
-    /// degenerates bitwise to the plain batched solve.
-    reduced: Option<Reduced<T>>,
+    /// Truncated reduced (interface) system: `p - 1` independent
+    /// `2k × 2k` blocks; `None` when there are no interfaces (single
+    /// partition or zero bandwidth), where the SPIKE pass degenerates
+    /// bitwise to the plain batched solve.
+    reduced: Option<BlockSolve<T>>,
     /// Interface workspace (`2k (p - 1)` elements), preallocated so
     /// `&self` applies stay allocation-free.
     ws: Mutex<Vec<T>>,
@@ -133,25 +124,19 @@ impl<T: Scalar> SpikeSolver<T> {
         let mut blocks = extract_spike_blocks(a, sp).map_err(spike_to_factor_error)?;
         stats.add_phase(Phase::Extract, t_ex.elapsed());
 
-        let fault_map = opts
-            .fault
-            .as_ref()
-            .map(|plan| inject_batch(&mut blocks.diag, plan))
-            .unwrap_or_default();
+        let fault_map = opts.inject(&mut blocks.diag);
 
         let part = sp.part();
         let sizes = part.sizes();
-        let plan =
-            BatchPlan::for_method_with_layout::<T>(blocks.diag.sizes(), opts.method, opts.layout)
-                .with_health(opts.health)
-                .with_precision(opts.precision);
-        let factors = backend.factorize(blocks.diag, &plan, &mut stats);
-        let fallback_blocks = factors.fallback_count();
-        let prepared = backend.prepare_apply(&factors);
+        let plan = opts.plan::<T>(blocks.diag.sizes());
+        let partitions = BlockSolve::new(backend.clone(), blocks.diag, &plan, &mut stats);
 
-        // Spike formation + reduced assembly/factorization, reported
-        // together as the Reduce phase.
+        // Spike formation + reduced assembly, reported as the Reduce
+        // phase: what the interval holds beyond the batched solves and
+        // the reduced factorization, which book their own Apply and
+        // Factorize time below.
         let t_red = Instant::now();
+        let booked = stats.phase_total();
         let k = sp.bandwidth();
         let p = part.len();
         let ifaces = sp.interfaces();
@@ -179,7 +164,7 @@ impl<T: Scalar> SpikeSolver<T> {
                     let tip = blocks.upper_tips.block(j);
                     rhs[end - k..end].copy_from_slice(&tip[col * k..(col + 1) * k]);
                 }
-                backend.solve_prepared(&factors, &prepared, &mut rhs, &mut stats);
+                partitions.apply(&mut rhs, &mut stats);
                 for j in 0..p - 1 {
                     let nj = sizes[j];
                     v_spikes[j][col * nj..(col + 1) * nj].copy_from_slice(&rhs[part.range(j)]);
@@ -190,7 +175,7 @@ impl<T: Scalar> SpikeSolver<T> {
                     let tip = blocks.lower_tips.block(j - 1);
                     rhs[start..start + k].copy_from_slice(&tip[col * k..(col + 1) * k]);
                 }
-                backend.solve_prepared(&factors, &prepared, &mut rhs, &mut stats);
+                partitions.apply(&mut rhs, &mut stats);
                 for j in 1..p {
                     let nj = sizes[j];
                     w_spikes[j][col * nj..(col + 1) * nj].copy_from_slice(&rhs[part.range(j)]);
@@ -222,55 +207,28 @@ impl<T: Scalar> SpikeSolver<T> {
                     }
                 }
             }
-            let rplan =
-                BatchPlan::for_method_with_layout::<T>(red.sizes(), opts.method, opts.layout)
-                    .with_health(opts.health)
-                    .with_precision(opts.precision);
-            let rfactors = backend.factorize(red, &rplan, &mut stats);
-            let rprepared = backend.prepare_apply(&rfactors);
-            Some(Reduced {
-                factors: rfactors,
-                prepared: rprepared,
-            })
+            let rplan = opts.plan::<T>(red.sizes());
+            Some(BlockSolve::new(backend, red, &rplan, &mut stats))
         } else {
             None
         };
-        stats.add_phase(Phase::Reduce, t_red.elapsed());
-
-        // Pre-warm the steady-state histogram entries so the first
-        // apply does not pay their one-time node insertions.
-        let mut apply_stats = ExecStats::new();
-        apply_stats.add_phase(Phase::Apply, Duration::ZERO);
-        apply_stats.record_precond(PrecondKind::Spike.label(), 0);
+        let nested = stats.phase_total() - booked;
+        stats.add_phase(Phase::Reduce, t_red.elapsed().saturating_sub(nested));
 
         Ok(SpikeSolver {
             a: a.clone(),
             spart: sp.clone(),
-            backend,
-            factors,
-            prepared,
+            fallback_blocks: partitions.fallback_count(),
+            partitions,
             v_spikes,
             w_spikes,
             reduced,
             ws: Mutex::new(vec![T::ZERO; 2 * k * ifaces]),
-            apply_stats: Mutex::new(apply_stats),
+            apply_stats: Mutex::new(ExecStats::new()),
             fault_map,
             setup_time: start.elapsed(),
-            fallback_blocks,
             stats,
         })
-    }
-
-    /// Convenience setup: detect the bandwidth, split into
-    /// `partitions` near-uniform pieces, and build on `backend` with
-    /// default options.
-    pub fn setup_uniform(
-        a: &CsrMatrix<T>,
-        partitions: usize,
-        backend: Arc<dyn Backend<T>>,
-    ) -> Result<Self, FactorError> {
-        let sp = SpikePartition::detect(a, partitions).map_err(spike_to_factor_error)?;
-        Self::setup(a, &sp, backend, PrecondOptions::default())
     }
 
     /// The SPIKE geometry this solver was built for.
@@ -282,7 +240,7 @@ impl<T: Scalar> SpikeSolver<T> {
     /// which kernel factorized each partition, or which error degraded
     /// it to a sanitized fallback).
     pub fn statuses(&self) -> &[BlockStatus] {
-        &self.factors.status
+        self.partitions.statuses()
     }
 
     /// The fault assignment injected during setup (one entry per
@@ -291,19 +249,13 @@ impl<T: Scalar> SpikeSolver<T> {
         &self.fault_map
     }
 
-    /// The execution backend running the batched kernels.
-    pub fn backend(&self) -> &dyn Backend<T> {
-        self.backend.as_ref()
-    }
-
     /// One truncated SPIKE pass, in place: `v` enters as a right-hand
     /// side and leaves as the (truncated) solution. `red` must have
     /// `2 k (p - 1)` elements. Allocation-free on the CPU backends.
     fn apply_pass(&self, v: &mut [T], red: &mut [T], stats: &mut ExecStats) {
         // g = D^{-1} v: the prepared batched partition solve (the flat
         // vector tiles the partitions exactly).
-        self.backend
-            .solve_prepared(&self.factors, &self.prepared, v, stats);
+        self.partitions.apply(v, stats);
         let Some(reduced) = &self.reduced else {
             return;
         };
@@ -319,8 +271,7 @@ impl<T: Scalar> SpikeSolver<T> {
                 red[2 * k * i + k + t] = v[r1.start + t];
             }
         }
-        self.backend
-            .solve_prepared(&reduced.factors, &reduced.prepared, red, stats);
+        reduced.apply(red, stats);
         // Recovery x_j = g_j - V_j x_{j+1}^(t) - W_j x_{j-1}^(b),
         // applied to every row (exact given exact interface values):
         // column-wise axpy sweeps over the stored dense spikes.
@@ -418,9 +369,8 @@ impl<T: Scalar> SpikeSolver<T> {
         let reduced = self
             .reduced
             .as_ref()
-            .map(|r| r.prepared.workspace_hwm_elems())
-            .unwrap_or(0);
-        self.prepared.workspace_hwm_elems() + reduced + self.red_len()
+            .map_or(0, BlockSolve::workspace_hwm_elems);
+        self.partitions.workspace_hwm_elems() + reduced + self.red_len()
     }
 }
 
@@ -455,7 +405,6 @@ impl<T: Scalar> Preconditioner<T> for SpikeSolver<T> {
         let _span = vbatch_trace::span!("spike.apply", v.len());
         let mut red = self.ws.lock().expect("spike workspace poisoned");
         let mut stats = self.apply_stats.lock().expect("apply stats poisoned");
-        stats.record_precond(PrecondKind::Spike.label(), 1);
         self.apply_pass(v, &mut red, &mut stats);
     }
 
@@ -495,7 +444,7 @@ impl<T: Scalar> BlockPreconditioner<T> for SpikeSolver<T> {
     }
 
     fn statuses(&self) -> &[BlockStatus] {
-        &self.factors.status
+        self.partitions.statuses()
     }
 
     fn setup_report(&self) -> SetupReport {
@@ -503,7 +452,7 @@ impl<T: Scalar> BlockPreconditioner<T> for SpikeSolver<T> {
             setup_time: self.setup_time,
             fallback_blocks: self.fallback_blocks,
             stats: self.stats.clone(),
-            backend_name: self.backend.name(),
+            backend_name: self.partitions.backend().name(),
         }
     }
 

@@ -33,42 +33,6 @@ pub fn extract_diag_blocks<T: Scalar>(a: &CsrMatrix<T>, part: &BlockPartition) -
     batch
 }
 
-/// Chunked row-streaming variant of [`extract_diag_blocks`]: rows are
-/// processed in windows of `chunk_rows`, bounding the live portion of
-/// the source matrix an out-of-core reader would need resident at
-/// once (ROADMAP item 2(b) groundwork). Output is bitwise identical
-/// to the monolithic extraction for every chunk size: each destination
-/// cell is written by at most one source entry, so chunking only
-/// reorders disjoint writes.
-pub fn extract_diag_blocks_chunked<T: Scalar>(
-    a: &CsrMatrix<T>,
-    part: &BlockPartition,
-    chunk_rows: usize,
-) -> MatrixBatch<T> {
-    assert_eq!(part.total(), a.nrows(), "partition must cover the matrix");
-    assert!(chunk_rows >= 1, "chunk_rows must be at least 1");
-    let _span = vbatch_trace::span!("sparse.extract_chunked", part.len());
-    let mut batch = MatrixBatch::zeros(&part.sizes());
-    let n = a.nrows();
-    let mut row = 0usize;
-    while row < n {
-        let end = (row + chunk_rows).min(n);
-        for r in row..end {
-            let b = part.block_of(r);
-            let range = part.range(b);
-            let bs = range.end - range.start;
-            let data = batch.block_mut(b);
-            for (c, v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
-                if *c >= range.start && *c < range.end {
-                    data[(*c - range.start) * bs + (r - range.start)] = *v;
-                }
-            }
-        }
-        row = end;
-    }
-    batch
-}
-
 /// Fraction of the matrix nonzeros captured by the diagonal blocks —
 /// a quality measure for a block partition.
 pub fn block_coverage<T: Scalar>(a: &CsrMatrix<T>, part: &BlockPartition) -> f64 {

@@ -23,7 +23,7 @@ pub mod stats;
 pub use blocking::{find_supervariables, supervariable_blocking, BlockPartition};
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
-pub use extract::{block_coverage, extract_diag_blocks, extract_diag_blocks_chunked};
+pub use extract::{block_coverage, extract_diag_blocks};
 pub use gen::suite::{by_name, table1_suite, ProblemClass, SuiteProblem};
 pub use mm_io::{
     read_matrix_market, read_matrix_market_str, write_matrix_market, write_matrix_market_str,
@@ -31,8 +31,6 @@ pub use mm_io::{
 };
 pub use pattern::{BlockPattern, LevelSchedule, TriKind};
 pub use reorder::{is_permutation, reverse_cuthill_mckee};
-pub use spike::{
-    extract_spike_blocks, extract_spike_blocks_chunked, SpikeBlocks, SpikeError, SpikePartition,
-};
+pub use spike::{extract_spike_blocks, SpikeBlocks, SpikeError, SpikePartition};
 pub use spmv::{axpy, dot, nrm2, residual, scal, spmv, spmv_alloc, spmv_par, xpby};
 pub use stats::{matrix_stats, partition_stats, row_length_histogram, MatrixStats, PartitionStats};

@@ -17,9 +17,7 @@
 //! validates that structure ([`SpikePartition`]) and gathers the
 //! partitions and tips into variable-size [`MatrixBatch`]es
 //! ([`extract_spike_blocks`]) so the batched LU pipeline can factorize
-//! all partitions at once. A chunked row-streaming variant
-//! ([`extract_spike_blocks_chunked`]) bounds the extraction working
-//! window, mirroring [`crate::extract::extract_diag_blocks_chunked`].
+//! all partitions at once.
 
 use std::fmt;
 
@@ -225,21 +223,6 @@ pub fn extract_spike_blocks<T: Scalar>(
     a: &CsrMatrix<T>,
     sp: &SpikePartition,
 ) -> Result<SpikeBlocks<T>, SpikeError> {
-    extract_spike_blocks_chunked(a, sp, a.nrows().max(1))
-}
-
-/// Chunked row-streaming variant of [`extract_spike_blocks`]: rows are
-/// processed in windows of `chunk_rows`, bounding the live portion of
-/// the source matrix an out-of-core reader would need in memory at
-/// once. Output is bitwise identical to the monolithic extraction for
-/// every chunk size (each destination cell is written by exactly one
-/// source entry, and chunking only reorders disjoint writes).
-pub fn extract_spike_blocks_chunked<T: Scalar>(
-    a: &CsrMatrix<T>,
-    sp: &SpikePartition,
-    chunk_rows: usize,
-) -> Result<SpikeBlocks<T>, SpikeError> {
-    assert!(chunk_rows >= 1, "chunk_rows must be at least 1");
     let n = a.nrows();
     if n != a.ncols() {
         return Err(SpikeError::NotSquare {
@@ -263,43 +246,38 @@ pub fn extract_spike_blocks_chunked<T: Scalar>(
         upper_tips: MatrixBatch::zeros(&tip_sizes),
         lower_tips: MatrixBatch::zeros(&tip_sizes),
     };
-    let mut row = 0usize;
-    while row < n {
-        let end = (row + chunk_rows).min(n);
-        for r in row..end {
-            let b = part.block_of(r);
-            let range = part.range(b);
-            let bs = range.end - range.start;
-            for (&c, &v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
-                if c >= range.start && c < range.end {
-                    out.diag.block_mut(b)[(c - range.start) * bs + (r - range.start)] = v;
-                } else if k > 0
-                    && b + 1 < p
-                    && r >= range.end - k
-                    && c >= range.end
-                    && c < range.end + k
-                {
-                    // upper tip B_b: local row counts from `end - k`
-                    out.upper_tips.block_mut(b)[(c - range.end) * k + (r - (range.end - k))] = v;
-                } else if k > 0
-                    && b > 0
-                    && r < range.start + k
-                    && c < range.start
-                    && c >= range.start - k
-                {
-                    // lower tip C_{b-1}: local col counts from `start - k`
-                    out.lower_tips.block_mut(b - 1)
-                        [(c - (range.start - k)) * k + (r - range.start)] = v;
-                } else {
-                    return Err(SpikeError::OutOfBand {
-                        row: r,
-                        col: c,
-                        bandwidth: k,
-                    });
-                }
+    for r in 0..n {
+        let b = part.block_of(r);
+        let range = part.range(b);
+        let bs = range.end - range.start;
+        for (&c, &v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
+            if c >= range.start && c < range.end {
+                out.diag.block_mut(b)[(c - range.start) * bs + (r - range.start)] = v;
+            } else if k > 0
+                && b + 1 < p
+                && r >= range.end - k
+                && c >= range.end
+                && c < range.end + k
+            {
+                // upper tip B_b: local row counts from `end - k`
+                out.upper_tips.block_mut(b)[(c - range.end) * k + (r - (range.end - k))] = v;
+            } else if k > 0
+                && b > 0
+                && r < range.start + k
+                && c < range.start
+                && c >= range.start - k
+            {
+                // lower tip C_{b-1}: local col counts from `start - k`
+                out.lower_tips.block_mut(b - 1)[(c - (range.start - k)) * k + (r - range.start)] =
+                    v;
+            } else {
+                return Err(SpikeError::OutOfBand {
+                    row: r,
+                    col: c,
+                    bandwidth: k,
+                });
             }
         }
-        row = end;
     }
     Ok(out)
 }
@@ -389,17 +367,6 @@ mod tests {
                 bandwidth: 1
             })
         );
-    }
-
-    #[test]
-    fn chunked_extraction_is_bitwise_invisible() {
-        let a = banded(37, 2, 1.2, 5);
-        let sp = SpikePartition::uniform(37, 4, 2).unwrap();
-        let whole = extract_spike_blocks(&a, &sp).unwrap();
-        for chunk in [1, 2, 3, 5, 8, 13, 36, 37, 100] {
-            let c = extract_spike_blocks_chunked(&a, &sp, chunk).unwrap();
-            assert_eq!(c, whole, "chunk={chunk}");
-        }
     }
 
     #[test]

@@ -206,57 +206,6 @@ fn extraction_matches_dense_slices() {
     });
 }
 
-/// Chunk-size sweep: streaming the extraction through row windows of
-/// any size must be bitwise-invisible relative to the monolithic
-/// extraction (ROADMAP item 2(b) down payment — an out-of-core reader
-/// can hand the extractor bounded row windows without changing a bit
-/// of the batch it produces).
-#[test]
-fn chunked_extraction_is_bitwise_invisible() {
-    use vbatch_sparse::extract_diag_blocks_chunked;
-    run_cases(
-        "chunked_extraction_is_bitwise_invisible",
-        64,
-        |rng, _case| {
-            let (n, entries) = coo_matrix(rng);
-            let bound = rng.gen_range(1usize..7);
-            let a = build(n, &entries);
-            let part = BlockPartition::uniform(n, bound);
-            let whole = extract_diag_blocks(&a, &part);
-            let random_chunk = rng.gen_range(1usize..n + 2);
-            for chunk in [1, 2, 3, random_chunk, n, 2 * n + 1] {
-                let c = extract_diag_blocks_chunked(&a, &part, chunk);
-                assert_eq!(c, whole, "chunk={chunk}");
-            }
-        },
-    );
-}
-
-/// Same sweep for the SPIKE extraction: diagonal partitions and both
-/// tip batches come out bitwise identical for every chunk size.
-#[test]
-fn chunked_spike_extraction_is_bitwise_invisible() {
-    use vbatch_sparse::{extract_spike_blocks, extract_spike_blocks_chunked, SpikePartition};
-    run_cases(
-        "chunked_spike_extraction_is_bitwise_invisible",
-        64,
-        |rng, _case| {
-            let n = rng.gen_range(8usize..40);
-            let bw = rng.gen_range(1usize..4);
-            let seed = rng.gen_range(0u64..1 << 20);
-            let a = build(n, &testgen::banded_system_triplets(n, bw, 1.5, seed));
-            let p = rng.gen_range(1usize..SpikePartition::max_partitions(n, bw) + 1);
-            let sp = SpikePartition::uniform(n, p, bw).unwrap();
-            let whole = extract_spike_blocks(&a, &sp).unwrap();
-            let random_chunk = rng.gen_range(1usize..n + 2);
-            for chunk in [1, 2, random_chunk, n, 2 * n + 1] {
-                let c = extract_spike_blocks_chunked(&a, &sp, chunk).unwrap();
-                assert_eq!(c, whole, "chunk={chunk}");
-            }
-        },
-    );
-}
-
 /// The level schedules built for the block triangular sweeps must form
 /// a valid topological partition of the block dependency DAG: every
 /// block row appears in exactly one level, every dependency sits in a

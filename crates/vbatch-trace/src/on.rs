@@ -340,8 +340,10 @@ fn create_thread_ring(cap_events: usize) -> ThreadRingState {
         return ThreadRingState::Unavailable;
     }
     let ring = EventRing::with_capacity(rings.len() as u64, cap_events);
-    // Leak one Arc clone into the thread-local as a plain reference:
-    // the registry keeps the ring alive for the process lifetime.
+    // Hand the thread-local a plain reference to the ring.
+    // SAFETY: `ring` is pushed into the static `RINGS` registry on the
+    // next line, under the lock held here; the registry only ever grows
+    // and is never dropped, so the `Arc`'s pointee outlives every thread.
     let raw: &'static EventRing = unsafe { &*(Arc::as_ptr(&ring)) };
     rings.push(ring);
     RING_COUNT.store(rings.len(), Ordering::Relaxed);

@@ -52,33 +52,30 @@ fn main() {
     );
 
     // construct an execution backend explicitly — CpuSequential, CpuRayon
-    // and SimtSim are interchangeable behind the `Backend` trait — and let
-    // the planner pick a kernel per block (packed LU / GH / small LU).
+    // and SimtSim are interchangeable behind the `Backend` trait — let
+    // the planner pick a kernel per block (packed LU / GH / small LU),
+    // and factorize: a `BlockSolve` owns the factors and their apply.
     let backend: std::sync::Arc<dyn Backend<f64>> = std::sync::Arc::new(CpuRayon);
     let plan = BatchPlan::auto::<f64>(&sizes);
     let mut stats = ExecStats::new();
     let t = std::time::Instant::now();
-    let factors = backend.factorize(batch, &plan, &mut stats);
-    println!("batched GETRF ({}): {:?}", backend.name(), t.elapsed());
+    let solve = BlockSolve::new(backend, batch, &plan, &mut stats);
+    let name = solve.backend().name();
+    println!("batched GETRF ({name}): {:?}", t.elapsed());
     println!("kernels used:             {}", stats.histogram_compact());
-    assert_eq!(factors.fallback_count(), 0);
+    assert_eq!(solve.fallback_count(), 0);
 
-    // right-hand sides: b_i = A_i * ones
-    let mut rhs = VectorBatch::zeros(&sizes);
-    for (i, m) in mats.iter().enumerate() {
-        let ones = vec![1.0; m.rows()];
-        rhs.seg_mut(i).copy_from_slice(&m.matvec(&ones));
-    }
+    // right-hand sides, one flat vector: b_i = A_i * ones
+    let mut x: Vec<f64> = mats
+        .iter()
+        .flat_map(|m| m.matvec(&vec![1.0; m.rows()]))
+        .collect();
     let t = std::time::Instant::now();
-    backend.solve(&factors, &mut rhs, &mut stats);
-    println!("batched GETRS ({}): {:?}", backend.name(), t.elapsed());
+    solve.apply(&mut x, &mut stats);
+    println!("batched GETRS ({name}): {:?}", t.elapsed());
 
     // verify: every solution is the all-ones vector
-    let worst = rhs
-        .as_slice()
-        .iter()
-        .map(|&v| (v - 1.0).abs())
-        .fold(0.0f64, f64::max);
+    let worst = x.iter().map(|&v| (v - 1.0).abs()).fold(0.0f64, f64::max);
     println!("max |x - 1| over the whole batch = {worst:.3e}");
     assert!(worst < 1e-8);
     println!("\nOK: all {} systems solved.", sizes.len());

@@ -57,11 +57,11 @@ fn main() {
     let plan = BatchPlan::for_method::<f64>(blocks.sizes(), PlanMethod::SmallLu);
     let mut stats = ExecStats::new();
     let t = std::time::Instant::now();
-    let factors = CpuRayon.factorize(blocks, &plan, &mut stats);
+    let solve = BlockSolve::new(std::sync::Arc::new(CpuRayon), blocks, &plan, &mut stats);
     println!(
         "batched LU of all blocks: {:?} ({} blocks)",
         t.elapsed(),
-        factors.status.len()
+        solve.statuses().len()
     );
-    assert_eq!(factors.fallback_count(), 0);
+    assert_eq!(solve.fallback_count(), 0);
 }

@@ -15,7 +15,8 @@
 //!   (three host threading policies over one kernel set, SIMT
 //!   simulator) behind a
 //!   [`exec::BatchPlan`] that picks kernels per block using the paper's
-//!   crossovers;
+//!   crossovers, and [`exec::BlockSolve`], the factorized batch every
+//!   preconditioner holds;
 //! * [`precond`] — scalar and block-Jacobi preconditioners;
 //! * [`solver`] — IDR(s), BiCGSTAB, CG, GMRES(m).
 //!
@@ -44,8 +45,8 @@ pub mod prelude {
         VectorBatch,
     };
     pub use vbatch_exec::{
-        Backend, BatchPlan, BlockStatus, CpuRayon, CpuSequential, CpuSimd, ExecStats, KernelChoice,
-        PlanMethod, SimtSim,
+        Backend, BatchPlan, BlockSolve, BlockStatus, CpuRayon, CpuSequential, CpuSimd, ExecStats,
+        KernelChoice, PlanMethod, SimtSim,
     };
     pub use vbatch_precond::{
         BjMethod, BlockJacobi, Identity, Jacobi, PrecondOptions, Preconditioner,
