@@ -7,6 +7,11 @@ use vbatch_core::{
     lu_solve_interleaved_class_scratch_simd_width, FactorError, Scalar, TrsvVariant,
 };
 
+/// Orders past the warp width. The planner interleaves every populous
+/// LU class, so the lane kernels meet these in production; a draw from
+/// this range rides beside each suite's small orders.
+pub const WIDE_ORDERS: std::ops::Range<usize> = 33..65;
+
 /// Pack dense n×n blocks (column-major) into interleaved lanes.
 pub fn pack<T: Scalar>(blocks: &[Vec<T>], n: usize) -> Vec<T> {
     let count = blocks.len();

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::assert_class_matches_per_block;
+use common::{assert_class_matches_per_block, WIDE_ORDERS};
 use vbatch_core::{InterleavedClass, MatrixBatch, Scalar, SUPPORTED_WIDTHS};
 use vbatch_rt::testgen::{self, RawBatch};
 use vbatch_rt::{run_cases, SmallRng};
@@ -74,8 +74,7 @@ fn ragged_class<T: Scalar>(rng: &mut SmallRng, n: usize, count: usize) -> Vec<Ve
         .collect()
 }
 
-fn class_sweeps_match_per_block_kernels<T: Scalar>(rng: &mut SmallRng) {
-    let n = rng.gen_range(1usize..9);
+fn class_sweeps_match_per_block_kernels<T: Scalar>(rng: &mut SmallRng, n: usize) {
     let count = rng.gen_range(1usize..24);
     let blocks = ragged_class::<T>(rng, n, count);
     let x0: Vec<T> = (0..n * count)
@@ -88,8 +87,11 @@ fn class_sweeps_match_per_block_kernels<T: Scalar>(rng: &mut SmallRng) {
 
 #[test]
 fn class_sweeps_match_per_block_kernels_bitwise() {
-    run_cases("interleaved_sweeps_match_blocked", 32, |rng, _case| {
-        class_sweeps_match_per_block_kernels::<f64>(rng);
-        class_sweeps_match_per_block_kernels::<f32>(rng);
+    run_cases("interleaved_sweeps_match_blocked", 32, |rng, case| {
+        // one case in eight above the warp width
+        let orders = if case % 8 == 7 { WIDE_ORDERS } else { 1..9 };
+        let (n64, n32) = (rng.gen_range(orders.clone()), rng.gen_range(orders));
+        class_sweeps_match_per_block_kernels::<f64>(rng, n64);
+        class_sweeps_match_per_block_kernels::<f32>(rng, n32);
     });
 }

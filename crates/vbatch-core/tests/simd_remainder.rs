@@ -10,34 +10,42 @@
 //! slot-by-slot against (a) the per-block kernels on the same block
 //! (`common::assert_class_matches_per_block`) and (b) the same slots
 //! factorized inside a *larger* class, proving chunk boundaries are
-//! invisible.
+//! invisible. The orders past the warp width (33..=64, one of 96 and
+//! 128), which the lane kernels take in production, get (a) with one
+//! faulty slot per class.
 
 mod common;
 
-use common::{assert_class_matches_per_block, pack, run_class};
+use common::{assert_class_matches_per_block, pack, run_class, WIDE_ORDERS};
 use vbatch_core::{Scalar, SUPPORTED_WIDTHS};
 use vbatch_rt::{run_cases, testgen, SmallRng};
 
-/// `count` blocks of order `n`: diagonally dominant ones (every pivot
-/// on the diagonal), plain random ones (each slot its own pivot order),
-/// and — one case in four — an exactly singular and a NaN block.
-fn gen_blocks<T: Scalar>(rng: &mut SmallRng, n: usize, count: usize) -> Vec<Vec<T>> {
-    let faulty = rng.gen_range(0usize..4) == 0;
+/// `count` healthy f64 blocks of order `n`: diagonally dominant ones
+/// (every pivot on the diagonal) and, one in three, plain random ones
+/// (each slot its own pivot order).
+fn healthy_blocks(rng: &mut SmallRng, n: usize, count: usize) -> Vec<Vec<f64>> {
     (0..count)
-        .map(|s| {
-            let mut b = match s % 3 {
-                0 => (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect(),
-                _ => testgen::dd_dense(rng, n),
-            };
-            if faulty && s == count / 2 {
-                b = testgen::singular_dense(rng, n);
-            }
-            if faulty && s + 1 == count {
-                b[n * n - 1] = f64::NAN;
-            }
-            b.into_iter().map(T::from_f64).collect()
+        .map(|s| match s % 3 {
+            0 => (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+            _ => testgen::dd_dense(rng, n),
         })
         .collect()
+}
+
+fn cast<T: Scalar>(blocks: Vec<Vec<f64>>) -> Vec<Vec<T>> {
+    let cast_block = |b: Vec<f64>| b.into_iter().map(T::from_f64).collect();
+    blocks.into_iter().map(cast_block).collect()
+}
+
+/// [`healthy_blocks`] with — one case in four — an exactly singular and
+/// a NaN block.
+fn gen_blocks<T: Scalar>(rng: &mut SmallRng, n: usize, count: usize) -> Vec<Vec<T>> {
+    let mut blocks = healthy_blocks(rng, n, count);
+    if rng.gen_range(0usize..4) == 0 {
+        blocks[count / 2] = testgen::singular_dense(rng, n);
+        blocks[count - 1][n * n - 1] = f64::NAN;
+    }
+    cast(blocks)
 }
 
 fn rhs<T: Scalar>(rng: &mut SmallRng, len: usize) -> Vec<T> {
@@ -74,6 +82,42 @@ fn non_multiple_counts_match_per_block_kernels_bitwise_f64() {
 fn non_multiple_counts_match_per_block_kernels_bitwise_f32() {
     run_cases("simd_remainder_f32", 8, |rng, _case| {
         non_multiple_counts_match_per_block_kernels::<f32>(rng)
+    });
+}
+
+/// Hold one class of order `n` against the per-block oracle at every
+/// supported width (W = 1 is the remainder path alone). The 11 slots are
+/// a count no wider width divides (8 + 3, 2·4 + 3, 5·2 + 1), and exactly
+/// one of them, anywhere in a lane group or the remainder, is faulty —
+/// singular for even `n`, non-finite for odd.
+fn one_fault_class_matches_per_block<T: Scalar>(rng: &mut SmallRng, n: usize) {
+    let count = 11;
+    let mut blocks = healthy_blocks(rng, n, count);
+    let bad = rng.gen_range(0usize..count);
+    if n % 2 == 0 {
+        blocks[bad] = testgen::singular_dense(rng, n);
+    } else {
+        blocks[bad][rng.gen_range(0usize..n * n)] = f64::NAN;
+    }
+    let blocks = cast::<T>(blocks);
+    let x0 = rhs(rng, n * count);
+    for width in SUPPORTED_WIDTHS {
+        let errs = assert_class_matches_per_block(width, n, &blocks, &x0);
+        let failed: Vec<usize> = (0..count).filter(|&s| errs[s].is_some()).collect();
+        assert_eq!(failed, [bad], "n={n} w={width}");
+    }
+}
+
+#[test]
+fn orders_above_the_warp_width_match_per_block_kernels_bitwise() {
+    run_cases("simd_remainder_wide_orders", 4, |rng, _case| {
+        let (n64, n32) = (rng.gen_range(WIDE_ORDERS), rng.gen_range(WIDE_ORDERS));
+        one_fault_class_matches_per_block::<f64>(rng, n64);
+        one_fault_class_matches_per_block::<f32>(rng, n32);
+    });
+    run_cases("simd_remainder_largest_orders", 1, |rng, _case| {
+        one_fault_class_matches_per_block::<f64>(rng, 96);
+        one_fault_class_matches_per_block::<f32>(rng, 128);
     });
 }
 

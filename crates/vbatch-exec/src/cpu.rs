@@ -12,10 +12,12 @@
 //! | `CpuRayon`      | yes           | yes           |
 //! | `CpuSimd`       | yes           | no            |
 //!
-//! Blocked-layout blocks go through the per-block kernels. A class the
-//! plan marked [`ClassLayout::Interleaved`] maps one *slot per vector
-//! lane* — the CPU realization of the paper's one-matrix-per-SIMT-lane
-//! mapping — through the lane GETRF/TRSV of
+//! Each block runs what its size class says ([`BatchPlan::class`]): the
+//! kernel *family* — the three LU launch shapes are one kernel here —
+//! and the layout. Blocked classes go through the per-block kernels. A
+//! class the plan marked [`ClassLayout::Interleaved`], of any order,
+//! maps one *slot per vector lane* — the CPU realization of the paper's
+//! one-matrix-per-SIMT-lane mapping — through the lane GETRF/TRSV of
 //! `vbatch_core::interleaved_simd`, whose per-slot results are bitwise
 //! those of the per-block kernels:
 //!
@@ -80,16 +82,6 @@ pub(crate) fn factor_block<T: Scalar, S: Stored<T>>(
         (factor, status)
     };
     match kernel {
-        KernelChoice::PackedLu | KernelChoice::SmallLu | KernelChoice::BlockedLu => {
-            let mut lu = narrow_slice::<T, S>(block);
-            match getrf_implicit_inplace(n, &mut lu) {
-                Ok(perm) => {
-                    let lu = S::store_vec(lu);
-                    factorized(BlockFactor::Lu { lu, perm }, S::STORAGE)
-                }
-                Err(e) => fallback(e),
-            }
-        }
         KernelChoice::GaussHuard | KernelChoice::GaussHuardT => {
             let layout = if kernel == KernelChoice::GaussHuardT {
                 GhLayout::Transposed
@@ -113,6 +105,18 @@ pub(crate) fn factor_block<T: Scalar, S: Stored<T>>(
             Ok(f) => factorized(BlockFactor::Chol(f), StoragePrecision::Native),
             Err(e) => fallback(e),
         },
+        // the LU family: three launch shapes on a GPU, one kernel here
+        _ => {
+            assert!(kernel.is_lu(), "no host kernel for {kernel:?}");
+            let mut lu = narrow_slice::<T, S>(block);
+            match getrf_implicit_inplace(n, &mut lu) {
+                Ok(perm) => {
+                    let lu = S::store_vec(lu);
+                    factorized(BlockFactor::Lu { lu, perm }, S::STORAGE)
+                }
+                Err(e) => fallback(e),
+            }
+        }
     }
 }
 
@@ -207,7 +211,8 @@ fn factorize_in<T: Scalar, S: Stored<T>>(
     let sizes = blocks.sizes();
     let block_work = |i: usize| {
         let _span = vbatch_trace::span!("factorize.block", sizes[i]);
-        let (f, s) = factor_block::<T, S>(sizes[i], blocks.block(i), plan.kernel_for(i));
+        let kernel = plan.class(sizes[i]).kernel;
+        let (f, s) = factor_block::<T, S>(sizes[i], blocks.block(i), kernel);
         (i, f, s)
     };
     let block_results: Vec<(usize, BlockFactor<T>, BlockStatus)> = if parallel {
@@ -232,8 +237,8 @@ fn factorize_in<T: Scalar, S: Stored<T>>(
     for (class, failed) in chunk_results {
         let class_idx = classes.len();
         let mut failed = failed.into_iter().peekable();
+        let kernel = plan.class(class.n).kernel;
         for (slot, &blk) in class.blocks.iter().enumerate() {
-            let kernel = plan.kernel_for(blk);
             match failed.next_if(|(s, _)| *s == slot) {
                 None => {
                     let factor = BlockFactor::InterleavedLu {
@@ -274,7 +279,7 @@ pub(crate) fn factorize_cpu<T: Scalar>(
     let mut blocked_idx: Vec<usize> = Vec::new();
     let mut class_members = std::collections::BTreeMap::<usize, Vec<usize>>::new();
     for i in 0..blocks.len() {
-        match plan.layout_for(i) {
+        match plan.class(sizes[i]).layout {
             ClassLayout::Blocked => blocked_idx.push(i),
             ClassLayout::Interleaved => class_members.entry(sizes[i]).or_default().push(i),
         }
@@ -715,8 +720,8 @@ mod tests {
             &sizes,
             BatchLayout::Interleaved { class_capacity: 2 },
         );
-        assert_eq!(il_plan.layout_for(0), ClassLayout::Interleaved);
-        assert_eq!(il_plan.layout_for(12), ClassLayout::Blocked);
+        assert_eq!(il_plan.class(6).layout, ClassLayout::Interleaved);
+        assert_eq!(il_plan.class(9).layout, ClassLayout::Blocked);
 
         let total: usize = sizes.iter().sum();
         let flat: Vec<f64> = (0..total).map(|i| (i % 11) as f64 / 2.0 - 2.0).collect();

@@ -5,11 +5,12 @@
 //! bins, the solvers) goes through three abstractions defined here
 //! instead of matching on kernels directly:
 //!
-//! * [`BatchPlan`] — the *planner*. Given the size distribution of a
-//!   batch it picks a kernel per size class following the paper's
-//!   crossovers: Gauss-Huard below ≈16 (SP) / ≈23 (DP), the small-size
-//!   LU up to 32, multi-problem-per-warp packing for n ≤ 16, and the
-//!   two-rows-per-lane blocked LU above 32.
+//! * [`BatchPlan`] — the *planner*: the table of a batch's size
+//!   classes, one kernel and one layout per class. The kernel follows
+//!   the paper's crossovers — Gauss-Huard below ≈16 (SP) / ≈23 (DP),
+//!   else LU, labelled with its launch shape (packed n ≤ 16, small-size
+//!   up to 32, blocked above) for the simulator; on the host every LU
+//!   class with enough members is interleaved, at any order.
 //! * [`Backend`] — the *executor*. One interface over
 //!   [`vbatch_core::MatrixBatch`]es: the host backends
 //!   [`CpuSequential`], [`CpuRayon`] and [`CpuSimd`] (one kernel set

@@ -1,7 +1,12 @@
-//! Kernel planning: map a batch's size distribution to concrete kernel
-//! choices using the paper's crossover points, and to a memory layout
-//! per size class (interleave populous uniform classes, keep ragged
-//! tails blocked).
+//! Kernel planning: a [`BatchPlan`] is the table of a batch's size
+//! classes, one `(kernel, layout)` per class. The host reads two things
+//! off a class: its kernel *family* (LU, Gauss-Huard, inversion,
+//! Cholesky) and its layout — any LU class whose population reaches the
+//! requested `class_capacity` is interleaved, at every order; ragged
+//! tails stay blocked. Which of the three LU names a class carries is
+//! the paper's launch shape (packed ≤ 16, one row per lane ≤ 32, two
+//! rows per lane above): the label the crossovers give the class, and
+//! what `SimtSim` and the launch estimator run and charge.
 
 use vbatch_core::{BatchLayout, Scalar};
 
@@ -49,6 +54,15 @@ impl KernelChoice {
             KernelChoice::GjeInvert => "gje-invert",
             KernelChoice::Cholesky => "cholesky",
         }
+    }
+
+    /// `true` for the three launch shapes of the LU family, which the
+    /// host runs as one kernel (per block or as lane sweeps).
+    pub fn is_lu(self) -> bool {
+        matches!(
+            self,
+            KernelChoice::PackedLu | KernelChoice::SmallLu | KernelChoice::BlockedLu
+        )
     }
 }
 
@@ -250,24 +264,24 @@ pub struct SizeClass {
     pub layout: ClassLayout,
 }
 
-/// A kernel and layout assignment for every block of a batch.
+/// The kernel and layout of every size class of a batch, plus the
+/// health and storage-precision policies the backends run under.
 #[derive(Clone, Debug)]
 pub struct BatchPlan {
     /// Distinct size classes, ascending by order.
     pub classes: Vec<SizeClass>,
-    choice: Vec<KernelChoice>,
-    layouts: Vec<ClassLayout>,
     health: HealthPolicy,
     precision: PrecisionPolicy,
 }
 
-/// Interleaving pays only for the LU-family sweep kernels on small
-/// orders and needs enough slots per class to amortize the pack/unpack
-/// copies; ragged tails and the >32 blocked-LU path stay blocked.
+/// The lane sweeps exist for the LU family only and need enough slots
+/// per class to amortize the pack/unpack copies; other families and
+/// ragged tails stay blocked.
 fn pick_layout(kernel: KernelChoice, count: usize, layout: BatchLayout) -> ClassLayout {
-    let interleavable = matches!(kernel, KernelChoice::PackedLu | KernelChoice::SmallLu);
     match layout {
-        BatchLayout::Interleaved { class_capacity } if interleavable && count >= class_capacity => {
+        BatchLayout::Interleaved { class_capacity }
+            if kernel.is_lu() && count >= class_capacity =>
+        {
             ClassLayout::Interleaved
         }
         _ => ClassLayout::Blocked,
@@ -310,7 +324,7 @@ impl BatchPlan {
         for &n in sizes {
             *counts.entry(n).or_insert(0usize) += 1;
         }
-        let classes: Vec<SizeClass> = counts
+        let classes = counts
             .iter()
             .map(|(&n, &count)| {
                 let kernel = pick::<T>(n, count, method);
@@ -322,13 +336,8 @@ impl BatchPlan {
                 }
             })
             .collect();
-        let by_n = |n: usize| &classes[classes.binary_search_by_key(&n, |c| c.n).unwrap()];
-        let choice = sizes.iter().map(|&n| by_n(n).kernel).collect();
-        let layouts = sizes.iter().map(|&n| by_n(n).layout).collect();
         BatchPlan {
             classes,
-            choice,
-            layouts,
             health: HealthPolicy::Off,
             precision: PrecisionPolicy::FullDp,
         }
@@ -393,169 +402,184 @@ impl BatchPlan {
             "class population {count} exceeds capacity {capacity}"
         );
         let kernel = pick::<T>(n, capacity, PlanMethod::Auto);
-        let class_layout = pick_layout(kernel, capacity, layout);
         BatchPlan {
             classes: vec![SizeClass {
                 n,
                 count,
                 kernel,
-                layout: class_layout,
+                layout: pick_layout(kernel, capacity, layout),
             }],
-            choice: vec![kernel; count],
-            layouts: vec![class_layout; count],
             health: HealthPolicy::Off,
             precision: PrecisionPolicy::FullDp,
         }
     }
 
-    /// Kernel selected for block `block`.
-    pub fn kernel_for(&self, block: usize) -> KernelChoice {
-        self.choice[block]
-    }
-
-    /// Layout selected for block `block`'s size class.
-    pub fn layout_for(&self, block: usize) -> ClassLayout {
-        self.layouts[block]
+    /// The size class of order `n`. Panics on an order the plan was not
+    /// built for.
+    pub fn class(&self, n: usize) -> &SizeClass {
+        match self.classes.binary_search_by_key(&n, |c| c.n) {
+            Ok(i) => &self.classes[i],
+            Err(_) => panic!("plan has no size class of order {n}"),
+        }
     }
 
     /// Number of blocks planned.
     pub fn len(&self) -> usize {
-        self.choice.len()
+        self.classes.iter().map(|c| c.count).sum()
     }
 
     /// `true` when the plan covers no blocks.
     pub fn is_empty(&self) -> bool {
-        self.choice.is_empty()
+        self.classes.is_empty()
+    }
+
+    /// Blocks per value of `key`, in `keys` order, zero counts omitted.
+    fn tally<K: Copy + PartialEq>(
+        &self,
+        keys: &[K],
+        key: impl Fn(&SizeClass) -> K,
+    ) -> Vec<(K, usize)> {
+        keys.iter()
+            .map(|&k| {
+                let of_k = self.classes.iter().filter(|c| key(c) == k);
+                (k, of_k.map(|c| c.count).sum())
+            })
+            .filter(|&(_, blocks)| blocks > 0)
+            .collect()
     }
 
     /// Kernel-choice histogram over blocks, in [`KernelChoice::ALL`]
     /// order, zero-count entries omitted.
     pub fn histogram(&self) -> Vec<(KernelChoice, usize)> {
-        KernelChoice::ALL
-            .iter()
-            .filter_map(|&k| {
-                let c: usize = self
-                    .classes
-                    .iter()
-                    .filter(|cl| cl.kernel == k)
-                    .map(|cl| cl.count)
-                    .sum();
-                (c > 0).then_some((k, c))
-            })
-            .collect()
+        self.tally(&KernelChoice::ALL, |c| c.kernel)
     }
 
     /// Histogram as a compact `label=count;label=count` string for CSV
     /// columns.
     pub fn histogram_compact(&self) -> String {
-        self.histogram()
-            .iter()
-            .map(|(k, c)| format!("{}={c}", k.label()))
-            .collect::<Vec<_>>()
-            .join(";")
+        compact(&self.histogram(), KernelChoice::label)
     }
 
     /// Layout histogram over blocks, zero-count entries omitted.
     pub fn layout_histogram(&self) -> Vec<(ClassLayout, usize)> {
-        [ClassLayout::Blocked, ClassLayout::Interleaved]
-            .iter()
-            .filter_map(|&l| {
-                let c: usize = self
-                    .classes
-                    .iter()
-                    .filter(|cl| cl.layout == l)
-                    .map(|cl| cl.count)
-                    .sum();
-                (c > 0).then_some((l, c))
-            })
-            .collect()
+        let layouts = [ClassLayout::Blocked, ClassLayout::Interleaved];
+        self.tally(&layouts, |c| c.layout)
     }
 
     /// Layout histogram as a compact `label=count;...` string for CSV.
     pub fn layout_compact(&self) -> String {
-        self.layout_histogram()
-            .iter()
-            .map(|(l, c)| format!("{}={c}", l.label()))
-            .collect::<Vec<_>>()
-            .join(";")
+        compact(&self.layout_histogram(), ClassLayout::label)
     }
+}
+
+fn compact<K: Copy>(histogram: &[(K, usize)], label: fn(K) -> &'static str) -> String {
+    let entries: Vec<String> = histogram
+        .iter()
+        .map(|&(k, c)| format!("{}={c}", label(k)))
+        .collect();
+    entries.join(";")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use KernelChoice::*;
 
-    #[test]
-    fn auto_follows_paper_crossovers_f64() {
-        // singleton sizes so packing does not kick in
-        let plan = BatchPlan::auto::<f64>(&[4, 22, 23, 32, 33, 64, 100]);
-        // pack needs count >= 2, so these fall through to GH / small LU
-        assert_eq!(plan.kernel_for(0), KernelChoice::GaussHuard);
-        assert_eq!(plan.kernel_for(1), KernelChoice::GaussHuard); // 22 < 23
-        assert_eq!(plan.kernel_for(2), KernelChoice::SmallLu); // 23
-        assert_eq!(plan.kernel_for(3), KernelChoice::SmallLu);
-        assert_eq!(plan.kernel_for(4), KernelChoice::BlockedLu);
-        assert_eq!(plan.kernel_for(5), KernelChoice::BlockedLu);
-        assert_eq!(plan.kernel_for(6), KernelChoice::BlockedLu);
+    fn kernels(plan: &BatchPlan) -> Vec<(usize, KernelChoice)> {
+        plan.classes.iter().map(|c| (c.n, c.kernel)).collect()
     }
 
     #[test]
-    fn auto_crossover_is_lower_in_single_precision() {
-        let plan32 = BatchPlan::auto::<f32>(&[16, 22]);
-        assert_eq!(plan32.kernel_for(0), KernelChoice::SmallLu);
-        assert_eq!(plan32.kernel_for(1), KernelChoice::SmallLu);
-        let plan64 = BatchPlan::auto::<f64>(&[16, 22]);
-        assert_eq!(plan64.kernel_for(0), KernelChoice::GaussHuard);
-        assert_eq!(plan64.kernel_for(1), KernelChoice::GaussHuard);
+    fn auto_follows_paper_crossovers() {
+        // singleton classes so packing (count >= 2) does not kick in
+        let plan = BatchPlan::auto::<f64>(&[100, 4, 22, 23, 32, 33, 64]);
+        let want = [
+            (4, GaussHuard),
+            (22, GaussHuard), // 22 < 23
+            (23, SmallLu),
+            (32, SmallLu),
+            (33, BlockedLu),
+            (64, BlockedLu),
+            (100, BlockedLu),
+        ];
+        assert_eq!(kernels(&plan), want);
+        assert_eq!(plan.len(), 7);
+        assert_eq!(plan.precision(), PrecisionPolicy::FullDp);
+        // the crossover is lower in single precision
+        let sp = BatchPlan::auto::<f32>(&[16, 22]);
+        assert_eq!(kernels(&sp), [(16, SmallLu), (22, SmallLu)]);
+        let dp = BatchPlan::auto::<f64>(&[16, 22]);
+        assert_eq!(kernels(&dp), [(16, GaussHuard), (22, GaussHuard)]);
     }
 
     #[test]
     fn packing_requires_multiplicity() {
-        let plan = BatchPlan::auto::<f64>(&[8, 8, 8, 16, 16, 17, 17]);
-        for b in 0..5 {
-            assert_eq!(plan.kernel_for(b), KernelChoice::PackedLu, "block {b}");
-        }
+        let plan = BatchPlan::auto::<f64>(&[8, 17, 8, 16, 8, 16, 17]);
         // 17 > PACK_MAX: two of them still are not packed
-        assert_eq!(plan.kernel_for(5), KernelChoice::GaussHuard);
+        let want = [(8, PackedLu), (16, PackedLu), (17, GaussHuard)];
+        assert_eq!(kernels(&plan), want);
+        assert_eq!((plan.class(8).count, plan.class(17).count), (3, 2));
+        assert_eq!(plan.histogram_compact(), "packed-lu=5;gauss-huard=2");
     }
 
     #[test]
     fn forced_methods_respect_size_limits() {
         let plan = BatchPlan::for_method::<f64>(&[8, 40], PlanMethod::GaussHuardT);
-        assert_eq!(plan.kernel_for(0), KernelChoice::GaussHuardT);
-        assert_eq!(plan.kernel_for(1), KernelChoice::BlockedLu);
+        assert_eq!(kernels(&plan), [(8, GaussHuardT), (40, BlockedLu)]);
         let plan = BatchPlan::for_method::<f64>(&[8, 40], PlanMethod::GjeInvert);
-        assert_eq!(plan.kernel_for(0), KernelChoice::GjeInvert);
-        assert_eq!(plan.kernel_for(1), KernelChoice::GjeInvert);
+        assert_eq!(kernels(&plan), [(8, GjeInvert), (40, GjeInvert)]);
     }
 
     #[test]
-    fn layout_interleaves_populous_lu_classes_only() {
-        // 40 blocks of order 8 (PackedLu, >= capacity) + 3 of order 20
-        // (GaussHuard in f64) + 2 of order 40 (BlockedLu)
+    #[should_panic(expected = "no size class of order 9")]
+    fn class_of_an_unplanned_order_panics() {
+        BatchPlan::auto::<f64>(&[8, 10]).class(9);
+    }
+
+    #[test]
+    fn layout_interleaves_populous_lu_classes_at_every_order() {
+        // 40 blocks of order 8 and 32 of order 40 (both LU, >= capacity),
+        // 33 of order 20 (populous, but Gauss-Huard in f64), 2 of order 48
+        // (LU, ragged)
         let mut sizes = vec![8usize; 40];
-        sizes.extend([20, 20, 20, 40, 40]);
+        sizes.extend([40; 32]);
+        sizes.extend([20; 33]);
+        sizes.extend([48, 48]);
         let plan = BatchPlan::auto::<f64>(&sizes);
-        for b in 0..40 {
-            assert_eq!(plan.layout_for(b), ClassLayout::Interleaved, "block {b}");
+        for (n, layout) in [
+            (8, "interleaved"),
+            (40, "interleaved"),
+            (20, "blocked"),
+            (48, "blocked"),
+        ] {
+            assert_eq!(plan.class(n).layout.label(), layout, "order {n}");
         }
-        for b in 40..45 {
-            assert_eq!(plan.layout_for(b), ClassLayout::Blocked, "block {b}");
+        assert_eq!(plan.layout_compact(), "blocked=35;interleaved=72");
+        // the inversion and Cholesky families have no lane sweep, and a
+        // blocked request or an unreached capacity interleaves nothing
+        let gje = BatchPlan::for_method::<f64>(&sizes, PlanMethod::GjeInvert);
+        let chol = BatchPlan::for_method::<f64>(&sizes, PlanMethod::Cholesky);
+        let blocked = BatchPlan::auto_with_layout::<f64>(&sizes, BatchLayout::Blocked);
+        let cap = BatchLayout::Interleaved { class_capacity: 41 };
+        let small_cap = BatchPlan::auto_with_layout::<f64>(&sizes, cap);
+        for plan in [gje, chol, blocked, small_cap] {
+            assert_eq!(plan.layout_compact(), "blocked=107");
         }
-        assert_eq!(plan.layout_compact(), "blocked=5;interleaved=40");
     }
 
     #[test]
-    fn layout_respects_class_capacity_and_blocked_policy() {
-        let sizes = vec![8usize; 40];
-        let small_cap = BatchPlan::auto_with_layout::<f64>(
-            &sizes,
-            BatchLayout::Interleaved { class_capacity: 41 },
-        );
-        assert_eq!(small_cap.layout_for(0), ClassLayout::Blocked);
-        let forced_blocked = BatchPlan::auto_with_layout::<f64>(&sizes, BatchLayout::Blocked);
-        assert_eq!(forced_blocked.layout_for(0), ClassLayout::Blocked);
-        assert_eq!(forced_blocked.layout_compact(), "blocked=40");
+    fn uniform_plan_is_taken_at_capacity() {
+        // a solo flush is planned as the full class: packed (needs 2
+        // members) and interleaved (needs `class_capacity`)
+        for (n, kernel) in [(8usize, PackedLu), (40, BlockedLu)] {
+            let solo = BatchPlan::uniform_at_capacity::<f64>(n, 1, 64, BatchLayout::interleaved());
+            assert_eq!(solo.len(), 1);
+            assert_eq!(solo.class(n).kernel, kernel);
+            assert_eq!(solo.class(n).layout, ClassLayout::Interleaved);
+            assert_eq!(solo.precision(), PrecisionPolicy::FullDp);
+            let sp = solo.with_precision(PrecisionPolicy::ForceSp);
+            assert_eq!(sp.precision(), PrecisionPolicy::ForceSp);
+        }
     }
 
     #[test]
@@ -578,34 +602,5 @@ mod tests {
             }
             _ => unreachable!(),
         }
-    }
-
-    #[test]
-    fn plan_carries_precision_policy() {
-        let plan = BatchPlan::auto::<f64>(&[8, 8, 30]);
-        assert_eq!(plan.precision(), PrecisionPolicy::FullDp);
-        let plan = plan.with_precision(PrecisionPolicy::ForceSp);
-        assert_eq!(plan.precision(), PrecisionPolicy::ForceSp);
-        let uni = BatchPlan::uniform_at_capacity::<f64>(8, 3, 16, BatchLayout::interleaved())
-            .with_precision(PrecisionPolicy::mixed::<f64>());
-        assert_eq!(uni.precision().label(), "mixed");
-    }
-
-    #[test]
-    fn histogram_counts_blocks() {
-        let plan = BatchPlan::auto::<f64>(&[8, 8, 30, 40]);
-        let h = plan.histogram();
-        assert_eq!(
-            h,
-            vec![
-                (KernelChoice::PackedLu, 2),
-                (KernelChoice::SmallLu, 1),
-                (KernelChoice::BlockedLu, 1),
-            ]
-        );
-        assert_eq!(
-            plan.histogram_compact(),
-            "packed-lu=2;small-lu=1;blocked-lu=1"
-        );
     }
 }

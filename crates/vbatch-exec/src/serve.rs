@@ -2,23 +2,21 @@
 //! service runtime (`vbatch-serve`).
 //!
 //! A service batcher flushes one size class over and over with varying
-//! member counts; setting each flush up from scratch would re-plan the
-//! batch, re-allocate the RHS staging, and scatter statistics across
-//! throwaway sinks. [`SizeClassHandle`] hoists everything that survives
-//! a flush into one long-lived object:
+//! member counts. [`SizeClassHandle`] hoists what survives a flush into
+//! one long-lived object:
 //!
-//! * the [`BatchPlan`] for every member count seen so far (plan
-//!   construction walks the size distribution and applies the paper's
-//!   crossovers — pure overhead to repeat for an identical shape);
 //! * the flat RHS staging vector, recycled in place;
 //! * one cumulative [`ExecStats`] sink, so service metrics aggregate
 //!   across flushes for free.
 //!
 //! A flush is the preconditioner's two verbs: one [`BlockSolve`] built
-//! from the staged matrices under the cached plan, applied once to the
-//! staged right-hand sides. Both are rebuilt per flush — factorization
-//! consumes the batch by value — the documented allocation exception on
-//! this warm path, and where a refactorizing `BlockSolve` would be kept.
+//! from the staged matrices under the flush's plan, applied once to the
+//! staged right-hand sides. The plan is one size class taken at the
+//! handle's capacity ([`BatchPlan::uniform_at_capacity`], O(1)), so it
+//! is built per flush rather than cached. The `BlockSolve` is rebuilt
+//! per flush too — factorization consumes the batch by value — the
+//! documented allocation exception on this warm path, and where a
+//! refactorizing `BlockSolve` would be kept.
 //!
 //! Isolation contract: with the blocked layout every block is
 //! factorized and solved independently, so a member's result is a pure
@@ -48,8 +46,6 @@ pub struct SizeClassHandle<T: Scalar> {
     precision: PrecisionPolicy,
     /// Uniform size list at full capacity; flushes borrow a prefix.
     sizes: Vec<usize>,
-    /// Plan cache, indexed by member count (`1..=capacity`).
-    plans: Vec<Option<BatchPlan>>,
     /// Recycled flat RHS staging (`count · n` elements per flush).
     rhs: Vec<T>,
     /// Cumulative statistics across every flush of this handle.
@@ -78,7 +74,6 @@ impl<T: Scalar> SizeClassHandle<T> {
             layout,
             precision,
             sizes: vec![n; capacity],
-            plans: vec![None; capacity + 1],
             rhs: Vec::new(),
             stats: ExecStats::new(),
             flushes: 0,
@@ -116,16 +111,18 @@ impl<T: Scalar> SizeClassHandle<T> {
     pub fn solve_batch(&mut self, blocks: &[&[T]], rhs: &mut [&mut [T]]) -> Vec<BlockStatus> {
         let count = blocks.len();
         assert_eq!(count, rhs.len(), "one RHS per block");
-        assert!(count >= 1, "empty flush");
-        assert!(
-            count <= self.capacity,
-            "flush of {count} exceeds class capacity {}",
-            self.capacity
-        );
         let n = self.n;
-        let sizes = &self.sizes[..count];
+        // Kernel and layout pinned at full capacity so a solo flush and
+        // a full flush run bitwise-identical arithmetic; an empty or
+        // over-capacity flush panics here. Planned before the batch is
+        // staged: allocated after it, the plan's small block sits above
+        // the batch in the heap and outlives it, which measured about
+        // 5 % on the ledger's `serve_burst`.
+        let plan = BatchPlan::uniform_at_capacity::<T>(n, count, self.capacity, self.layout)
+            .with_health(self.health)
+            .with_precision(self.precision);
 
-        let mut batch = MatrixBatch::zeros(sizes);
+        let mut batch = MatrixBatch::zeros(&self.sizes[..count]);
         for (i, b) in blocks.iter().enumerate() {
             assert_eq!(b.len(), n * n, "block {i}: expected order {n}");
             batch.block_mut(i).copy_from_slice(b);
@@ -136,14 +133,7 @@ impl<T: Scalar> SizeClassHandle<T> {
             self.rhs.extend_from_slice(r);
         }
 
-        let plan = self.plans[count].get_or_insert_with(|| {
-            // Kernel choice pinned at full capacity so a solo flush and
-            // a full flush run bitwise-identical arithmetic.
-            BatchPlan::uniform_at_capacity::<T>(n, count, self.capacity, self.layout)
-                .with_health(self.health)
-                .with_precision(self.precision)
-        });
-        let solve = BlockSolve::new(self.backend.clone(), batch, plan, &mut self.stats);
+        let solve = BlockSolve::new(self.backend.clone(), batch, &plan, &mut self.stats);
         solve.apply(&mut self.rhs, &mut self.stats);
 
         for (r, x) in rhs.iter_mut().zip(self.rhs.chunks_exact(n)) {
@@ -212,7 +202,7 @@ mod tests {
     }
 
     #[test]
-    fn handle_reuses_plans_and_accumulates_stats() {
+    fn handle_accumulates_stats_across_flushes() {
         let n = 4;
         let mut h = handle(n, 16);
         for round in 0..3 {
@@ -224,8 +214,6 @@ mod tests {
             assert_eq!(status.len(), 5);
         }
         assert_eq!(h.flushes(), 3);
-        // one plan entry materialized (count=5), reused across flushes
-        assert_eq!(h.plans.iter().filter(|p| p.is_some()).count(), 1);
         // stats accumulated over all 15 members
         let total: u64 = h.stats().kernel_histogram().values().sum();
         assert_eq!(total, 15);
@@ -277,7 +265,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds class capacity")]
+    #[should_panic(expected = "exceeds capacity")]
     fn over_capacity_flush_is_rejected() {
         let mut h = handle(3, 2);
         let b: Vec<Vec<f64>> = (0..3).map(|s| dd_block(3, s)).collect();

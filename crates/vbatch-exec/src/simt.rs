@@ -160,7 +160,7 @@ impl<T: Scalar> Backend<T> for SimtSim {
         let mut packed: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         let mut host_idx = Vec::new();
         for i in 0..blocks.len() {
-            match plan.kernel_for(i) {
+            match plan.class(sizes[i]).kernel {
                 KernelChoice::SmallLu => small_idx.push(i),
                 KernelChoice::BlockedLu if sizes[i] <= LARGE_MAX => large_idx.push(i),
                 KernelChoice::GaussHuard => gh_idx.push(i),
@@ -285,11 +285,8 @@ impl<T: Scalar> Backend<T> for SimtSim {
 
         // --- host paths ---------------------------------------------------
         for &i in &host_idx {
-            results[i] = Some(factor_block::<T, T>(
-                sizes[i],
-                blocks.block(i),
-                plan.kernel_for(i),
-            ));
+            let kernel = plan.class(sizes[i]).kernel;
+            results[i] = Some(factor_block::<T, T>(sizes[i], blocks.block(i), kernel));
         }
 
         // Every block was routed to exactly one kernel family above.

@@ -2,7 +2,9 @@
 //! (`CpuSequential`, `CpuRayon`, `SimtSim`) must produce identical (to
 //! roundoff) solutions on random variable-size batches under every plan
 //! method, and the planner must honor the paper's kernel-selection
-//! rules (blocked LU above order 32, warp packing for uniform n ≤ 16).
+//! rules (blocked LU above order 32, warp packing for uniform n ≤ 16)
+//! and the host layout rule (populous LU classes interleave, at every
+//! order).
 
 use vbatch_core::{BatchLayout, DenseMat, MatrixBatch, Scalar, StoragePrecision, VectorBatch};
 use vbatch_exec::{
@@ -110,16 +112,10 @@ fn plan_selects_blocked_lu_above_32() {
         let count = rng.gen_range(1usize..20);
         let sizes: Vec<usize> = (0..count).map(|_| rng.gen_range(1usize..80)).collect();
         let plan = BatchPlan::auto::<f64>(&sizes);
-        for (i, &n) in sizes.iter().enumerate() {
-            if n > 32 {
-                assert_eq!(
-                    plan.kernel_for(i),
-                    KernelChoice::BlockedLu,
-                    "block {i} of order {n}"
-                );
-            } else {
-                assert_ne!(plan.kernel_for(i), KernelChoice::BlockedLu);
-            }
+        assert_eq!(plan.len(), count);
+        for &n in &sizes {
+            let blocked = plan.class(n).kernel == KernelChoice::BlockedLu;
+            assert_eq!(blocked, n > 32, "class of order {n}");
         }
     });
 }
@@ -130,9 +126,8 @@ fn plan_packs_uniform_small_batches() {
         let n = rng.gen_range(1usize..17);
         let count = rng.gen_range(2usize..50);
         let plan = BatchPlan::auto::<f64>(&vec![n; count]);
-        for i in 0..count {
-            assert_eq!(plan.kernel_for(i), KernelChoice::PackedLu, "n={n}");
-        }
+        assert_eq!(plan.class(n).kernel, KernelChoice::PackedLu, "n={n}");
+        assert_eq!(plan.class(n).count, count);
     });
 }
 
@@ -140,39 +135,39 @@ fn plan_packs_uniform_small_batches() {
 fn plan_layout_follows_capacity_and_kernel_family() {
     run_cases("plan_layout_follows_capacity", 48, |rng, _case| {
         let count = rng.gen_range(1usize..60);
-        let n = rng.gen_range(1usize..50);
+        let n = rng.gen_range(1usize..80);
         let cap = rng.gen_range(1usize..40);
         let sizes = vec![n; count];
-        let plan = BatchPlan::auto_with_layout::<f64>(
-            &sizes,
-            BatchLayout::Interleaved {
-                class_capacity: cap,
-            },
-        );
-        let lu_family = matches!(
-            plan.kernel_for(0),
-            KernelChoice::PackedLu | KernelChoice::SmallLu
-        );
-        let expected = if lu_family && count >= cap {
-            ClassLayout::Interleaved
-        } else {
-            ClassLayout::Blocked
+        let layout = BatchLayout::Interleaved {
+            class_capacity: cap,
         };
-        for b in 0..count {
-            assert_eq!(
-                plan.layout_for(b),
-                expected,
-                "n={n} count={count} cap={cap}"
-            );
+        for method in [
+            PlanMethod::Auto,
+            PlanMethod::GaussHuard,
+            PlanMethod::GjeInvert,
+        ] {
+            let plan = BatchPlan::for_method_with_layout::<f64>(&sizes, method, layout);
+            let class = plan.class(n);
+            // the rule reads family and population; the order only
+            // through the family the f64 crossovers give it
+            let lu = match method {
+                PlanMethod::Auto => (n <= 16 && count >= 2) || n >= 23,
+                PlanMethod::GaussHuard => n > 32,
+                _ => false,
+            };
+            assert_eq!(class.kernel.is_lu(), lu, "{method:?} n={n} count={count}");
+            let expected = if lu && count >= cap {
+                ClassLayout::Interleaved
+            } else {
+                ClassLayout::Blocked
+            };
+            assert_eq!(class.layout, expected, "n={n} count={count} cap={cap}");
+            // layout histogram covers every block exactly once
+            assert_eq!(plan.layout_histogram(), vec![(expected, count)]);
         }
         // a Blocked policy never interleaves anything
         let blocked = BatchPlan::auto_with_layout::<f64>(&sizes, BatchLayout::Blocked);
-        for b in 0..count {
-            assert_eq!(blocked.layout_for(b), ClassLayout::Blocked);
-        }
-        // layout histogram covers every block exactly once
-        let total: usize = plan.layout_histogram().iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, count);
+        assert_eq!(blocked.class(n).layout, ClassLayout::Blocked);
     });
 }
 
@@ -184,8 +179,8 @@ fn crossover_depends_on_precision() {
     let sizes = vec![20usize; 1];
     let dp = BatchPlan::auto::<f64>(&sizes);
     let sp = BatchPlan::auto::<f32>(&sizes);
-    assert_eq!(dp.kernel_for(0), KernelChoice::GaussHuard);
-    assert_eq!(sp.kernel_for(0), KernelChoice::SmallLu);
+    assert_eq!(dp.class(20).kernel, KernelChoice::GaussHuard);
+    assert_eq!(sp.class(20).kernel, KernelChoice::SmallLu);
     assert_eq!(f32::BYTES, 4);
     assert_eq!(f64::BYTES, 8);
 }

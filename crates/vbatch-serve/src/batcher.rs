@@ -89,7 +89,6 @@ pub(crate) struct ShardBatcher<T: Scalar> {
     health: HealthPolicy,
     layout: BatchLayout,
     precision: PrecisionPolicy,
-    class_precision: Arc<BTreeMap<usize, PrecisionPolicy>>,
     handles: BTreeMap<usize, SizeClassHandle<T>>,
     pending: BTreeMap<usize, VecDeque<Envelope<T>>>,
     flushes: u64,
@@ -111,7 +110,6 @@ impl<T: Scalar + 'static> ShardBatcher<T> {
         health: HealthPolicy,
         layout: BatchLayout,
         precision: PrecisionPolicy,
-        class_precision: Arc<BTreeMap<usize, PrecisionPolicy>>,
     ) -> Self {
         let cap = cfg.class_capacity;
         ShardBatcher {
@@ -124,7 +122,6 @@ impl<T: Scalar + 'static> ShardBatcher<T> {
             health,
             layout,
             precision,
-            class_precision,
             handles: BTreeMap::new(),
             pending: BTreeMap::new(),
             flushes: 0,
@@ -243,18 +240,13 @@ impl<T: Scalar + 'static> ShardBatcher<T> {
         let handle = match self.handles.get_mut(&n) {
             Some(h) => h,
             None => {
-                let precision = self
-                    .class_precision
-                    .get(&n)
-                    .copied()
-                    .unwrap_or(self.precision);
                 let h = SizeClassHandle::new(
                     n,
                     self.cfg.class_capacity,
                     Arc::clone(&self.backend),
                     self.health,
                     self.layout,
-                    precision,
+                    self.precision,
                 );
                 self.handles.entry(n).or_insert(h)
             }

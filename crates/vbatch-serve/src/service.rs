@@ -12,8 +12,6 @@
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use std::collections::BTreeMap;
-
 use vbatch_core::{BatchLayout, Scalar};
 use vbatch_exec::{Backend, CpuSequential, HealthPolicy, PrecisionPolicy};
 use vbatch_rt::chaos::ChaosPlan;
@@ -62,7 +60,6 @@ pub struct ServiceBuilder<T: Scalar> {
     health: HealthPolicy,
     layout: BatchLayout,
     precision: PrecisionPolicy,
-    class_precision: BTreeMap<usize, PrecisionPolicy>,
     chaos: Option<Arc<ChaosPlan>>,
 }
 
@@ -78,7 +75,6 @@ impl<T: Scalar + 'static> ServiceBuilder<T> {
             health: HealthPolicy::guarded::<T>(),
             layout: BatchLayout::Blocked,
             precision: PrecisionPolicy::FullDp,
-            class_precision: BTreeMap::new(),
             chaos: None,
         }
     }
@@ -107,16 +103,9 @@ impl<T: Scalar + 'static> ServiceBuilder<T> {
         self
     }
 
-    /// Default storage-precision policy for every size class.
+    /// Storage-precision policy of every size class.
     pub fn precision(mut self, precision: PrecisionPolicy) -> Self {
         self.precision = precision;
-        self
-    }
-
-    /// Override the storage-precision policy for the request class of
-    /// block order `n` (takes precedence over [`ServiceBuilder::precision`]).
-    pub fn class_precision(mut self, n: usize, precision: PrecisionPolicy) -> Self {
-        self.class_precision.insert(n, precision);
         self
     }
 
@@ -132,7 +121,6 @@ impl<T: Scalar + 'static> ServiceBuilder<T> {
         self.cfg.validate()?;
         let registry = Arc::new(TenantRegistry::new());
         let cancel = CancelToken::new();
-        let class_precision = Arc::new(self.class_precision);
         let mut senders = Vec::with_capacity(self.cfg.shards);
         let mut workers = Vec::with_capacity(self.cfg.shards);
         for shard in 0..self.cfg.shards {
@@ -147,7 +135,6 @@ impl<T: Scalar + 'static> ServiceBuilder<T> {
                 self.health,
                 self.layout,
                 self.precision,
-                Arc::clone(&class_precision),
             );
             let idle = self.cfg.idle_tick;
             workers.push(

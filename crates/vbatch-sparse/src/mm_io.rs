@@ -3,7 +3,9 @@
 //!
 //! Supports the `matrix coordinate real {general|symmetric}` and
 //! `matrix coordinate pattern {general|symmetric}` headers, which cover
-//! the collection. Pattern entries get value 1.
+//! the collection. Pattern entries get value 1. A document is outside
+//! input: whatever it says, the reader returns a matrix of the declared
+//! shape or a typed [`MmError`], never a panic.
 
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
@@ -35,6 +37,13 @@ impl std::fmt::Display for MmError {
 }
 
 impl std::error::Error for MmError {}
+
+/// Largest dimension the reader accepts. The CSR row pointer is
+/// allocated from the size line, whatever the entry count, so the line
+/// is bounded before anything is sized from it: every index fits an
+/// `i32`, the index type of the collection's own 32-bit tools, and the
+/// largest matrix in the collection has ≈ 2.3e8 rows.
+const MAX_DIM: usize = i32::MAX as usize;
 
 /// Parse a Matrix Market document from a string.
 pub fn read_matrix_market_str<T: Scalar>(text: &str) -> Result<CsrMatrix<T>, MmError> {
@@ -82,13 +91,19 @@ pub fn read_matrix_market_str<T: Scalar>(text: &str) -> Result<CsrMatrix<T>, MmE
             })
         })
         .collect::<Result<_, _>>()?;
-    if dims.len() != 3 {
-        return Err(MmError::BadLine {
-            line_no: no + 1,
-            content: size,
-        });
-    }
-    let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+    let (nrows, ncols, nnz) = match dims[..] {
+        [nrows, ncols, nnz]
+            if nrows <= MAX_DIM && ncols <= MAX_DIM && (!symmetric || nrows == ncols) =>
+        {
+            (nrows, ncols, nnz)
+        }
+        _ => {
+            return Err(MmError::BadLine {
+                line_no: no + 1,
+                content: size,
+            })
+        }
+    };
     let mut coo = CooMatrix::<T>::new(nrows, ncols);
     let mut seen = 0usize;
     for (no, l) in lines {
@@ -113,7 +128,13 @@ pub fn read_matrix_market_str<T: Scalar>(text: &str) -> Result<CsrMatrix<T>, MmE
             T::ONE
         } else {
             let x: f64 = parts.get(2).ok_or_else(bad)?.parse().map_err(|_| bad())?;
-            T::from_f64(x)
+            // `nan` and `inf` parse as floats, and a finite double can
+            // overflow a narrower `T`
+            let v = T::from_f64(x);
+            if !v.is_finite() {
+                return Err(bad());
+            }
+            v
         };
         if symmetric {
             coo.push_sym(i - 1, j - 1, v);

@@ -1,12 +1,13 @@
 //! Property-based tests for the sparse substrate: CSR/COO conversion
 //! invariants, transpose algebra, SpMV against the dense reference,
-//! Matrix Market round-trips, blocking partitions and RCM permutations.
+//! Matrix Market round-trips and malformed documents, blocking
+//! partitions and RCM permutations.
 
 use vbatch_rt::{run_cases, testgen, SmallRng};
 use vbatch_sparse::{
     block_coverage, extract_diag_blocks, find_supervariables, is_permutation,
     read_matrix_market_str, reverse_cuthill_mckee, spmv_alloc, spmv_par, supervariable_blocking,
-    write_matrix_market_str, BlockPartition, CooMatrix, CsrMatrix,
+    write_matrix_market_str, BlockPartition, CooMatrix, CsrMatrix, MmError,
 };
 
 /// A random sparse square matrix as triplets (duplicates allowed — the
@@ -100,6 +101,166 @@ fn matrix_market_roundtrip() {
             for j in 0..n {
                 assert!((a.get(i, j) - b.get(i, j)).abs() < 1e-12);
             }
+        }
+    });
+}
+
+/// The documents that used to panic: a symmetric banner over a
+/// non-square shape (the mirrored push ran out of bounds), dimensions
+/// the CSR row pointer cannot be sized from, and value tokens that parse
+/// as floats but are not finite (in `f64`, or only in the `f32` read).
+#[test]
+fn matrix_market_panicking_documents_are_bad_lines() {
+    let general = "%%MatrixMarket matrix coordinate real general";
+    let symmetric = "%%MatrixMarket matrix coordinate real symmetric";
+    for (doc, line) in [
+        (format!("{symmetric}\n2 3 1\n1 3 1.0\n"), 2),
+        (format!("{general}\n18446744073709551615 1 0\n"), 2),
+        (format!("{general}\n1 18446744073709551614 0\n"), 2),
+        (format!("{general}\n2147483648 1 0\n"), 2),
+        (format!("{general}\n1 1 1\n1 1 nan\n"), 3),
+        (format!("{general}\n1 1 1\n1 1 -inf\n"), 3),
+        (format!("{general}\n1 1 1\n1 1 1e999\n"), 3),
+    ] {
+        let err = read_matrix_market_str::<f64>(&doc).unwrap_err();
+        assert!(
+            matches!(err, MmError::BadLine { line_no, .. } if line_no == line),
+            "{err} for\n{doc}"
+        );
+    }
+    let doc = format!("{general}\n1 1 1\n1 1 1e300\n");
+    assert!(read_matrix_market_str::<f64>(&doc).is_ok());
+    assert!(read_matrix_market_str::<f32>(&doc).is_err());
+}
+
+/// A valid Matrix Market document, one line per element: banner, size
+/// line, then `entries` entry lines (lower triangle under a symmetric
+/// banner, no value field under a pattern one).
+struct MmDoc {
+    shape: (usize, usize),
+    pattern: bool,
+    lines: Vec<String>,
+}
+
+fn mm_doc(rng: &mut SmallRng) -> MmDoc {
+    let (symmetric, pattern) = (rng.gen_bool(0.5), rng.gen_bool(0.3));
+    let nrows = rng.gen_range(1usize..9);
+    let ncols = if symmetric {
+        nrows
+    } else {
+        rng.gen_range(1usize..9)
+    };
+    let entries = rng.gen_range(1usize..12);
+    let field = if pattern { "pattern" } else { "real" };
+    let symmetry = if symmetric { "symmetric" } else { "general" };
+    let mut lines = vec![
+        format!("%%MatrixMarket matrix coordinate {field} {symmetry}"),
+        format!("{nrows} {ncols} {entries}"),
+    ];
+    for _ in 0..entries {
+        let i = rng.gen_range(1usize..nrows + 1);
+        let j = rng.gen_range(1usize..if symmetric { i } else { ncols } + 1);
+        lines.push(if pattern {
+            format!("{i} {j}")
+        } else {
+            format!("{i} {j} {:e}", rng.gen_range(-9.0..9.0))
+        });
+    }
+    MmDoc {
+        shape: (nrows, ncols),
+        pattern,
+        lines,
+    }
+}
+
+/// What the reader may answer to a mutated document.
+#[derive(Clone, Copy, Debug)]
+enum Expect {
+    /// A matrix of the declared shape, or any typed error.
+    ShapeOrError,
+    /// Either typed error.
+    Error,
+    BadHeader,
+    BadLine,
+}
+
+/// Cut `line` short of its last byte, anywhere from empty on.
+fn truncate(rng: &mut SmallRng, line: &mut String) {
+    line.truncate(rng.gen_range(0usize..line.len()));
+}
+
+#[test]
+fn malformed_matrix_market_is_a_typed_error_never_a_panic() {
+    run_cases("malformed_matrix_market", 400, |rng, case| {
+        let mut doc = mm_doc(rng);
+        let (nrows, ncols) = doc.shape;
+        let entry = rng.gen_range(2usize..doc.lines.len());
+        let fields: Vec<String> = doc.lines[entry].split(' ').map(String::from).collect();
+        let expect = match case % 10 {
+            0 => Expect::ShapeOrError, // the valid document itself
+            1 => {
+                truncate(rng, &mut doc.lines[0]);
+                Expect::BadHeader
+            }
+            2 => {
+                // a cut size line has fewer fields or a smaller count
+                truncate(rng, &mut doc.lines[1]);
+                Expect::Error
+            }
+            3 => {
+                // `1.5e0` cut to `1.` still reads, a cut index may too
+                truncate(rng, &mut doc.lines[entry]);
+                Expect::ShapeOrError
+            }
+            4 => {
+                let keep = if doc.pattern { 1 } else { 2 };
+                doc.lines[entry] = fields[..keep].join(" ");
+                Expect::BadLine
+            }
+            5 => {
+                let (zero_row, zero_col) = (format!("0 {}", fields[1]), format!("{} 0", fields[0]));
+                let (past_row, past_col) = (
+                    format!("{} {}", nrows + 1, fields[1]),
+                    format!("{} {}", fields[0], ncols + 1),
+                );
+                let bad = [zero_row, zero_col, past_row, past_col];
+                let value = fields.get(2).map_or(String::new(), |v| format!(" {v}"));
+                doc.lines[entry] = format!("{}{value}", bad[rng.gen_range(0usize..4)]);
+                Expect::BadLine
+            }
+            6 => {
+                doc.lines.push(doc.lines[entry].clone());
+                Expect::BadHeader
+            }
+            7 => {
+                doc.lines.remove(entry);
+                Expect::BadHeader
+            }
+            8 => {
+                let huge = ["18446744073709551615", "9223372036854775808", "2147483648"];
+                let huge = huge[rng.gen_range(0usize..3)];
+                doc.lines[1] = if rng.gen_bool(0.5) {
+                    format!("{huge} {ncols} {}", doc.lines.len() - 2)
+                } else {
+                    format!("{nrows} {huge} {}", doc.lines.len() - 2)
+                };
+                Expect::BadLine
+            }
+            _ if doc.pattern => Expect::ShapeOrError, // no value field to poison
+            _ => {
+                let token = ["nan", "NaN", "inf", "-inf", "infinity", "1e999"];
+                let token = token[rng.gen_range(0usize..6)];
+                doc.lines[entry] = format!("{} {} {token}", fields[0], fields[1]);
+                Expect::BadLine
+            }
+        };
+        let text = doc.lines.join("\n");
+        use Expect::*;
+        match (read_matrix_market_str::<f64>(&text), expect) {
+            (Ok(a), ShapeOrError) => assert_eq!((a.nrows(), a.ncols()), doc.shape, "{text}"),
+            (Err(MmError::BadHeader(_)), ShapeOrError | Error | BadHeader) => {}
+            (Err(MmError::BadLine { .. }), ShapeOrError | Error | BadLine) => {}
+            (got, _) => panic!("case {case}: expected {expect:?}, got {got:?} for\n{text}"),
         }
     });
 }

@@ -9,22 +9,30 @@ use vbatch_rt::{testgen, SmallRng};
 
 #[test]
 fn host_backends_and_layouts_agree_bitwise_with_faulty_blocks() {
-    // two populous packed-LU classes, a small-LU class, and a ragged
-    // tail (Gauss-Huard, blocked LU, a lone order-3 block)
+    // two populous packed-LU classes, a small-LU class, two populous
+    // classes past the warp width, and a ragged tail (Gauss-Huard,
+    // blocked LU, a lone order-3 block)
     let mut sizes = vec![4usize; 5];
     sizes.extend([7; 6]);
     sizes.extend([24; 3]);
-    sizes.extend([20, 40, 3]);
+    sizes.extend([40; 4]);
+    sizes.extend([48; 3]);
+    sizes.extend([20, 33, 3]);
     let mut rng = SmallRng::seed_from_u64(15);
     let raw = testgen::dd_batch_of(&mut rng, &sizes);
     let mut batch = MatrixBatch::<f64>::zeros(&sizes);
     for i in 0..batch.len() {
         batch.block_mut(i).copy_from_slice(&raw.blocks[i]);
     }
-    // block 7 (order 7): two equal rows; block 2 (order 4): a NaN
-    for c in 0..7 {
-        let blk = batch.block_mut(7);
-        blk[c * 7 + 3] = blk[c * 7 + 1];
+    // blocks 7 (order 7), 15 (order 40) and 20 (order 48): two equal
+    // rows; block 2 (order 4): a NaN
+    let singular = [7usize, 15, 20];
+    for b in singular {
+        let n = sizes[b];
+        let blk = batch.block_mut(b);
+        for c in 0..n {
+            blk[c * n + 3] = blk[c * n + 1];
+        }
     }
     batch.block_mut(2)[4 + 2] = f64::NAN;
     let total: usize = sizes.iter().sum();
@@ -43,7 +51,7 @@ fn host_backends_and_layouts_agree_bitwise_with_faulty_blocks() {
             if layout == BatchLayout::Blocked {
                 0
             } else {
-                14
+                21
             }
         );
         let mut stats = ExecStats::new();
@@ -57,8 +65,10 @@ fn host_backends_and_layouts_agree_bitwise_with_faulty_blocks() {
     };
 
     let (ref_pivots, ref_status, ref_bits) = run(&CpuSequential, BatchLayout::Blocked);
-    assert!(ref_status[7].is_fallback() && ref_status[2].is_fallback());
-    assert_eq!(ref_status.iter().filter(|s| s.is_fallback()).count(), 2);
+    let fallbacks: Vec<usize> = (0..sizes.len())
+        .filter(|&b| ref_status[b].is_fallback())
+        .collect();
+    assert_eq!(fallbacks, [2, 7, 15, 20]);
     assert!(ref_bits.iter().all(|&b| f64::from_bits(b).is_finite()));
     for backend in [&CpuSequential as &dyn Backend<f64>, &CpuRayon, &CpuSimd] {
         for layout in [
