@@ -73,25 +73,6 @@ impl<T: Scalar> MatrixBatch<T> {
         b
     }
 
-    /// Reshape in place into a zeroed uniform batch of `count` blocks
-    /// of order `n`, reusing the existing allocations when they are
-    /// large enough — the recycling entry point of the batched-solve
-    /// service's per-flush staging buffers.
-    pub fn reset_uniform(&mut self, count: usize, n: usize) {
-        let sq = n
-            .checked_mul(n)
-            .unwrap_or_else(|| panic!("reset_uniform: block order {n} squared overflows usize"));
-        let total = sq.checked_mul(count).unwrap_or_else(|| {
-            panic!("reset_uniform: total element count overflows usize ({count} blocks of {n})")
-        });
-        self.sizes.clear();
-        self.sizes.resize(count, n);
-        self.offsets.clear();
-        self.offsets.extend((0..=count).map(|i| i * sq));
-        self.data.clear();
-        self.data.resize(total, T::ZERO);
-    }
-
     /// Build from a slice of dense matrices (all must be square).
     pub fn from_matrices(mats: &[DenseMat<T>]) -> Self {
         let sizes: Vec<usize> = mats
@@ -167,6 +148,13 @@ impl<T: Scalar> MatrixBatch<T> {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
+    }
+
+    /// Consume the batch and keep its value array — block `i` still at
+    /// `offsets()[i]` — so a factorization can overwrite the storage it
+    /// was given instead of building its factors in a second copy.
+    pub fn into_values(self) -> Vec<T> {
+        self.data
     }
 
     /// Column-major data of block `i`.
@@ -427,22 +415,6 @@ mod tests {
         assert_eq!(v.seg(1), &[8.0, 7.0]);
         assert_eq!(v.len(), 2);
         assert!(!v.is_empty());
-    }
-
-    #[test]
-    fn reset_uniform_reuses_storage_and_zeroes() {
-        let mut b = MatrixBatch::<f64>::uniform_from_fn(4, 3, |_, _, _| 5.0);
-        let cap = b.data.capacity();
-        b.reset_uniform(2, 3);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.sizes(), &[3, 3]);
-        assert_eq!(b.offsets(), &[0, 9, 18]);
-        assert!(b.as_slice().iter().all(|&v| v == 0.0), "stale data cleared");
-        assert_eq!(b.data.capacity(), cap, "shrinking keeps the allocation");
-        // growing within capacity also keeps it
-        b.reset_uniform(4, 3);
-        assert_eq!(b.data.capacity(), cap);
-        assert_eq!(b.total_elements(), 36);
     }
 
     #[test]

@@ -26,8 +26,10 @@
 //!   its per-slot map and sanitizes the slot to identity factors and an
 //!   identity pivot lane, so class-wide sweeps stay finite no-ops there
 //!   and the slot's lane mates are untouched.
-//! * **Locality.** One chunk's working set is `n*n*W` elements (16 KiB
-//!   at n = 16, W = 8, f64), so the whole elimination runs out of L1.
+//! * **Locality.** One chunk's working set is `(n+1)*n*W` elements:
+//!   17 KiB at n = 16, W = 8, f64, so the whole elimination runs out of
+//!   L1 there; 66 KiB at n = 32, past a 48 KiB L1d, where it runs out
+//!   of L2.
 //!
 //! The row-pivoted flags are kept as `0.0`/`1.0` lanes of `T` beside
 //! the `usize` step lanes, so the hot selects compile to vector
@@ -51,6 +53,63 @@ fn assert_width(width: usize) {
     );
 }
 
+/// The lane GETRF's working storage, owned by the caller so one set
+/// serves every class a thread factorizes: the packed chunk workspace
+/// (`(n+1)·n·W` elements — 66 KiB at n = 32, W = 8, f64), the step
+/// lanes, the pivoted flags (as `T` so selects vectorize), the row-swap
+/// column buffer, the shared unpivoted-row list driving the
+/// uniform-pivot fast path, and the per-slot error map. It grows to the
+/// largest class asked of it; a lane group initialises what it reads, so
+/// nothing carries over from one class to the next.
+#[derive(Debug)]
+pub struct LaneGetrfScratch<T> {
+    step: Vec<usize>,
+    pflag: Vec<T>,
+    colbuf: Vec<T>,
+    unpiv: Vec<usize>,
+    ws: Vec<T>,
+    failed: Vec<Option<FactorError>>,
+}
+
+impl<T: Scalar> LaneGetrfScratch<T> {
+    /// Empty scratch; the first class sizes it.
+    // setup-time: the factorization side may allocate
+    #[allow(clippy::disallowed_methods)]
+    pub fn new() -> Self {
+        LaneGetrfScratch {
+            step: Vec::new(),
+            pflag: Vec::new(),
+            colbuf: Vec::new(),
+            unpiv: Vec::new(),
+            ws: Vec::new(),
+            failed: Vec::new(),
+        }
+    }
+
+    /// Make room for a class of `count` slots of order `n` at width `w`
+    /// and clear the error map.
+    fn reserve(&mut self, n: usize, w: usize, count: usize) {
+        fn grow<X: Copy>(v: &mut Vec<X>, len: usize, fill: X) {
+            if v.len() < len {
+                v.resize(len, fill);
+            }
+        }
+        grow(&mut self.step, n * w, UNPIVOTED);
+        grow(&mut self.pflag, n * w, T::ZERO);
+        grow(&mut self.colbuf, n * w, T::ZERO);
+        grow(&mut self.unpiv, n, 0);
+        grow(&mut self.ws, (n + 1) * n * w, T::ZERO);
+        self.failed.clear();
+        self.failed.resize(count, None);
+    }
+}
+
+impl<T: Scalar> Default for LaneGetrfScratch<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// [`getrf_interleaved_class_simd_width`] at the host-selected lane
 /// width (see [`vbatch_rt::simd::lane_width`]).
 pub fn getrf_interleaved_class_simd<T: Scalar>(
@@ -60,6 +119,20 @@ pub fn getrf_interleaved_class_simd<T: Scalar>(
     row_of_step: &mut [usize],
 ) -> Vec<Option<FactorError>> {
     getrf_interleaved_class_simd_width(lane_width(T::BYTES), n, count, data, row_of_step)
+}
+
+/// [`getrf_interleaved_class_simd`] with caller-owned scratch: the same
+/// kernel at the host-selected lane width, allocating nothing once
+/// `scratch` has seen a class this large. The error map is borrowed
+/// from `scratch`.
+pub fn getrf_interleaved_class_simd_scratch<'s, T: Scalar>(
+    n: usize,
+    count: usize,
+    data: &mut [T],
+    row_of_step: &mut [usize],
+    scratch: &'s mut LaneGetrfScratch<T>,
+) -> &'s [Option<FactorError>] {
+    getrf_class(lane_width(T::BYTES), n, count, data, row_of_step, scratch)
 }
 
 /// Lane-wide implicit-pivot GETRF over an interleaved class at an
@@ -80,7 +153,7 @@ pub fn getrf_interleaved_class_simd<T: Scalar>(
 /// path).
 // Setup-time path: scratch allocation is fine here (the zero-alloc
 // contract covers the solve below, not factorization).
-#[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[allow(clippy::disallowed_methods)]
 pub fn getrf_interleaved_class_simd_width<T: Scalar>(
     width: usize,
     n: usize,
@@ -88,27 +161,38 @@ pub fn getrf_interleaved_class_simd_width<T: Scalar>(
     data: &mut [T],
     row_of_step: &mut [usize],
 ) -> Vec<Option<FactorError>> {
+    let mut scratch = LaneGetrfScratch::new();
+    getrf_class(width, n, count, data, row_of_step, &mut scratch).to_vec()
+}
+
+/// The class sweep behind the three entry points above.
+fn getrf_class<'s, T: Scalar>(
+    width: usize,
+    n: usize,
+    count: usize,
+    data: &mut [T],
+    row_of_step: &mut [usize],
+    scratch: &'s mut LaneGetrfScratch<T>,
+) -> &'s [Option<FactorError>] {
     assert_width(width);
     assert_eq!(data.len(), n * n * count);
     assert_eq!(row_of_step.len(), n * count);
-    let mut failed: Vec<Option<FactorError>> = vec![None; count];
-    if count == 0 {
-        return failed;
-    }
     let w = width.min(MAX_LANE_WIDTH);
-    // chunk-local scratch, reused across chunks: step lanes, pivoted
-    // flags (as T so selects vectorize), row-swap column buffer, and the
-    // shared unpivoted-row list driving the uniform-pivot fast path
-    let mut step = vec![UNPIVOTED; n * w];
-    let mut pflag = vec![T::ZERO; n * w];
-    let mut colbuf = vec![T::ZERO; n * w];
-    let mut unpiv = vec![0usize; n];
-    // packed chunk workspace: the class slab strides lane groups
+    scratch.reserve(n, w, count);
+    // packed chunk workspace `ws`: the class slab strides lane groups
     // `count` elements apart, which degenerates to a handful of L1
-    // sets for large batches; the elimination runs on this contiguous
+    // sets for large batches; the elimination runs on a contiguous
     // n*n*W copy instead (pack/unpack is an element-exact copy, so
     // bitwise parity is unaffected)
-    let mut ws = vec![T::ZERO; (n + 1) * n * w];
+    let LaneGetrfScratch {
+        step,
+        pflag,
+        colbuf,
+        unpiv,
+        ws,
+        failed,
+    } = scratch;
+    let unpiv = &mut unpiv[..n];
 
     let full = count / w * w;
     let mut s0 = 0;
@@ -124,7 +208,7 @@ pub fn getrf_interleaved_class_simd_width<T: Scalar>(
                     &mut step[..n * $w],
                     &mut pflag[..n * $w],
                     &mut colbuf[..n * $w],
-                    &mut unpiv,
+                    unpiv,
                     &mut ws[..(n + 1) * n * $w],
                     &mut failed[s0..s0 + $w],
                 );
@@ -149,7 +233,7 @@ pub fn getrf_interleaved_class_simd_width<T: Scalar>(
             &mut step[..n],
             &mut pflag[..n],
             &mut colbuf[..n],
-            &mut unpiv,
+            unpiv,
             &mut ws[..(n + 1) * n],
             &mut failed[s0..s0 + 1],
         );
@@ -192,9 +276,10 @@ pub fn getrf_interleaved_class_simd_width<T: Scalar>(
 /// groups sit `count` elements apart, and for large batches that
 /// stride folds the whole working set onto a few L1 cache sets —
 /// every GER re-sweep then thrashes. The packed copy is dense
-/// (16 KiB at n = 16, W = 8, f64), L1-resident, and unit-stride for
-/// the inner loops; pack and unpack are element-exact copies, so the
-/// slab bits are identical to factorizing in place.
+/// (17 KiB at n = 16, W = 8, f64: L1-resident; 66 KiB at n = 32: L2)
+/// and unit-stride for the inner loops; pack and unpack are
+/// element-exact copies, so the slab bits are identical to factorizing
+/// in place.
 #[allow(clippy::too_many_arguments)]
 fn getrf_chunk<T: Scalar, const W: usize>(
     n: usize,

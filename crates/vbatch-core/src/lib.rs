@@ -57,9 +57,9 @@ pub use interleaved::{
     lu_solve_interleaved_slot_scratch, BatchLayout, InterleavedClass, DEFAULT_CLASS_CAPACITY,
 };
 pub use interleaved_simd::{
-    getrf_interleaved_class_simd, getrf_interleaved_class_simd_width,
-    lu_solve_interleaved_class_scratch_simd, lu_solve_interleaved_class_scratch_simd_width,
-    SUPPORTED_WIDTHS,
+    getrf_interleaved_class_simd, getrf_interleaved_class_simd_scratch,
+    getrf_interleaved_class_simd_width, lu_solve_interleaved_class_scratch_simd,
+    lu_solve_interleaved_class_scratch_simd_width, LaneGetrfScratch, SUPPORTED_WIDTHS,
 };
 pub use lu::blocked::getrf_blocked;
 pub use lu::{getrf, getrf_inplace, solve_system, LuFactors, PivotStrategy};

@@ -105,7 +105,7 @@ impl<T: Scalar> PreparedApply<T> {
         let mut claimed = vec![false; factors.len()];
         let mut units = Vec::new();
         let mut hwm_elems = 0usize;
-        for (c, cls) in factors.interleaved.iter().enumerate() {
+        for (c, cls) in factors.interleaved.classes().iter().enumerate() {
             let mut members = Vec::with_capacity(cls.count());
             for (slot, &blk) in cls.blocks.iter().enumerate() {
                 if matches!(factors.factors[blk], BlockFactor::InterleavedLu { .. }) {
@@ -187,7 +187,8 @@ pub(crate) fn run_apply_unit<T: Scalar>(
             factors.solve_block_inplace_with(*block, &mut v[*offset..*offset + *len], scratch);
         }
         ApplyUnit::Class { class, members, .. } => {
-            let cls = &factors.interleaved[*class];
+            let slab = &factors.interleaved;
+            let cls = &slab.classes()[*class];
             let (n, count) = (cls.n, cls.count());
             let _span = vbatch_trace::span!("apply.class", n * count);
             let (x, perm_scratch) = scratch.split_at_mut(n * count);
@@ -201,7 +202,8 @@ pub(crate) fn run_apply_unit<T: Scalar>(
                     x[i * count + slot] = seg[i];
                 }
             }
-            lu_solve_interleaved_class_scratch_simd(n, count, &cls.data, &cls.piv, x, perm_scratch);
+            let (data, piv) = (slab.data(*class), slab.piv(*class));
+            lu_solve_interleaved_class_scratch_simd(n, count, data, piv, x, perm_scratch);
             for &(slot, offset) in members {
                 let seg = &mut v[offset..offset + n];
                 for i in 0..n {
@@ -316,7 +318,7 @@ mod tests {
                 ApplyUnit::Block { block, .. } => seen[*block] += 1,
                 ApplyUnit::Class { class, members, .. } => {
                     for &(slot, _) in members {
-                        seen[factors.interleaved[*class].blocks[slot]] += 1;
+                        seen[factors.interleaved.classes()[*class].blocks[slot]] += 1;
                     }
                 }
             }

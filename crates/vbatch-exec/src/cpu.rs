@@ -22,18 +22,28 @@
 //! those of the per-block kernels:
 //!
 //! ```text
-//! interleaved class (n=16, count=20k)      lane group (W = 8, AVX-512 DP)
-//! slot:   0  1  2  3  4  5  6  7 | 8 ...   one vector register holds
-//! a(0,0) [.  .  .  .  .  .  .  .]| .       a(i,j) of 8 matrices; the
-//! a(1,0) [.  .  .  .  .  .  .  .]| .       whole elimination for the
-//!  ...                           |         group runs before the next
-//! a(n,n) [.  .  .  .  .  .  .  .]| .       group starts (L1-resident)
+//! interleaved class (n=16, count=20k)      lane group (W = 8 f64 lanes:
+//! slot:   0  1  2  3  4  5  6  7 | 8 ...   one 512-bit register, or the
+//! a(0,0) [.  .  .  .  .  .  .  .]| .       256-bit pair LLVM prefers on
+//! a(1,0) [.  .  .  .  .  .  .  .]| .       this host) holds a(i,j) of 8
+//!  ...                           |         matrices; the group's whole
+//! a(n,n) [.  .  .  .  .  .  .  .]| .       elimination runs before the
+//!                                          next group starts
 //! ```
+//!
+//! The group is eliminated out of a packed copy of its own — 17 KiB at
+//! n = 16, L1-resident; 66 KiB at n = 32, which is past a 48 KiB L1d
+//! and lives in L2.
+//!
+//! Factorization takes the batch by value and, where it can, builds the
+//! factors in the batch's own value array (`factorize_cpu` has the
+//! rule); an interleaved class is a range of one slab either way
+//! ([`crate::ClassSlab`]).
 
 use crate::apply::{run_apply_unit, FlatVecPtr, PreparedApply};
 use crate::backend::Backend;
 use crate::factors::{
-    block_diag, scalar_jacobi_from_diag, BlockFactor, BlockStatus, FactorizedBatch,
+    block_diag, scalar_jacobi_from_diag, BlockFactor, BlockStatus, ClassSlab, FactorizedBatch,
     InterleavedLuClass, Wrapper,
 };
 use crate::plan::{BatchPlan, ClassLayout, KernelChoice, PrecisionPolicy};
@@ -41,9 +51,9 @@ use crate::stats::{ExecStats, Phase};
 use std::time::Instant;
 use vbatch_core::lu::implicit::getrf_implicit_inplace;
 use vbatch_core::{
-    gemv, getrf_interleaved_class_simd, gh_factorize, gje_invert, narrow_slice, potrf, DenseMat,
-    FactorError, GhLayout, InterleavedClass, MatrixBatch, Scalar, StoragePrecision, Stored,
-    VectorBatch,
+    gemv, getrf_interleaved_class_simd_scratch, gh_factorize, gje_invert, narrow_slice, potrf,
+    DenseMat, FactorError, GhLayout, LaneGetrfScratch, MatrixBatch, Scalar, StoragePrecision,
+    Stored, VectorBatch,
 };
 use vbatch_rt::par::{num_threads, par_map_vec};
 use vbatch_rt::prelude::*;
@@ -139,11 +149,11 @@ pub(crate) fn record_statuses(status: &[BlockStatus], stats: &mut ExecStats) {
 }
 
 /// Per-chunk working-set budget for interleaved classes. The lane
-/// kernel eliminates one `W`-slot group at a time out of a packed
-/// L1-sized copy, so it reads and writes the chunk's slab once; the
-/// budget keeps that slab in L2 between the pack that writes it and the
-/// GETRF that reads it back, and bounds the unit of work the thread
-/// pool divides a class into.
+/// kernel eliminates one `W`-slot group at a time out of a packed copy
+/// of the group, so it reads and writes the chunk once; the budget keeps
+/// the worker's staging copy of the chunk in L2 between the pack that
+/// writes it and the GETRF that reads it back, and bounds the unit of
+/// work the thread pool divides a class into.
 const INTERLEAVED_CHUNK_BYTES: usize = 128 * 1024;
 
 /// Slots per interleaved chunk: bound `n² · slots · sizeof(T)` by the
@@ -153,93 +163,210 @@ fn interleaved_chunk_slots<T>(n: usize) -> usize {
     (INTERLEAVED_CHUNK_BYTES / block_bytes).max(8)
 }
 
-/// One factorized interleaved chunk and its failed slots, ascending.
-type ChunkOutcome<S> = (InterleavedLuClass<S>, Vec<(usize, FactorError)>);
-
-/// Factorize one interleaved chunk (a contiguous span of one size
-/// class) in storage scalar `S`: pack — narrowing *while gathering*, one
-/// strided read of the native blocks and one contiguous write of the
-/// storage-precision slab — run the class-wide sweep, and report the
-/// slots that failed, ascending. Slots are numerically independent, so
-/// chunking never changes results — only locality and how much
-/// parallelism the class exposes.
-///
-/// Only the slab, the pivot lanes and the caller's own `members` leave
-/// the worker thread: a healthy chunk must hand the calling thread no
-/// small heap block of the worker's to free. One such block parked in
-/// the caller's allocator cache keeps glibc from returning the worker's
-/// heap, and then thread timing decides whether the next factorization
-/// page-faults its slabs in afresh or finds them resident — a 30 %
-/// swing of `batch_uniform32` (EXPERIMENTS.md §J).
-fn factor_interleaved_chunk<T: Scalar, S: Stored<T>>(
-    blocks: &MatrixBatch<T>,
+/// One interleaved chunk (a span of one size class) as its worker
+/// receives it: the members, ascending, and the chunk's own ranges of
+/// the class slab's value and pivot arrays.
+struct ChunkJob<'s, S> {
     n: usize,
     members: Vec<usize>,
-) -> ChunkOutcome<S> {
-    let (_, _, mut data) = InterleavedClass::<S>::pack_from(blocks, &members).into_parts();
-    let count = members.len();
-    let mut piv = vec![0usize; n * count];
-    let failed = getrf_interleaved_class_simd(n, count, &mut data, &mut piv)
-        .into_iter()
+    data: &'s mut [S],
+    piv: &'s mut [usize],
+}
+
+/// What one worker thread keeps for the whole factorize call: the
+/// staging slab a chunk is packed into and factorized in, the member
+/// blocks of the chunk at hand, and the lane kernel's scratch.
+struct ChunkScratch<'a, T, S> {
+    staging: Vec<S>,
+    members: Vec<&'a [T]>,
+    lanes: LaneGetrfScratch<S>,
+}
+
+/// A factorized chunk's order, the caller's own member list, and per
+/// failed slot, ascending, the error and the block's original diagonal.
+type ChunkOutcome<T> = (usize, Vec<usize>, Vec<(usize, FactorError, Vec<T>)>);
+
+/// Transpose `count` column-major blocks into element-interleaved
+/// lanes, narrowing while gathering: lane `e` of `lanes` collects
+/// element `e` of every member (`members()` walks them in slot order),
+/// written contiguously.
+fn pack_lanes<'m, X: Scalar, S: Stored<X>, I: Iterator<Item = &'m [X]>>(
+    count: usize,
+    lanes: &mut [S],
+    members: impl Fn() -> I,
+) {
+    if count == 0 {
+        return;
+    }
+    for (e, lane) in lanes.chunks_exact_mut(count).enumerate() {
+        for (dst, blk) in lane.iter_mut().zip(members()) {
+            *dst = S::narrow(blk[e]);
+        }
+    }
+}
+
+/// Factorize one interleaved chunk in storage scalar `S`: pack the
+/// members into the worker's staging slab — narrowing *while
+/// gathering*, one strided read of the blocks and one contiguous write
+/// — out of the borrowed batch or, with `originals` gone (the in-place
+/// case), out of the chunk's own range, where they sit back to back;
+/// run the class-wide sweep there; write the chunk's range once. Slots
+/// are numerically independent, so chunking never changes results —
+/// only locality and how much parallelism the class exposes.
+///
+/// A failed slot's scalar-Jacobi fallback needs the block's *original*
+/// diagonal, and in place the range is the only copy of it: the failed
+/// slots' diagonals are read before the range is overwritten.
+///
+/// Nothing but those (and the caller's own `members`) leaves the worker
+/// thread: a healthy chunk must hand the calling thread no small heap
+/// block of the worker's to free. One such block parked in the caller's
+/// allocator cache keeps glibc from returning the worker's heap, and
+/// then thread timing decides what the next factorization finds
+/// resident (EXPERIMENTS.md §J).
+fn factor_interleaved_chunk<'a, T: Scalar, S: Stored<T>>(
+    originals: Option<&'a MatrixBatch<T>>,
+    job: ChunkJob<'_, S>,
+    scratch: &mut ChunkScratch<'a, T, S>,
+) -> ChunkOutcome<T> {
+    let ChunkJob {
+        n,
+        members,
+        data,
+        piv,
+    } = job;
+    let _span = vbatch_trace::span!("factorize.chunk", n * members.len());
+    let (count, nn) = (members.len(), n * n);
+    let staging = &mut scratch.staging[..data.len()];
+    match originals {
+        Some(blocks) => {
+            scratch.members.clear();
+            scratch
+                .members
+                .extend(members.iter().map(|&m| blocks.block(m)));
+            pack_lanes(count, staging, || scratch.members.iter().copied());
+        }
+        None => pack_lanes::<S, S, _>(count, staging, || data.chunks_exact(nn)),
+    }
+    let errs = getrf_interleaved_class_simd_scratch(n, count, staging, piv, &mut scratch.lanes);
+    let failed = errs
+        .iter()
         .enumerate()
-        .filter_map(|(slot, err)| Some((slot, err?)))
+        .filter_map(|(slot, err)| {
+            let error = err.clone()?;
+            let diag = match originals {
+                Some(_) => block_diag(n, scratch.members[slot]),
+                None => block_diag(n, &data[slot * nn..(slot + 1) * nn])
+                    .into_iter()
+                    .map(<S as Stored<T>>::widen)
+                    .collect(),
+            };
+            Some((slot, error, diag))
+        })
         .collect();
-    (
-        InterleavedLuClass {
-            n,
-            blocks: members,
-            data,
-            piv,
-        },
-        failed,
-    )
+    data.copy_from_slice(staging);
+    (n, members, failed)
 }
 
 /// The factorization phase in storage scalar `S`: one isolated
 /// factorization per blocked block (the worker narrows straight out of
 /// the shared batch), one class-wide sweep per interleaved chunk, with
 /// every block's outcome handed to `place`; returns the factorized
-/// classes.
+/// classes over `values`.
+///
+/// `chunks` are laid out back to back in `values` in the order given.
+/// With `originals` the chunks gather their members out of the batch
+/// into a slab of their own; without, `values` *is* the batch's value
+/// array and the caller has ordered the chunks so that each one's range
+/// is exactly its members' (see [`factorize_cpu`]). Either way each
+/// worker thread packs, factorizes and writes back through one
+/// [`ChunkScratch`] of its own, and the ranges are disjoint `&mut`
+/// borrows of the two arrays.
+#[allow(clippy::too_many_arguments)]
 fn factorize_in<T: Scalar, S: Stored<T>>(
-    blocks: &MatrixBatch<T>,
+    originals: Option<&MatrixBatch<T>>,
+    sizes: &[usize],
     plan: &BatchPlan,
     blocked_idx: Vec<usize>,
     chunks: Vec<(usize, Vec<usize>)>,
+    mut values: Vec<S>,
     parallel: bool,
     mut place: impl FnMut(usize, BlockFactor<T>, BlockStatus),
-) -> Vec<InterleavedLuClass<S>> {
-    let sizes = blocks.sizes();
-    let block_work = |i: usize| {
-        let _span = vbatch_trace::span!("factorize.block", sizes[i]);
-        let kernel = plan.class(sizes[i]).kernel;
-        let (f, s) = factor_block::<T, S>(sizes[i], blocks.block(i), kernel);
-        (i, f, s)
-    };
-    let block_results: Vec<(usize, BlockFactor<T>, BlockStatus)> = if parallel {
-        par_map_vec(blocked_idx, block_work)
+) -> ClassSlab<S> {
+    if let Some(blocks) = originals {
+        let block_work = |i: usize| {
+            let _span = vbatch_trace::span!("factorize.block", sizes[i]);
+            let kernel = plan.class(sizes[i]).kernel;
+            let (f, s) = factor_block::<T, S>(sizes[i], blocks.block(i), kernel);
+            (i, f, s)
+        };
+        let block_results: Vec<(usize, BlockFactor<T>, BlockStatus)> = if parallel {
+            par_map_vec(blocked_idx, block_work)
+        } else {
+            blocked_idx.into_iter().map(block_work).collect()
+        };
+        for (i, f, s) in block_results {
+            place(i, f, s);
+        }
     } else {
-        blocked_idx.into_iter().map(block_work).collect()
-    };
-    for (i, f, s) in block_results {
-        place(i, f, s);
+        assert!(blocked_idx.is_empty(), "a blocked block needs its original");
     }
 
-    let chunk_work = |(n, members): (usize, Vec<usize>)| {
-        let _span = vbatch_trace::span!("factorize.chunk", n * members.len());
-        factor_interleaved_chunk::<T, S>(blocks, n, members)
+    // carve each chunk's ranges, then deal the chunks out in contiguous
+    // runs, one per worker thread
+    let pivot_elems = chunks.iter().map(|(n, m)| n * m.len()).sum();
+    let mut pivots = vec![0usize; pivot_elems];
+    let chunk_count = chunks.len();
+    let workers = if parallel { num_threads().max(1) } else { 1 };
+    let per_worker = chunk_count.div_ceil(workers).max(1);
+    let mut runs: Vec<Vec<ChunkJob<'_, S>>> = Vec::new();
+    let (mut rest, mut rest_piv) = (values.as_mut_slice(), pivots.as_mut_slice());
+    for (i, (n, members)) in chunks.into_iter().enumerate() {
+        let (data, tail) = std::mem::take(&mut rest).split_at_mut(n * n * members.len());
+        let (piv, tail_piv) = std::mem::take(&mut rest_piv).split_at_mut(n * members.len());
+        (rest, rest_piv) = (tail, tail_piv);
+        if i % per_worker == 0 {
+            runs.push(Vec::with_capacity(per_worker));
+        }
+        let run = runs.last_mut().expect("a run was opened for chunk 0");
+        run.push(ChunkJob {
+            n,
+            members,
+            data,
+            piv,
+        });
+    }
+    assert!(rest.is_empty(), "the chunks must tile the class slab");
+
+    let run_work = |jobs: Vec<ChunkJob<'_, S>>| -> Vec<ChunkOutcome<T>> {
+        let staging_elems = jobs.iter().map(|j| j.data.len()).max().unwrap_or(0);
+        let mut scratch = ChunkScratch {
+            staging: vec![S::ZERO; staging_elems],
+            members: Vec::new(),
+            lanes: LaneGetrfScratch::new(),
+        };
+        jobs.into_iter()
+            .map(|job| factor_interleaved_chunk(originals, job, &mut scratch))
+            .collect()
     };
-    let chunk_results: Vec<ChunkOutcome<S>> = if parallel {
-        par_map_vec(chunks, chunk_work)
+    let outcomes: Vec<Vec<ChunkOutcome<T>>> = if parallel {
+        par_map_vec(runs, run_work)
     } else {
-        chunks.into_iter().map(chunk_work).collect()
+        runs.into_iter().map(run_work).collect()
     };
-    let mut classes = Vec::with_capacity(chunk_results.len());
-    for (class, failed) in chunk_results {
+
+    // the chunks came back in the order they were carved: back to back
+    let mut classes = Vec::with_capacity(chunk_count);
+    let (mut at, mut piv_at) = (0usize, 0usize);
+    for (n, members, failed) in outcomes.into_iter().flatten() {
+        let data = at..at + n * n * members.len();
+        let piv = piv_at..piv_at + n * members.len();
+        (at, piv_at) = (data.end, piv.end);
         let class_idx = classes.len();
         let mut failed = failed.into_iter().peekable();
-        let kernel = plan.class(class.n).kernel;
-        for (slot, &blk) in class.blocks.iter().enumerate() {
-            match failed.next_if(|(s, _)| *s == slot) {
+        let kernel = plan.class(n).kernel;
+        for (slot, &blk) in members.iter().enumerate() {
+            match failed.next_if(|(s, ..)| *s == slot) {
                 None => {
                     let factor = BlockFactor::InterleavedLu {
                         class: class_idx,
@@ -250,19 +377,35 @@ fn factorize_in<T: Scalar, S: Stored<T>>(
                     status.precision = S::STORAGE;
                     place(blk, factor, status);
                 }
-                Some((_, error)) => {
-                    let diag = block_diag(class.n, blocks.block(blk));
+                Some((_, error, diag)) => {
                     let (factor, sanitized) = scalar_jacobi_from_diag(&diag);
-                    let status = BlockStatus::fallback(kernel, error, sanitized, class.n);
+                    let status = BlockStatus::fallback(kernel, error, sanitized, n);
                     place(blk, factor, status);
                 }
             }
         }
-        classes.push(class);
+        classes.push(InterleavedLuClass {
+            n,
+            blocks: members,
+            data,
+            piv,
+        });
     }
-    classes
+    ClassSlab::new(values, pivots, classes)
 }
 
+/// Factorize on the host. The batch arrives by value, and where nothing
+/// reads the originals afterwards and nothing would be left dead in
+/// them the factors are built *in its value array*: native storage
+/// (`FullDp`, or the `f32` floor), [`HealthPolicy::Off`], and every
+/// block a member of an interleaved chunk whose members are consecutive
+/// block indices — then a chunk's `count · n²` elements of the slab are
+/// exactly its members' blocks, and the chunks, taken in block order,
+/// tile the array. Every populous uniform batch, every SPIKE partition
+/// batch and any batch stored by order whose classes all interleave is
+/// on that side. Otherwise (scattered members, a blocked class, lowered
+/// storage, guarded triage) the chunks gather into one fresh slab and
+/// the originals stay readable for the passes that need them.
 pub(crate) fn factorize_cpu<T: Scalar>(
     blocks: MatrixBatch<T>,
     plan: &BatchPlan,
@@ -301,22 +444,59 @@ pub(crate) fn factorize_cpu<T: Scalar>(
             chunks.push((n, c.to_vec()));
         }
     }
+    let slab_elems: usize = chunks.iter().map(|(n, m)| n * n * m.len()).sum();
 
     // Precision policy, dispatched once for the whole phase: the lowered
     // instance only exists where the scalar actually has a narrower
     // storage format; at the f32 floor every policy degenerates to the
     // (bitwise-preserved) native instance.
     let lowered = plan.precision().lowers_storage() && T::HAS_LOWER;
-    let mut placed: Vec<Option<(BlockFactor<T>, BlockStatus)>> =
-        (0..blocks.len()).map(|_| None).collect();
-    let place = |i: usize, f: BlockFactor<T>, s: BlockStatus| placed[i] = Some((f, s));
-    let (interleaved, interleaved_lower) = if lowered {
-        let classes =
-            factorize_in::<T, T::Lower>(&blocks, plan, blocked_idx, chunks, parallel, place);
-        (Vec::new(), classes)
+    // the in-place rule (see above); members are ascending, so a chunk
+    // is consecutive when its ends are `len - 1` apart
+    let in_place = !lowered
+        && !plan.health().is_guarded()
+        && blocked_idx.is_empty()
+        && chunks
+            .iter()
+            .all(|(_, m)| m[m.len() - 1] - m[0] + 1 == m.len());
+    let (originals, native_values) = if in_place {
+        // block order: chunk k then starts where its first member does
+        chunks.sort_unstable_by_key(|(_, m)| m[0]);
+        (None, blocks.into_values())
     } else {
-        let classes = factorize_in::<T, T>(&blocks, plan, blocked_idx, chunks, parallel, place);
-        (classes, Vec::new())
+        let native_elems = if lowered { 0 } else { slab_elems };
+        (Some(blocks), vec![T::ZERO; native_elems])
+    };
+
+    let mut placed: Vec<Option<(BlockFactor<T>, BlockStatus)>> =
+        (0..sizes.len()).map(|_| None).collect();
+    let place = |i: usize, f: BlockFactor<T>, s: BlockStatus| placed[i] = Some((f, s));
+    let blocks = originals.as_ref();
+    let (interleaved, interleaved_lower) = if lowered {
+        let values = vec![<T::Lower as Scalar>::ZERO; slab_elems];
+        let classes = factorize_in::<T, T::Lower>(
+            blocks,
+            &sizes,
+            plan,
+            blocked_idx,
+            chunks,
+            values,
+            parallel,
+            place,
+        );
+        (ClassSlab::empty(), classes)
+    } else {
+        let classes = factorize_in::<T, T>(
+            blocks,
+            &sizes,
+            plan,
+            blocked_idx,
+            chunks,
+            native_values,
+            parallel,
+            place,
+        );
+        (classes, ClassSlab::empty())
     };
 
     // Every index was routed to exactly one of the two layout
@@ -341,16 +521,20 @@ pub(crate) fn factorize_cpu<T: Scalar>(
         interleaved_lower,
         retained: None,
     };
-    if lowered {
-        if let PrecisionPolicy::MixedPromote { condest_threshold } = plan.precision() {
-            crate::health::promote_unsafe_blocks(&blocks, &mut batch, condest_threshold);
+    // the passes that read the originals; in place there are none to
+    // run (native storage, health off)
+    if let Some(blocks) = originals {
+        if lowered {
+            if let PrecisionPolicy::MixedPromote { condest_threshold } = plan.precision() {
+                crate::health::promote_unsafe_blocks(&blocks, &mut batch, condest_threshold);
+            }
         }
-    }
-    crate::health::triage_batch(&blocks, &mut batch, plan.health());
-    if lowered {
-        // the refinement wrappers read their residuals out of the
-        // retained batch; the native path consumes it as before
-        batch.retained = Some(blocks);
+        crate::health::triage_batch(&blocks, &mut batch, plan.health());
+        if lowered {
+            // the refinement wrappers read their residuals out of the
+            // retained batch; the native path consumes it as before
+            batch.retained = Some(blocks);
+        }
     }
     record_statuses(&batch.status, stats);
     stats.add_phase(Phase::Factorize, t0.elapsed());
@@ -730,7 +914,8 @@ mod tests {
             let mut si = ExecStats::new();
             let fb = backend.factorize(batch.clone(), &blocked_plan, &mut sb);
             let fi = backend.factorize(batch.clone(), &il_plan, &mut si);
-            assert!(fi.interleaved.iter().map(|c| c.count()).sum::<usize>() >= 12);
+            let slots: usize = fi.interleaved.classes().iter().map(|c| c.count()).sum();
+            assert!(slots >= 12);
             assert_eq!(fb.fallback_count(), 1);
             assert_eq!(fi.fallback_count(), 1);
             assert_eq!(si.layout_histogram()["interleaved"], 12);

@@ -26,6 +26,7 @@
 #![deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 
 use crate::plan::KernelChoice;
+use std::ops::Range;
 use vbatch_core::{
     lu_solve_inplace_scratch, lu_solve_interleaved_slot_scratch, lu_solve_multi_inplace_scratch,
     residual_into, CholeskyFactors, DenseMat, FactorError, LuFactors, MatrixBatch, Permutation,
@@ -208,14 +209,14 @@ pub enum BlockFactor<T: Scalar> {
         perm: Permutation,
     },
     /// Combined `L\U` in slot `slot` of an interleaved size class:
-    /// [`FactorizedBatch::interleaved`]`[class]` for native storage,
-    /// [`FactorizedBatch::interleaved_lower`]`[class]` for lowered.
+    /// class `class` of [`FactorizedBatch::interleaved`] for native
+    /// storage, of [`FactorizedBatch::interleaved_lower`] for lowered.
     InterleavedLu {
-        /// Index into the class list `storage` selects.
+        /// Index into the class slab `storage` selects.
         class: usize,
         /// Slot of this block within the class.
         slot: usize,
-        /// Which class list holds the values.
+        /// Which class slab holds the values.
         storage: StoragePrecision,
     },
     /// Gauss-Huard factors (either layout, either storage precision).
@@ -405,35 +406,104 @@ impl<'a, S: Scalar> LuView<'a, S> {
     }
 }
 
-/// LU factors of one interleaved size class: `blocks.len()` systems of
-/// order `n`, with combined `L\U` values of storage scalar `S` stored
-/// element-interleaved (`data[(j*n + i) * count + slot]`) and
-/// row-of-step pivot lanes (`piv[k * count + slot]`).
+/// One interleaved size class (in practice one cache-sized chunk of
+/// one): `blocks.len()` systems of order `n` whose combined `L\U`
+/// values and row-of-step pivot lanes are ranges of the [`ClassSlab`]
+/// that lists it — element-interleaved,
+/// `values[data][(j*n + i) * count + slot]` and
+/// `pivots[piv][k * count + slot]`.
 #[derive(Clone, Debug)]
-pub struct InterleavedLuClass<S> {
+pub struct InterleavedLuClass {
     /// Block order of the class.
     pub n: usize,
     /// Slot → original block index.
     pub blocks: Vec<usize>,
-    /// Interleaved combined `L\U` factors.
-    pub data: Vec<S>,
-    /// Interleaved row-of-step pivot lanes.
-    pub piv: Vec<usize>,
+    /// The class's `n² · count` elements of the slab's value array.
+    pub data: Range<usize>,
+    /// The class's `n · count` elements of the slab's pivot array.
+    pub piv: Range<usize>,
 }
 
-impl<S: Scalar> InterleavedLuClass<S> {
+impl InterleavedLuClass {
     /// Number of slots in the class.
     pub fn count(&self) -> usize {
         self.blocks.len()
     }
+}
 
-    /// The factor of slot `slot`, read in place with stride `count`.
-    pub fn slot_view(&self, slot: usize) -> LuView<'_, S> {
+/// Every interleaved class of one storage precision: one value array
+/// and one pivot array, each class a range of both. Under the native
+/// precision the value array may be the factorized batch's own (see
+/// [`crate::Backend::factorize`] on the host backends): the classes
+/// then tile it exactly and no second copy of the batch was made.
+#[derive(Clone, Debug)]
+pub struct ClassSlab<S> {
+    values: Vec<S>,
+    pivots: Vec<usize>,
+    classes: Vec<InterleavedLuClass>,
+}
+
+impl<S: Scalar> ClassSlab<S> {
+    /// No classes, no storage.
+    // setup-time construction, not an apply path
+    #[allow(clippy::disallowed_methods)]
+    pub fn empty() -> Self {
+        ClassSlab {
+            values: Vec::new(),
+            pivots: Vec::new(),
+            classes: Vec::new(),
+        }
+    }
+
+    /// `classes` over `values` and `pivots`; every class's ranges must
+    /// lie inside them.
+    pub(crate) fn new(
+        values: Vec<S>,
+        pivots: Vec<usize>,
+        classes: Vec<InterleavedLuClass>,
+    ) -> Self {
+        for c in &classes {
+            assert_eq!(c.data.len(), c.n * c.n * c.count());
+            assert_eq!(c.piv.len(), c.n * c.count());
+            assert!(c.data.end <= values.len() && c.piv.end <= pivots.len());
+        }
+        ClassSlab {
+            values,
+            pivots,
+            classes,
+        }
+    }
+
+    /// The classes, in the order [`BlockFactor::InterleavedLu`] indexes
+    /// them.
+    pub fn classes(&self) -> &[InterleavedLuClass] {
+        &self.classes
+    }
+
+    /// The whole value array every class is a range of.
+    pub fn values(&self) -> &[S] {
+        &self.values
+    }
+
+    /// Interleaved combined `L\U` factors of class `class`.
+    pub fn data(&self, class: usize) -> &[S] {
+        &self.values[self.classes[class].data.clone()]
+    }
+
+    /// Interleaved row-of-step pivot lanes of class `class`.
+    pub fn piv(&self, class: usize) -> &[usize] {
+        &self.pivots[self.classes[class].piv.clone()]
+    }
+
+    /// The factor of slot `slot` of class `class`, read in place with
+    /// stride `count`.
+    pub fn slot_view(&self, class: usize, slot: usize) -> LuView<'_, S> {
+        let cls = &self.classes[class];
         LuView {
-            n: self.n,
-            data: &self.data,
-            piv: &self.piv,
-            stride: self.count(),
+            n: cls.n,
+            data: self.data(class),
+            piv: self.piv(class),
+            stride: cls.count(),
             offset: slot,
         }
     }
@@ -479,14 +549,17 @@ pub struct FactorizedBatch<T: Scalar> {
     pub status: Vec<BlockStatus>,
     /// Native-precision interleaved size classes (empty for a fully
     /// blocked factorization).
-    pub interleaved: Vec<InterleavedLuClass<T>>,
+    pub interleaved: ClassSlab<T>,
     /// Lowered-precision interleaved size classes (empty under the
     /// full-precision policy).
-    pub interleaved_lower: Vec<InterleavedLuClass<T::Lower>>,
+    pub interleaved_lower: ClassSlab<T::Lower>,
     /// The original batch in working precision, retained only under a
     /// storage-lowering precision policy: [`Wrapper::RefineRetained`]
-    /// reads its residuals out of it. `None` under `FullDp` (and at the
-    /// `f32` floor), where factorization consumes the batch.
+    /// reads its residuals out of it — which is why a lowered plan
+    /// never factorizes in the batch's own storage. `None` under
+    /// `FullDp` (and at the `f32` floor), where factorization consumes
+    /// the batch: it is dropped, or its value array lives on as
+    /// [`FactorizedBatch::interleaved`]'s.
     pub retained: Option<MatrixBatch<T>>,
 }
 
@@ -505,8 +578,8 @@ impl<T: Scalar> FactorizedBatch<T> {
             sizes,
             factors,
             status,
-            interleaved: Vec::new(),
-            interleaved_lower: Vec::new(),
+            interleaved: ClassSlab::empty(),
+            interleaved_lower: ClassSlab::empty(),
             retained: None,
         }
     }
@@ -540,10 +613,10 @@ impl<T: Scalar> FactorizedBatch<T> {
                 storage,
             } => Some(match storage {
                 StoragePrecision::Native => {
-                    Storage::Native(self.interleaved[class].slot_view(slot))
+                    Storage::Native(self.interleaved.slot_view(class, slot))
                 }
                 StoragePrecision::Lower => {
-                    Storage::Lower(self.interleaved_lower[class].slot_view(slot))
+                    Storage::Lower(self.interleaved_lower.slot_view(class, slot))
                 }
             }),
             _ => None,

@@ -129,6 +129,11 @@ fn pivot_spread<T: Scalar>(block: usize, batch: &FactorizedBatch<T>) -> Option<f
 /// `condest` stays unset until health triage wants one). This keeps the
 /// promotion pass `O(n)` per healthy block, so the mixed policy retains
 /// the SP flop-rate advantage it exists to exploit.
+///
+/// `blocks` are the originals: the estimate and the working-precision
+/// refactorization both read them after the factorization sweep, so a
+/// lowered plan never factorizes in the batch's own storage
+/// (`cpu::factorize_cpu`).
 pub(crate) fn promote_unsafe_blocks<T: Scalar>(
     blocks: &MatrixBatch<T>,
     batch: &mut FactorizedBatch<T>,
@@ -182,8 +187,12 @@ fn escalate_to_scalar_jacobi<T: Scalar>(
 }
 
 /// Run health triage over a freshly factorized batch. `blocks` must be
-/// the original (uncorrupted by factorization — extraction keeps its
-/// own copy) block data the batch was factorized from.
+/// the original block data the batch was factorized from, untouched by
+/// the factorization: the condition estimate, the equilibrated
+/// refactorization and the QR tier all read it. That is why a guarded
+/// plan never factorizes in the batch's own storage
+/// (`cpu::factorize_cpu` overwrites the input only under
+/// [`HealthPolicy::Off`], where this pass returns at once).
 pub(crate) fn triage_batch<T: Scalar>(
     blocks: &MatrixBatch<T>,
     batch: &mut FactorizedBatch<T>,

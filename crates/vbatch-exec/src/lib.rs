@@ -55,8 +55,8 @@ pub use block_solve::BlockSolve;
 pub use cpu::{CpuRayon, CpuSequential, CpuSimd};
 pub use estimate::{estimate_planned_factor, PlannedEstimate};
 pub use factors::{
-    refine_once, BlockFactor, BlockHealth, BlockStatus, FactorizedBatch, InterleavedLuClass,
-    LuView, RecoveryStep, Wrapper,
+    refine_once, BlockFactor, BlockHealth, BlockStatus, ClassSlab, FactorizedBatch,
+    InterleavedLuClass, LuView, RecoveryStep, Wrapper,
 };
 pub use fault::{apply_fault, expected_health, inject_batch, inject_rhs};
 pub use plan::{

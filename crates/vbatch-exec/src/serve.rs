@@ -13,10 +13,22 @@
 //! from the staged matrices under the flush's plan, applied once to the
 //! staged right-hand sides. The plan is one size class taken at the
 //! handle's capacity ([`BatchPlan::uniform_at_capacity`], O(1)), so it
-//! is built per flush rather than cached. The `BlockSolve` is rebuilt
-//! per flush too — factorization consumes the batch by value — the
-//! documented allocation exception on this warm path, and where a
-//! refactorizing `BlockSolve` would be kept.
+//! is built per flush rather than cached.
+//!
+//! What a flush allocates: the staged `MatrixBatch` (`count · n²`
+//! values and its two index vectors — `Backend::factorize` takes it by
+//! value, so it cannot be recycled), the factor store built from it,
+//! and the prepared apply. The factor store is per-block tables plus
+//! the factors themselves: under the service's defaults (blocked
+//! layout, guarded triage) one vector per block, the staged batch
+//! staying readable for the triage pass and dropped after it; under an
+//! interleaved layout with health `Off` and native storage the host
+//! backends build the factors *in* the staged value array and add only
+//! pivots and one staging chunk per worker thread; any other
+//! interleaved flush gathers into one slab. Keeping the factor store
+//! across flushes needs a `factorize` that borrows its input and writes
+//! into a reusable output (ROADMAP item 3(a)) — this is where that
+//! `BlockSolve` would live.
 //!
 //! Isolation contract: with the blocked layout every block is
 //! factorized and solved independently, so a member's result is a pure

@@ -2,8 +2,14 @@
 //!
 //! A [`Chunk<T, W>`] is a fixed-width array of `W` lanes of `T` whose
 //! element-wise operations are written as plain per-lane loops the
-//! compiler auto-vectorizes (with `-C target-cpu=native` every op below
-//! compiles to a single vector instruction on AVX2/AVX-512 hosts).
+//! compiler auto-vectorizes. With `-C target-cpu=native` an op becomes
+//! one vector instruction when `W` lanes fill the vector width LLVM
+//! *prefers*, which is not always the widest the host has: on AVX-512
+//! hosts where `prefer-256-bit` is the target default (the Xeon guest
+//! the ledger runs on is one) a `W = 8` f64 op is emitted as a pair of
+//! 256-bit instructions — the ledger binary holds 495 `ymm` against 6
+//! `zmm` packed-double FMAs. The lane *count* per group is still 8;
+//! only the instruction count per op doubles.
 //! There is no `std::simd`/intrinsics dependency, so the same code
 //! builds — and stays correct, just scalar — on any target.
 //!

@@ -11,12 +11,17 @@
 //!   setup/teardown (`SolveResult`, final true-residual check), never
 //!   per-iteration.
 //!
+//! The factorization side has a budget too: a batch whose factors can be
+//! built in its own value array must not be copied
+//! (`factorize_in_the_storage_given_allocates_no_second_copy`).
+//!
 //! The counter is process-wide and the test harness runs tests on
 //! parallel threads, so every test holds [`serial`] for its whole body:
 //! a snapshot pair then brackets exactly one test's allocations.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use vbatch_exec::{Backend, CpuSequential, CpuSimd};
+use vbatch_core::MatrixBatch;
+use vbatch_exec::{Backend, BatchPlan, CpuSequential, CpuSimd, ExecStats, HealthPolicy};
 use vbatch_precond::{BjMethod, BlockIlu0, BlockJacobi, PrecondOptions, Preconditioner};
 use vbatch_rt::CountingAlloc;
 use vbatch_solver::{IdrSolver, SolveParams, StopReason};
@@ -32,7 +37,17 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// holding the lock poisons it; the `()` inside cannot be left invalid,
 /// so the remaining tests recover the guard and still run.
 fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    let guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    // The harness reacts to the previous test's end — joins its thread,
+    // spawns the next one — while this test is already running, and
+    // every step of that allocates. Let it finish before any snapshot.
+    loop {
+        let seen = ALLOC.snapshot();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        if ALLOC.snapshot() == seen {
+            return guard;
+        }
+    }
 }
 
 fn backend() -> Arc<dyn Backend<f64>> {
@@ -505,4 +520,52 @@ fn warm_idr_iterations_allocate_nothing() {
          (short solve: {allocs_short} allocs, long solve: {allocs_long})",
         r_long.iterations - r_short.iterations
     );
+}
+
+/// The setup-side budget: a populous uniform batch under native storage
+/// and health `Off` is factorized in the value array it arrives in, so
+/// the call allocates pivots, per-block tables and one staging chunk
+/// per worker — not a second copy of the batch. Under `Guarded` the
+/// triage pass still reads the originals, so the factors need a slab of
+/// their own. 512 blocks of order 16 per worker thread (eight chunks
+/// each), so the staging share of the budget is the same on every host.
+#[test]
+fn factorize_in_the_storage_given_allocates_no_second_copy() {
+    let _serial = serial();
+    let n = 16;
+    for (backend, workers) in [
+        (backend(), 1),
+        (simd_backend(), vbatch_rt::par::num_threads()),
+    ] {
+        let count = 512 * workers;
+        let batch = MatrixBatch::<f64>::uniform_from_fn(count, n, |b, i, j| {
+            let h = (i * 131 + j * 37 + b * 17) % 1024;
+            h as f64 / 1024.0 - 0.5 + if i == j { n as f64 } else { 0.0 }
+        });
+        let array_bytes = (batch.total_elements() * std::mem::size_of::<f64>()) as u64;
+        let plan = BatchPlan::auto::<f64>(batch.sizes());
+        let guarded = plan.clone().with_health(HealthPolicy::guarded::<f64>());
+        let bytes_of = |plan: &BatchPlan| {
+            let input = batch.clone();
+            let mut stats = ExecStats::new();
+            let before = ALLOC.snapshot();
+            let factors = backend.factorize(input, plan, &mut stats);
+            let bytes = ALLOC.snapshot().bytes_since(&before);
+            assert_eq!(factors.fallback_count(), 0);
+            assert_eq!(stats.layout_histogram()["interleaved"], count as u64);
+            bytes
+        };
+        let in_place = bytes_of(&plan);
+        assert!(
+            in_place < array_bytes / 2,
+            "{}: {in_place} B allocated to factorize a {array_bytes} B batch in place",
+            backend.name()
+        );
+        let gathered = bytes_of(&guarded);
+        assert!(
+            gathered >= array_bytes,
+            "{}: guarded triage reads the originals, yet only {gathered} B were allocated",
+            backend.name()
+        );
+    }
 }

@@ -1,9 +1,11 @@
 //! Cross-backend, cross-layout contract: every host backend runs one
 //! kernel set, and the interleaved layout is bitwise the blocked one —
-//! including what a singular and a non-finite block leave behind.
+//! including what a singular and a non-finite block leave behind, and
+//! whether the factors were built in the batch's own value array or
+//! gathered into a slab of their own.
 
 use vbatch_core::BatchLayout;
-use vbatch_exec::ClassLayout;
+use vbatch_exec::{BlockFactor, ClassLayout};
 use vbatch_lu::prelude::*;
 use vbatch_rt::{testgen, SmallRng};
 
@@ -82,4 +84,165 @@ fn host_backends_and_layouts_agree_bitwise_with_faulty_blocks() {
             assert_eq!(bits, ref_bits, "solve_prepared bits, {ctx}");
         }
     }
+}
+
+/// Everything a factorization leaves behind that a caller can see, per
+/// block: pivots, status, the scalar-Jacobi fallback's reciprocal
+/// diagonal, the prepared solve's bits — and whether the native class
+/// slab is the input batch's own allocation.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    pivots: Vec<Option<Vec<usize>>>,
+    status: Vec<BlockStatus>,
+    inv_diag: Vec<Option<Vec<u64>>>,
+    solved: Vec<Vec<u64>>,
+}
+
+fn factor_and_solve(
+    backend: &dyn Backend<f64>,
+    batch: MatrixBatch<f64>,
+    layout: BatchLayout,
+    rhs: &[Vec<f64>],
+) -> (Outcome, bool) {
+    let sizes = batch.sizes().to_vec();
+    let plan = BatchPlan::auto_with_layout::<f64>(&sizes, layout);
+    let input = batch.as_slice().as_ptr();
+    let mut stats = ExecStats::new();
+    let factors = backend.factorize(batch, &plan, &mut stats);
+    let shares_input = factors.interleaved.values().as_ptr() == input;
+    let prepared = backend.prepare_apply(&factors);
+    let mut v: Vec<f64> = rhs.concat();
+    backend.solve_prepared(&factors, &prepared, &mut v, &mut stats);
+    let mut solved = Vec::with_capacity(sizes.len());
+    let mut at = 0;
+    for &n in &sizes {
+        solved.push(v[at..at + n].iter().map(|x| x.to_bits()).collect());
+        at += n;
+    }
+    let inv_diag = factors
+        .factors
+        .iter()
+        .map(|f| match f {
+            BlockFactor::ScalarJacobi { inv_diag } => {
+                Some(inv_diag.iter().map(|d| d.to_bits()).collect())
+            }
+            _ => None,
+        })
+        .collect();
+    let outcome = Outcome {
+        pivots: (0..sizes.len()).map(|b| factors.row_of_step(b)).collect(),
+        status: factors.status.clone(),
+        inv_diag,
+        solved,
+    };
+    (outcome, shares_input)
+}
+
+#[test]
+fn in_place_factors_equal_gathered_and_blocked_ones_bitwise() {
+    // two populous classes stored one after the other, with counts no
+    // lane width divides: every block is a member of an interleaved
+    // chunk of consecutive indices, so the host backends factorize in
+    // the batch's own value array
+    let mut sizes = vec![8usize; 19];
+    sizes.extend([32; 11]);
+    let mut rng = SmallRng::seed_from_u64(19);
+    let mut blocks = testgen::dd_batch_of(&mut rng, &sizes).blocks;
+    // per class one singular member (two equal rows) and one with an
+    // off-diagonal NaN: both fall back to the reciprocal of a diagonal
+    // the in-place sweep has overwritten by the time the caller sees
+    // the failure
+    for (singular, nan) in [(5usize, 12usize), (21, 28)] {
+        let n = sizes[singular];
+        for c in 0..n {
+            blocks[singular][c * n + 3] = blocks[singular][c * n + 1];
+        }
+        blocks[nan][n + 2] = f64::NAN;
+    }
+    let rhs: Vec<Vec<f64>> = sizes
+        .iter()
+        .enumerate()
+        .map(|(b, &n)| {
+            (0..n)
+                .map(|i| ((b + 3 * i) % 11) as f64 / 2.0 - 2.0)
+                .collect()
+        })
+        .collect();
+    // the same blocks dealt alternately from the two classes: no class
+    // is stored consecutively any more
+    let mut order: Vec<usize> = Vec::with_capacity(sizes.len());
+    for i in 0..19 {
+        order.push(i);
+        if i < 11 {
+            order.push(19 + i);
+        }
+    }
+    let batch_of = |order: &[usize]| {
+        let sizes: Vec<usize> = order.iter().map(|&b| sizes[b]).collect();
+        let mut batch = MatrixBatch::<f64>::zeros(&sizes);
+        for (p, &b) in order.iter().enumerate() {
+            batch.block_mut(p).copy_from_slice(&blocks[b]);
+        }
+        let rhs: Vec<Vec<f64>> = order.iter().map(|&b| rhs[b].clone()).collect();
+        (batch, rhs)
+    };
+    let stored: Vec<usize> = (0..sizes.len()).collect();
+    let interleaved = BatchLayout::Interleaved { class_capacity: 2 };
+
+    let (batch, b) = batch_of(&stored);
+    let (reference, _) = factor_and_solve(&CpuSequential, batch, BatchLayout::Blocked, &b);
+    let fallbacks: Vec<usize> = (0..sizes.len())
+        .filter(|&b| reference.status[b].is_fallback())
+        .collect();
+    assert_eq!(fallbacks, [5, 12, 21, 28]);
+    for b in fallbacks {
+        let inv = reference.inv_diag[b]
+            .as_ref()
+            .expect("scalar-Jacobi fallback");
+        let want: Vec<u64> = (0..sizes[b])
+            .map(|i| (1.0 / blocks[b][i * sizes[b] + i]).to_bits())
+            .collect();
+        assert_eq!(inv, &want, "block {b}: reciprocal of the original diagonal");
+    }
+
+    for backend in [&CpuSequential as &dyn Backend<f64>, &CpuRayon, &CpuSimd] {
+        let ctx = backend.name();
+        let (batch, b) = batch_of(&stored);
+        let (blocked, shares) = factor_and_solve(backend, batch, BatchLayout::Blocked, &b);
+        assert_eq!(blocked, reference, "blocked, {ctx}");
+        assert!(!shares, "blocked factors have no class slab, {ctx}");
+
+        let (batch, b) = batch_of(&stored);
+        let (in_place, shares) = factor_and_solve(backend, batch, interleaved, &b);
+        assert_eq!(in_place, reference, "stored by class, {ctx}");
+        assert!(shares, "consecutive classes factorize in place, {ctx}");
+
+        let (batch, b) = batch_of(&order);
+        let (gathered, shares) = factor_and_solve(backend, batch, interleaved, &b);
+        let unpermuted = Outcome {
+            pivots: unpermute(&order, gathered.pivots),
+            status: unpermute(&order, gathered.status),
+            inv_diag: unpermute(&order, gathered.inv_diag),
+            solved: unpermute(&order, gathered.solved),
+        };
+        assert_eq!(unpermuted, reference, "dealt alternately, {ctx}");
+        // a chunk of one member is trivially consecutive, and a parallel
+        // backend on enough cores cuts nothing longer: only the
+        // sequential backend's chunking is the same on every host
+        if ctx == "cpu-seq" {
+            assert!(!shares, "scattered classes gather into a fresh slab");
+        }
+    }
+}
+
+/// `out[order[p]] = permuted[p]`.
+fn unpermute<X>(order: &[usize], permuted: Vec<X>) -> Vec<X> {
+    let mut slots: Vec<Option<X>> = permuted.iter().map(|_| None).collect();
+    for (&b, x) in order.iter().zip(permuted) {
+        slots[b] = Some(x);
+    }
+    slots
+        .into_iter()
+        .map(|x| x.expect("`order` is a permutation"))
+        .collect()
 }
