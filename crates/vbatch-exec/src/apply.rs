@@ -29,6 +29,13 @@ use std::ops::Range;
 use std::sync::{Mutex, MutexGuard};
 use vbatch_core::{lu_solve_interleaved_class_scratch_simd, Scalar};
 
+/// Factor elements a thread must have to itself before an apply (or one
+/// level of a triangular sweep) is split over the pool. Gate open, workers
+/// polling, serial → split read 2 048 elements 1.6 → 2.0 µs, 4 096
+/// 3.5 → 3.0, 16 384 5.9 → 4.8, 131 072 48 → 26 (EXPERIMENTS.md §M): the
+/// gate sits at four times the break-even, a 3 µs share per 0.5 µs dispatch.
+pub(crate) const APPLY_GRAIN_ELEMS: usize = 8 * 1024;
+
 /// One unit of prepared apply work: a single blocked system, or all
 /// healthy slots of one interleaved size class.
 pub(crate) enum ApplyUnit {
@@ -77,6 +84,8 @@ impl ApplyUnit {
 pub struct PreparedApply<T: Scalar> {
     total: usize,
     units: Vec<ApplyUnit>,
+    /// Factor elements of the units before unit `i`, and the total.
+    work: Vec<usize>,
     hwm_elems: usize,
     /// One slab of `hwm_elems` elements; the units' scratch ranges
     /// partition it.
@@ -90,10 +99,10 @@ impl<T: Scalar> PreparedApply<T> {
     // setup-time: the dispatch tables and scratch are allocated here, once
     #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn new(factors: &FactorizedBatch<T>) -> Self {
-        // Pre-size this thread's trace ring now so the per-unit spans of
-        // later applies never allocate (the tracing-on zero-alloc
-        // guarantee): 4 events per unit per apply, with headroom.
-        vbatch_trace::reserve_thread_ring(4 * factors.len() + 1024);
+        // Pre-size this thread's and the pool workers' trace rings now so
+        // the per-unit spans of later applies never allocate (the
+        // tracing-on zero-alloc guarantee): 4 events per unit per apply.
+        vbatch_trace::reserve_pool_rings(4 * factors.len() + 1024);
         let mut offsets = Vec::with_capacity(factors.len() + 1);
         let mut acc = 0usize;
         offsets.push(0);
@@ -104,6 +113,7 @@ impl<T: Scalar> PreparedApply<T> {
 
         let mut claimed = vec![false; factors.len()];
         let mut units = Vec::new();
+        let mut work = vec![0usize];
         let mut hwm_elems = 0usize;
         for (c, cls) in factors.interleaved.classes().iter().enumerate() {
             let mut members = Vec::with_capacity(cls.count());
@@ -121,6 +131,7 @@ impl<T: Scalar> PreparedApply<T> {
                     members,
                     scratch,
                 });
+                work.push(work[work.len() - 1] + cls.n * cls.n * cls.count());
             }
         }
         for blk in 0..factors.len() {
@@ -133,11 +144,13 @@ impl<T: Scalar> PreparedApply<T> {
                     len: factors.sizes[blk],
                     scratch,
                 });
+                work.push(work[work.len() - 1] + factors.sizes[blk] * factors.sizes[blk]);
             }
         }
         PreparedApply {
             total: acc,
             units,
+            work,
             hwm_elems,
             scratch: Mutex::new(vec![T::ZERO; hwm_elems]),
         }
@@ -160,8 +173,9 @@ impl<T: Scalar> PreparedApply<T> {
         self.hwm_elems
     }
 
-    pub(crate) fn units(&self) -> &[ApplyUnit] {
-        &self.units
+    /// The units, and the running sum of their factor elements.
+    pub(crate) fn units(&self) -> (&[ApplyUnit], &[usize]) {
+        (&self.units, &self.work)
     }
 
     /// The scratch slab, held for the duration of one apply.
@@ -230,7 +244,7 @@ pub(crate) struct FlatVecPtr<T> {
 }
 
 // SAFETY: the pointer comes from a `&mut [T]` the parallel driver holds
-// for the whole scoped-thread region, so sending the view moves nothing
+// for the whole pool call, so sending the view moves nothing
 // but the right to write `T`s from another thread — `T: Send`.
 unsafe impl<T: Send> Send for FlatVecPtr<T> {}
 // SAFETY: a shared view hands out `&mut` reborrows only through the
@@ -253,7 +267,7 @@ impl<T> FlatVecPtr<T> {
     /// Callers must uphold the disjointness contract above: at most one
     /// live borrow per apply unit, units touching disjoint segments,
     /// and the vector `new` was given must still be mutably borrowed.
-    #[allow(clippy::mut_from_ref)] // deliberate: scoped-thread shared view
+    #[allow(clippy::mut_from_ref)] // deliberate: pool-thread shared view
     pub(crate) unsafe fn slice(&self) -> &mut [T] {
         // SAFETY: `ptr`/`len` are the parts of the live `&mut [T]` given
         // to `new`; aliasing is the caller's obligation stated above.
@@ -265,7 +279,7 @@ impl<T> FlatVecPtr<T> {
     /// # Safety
     /// Ranges borrowed at the same time must be pairwise disjoint, and
     /// no `slice()` borrow of the same vector may be live.
-    #[allow(clippy::mut_from_ref)] // deliberate: scoped-thread shared view
+    #[allow(clippy::mut_from_ref)] // deliberate: pool-thread shared view
     pub(crate) unsafe fn range(&self, range: Range<usize>) -> &mut [T] {
         assert!(range.start <= range.end && range.end <= self.len);
         // SAFETY: the assert keeps the range inside the `&mut [T]` given
@@ -310,7 +324,7 @@ mod tests {
         assert!(prep.workspace_hwm_elems() > 0);
         let mut seen = vec![0usize; sizes.len()];
         let mut slab_end = 0;
-        for u in prep.units() {
+        for u in prep.units().0 {
             // scratch ranges are handed out back to back
             assert_eq!(u.scratch().start, slab_end);
             slab_end = u.scratch().end;

@@ -1,16 +1,10 @@
-//! Host backends: one kernel set under three threading policies.
+//! Host backends: one kernel set, on the calling thread or on the pool.
 //!
-//! [`CpuSequential`], [`CpuRayon`] (named for the rayon-style parallel
-//! surface it uses from `vbatch-rt`) and [`CpuSimd`] run the same
+//! [`CpuSequential`], [`CpuRayon`] and [`CpuSimd`] run the same
 //! `vbatch-core` kernels through the same factorize / apply functions
-//! and produce the same bits; they differ only in whether the setup
-//! side and the apply side fan out over the thread pool:
-//!
-//! | backend         | setup threads | apply threads |
-//! |-----------------|---------------|---------------|
-//! | `CpuSequential` | no            | no            |
-//! | `CpuRayon`      | yes           | yes           |
-//! | `CpuSimd`       | yes           | no            |
+//! and produce the same bits; they differ in one bit — `CpuSequential`
+//! stays on the calling thread, `CpuRayon` ≡ `CpuSimd` fan setup *and*
+//! apply out over the persistent pool of `vbatch_rt::par`.
 //!
 //! Each block runs what its size class says ([`BatchPlan::class`]): the
 //! kernel *family* — the three LU launch shapes are one kernel here —
@@ -40,7 +34,7 @@
 //! rule); an interleaved class is a range of one slab either way
 //! ([`crate::ClassSlab`]).
 
-use crate::apply::{run_apply_unit, FlatVecPtr, PreparedApply};
+use crate::apply::{run_apply_unit, FlatVecPtr, PreparedApply, APPLY_GRAIN_ELEMS};
 use crate::backend::Backend;
 use crate::factors::{
     block_diag, scalar_jacobi_from_diag, BlockFactor, BlockStatus, ClassSlab, FactorizedBatch,
@@ -55,22 +49,18 @@ use vbatch_core::{
     DenseMat, FactorError, GhLayout, LaneGetrfScratch, MatrixBatch, Scalar, StoragePrecision,
     Stored, VectorBatch,
 };
-use vbatch_rt::par::{num_threads, par_map_vec};
+use vbatch_rt::par::{num_threads, par_map_vec, run_ranges};
 use vbatch_rt::prelude::*;
 use vbatch_sparse::{extract_diag_blocks, BlockPartition, CsrMatrix};
 
 /// One block after another; deterministic reference execution.
 pub struct CpuSequential;
 
-/// Blocks distributed over the scoped-thread pool of `vbatch-rt`.
+/// Setup and apply distributed over the persistent pool of `vbatch-rt`.
 pub struct CpuRayon;
 
-/// Setup fans out like [`CpuRayon`]; the apply-side paths (`solve`,
-/// `solve_prepared`, `sweep_triangular`) stay on the calling thread:
-/// at preconditioner-apply sizes the scoped-thread harness' per-call
-/// setup (which also allocates) costs more than it buys, and a
-/// sequential apply keeps the warm-apply zero-allocation guarantee that
-/// `vbatch-solver`'s counting-allocator tests pin down.
+/// [`CpuRayon`] under the name the lane kernels were introduced with; a
+/// warm apply allocates nothing on either (`vbatch-solver` pins it).
 pub struct CpuSimd;
 
 /// Factorize one block with the planned kernel, storing LU/GH-family
@@ -541,12 +531,11 @@ pub(crate) fn factorize_cpu<T: Scalar>(
     batch
 }
 
-/// Run every unit of a prepared apply against the flat vector,
-/// sequentially or over the thread pool — the one CPU apply path. The
-/// sequential form performs zero heap allocations (every temporary
-/// lives in the prepared scratch slab, locked once per apply); the
-/// parallel form allocates only inside the thread-pool harness, never
-/// per block.
+/// Run every unit of a prepared apply against the flat vector — the one
+/// CPU apply path, with zero heap allocations either way: every
+/// temporary lives in the prepared scratch slab, locked once per apply.
+/// When `parallel`, and above [`APPLY_GRAIN_ELEMS`] per thread, each pool
+/// thread takes a contiguous run of units of about equal factor elements.
 fn run_prepared<T: Scalar>(
     factors: &FactorizedBatch<T>,
     prepared: &PreparedApply<T>,
@@ -558,21 +547,23 @@ fn run_prepared<T: Scalar>(
         prepared.total(),
         "prepared apply does not match vector"
     );
-    let units = prepared.units();
+    let (units, work) = prepared.units();
     let mut slab = prepared.lock_scratch();
-    if parallel && units.len() > 1 {
+    if parallel {
         let ptr = FlatVecPtr::new(v);
         let slab = FlatVecPtr::new(&mut slab);
-        (0..units.len()).into_par_iter().for_each(|i| {
-            // SAFETY: each unit touches a disjoint set of segments
-            // (PreparedApply invariant), so the reborrowed views from
-            // concurrent units never alias.
-            let view = unsafe { ptr.slice() };
-            // SAFETY: `PreparedApply::new` hands the units' scratch
-            // ranges out back to back, so they are disjoint by
-            // construction and no two units share a slab element.
-            let scratch = unsafe { slab.range(units[i].scratch()) };
-            run_apply_unit(factors, &units[i], view, scratch);
+        run_ranges(work, APPLY_GRAIN_ELEMS, &|run| {
+            for unit in &units[run] {
+                // SAFETY: each unit touches a disjoint set of segments
+                // (PreparedApply invariant), so the reborrowed views from
+                // concurrent units never alias.
+                let view = unsafe { ptr.slice() };
+                // SAFETY: `PreparedApply::new` hands the units' scratch
+                // ranges out back to back, so they are disjoint by
+                // construction and no two units share a slab element.
+                let scratch = unsafe { slab.range(unit.scratch()) };
+                run_apply_unit(factors, unit, view, scratch);
+            }
         });
     } else {
         for unit in units {
@@ -704,12 +695,11 @@ pub(crate) fn extract_cpu<T: Scalar>(
     batch
 }
 
-/// The host backends are one implementation under two thread bits:
-/// whether the setup-side calls (factorize, invert, GEMV) and the
-/// apply-side calls (solve, prepared solve, triangular sweep) fan out
-/// over the thread pool.
+/// The host backends are one implementation under one thread bit:
+/// whether factorize, invert, GEMV, the prepared solve and the
+/// triangular sweep fan out over the thread pool.
 macro_rules! impl_cpu_backend {
-    ($ty:ty, $name:literal, setup_parallel: $setup:literal, apply_parallel: $apply:literal) => {
+    ($ty:ty, $name:literal, parallel: $parallel:literal) => {
         impl<T: Scalar> Backend<T> for $ty {
             fn name(&self) -> &'static str {
                 $name
@@ -730,7 +720,7 @@ macro_rules! impl_cpu_backend {
                 plan: &BatchPlan,
                 stats: &mut ExecStats,
             ) -> FactorizedBatch<T> {
-                factorize_cpu(blocks, plan, $setup, stats)
+                factorize_cpu(blocks, plan, $parallel, stats)
             }
 
             fn solve(
@@ -739,7 +729,7 @@ macro_rules! impl_cpu_backend {
                 rhs: &mut VectorBatch<T>,
                 stats: &mut ExecStats,
             ) {
-                solve_cpu(factors, rhs, $apply, stats)
+                solve_cpu(factors, rhs, $parallel, stats)
             }
 
             fn solve_prepared(
@@ -749,7 +739,7 @@ macro_rules! impl_cpu_backend {
                 v: &mut [T],
                 stats: &mut ExecStats,
             ) {
-                solve_prepared_cpu(factors, prepared, v, $apply, stats)
+                solve_prepared_cpu(factors, prepared, v, $parallel, stats)
             }
 
             fn sweep_triangular(
@@ -759,7 +749,7 @@ macro_rules! impl_cpu_backend {
                 v: &mut [T],
                 stats: &mut ExecStats,
             ) {
-                crate::tri::sweep_cpu(tri, sched, v, $apply, stats)
+                crate::tri::sweep_cpu(tri, sched, v, $parallel, stats)
             }
 
             fn invert(
@@ -767,7 +757,7 @@ macro_rules! impl_cpu_backend {
                 blocks: &MatrixBatch<T>,
                 stats: &mut ExecStats,
             ) -> (MatrixBatch<T>, Vec<BlockStatus>) {
-                invert_cpu(blocks, $setup, stats)
+                invert_cpu(blocks, $parallel, stats)
             }
 
             fn apply_gemv(
@@ -777,15 +767,15 @@ macro_rules! impl_cpu_backend {
                 y: &mut VectorBatch<T>,
                 stats: &mut ExecStats,
             ) {
-                gemv_cpu(blocks, x, y, $setup, stats)
+                gemv_cpu(blocks, x, y, $parallel, stats)
             }
         }
     };
 }
 
-impl_cpu_backend!(CpuSequential, "cpu-seq", setup_parallel: false, apply_parallel: false);
-impl_cpu_backend!(CpuRayon, "cpu-par", setup_parallel: true, apply_parallel: true);
-impl_cpu_backend!(CpuSimd, "cpu-simd", setup_parallel: true, apply_parallel: false);
+impl_cpu_backend!(CpuSequential, "cpu-seq", parallel: false);
+impl_cpu_backend!(CpuRayon, "cpu-par", parallel: true);
+impl_cpu_backend!(CpuSimd, "cpu-simd", parallel: true);
 
 #[cfg(test)]
 mod tests {

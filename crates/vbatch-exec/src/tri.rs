@@ -21,10 +21,10 @@
 //! exception).
 #![deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 
-use crate::apply::FlatVecPtr;
+use crate::apply::{FlatVecPtr, APPLY_GRAIN_ELEMS};
 use std::ops::Range;
 use vbatch_core::{gemv_neg_acc, Scalar};
-use vbatch_rt::prelude::*;
+use vbatch_rt::par::shares;
 use vbatch_sparse::{BlockPartition, BlockPattern, CsrMatrix, LevelSchedule, TriKind};
 
 /// One strict block triangle of a sparse matrix under a block
@@ -257,33 +257,33 @@ impl<T: Scalar> BlockTriangular<T> {
     /// and read only earlier-level segments, so the result is bitwise
     /// identical to the sequential forms.
     ///
-    /// A level goes parallel only when it has a row for every worker
-    /// thread: opening the scoped-thread region costs far more than a
-    /// block row's GEMVs, and the long-chain schedules of banded and
-    /// FEM patterns (hundreds of levels one or two rows wide) would
-    /// otherwise pay it on every level.
+    /// A level goes parallel only when its stored blocks hold
+    /// `APPLY_GRAIN_ELEMS` per thread — a work gate, not a width gate:
+    /// the long-chain schedules of banded and FEM patterns are hundreds
+    /// of levels one or two rows wide, a few microseconds each, where a
+    /// round trip per level costs more than it returns (EXPERIMENTS.md §M).
     pub fn sweep_levels_parallel(&self, sched: &LevelSchedule, v: &mut [T]) {
         debug_assert_eq!(sched.kind(), self.kind);
-        // asked of the OS only once a level could use it
-        let mut threads = None;
         for l in 0..sched.num_levels() {
             let rows = sched.level(l);
-            if rows.len() < 2
-                || rows.len() < *threads.get_or_insert_with(vbatch_rt::par::num_threads)
-            {
-                for &i in rows {
-                    self.sweep_row(i, v);
-                }
+            let start = |i: usize| self.data_start(self.row_ptr[i]);
+            let work = rows.iter().map(|&i| start(i + 1) - start(i)).sum();
+            let parts = shares(work, APPLY_GRAIN_ELEMS).min(rows.len());
+            if parts <= 1 {
+                rows.iter().for_each(|&i| self.sweep_row(i, v));
                 continue;
             }
             let ptr = FlatVecPtr::new(v);
-            (0..rows.len()).into_par_iter().for_each(|t| {
-                // SAFETY: rows of one level are mutually independent
-                // (LevelSchedule invariant): each writes only its own
-                // segment and reads segments finalized in earlier
-                // levels, so concurrent reborrows never alias a write.
-                let view = unsafe { ptr.slice() };
-                self.sweep_row(rows[t], view);
+            vbatch_rt::par::run(&|thread, _| {
+                let cut = |t: usize| rows.len() * t.min(parts) / parts;
+                for &i in &rows[cut(thread)..cut(thread + 1)] {
+                    // SAFETY: rows of one level are mutually independent
+                    // (LevelSchedule invariant): each writes only its own
+                    // segment and reads segments finalized in earlier
+                    // levels, so concurrent reborrows never alias a write.
+                    let view = unsafe { ptr.slice() };
+                    self.sweep_row(i, view);
+                }
             });
         }
     }
@@ -307,8 +307,7 @@ impl<T: Scalar> BlockTriangular<T> {
 }
 
 /// Shared CPU sweep driver: level-scheduled execution (parallel within
-/// a level when `parallel`), phase timing and flops. Allocation-free on
-/// one thread.
+/// a level when `parallel`), phase timing and flops. Allocation-free.
 pub(crate) fn sweep_cpu<T: Scalar>(
     tri: &BlockTriangular<T>,
     sched: &LevelSchedule,
@@ -463,11 +462,12 @@ mod tests {
     #[test]
     fn wide_levels_run_parallel_and_stay_bitwise_sequential() {
         // an arrow pattern: every block row couples to block 0 only, so
-        // each triangle has one level holding all other rows — wide
-        // enough to cross the parallel threshold on any host
+        // each triangle has one level holding all other rows — in the
+        // lower one with four threads' worth of stored blocks, across
+        // the work gate on any host with a second thread
         use vbatch_sparse::CooMatrix;
-        let nb = 4 * vbatch_rt::par::num_threads().max(2);
-        let bs = 3;
+        let bs = 8;
+        let nb = 1 + 4 * APPLY_GRAIN_ELEMS / (bs * bs);
         let n = nb * bs;
         let mut coo = CooMatrix::new(n, n);
         for b in 0..nb {

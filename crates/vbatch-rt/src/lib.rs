@@ -4,10 +4,11 @@
 //! written against `std` only so the whole system builds in hermetic
 //! (network-less) environments:
 //!
-//! * [`par`] — data-parallel iteration over owned collections and
-//!   mutable slices with scoped threads (the CPU analogue of launching
-//!   one warp per block), exposed through a small rayon-style
-//!   [`par::prelude`];
+//! * [`par`] — a persistent thread pool with one primitive
+//!   ([`par::run`], under a microsecond per dispatch, nothing allocated
+//!   per call: the CPU analogue of launching one warp per block on
+//!   every Krylov iteration) and a small rayon-style ordered map over
+//!   owned collections on top of it ([`par::prelude`]);
 //! * [`rng`] — a deterministic splitmix64 PRNG with a `rand`-style
 //!   `gen_range` surface, used by the problem generators, IDR's shadow
 //!   space and the test harnesses;

@@ -14,10 +14,14 @@
 //! from a [`KrylovWorkspace`]; the main loop performs no heap
 //! allocations — every temporary is checked out once before the loop
 //! and reused in place, and the `G`/`U` direction blocks are updated by
-//! `mem::swap`.
+//! `mem::swap`. The passes that touch several vectors at once (`Pᵀr`,
+//! the `M_s` column, the two linear combinations, the three reductions
+//! of the dimension-reduction step) are the one-pass kernels of
+//! `fused.rs`.
 #![deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 
 use crate::control::{divisor_fault, Run, SolveParams, SolveResult, StopReason};
+use crate::fused;
 use crate::workspace::KrylovWorkspace;
 use vbatch_core::Scalar;
 use vbatch_precond::Preconditioner;
@@ -162,9 +166,7 @@ fn idr_impl<T: Scalar, M: Preconditioner<T>>(
 
     'cycles: while normr > run.target && iter < params.max_iters {
         // f = P^T r
-        for (i, fi) in f.iter_mut().enumerate() {
-            *fi = dot(&p[i], &r);
-        }
+        fused::dots(&p, &r, |i, d| f[i] = d);
         for k in 0..s {
             let _step = vbatch_trace::span!("idr.step", iter);
             vbatch_trace::counter!("solver.iterations", 1);
@@ -184,17 +186,10 @@ fn idr_impl<T: Scalar, M: Preconditioner<T>>(
                 c[i - k] = acc / d;
             }
             // v = r - sum c_i g_i ; then precondition
-            v.copy_from_slice(&r);
-            for i in k..s {
-                axpy(-c[i - k], &g[i], &mut v);
-            }
+            fused::lincomb(&mut v, &r, None, |i| -c[i], &g[k..]);
             m.apply_inplace(&mut v);
             // u_k = om*v + sum c_i u_i
-            uk.copy_from_slice(&v);
-            vbatch_sparse::scal(om, &mut uk);
-            for i in k..s {
-                axpy(c[i - k], &u[i], &mut uk);
-            }
+            fused::lincomb(&mut uk, &v, Some(om), |i| c[i], &u[k..]);
             // g_k = A u_k (spmv overwrites gk row by row)
             spmv(a, &uk, &mut gk);
             iter += 1;
@@ -205,9 +200,7 @@ fn idr_impl<T: Scalar, M: Preconditioner<T>>(
                 axpy(-alpha, &u[i], &mut uk);
             }
             // refresh column k of Ms
-            for i in k..s {
-                ms[i * s + k] = dot(&p[i], &gk);
-            }
+            fused::dots(&p[k..], &gk, |i, d| ms[(k + i) * s + k] = d);
             let mkk = ms[k * s + k];
             stop = divisor_fault(mkk);
             if stop.is_some() {
@@ -245,9 +238,7 @@ fn idr_impl<T: Scalar, M: Preconditioner<T>>(
         m.apply_inplace(&mut v);
         spmv(a, &v, &mut t);
         iter += 1;
-        let nt = nrm2(&t);
-        let nr = nrm2(&r);
-        let ts = dot(&t, &r);
+        let (nt, nr, ts) = fused::norms_and_dot(&t, &r);
         if nt == T::ZERO {
             stop = Some(StopReason::Breakdown);
             break;

@@ -25,6 +25,7 @@ pub mod bicgstab;
 pub mod cg;
 pub mod control;
 pub mod driver;
+mod fused;
 pub mod gmres;
 pub mod idr;
 pub mod spike;

@@ -1,6 +1,7 @@
 //! Steady-state zero-allocation proof: with the counting allocator
 //! installed as `#[global_allocator]`, a warm block-Jacobi + IDR(4)
-//! iteration on `CpuSequential` touches the heap exactly zero times.
+//! iteration on `CpuSequential` touches the heap exactly zero times —
+//! and so does one on the pooled backends.
 //!
 //! Two layers of evidence:
 //!
@@ -21,7 +22,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use vbatch_core::MatrixBatch;
-use vbatch_exec::{Backend, BatchPlan, CpuSequential, CpuSimd, ExecStats, HealthPolicy};
+use vbatch_exec::{Backend, BatchPlan, CpuRayon, CpuSequential, CpuSimd, ExecStats, HealthPolicy};
 use vbatch_precond::{BjMethod, BlockIlu0, BlockJacobi, PrecondOptions, Preconditioner};
 use vbatch_rt::CountingAlloc;
 use vbatch_solver::{IdrSolver, SolveParams, StopReason};
@@ -38,6 +39,10 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// so the remaining tests recover the guard and still run.
 fn serial() -> MutexGuard<'static, ()> {
     let guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    // With tracing compiled in, a thread's first span builds its event
+    // ring — inside whatever window is being measured, unless this
+    // thread and the pool's workers have theirs by now.
+    vbatch_trace::reserve_pool_rings(0);
     // The harness reacts to the previous test's end — joins its thread,
     // spawns the next one — while this test is already running, and
     // every step of that allocates. Let it finish before any snapshot.
@@ -56,6 +61,10 @@ fn backend() -> Arc<dyn Backend<f64>> {
 
 fn simd_backend() -> Arc<dyn Backend<f64>> {
     Arc::new(CpuSimd)
+}
+
+fn rayon_backend() -> Arc<dyn Backend<f64>> {
+    Arc::new(CpuRayon)
 }
 
 fn small_lu() -> PrecondOptions {
@@ -312,6 +321,72 @@ fn warm_simd_idr_iterations_allocate_nothing() {
         allocs_long,
         allocs_short,
         "the {} extra warm cpu-simd iterations must allocate nothing \
+         (short solve: {allocs_short} allocs, long solve: {allocs_long})",
+        r_long.iterations - r_short.iterations
+    );
+}
+
+/// `CpuRayon` took its parallel apply through a harness that allocated
+/// on every call; through the persistent pool it reads zero like the
+/// others. 64 × 64 grid: 512 blocks of order 8 are 32 768 factor
+/// elements, so the apply really is split over the pool's threads.
+#[test]
+fn warm_rayon_prepared_apply_allocates_nothing() {
+    let _serial = serial();
+    let a = laplace_2d::<f64>(64, 64);
+    let n = a.nrows();
+    let part = BlockPartition::uniform(n, 8);
+    let m = bj(&a, &part, rayon_backend());
+    let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
+    m.apply_inplace(&mut v); // warm-up: starts the pool
+    let before = ALLOC.snapshot();
+    m.apply_inplace(&mut v);
+    m.apply_inplace(&mut v);
+    let after = ALLOC.snapshot();
+    assert_eq!(
+        after.allocs_since(&before),
+        0,
+        "warm cpu-par prepared apply must not allocate ({} bytes leaked in)",
+        after.bytes_since(&before)
+    );
+    assert!(v.iter().all(|x| x.is_finite()));
+}
+
+/// And over the whole Krylov loop on `CpuRayon`, on a system whose SpMV
+/// (20 224 entries) and apply both go through the pool on every
+/// iteration: the extra warm iterations cost zero allocations.
+#[test]
+fn warm_rayon_idr_iterations_allocate_nothing() {
+    let _serial = serial();
+    let a = laplace_2d::<f64>(64, 64);
+    let n = a.nrows();
+    let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
+    let part = BlockPartition::uniform(n, 8);
+
+    let short = SolveParams::default().with_max_iters(4);
+    let long = SolveParams::default().with_max_iters(24);
+
+    let mut handle = idr_bj(&a, &part, rayon_backend(), &short);
+    let warm = handle.solve(&a, &b);
+    assert_eq!(warm.reason, StopReason::MaxIterations);
+
+    let s0 = ALLOC.snapshot();
+    let r_short = handle.solve(&a, &b);
+    let allocs_short = ALLOC.snapshot().allocs_since(&s0);
+
+    let mut handle_long = idr_bj(&a, &part, rayon_backend(), &long);
+    let warm_long = handle_long.solve(&a, &b);
+    assert_eq!(warm_long.reason, StopReason::MaxIterations);
+
+    let s1 = ALLOC.snapshot();
+    let r_long = handle_long.solve(&a, &b);
+    let allocs_long = ALLOC.snapshot().allocs_since(&s1);
+
+    assert!(r_long.iterations > r_short.iterations + 10);
+    assert_eq!(
+        allocs_long,
+        allocs_short,
+        "the {} extra warm cpu-par iterations must allocate nothing \
          (short solve: {allocs_short} allocs, long solve: {allocs_long})",
         r_long.iterations - r_short.iterations
     );

@@ -32,5 +32,5 @@ pub use mm_io::{
 pub use pattern::{BlockPattern, LevelSchedule, TriKind};
 pub use reorder::{is_permutation, reverse_cuthill_mckee};
 pub use spike::{extract_spike_blocks, SpikeBlocks, SpikeError, SpikePartition};
-pub use spmv::{axpy, dot, nrm2, residual, scal, spmv, spmv_alloc, spmv_par, xpby};
+pub use spmv::{axpy, dot, nrm2, residual, scal, spmv, spmv_alloc, xpby};
 pub use stats::{matrix_stats, partition_stats, row_length_histogram, MatrixStats, PartitionStats};

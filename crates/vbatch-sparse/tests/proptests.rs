@@ -6,7 +6,7 @@
 use vbatch_rt::{run_cases, testgen, SmallRng};
 use vbatch_sparse::{
     block_coverage, extract_diag_blocks, find_supervariables, is_permutation,
-    read_matrix_market_str, reverse_cuthill_mckee, spmv_alloc, spmv_par, supervariable_blocking,
+    read_matrix_market_str, reverse_cuthill_mckee, spmv_alloc, supervariable_blocking,
     write_matrix_market_str, BlockPartition, CooMatrix, CsrMatrix, MmError,
 };
 
@@ -81,10 +81,6 @@ fn spmv_matches_dense() {
         for (p, q) in y.iter().zip(&yd) {
             assert!((p - q).abs() < 1e-10);
         }
-        // parallel SpMV is bit-identical
-        let mut yp = vec![0.0; n];
-        spmv_par(&a, &x, &mut yp);
-        assert_eq!(y, yp);
     });
 }
 

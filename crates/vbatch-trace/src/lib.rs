@@ -52,17 +52,17 @@ pub mod export;
 mod on;
 #[cfg(feature = "trace")]
 pub use on::{
-    dropped, enabled, gauge_max, labeled_add, record_duration, reserve_thread_ring, reset,
-    set_enabled, snapshot, thread_events_written, Site, SpanGuard, DEFAULT_RING_EVENTS,
-    MAX_LABELED, MAX_RINGS, MAX_SITES,
+    dropped, enabled, gauge_max, labeled_add, record_duration, reserve_pool_rings,
+    reserve_thread_ring, reset, set_enabled, snapshot, thread_events_written, Site, SpanGuard,
+    DEFAULT_RING_EVENTS, MAX_LABELED, MAX_RINGS, MAX_SITES,
 };
 
 #[cfg(not(feature = "trace"))]
 mod off;
 #[cfg(not(feature = "trace"))]
 pub use off::{
-    dropped, enabled, gauge_max, labeled_add, record_duration, reserve_thread_ring, reset,
-    set_enabled, snapshot, thread_events_written, Site, SpanGuard,
+    dropped, enabled, gauge_max, labeled_add, record_duration, reserve_pool_rings,
+    reserve_thread_ring, reset, set_enabled, snapshot, thread_events_written, Site, SpanGuard,
 };
 
 pub use export::{

@@ -50,6 +50,10 @@ pub fn set_enabled(_on: bool) {}
 #[inline(always)]
 pub fn reserve_thread_ring(_cap_events: usize) {}
 
+/// No-op: there are no rings to reserve, and no pool is started.
+#[inline(always)]
+pub fn reserve_pool_rings(_cap_events: usize) {}
+
 /// No-op duration record.
 #[inline(always)]
 pub fn record_duration(_site: &Site, _ns: u64) {}

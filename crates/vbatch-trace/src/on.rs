@@ -363,6 +363,18 @@ pub fn reserve_thread_ring(cap_events: usize) {
     });
 }
 
+/// [`reserve_thread_ring`] on the calling thread and on every worker of
+/// the `vbatch_rt::par` pool, which a parallel apply records its spans
+/// from. The workers are persistent, so each builds its ring once, ever;
+/// a pool that is taken right now is left alone (its workers then build
+/// theirs on their first event).
+pub fn reserve_pool_rings(cap_events: usize) {
+    reserve_thread_ring(cap_events);
+    if enabled() {
+        vbatch_rt::par::run_on_each_thread(&|_, _| reserve_thread_ring(cap_events));
+    }
+}
+
 #[inline]
 fn push_event(kind: EventKind, site: usize, t_ns: u64, payload: u64) {
     THREAD_RING.with(|cell| match cell.get() {

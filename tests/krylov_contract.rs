@@ -10,8 +10,10 @@
 //! digest. The constants were recorded by running this file against the
 //! sources of the commit before the four copies of the stopping
 //! protocol were collapsed into one (PR 15) and must stay equal.
-//! `mul_add` is fused on every target and everything below runs on one
-//! thread, so they are host- and profile-independent.
+//! `mul_add` is fused on every target and no reduction is ever split
+//! across threads (an SpMV's rows are, each still reduced by one
+//! thread; `pooled_paths_equal_the_serial_ones_bitwise` holds the pool
+//! to that), so they are host- and profile-independent.
 //!
 //! Hashed per solve: `iterations`, the stop reason, the recorded
 //! residual history, and the bits of `final_relres` and `x`.
@@ -20,7 +22,7 @@ use std::sync::Arc;
 use vbatch_lu::prelude::*;
 use vbatch_precond::BlockIlu0;
 use vbatch_solver::IdrSolver;
-use vbatch_sparse::by_name;
+use vbatch_sparse::{by_name, spmv};
 
 /// `(problem, SPD?, f64 digest, f32 digest)`. `dw1024` is the
 /// nonsymmetric waveguide band, `bcsstk38` an SPD stiffness matrix (the
@@ -199,5 +201,68 @@ fn converged_outranks_stagnated_on_the_closing_iteration() {
         let early = solve(&p);
         assert_eq!(early.reason, StopReason::Stagnated, "{name}");
         assert!(early.iterations < free.iterations, "{name}");
+    }
+}
+
+/// Nothing the pool does shows in a bit. On a system above both of its
+/// work gates (4 096 stored entries and 8 192 factor elements per
+/// thread), the split SpMV equals a serial loop, the pooled backends'
+/// prepared apply equals `CpuSequential`'s, and IDR(4) + block-Jacobi
+/// takes the same iterations to the same solution on all three — also
+/// from four threads at once, of which one gets the pool and the rest
+/// run their shares themselves.
+#[test]
+fn pooled_paths_equal_the_serial_ones_bitwise() {
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+    let a = by_name("dw8192").expect("suite problem").build();
+    let n = a.nrows();
+    let part = BlockPartition::uniform(n, 32);
+    assert!(a.nnz() > 60_000 && 32 * n > 100_000, "above both gates");
+    let x: Vec<f64> = (0..n).map(|i| ((i * 7) % 23) as f64 / 5.0 - 2.0).collect();
+
+    let mut serial = vec![0.0; n];
+    for r in 0..n {
+        for (c, v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
+            serial[r] = v.mul_add(x[*c], serial[r]);
+        }
+    }
+    let mut y = vec![f64::NAN; n];
+    spmv(&a, &x, &mut y);
+    assert_eq!(bits(&y), bits(&serial), "split SpMV");
+
+    let setup = |backend: Arc<dyn Backend<f64>>| {
+        BlockJacobi::setup_opts(&a, &part, backend, PrecondOptions::default()).unwrap()
+    };
+    let b = vec![1.0; n];
+    let solve = |m: &BlockJacobi<f64>| {
+        let r = idr(&a, &b, 4, m, &SolveParams::default().with_max_iters(60));
+        (r.iterations, bits(&r.x))
+    };
+    let reference = setup(Arc::new(CpuSequential));
+    let mut want_apply = x.clone();
+    reference.apply_inplace(&mut want_apply);
+    let want = solve(&reference);
+    assert!(
+        want.0 > 20,
+        "a loop long enough to keep the workers polling"
+    );
+    type MakeBackend = fn() -> Arc<dyn Backend<f64>>;
+    let pooled: [(&str, MakeBackend); 2] = [
+        ("cpu-simd", || Arc::new(CpuSimd)),
+        ("cpu-par", || Arc::new(CpuRayon)),
+    ];
+    for (name, backend) in pooled {
+        let m = setup(backend());
+        let mut got = x.clone();
+        m.apply_inplace(&mut got);
+        assert_eq!(bits(&got), bits(&want_apply), "{name}: prepared apply");
+        assert_eq!(solve(&m), want, "{name}: IDR(4)");
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| assert_eq!(solve(&setup(backend())), want, "{name}: 4 at once"));
+            }
+        });
     }
 }
