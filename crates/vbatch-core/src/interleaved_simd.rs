@@ -1,10 +1,10 @@
 //! The class-wide kernels of the interleaved (SoA) layout: one system
 //! per vector lane.
 //!
-//! Branchless implicit-pivot GETRF and permuted eager TRSV over a size
-//! class stored as in [`crate::interleaved`]. The slots are taken in
-//! `W`-wide [`vbatch_rt::simd::Chunk`] groups, and each group runs
-//! through the *entire* factorization before the next one starts:
+//! Implicit-pivot GETRF and permuted eager TRSV over a size class
+//! stored as in [`crate::interleaved`]. The slots are taken in `W`-wide
+//! [`vbatch_rt::simd::Chunk`] groups, and each group runs through the
+//! *entire* factorization before the next one starts:
 //!
 //! ```text
 //! slots 0..4: steps 0 1 ... n-1   <- chunk (W = 4)
@@ -26,21 +26,22 @@
 //!   its per-slot map and sanitizes the slot to identity factors and an
 //!   identity pivot lane, so class-wide sweeps stay finite no-ops there
 //!   and the slot's lane mates are untouched.
+//! * **One wide formulation.** The GETRF is wide only while every lane
+//!   of a group elects the diagonal row, which is what the batches this
+//!   layout is planned for do (diagonally dominant blocks never leave
+//!   it). A group that stops — a lane prefers another row, a pivot is
+//!   zero or non-finite, the input held a NaN — is finished slot by
+//!   slot by the per-block kernel itself, from the step it stopped at.
 //! * **Locality.** One chunk's working set is `(n+1)*n*W` elements:
 //!   17 KiB at n = 16, W = 8, f64, so the whole elimination runs out of
 //!   L1 there; 66 KiB at n = 32, past a 48 KiB L1d, where it runs out
 //!   of L2.
-//!
-//! The row-pivoted flags are kept as `0.0`/`1.0` lanes of `T` beside
-//! the `usize` step lanes, so the hot selects compile to vector
-//! compare+blend instead of scalar control flow.
 #![deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 
 use crate::error::FactorError;
+use crate::lu::implicit::{getrf_implicit_inplace_scratch, getrf_implicit_resume_scratch};
 use crate::scalar::Scalar;
 use vbatch_rt::simd::{lane_width, Chunk, MAX_LANE_WIDTH};
-
-const UNPIVOTED: usize = usize::MAX;
 
 /// Widths the dispatcher instantiates; 1 is the scalar remainder path.
 pub const SUPPORTED_WIDTHS: [usize; 4] = [1, 2, 4, 8];
@@ -55,19 +56,17 @@ fn assert_width(width: usize) {
 
 /// The lane GETRF's working storage, owned by the caller so one set
 /// serves every class a thread factorizes: the packed chunk workspace
-/// (`(n+1)·n·W` elements — 66 KiB at n = 32, W = 8, f64), the step
-/// lanes, the pivoted flags (as `T` so selects vectorize), the row-swap
-/// column buffer, the shared unpivoted-row list driving the
-/// uniform-pivot fast path, and the per-slot error map. It grows to the
-/// largest class asked of it; a lane group initialises what it reads, so
-/// nothing carries over from one class to the next.
+/// (`(n+1)·n·W` elements — 66 KiB at n = 32, W = 8, f64), one block and
+/// the per-block kernel's two scratch vectors for the slots of a group
+/// that leaves the wide sweep, and the per-slot error map. It grows to
+/// the largest class asked of it; a lane group initialises what it
+/// reads, so nothing carries over from one class to the next.
 #[derive(Debug)]
 pub struct LaneGetrfScratch<T> {
-    step: Vec<usize>,
-    pflag: Vec<T>,
-    colbuf: Vec<T>,
-    unpiv: Vec<usize>,
     ws: Vec<T>,
+    blk: Vec<T>,
+    step_of_row: Vec<usize>,
+    col: Vec<T>,
     failed: Vec<Option<FactorError>>,
 }
 
@@ -77,11 +76,10 @@ impl<T: Scalar> LaneGetrfScratch<T> {
     #[allow(clippy::disallowed_methods)]
     pub fn new() -> Self {
         LaneGetrfScratch {
-            step: Vec::new(),
-            pflag: Vec::new(),
-            colbuf: Vec::new(),
-            unpiv: Vec::new(),
             ws: Vec::new(),
+            blk: Vec::new(),
+            step_of_row: Vec::new(),
+            col: Vec::new(),
             failed: Vec::new(),
         }
     }
@@ -94,11 +92,10 @@ impl<T: Scalar> LaneGetrfScratch<T> {
                 v.resize(len, fill);
             }
         }
-        grow(&mut self.step, n * w, UNPIVOTED);
-        grow(&mut self.pflag, n * w, T::ZERO);
-        grow(&mut self.colbuf, n * w, T::ZERO);
-        grow(&mut self.unpiv, n, 0);
         grow(&mut self.ws, (n + 1) * n * w, T::ZERO);
+        grow(&mut self.blk, n * n, T::ZERO);
+        grow(&mut self.step_of_row, n, 0);
+        grow(&mut self.col, n, T::ZERO);
         self.failed.clear();
         self.failed.resize(count, None);
     }
@@ -179,39 +176,13 @@ fn getrf_class<'s, T: Scalar>(
     assert_eq!(row_of_step.len(), n * count);
     let w = width.min(MAX_LANE_WIDTH);
     scratch.reserve(n, w, count);
-    // packed chunk workspace `ws`: the class slab strides lane groups
-    // `count` elements apart, which degenerates to a handful of L1
-    // sets for large batches; the elimination runs on a contiguous
-    // n*n*W copy instead (pack/unpack is an element-exact copy, so
-    // bitwise parity is unaffected)
-    let LaneGetrfScratch {
-        step,
-        pflag,
-        colbuf,
-        unpiv,
-        ws,
-        failed,
-    } = scratch;
-    let unpiv = &mut unpiv[..n];
 
     let full = count / w * w;
     let mut s0 = 0;
     macro_rules! run_full {
         ($w:literal) => {
             while s0 < full {
-                getrf_chunk::<T, $w>(
-                    n,
-                    count,
-                    s0,
-                    data,
-                    row_of_step,
-                    &mut step[..n * $w],
-                    &mut pflag[..n * $w],
-                    &mut colbuf[..n * $w],
-                    unpiv,
-                    &mut ws[..(n + 1) * n * $w],
-                    &mut failed[s0..s0 + $w],
-                );
+                getrf_chunk::<T, $w>(n, count, s0, data, row_of_step, scratch);
                 s0 += $w;
             }
         };
@@ -224,106 +195,67 @@ fn getrf_class<'s, T: Scalar>(
     }
     // scalar remainder path (the whole class when width == 1)
     while s0 < count {
-        getrf_chunk::<T, 1>(
-            n,
-            count,
-            s0,
-            data,
-            row_of_step,
-            &mut step[..n],
-            &mut pflag[..n],
-            &mut colbuf[..n],
-            unpiv,
-            &mut ws[..(n + 1) * n],
-            &mut failed[s0..s0 + 1],
-        );
+        getrf_chunk::<T, 1>(n, count, s0, data, row_of_step, scratch);
         s0 += 1;
     }
-    failed
+    &scratch.failed
 }
 
 /// Factorize the `W` slots `[s0, s0+W)` of the class in place.
 ///
-/// Per slot this performs exactly the blocked implicit kernel's
-/// operation sequence (finite pre-scan, n steps of pivot-select / SCAL /
-/// GER, combined row swap), then fills the pivot lanes and sanitizes
-/// failed slots.
+/// While every lane elects the diagonal row, a step is one wide compare
+/// down column `k` and SCAL/GER over the rows below it — per lane the
+/// per-block kernel's own operations, since nothing has to move. The
+/// first step that is anything else ends the wide sweep for the group:
+/// each lane is gathered into one block, finished by the per-block
+/// kernel from that step ([`getrf_implicit_resume_scratch`]) and
+/// scattered back, so its factors, pivots and [`FactorError`] are that
+/// kernel's by construction; a lane that fails there is reported in
+/// `failed` and sanitized, and its mates, finished the same way, never
+/// see it.
 ///
-/// Two formulations of each step coexist, chosen at runtime:
-///
-/// * **uniform fast path** — while every live lane keeps electing the
-///   *same* pivot row (always true for diagonally-dominant batches),
-///   the chunk shares one unpivoted-row list: pivot selection is a
-///   `W`-wide compare sweep, and SCAL/GER simply *skip* the pivoted
-///   rows instead of computing-then-blending them. Skipping a row is
-///   bit-identical to a blend that keeps its old value, so this is not
-///   an approximation — it removes the ~1.5x wasted lane arithmetic
-///   and the per-element flag loads of the blended form.
-/// * **blended fallback** — on the first step where live lanes
-///   disagree (or a lane has a non-diagonal pivot history), the chunk
-///   permanently falls back to per-lane bookkeeping with
-///   compare-and-blend selects, which handles any divergence.
-///
-/// Both forms execute the exact scalar IEEE op sequence per lane, so
-/// factors/pivots/errors stay bitwise identical to the blocked kernel
-/// whichever path runs. Lanes dead from a fault may see garbage
-/// arithmetic in the fast path (the blended form freezes them with
-/// `x/1` no-ops instead); their bits are rewritten by the final
-/// identity sanitation either way, so outputs agree.
-///
-/// The elimination itself runs on `ws`, a packed contiguous copy of
-/// the chunk (`n*n*W` elements): in the class slab the chunk's lane
-/// groups sit `count` elements apart, and for large batches that
-/// stride folds the whole working set onto a few L1 cache sets —
-/// every GER re-sweep then thrashes. The packed copy is dense
-/// (17 KiB at n = 16, W = 8, f64: L1-resident; 66 KiB at n = 32: L2)
-/// and unit-stride for the inner loops; pack and unpack are
-/// element-exact copies, so the slab bits are identical to factorizing
-/// in place.
-#[allow(clippy::too_many_arguments)]
+/// The elimination runs on `ws`, a packed contiguous copy of the chunk
+/// (`n*n*W` elements): in the class slab the chunk's lane groups sit
+/// `count` elements apart, and for large batches that stride folds the
+/// whole working set onto a few L1 cache sets — every GER re-sweep then
+/// thrashes. The packed copy is dense (17 KiB at n = 16, W = 8, f64:
+/// L1-resident; 66 KiB at n = 32: L2) and unit-stride for the inner
+/// loops; pack and unpack are element-exact copies, so the slab bits
+/// are identical to factorizing in place.
 fn getrf_chunk<T: Scalar, const W: usize>(
     n: usize,
     count: usize,
     s0: usize,
     data: &mut [T],
     row_of_step: &mut [usize],
-    step: &mut [usize],
-    pflag: &mut [T],
-    colbuf: &mut [T],
-    unpiv: &mut [usize],
-    ws: &mut [T],
-    failed: &mut [Option<FactorError>],
+    scratch: &mut LaneGetrfScratch<T>,
 ) {
-    debug_assert_eq!(step.len(), n * W);
-    debug_assert_eq!(pflag.len(), n * W);
-    debug_assert_eq!(unpiv.len(), n);
-    debug_assert_eq!(ws.len(), (n + 1) * n * W);
-    debug_assert_eq!(failed.len(), W);
-    step.fill(UNPIVOTED);
-    pflag.fill(T::ZERO);
-    let mut alive = [true; W];
-
-    // --- pack the chunk into the contiguous workspace -------------------
     // columns are padded by one extra lane group: at n = 16, W = 8, f64
     // an unpadded column stride is exactly 1 KiB, so updated columns
     // alias the multiplier column mod 4 KiB and every GER load falsely
     // depends on the preceding store (4K aliasing); the pad breaks the
     // power-of-two stride
     let npad = n + 1;
+    let ws = &mut scratch.ws[..npad * n * W];
+    let blk = &mut scratch.blk[..n * n];
+    let step_of_row = &mut scratch.step_of_row[..n];
+    let col = &mut scratch.col[..n];
+    let failed = &mut scratch.failed[s0..s0 + W];
+
+    // --- pack the chunk into the contiguous workspace -------------------
     // while packing, early-touch the NEXT chunk's lane group for each
     // element position: the slab stride between positions is
     // `count * 8` bytes (tens of KiB), one cache line per position, a
     // pattern the hardware prefetcher cannot track. Touching the next
     // group now lets its DRAM misses overlap with this chunk's whole
     // factorization instead of stalling the next pack. black_box keeps
-    // the dead load alive; the value itself is never used.
+    // the optimizer from deleting the load; the value is never used.
     let touch_next = s0 + W < count;
     // the finite pre-scan rides the pack loads: x - x is +0.0 for every
-    // finite x and NaN for Inf/NaN, and NaN poisons the running sum;
-    // the scalar per-element diagnosis (same column-major-first order
-    // as the blocked kernel's `check_finite`) reruns only when a lane
-    // actually flags, so the probe's own accumulation order does not
-    // matter.
+    // finite x and NaN for Inf/NaN, and NaN poisons the running sum. A
+    // group that flags is handed to the per-block kernel whole, whose
+    // own `check_finite` names the entry, so the probe's accumulation
+    // order does not matter.
     let mut probe = Chunk::<T, W>::zero();
     for j in 0..n {
         for i in 0..n {
@@ -337,346 +269,101 @@ fn getrf_chunk<T: Scalar, const W: usize>(
             }
         }
     }
-    if probe.ne_zero().any() {
-        for col in 0..n {
-            for row in 0..n {
-                let lane = &ws[(col * npad + row) * W..(col * npad + row + 1) * W];
-                for w in 0..W {
-                    if alive[w] && !lane[w].is_finite() {
-                        failed[w] = Some(FactorError::NonFinite { row, col });
-                        alive[w] = false;
-                    }
-                }
-            }
+
+    // --- the wide sweep: steps 0..done, every pivot on the diagonal -----
+    let steps = if probe.ne_zero().any() { 0 } else { n };
+    let mut done = 0;
+    while done < steps {
+        let k = done;
+        // The scalar rule adopts the first unpivoted row (here the
+        // diagonal one) unconditionally and lets a later row win only
+        // on a strict IEEE `>`, false on NaN: the diagonal is elected
+        // exactly when the running maximum never moves off it. `x - x`
+        // is nonzero (NaN) exactly for non-finite x, so the second
+        // check also catches an infinite or NaN maximum.
+        let rows = &ws[(k * npad + k) * W..(k * npad + n) * W];
+        let dv = Chunk::<T, W>::load(&rows[..W]);
+        let diag = dv.abs();
+        let mut best = diag;
+        for c in rows[W..].chunks_exact(W) {
+            let av = Chunk::<T, W>::load(c).abs();
+            best = Chunk::select(av.gt(best), av, best);
         }
-    }
-
-    // shared unpivoted-row list for the uniform fast path, ascending so
-    // the W-wide sweep visits candidates in the scalar kernel's order
-    for (r, u) in unpiv.iter_mut().enumerate() {
-        *u = r;
-    }
-    let mut nun = n;
-    let mut uniform = true;
-    // true while every pivot so far was the diagonal row (rpiv == k);
-    // then the unpivoted set is the contiguous tail k..n and the hot
-    // loops can run over plain subslices with no index indirection
-    let mut inorder = true;
-
-    for k in 0..n {
-        if !alive.contains(&true) {
-            // every lane dead: each slot's blocked factorization has
-            // already returned its error, and sanitation rewrites them
+        if best.sub(diag).ne_zero().any() || diag.eq_zero().any() {
             break;
         }
 
-        // --- implicit pivot selection per lane over unpivoted rows ----
-        let mut ipiv = [UNPIVOTED; W];
-        let mut best = [T::ZERO; W];
-        let mut rpiv = UNPIVOTED; // the shared pivot row, if uniform
-        if uniform {
-            // Every live lane shares the same unpivoted set, so select
-            // all W pivots with wide compares over the shared list.
-            // This reproduces the scalar rule exactly: the first
-            // unpivoted row is adopted unconditionally (even a NaN
-            // |value|), later rows only win a strict IEEE `>` — and
-            // `gt` is false on NaN, like the scalar compare.
-            let mut bestv;
-            let mut rowv;
-            if inorder {
-                // candidates are the contiguous rows k..n of column k
-                let col = &ws[(k * npad + k) * W..(k * npad + n) * W];
-                let mut it = col.chunks_exact(W);
-                bestv = Chunk::<T, W>::load(it.next().unwrap()).abs();
-                rowv = Chunk::<T, W>::splat(T::from_f64(k as f64));
-                let onev = Chunk::<T, W>::splat(T::ONE);
-                let mut rcand = rowv;
-                for c in it {
-                    rcand = rcand.add(onev);
-                    let av = Chunk::<T, W>::load(c).abs();
-                    let take = av.gt(bestv);
-                    bestv = Chunk::select(take, av, bestv);
-                    rowv = Chunk::select(take, rcand, rowv);
+        // SCAL: the unpivoted rows are the contiguous tail k+1..n, so
+        // both sweeps run over plain subslices
+        for c in ws[(k * npad + k + 1) * W..(k * npad + n) * W].chunks_exact_mut(W) {
+            Chunk::<T, W>::load(c).div(dv).store(c);
+        }
+        // GER. Split the slab after column k: the multiplier rows
+        // k+1..n of column k end the low half, the updated columns
+        // k+1..n are the high half
+        let (lo, hi) = ws.split_at_mut((k + 1) * npad * W);
+        let mults = &lo[(k * npad + k + 1) * W..(k * npad + n) * W];
+        for colj in hi.chunks_exact_mut(npad * W) {
+            let pvv = Chunk::<T, W>::load(&colj[k * W..k * W + W]);
+            let pz = pvv.eq_zero();
+            let upd = &mut colj[(k + 1) * W..n * W];
+            if !pz.any() {
+                for (m, u) in mults.chunks_exact(W).zip(upd.chunks_exact_mut(W)) {
+                    let mult = Chunk::<T, W>::load(m);
+                    let old = Chunk::<T, W>::load(u);
+                    mult.neg().mul_add(pvv, old).store(u);
                 }
             } else {
-                let r0 = unpiv[0];
-                let base0 = (k * npad + r0) * W;
-                bestv = Chunk::<T, W>::load(&ws[base0..base0 + W]).abs();
-                rowv = Chunk::<T, W>::splat(T::from_f64(r0 as f64));
-                for &r in &unpiv[1..nun] {
-                    let base = (k * npad + r) * W;
-                    let av = Chunk::<T, W>::load(&ws[base..base + W]).abs();
-                    let take = av.gt(bestv);
-                    bestv = Chunk::select(take, av, bestv);
-                    rowv = Chunk::select(take, Chunk::splat(T::from_f64(r as f64)), rowv);
-                }
-            }
-            // happy path: one lane-0 extract plus three wide checks
-            // replace the per-lane scalar unpacking of rowv/bestv. The
-            // checks are exact: row indices are small exact integers so
-            // sub/ne_zero detects any disagreement, and x - x is
-            // nonzero (NaN) exactly for non-finite x. Any anomaly --
-            // a dead lane, disagreeing pivots, a zero or non-finite
-            // best -- falls through to the per-lane code below, which
-            // is the authoritative scalar-order logic.
-            let r0 = rowv.0[0].to_f64() as usize;
-            let happy = alive == [true; W]
-                && !rowv.sub(Chunk::splat(rowv.0[0])).ne_zero().any()
-                && !bestv.eq_zero().any()
-                && !bestv.sub(bestv).ne_zero().any();
-            if happy {
-                rpiv = r0;
-                for w in 0..W {
-                    ipiv[w] = r0;
-                    step[r0 * W + w] = k;
-                    pflag[r0 * W + w] = T::ONE;
-                }
-            } else {
-                for w in 0..W {
-                    if !alive[w] {
-                        continue;
-                    }
-                    ipiv[w] = rowv.0[w].to_f64() as usize;
-                    best[w] = bestv.0[w];
-                    if rpiv == UNPIVOTED {
-                        rpiv = ipiv[w];
-                    } else if ipiv[w] != rpiv {
-                        uniform = false; // lanes disagree: blended now on
-                    }
-                }
-                for w in 0..W {
-                    if !alive[w] {
-                        continue;
-                    }
-                    if ipiv[w] == UNPIVOTED || best[w] == T::ZERO || !best[w].is_finite() {
-                        failed[w] = Some(FactorError::SingularPivot { step: k });
-                        alive[w] = false;
-                    } else {
-                        step[ipiv[w] * W + w] = k;
-                        pflag[ipiv[w] * W + w] = T::ONE;
-                    }
-                }
-            }
-        } else {
-            for r in 0..n {
-                let base = (k * npad + r) * W;
-                let lane = &ws[base..base + W];
-                let steps = &step[r * W..r * W + W];
-                for w in 0..W {
-                    if !alive[w] || steps[w] != UNPIVOTED {
-                        continue;
-                    }
-                    let av = lane[w].abs();
-                    if ipiv[w] == UNPIVOTED || av > best[w] {
-                        best[w] = av;
-                        ipiv[w] = r;
-                    }
-                }
-            }
-            for w in 0..W {
-                if !alive[w] {
-                    continue;
-                }
-                if ipiv[w] == UNPIVOTED || best[w] == T::ZERO || !best[w].is_finite() {
-                    failed[w] = Some(FactorError::SingularPivot { step: k });
-                    alive[w] = false;
-                } else {
-                    step[ipiv[w] * W + w] = k;
-                    pflag[ipiv[w] * W + w] = T::ONE;
+                // a lane's pivot value is exactly 0: that lane must
+                // keep its old bits (the scalar zero-column skip —
+                // 0*mult+old is NOT bit-exact for -0.0/Inf lanes)
+                for (m, u) in mults.chunks_exact(W).zip(upd.chunks_exact_mut(W)) {
+                    let mult = Chunk::<T, W>::load(m);
+                    let old = Chunk::<T, W>::load(u);
+                    let new = mult.neg().mul_add(pvv, old);
+                    Chunk::select(pz, old, new).store(u);
                 }
             }
         }
-
-        if uniform {
-            if inorder {
-                // the list is implicitly the contiguous tail k..n; it
-                // only needs materializing when the pivot first leaves
-                // the diagonal
-                if rpiv != k && rpiv != UNPIVOTED {
-                    nun = 0;
-                    for r in k..n {
-                        if r != rpiv {
-                            unpiv[nun] = r;
-                            nun += 1;
-                        }
-                    }
-                    inorder = false;
-                }
-            } else {
-                // retire the shared pivot row (keeps the list ascending)
-                if let Some(pos) = unpiv[..nun].iter().position(|&r| r == rpiv) {
-                    unpiv.copy_within(pos + 1..nun, pos);
-                    nun -= 1;
-                }
-            }
-            if !alive.contains(&true) {
-                continue;
-            }
-
-            if inorder {
-                // --- SCAL/GER, in-order fast path ---------------------
-                // the unpivoted rows are the contiguous tail k+1..n, so
-                // both sweeps run over plain subslices: no row-index
-                // indirection and bounds checks the optimizer can hoist
-                let dbase = (k * npad + k) * W;
-                let dv = Chunk::<T, W>::load(&ws[dbase..dbase + W]);
-                for c in ws[(k * npad + k + 1) * W..(k * npad + n) * W].chunks_exact_mut(W) {
-                    Chunk::<T, W>::load(c).div(dv).store(c);
-                }
-
-                // split the slab after column k: the multiplier rows
-                // k+1..n of column k end the low half, the updated
-                // columns k+1..n are the high half
-                let (lo, hi) = ws.split_at_mut((k + 1) * npad * W);
-                let mults = &lo[(k * npad + k + 1) * W..(k * npad + n) * W];
-                for colj in hi.chunks_exact_mut(npad * W) {
-                    let pvv = Chunk::<T, W>::load(&colj[k * W..k * W + W]);
-                    let pz = pvv.eq_zero();
-                    let upd = &mut colj[(k + 1) * W..n * W];
-                    if !pz.any() {
-                        for (m, u) in mults.chunks_exact(W).zip(upd.chunks_exact_mut(W)) {
-                            let mult = Chunk::<T, W>::load(m);
-                            let old = Chunk::<T, W>::load(u);
-                            mult.neg().mul_add(pvv, old).store(u);
-                        }
-                    } else {
-                        // a lane's pivot value is exactly 0: that lane
-                        // must keep its old bits (the scalar zero-column
-                        // skip — 0*mult+old is NOT bit-exact for
-                        // -0.0/Inf lanes)
-                        for (m, u) in mults.chunks_exact(W).zip(upd.chunks_exact_mut(W)) {
-                            let mult = Chunk::<T, W>::load(m);
-                            let old = Chunk::<T, W>::load(u);
-                            let new = mult.neg().mul_add(pvv, old);
-                            Chunk::select(pz, old, new).store(u);
-                        }
-                    }
-                }
-                continue;
-            }
-
-            // --- SCAL, fast path: divide only the unpivoted rows ------
-            // (skipping a pivoted row == the blend that keeps its old
-            // bits; dead lanes divide by garbage instead of the blended
-            // form's 1, and are rewritten by the final sanitation)
-            let dbase = (k * npad + rpiv) * W;
-            let dv = Chunk::<T, W>::load(&ws[dbase..dbase + W]);
-            for &r in &unpiv[..nun] {
-                let base = (k * npad + r) * W;
-                let old = Chunk::<T, W>::load(&ws[base..base + W]);
-                old.div(dv).store(&mut ws[base..base + W]);
-            }
-
-            // --- GER, fast path: update only the unpivoted rows -------
-            for j in k + 1..n {
-                let pbase = (j * npad + rpiv) * W;
-                let pvv = Chunk::<T, W>::load(&ws[pbase..pbase + W]);
-                let pz = pvv.eq_zero();
-                if !pz.any() {
-                    for &r in &unpiv[..nun] {
-                        let mbase = (k * npad + r) * W;
-                        let mult = Chunk::<T, W>::load(&ws[mbase..mbase + W]);
-                        let base = (j * npad + r) * W;
-                        let old = Chunk::<T, W>::load(&ws[base..base + W]);
-                        mult.neg().mul_add(pvv, old).store(&mut ws[base..base + W]);
-                    }
-                } else {
-                    // a lane's pivot value is exactly 0: that lane must
-                    // keep its old bits (the scalar zero-column skip —
-                    // 0*mult+old is NOT bit-exact for -0.0/Inf lanes)
-                    for &r in &unpiv[..nun] {
-                        let mbase = (k * npad + r) * W;
-                        let mult = Chunk::<T, W>::load(&ws[mbase..mbase + W]);
-                        let base = (j * npad + r) * W;
-                        let old = Chunk::<T, W>::load(&ws[base..base + W]);
-                        let new = mult.neg().mul_add(pvv, old);
-                        Chunk::select(pz, old, new).store(&mut ws[base..base + W]);
-                    }
-                }
-            }
-            continue;
-        }
-
-        // --- SCAL, blended fallback: column k of the unpivoted rows ---
-        // failed lanes keep d = 1 (x/1 is bit-exact); the select keeps
-        // already-pivoted rows' old bits
-        let mut d = [T::ONE; W];
-        for w in 0..W {
-            if alive[w] {
-                d[w] = ws[(k * npad + ipiv[w]) * W + w];
-            }
-        }
-        let dv = Chunk::<T, W>::from(d);
-        for r in 0..n {
-            let base = (k * npad + r) * W;
-            let old = Chunk::<T, W>::load(&ws[base..base + W]);
-            let scaled = old.div(dv);
-            let pivoted = Chunk::<T, W>::load(&pflag[r * W..r * W + W]).ne_zero();
-            Chunk::select(pivoted, old, scaled).store(&mut ws[base..base + W]);
-        }
-
-        // --- GER, blended fallback: trailing update -------------------
-        for j in k + 1..n {
-            let mut pv = [T::ZERO; W];
-            for w in 0..W {
-                if alive[w] {
-                    pv[w] = ws[(j * npad + ipiv[w]) * W + w];
-                }
-            }
-            let pvv = Chunk::<T, W>::from(pv);
-            let pv_zero = pvv.eq_zero();
-            for r in 0..n {
-                let mult = {
-                    let base = (k * npad + r) * W;
-                    Chunk::<T, W>::load(&ws[base..base + W])
-                };
-                let base = (j * npad + r) * W;
-                let old = Chunk::<T, W>::load(&ws[base..base + W]);
-                let new = mult.neg().mul_add(pvv, old);
-                let skip = pv_zero.or(Chunk::<T, W>::load(&pflag[r * W..r * W + W]).ne_zero());
-                Chunk::select(skip, old, new).store(&mut ws[base..base + W]);
-            }
-        }
+        done += 1;
     }
 
-    // --- combined row swap: row r moves to position step[r] per lane --
-    // (skipped outright when every surviving lane carries the identity
-    // permutation — the common diagonally-dominant case)
-    let identity = (0..n).all(|r| (0..W).all(|w| failed[w].is_some() || step[r * W + w] == r));
-    if !identity {
-        for j in 0..n {
-            let col = &mut ws[j * npad * W..(j * npad + n) * W];
-            colbuf.copy_from_slice(col);
-            for r in 0..n {
-                for w in 0..W {
-                    if failed[w].is_none() {
-                        col[step[r * W + w] * W + w] = colbuf[r * W + w];
-                    }
-                }
-            }
-        }
-    }
-
-    // --- pivot lanes ---------------------------------------------------
+    // --- pivot lanes: the identity, unless a lane below says otherwise --
     for k in 0..n {
-        for w in 0..W {
-            row_of_step[k * count + s0 + w] = k; // identity default
-        }
-    }
-    for r in 0..n {
-        for w in 0..W {
-            if failed[w].is_none() {
-                row_of_step[step[r * W + w] * count + s0 + w] = r;
-            }
-        }
+        row_of_step[k * count + s0..k * count + s0 + W].fill(k);
     }
 
-    // --- sanitize failed lanes to the identity -------------------------
-    for w in 0..W {
-        if failed[w].is_some() {
+    // --- a group that left the sweep finishes in the per-block kernel ---
+    if done < n {
+        for w in 0..W {
             for j in 0..n {
                 for i in 0..n {
-                    ws[(j * npad + i) * W + w] = if i == j { T::ONE } else { T::ZERO };
+                    blk[j * n + i] = ws[(j * npad + i) * W + w];
+                }
+            }
+            // from step 0 the checking form runs, so a non-finite entry
+            // is reported as the per-block kernel reports it
+            let finished = if done == 0 {
+                getrf_implicit_inplace_scratch(n, blk, step_of_row, col)
+            } else {
+                getrf_implicit_resume_scratch(n, blk, done, step_of_row, col)
+            };
+            match finished {
+                Ok(()) => {
+                    for (r, &k) in step_of_row.iter().enumerate() {
+                        row_of_step[k * count + s0 + w] = r;
+                    }
+                }
+                Err(e) => {
+                    failed[w] = Some(e);
+                    for (at, v) in blk.iter_mut().enumerate() {
+                        *v = if at % (n + 1) == 0 { T::ONE } else { T::ZERO };
+                    }
+                }
+            }
+            for j in 0..n {
+                for i in 0..n {
+                    ws[(j * npad + i) * W + w] = blk[j * n + i];
                 }
             }
         }
@@ -827,17 +514,30 @@ pub(crate) mod tests {
 
     /// Deterministic class data `data[(j*n+i)*count + s]`: entries in
     /// `[-0.5, 0.5)`, diagonal shifted by `shift` — `n + 2` keeps every
-    /// pivot on the diagonal (uniform fast path), `0` leaves each slot
-    /// its own pivot order (blended fallback).
-    fn class_data<T: Scalar>(n: usize, count: usize, seed: u64, shift: f64) -> Vec<T> {
+    /// pivot on the diagonal (the group never leaves the wide sweep),
+    /// `0` leaves each slot its own pivot order (it leaves at step 0).
+    /// With `staggered`, slot `s` keeps the shift on its first
+    /// `1 + s % (n - 1)` diagonal entries only: those columns stay
+    /// dominant through the elimination, so a group leaves *mid-sweep*,
+    /// at the smallest count among its lanes, with every lane resuming
+    /// ahead of where its own block would have left.
+    fn class_data<T: Scalar>(
+        n: usize,
+        count: usize,
+        seed: u64,
+        shift: f64,
+        staggered: bool,
+    ) -> Vec<T> {
         let mut data = vec![T::ZERO; n * n * count];
         for s in 0..count {
+            let lead = if staggered { 1 + s % (n - 1).max(1) } else { n };
             for j in 0..n {
                 for i in 0..n {
                     let h = (i as u64 * 131 + j as u64 * 37 + s as u64 * 17 + seed)
                         .wrapping_mul(0x9e37_79b9)
                         % 1024;
-                    let v = h as f64 / 1024.0 - 0.5 + if i == j { shift } else { 0.0 };
+                    let on_lead = i == j && j < lead;
+                    let v = h as f64 / 1024.0 - 0.5 + if on_lead { shift } else { 0.0 };
                     data[(j * n + i) * count + s] = T::from_f64(v);
                 }
             }
@@ -917,9 +617,10 @@ pub(crate) mod tests {
     #[test]
     fn class_kernels_match_per_block_kernels_bitwise_at_every_width() {
         for (n, count) in [(1, 1), (4, 7), (8, 16), (16, 13), (6, 33)] {
-            for shift in [n as f64 + 2.0, 0.0] {
-                let f64s = class_data::<f64>(n, count, 3, shift);
-                let f32s = class_data::<f32>(n, count, 7, shift);
+            let dominant = n as f64 + 2.0;
+            for (shift, staggered) in [(dominant, false), (0.0, false), (dominant, true)] {
+                let f64s = class_data::<f64>(n, count, 3, shift, staggered);
+                let f32s = class_data::<f32>(n, count, 7, shift, staggered);
                 for width in SUPPORTED_WIDTHS {
                     assert_class_matches_per_block(width, n, count, &f64s);
                     assert_class_matches_per_block(width, n, count, &f32s);
@@ -932,8 +633,9 @@ pub(crate) mod tests {
     fn corrupt_slots_fail_like_the_blocked_kernel_and_mates_are_untouched() {
         let n = 6;
         let count = 19; // 2 full AVX-512 chunks + remainder 3
-        for shift in [n as f64 + 2.0, 0.0] {
-            let mut base = class_data::<f64>(n, count, 11, shift);
+        let dominant = n as f64 + 2.0;
+        for (shift, staggered) in [(dominant, false), (0.0, false), (dominant, true)] {
+            let mut base = class_data::<f64>(n, count, 11, shift, staggered);
             // poison three slots inside the same prospective lane group
             // and one in the remainder: NaN, Inf, exact singularity
             // (zero column), NaN

@@ -50,13 +50,34 @@ pub fn getrf_implicit_inplace_scratch<T: Scalar>(
     col: &mut [T],
 ) -> FactorResult<()> {
     debug_assert_eq!(a.len(), n * n);
+    check_finite(n, a)?;
+    getrf_implicit_resume_scratch(n, a, 0, step_of_row, col)
+}
+
+/// Steps `start..n` of [`getrf_implicit_inplace_scratch`] and its final
+/// row swap, on a block whose steps `0..start` have already been
+/// eliminated *with the diagonal row as every pivot* (so `a` holds the
+/// kernel's own intermediate state: nothing has moved yet). The lane
+/// kernel hands a slot over here when its group stops electing the
+/// diagonal; `start == 0` is the whole factorization minus the finite
+/// pre-scan, which a caller resuming later has passed by construction.
+pub(crate) fn getrf_implicit_resume_scratch<T: Scalar>(
+    n: usize,
+    a: &mut [T],
+    start: usize,
+    step_of_row: &mut [usize],
+    col: &mut [T],
+) -> FactorResult<()> {
+    debug_assert_eq!(a.len(), n * n);
     debug_assert_eq!(step_of_row.len(), n);
     debug_assert!(col.len() >= n);
-    check_finite(n, a)?;
+    debug_assert!(start <= n);
     // p[r] = elimination step at which original row r became the pivot
-    step_of_row.fill(UNPIVOTED);
+    for (r, p) in step_of_row.iter_mut().enumerate() {
+        *p = if r < start { r } else { UNPIVOTED };
+    }
 
-    for k in 0..n {
+    for k in start..n {
         // --- implicit pivot selection over the not-yet-pivoted rows ------
         let col_k = &a[k * n..k * n + n];
         let mut ipiv = UNPIVOTED;
@@ -198,6 +219,90 @@ mod tests {
             getrf_implicit_inplace(4, lu.as_mut_slice()),
             Err(FactorError::NonFinite { row: 2, col: 1 })
         );
+    }
+
+    /// A block whose first `lead` columns are diagonally dominant (the
+    /// full kernel elects the diagonal there) and plain after; with
+    /// `dead`, that column is zero, so the factorization dies there.
+    fn leading_dominant<T: Scalar>(n: usize, lead: usize, dead: Option<usize>) -> Vec<T> {
+        let mut rng = vbatch_rt::SmallRng::seed_from_u64((n * 64 + lead) as u64);
+        let mut a = vec![T::ZERO; n * n];
+        for j in 0..n {
+            for i in 0..n {
+                let shift = if i == j && j < lead {
+                    n as f64 + 2.0
+                } else {
+                    0.0
+                };
+                let v = rng.gen_range(-1.0..1.0) + shift;
+                a[j * n + i] = T::from_f64(if dead == Some(j) { 0.0 } else { v });
+            }
+        }
+        a
+    }
+
+    /// `lead` in-order steps, spelled out: what the lane kernel's wide
+    /// sweep has done to a slot by the time it hands it over.
+    fn eliminate_in_order<T: Scalar>(n: usize, a: &mut [T], lead: usize) {
+        for k in 0..lead {
+            let d = a[k * n + k];
+            for r in k + 1..n {
+                a[k * n + r] /= d;
+            }
+            for j in k + 1..n {
+                let pivot_val = a[j * n + k];
+                if pivot_val == T::ZERO {
+                    continue;
+                }
+                for r in k + 1..n {
+                    a[j * n + r] = (-a[k * n + r]).mul_add(pivot_val, a[j * n + r]);
+                }
+            }
+        }
+    }
+
+    fn resume_equals_the_full_kernel<T: Scalar>() {
+        for n in 1..=33usize {
+            for lead in 0..=n {
+                // healthy, dying at the hand-over step, dying later
+                for dead in [None, Some(lead), Some((lead + n) / 2)] {
+                    if dead.is_some_and(|c| c >= n) {
+                        continue;
+                    }
+                    let ctx = format!("n={n} lead={lead} dead={dead:?}");
+                    let a = leading_dominant::<T>(n, lead, dead);
+                    let mut col = vec![T::ZERO; n];
+                    let (mut full, mut full_steps) = (a.clone(), vec![0usize; n]);
+                    let want =
+                        getrf_implicit_inplace_scratch(n, &mut full, &mut full_steps, &mut col);
+                    let (mut part, mut part_steps) = (a, vec![0usize; n]);
+                    eliminate_in_order(n, &mut part, lead);
+                    let got = getrf_implicit_resume_scratch(
+                        n,
+                        &mut part,
+                        lead,
+                        &mut part_steps,
+                        &mut col,
+                    );
+                    assert_eq!(got, want, "{ctx}");
+                    if want.is_err() {
+                        assert!(dead.is_some(), "{ctx}");
+                        continue;
+                    }
+                    assert!((0..lead).all(|r| full_steps[r] == r), "{ctx}");
+                    assert_eq!(part_steps, full_steps, "{ctx}");
+                    for (e, (x, y)) in part.iter().zip(&full).enumerate() {
+                        assert_eq!(x.to_f64().to_bits(), y.to_f64().to_bits(), "elem {e} {ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resume_after_diagonal_steps_equals_the_full_kernel_bitwise() {
+        resume_equals_the_full_kernel::<f64>();
+        resume_equals_the_full_kernel::<f32>();
     }
 
     #[test]

@@ -6,11 +6,45 @@ use vbatch_core::{
     getrf_interleaved_class_simd_width, lu_solve_inplace_scratch,
     lu_solve_interleaved_class_scratch_simd_width, FactorError, Scalar, TrsvVariant,
 };
+use vbatch_rt::{testgen, SmallRng};
 
 /// Orders past the warp width. The planner interleaves every populous
 /// LU class, so the lane kernels meet these in production; a draw from
 /// this range rides beside each suite's small orders.
 pub const WIDE_ORDERS: std::ops::Range<usize> = 33..65;
+
+/// `count` blocks of order `n` whose lane group leaves the class
+/// kernel's wide sweep *mid-sweep*: slot `s` is a `dd_dense` block
+/// that keeps its dominant diagonal in the first `lead` columns only,
+/// `lead` in `1..n` and one more than its left neighbour's. Those
+/// columns stay dominant under elimination, so the slot elects the
+/// diagonal for `lead` steps and is plain random after — a group leaves
+/// at the smallest `lead` among its lanes and every lane resumes ahead
+/// of where it would have left alone. Slot `count / 2` also has a zero
+/// column past the first, so it dies at a step > 0 (inside the wide
+/// sweep if its own `lead` reaches that far). Order 1 has no such
+/// step: its blocks are plain dominant.
+pub fn late_leaving_blocks<T: Scalar>(rng: &mut SmallRng, n: usize, count: usize) -> Vec<Vec<T>> {
+    let first = rng.gen_range(0usize..n);
+    let mut blocks: Vec<Vec<f64>> = (0..count)
+        .map(|s| {
+            let mut b = testgen::dd_dense(rng, n);
+            let lead = 1 + (first + s) % (n - 1).max(1);
+            for j in lead..n {
+                b[j * n + j] = rng.gen_range(-1.0..1.0);
+            }
+            b
+        })
+        .collect();
+    if n > 1 {
+        let dead = rng.gen_range(1usize..n);
+        blocks[count / 2][dead * n..(dead + 1) * n].fill(0.0);
+    }
+    blocks
+        .into_iter()
+        .map(|b| b.into_iter().map(T::from_f64).collect())
+        .collect()
+}
 
 /// Pack dense n×n blocks (column-major) into interleaved lanes.
 pub fn pack<T: Scalar>(blocks: &[Vec<T>], n: usize) -> Vec<T> {

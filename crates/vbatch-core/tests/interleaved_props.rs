@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{assert_class_matches_per_block, WIDE_ORDERS};
+use common::{assert_class_matches_per_block, late_leaving_blocks, WIDE_ORDERS};
 use vbatch_core::{InterleavedClass, MatrixBatch, Scalar, SUPPORTED_WIDTHS};
 use vbatch_rt::testgen::{self, RawBatch};
 use vbatch_rt::{run_cases, SmallRng};
@@ -80,8 +80,10 @@ fn class_sweeps_match_per_block_kernels<T: Scalar>(rng: &mut SmallRng, n: usize)
     let x0: Vec<T> = (0..n * count)
         .map(|_| T::from_f64(rng.gen_range(-3.0..3.0)))
         .collect();
+    let late = late_leaving_blocks::<T>(rng, n, count);
     for width in SUPPORTED_WIDTHS {
         assert_class_matches_per_block(width, n, &blocks, &x0);
+        assert_class_matches_per_block(width, n, &late, &x0);
     }
 }
 

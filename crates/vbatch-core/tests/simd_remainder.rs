@@ -12,11 +12,13 @@
 //! factorized inside a *larger* class, proving chunk boundaries are
 //! invisible. The orders past the warp width (33..=64, one of 96 and
 //! 128), which the lane kernels take in production, get (a) with one
-//! faulty slot per class.
+//! faulty slot per class. (a) also runs on
+//! `common::late_leaving_blocks`, whose lane groups leave the wide
+//! sweep mid-sweep.
 
 mod common;
 
-use common::{assert_class_matches_per_block, pack, run_class, WIDE_ORDERS};
+use common::{assert_class_matches_per_block, late_leaving_blocks, pack, run_class, WIDE_ORDERS};
 use vbatch_core::{Scalar, SUPPORTED_WIDTHS};
 use vbatch_rt::{run_cases, testgen, SmallRng};
 
@@ -67,6 +69,8 @@ fn non_multiple_counts_match_per_block_kernels<T: Scalar>(rng: &mut SmallRng) {
             let blocks = gen_blocks::<T>(rng, n, count.max(1));
             let x0 = rhs(rng, n * blocks.len());
             assert_class_matches_per_block(width, n, &blocks, &x0);
+            let late = late_leaving_blocks::<T>(rng, n, count.max(1));
+            assert_class_matches_per_block(width, n, &late, &x0);
         }
     }
 }
@@ -89,7 +93,8 @@ fn non_multiple_counts_match_per_block_kernels_bitwise_f32() {
 /// supported width (W = 1 is the remainder path alone). The 11 slots are
 /// a count no wider width divides (8 + 3, 2·4 + 3, 5·2 + 1), and exactly
 /// one of them, anywhere in a lane group or the remainder, is faulty —
-/// singular for even `n`, non-finite for odd.
+/// singular for even `n`, non-finite for odd. Then the same for a class
+/// whose groups leave the wide sweep mid-sweep, one slot dying there.
 fn one_fault_class_matches_per_block<T: Scalar>(rng: &mut SmallRng, n: usize) {
     let count = 11;
     let mut blocks = healthy_blocks(rng, n, count);
@@ -105,6 +110,12 @@ fn one_fault_class_matches_per_block<T: Scalar>(rng: &mut SmallRng, n: usize) {
         let errs = assert_class_matches_per_block(width, n, &blocks, &x0);
         let failed: Vec<usize> = (0..count).filter(|&s| errs[s].is_some()).collect();
         assert_eq!(failed, [bad], "n={n} w={width}");
+    }
+    let late = late_leaving_blocks::<T>(rng, n, count);
+    for width in SUPPORTED_WIDTHS {
+        let errs = assert_class_matches_per_block(width, n, &late, &x0);
+        let failed: Vec<usize> = (0..count).filter(|&s| errs[s].is_some()).collect();
+        assert_eq!(failed, [count / 2], "late-leaving class, n={n} w={width}");
     }
 }
 

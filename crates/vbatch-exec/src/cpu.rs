@@ -50,7 +50,6 @@ use vbatch_core::{
     Stored, VectorBatch,
 };
 use vbatch_rt::par::{num_threads, par_map_vec, run_ranges};
-use vbatch_rt::prelude::*;
 use vbatch_sparse::{extract_diag_blocks, BlockPartition, CsrMatrix};
 
 /// One block after another; deterministic reference execution.
@@ -147,7 +146,11 @@ pub(crate) fn record_statuses(status: &[BlockStatus], stats: &mut ExecStats) {
 const INTERLEAVED_CHUNK_BYTES: usize = 128 * 1024;
 
 /// Slots per interleaved chunk: bound `n² · slots · sizeof(T)` by the
-/// cache budget, keeping at least a SIMD-width-friendly floor.
+/// cache budget, but never fewer than 8 slots. The result is *not* a
+/// multiple of the lane width in general (f64, n = 33: 15 slots, one
+/// 8-group and 7 slots at W = 1), and rounding it down to one gained
+/// nothing on `batch_ragged` (EXPERIMENTS.md §N.4): the W = 1 instance
+/// of the lane GETRF vectorizes along rows instead of across slots.
 fn interleaved_chunk_slots<T>(n: usize) -> usize {
     let block_bytes = (n * n).max(1) * std::mem::size_of::<T>();
     (INTERLEAVED_CHUNK_BYTES / block_bytes).max(8)
@@ -674,10 +677,11 @@ pub(crate) fn gemv_cpu<T: Scalar>(
     assert_eq!(blocks.sizes(), x.sizes());
     assert_eq!(blocks.sizes(), y.sizes());
     let work = |(i, out): (usize, &mut [T])| gemv(blocks.size(i), blocks.block(i), x.seg(i), out);
+    let segs = y.segs_mut().into_iter().enumerate();
     if parallel {
-        y.segs_mut().into_par_iter().enumerate().for_each(work);
+        par_map_vec(segs.collect(), work);
     } else {
-        y.segs_mut().into_iter().enumerate().for_each(work);
+        segs.for_each(work);
     }
     stats.add_flops(blocks.sizes().iter().map(|&n| 2.0 * (n * n) as f64).sum());
     stats.add_phase(Phase::Gemv, t0.elapsed());

@@ -7,8 +7,8 @@
 //! * [`par`] — a persistent thread pool with one primitive
 //!   ([`par::run`], under a microsecond per dispatch, nothing allocated
 //!   per call: the CPU analogue of launching one warp per block on
-//!   every Krylov iteration) and a small rayon-style ordered map over
-//!   owned collections on top of it ([`par::prelude`]);
+//!   every Krylov iteration) and an ordered map over owned collections
+//!   on top of it ([`par::par_map_vec`]);
 //! * [`rng`] — a deterministic splitmix64 PRNG with a `rand`-style
 //!   `gen_range` surface, used by the problem generators, IDR's shadow
 //!   space and the test harnesses;
@@ -51,7 +51,6 @@ pub use alloc_guard::{AllocSnapshot, CountingAlloc};
 pub use chaos::{ChaosPlan, SkewClock};
 pub use check::run_cases;
 pub use fault::{FaultClass, FaultPlan};
-pub use par::prelude;
 pub use rng::SmallRng;
 pub use simd::{lane_width, Chunk, Mask, SimdElem, MAX_LANE_WIDTH};
 pub use sync::{bounded, CancelToken, Receiver, RecvError, Sender, TrySendError};

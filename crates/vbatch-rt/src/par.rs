@@ -1,5 +1,5 @@
-//! A persistent thread pool with one primitive, and a rayon-style
-//! ordered map on top of it.
+//! A persistent thread pool with one primitive, and an ordered map on
+//! top of it.
 //!
 //! The batched workloads in this workspace are embarrassingly parallel
 //! collections of independent small problems, and the ones that matter
@@ -20,8 +20,7 @@
 //! not begun: the worst case is the sequential loop, not a stall.
 //!
 //! The job hand-off and the disjoint split of [`run_balanced`] are the
-//! only `unsafe` code; [`par_map_vec`] and [`ParIter`] are safe code
-//! over [`run`].
+//! only `unsafe` code; [`par_map_vec`] is safe code over [`run`].
 
 use std::any::Any;
 use std::cell::UnsafeCell;
@@ -371,63 +370,8 @@ where
         .collect()
 }
 
-/// An eager parallel iterator: adapters like [`ParIter::map`] execute
-/// immediately across threads and hand back the (ordered) results.
-pub struct ParIter<T> {
-    items: Vec<T>,
-}
-
-impl<T: Send> ParIter<T> {
-    /// Pair every item with its input index.
-    pub fn enumerate(self) -> ParIter<(usize, T)> {
-        ParIter {
-            items: self.items.into_iter().enumerate().collect(),
-        }
-    }
-
-    /// Parallel map preserving input order.
-    pub fn map<U: Send, F: Fn(T) -> U + Sync>(self, f: F) -> ParIter<U> {
-        ParIter {
-            items: par_map_vec(self.items, f),
-        }
-    }
-
-    /// Parallel side-effecting visit of every item.
-    pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
-        par_map_vec(self.items, f);
-    }
-
-    /// Gather the items into any collection (no further parallelism —
-    /// upstream adapters already ran).
-    pub fn collect<C: FromIterator<T>>(self) -> C {
-        self.items.into_iter().collect()
-    }
-}
-
-/// Conversion into a [`ParIter`] (rayon's `IntoParallelIterator`).
-pub trait IntoParallelIterator {
-    /// Item type of the produced iterator.
-    type Item: Send;
-    /// Convert into an eager parallel iterator.
-    fn into_par_iter(self) -> ParIter<Self::Item>;
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    fn into_par_iter(self) -> ParIter<T> {
-        ParIter { items: self }
-    }
-}
-
-/// Rayon-style prelude: `use vbatch_rt::prelude::*;` at the sites that
-/// previously imported `rayon::prelude::*`.
-pub mod prelude {
-    pub use super::{IntoParallelIterator, ParIter};
-}
-
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::sync::{Arc, Barrier};
@@ -450,20 +394,16 @@ mod tests {
     #[test]
     fn map_preserves_order_over_0_1_and_1000_items() {
         for len in [0usize, 1, 1000] {
-            let v: Vec<usize> = (0..len).collect();
-            let out: Vec<usize> = v.into_par_iter().map(|x| x * 2).collect();
+            let out = par_map_vec((0..len).collect(), |x: usize| x * 2);
             assert_eq!(out, (0..len).map(|x| x * 2).collect::<Vec<_>>());
         }
     }
 
     #[test]
-    fn enumerate_and_for_each_visit_every_item_once() {
+    fn every_item_is_visited_once() {
         let mut data = vec![0usize; 64];
-        let cells: Vec<&mut usize> = data.iter_mut().collect();
-        cells
-            .into_par_iter()
-            .enumerate()
-            .for_each(|(i, v)| *v += i * i);
+        let cells: Vec<(usize, &mut usize)> = data.iter_mut().enumerate().collect();
+        par_map_vec(cells, |(i, v)| *v += i * i);
         assert!(data.iter().enumerate().all(|(i, &v)| v == i * i));
     }
 

@@ -6,7 +6,7 @@
 use crate::blocking::BlockPartition;
 use crate::csr::CsrMatrix;
 use vbatch_core::{MatrixBatch, Scalar};
-use vbatch_rt::prelude::*;
+use vbatch_rt::par::par_map_vec;
 
 /// Extract the diagonal blocks of `a` given by `part` into a batch of
 /// dense column-major blocks. Positions absent from the sparsity
@@ -15,21 +15,18 @@ pub fn extract_diag_blocks<T: Scalar>(a: &CsrMatrix<T>, part: &BlockPartition) -
     assert_eq!(part.total(), a.nrows(), "partition must cover the matrix");
     let _span = vbatch_trace::span!("sparse.extract", part.len());
     let mut batch = MatrixBatch::zeros(&part.sizes());
-    let blocks: Vec<(usize, &mut [T])> = batch.blocks_mut();
-    blocks
-        .into_par_iter()
-        .enumerate()
-        .for_each(|(b, (bs, data))| {
-            let start = part.as_ptr()[b];
-            for r in 0..bs {
-                let row = start + r;
-                for (c, v) in a.row_cols(row).iter().zip(a.row_vals(row)) {
-                    if *c >= start && *c < start + bs {
-                        data[(*c - start) * bs + r] = *v;
-                    }
+    let blocks: Vec<_> = batch.blocks_mut().into_iter().enumerate().collect();
+    par_map_vec(blocks, |(b, (bs, data))| {
+        let start = part.as_ptr()[b];
+        for r in 0..bs {
+            let row = start + r;
+            for (c, v) in a.row_cols(row).iter().zip(a.row_vals(row)) {
+                if *c >= start && *c < start + bs {
+                    data[(*c - start) * bs + r] = *v;
                 }
             }
-        });
+        }
+    });
     batch
 }
 

@@ -235,6 +235,90 @@ fn in_place_factors_equal_gathered_and_blocked_ones_bitwise() {
     }
 }
 
+#[test]
+fn a_lane_group_that_leaves_the_wide_sweep_finishes_like_the_per_block_kernel() {
+    // one populous class, a count no lane width divides (four groups of
+    // eight and three slots at W = 1), every block dominant — the lane
+    // GETRF stays wide on all of it — except:
+    let (n, count) = (12usize, 35usize);
+    let sizes = vec![n; count];
+    let mut rng = SmallRng::seed_from_u64(23);
+    let mut blocks = testgen::dd_batch_of(&mut rng, &sizes).blocks;
+    // blocks 3 (in a group) and 33 (remainder) have a tiny diagonal
+    // from column 5 on, so their groups leave at step 5 and every mate
+    // resumes there in the per-block kernel
+    for b in [3usize, 33] {
+        for j in 5..n {
+            blocks[b][j * n + j] = 1.0 / 64.0;
+        }
+    }
+    // block 13 has a zero column: its group is wide until step 7, where
+    // it dies; block 22 holds a NaN, so its group never starts
+    blocks[13][7 * n..8 * n].fill(0.0);
+    blocks[22][4 * n + 9] = f64::NAN;
+    let mut batch = MatrixBatch::<f64>::zeros(&sizes);
+    for (b, block) in blocks.iter().enumerate() {
+        batch.block_mut(b).copy_from_slice(block);
+    }
+    let rhs: Vec<Vec<f64>> = (0..count)
+        .map(|b| {
+            (0..n)
+                .map(|i| ((b + 5 * i) % 13) as f64 / 2.0 - 3.0)
+                .collect()
+        })
+        .collect();
+
+    let (reference, _) =
+        factor_and_solve(&CpuSequential, batch.clone(), BatchLayout::Blocked, &rhs);
+    let fallbacks: Vec<usize> = (0..count)
+        .filter(|&b| reference.status[b].is_fallback())
+        .collect();
+    assert_eq!(fallbacks, [13, 22]);
+    for b in [3usize, 33] {
+        let pivots = reference.pivots[b].as_ref().expect("an LU block");
+        assert_eq!(
+            pivots[..5],
+            [0, 1, 2, 3, 4],
+            "block {b} starts on the diagonal"
+        );
+        assert_ne!(pivots[5], 5, "block {b} leaves it at step 5");
+    }
+    let interleaved = BatchLayout::Interleaved { class_capacity: 2 };
+    for backend in [&CpuSequential as &dyn Backend<f64>, &CpuRayon, &CpuSimd] {
+        for layout in [BatchLayout::Blocked, interleaved] {
+            let (outcome, _) = factor_and_solve(backend, batch.clone(), layout, &rhs);
+            assert_eq!(outcome, reference, "{} / {layout:?}", backend.name());
+        }
+    }
+
+    // what the two dead slots leave in the slab: identity factors and an
+    // identity pivot lane, so a class-wide sweep over them stays finite
+    let plan = BatchPlan::auto_with_layout::<f64>(&sizes, interleaved);
+    let factors = CpuSequential.factorize(batch, &plan, &mut ExecStats::new());
+    let slab = &factors.interleaved;
+    let mut dead = Vec::new();
+    for (c, class) in slab.classes().iter().enumerate() {
+        let at = |e: usize, slot: usize| e * class.count() + slot;
+        for (slot, &b) in class.blocks.iter().enumerate() {
+            if fallbacks.contains(&b) {
+                dead.push(b);
+                for e in 0..n * n {
+                    let want = if e % (n + 1) == 0 { 1.0 } else { 0.0 };
+                    assert_eq!(slab.data(c)[at(e, slot)], want, "block {b} element {e}");
+                }
+                for k in 0..n {
+                    assert_eq!(slab.piv(c)[at(k, slot)], k, "block {b} pivot {k}");
+                }
+            }
+        }
+    }
+    dead.sort_unstable();
+    assert_eq!(
+        dead, fallbacks,
+        "both dead blocks are slots of an interleaved class"
+    );
+}
+
 /// `out[order[p]] = permuted[p]`.
 fn unpermute<X>(order: &[usize], permuted: Vec<X>) -> Vec<X> {
     let mut slots: Vec<Option<X>> = permuted.iter().map(|_| None).collect();
