@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 use vbatch_bench::write_csv;
-use vbatch_exec::CpuRayon;
+use vbatch_exec::CpuSimd;
 use vbatch_precond::{BjMethod, BlockJacobi, PrecondOptions};
 use vbatch_solver::{cg, idr, SolveParams};
 use vbatch_sparse::{supervariable_blocking, table1_suite, ProblemClass};
@@ -45,7 +45,7 @@ fn main() {
 
         let setup = |method| {
             let opts = PrecondOptions::default().with_method(method);
-            BlockJacobi::setup_opts(&a, &part, Arc::new(CpuRayon), opts)
+            BlockJacobi::setup_opts(&a, &part, Arc::new(CpuSimd), opts)
                 .expect("the partition covers the matrix")
         };
         let t = Instant::now();

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 use vbatch_bench::{run_precond_idr, write_csv, BLOCK_BOUNDS};
-use vbatch_exec::{CpuRayon, PrecisionPolicy};
+use vbatch_exec::{CpuSimd, PrecisionPolicy};
 use vbatch_precond::{BjMethod, PrecondKind};
 use vbatch_sparse::table1_suite;
 
@@ -56,7 +56,7 @@ fn main() {
         for p in &problems {
             let a = p.build();
             let [lu, gh] = [BjMethod::SmallLu, BjMethod::GaussHuard].map(|method| {
-                let (backend, dp) = (Arc::new(CpuRayon), PrecisionPolicy::FullDp);
+                let (backend, dp) = (Arc::new(CpuSimd), PrecisionPolicy::FullDp);
                 run_precond_idr(&a, bound, PrecondKind::BlockJacobi, method, backend, dp)
             });
             let (Some(lu), Some(gh)) = (lu, gh) else {

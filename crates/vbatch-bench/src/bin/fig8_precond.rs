@@ -11,22 +11,24 @@
 //! and a costlier apply (two level-scheduled triangular sweeps around
 //! the batched diagonal solve).
 //!
-//! `--quick` runs a 12-problem subset with bounds {8, 32}.
-//! `--backend simd` routes setup and every per-iteration block solve
-//! through `CpuSimd` — parallel setup, sequential apply (recorded in
-//! the `backend` CSV column); the iteration counts must not change —
-//! only the times.
+//! `--quick` runs a 12-problem subset with bounds {8, 32}. Setup, the
+//! triangular sweeps and every per-iteration block solve run on
+//! `CpuSimd`, over the thread pool; its name fills the `backend` CSV
+//! column.
 
+use std::sync::Arc;
 use vbatch_bench::{
-    fmt_outcome, parse_backend_flag, parse_precision_flag, run_precond_idr, write_csv,
-    BLOCK_BOUNDS, FIG8_PRECOND_HEADER,
+    fmt_outcome, parse_precision_flag, run_precond_idr, write_csv, BLOCK_BOUNDS,
+    FIG8_PRECOND_HEADER,
 };
+use vbatch_exec::{Backend, CpuSimd};
 use vbatch_precond::{BjMethod, PrecondKind};
 use vbatch_sparse::table1_suite;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (backend, backend_label) = parse_backend_flag();
+    let backend: Arc<dyn Backend<f64>> = Arc::new(CpuSimd);
+    let backend_label = backend.name();
     let precision = parse_precision_flag();
     let suite = table1_suite();
     let problems: Vec<_> = if quick {

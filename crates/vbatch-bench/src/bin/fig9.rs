@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 use vbatch_bench::{run_precond_idr, write_csv};
-use vbatch_exec::{CpuRayon, PrecisionPolicy};
+use vbatch_exec::{CpuSimd, PrecisionPolicy};
 use vbatch_precond::{BjMethod, PrecondKind};
 use vbatch_sparse::table1_suite;
 
@@ -44,7 +44,7 @@ fn main() {
         let a = p.build();
         let mut times = [None; 3];
         for (i, &m) in methods.iter().enumerate() {
-            let (backend, dp) = (Arc::new(CpuRayon), PrecisionPolicy::FullDp);
+            let (backend, dp) = (Arc::new(CpuSimd), PrecisionPolicy::FullDp);
             if let Some(o) = run_precond_idr(&a, 32, PrecondKind::BlockJacobi, m, backend, dp) {
                 if o.converged {
                     times[i] = Some(o.total_s());

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 use vbatch_bench::{fmt_outcome, run_jacobi_idr, run_precond_idr, write_csv, BLOCK_BOUNDS};
-use vbatch_exec::{CpuRayon, PrecisionPolicy};
+use vbatch_exec::{CpuSimd, PrecisionPolicy};
 use vbatch_precond::{BjMethod, PrecondKind};
 use vbatch_sparse::table1_suite;
 
@@ -69,7 +69,7 @@ fn main() {
                 bound,
                 PrecondKind::BlockJacobi,
                 BjMethod::SmallLu,
-                Arc::new(CpuRayon),
+                Arc::new(CpuSimd),
                 PrecisionPolicy::FullDp,
             );
             let (it, t) = fmt_outcome(&o);

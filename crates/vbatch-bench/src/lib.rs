@@ -11,8 +11,7 @@ use std::time::Instant;
 
 use vbatch_core::{BatchLayout, MatrixBatch, Scalar};
 use vbatch_exec::{
-    Backend, BatchPlan, BlockSolve, CpuRayon, CpuSequential, CpuSimd, ExecStats, HealthPolicy,
-    PrecisionPolicy,
+    Backend, BatchPlan, BlockSolve, CpuSequential, ExecStats, HealthPolicy, PrecisionPolicy,
 };
 use vbatch_precond::{BjMethod, BlockIlu0, Jacobi, PrecondKind, PrecondOptions, Preconditioner};
 use vbatch_solver::{idr, idr_precond_kind, SolveParams, SpikeSolver, StopReason};
@@ -36,7 +35,7 @@ pub const BLOCK_BOUNDS: [usize; 5] = [8, 12, 16, 24, 32];
 /// `cpu_interleaved` / `cpu_simd` columns are *measured* host GFLOPS of
 /// the same batch: blocked vs interleaved storage on one thread
 /// ([`CpuSequential`]), and the interleaved storage again — the same
-/// lane kernels — with setup on all threads ([`CpuSimd`]);
+/// lane kernels — with setup on all threads ([`vbatch_exec::CpuSimd`]);
 /// `plan_layouts` records the planner's per-class layout histogram;
 /// `cpu_apply` is the measured prepared-apply throughput
 /// ([`measure_cpu_apply`]) and `ws_hwm` its resident workspace
@@ -248,21 +247,6 @@ fn flag_value(flag: &str) -> Option<String> {
     None
 }
 
-/// Parse the `--backend {cpu,simd}` flag shared by the experiment bins
-/// (`--backend simd` or `--backend=simd`): returns the chosen execution
-/// backend plus its CSV label. Defaults to the parallel scalar CPU
-/// backend, the historical behaviour. An unknown value is a usage
-/// error: reported on stderr, exit status 2.
-pub fn parse_backend_flag() -> (Arc<dyn Backend<f64>>, &'static str) {
-    match flag_value("--backend").as_deref() {
-        None | Some("cpu") => (Arc::new(CpuRayon), "cpu"),
-        Some("simd") => (Arc::new(CpuSimd), "cpu-simd"),
-        Some(other) => usage_error(&format!(
-            "unknown --backend value {other:?} (expected cpu or simd)"
-        )),
-    }
-}
-
 /// Parse the `--precond {bj,bilu,spike}` flag shared by the experiment bins
 /// (`--precond bilu` or `--precond=bilu`); defaults to block-Jacobi,
 /// the historical behaviour. An unknown value is a usage error:
@@ -465,8 +449,8 @@ pub fn run_jacobi_idr(a: &CsrMatrix<f64>) -> Option<SolveOutcome> {
 
 /// Run IDR(4) with the block preconditioner `kind` under a
 /// supervariable bound, on an explicit execution backend and precision
-/// policy — the engine of the suite bins and of their `--precond`,
-/// `--backend` and `--precision` flags. Setup and the per-iteration
+/// policy — the engine of the suite bins and of their `--precond` and
+/// `--precision` flags. Setup and the per-iteration
 /// block solves go through the `vbatch-exec` backend layer; singular
 /// blocks degrade per block to scalar Jacobi; under a lowering policy
 /// the diagonal-block factors are stored narrowed and applied through
@@ -534,6 +518,7 @@ pub fn fmt_outcome(o: &Option<SolveOutcome>) -> (String, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vbatch_exec::CpuSimd;
     use vbatch_sparse::gen::laplace::laplace_2d;
 
     fn run_idr(a: &CsrMatrix<f64>, kind: PrecondKind, precision: PrecisionPolicy) -> SolveOutcome {

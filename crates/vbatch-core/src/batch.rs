@@ -252,11 +252,6 @@ impl<T: Scalar> VectorBatch<T> {
         v
     }
 
-    /// Sizes matching a [`MatrixBatch`].
-    pub fn zeros_like<M: Scalar>(mats: &MatrixBatch<M>) -> Self {
-        Self::zeros(mats.sizes())
-    }
-
     /// Number of segments.
     #[inline]
     pub fn len(&self) -> usize {

@@ -133,7 +133,8 @@ pub fn getrf_interleaved_class_simd_scratch<'s, T: Scalar>(
 }
 
 /// Lane-wide implicit-pivot GETRF over an interleaved class at an
-/// explicit lane width (1, 2, 4 or 8).
+/// explicit lane width (1, 2, 4 or 8) — the entry point through which
+/// the suites run every width of [`SUPPORTED_WIDTHS`] on any host.
 ///
 /// * `data` — interleaved class values (`n*n*count`), overwritten with
 ///   the combined `L\U` factors *in pivot order* per slot;
@@ -401,7 +402,8 @@ pub fn lu_solve_interleaved_class_scratch_simd<T: Scalar>(
 }
 
 /// Lane-wide permuted eager TRSV over a factorized interleaved class at
-/// an explicit width, with caller-provided scratch
+/// an explicit width (every width of [`SUPPORTED_WIDTHS`] is tested
+/// through it), with caller-provided scratch
 /// (`scratch.len() >= n * count`) so the warm apply stays allocation
 /// free, in place on right-hand-side lanes `x[i*count + slot]`.
 ///

@@ -11,12 +11,12 @@ use vbatch_core::{MatrixBatch, Scalar, VectorBatch};
 use vbatch_sparse::{BlockPartition, CsrMatrix, LevelSchedule};
 
 /// An executor for variable-size batched work. Implementations:
-/// [`crate::CpuSequential`], [`crate::CpuRayon`], [`crate::CpuSimd`]
-/// and [`crate::SimtSim`]. All methods take an [`ExecStats`] sink; every
-/// backend fills in the kernel histogram, flops, failures and phase
-/// timings the same way, so consumers can compare runs across backends.
+/// [`crate::CpuSequential`], [`crate::CpuSimd`] and [`crate::SimtSim`].
+/// All methods take an [`ExecStats`] sink; every backend fills in the
+/// kernel histogram, flops, failures and phase timings the same way, so
+/// consumers can compare runs across backends.
 pub trait Backend<T: Scalar>: Send + Sync {
-    /// Short display name ("cpu-seq", "cpu-par", "simt-sim").
+    /// Short display name ("cpu-seq", "cpu-simd", "simt-sim").
     fn name(&self) -> &'static str;
 
     /// Extract the diagonal blocks described by `part` from `a`.

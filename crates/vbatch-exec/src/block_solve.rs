@@ -104,12 +104,12 @@ impl<T: Scalar> BlockSolve<T> {
 mod tests {
     use super::*;
     use crate::plan::HealthPolicy;
-    use crate::{CpuRayon, CpuSequential, CpuSimd, SimtSim};
+    use crate::{CpuSequential, CpuSimd, SimtSim};
     use vbatch_core::BatchLayout;
     use vbatch_rt::{testgen, SmallRng};
 
     /// `BlockSolve` is the raw calls and nothing else: same statuses,
-    /// same bits over two applies, same counters — on the three host
+    /// same bits over two applies, same counters — on the two host
     /// backends and on the simulator, whose apply is the trait's default
     /// `solve_prepared`.
     #[test]
@@ -130,9 +130,8 @@ mod tests {
         let plan = BatchPlan::auto_with_layout::<f64>(&sizes, layout)
             .with_health(HealthPolicy::guarded::<f64>());
 
-        let backends: [Arc<dyn Backend<f64>>; 4] = [
+        let backends: [Arc<dyn Backend<f64>>; 3] = [
             Arc::new(CpuSequential),
-            Arc::new(CpuRayon),
             Arc::new(CpuSimd),
             Arc::new(SimtSim::new()),
         ];

@@ -1,10 +1,10 @@
 //! Host backends: one kernel set, on the calling thread or on the pool.
 //!
-//! [`CpuSequential`], [`CpuRayon`] and [`CpuSimd`] run the same
-//! `vbatch-core` kernels through the same factorize / apply functions
-//! and produce the same bits; they differ in one bit — `CpuSequential`
-//! stays on the calling thread, `CpuRayon` ≡ `CpuSimd` fan setup *and*
-//! apply out over the persistent pool of `vbatch_rt::par`.
+//! [`CpuSequential`] and [`CpuSimd`] run the same `vbatch-core` kernels
+//! through the same factorize / apply functions and produce the same
+//! bits; they differ in one bit — `CpuSequential` stays on the calling
+//! thread, `CpuSimd` fans setup *and* apply out over the persistent pool
+//! of `vbatch_rt::par`.
 //!
 //! Each block runs what its size class says ([`BatchPlan::class`]): the
 //! kernel *family* — the three LU launch shapes are one kernel here —
@@ -55,11 +55,8 @@ use vbatch_sparse::{extract_diag_blocks, BlockPartition, CsrMatrix};
 /// One block after another; deterministic reference execution.
 pub struct CpuSequential;
 
-/// Setup and apply distributed over the persistent pool of `vbatch-rt`.
-pub struct CpuRayon;
-
-/// [`CpuRayon`] under the name the lane kernels were introduced with; a
-/// warm apply allocates nothing on either (`vbatch-solver` pins it).
+/// Setup and apply distributed over the persistent pool of `vbatch-rt`;
+/// a warm apply allocates nothing (`vbatch-solver` pins it).
 pub struct CpuSimd;
 
 /// Factorize one block with the planned kernel, storing LU/GH-family
@@ -613,6 +610,9 @@ pub(crate) fn solve_prepared_cpu<T: Scalar>(
     stats.record_apply(prepared.workspace_hwm_elems());
 }
 
+/// Explicit block inverses: [`factor_block`]'s GJE arm per block, a
+/// failed block's scalar-Jacobi fallback written out as a diagonal
+/// "inverse".
 pub(crate) fn invert_cpu<T: Scalar>(
     blocks: &MatrixBatch<T>,
     parallel: bool,
@@ -620,43 +620,26 @@ pub(crate) fn invert_cpu<T: Scalar>(
 ) -> (MatrixBatch<T>, Vec<BlockStatus>) {
     let _span = vbatch_trace::span!("exec.invert", blocks.len());
     let t0 = Instant::now();
-    let sizes = blocks.sizes().to_vec();
-    let items: Vec<(usize, Vec<T>)> = (0..blocks.len())
-        .map(|i| (sizes[i], blocks.block(i).to_vec()))
-        .collect();
-    let work = |(n, data): (usize, Vec<T>)| -> (Vec<T>, BlockStatus) {
-        let diag = block_diag(n, &data);
-        let mat = DenseMat::from_col_major(n, n, &data);
-        match gje_invert(&mat) {
-            Ok(inv) => (
-                inv.as_slice().to_vec(),
-                BlockStatus::factorized(KernelChoice::GjeInvert),
-            ),
-            Err(error) => {
-                // diagonal fallback "inverse"
-                let mut d = vec![T::ZERO; n * n];
-                let (factor, sanitized) = scalar_jacobi_from_diag(&diag);
-                if let BlockFactor::ScalarJacobi { inv_diag } = factor {
-                    for (i, &v) in inv_diag.iter().enumerate() {
-                        d[i * n + i] = v;
-                    }
-                }
-                (
-                    d,
-                    BlockStatus::fallback(KernelChoice::GjeInvert, error, sanitized, n),
-                )
-            }
-        }
-    };
-    let results: Vec<(Vec<T>, BlockStatus)> = if parallel {
-        par_map_vec(items, work)
+    let sizes = blocks.sizes();
+    let work = |i: usize| factor_block::<T, T>(sizes[i], blocks.block(i), KernelChoice::GjeInvert);
+    let results: Vec<(BlockFactor<T>, BlockStatus)> = if parallel {
+        par_map_vec((0..blocks.len()).collect(), work)
     } else {
-        items.into_iter().map(work).collect()
+        (0..blocks.len()).map(work).collect()
     };
-    let mut out = MatrixBatch::zeros(&sizes);
+    let mut out = MatrixBatch::zeros(sizes);
     let mut status = Vec::with_capacity(results.len());
-    for (i, (data, st)) in results.into_iter().enumerate() {
-        out.block_mut(i).copy_from_slice(&data);
+    for (i, (factor, st)) in results.into_iter().enumerate() {
+        let (n, dst) = (sizes[i], out.block_mut(i));
+        match factor {
+            BlockFactor::Inv { inv, .. } => dst.copy_from_slice(&inv),
+            BlockFactor::ScalarJacobi { inv_diag } => {
+                for (k, v) in inv_diag.into_iter().enumerate() {
+                    dst[k * n + k] = v;
+                }
+            }
+            _ => unreachable!("the GJE arm yields an inverse or its fallback"),
+        }
         status.push(st);
     }
     record_statuses(&status, stats);
@@ -778,7 +761,6 @@ macro_rules! impl_cpu_backend {
 }
 
 impl_cpu_backend!(CpuSequential, "cpu-seq", parallel: false);
-impl_cpu_backend!(CpuRayon, "cpu-par", parallel: true);
 impl_cpu_backend!(CpuSimd, "cpu-simd", parallel: true);
 
 #[cfg(test)]
@@ -839,13 +821,13 @@ mod tests {
             let mut s1 = ExecStats::new();
             let mut s2 = ExecStats::new();
             let f1 = CpuSequential.factorize(batch.clone(), &plan, &mut s1);
-            let f2 = CpuRayon.factorize(batch.clone(), &plan, &mut s2);
+            let f2 = CpuSimd.factorize(batch.clone(), &plan, &mut s2);
             let total: usize = sizes.iter().sum();
             let flat: Vec<f64> = (0..total).map(|i| (i % 13) as f64 - 6.0).collect();
             let mut r1 = VectorBatch::from_flat(&sizes, &flat);
             let mut r2 = VectorBatch::from_flat(&sizes, &flat);
             CpuSequential.solve(&f1, &mut r1, &mut s1);
-            CpuRayon.solve(&f2, &mut r2, &mut s2);
+            CpuSimd.solve(&f2, &mut r2, &mut s2);
             // same kernels on the same data: bitwise identical
             assert_eq!(r1.as_slice(), r2.as_slice(), "{method:?}");
         }
@@ -903,7 +885,7 @@ mod tests {
 
         let total: usize = sizes.iter().sum();
         let flat: Vec<f64> = (0..total).map(|i| (i % 11) as f64 / 2.0 - 2.0).collect();
-        for backend in [&CpuSequential as &dyn Backend<f64>, &CpuRayon, &CpuSimd] {
+        for backend in [&CpuSequential as &dyn Backend<f64>, &CpuSimd] {
             let mut sb = ExecStats::new();
             let mut si = ExecStats::new();
             let fb = backend.factorize(batch.clone(), &blocked_plan, &mut sb);
@@ -951,7 +933,7 @@ mod tests {
         CpuSequential.solve(&f_ref, &mut r_ref, &mut s_ref);
 
         let mut s = ExecStats::new();
-        let f = CpuSimd.factorize(batch.clone(), &plan, &mut s);
+        let f = CpuSimd.factorize(batch, &plan, &mut s);
         for blk in 0..sizes.len() {
             assert_eq!(f_ref.row_of_step(blk), f.row_of_step(blk), "block {blk}");
         }
@@ -964,34 +946,6 @@ mod tests {
         let mut v = flat.clone();
         CpuSimd.solve_prepared(&f, &prep, &mut v, &mut s);
         assert_eq!(v.as_slice(), r_ref.as_slice());
-
-        // parity with the parallel backend as well
-        let mut s_par = ExecStats::new();
-        let f_par = CpuRayon.factorize(batch, &plan, &mut s_par);
-        let mut r_par = VectorBatch::from_flat(&sizes, &flat);
-        CpuRayon.solve(&f_par, &mut r_par, &mut s_par);
-        assert_eq!(r_par.as_slice(), r.as_slice());
-    }
-
-    #[test]
-    fn simd_backend_matches_rayon_on_the_blocked_layout() {
-        use vbatch_core::BatchLayout;
-        let sizes = [5usize, 9, 17, 33, 2];
-        let batch = random_batch(&sizes, 31);
-        let plan = BatchPlan::auto_with_layout::<f64>(&sizes, BatchLayout::Blocked);
-        let total: usize = sizes.iter().sum();
-        let flat: Vec<f64> = (0..total).map(|i| 1.0 + (i % 5) as f64).collect();
-
-        let mut s1 = ExecStats::new();
-        let mut s2 = ExecStats::new();
-        let f1 = CpuSimd.factorize(batch.clone(), &plan, &mut s1);
-        let f2 = CpuRayon.factorize(batch, &plan, &mut s2);
-        let mut r1 = VectorBatch::from_flat(&sizes, &flat);
-        let mut r2 = VectorBatch::from_flat(&sizes, &flat);
-        CpuSimd.solve(&f1, &mut r1, &mut s1);
-        CpuRayon.solve(&f2, &mut r2, &mut s2);
-        assert_eq!(r1.as_slice(), r2.as_slice());
-        assert_eq!(s1.layout_histogram()["blocked"], 5);
     }
 
     #[test]
@@ -999,13 +953,13 @@ mod tests {
         let sizes = [6usize, 11];
         let batch = random_batch(&sizes, 3);
         let mut stats = ExecStats::new();
-        let (inv, status) = CpuRayon.invert(&batch, &mut stats);
+        let (inv, status) = CpuSimd.invert(&batch, &mut stats);
         assert!(status.iter().all(|s| !s.is_fallback()));
         let total: usize = sizes.iter().sum();
         let flat: Vec<f64> = (0..total).map(|i| 1.0 + i as f64).collect();
         let x = VectorBatch::from_flat(&sizes, &flat);
         let mut via_inv = VectorBatch::zeros(&sizes);
-        CpuRayon.apply_gemv(&inv, &x, &mut via_inv, &mut stats);
+        CpuSimd.apply_gemv(&inv, &x, &mut via_inv, &mut stats);
 
         let plan = BatchPlan::auto::<f64>(&sizes);
         let fact = CpuSequential.factorize(batch, &plan, &mut stats);
@@ -1013,6 +967,45 @@ mod tests {
         CpuSequential.solve(&fact, &mut via_solve, &mut stats);
         for (a, b) in via_inv.as_slice().iter().zip(via_solve.as_slice()) {
             assert!((a - b).abs() < 1e-8, "{a} vs {b}");
+        }
+    }
+
+    /// A singular and a NaN block degrade to diagonal "inverses" with the
+    /// statuses `factor_block` gives them; the digest of the returned
+    /// matrices was recorded before `invert_cpu` went through it.
+    #[test]
+    fn invert_degrades_singular_and_nan_blocks_bitwise() {
+        use vbatch_core::FactorError;
+        let sizes = [4usize, 3, 5];
+        let mut batch = random_batch(&sizes, 17);
+        // block 1: row 1 is twice row 0, exactly singular in GJE's
+        // arithmetic; block 2: a NaN on the diagonal
+        let singular = [1.0, 2.0, 1.0, 2.0, 4.0, 1.0, 3.0, 6.0, 1.0];
+        batch.block_mut(1).copy_from_slice(&singular);
+        batch.block_mut(2)[2 * 5 + 2] = f64::NAN;
+        let digest = |v: &[f64]| {
+            v.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
+                (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let kernel = KernelChoice::GjeInvert;
+        let expected = [
+            BlockStatus::factorized(kernel),
+            BlockStatus::fallback(kernel, FactorError::SingularPivot { step: 2 }, 0, 3),
+            BlockStatus::fallback(kernel, FactorError::NonFinite { row: 2, col: 2 }, 1, 5),
+        ];
+        for backend in [&CpuSequential as &dyn Backend<f64>, &CpuSimd] {
+            let mut stats = ExecStats::new();
+            let (inv, status) = backend.invert(&batch, &mut stats);
+            let got = digest(inv.as_slice());
+            assert_eq!(
+                got,
+                0x9222_c380_d12c_cde0,
+                "{} gives {got:#018x}",
+                backend.name()
+            );
+            assert_eq!(status, expected, "{}", backend.name());
+            assert_eq!(stats.failures, 2);
         }
     }
 }

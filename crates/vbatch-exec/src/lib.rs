@@ -13,8 +13,8 @@
 //!   class with enough members is interleaved, at any order.
 //! * [`Backend`] — the *executor*. One interface over
 //!   [`vbatch_core::MatrixBatch`]es: the host backends
-//!   [`CpuSequential`], [`CpuRayon`] and [`CpuSimd`] (one kernel set
-//!   under three threading policies, see [`cpu`]), and [`SimtSim`] (the
+//!   [`CpuSequential`] and [`CpuSimd`] (one kernel set on the calling
+//!   thread or on the pool, see [`cpu`]), and [`SimtSim`] (the
 //!   warp-lockstep functional simulator of `vbatch-simt`).
 //! * [`BlockSolve`] — the *owner*. A plan run on a backend: the
 //!   factorized batch and the prepared apply built from it as one
@@ -52,7 +52,7 @@ pub mod tri;
 pub use apply::PreparedApply;
 pub use backend::Backend;
 pub use block_solve::BlockSolve;
-pub use cpu::{CpuRayon, CpuSequential, CpuSimd};
+pub use cpu::{CpuSequential, CpuSimd};
 pub use estimate::{estimate_planned_factor, PlannedEstimate};
 pub use factors::{
     refine_once, BlockFactor, BlockHealth, BlockStatus, ClassSlab, FactorizedBatch,

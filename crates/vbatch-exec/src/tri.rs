@@ -12,7 +12,7 @@
 //! [`LevelSchedule`]; the two are bitwise identical because a row's
 //! per-entry accumulation order (ascending block column) never changes
 //! — only the interleaving of *independent* rows does. That identity is
-//! what lets `CpuRayon` parallelize inside a level without perturbing
+//! what lets `CpuSimd` parallelize inside a level without perturbing
 //! results.
 //!
 //! Like the prepared apply, the sweep is steady-state Krylov traffic:
@@ -262,6 +262,9 @@ impl<T: Scalar> BlockTriangular<T> {
     /// the long-chain schedules of banded and FEM patterns are hundreds
     /// of levels one or two rows wide, a few microseconds each, where a
     /// round trip per level costs more than it returns (EXPERIMENTS.md §M).
+    /// Circuit patterns cross it: their power-law rows put several heavy
+    /// block rows in one level — up to 830 k block elements in 8 rows in
+    /// the 48-problem suite (EXPERIMENTS.md §O).
     pub fn sweep_levels_parallel(&self, sched: &LevelSchedule, v: &mut [T]) {
         debug_assert_eq!(sched.kind(), self.kind);
         for l in 0..sched.num_levels() {

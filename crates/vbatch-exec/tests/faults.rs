@@ -22,7 +22,7 @@ use std::sync::Arc;
 use vbatch_core::{BatchLayout, MatrixBatch, VectorBatch};
 use vbatch_exec::{
     apply_fault, expected_health, inject_batch, inject_rhs, Backend, BatchPlan, BlockHealth,
-    CpuRayon, CpuSequential, CpuSimd, ExecStats, FaultClass, FaultPlan, HealthPolicy, PlanMethod,
+    CpuSequential, CpuSimd, ExecStats, FaultClass, FaultPlan, HealthPolicy, PlanMethod,
     RecoveryStep, SimtSim,
 };
 use vbatch_precond::{BjMethod, BlockJacobi, PrecondOptions};
@@ -38,7 +38,6 @@ const LAYOUTS: [BatchLayout; 2] = [
 fn backends() -> Vec<Arc<dyn Backend<f64>>> {
     vec![
         Arc::new(CpuSequential),
-        Arc::new(CpuRayon),
         Arc::new(CpuSimd),
         Arc::new(SimtSim::new()),
     ]

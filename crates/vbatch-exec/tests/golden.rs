@@ -5,9 +5,9 @@
 //!
 //! Contracts locked down here:
 //!
-//! * the three CPU backends — `CpuSequential`, `CpuRayon`, `CpuSimd` —
-//!   agree **bitwise** across both layouts: identical pivot sequences
-//!   and identical solution bits, because the interleaved lane kernels
+//! * the two CPU backends — `CpuSequential`, `CpuSimd` — agree
+//!   **bitwise** across both layouts: identical pivot sequences and
+//!   identical solution bits, because the interleaved lane kernels
 //!   execute the exact per-slot operation order of the blocked kernels;
 //! * every combination stays within `c · n · eps` of the dense
 //!   reference solve (`vbatch_core::solve_system`);
@@ -17,7 +17,7 @@
 
 use vbatch_core::{BatchLayout, MatrixBatch, Scalar, VectorBatch};
 use vbatch_exec::{
-    Backend, BatchPlan, CpuRayon, CpuSequential, CpuSimd, ExecStats, FactorizedBatch, HealthPolicy,
+    Backend, BatchPlan, CpuSequential, CpuSimd, ExecStats, FactorizedBatch, HealthPolicy,
     PlanMethod, SimtSim,
 };
 use vbatch_rt::{run_cases, testgen, SmallRng};
@@ -75,9 +75,8 @@ fn run_all_combos(
     health: HealthPolicy,
 ) -> Vec<Combo> {
     let mut combos = Vec::new();
-    let backends: [(&dyn Backend<f64>, bool); 4] = [
+    let backends: [(&dyn Backend<f64>, bool); 3] = [
         (&CpuSequential, true),
-        (&CpuRayon, true),
         (&CpuSimd, true),
         (&SimtSim::new(), false),
     ];

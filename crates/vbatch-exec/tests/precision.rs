@@ -19,7 +19,7 @@
 
 use vbatch_core::{BatchLayout, MatrixBatch, StoragePrecision, VectorBatch};
 use vbatch_exec::{
-    Backend, BatchPlan, CpuRayon, CpuSequential, CpuSimd, ExecStats, HealthPolicy, PlanMethod,
+    Backend, BatchPlan, CpuSequential, CpuSimd, ExecStats, HealthPolicy, PlanMethod,
     PrecisionPolicy, SimtSim,
 };
 use vbatch_rt::{run_cases, testgen, SmallRng};
@@ -108,8 +108,7 @@ fn promotion_never_moves_solutions_beyond_tolerance() {
         let mut batch = random_batch(rng, &sizes);
         poison_conditioning(&mut batch, 4);
         let rhs = rhs_for(rng, &sizes);
-        let backends: [&dyn Backend<f64>; 4] =
-            [&CpuSequential, &CpuRayon, &CpuSimd, &SimtSim::new()];
+        let backends: [&dyn Backend<f64>; 3] = [&CpuSequential, &CpuSimd, &SimtSim::new()];
         for layout in LAYOUTS {
             for backend in backends {
                 let (dp, _, _) =

@@ -1,5 +1,5 @@
 //! Property-based tests of the execution layer: the three backends
-//! (`CpuSequential`, `CpuRayon`, `SimtSim`) must produce identical (to
+//! (`CpuSequential`, `CpuSimd`, `SimtSim`) must produce identical (to
 //! roundoff) solutions on random variable-size batches under every plan
 //! method, and the planner must honor the paper's kernel-selection
 //! rules (blocked LU above order 32, warp packing for uniform n ≤ 16)
@@ -8,9 +8,9 @@
 
 use vbatch_core::{BatchLayout, DenseMat, MatrixBatch, Scalar, StoragePrecision, VectorBatch};
 use vbatch_exec::{
-    Backend, BatchPlan, BlockFactor, BlockTriangular, ClassLayout, CpuRayon, CpuSequential,
-    CpuSimd, ExecStats, FactorizedBatch, HealthPolicy, KernelChoice, PlanMethod, PrecisionPolicy,
-    SimtSim, Wrapper,
+    Backend, BatchPlan, BlockFactor, BlockTriangular, ClassLayout, CpuSequential, CpuSimd,
+    ExecStats, FactorizedBatch, HealthPolicy, KernelChoice, PlanMethod, PrecisionPolicy, SimtSim,
+    Wrapper,
 };
 use vbatch_rt::{run_cases, testgen, SmallRng};
 
@@ -58,7 +58,7 @@ fn backends_agree_on_random_variable_size_batches() {
             let (sizes, batch) = random_batch(rng, 40);
             let rhs = rhs_for(&sizes);
             let plan = BatchPlan::auto::<f64>(&sizes);
-            let backends: [&dyn Backend<f64>; 3] = [&CpuSequential, &CpuRayon, &SimtSim::new()];
+            let backends: [&dyn Backend<f64>; 3] = [&CpuSequential, &CpuSimd, &SimtSim::new()];
             let results: Vec<(Vec<f64>, usize)> = backends
                 .iter()
                 .map(|b| solve_on(*b, &batch, &plan, &rhs))
@@ -94,7 +94,7 @@ fn backends_agree_under_every_plan_method() {
             ] {
                 let plan = BatchPlan::for_method::<f64>(&sizes, method);
                 let (seq, _) = solve_on(&CpuSequential, &batch, &plan, &rhs);
-                let (par, _) = solve_on(&CpuRayon, &batch, &plan, &rhs);
+                let (par, _) = solve_on(&CpuSimd, &batch, &plan, &rhs);
                 let (simt, _) = solve_on(&SimtSim::new(), &batch, &plan, &rhs);
                 for ((p, q), r) in seq.iter().zip(&par).zip(&simt) {
                     // the two CPU backends run the same scalar code

@@ -393,7 +393,7 @@ impl<T: Scalar> BlockPreconditioner<T> for BlockIlu0<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vbatch_exec::{CpuRayon, CpuSequential};
+    use vbatch_exec::{CpuSequential, CpuSimd};
     use vbatch_sparse::gen::laplace::laplace_2d;
 
     fn seq() -> Arc<dyn Backend<f64>> {
@@ -475,13 +475,13 @@ mod tests {
     #[test]
     fn parallel_backend_matches_sequential_bitwise() {
         // level-scheduled sweeps and per-block solves are bitwise
-        // deterministic: the same setup on CpuRayon must reproduce the
+        // deterministic: the same setup on CpuSimd must reproduce the
         // CpuSequential apply exactly.
         let a = laplace_2d::<f64>(10, 9);
         let part = BlockPartition::uniform(90, 7);
         let opts = PrecondOptions::default().with_method(BjMethod::SmallLu);
         let seq = BlockIlu0::setup_opts(&a, &part, seq(), opts.clone()).unwrap();
-        let par = BlockIlu0::setup_opts(&a, &part, Arc::new(CpuRayon), opts).unwrap();
+        let par = BlockIlu0::setup_opts(&a, &part, Arc::new(CpuSimd), opts).unwrap();
         let v: Vec<f64> = (0..90).map(|i| (i as f64 * 0.37).sin()).collect();
         assert_eq!(seq.apply(&v), par.apply(&v));
     }

@@ -183,7 +183,7 @@ impl<T: Scalar> BlockPreconditioner<T> for BlockJacobi<T> {
 mod tests {
     use super::*;
     use vbatch_core::BatchLayout;
-    use vbatch_exec::{CpuRayon, CpuSequential, FaultPlan, Phase};
+    use vbatch_exec::{CpuSequential, CpuSimd, FaultPlan, Phase};
     use vbatch_sparse::gen::fem::{fem_block_matrix, MeshGraph};
     use vbatch_sparse::gen::laplace::laplace_2d;
     use vbatch_sparse::supervariable_blocking;
@@ -193,7 +193,7 @@ mod tests {
     }
 
     fn par() -> Arc<dyn Backend<f64>> {
-        Arc::new(CpuRayon)
+        Arc::new(CpuSimd)
     }
 
     fn setup(

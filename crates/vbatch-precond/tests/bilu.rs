@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 use vbatch_core::{BatchLayout, DenseMat};
-use vbatch_exec::{Backend, CpuRayon, CpuSequential, CpuSimd, SimtSim};
+use vbatch_exec::{Backend, CpuSequential, CpuSimd, SimtSim};
 use vbatch_precond::{BjMethod, BlockIlu0, PrecondOptions, Preconditioner};
 use vbatch_rt::{run_cases, testgen, SmallRng};
 use vbatch_sparse::{BlockPartition, BlockPattern, CooMatrix, CsrMatrix};
@@ -149,7 +149,7 @@ fn mat_div_right(b: &DenseMat<f64>, a: &DenseMat<f64>) -> DenseMat<f64> {
 fn backends() -> Vec<(&'static str, Arc<dyn Backend<f64>>)> {
     vec![
         ("cpu-seq", Arc::new(CpuSequential)),
-        ("cpu-par", Arc::new(CpuRayon)),
+        ("cpu-simd", Arc::new(CpuSimd)),
         ("simt-sim", Arc::new(SimtSim::new())),
     ]
 }
@@ -231,7 +231,7 @@ fn bilu_apply_is_bitwise_identical_across_backends() {
 /// multi-right-hand-side normalisation (blocked, interleaved and
 /// column-loop variants all occur under the planner) and the stamped
 /// extraction must leave `L̃`, `Ũ` and the apply bitwise equal on the
-/// three CPU backends.
+/// two CPU backends.
 #[test]
 fn bilu_factors_are_bitwise_identical_across_cpu_backends_on_ragged_partition() {
     let mut rng = SmallRng::seed_from_u64(0xb11u64);
@@ -281,9 +281,8 @@ fn bilu_factors_are_bitwise_identical_across_cpu_backends_on_ragged_partition() 
             .flat_map(|e| t.block_data(e).iter().map(|x| x.to_bits()))
             .collect::<Vec<_>>()
     };
-    let cpu_backends: [(&str, Arc<dyn Backend<f64>>); 3] = [
+    let cpu_backends: [(&str, Arc<dyn Backend<f64>>); 2] = [
         ("cpu-seq", Arc::new(CpuSequential)),
-        ("cpu-par", Arc::new(CpuRayon)),
         ("cpu-simd", Arc::new(CpuSimd)),
     ];
     let mut golden = None;

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 use vbatch_core::{DenseMat, FactorError};
-use vbatch_exec::{Backend, CpuRayon, CpuSequential};
+use vbatch_exec::{Backend, CpuSequential, CpuSimd};
 use vbatch_precond::{BjMethod, BlockJacobi, Jacobi, PrecondOptions, Preconditioner};
 use vbatch_rt::{run_cases, testgen, SmallRng};
 use vbatch_sparse::{supervariable_blocking, BlockPartition, CooMatrix, CsrMatrix};
@@ -14,7 +14,7 @@ fn seq() -> Arc<dyn Backend<f64>> {
 }
 
 fn par() -> Arc<dyn Backend<f64>> {
-    Arc::new(CpuRayon)
+    Arc::new(CpuSimd)
 }
 
 fn bj(

@@ -62,12 +62,6 @@ impl<C: RawClock> MonoTimer<C> {
         let prev = self.last.fetch_max(raw, Ordering::Relaxed);
         raw.max(prev)
     }
-
-    /// Nanoseconds elapsed since an earlier [`Self::now_ns`] reading;
-    /// saturates at zero, never wraps.
-    pub fn elapsed_ns(&self, since_ns: u64) -> u64 {
-        self.now_ns().saturating_sub(since_ns)
-    }
 }
 
 static GLOBAL_TIMER: MonoTimer<StdClock> = MonoTimer::new(StdClock);
@@ -122,17 +116,6 @@ mod tests {
         }
         // backwards raw readings are clamped to the running maximum
         assert_eq!(got, [100, 1000, 1000, 1200, 1500, 1500, 1600]);
-    }
-
-    #[test]
-    fn mono_timer_elapsed_saturates() {
-        // a start reading taken just before a backwards step must yield
-        // a zero delta, not a wrapped huge one
-        let timer = MonoTimer::new(FakeClock::new(vec![1000, 300, 500]));
-        let start = timer.now_ns();
-        assert_eq!(timer.elapsed_ns(start), 0);
-        // and elapsed against a stale larger stamp also saturates
-        assert_eq!(timer.elapsed_ns(u64::MAX), 0);
     }
 
     #[test]

@@ -26,12 +26,12 @@
 //!   hot selects vectorize instead of round-tripping through integer
 //!   lanes.
 //!
-//! [`lane_width`] picks the run-time width from the host vector ISA
-//! (AVX-512F → 64-byte vectors, AVX2 → 32, anything else → 16), clamped
-//! to the supported widths {2, 4, 8}; the `VBATCH_SIMD_WIDTH`
-//! environment variable overrides it (values 1, 2, 4, 8 — width 1
-//! forces the W = 1 remainder path everywhere, which CI uses to keep
-//! it green on any host).
+//! [`lane_width`] is the run-time width, read off the host vector ISA
+//! (AVX-512F → 64-byte vectors, AVX2 → 32, anything else → 16) and
+//! clamped to the supported widths {2, 4, 8}. The kernels are
+//! bitwise-identical at every width, so nothing chooses another one:
+//! tests drive each width through the kernels' width-explicit entry
+//! points.
 #![deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 
 use std::ops::{Add, Div, Mul, Neg, Sub};
@@ -64,8 +64,6 @@ pub trait SimdElem:
     const LANE_ZERO: Self;
     /// Multiplicative identity.
     const LANE_ONE: Self;
-    /// Size of one lane in bytes (4 for `f32`, 8 for `f64`).
-    const LANE_BYTES: usize;
     /// Fused multiply-add with a single rounding: `self * a + b`.
     fn lane_mul_add(self, a: Self, b: Self) -> Self;
     /// Absolute value.
@@ -77,7 +75,6 @@ pub trait SimdElem:
 impl SimdElem for f32 {
     const LANE_ZERO: Self = 0.0;
     const LANE_ONE: Self = 1.0;
-    const LANE_BYTES: usize = 4;
     #[inline(always)]
     fn lane_mul_add(self, a: Self, b: Self) -> Self {
         self.mul_add(a, b)
@@ -95,7 +92,6 @@ impl SimdElem for f32 {
 impl SimdElem for f64 {
     const LANE_ZERO: Self = 0.0;
     const LANE_ONE: Self = 1.0;
-    const LANE_BYTES: usize = 8;
     #[inline(always)]
     fn lane_mul_add(self, a: Self, b: Self) -> Self {
         self.mul_add(a, b)
@@ -329,53 +325,12 @@ fn vector_bytes() -> usize {
     })
 }
 
-/// Validate a raw `VBATCH_SIMD_WIDTH` value: `None` (unset) and the
-/// supported widths 1, 2, 4, 8 pass; anything else is an error naming
-/// the offending value and the accepted set. Pure so it is unit-testable
-/// independently of the process-wide environment.
-pub fn parse_simd_width(raw: Option<&str>) -> Result<Option<usize>, String> {
-    let Some(raw) = raw else { return Ok(None) };
-    match raw.trim().parse::<usize>() {
-        Ok(w) if matches!(w, 1 | 2 | 4 | 8) => Ok(Some(w)),
-        _ => Err(format!(
-            "invalid VBATCH_SIMD_WIDTH={raw:?}: expected one of 1, 2, 4, 8 (or unset \
-             to auto-detect from the host vector ISA)"
-        )),
-    }
-}
-
-/// `VBATCH_SIMD_WIDTH` override, parsed and validated once. An invalid
-/// value aborts with a clear error instead of silently falling back to
-/// auto-detection — a typo like `VBATCH_SIMD_WIDTH=3` must not quietly
-/// run a different kernel configuration than the one asked for.
-fn width_override() -> Option<usize> {
-    static OVERRIDE: OnceLock<Option<usize>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        let var = std::env::var("VBATCH_SIMD_WIDTH").ok();
-        match parse_simd_width(var.as_deref()) {
-            Ok(w) => w,
-            Err(msg) => panic!("{msg}"),
-        }
-    })
-}
-
-/// Run-time lane width for elements of `elem_bytes` bytes.
-///
-/// Without an override this is the host vector width divided by the
-/// element size, clamped to `[2, MAX_LANE_WIDTH]` — so f64 gets 8 on
-/// AVX-512, 4 on AVX2, 2 elsewhere, and f32 gets 8 on both AVX
-/// generations. With `VBATCH_SIMD_WIDTH={1,2,4,8}` set, that value is
-/// used for both precisions (1 forces the scalar remainder path).
+/// Run-time lane width for elements of `elem_bytes` bytes: the host
+/// vector width divided by the element size, clamped to
+/// `[2, MAX_LANE_WIDTH]` — so f64 gets 8 on AVX-512, 4 on AVX2, 2
+/// elsewhere, and f32 gets 8 on both AVX generations.
 pub fn lane_width(elem_bytes: usize) -> usize {
-    if let Some(w) = width_override() {
-        return w;
-    }
     (vector_bytes() / elem_bytes.max(1)).clamp(2, MAX_LANE_WIDTH)
-}
-
-/// Convenience: the selected lane width for a `SimdElem` type.
-pub fn lane_width_of<T: SimdElem>() -> usize {
-    lane_width(T::LANE_BYTES)
 }
 
 #[cfg(test)]
@@ -383,34 +338,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn simd_width_values_are_validated() {
-        assert_eq!(parse_simd_width(None), Ok(None));
-        for (raw, want) in [("1", 1usize), ("2", 2), ("4", 4), ("8", 8), (" 4 ", 4)] {
-            assert_eq!(parse_simd_width(Some(raw)), Ok(Some(want)));
-        }
-        for bad in ["0", "3", "16", "-2", "four", "", "8x"] {
-            let err = parse_simd_width(Some(bad)).expect_err(bad);
-            assert!(err.contains("VBATCH_SIMD_WIDTH"), "{err}");
-            assert!(err.contains("1, 2, 4, 8"), "{err}");
-            assert!(err.contains(bad), "{err} must name the offending value");
-        }
-    }
-
-    #[test]
     fn lane_width_is_supported_and_consistent() {
         for bytes in [4usize, 8] {
             let w = lane_width(bytes);
-            assert!(
-                matches!(w, 1 | 2 | 4 | 8),
-                "width {w} for {bytes}-byte lanes"
-            );
+            assert!(matches!(w, 2 | 4 | 8), "width {w} for {bytes}-byte lanes");
         }
         // deterministic across calls (OnceLock-cached)
         assert_eq!(lane_width(8), lane_width(8));
-        // without an override f32 lanes are at least as wide as f64's
-        if width_override().is_none() {
-            assert!(lane_width(4) >= lane_width(8));
-        }
+        // f32 lanes are at least as wide as f64's
+        assert!(lane_width(4) >= lane_width(8));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Builder families:
 //!
 //! * dense blocks — [`dd_dense`], [`well_conditioned_dense`],
-//!   [`hashed_dense`], [`ill_conditioned_dense`], [`singular_dense`];
+//!   [`hashed_dense`], [`singular_dense`];
 //! * batches — [`ragged_sizes`], [`dd_batch`], [`uniform_dd_batch`];
 //! * sparse systems — [`coo_entries`], [`extra_couplings`],
 //!   [`dd_system_triplets`], [`spd_system_triplets`],
@@ -84,19 +84,6 @@ pub fn hashed_dense(n: usize, seed: u64) -> Vec<f64> {
             let v = h as f64 / 2048.0 - 1.0 + if i == j { 3.5 } else { 0.0 };
             m[j * n + i] = v;
         }
-    }
-    m
-}
-
-/// Ill-conditioned block: a [`dd_dense`] base with its last column
-/// scaled down by `10^-decades`, driving the condition estimate up by
-/// roughly that factor while staying exactly representable.
-pub fn ill_conditioned_dense(rng: &mut SmallRng, n: usize, decades: u32) -> Vec<f64> {
-    let mut m = dd_dense(rng, n);
-    let scale = 10f64.powi(-(decades as i32));
-    let c = n - 1;
-    for r in 0..n {
-        m[c * n + r] *= scale;
     }
     m
 }
@@ -397,16 +384,6 @@ mod tests {
         let n = 6;
         let m = singular_dense(&mut rng, n);
         assert!((0..n).all(|c| m[c * n + n - 1] == 0.0));
-    }
-
-    #[test]
-    fn ill_conditioned_scales_last_column() {
-        let mut rng = rng();
-        let n = 5;
-        let m = ill_conditioned_dense(&mut rng, n, 12);
-        for r in 0..n {
-            assert!(m[(n - 1) * n + r].abs() < 1e-10);
-        }
     }
 
     #[test]

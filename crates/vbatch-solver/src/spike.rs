@@ -231,11 +231,6 @@ impl<T: Scalar> SpikeSolver<T> {
         })
     }
 
-    /// The SPIKE geometry this solver was built for.
-    pub fn spike_partition(&self) -> &SpikePartition {
-        &self.spart
-    }
-
     /// Per-partition factorization status (the PR-3 triage path:
     /// which kernel factorized each partition, or which error degraded
     /// it to a sanitized fallback).

@@ -6,7 +6,7 @@
 //! problems, but must never be a systematic regression.
 
 use std::sync::Arc;
-use vbatch_exec::{Backend, CpuRayon};
+use vbatch_exec::{Backend, CpuSimd};
 use vbatch_precond::{BjMethod, BlockIlu0, BlockJacobi, PrecondOptions};
 use vbatch_solver::{idr_precond, SolveParams};
 use vbatch_sparse::{by_name, supervariable_blocking};
@@ -15,7 +15,7 @@ use vbatch_sparse::{by_name, supervariable_blocking};
 fn bilu_converges_and_matches_or_beats_bj_on_half_the_suite() {
     // small SPD / diagonally-dominant members of the Table-I suite
     let names = ["bcsstk38", "Kuu", "nasa2910", "nd3k"];
-    let backend: Arc<dyn Backend<f64>> = Arc::new(CpuRayon);
+    let backend: Arc<dyn Backend<f64>> = Arc::new(CpuSimd);
     let opts = PrecondOptions::default().with_method(BjMethod::SmallLu);
     let params = SolveParams::default();
     let mut no_worse = 0usize;

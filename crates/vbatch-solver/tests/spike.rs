@@ -18,8 +18,8 @@ use std::sync::Arc;
 
 use vbatch_core::{solve_system, BatchLayout};
 use vbatch_exec::{
-    expected_health, Backend, CpuRayon, CpuSequential, CpuSimd, FaultClass, FaultPlan,
-    HealthPolicy, PrecisionPolicy, SimtSim,
+    expected_health, Backend, CpuSequential, CpuSimd, FaultClass, FaultPlan, HealthPolicy,
+    PrecisionPolicy, SimtSim,
 };
 use vbatch_precond::{BlockJacobi, PrecondOptions, Preconditioner};
 use vbatch_solver::SpikeSolver;
@@ -42,7 +42,6 @@ fn rhs(n: usize, seed: u64) -> Vec<f64> {
 fn backends() -> Vec<(&'static str, Arc<dyn Backend<f64>>)> {
     vec![
         ("seq", Arc::new(CpuSequential)),
-        ("rayon", Arc::new(CpuRayon)),
         ("simd", Arc::new(CpuSimd)),
         ("simt", Arc::new(SimtSim::default())),
     ]

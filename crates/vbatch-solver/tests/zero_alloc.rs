@@ -1,7 +1,7 @@
 //! Steady-state zero-allocation proof: with the counting allocator
 //! installed as `#[global_allocator]`, a warm block-Jacobi + IDR(4)
 //! iteration on `CpuSequential` touches the heap exactly zero times —
-//! and so does one on the pooled backends.
+//! and so does one on the pooled `CpuSimd`.
 //!
 //! Two layers of evidence:
 //!
@@ -22,7 +22,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use vbatch_core::MatrixBatch;
-use vbatch_exec::{Backend, BatchPlan, CpuRayon, CpuSequential, CpuSimd, ExecStats, HealthPolicy};
+use vbatch_exec::{Backend, BatchPlan, CpuSequential, CpuSimd, ExecStats, HealthPolicy};
 use vbatch_precond::{BjMethod, BlockIlu0, BlockJacobi, PrecondOptions, Preconditioner};
 use vbatch_rt::CountingAlloc;
 use vbatch_solver::{IdrSolver, SolveParams, StopReason};
@@ -61,10 +61,6 @@ fn backend() -> Arc<dyn Backend<f64>> {
 
 fn simd_backend() -> Arc<dyn Backend<f64>> {
     Arc::new(CpuSimd)
-}
-
-fn rayon_backend() -> Arc<dyn Backend<f64>> {
-    Arc::new(CpuRayon)
 }
 
 fn small_lu() -> PrecondOptions {
@@ -326,17 +322,17 @@ fn warm_simd_idr_iterations_allocate_nothing() {
     );
 }
 
-/// `CpuRayon` took its parallel apply through a harness that allocated
-/// on every call; through the persistent pool it reads zero like the
-/// others. 64 × 64 grid: 512 blocks of order 8 are 32 768 factor
-/// elements, so the apply really is split over the pool's threads.
+/// The split apply reads zero too: through the persistent pool a
+/// parallel apply allocates nothing. 64 × 64 grid: 512 blocks of order
+/// 8 are 32 768 factor elements, so the apply really is split over the
+/// pool's threads.
 #[test]
-fn warm_rayon_prepared_apply_allocates_nothing() {
+fn warm_pooled_prepared_apply_allocates_nothing() {
     let _serial = serial();
     let a = laplace_2d::<f64>(64, 64);
     let n = a.nrows();
     let part = BlockPartition::uniform(n, 8);
-    let m = bj(&a, &part, rayon_backend());
+    let m = bj(&a, &part, simd_backend());
     let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
     m.apply_inplace(&mut v); // warm-up: starts the pool
     let before = ALLOC.snapshot();
@@ -346,17 +342,17 @@ fn warm_rayon_prepared_apply_allocates_nothing() {
     assert_eq!(
         after.allocs_since(&before),
         0,
-        "warm cpu-par prepared apply must not allocate ({} bytes leaked in)",
+        "warm pooled prepared apply must not allocate ({} bytes leaked in)",
         after.bytes_since(&before)
     );
     assert!(v.iter().all(|x| x.is_finite()));
 }
 
-/// And over the whole Krylov loop on `CpuRayon`, on a system whose SpMV
+/// And over the whole Krylov loop on `CpuSimd`, on a system whose SpMV
 /// (20 224 entries) and apply both go through the pool on every
 /// iteration: the extra warm iterations cost zero allocations.
 #[test]
-fn warm_rayon_idr_iterations_allocate_nothing() {
+fn warm_pooled_idr_iterations_allocate_nothing() {
     let _serial = serial();
     let a = laplace_2d::<f64>(64, 64);
     let n = a.nrows();
@@ -366,7 +362,7 @@ fn warm_rayon_idr_iterations_allocate_nothing() {
     let short = SolveParams::default().with_max_iters(4);
     let long = SolveParams::default().with_max_iters(24);
 
-    let mut handle = idr_bj(&a, &part, rayon_backend(), &short);
+    let mut handle = idr_bj(&a, &part, simd_backend(), &short);
     let warm = handle.solve(&a, &b);
     assert_eq!(warm.reason, StopReason::MaxIterations);
 
@@ -374,7 +370,7 @@ fn warm_rayon_idr_iterations_allocate_nothing() {
     let r_short = handle.solve(&a, &b);
     let allocs_short = ALLOC.snapshot().allocs_since(&s0);
 
-    let mut handle_long = idr_bj(&a, &part, rayon_backend(), &long);
+    let mut handle_long = idr_bj(&a, &part, simd_backend(), &long);
     let warm_long = handle_long.solve(&a, &b);
     assert_eq!(warm_long.reason, StopReason::MaxIterations);
 
@@ -386,7 +382,7 @@ fn warm_rayon_idr_iterations_allocate_nothing() {
     assert_eq!(
         allocs_long,
         allocs_short,
-        "the {} extra warm cpu-par iterations must allocate nothing \
+        "the {} extra warm pooled iterations must allocate nothing \
          (short solve: {allocs_short} allocs, long solve: {allocs_long})",
         r_long.iterations - r_short.iterations
     );

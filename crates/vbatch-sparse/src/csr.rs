@@ -48,11 +48,6 @@ impl<T: Scalar> CsrMatrix<T> {
         }
     }
 
-    /// Convert from coordinate form (duplicates are summed).
-    pub fn from_coo(coo: &CooMatrix<T>) -> Self {
-        coo.to_csr()
-    }
-
     /// An `n x n` identity.
     pub fn identity(n: usize) -> Self {
         CsrMatrix {

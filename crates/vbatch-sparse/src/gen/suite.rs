@@ -91,23 +91,6 @@ impl SuiteProblem {
             ProblemClass::Anisotropic => anisotropic_2d(s, s, 0.02),
         }
     }
-
-    /// Matrix order of the built problem (cheap to compute from knobs
-    /// for most classes; built lazily otherwise).
-    pub fn size_hint(&self) -> usize {
-        let s = self.scale;
-        match self.class {
-            ProblemClass::StructuralShell => s * s * self.dof,
-            ProblemClass::Stiffness => s * s * self.dof,
-            ProblemClass::Waveguide | ProblemClass::Circuit => s,
-            ProblemClass::Thermal | ProblemClass::Cfd => s * s,
-            ProblemClass::MeshGraph => s * s * s,
-            ProblemClass::Electromagnetics => s * s * s * 3, // average dof
-            ProblemClass::Poisson2d | ProblemClass::Anisotropic => s * s,
-            ProblemClass::Poisson3d => s * s * s,
-            ProblemClass::ChemKinetics => s,
-        }
-    }
 }
 
 /// The full 48-problem suite, ordered by Table I's "ID" column.
@@ -243,16 +226,5 @@ mod tests {
         assert!(by_name("dw1024").is_some());
         assert!(by_name("not-a-matrix").is_none());
         assert_eq!(by_name("dw1024").unwrap().scale, 1024);
-    }
-
-    #[test]
-    fn size_hints_are_close() {
-        for p in table1_suite() {
-            if p.class == ProblemClass::Electromagnetics {
-                continue; // average-dof estimate only
-            }
-            let a = p.build();
-            assert_eq!(a.nrows(), p.size_hint(), "{}", p.name);
-        }
     }
 }

@@ -48,7 +48,7 @@ fn main() {
     ] {
         let t = std::time::Instant::now();
         let opts = PrecondOptions::default().with_method(method);
-        let bj = BlockJacobi::setup_opts(&a, &part, Arc::new(CpuRayon), opts).unwrap();
+        let bj = BlockJacobi::setup_opts(&a, &part, Arc::new(CpuSimd), opts).unwrap();
         let setup = bj.setup_time.as_secs_f64();
         let r = idr(&a, &b, 4, &bj, &params);
         report(

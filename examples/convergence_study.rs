@@ -32,7 +32,7 @@ fn main() {
             let part = supervariable_blocking(&a, bound);
             let t = std::time::Instant::now();
             let opts = PrecondOptions::default().with_method(BjMethod::SmallLu);
-            let bj = BlockJacobi::setup_opts(&a, &part, Arc::new(CpuRayon), opts).unwrap();
+            let bj = BlockJacobi::setup_opts(&a, &part, Arc::new(CpuSimd), opts).unwrap();
             let r = idr(&a, &b, 4, &bj, &params);
             print_row(&format!("block-Jacobi({bound})"), &r, t.elapsed());
         }

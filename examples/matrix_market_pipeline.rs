@@ -54,7 +54,7 @@ fn main() {
     let b = vec![1.0; n];
     let params = SolveParams::default();
     let opts = PrecondOptions::default().with_method(BjMethod::SmallLu);
-    let bj = BlockJacobi::setup_opts(&a, &part, Arc::new(CpuRayon), opts)
+    let bj = BlockJacobi::setup_opts(&a, &part, Arc::new(CpuSimd), opts)
         .expect("the partition covers the matrix");
     let t = std::time::Instant::now();
     let r = idr(&a, &b, 4, &bj, &params);

@@ -51,11 +51,11 @@ fn main() {
         batch.total_elements()
     );
 
-    // construct an execution backend explicitly — CpuSequential, CpuRayon
+    // construct an execution backend explicitly — CpuSequential, CpuSimd
     // and SimtSim are interchangeable behind the `Backend` trait — let
     // the planner pick a kernel per block (packed LU / GH / small LU),
     // and factorize: a `BlockSolve` owns the factors and their apply.
-    let backend: std::sync::Arc<dyn Backend<f64>> = std::sync::Arc::new(CpuRayon);
+    let backend: std::sync::Arc<dyn Backend<f64>> = std::sync::Arc::new(CpuSimd);
     let plan = BatchPlan::auto::<f64>(&sizes);
     let mut stats = ExecStats::new();
     let t = std::time::Instant::now();

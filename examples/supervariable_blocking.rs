@@ -57,7 +57,7 @@ fn main() {
     let plan = BatchPlan::for_method::<f64>(blocks.sizes(), PlanMethod::SmallLu);
     let mut stats = ExecStats::new();
     let t = std::time::Instant::now();
-    let solve = BlockSolve::new(std::sync::Arc::new(CpuRayon), blocks, &plan, &mut stats);
+    let solve = BlockSolve::new(std::sync::Arc::new(CpuSimd), blocks, &plan, &mut stats);
     println!(
         "batched LU of all blocks: {:?} ({} blocks)",
         t.elapsed(),

@@ -12,11 +12,10 @@
 //!   stands in for the paper's CUDA layer;
 //! * [`sparse`] — CSR, supervariable blocking, extraction, generators;
 //! * [`exec`] — the execution layer: [`exec::Backend`] implementations
-//!   (three host threading policies over one kernel set, SIMT
-//!   simulator) behind a
-//!   [`exec::BatchPlan`] that picks kernels per block using the paper's
-//!   crossovers, and [`exec::BlockSolve`], the factorized batch every
-//!   preconditioner holds;
+//!   (one host kernel set on the calling thread or on the thread pool,
+//!   SIMT simulator) behind a [`exec::BatchPlan`] that picks kernels
+//!   per block using the paper's crossovers, and [`exec::BlockSolve`],
+//!   the factorized batch every preconditioner holds;
 //! * [`precond`] — scalar and block-Jacobi preconditioners;
 //! * [`solver`] — IDR(s), BiCGSTAB, CG, GMRES(m).
 //!
@@ -45,7 +44,7 @@ pub mod prelude {
         VectorBatch,
     };
     pub use vbatch_exec::{
-        Backend, BatchPlan, BlockSolve, BlockStatus, CpuRayon, CpuSequential, CpuSimd, ExecStats,
+        Backend, BatchPlan, BlockSolve, BlockStatus, CpuSequential, CpuSimd, ExecStats,
         KernelChoice, PlanMethod, SimtSim,
     };
     pub use vbatch_precond::{

@@ -72,7 +72,7 @@ fn host_backends_and_layouts_agree_bitwise_with_faulty_blocks() {
         .collect();
     assert_eq!(fallbacks, [2, 7, 15, 20]);
     assert!(ref_bits.iter().all(|&b| f64::from_bits(b).is_finite()));
-    for backend in [&CpuSequential as &dyn Backend<f64>, &CpuRayon, &CpuSimd] {
+    for backend in [&CpuSequential as &dyn Backend<f64>, &CpuSimd] {
         for layout in [
             BatchLayout::Blocked,
             BatchLayout::Interleaved { class_capacity: 2 },
@@ -205,7 +205,7 @@ fn in_place_factors_equal_gathered_and_blocked_ones_bitwise() {
         assert_eq!(inv, &want, "block {b}: reciprocal of the original diagonal");
     }
 
-    for backend in [&CpuSequential as &dyn Backend<f64>, &CpuRayon, &CpuSimd] {
+    for backend in [&CpuSequential as &dyn Backend<f64>, &CpuSimd] {
         let ctx = backend.name();
         let (batch, b) = batch_of(&stored);
         let (blocked, shares) = factor_and_solve(backend, batch, BatchLayout::Blocked, &b);
@@ -284,7 +284,7 @@ fn a_lane_group_that_leaves_the_wide_sweep_finishes_like_the_per_block_kernel() 
         assert_ne!(pivots[5], 5, "block {b} leaves it at step 5");
     }
     let interleaved = BatchLayout::Interleaved { class_capacity: 2 };
-    for backend in [&CpuSequential as &dyn Backend<f64>, &CpuRayon, &CpuSimd] {
+    for backend in [&CpuSequential as &dyn Backend<f64>, &CpuSimd] {
         for layout in [BatchLayout::Blocked, interleaved] {
             let (outcome, _) = factor_and_solve(backend, batch.clone(), layout, &rhs);
             assert_eq!(outcome, reference, "{} / {layout:?}", backend.name());

@@ -32,7 +32,7 @@ fn block_jacobi_idr_beats_scalar_jacobi() {
     let r_scalar = idr(&a, &b, 4, &jac, &params);
 
     let part = supervariable_blocking(&a, 32);
-    let bj = bj(&a, &part, BjMethod::SmallLu, CpuRayon);
+    let bj = bj(&a, &part, BjMethod::SmallLu, CpuSimd);
     let r_block = idr(&a, &b, 4, &bj, &params);
 
     assert!(
@@ -62,7 +62,7 @@ fn all_factorization_methods_give_same_preconditioner_quality() {
         BjMethod::GaussHuard,
         BjMethod::GaussHuardT,
     ] {
-        let bj = bj(&a, &part, m, CpuRayon);
+        let bj = bj(&a, &part, m, CpuSimd);
         let r = idr(&a, &b, 4, &bj, &params);
         assert!(r.converged(), "{m:?} failed");
         iters.push(r.iterations);

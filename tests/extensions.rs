@@ -27,7 +27,7 @@ fn large_blocks_flow_through_block_jacobi_via_blocked_lu() {
         part.max_size() > 32,
         "test needs blocks beyond the warp limit"
     );
-    let m = bj(&a, &part, BjMethod::SmallLu, CpuRayon);
+    let m = bj(&a, &part, BjMethod::SmallLu, CpuSimd);
     let b = vec![1.0; a.nrows()];
     let r = idr(&a, &b, 4, &m, &SolveParams::default());
     assert!(r.converged());
@@ -96,7 +96,7 @@ fn smoothed_idr_with_block_jacobi() {
     let p = vbatch_sparse::by_name("Chebyshev2").unwrap();
     let a = p.build();
     let part = supervariable_blocking(&a, 32);
-    let m = bj(&a, &part, BjMethod::SmallLu, CpuRayon);
+    let m = bj(&a, &part, BjMethod::SmallLu, CpuSimd);
     let b = vec![1.0; a.nrows()];
     let plain = idr(&a, &b, 4, &m, &SolveParams::default());
     let smooth = idr_smoothed(&a, &b, 4, &m, &SolveParams::default());

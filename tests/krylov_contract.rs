@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 use vbatch_lu::prelude::*;
-use vbatch_precond::BlockIlu0;
+use vbatch_precond::{BlockIlu0, BlockPreconditioner};
 use vbatch_solver::IdrSolver;
 use vbatch_sparse::{by_name, spmv};
 
@@ -204,24 +204,21 @@ fn converged_outranks_stagnated_on_the_closing_iteration() {
     }
 }
 
-/// Nothing the pool does shows in a bit. On a system above both of its
-/// work gates (4 096 stored entries and 8 192 factor elements per
-/// thread), the split SpMV equals a serial loop, the pooled backends'
-/// prepared apply equals `CpuSequential`'s, and IDR(4) + block-Jacobi
-/// takes the same iterations to the same solution on all three — also
-/// from four threads at once, of which one gets the pool and the rest
-/// run their shares themselves.
+/// Nothing the pool does shows in a bit. On systems above its work
+/// gates — 4 096 stored entries per thread for the SpMV, 8 192 factor
+/// elements per thread for the prepared apply and 8 192 stored block
+/// elements per thread for a level of the block-ILU(0) sweep — the
+/// split SpMV equals a serial loop, and `CpuSimd`'s preconditioner
+/// apply and IDR(4) run equal `CpuSequential`'s, also from four threads
+/// at once, of which one gets the pool and the rest run their shares
+/// themselves.
 #[test]
 fn pooled_paths_equal_the_serial_ones_bitwise() {
-    fn bits(v: &[f64]) -> Vec<u64> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
     let a = by_name("dw8192").expect("suite problem").build();
     let n = a.nrows();
     let part = BlockPartition::uniform(n, 32);
     assert!(a.nnz() > 60_000 && 32 * n > 100_000, "above both gates");
-    let x: Vec<f64> = (0..n).map(|i| ((i * 7) % 23) as f64 / 5.0 - 2.0).collect();
-
+    let x = probe(n);
     let mut serial = vec![0.0; n];
     for r in 0..n {
         for (c, v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
@@ -231,38 +228,70 @@ fn pooled_paths_equal_the_serial_ones_bitwise() {
     let mut y = vec![f64::NAN; n];
     spmv(&a, &x, &mut y);
     assert_eq!(bits(&y), bits(&serial), "split SpMV");
-
-    let setup = |backend: Arc<dyn Backend<f64>>| {
-        BlockJacobi::setup_opts(&a, &part, backend, PrecondOptions::default()).unwrap()
-    };
-    let b = vec![1.0; n];
-    let solve = |m: &BlockJacobi<f64>| {
-        let r = idr(&a, &b, 4, m, &SolveParams::default().with_max_iters(60));
-        (r.iterations, bits(&r.x))
-    };
-    let reference = setup(Arc::new(CpuSequential));
-    let mut want_apply = x.clone();
-    reference.apply_inplace(&mut want_apply);
-    let want = solve(&reference);
+    let bj = BlockJacobi::setup_opts(&a, &part, sequential(), PrecondOptions::default()).unwrap();
     assert!(
-        want.0 > 20,
+        pooled_equals_serial(&a, &bj) > 20,
         "a loop long enough to keep the workers polling"
     );
-    type MakeBackend = fn() -> Arc<dyn Backend<f64>>;
-    let pooled: [(&str, MakeBackend); 2] = [
-        ("cpu-simd", || Arc::new(CpuSimd)),
-        ("cpu-par", || Arc::new(CpuRayon)),
-    ];
-    for (name, backend) in pooled {
-        let m = setup(backend());
-        let mut got = x.clone();
-        m.apply_inplace(&mut got);
-        assert_eq!(bits(&got), bits(&want_apply), "{name}: prepared apply");
-        assert_eq!(solve(&m), want, "{name}: IDR(4)");
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| assert_eq!(solve(&setup(backend())), want, "{name}: 4 at once"));
-            }
-        });
-    }
+
+    // A circuit matrix's power-law rows put several heavy block rows in
+    // one level of each triangle: the level sweep splits there.
+    let a = by_name("matrix-new_3").expect("suite problem").build();
+    let part = supervariable_blocking(&a, 8);
+    let bilu = BlockIlu0::setup_opts(&a, &part, sequential(), PrecondOptions::default()).unwrap();
+    let (lower, upper) = bilu.schedules();
+    let crossing = [(bilu.lower(), lower), (bilu.upper_tilde(), upper)]
+        .iter()
+        .flat_map(|&(tri, sched)| (0..sched.num_levels()).map(move |l| (tri, sched.level(l))))
+        .filter(|(tri, rows)| {
+            let work: usize = rows
+                .iter()
+                .flat_map(|&i| tri.row_entries(i))
+                .map(|e| tri.block_data(e).len())
+                .sum();
+            rows.len() >= 2 && work >= 2 * 8 * 1024
+        })
+        .count();
+    assert!(crossing > 0, "no level of the sweep crosses its work gate");
+    pooled_equals_serial(&a, &bilu);
+}
+
+fn sequential() -> Arc<dyn Backend<f64>> {
+    Arc::new(CpuSequential)
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn probe(n: usize) -> Vec<f64> {
+    (0..n).map(|i| ((i * 7) % 23) as f64 / 5.0 - 2.0).collect()
+}
+
+/// `reference`, set up on `CpuSequential`, against the same setup on
+/// `CpuSimd`: one apply's bits, then IDR(4)'s iterations and solution
+/// bits, once alone and four times at once. Returns the iterations.
+fn pooled_equals_serial<M: BlockPreconditioner<f64>>(a: &CsrMatrix<f64>, reference: &M) -> usize {
+    let pooled = || {
+        let backend = Arc::new(CpuSimd);
+        M::setup_opts(a, reference.partition(), backend, PrecondOptions::default()).unwrap()
+    };
+    let b = vec![1.0; a.nrows()];
+    let params = SolveParams::default().with_max_iters(60);
+    let solve = |m: &M| {
+        let r = idr(a, &b, 4, m, &params);
+        (r.iterations, bits(&r.x))
+    };
+    let apply = |m: &M| bits(&m.apply(&probe(a.nrows())));
+    let (want_apply, want) = (apply(reference), solve(reference));
+    let label = reference.label();
+    let m = pooled();
+    assert_eq!(apply(&m), want_apply, "{label}: pooled apply");
+    assert_eq!(solve(&m), want, "{label}: pooled IDR(4)");
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| assert_eq!(solve(&pooled()), want, "{label}: 4 at once"));
+        }
+    });
+    want.0
 }

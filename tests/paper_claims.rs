@@ -98,7 +98,7 @@ fn claim_block_jacobi_helps() {
         let bj = BlockJacobi::setup_opts(
             &a,
             &part,
-            Arc::new(CpuRayon),
+            Arc::new(CpuSimd),
             PrecondOptions::default().with_method(BjMethod::SmallLu),
         )
         .unwrap();
@@ -127,14 +127,14 @@ fn claim_lu_gh_preconditioners_equivalent() {
         let lu = BlockJacobi::setup_opts(
             &a,
             &part,
-            Arc::new(CpuRayon),
+            Arc::new(CpuSimd),
             PrecondOptions::default().with_method(BjMethod::SmallLu),
         )
         .unwrap();
         let gh = BlockJacobi::setup_opts(
             &a,
             &part,
-            Arc::new(CpuRayon),
+            Arc::new(CpuSimd),
             PrecondOptions::default().with_method(BjMethod::GaussHuard),
         )
         .unwrap();
@@ -189,7 +189,7 @@ const META_LAYOUTS: [BatchLayout; 2] = [
 fn meta_backends() -> Vec<(&'static str, Arc<dyn Backend<f64>>)> {
     vec![
         ("seq", Arc::new(CpuSequential)),
-        ("rayon", Arc::new(CpuRayon)),
+        ("simd", Arc::new(CpuSimd)),
         ("simt", Arc::new(SimtSim::new())),
     ]
 }
