@@ -19,7 +19,7 @@
 //! values and its two index vectors — `Backend::factorize` takes it by
 //! value, so it cannot be recycled), the factor store built from it,
 //! and the prepared apply. The factor store is per-block tables plus
-//! the factors themselves: under the service's defaults (blocked
+//! the factors themselves: under the service's engine (blocked
 //! layout, guarded triage) one vector per block, the staged batch
 //! staying readable for the triage pass and dropped after it; under an
 //! interleaved layout with health `Off` and native storage the host
@@ -209,6 +209,41 @@ mod tests {
             solo.solve_batch(&[blocks[i].as_slice()], &mut refs);
             for (a, b) in r.iter().zip(&co[i]) {
                 assert_eq!(a.to_bits(), b.to_bits(), "member {i} differs from solo run");
+            }
+        }
+    }
+
+    /// Under a storage-lowering policy every member of a
+    /// well-conditioned class is factorized in single precision and
+    /// refined back to working accuracy: normwise backward error
+    /// `‖b − A x‖∞ / (‖A‖∞ ‖x‖∞ + ‖b‖∞)` within `1e-10`.
+    #[test]
+    fn mixed_precision_flush_refines_to_working_accuracy() {
+        use vbatch_core::{gemv_neg_acc, DenseMat, StoragePrecision};
+        let inf = |v: &[f64]| v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        for n in 4..=8 {
+            let mut h = SizeClassHandle::new(
+                n,
+                8,
+                Arc::new(CpuSequential),
+                HealthPolicy::guarded::<f64>(),
+                BatchLayout::Blocked,
+                PrecisionPolicy::mixed::<f64>(),
+            );
+            let blocks: Vec<Vec<f64>> = (0..3).map(|s| dd_block(n, s + n)).collect();
+            let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
+            let mut x = vec![b.clone(); 3];
+            let block_refs: Vec<&[f64]> = blocks.iter().map(|a| a.as_slice()).collect();
+            let mut x_refs: Vec<&mut [f64]> = x.iter_mut().map(|r| r.as_mut_slice()).collect();
+            let status = h.solve_batch(&block_refs, &mut x_refs);
+            for ((a, x), s) in blocks.iter().zip(&x).zip(&status) {
+                assert_eq!(s.health, BlockHealth::Healthy, "order {n}");
+                assert_eq!(s.precision, StoragePrecision::Lower, "order {n}");
+                let mut r = b.clone();
+                gemv_neg_acc(n, n, a, x, &mut r);
+                let norm_a = DenseMat::from_col_major(n, n, a).norm_inf();
+                let berr = inf(&r) / (norm_a * inf(x) + inf(&b));
+                assert!(berr <= 1e-10, "order {n}: backward error {berr:e}");
             }
         }
     }

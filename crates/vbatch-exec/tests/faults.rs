@@ -26,7 +26,7 @@ use vbatch_exec::{
     RecoveryStep, SimtSim,
 };
 use vbatch_precond::{BjMethod, BlockJacobi, PrecondOptions};
-use vbatch_solver::{idr, idr_precond_robust, RobustPolicy, SolveParams, StopReason};
+use vbatch_solver::{idr, IdrSolver, SolveParams, StopReason};
 use vbatch_sparse::gen::laplace::laplace_2d;
 use vbatch_sparse::BlockPartition;
 
@@ -291,18 +291,17 @@ fn robust_policy_f32_nan_rhs_exhausts_fallback_without_restarting() {
     let mut b = vec![1.0f32; 36];
     b[0] = f32::NAN;
     let part = BlockPartition::uniform(36, 4);
-    let r = idr_precond_robust::<f32, BlockJacobi<f32>>(
+    let r = IdrSolver::<f32, BlockJacobi<f32>>::setup_opts(
         &a,
-        &b,
         4,
         &part,
         Arc::new(CpuSequential),
         PrecondOptions::default().with_method(BjMethod::SmallLu),
         &SolveParams::default(),
-        &RobustPolicy::default(),
     )
-    .unwrap();
-    assert_eq!(r.solve.result.reason, StopReason::NonFinite);
+    .unwrap()
+    .solve_robust(&a, &b);
+    assert_eq!(r.result.reason, StopReason::NonFinite);
     assert_eq!(r.restarts, 0, "a NaN RHS cannot be restarted");
     assert!(r.used_gmres, "policy exhausts the fallback chain");
 }
@@ -336,35 +335,33 @@ fn robust_policy_f32_stagnation_forces_restart_then_gmres() {
     // on the indefinite system the residual wanders; only a >=1%
     // improvement of the best norm counts as progress
     params.stagnation_rtol = 1e-2;
-    let policy = RobustPolicy::default();
-    let r = idr_precond_robust::<f32, BlockJacobi<f32>>(
+    let r = IdrSolver::<f32, BlockJacobi<f32>>::setup_opts(
         &a,
-        &b,
         4,
         &part,
         Arc::new(CpuSequential),
         PrecondOptions::default().with_method(BjMethod::SmallLu),
         &params,
-        &policy,
     )
-    .unwrap();
+    .unwrap()
+    .solve_robust(&a, &b);
     assert_eq!(
-        r.restarts, policy.max_restarts,
+        r.restarts, 1,
         "restart budget spent (reason {}, iters {}, relres {})",
-        r.solve.result.reason, r.solve.result.iterations, r.solve.result.final_relres
+        r.result.reason, r.result.iterations, r.result.final_relres
     );
     assert!(r.used_gmres, "restarts alone cannot beat the f32 floor");
     assert!(
-        r.solve.result.x.iter().all(|v| v.is_finite()),
+        r.result.x.iter().all(|v| v.is_finite()),
         "escalation must never corrupt the iterate"
     );
     assert!(
-        r.solve.result.final_relres < 1e-4,
+        r.result.final_relres < 1e-4,
         "f32-achievable accuracy retained: relres {}",
-        r.solve.result.final_relres
+        r.result.final_relres
     );
     assert_ne!(
-        r.solve.result.reason,
+        r.result.reason,
         StopReason::Converged,
         "1e-12 is not reachable in single precision"
     );

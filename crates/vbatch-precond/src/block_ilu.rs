@@ -29,7 +29,7 @@
 //! [`PrecondOptions::plan`].
 
 use crate::options::{BjMethod, PrecondOptions};
-use crate::traits::{BlockPreconditioner, PrecondKind, Preconditioner, SetupReport};
+use crate::traits::{BlockPreconditioner, Preconditioner, SetupReport};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use vbatch_core::lu::implicit::getrf_implicit_inplace_scratch;
@@ -355,10 +355,6 @@ impl<T: Scalar> Preconditioner<T> for BlockIlu0<T> {
 }
 
 impl<T: Scalar> BlockPreconditioner<T> for BlockIlu0<T> {
-    fn kind() -> PrecondKind {
-        PrecondKind::BlockIlu0
-    }
-
     fn setup_opts(
         a: &CsrMatrix<T>,
         part: &BlockPartition,

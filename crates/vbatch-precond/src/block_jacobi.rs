@@ -18,7 +18,7 @@
 //! [`BlockJacobi::fallback_blocks`].
 
 use crate::options::{BjMethod, PrecondOptions};
-use crate::traits::{BlockPreconditioner, PrecondKind, Preconditioner, SetupReport};
+use crate::traits::{BlockPreconditioner, Preconditioner, SetupReport};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use vbatch_core::{FactorError, Scalar};
@@ -144,10 +144,6 @@ impl<T: Scalar> Preconditioner<T> for BlockJacobi<T> {
 }
 
 impl<T: Scalar> BlockPreconditioner<T> for BlockJacobi<T> {
-    fn kind() -> PrecondKind {
-        PrecondKind::BlockJacobi
-    }
-
     fn setup_opts(
         a: &CsrMatrix<T>,
         part: &BlockPartition,

@@ -82,7 +82,8 @@ impl PrecondKind {
 }
 
 /// Everything a setup reports about itself, in one backend-independent
-/// bundle (the solvers' drivers forward it into their result structs).
+/// bundle (the solver driver's handle exposes it through its
+/// preconditioner).
 #[derive(Clone, Debug)]
 pub struct SetupReport {
     /// Wall-clock time of the whole setup phase.
@@ -100,9 +101,6 @@ pub struct SetupReport {
 /// canonical options-driven constructor, and that reports its setup and
 /// steady-state apply statistics.
 pub trait BlockPreconditioner<T: Scalar>: Preconditioner<T> + Sized {
-    /// The kind tag of this implementation.
-    fn kind() -> PrecondKind;
-
     /// Canonical constructor: build the preconditioner for `a` under
     /// `part` on `backend`, configured by `opts`.
     fn setup_opts(

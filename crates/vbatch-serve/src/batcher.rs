@@ -32,7 +32,9 @@ use std::sync::Arc;
 use std::thread;
 
 use vbatch_core::{BatchLayout, Scalar};
-use vbatch_exec::{Backend, BlockHealth, HealthPolicy, PrecisionPolicy, SizeClassHandle};
+use vbatch_exec::{
+    Backend, BlockHealth, CpuSequential, HealthPolicy, PrecisionPolicy, SizeClassHandle,
+};
 use vbatch_rt::chaos::ChaosPlan;
 
 use crate::config::ServeConfig;
@@ -78,7 +80,9 @@ pub(crate) struct Envelope<T> {
 
 /// One shard's batching state: pending queues per size class, the
 /// reusable solve handles, and the scratch buffers the flush path
-/// recycles.
+/// recycles. Every handle runs the service's one engine:
+/// [`CpuSequential`], guarded health triage, the blocked layout and
+/// full-precision factor storage.
 pub(crate) struct ShardBatcher<T: Scalar> {
     shard: usize,
     cfg: ServeConfig,
@@ -86,9 +90,6 @@ pub(crate) struct ShardBatcher<T: Scalar> {
     registry: Arc<TenantRegistry>,
     chaos: Option<Arc<ChaosPlan>>,
     backend: Arc<dyn Backend<T>>,
-    health: HealthPolicy,
-    layout: BatchLayout,
-    precision: PrecisionPolicy,
     handles: BTreeMap<usize, SizeClassHandle<T>>,
     pending: BTreeMap<usize, VecDeque<Envelope<T>>>,
     flushes: u64,
@@ -99,17 +100,12 @@ pub(crate) struct ShardBatcher<T: Scalar> {
 }
 
 impl<T: Scalar + 'static> ShardBatcher<T> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         shard: usize,
         cfg: ServeConfig,
         clock: Arc<dyn ServiceClock>,
         registry: Arc<TenantRegistry>,
         chaos: Option<Arc<ChaosPlan>>,
-        backend: Arc<dyn Backend<T>>,
-        health: HealthPolicy,
-        layout: BatchLayout,
-        precision: PrecisionPolicy,
     ) -> Self {
         let cap = cfg.class_capacity;
         ShardBatcher {
@@ -118,10 +114,7 @@ impl<T: Scalar + 'static> ShardBatcher<T> {
             clock,
             registry,
             chaos,
-            backend,
-            health,
-            layout,
-            precision,
+            backend: Arc::new(CpuSequential),
             handles: BTreeMap::new(),
             pending: BTreeMap::new(),
             flushes: 0,
@@ -244,9 +237,9 @@ impl<T: Scalar + 'static> ShardBatcher<T> {
                     n,
                     self.cfg.class_capacity,
                     Arc::clone(&self.backend),
-                    self.health,
-                    self.layout,
-                    self.precision,
+                    HealthPolicy::guarded::<T>(),
+                    BatchLayout::Blocked,
+                    PrecisionPolicy::FullDp,
                 );
                 self.handles.entry(n).or_insert(h)
             }

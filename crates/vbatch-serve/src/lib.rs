@@ -4,7 +4,9 @@
 //! LU stack: clients submit single `A x = b` systems with a tenant
 //! identity and a deadline; the service coalesces them into size-class
 //! batches, runs them through reusable per-shard workspaces
-//! ([`vbatch_exec::SizeClassHandle`]), and answers every request with
+//! ([`vbatch_exec::SizeClassHandle`]) on one fixed engine (sequential
+//! CPU, guarded triage, blocked layout, full-precision factors), and
+//! answers every request with
 //! exactly one typed [`Outcome`] — never a panic, never a hang.
 //!
 //! The moving parts:

@@ -9,11 +9,11 @@
 //! flushes everything still pending with [`FlushReason::Drain`], and
 //! exits — so every admitted request still receives its outcome.
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use vbatch_core::{BatchLayout, Scalar};
-use vbatch_exec::{Backend, CpuSequential, HealthPolicy, PrecisionPolicy};
+use vbatch_core::Scalar;
 use vbatch_rt::chaos::ChaosPlan;
 use vbatch_rt::clock::{monotonic_ns, MonoTimer, RawClock};
 use vbatch_rt::sync::{bounded, CancelToken, Receiver, RecvError, Sender, TrySendError};
@@ -51,61 +51,32 @@ impl<C: RawClock + Send + Sync + 'static> ServiceClock for MonoTimer<C> {
 }
 
 /// Builder for [`Service`]: configuration is validated at
-/// [`ServiceBuilder::start`], backend/clock/health/chaos all have
-/// production defaults.
+/// [`ServiceBuilder::start`]; the clock and the chaos schedule are the
+/// two test substitution hooks. The engine is fixed: every size class
+/// runs on [`vbatch_exec::CpuSequential`] with guarded health triage,
+/// the blocked layout and full-precision factor storage.
 pub struct ServiceBuilder<T: Scalar> {
     cfg: ServeConfig,
-    backend: Arc<dyn Backend<T>>,
     clock: Arc<dyn ServiceClock>,
-    health: HealthPolicy,
-    layout: BatchLayout,
-    precision: PrecisionPolicy,
     chaos: Option<Arc<ChaosPlan>>,
+    _scalar: PhantomData<T>,
 }
 
 impl<T: Scalar + 'static> ServiceBuilder<T> {
-    /// A builder over `cfg` with the sequential CPU backend, the global
-    /// monotonic clock, guarded health triage, the blocked layout, and
-    /// full-precision factor storage.
+    /// A builder over `cfg` with the global monotonic clock and no
+    /// chaos.
     pub fn new(cfg: ServeConfig) -> Self {
         ServiceBuilder {
             cfg,
-            backend: Arc::new(CpuSequential),
             clock: Arc::new(GlobalClock),
-            health: HealthPolicy::guarded::<T>(),
-            layout: BatchLayout::Blocked,
-            precision: PrecisionPolicy::FullDp,
             chaos: None,
+            _scalar: PhantomData,
         }
-    }
-
-    /// Execute batches on `backend` instead of the sequential CPU.
-    pub fn backend(mut self, backend: Arc<dyn Backend<T>>) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// Read time (and judge deadlines) through `clock`.
     pub fn clock(mut self, clock: Arc<dyn ServiceClock>) -> Self {
         self.clock = clock;
-        self
-    }
-
-    /// Use `health` for post-factorization triage.
-    pub fn health(mut self, health: HealthPolicy) -> Self {
-        self.health = health;
-        self
-    }
-
-    /// Stage batches in `layout`.
-    pub fn layout(mut self, layout: BatchLayout) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// Storage-precision policy of every size class.
-    pub fn precision(mut self, precision: PrecisionPolicy) -> Self {
-        self.precision = precision;
         self
     }
 
@@ -131,10 +102,6 @@ impl<T: Scalar + 'static> ServiceBuilder<T> {
                 Arc::clone(&self.clock),
                 Arc::clone(&registry),
                 self.chaos.clone(),
-                Arc::clone(&self.backend),
-                self.health,
-                self.layout,
-                self.precision,
             );
             let idle = self.cfg.idle_tick;
             workers.push(
@@ -201,13 +168,13 @@ pub struct Service<T: Scalar> {
 }
 
 impl<T: Scalar + 'static> Service<T> {
-    /// Start a service over `cfg` with all defaults
-    /// ([`ServiceBuilder`] for the knobs).
+    /// Start a service over `cfg` with the production clock and no
+    /// chaos ([`ServiceBuilder`] for the test hooks).
     pub fn start(cfg: ServeConfig) -> Result<Self, ConfigError> {
         ServiceBuilder::new(cfg).start()
     }
 
-    /// Builder with explicit backend/clock/health/chaos.
+    /// Builder with an explicit clock or chaos schedule.
     pub fn builder(cfg: ServeConfig) -> ServiceBuilder<T> {
         ServiceBuilder::new(cfg)
     }

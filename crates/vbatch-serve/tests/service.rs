@@ -5,10 +5,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use vbatch_core::{gemv_neg_acc, BatchLayout, DenseMat, StoragePrecision};
+use vbatch_core::BatchLayout;
 use vbatch_exec::{BlockHealth, CpuSequential, HealthPolicy, PrecisionPolicy, SizeClassHandle};
-use vbatch_rt::testgen::{dd_dense, hashed_dense};
-use vbatch_rt::SmallRng;
+use vbatch_rt::testgen::hashed_dense;
 use vbatch_serve::{
     ConfigError, Outcome, RejectReason, ServeConfig, Service, SolveRequest, TenantId,
 };
@@ -74,43 +73,6 @@ fn happy_path_matches_solo_reference_bitwise() {
         for (a, b) in solution.iter().zip(&reference) {
             assert_eq!(a.to_bits(), b.to_bits(), "service result differs from solo");
         }
-    }
-    service.shutdown();
-}
-
-/// `‖b − A x‖∞ / (‖A‖∞ ‖x‖∞ + ‖b‖∞)` for a column-major `A`.
-fn backward_error(n: usize, a: &[f64], x: &[f64], b: &[f64]) -> f64 {
-    let inf = |v: &[f64]| v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
-    let mut r = b.to_vec();
-    gemv_neg_acc(n, n, a, x, &mut r);
-    inf(&r) / (DenseMat::from_col_major(n, n, a).norm_inf() * inf(x) + inf(b))
-}
-
-#[test]
-fn mixed_precision_service_solves_to_working_accuracy() {
-    let service = Service::<f64>::builder(ServeConfig::default())
-        .precision(PrecisionPolicy::mixed::<f64>())
-        .start()
-        .expect("start");
-    let mut rng = SmallRng::seed_from_u64(18);
-    let mut submitted = Vec::new();
-    for t in 0..12u64 {
-        let n = 4 + (t as usize % 5);
-        let mut req = request(&service, t % 3, n, t);
-        req.matrix = dd_dense(&mut rng, n);
-        let (matrix, rhs) = (req.matrix.clone(), req.rhs.clone());
-        submitted.push((n, matrix, rhs, service.submit(req)));
-    }
-    for (n, matrix, rhs, ticket) in submitted {
-        let outcome = ticket.wait();
-        let Outcome::Solved { solution, status } = outcome else {
-            panic!("well-conditioned system not solved: {outcome:?}");
-        };
-        // single-precision factors, refined back to working accuracy
-        assert_eq!(status.precision, StoragePrecision::Lower);
-        assert!(solution.iter().all(|v| v.is_finite()));
-        let berr = backward_error(n, &matrix, &solution, &rhs);
-        assert!(berr <= 1e-10, "order {n}: backward error {berr:e}");
     }
     service.shutdown();
 }

@@ -4,7 +4,7 @@
 //!
 //! The recurrence only: triage, the restart-time check and the exit
 //! residual are [`crate::control`]'s one protocol — minus its
-//! stagnation guard: GMRES is [`crate::driver::idr_precond_robust`]'s
+//! stagnation guard: GMRES is [`crate::IdrSolver::solve_robust`]'s
 //! last resort and spends its budget. The Krylov basis, Hessenberg
 //! columns (flat, row-major) and rotation state all come from a
 //! [`KrylovWorkspace`]; neither the restart cycles nor the inner Arnoldi

@@ -10,16 +10,16 @@
 //! `1e-6` and cap 10,000, right-hand-side triage, stagnation guard,
 //! true final residual), reporting iterations, timing and optional
 //! histories.
-//! The [`driver`] module adds backend-parameterized entry points that
-//! build any block preconditioner on an explicit `vbatch-exec`
-//! [`vbatch_exec::Backend`].
+//! [`IdrSolver`] is the one block-preconditioned IDR(s) driver: it
+//! builds any block preconditioner on an explicit `vbatch-exec`
+//! [`vbatch_exec::Backend`] once and solves with it as often as asked.
 //!
 //! Every solver distinguishes abnormal endings — recurrence
 //! [`StopReason::Breakdown`] (a division by exactly zero),
 //! [`StopReason::NonFinite`] residuals or recurrence scalars from
 //! faulted data, and optional [`StopReason::Stagnated`] detection — and
-//! [`driver::idr_precond_robust`] reacts to them with a
-//! restart-then-GMRES-fallback policy ([`driver::RobustPolicy`]).
+//! [`IdrSolver::solve_robust`] reacts to them with a fixed
+//! restart-then-GMRES-fallback policy.
 
 pub mod bicgstab;
 pub mod cg;
@@ -34,10 +34,7 @@ pub mod workspace;
 pub use bicgstab::bicgstab;
 pub use cg::cg;
 pub use control::{SolveParams, SolveResult, StagnationGuard, StopReason};
-pub use driver::{
-    idr_precond, idr_precond_kind, idr_precond_robust, IdrSolver, PrecondSolve, RobustPolicy,
-    RobustSolve,
-};
+pub use driver::{IdrSolver, RobustSolve};
 pub use gmres::gmres;
 pub use idr::{idr, idr_smoothed, idr_with_workspace};
 pub use spike::{SpikeSolve, SpikeSolver};

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 use vbatch_exec::{Backend, CpuSimd};
 use vbatch_precond::{BjMethod, BlockIlu0, BlockJacobi, PrecondOptions};
-use vbatch_solver::{idr_precond, SolveParams};
+use vbatch_solver::{IdrSolver, SolveParams};
 use vbatch_sparse::{by_name, supervariable_blocking};
 
 #[test]
@@ -24,37 +24,37 @@ fn bilu_converges_and_matches_or_beats_bj_on_half_the_suite() {
         let a = p.build();
         let part = supervariable_blocking(&a, 16);
         let b = vec![1.0; a.nrows()];
-        let bj = idr_precond::<f64, BlockJacobi<f64>>(
+        let bj = IdrSolver::<f64, BlockJacobi<f64>>::setup_opts(
             &a,
-            &b,
             4,
             &part,
             backend.clone(),
             opts.clone(),
             &params,
         )
-        .unwrap();
-        let bilu = idr_precond::<f64, BlockIlu0<f64>>(
+        .unwrap()
+        .solve(&a, &b);
+        let bilu = IdrSolver::<f64, BlockIlu0<f64>>::setup_opts(
             &a,
-            &b,
             4,
             &part,
             backend.clone(),
             opts.clone(),
             &params,
         )
-        .unwrap();
+        .unwrap()
+        .solve(&a, &b);
         assert!(
-            bilu.result.converged(),
+            bilu.converged(),
             "{name}: block-ILU(0) failed to converge ({:?})",
-            bilu.result.reason
+            bilu.reason
         );
         assert!(
-            bj.result.converged(),
+            bj.converged(),
             "{name}: block-Jacobi failed to converge ({:?})",
-            bj.result.reason
+            bj.reason
         );
-        if bilu.result.iterations <= bj.result.iterations {
+        if bilu.iterations <= bj.iterations {
             no_worse += 1;
         }
     }

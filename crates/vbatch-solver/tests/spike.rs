@@ -241,21 +241,18 @@ fn clean_guarded_setup_reports_all_partitions_healthy() {
     }
 }
 
-/// The trait-pair integration: `PrecondKind::Spike` drives an IDR(4)
-/// solve through the generic kind-dispatched driver on a banded
-/// system, converging like any other block preconditioner.
+/// The trait integration: SPIKE drives an IDR(4) solve through the
+/// generic driver handle on a banded system, converging like any other
+/// block preconditioner.
 #[test]
-fn spike_preconditions_idr_through_kind_dispatch() {
-    use vbatch_precond::PrecondKind;
-    use vbatch_solver::{idr_precond_kind, SolveParams, StopReason};
+fn spike_preconditions_idr_through_the_driver_handle() {
+    use vbatch_solver::{IdrSolver, SolveParams, StopReason};
     let (n, bw, p) = (128, 2, 8);
     let a = banded(n, bw, 1.5, 31);
     let b = rhs(n, 11);
     let sp = SpikePartition::uniform(n, p, bw).unwrap();
-    let solve = idr_precond_kind::<f64>(
-        PrecondKind::Spike,
+    let mut solver = IdrSolver::<f64, SpikeSolver<f64>>::setup_opts(
         &a,
-        &b,
         4,
         sp.part(),
         Arc::new(CpuSequential),
@@ -263,6 +260,6 @@ fn spike_preconditions_idr_through_kind_dispatch() {
         &SolveParams::default(),
     )
     .unwrap();
-    assert_eq!(solve.result.reason, StopReason::Converged);
-    assert!(solve.precond_label.starts_with("spike(p=8"));
+    assert_eq!(solver.solve(&a, &b).reason, StopReason::Converged);
+    assert!(solver.precond().label().starts_with("spike(p=8"));
 }

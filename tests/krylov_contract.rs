@@ -164,6 +164,86 @@ fn idr_solver_second_solve_equals_first_and_one_shot() {
     }
 }
 
+/// The robust path end to end, in single precision: on the indefinite
+/// shifted Laplacian `L − 2I` IDR(4) stagnates, the one restart
+/// stagnates too and GMRES(30) spends its 2 000 iterations; a NaN
+/// right-hand side is never restarted and every attempt stops at once.
+/// Pinned: restarts, GMRES use, accumulated iterations, the final stop
+/// reason and the bits of the relative residual and the solution.
+#[test]
+fn robust_path_is_frozen() {
+    let shifted = {
+        let mut a = vbatch_sparse::gen::laplace::laplace_2d::<f32>(10, 10);
+        for row in 0..a.nrows() {
+            for k in a.row_ptr()[row]..a.row_ptr()[row + 1] {
+                if a.col_idx()[k] == row {
+                    a.values_mut()[k] -= 2.0;
+                }
+            }
+        }
+        a
+    };
+    let mut stagnating = SolveParams::default()
+        .with_tol(1e-12)
+        .with_stagnation_window(15)
+        .with_max_iters(2000);
+    stagnating.stagnation_rtol = 1e-2;
+    let mut nan_rhs = vec![1.0f32; 36];
+    nan_rhs[0] = f32::NAN;
+    let cases = [
+        (shifted, vec![1.0f32; 100], stagnating),
+        (
+            vbatch_sparse::gen::laplace::laplace_2d::<f32>(6, 6),
+            nan_rhs,
+            SolveParams::default(),
+        ),
+    ];
+    let got: Vec<_> = cases
+        .iter()
+        .map(|(a, b, params)| {
+            let part = BlockPartition::uniform(a.nrows(), 4);
+            let opts = PrecondOptions::default().with_method(BjMethod::SmallLu);
+            let backend = Arc::new(CpuSequential);
+            let mut solver =
+                IdrSolver::<f32, BlockJacobi<f32>>::setup_opts(a, 4, &part, backend, opts, params)
+                    .unwrap();
+            let r = solver.solve_robust(a, b);
+            let mut x = Fnv::new();
+            x.values(&r.result.x);
+            let relres = r.result.final_relres.to_bits();
+            (
+                r.restarts,
+                r.used_gmres,
+                r.result.iterations,
+                r.result.reason,
+                relres,
+                x.0,
+            )
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            (
+                1,
+                true,
+                2194,
+                StopReason::MaxIterations,
+                0x3e90be2580000000,
+                0x5793f0ead9831a93
+            ),
+            (
+                0,
+                true,
+                0,
+                StopReason::NonFinite,
+                0x7ff8000000000000,
+                0x66e368127e9e89a5
+            ),
+        ]
+    );
+}
+
 /// Order of the protocol's checks: a solve that reaches the tolerance
 /// on the very iteration its stagnation window would close has
 /// converged — the guard is never shown a converged residual. With

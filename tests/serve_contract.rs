@@ -1,14 +1,20 @@
 //! Liveness contract of a running service: every request submitted to a
 //! `Service` started with its defaults resolves exactly once by the time
 //! `shutdown` returns, healthy systems come back solved to working
-//! accuracy, and bad ones come back typed. No assertion reads a clock.
+//! accuracy, and bad ones come back typed; a flush rejects what expired
+//! while queued and quarantines the tenant of a system that failed
+//! triage. No assertion reads a clock.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use vbatch_core::{gemv_neg_acc, DenseMat};
 use vbatch_exec::BlockHealth;
 use vbatch_rt::{testgen, SmallRng};
-use vbatch_serve::{Outcome, RejectReason, ServeConfig, Service, SolveRequest, TenantId};
+use vbatch_serve::{
+    Outcome, RejectReason, ServeConfig, Service, ServiceClock, SolveRequest, TenantId,
+};
 
 /// `‖b − A x‖∞ / (‖A‖∞ ‖x‖∞ + ‖b‖∞)` for a column-major `A`.
 fn backward_error(n: usize, a: &[f64], x: &[f64], b: &[f64]) -> f64 {
@@ -83,4 +89,65 @@ fn every_request_to_a_running_service_resolves_once_and_right() {
         }
     }
     assert_eq!(solved, 197);
+}
+
+/// A clock that advances one nanosecond per reading. With one shard, an
+/// idle tick that never fires and one request in flight at a time, the
+/// readings are a fixed sequence per request: `submit`, the worker's
+/// admission, its watermark poll, the flush.
+struct Ticking(AtomicU64);
+
+impl ServiceClock for Ticking {
+    fn now_ns(&self) -> u64 {
+        self.0.fetch_add(1, Ordering::SeqCst) + 1
+    }
+}
+
+#[test]
+fn a_flush_rejects_what_expired_in_the_queue_and_quarantines_what_failed() {
+    let cfg = ServeConfig {
+        shards: 1,
+        flush_watermark: Duration::from_micros(1),
+        idle_tick: Duration::from_secs(600),
+        ..ServeConfig::default()
+    };
+    let service = Service::<f64>::builder(cfg)
+        .clock(Arc::new(Ticking(AtomicU64::new(0))))
+        .start()
+        .expect("start");
+    let mut rng = SmallRng::seed_from_u64(7);
+    // `ticks` readings after `now_ns`: admitted before the deadline, and
+    // the watermark poll flushes the request at once
+    let solve = |tenant: u64, matrix: Vec<f64>, ticks: u64| {
+        let deadline_ns = service.now_ns() + ticks;
+        let rhs = vec![1.0; 4];
+        service
+            .submit(SolveRequest {
+                tenant: TenantId(tenant),
+                n: 4,
+                matrix,
+                rhs,
+                deadline_ns,
+            })
+            .wait()
+    };
+    // due at the watermark poll, so past due when the flush reads the clock
+    let expired = solve(1, testgen::dd_dense(&mut rng, 4), 3);
+    assert!(
+        matches!(expired, Outcome::Rejected(RejectReason::DeadlineExpired)),
+        "expired in the queue: {expired:?}"
+    );
+    let singular = solve(2, testgen::singular_dense(&mut rng, 4), 100);
+    assert!(
+        matches!(
+            singular,
+            Outcome::Degraded {
+                reason: BlockHealth::Singular,
+                ..
+            }
+        ),
+        "{singular:?}"
+    );
+    assert_eq!(service.quarantined_tenants(), 1, "tenant 2 is quarantined");
+    service.shutdown();
 }
