@@ -31,7 +31,9 @@ use vbatch_core::VectorBatch;
 use vbatch_exec::{
     Backend, BatchPlan, BlockSolve, CpuSequential, CpuSimd, ExecStats, PrecisionPolicy,
 };
-use vbatch_precond::{BjMethod, BlockIlu0, BlockJacobi, PrecondKind, PrecondOptions};
+use vbatch_precond::{
+    BjMethod, BlockIlu0, BlockJacobi, BlockPreconditioner, PrecondKind, PrecondOptions,
+};
 use vbatch_rt::CountingAlloc;
 use vbatch_simt::kernels::{gemv, getrf, trsv};
 use vbatch_simt::{CostTable, DeviceModel};

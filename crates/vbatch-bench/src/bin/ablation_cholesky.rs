@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use vbatch_bench::write_csv;
 use vbatch_exec::CpuSimd;
-use vbatch_precond::{BjMethod, BlockJacobi, PrecondOptions};
+use vbatch_precond::{BjMethod, BlockJacobi, BlockPreconditioner, PrecondOptions};
 use vbatch_solver::{cg, idr, SolveParams};
 use vbatch_sparse::{supervariable_blocking, table1_suite, ProblemClass};
 

@@ -53,7 +53,7 @@ fn main() {
     let batch_count: usize = if quick { 2_000 } else { 20_000 };
     let policies = [
         PrecisionPolicy::FullDp,
-        PrecisionPolicy::mixed::<f64>(),
+        PrecisionPolicy::MixedPromote,
         PrecisionPolicy::ForceSp,
     ];
 

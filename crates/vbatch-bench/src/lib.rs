@@ -271,7 +271,7 @@ pub fn parse_precond_flag() -> PrecondKind {
 pub fn parse_precision_flag() -> PrecisionPolicy {
     match flag_value("--precision").as_deref() {
         None | Some("dp") => PrecisionPolicy::FullDp,
-        Some("mixed") => PrecisionPolicy::mixed::<f64>(),
+        Some("mixed") => PrecisionPolicy::MixedPromote,
         Some("sp") => PrecisionPolicy::ForceSp,
         Some(other) => usage_error(&format!(
             "unknown --precision value {other:?} (expected dp, mixed or sp)"
@@ -369,13 +369,17 @@ pub fn measure_precond_apply<T: Scalar>(kind: PrecondKind, count: usize, n: usiz
 }
 
 /// Health histogram of a bench batch under guarded triage on the host
-/// backend (the `health` CSV column of Figs. 4/5) — e.g.
+/// backend (the `health` CSV column of Figs. 4/5): the blocks' statuses
+/// tallied by health label, `label=count;…` in label order — e.g.
 /// `"healthy=40000"` for the regular bench batches.
 pub fn factor_health_compact<T: Scalar>(batch: &MatrixBatch<T>) -> String {
     let plan = BatchPlan::auto::<T>(batch.sizes()).with_health(HealthPolicy::guarded::<T>());
-    let mut stats = ExecStats::new();
-    let _ = CpuSequential.factorize(batch.clone(), &plan, &mut stats);
-    stats.health_compact()
+    let factors = CpuSequential.factorize(batch.clone(), &plan, &mut ExecStats::new());
+    let mut tally = std::collections::BTreeMap::new();
+    for s in &factors.status {
+        *tally.entry(s.health.label()).or_insert(0u64) += 1;
+    }
+    vbatch_exec::stats::compact(&tally)
 }
 
 /// Best-of-three host factorization seconds for one sweep point, with
@@ -590,7 +594,7 @@ mod tests {
     fn precision_policy_runner_matches_full_dp_iterations_here() {
         let a = laplace_2d::<f64>(12, 12);
         let dp = run_idr::<BlockJacobi<f64>>(&a, PrecisionPolicy::FullDp);
-        let mixed = run_idr::<BlockJacobi<f64>>(&a, PrecisionPolicy::mixed::<f64>());
+        let mixed = run_idr::<BlockJacobi<f64>>(&a, PrecisionPolicy::MixedPromote);
         assert!(dp.converged && mixed.converged);
         // the widened refinement apply preserves preconditioner quality:
         // the iteration count may shift by at most a couple
@@ -607,7 +611,7 @@ mod tests {
         let batch = uniform_bench_batch::<f64>(64, 8);
         for precision in [
             PrecisionPolicy::FullDp,
-            PrecisionPolicy::mixed::<f64>(),
+            PrecisionPolicy::MixedPromote,
             PrecisionPolicy::ForceSp,
         ] {
             for layout in [BatchLayout::Blocked, BatchLayout::interleaved()] {

@@ -30,7 +30,8 @@ pub trait Backend<T: Scalar>: Send + Sync {
     /// Factorize every block of `blocks` with the kernels selected by
     /// `plan`. Never fails as a whole: singular blocks degrade to the
     /// scalar-Jacobi fallback and are reported per block in the result's
-    /// [`BlockStatus`] vector (and counted in `stats.failures`).
+    /// [`BlockStatus`] vector; `stats`' kernel histogram counts only the
+    /// blocks that kept their kernel's factors.
     fn factorize(
         &self,
         blocks: MatrixBatch<T>,

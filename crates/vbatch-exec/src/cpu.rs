@@ -116,24 +116,6 @@ pub(crate) fn factor_block<T: Scalar, S: Stored<T>>(
     }
 }
 
-pub(crate) fn record_statuses(status: &[BlockStatus], stats: &mut ExecStats) {
-    for s in status {
-        if s.is_fallback() {
-            stats.record_failure();
-        } else {
-            stats.record_kernel(s.kernel, 1);
-        }
-        stats.record_health(s.health);
-        for &step in &s.recovery {
-            stats.record_recovery(step);
-        }
-        stats.record_precision(s.precision, 1);
-        if s.promoted {
-            stats.record_promotion();
-        }
-    }
-}
-
 /// Per-chunk working-set budget for interleaved classes. The lane
 /// kernel eliminates one `W`-slot group at a time out of a packed copy
 /// of the group, so it reads and writes the chunk once; the budget keeps
@@ -514,10 +496,8 @@ pub(crate) fn factorize_cpu<T: Scalar>(
     // the passes that read the originals; in place there are none to
     // run (native storage, health off)
     if let Some(blocks) = originals {
-        if lowered {
-            if let PrecisionPolicy::MixedPromote { condest_threshold } = plan.precision() {
-                crate::health::promote_unsafe_blocks(&blocks, &mut batch, condest_threshold);
-            }
+        if lowered && plan.precision() == PrecisionPolicy::MixedPromote {
+            crate::health::promote_unsafe_blocks(&blocks, &mut batch);
         }
         crate::health::triage_batch(&blocks, &mut batch, plan.health());
         if lowered {
@@ -526,7 +506,7 @@ pub(crate) fn factorize_cpu<T: Scalar>(
             batch.retained = Some(blocks);
         }
     }
-    record_statuses(&batch.status, stats);
+    stats.record_statuses(&batch.status);
     stats.add_phase(Phase::Factorize, t0.elapsed());
     batch
 }
@@ -642,7 +622,7 @@ pub(crate) fn invert_cpu<T: Scalar>(
         }
         status.push(st);
     }
-    record_statuses(&status, stats);
+    stats.record_statuses(&status);
     stats.add_flops(sizes.iter().map(|&n| 2.0 * (n * n * n) as f64).sum());
     stats.add_phase(Phase::Invert, t0.elapsed());
     (out, status)
@@ -849,7 +829,7 @@ mod tests {
         let mut stats = ExecStats::new();
         let fact = CpuSequential.factorize(batch, &plan, &mut stats);
         assert_eq!(fact.fallback_count(), 1);
-        assert_eq!(stats.failures, 1);
+        assert_eq!(stats.kernel_histogram().values().sum::<u64>(), 2);
         assert!(fact.status[1].is_fallback());
         assert!(!fact.status[0].is_fallback());
         assert!(!fact.status[2].is_fallback());
@@ -1005,7 +985,8 @@ mod tests {
                 backend.name()
             );
             assert_eq!(status, expected, "{}", backend.name());
-            assert_eq!(stats.failures, 2);
+            // the fallback blocks stay out of the kernel histogram
+            assert_eq!(stats.kernel_histogram().values().sum::<u64>(), 1);
         }
     }
 }

@@ -31,9 +31,10 @@
 //! usable. With [`HealthPolicy::Guarded`], ill-conditioned blocks are
 //! additionally equilibrated and refactorized ([`health`]), and the
 //! [`fault`] module can corrupt batches deterministically to exercise
-//! every one of these paths. [`ExecStats`] threads kernel/health
-//! histograms, flop counts, failure counts and per-phase timings
-//! through every backend.
+//! every one of these paths. The statuses are the one record of what
+//! happened to each block; [`ExecStats`] threads what the backend ran
+//! and measured — kernel and layout histograms, flop counts, per-phase
+//! timings — through every backend.
 
 pub mod apply;
 pub mod backend;

@@ -192,7 +192,7 @@ impl HealthPolicy {
 /// [`HealthPolicy`] to the precision axis. The working precision is
 /// always the batch's scalar type `T`; the policy only decides what
 /// precision the *factors* are stored (and computed) in.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PrecisionPolicy {
     /// Factorize and store every block in the working precision. This
     /// is the default and is bitwise identical to the pre-policy
@@ -202,18 +202,14 @@ pub enum PrecisionPolicy {
     /// Factorize every block in `T::Lower` (single precision for `f64`
     /// batches) and apply through the widening solves with one step of
     /// iterative refinement, but *promote* any block whose 1-norm
-    /// condition estimate exceeds `condest_threshold` back to a
-    /// full-working-precision factorization. The condest computed here
-    /// is cached on the block status and reused by health triage.
-    MixedPromote {
-        /// Condition-estimate threshold above which the lower-precision
-        /// factors are considered unsafe and the block is refactorized
-        /// in working precision. [`PrecisionPolicy::mixed`] picks
-        /// `0.25 / sqrt(eps_lower)` — the same half-the-mantissa rule
-        /// [`HealthPolicy::guarded`] uses, evaluated at the *storage*
-        /// precision.
-        condest_threshold: f64,
-    },
+    /// condition estimate exceeds `0.25 / sqrt(eps)` of the storage
+    /// precision `T::Lower` (≈ 724 for f32 storage) back to a
+    /// full-working-precision factorization — the same half-the-mantissa
+    /// rule [`HealthPolicy::guarded`] uses, evaluated at the *storage*
+    /// precision: past it, SP factors lose half their mantissa and
+    /// refinement stalls. The condest computed here is cached on the
+    /// block status and reused by health triage.
+    MixedPromote,
     /// Factorize every block in `T::Lower` unconditionally: no condition
     /// estimates, no promotions. On a well-conditioned batch this is
     /// bitwise identical to [`PrecisionPolicy::MixedPromote`] (which
@@ -223,22 +219,12 @@ pub enum PrecisionPolicy {
 }
 
 impl PrecisionPolicy {
-    /// Mixed policy with the default promotion threshold for scalar
-    /// type `T`: `0.25 / sqrt(eps)` of the *storage* precision
-    /// `T::Lower` (≈ 724 for f32 storage) — past that, SP factors lose
-    /// half their mantissa and refinement stalls.
-    pub fn mixed<T: Scalar>() -> Self {
-        PrecisionPolicy::MixedPromote {
-            condest_threshold: 0.25 / <T::Lower as Scalar>::epsilon().to_f64().sqrt(),
-        }
-    }
-
     /// Stable label used in stats, CSV columns, and CLI flags:
     /// `dp` / `mixed` / `sp`.
     pub fn label(self) -> &'static str {
         match self {
             PrecisionPolicy::FullDp => "dp",
-            PrecisionPolicy::MixedPromote { .. } => "mixed",
+            PrecisionPolicy::MixedPromote => "mixed",
             PrecisionPolicy::ForceSp => "sp",
         }
     }
@@ -589,18 +575,7 @@ mod tests {
         assert_eq!(PrecisionPolicy::ForceSp.label(), "sp");
         assert!(!PrecisionPolicy::FullDp.lowers_storage());
         assert!(PrecisionPolicy::ForceSp.lowers_storage());
-        // the mixed threshold is evaluated at the *storage* precision:
-        // identical for f32 and f64 batches since both store f32
-        let m64 = PrecisionPolicy::mixed::<f64>();
-        let m32 = PrecisionPolicy::mixed::<f32>();
-        assert_eq!(m64, m32);
-        assert_eq!(m64.label(), "mixed");
-        match m64 {
-            PrecisionPolicy::MixedPromote { condest_threshold } => {
-                let want = 0.25 / (f32::EPSILON as f64).sqrt();
-                assert!((condest_threshold - want).abs() < 1e-9);
-            }
-            _ => unreachable!(),
-        }
+        assert_eq!(PrecisionPolicy::MixedPromote.label(), "mixed");
+        assert!(PrecisionPolicy::MixedPromote.lowers_storage());
     }
 }

@@ -228,7 +228,7 @@ mod tests {
                 Arc::new(CpuSequential),
                 HealthPolicy::guarded::<f64>(),
                 BatchLayout::Blocked,
-                PrecisionPolicy::mixed::<f64>(),
+                PrecisionPolicy::MixedPromote,
             );
             let blocks: Vec<Vec<f64>> = (0..3).map(|s| dd_block(n, s + n)).collect();
             let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();

@@ -6,7 +6,7 @@
 //! machinery as the CPU backends.
 
 use crate::backend::Backend;
-use crate::cpu::{factor_block, invert_cpu, record_statuses};
+use crate::cpu::{factor_block, invert_cpu};
 use crate::factors::{
     block_diag, scalar_jacobi_from_diag, BlockFactor, BlockStatus, FactorizedBatch,
 };
@@ -296,7 +296,7 @@ impl<T: Scalar> Backend<T> for SimtSim {
             .unzip();
         let mut batch = FactorizedBatch::blocked(sizes, factors, status);
         crate::health::triage_batch(&blocks, &mut batch, plan.health());
-        record_statuses(&batch.status, stats);
+        stats.record_statuses(&batch.status);
         stats.add_phase(Phase::Factorize, t0.elapsed());
         batch
     }

@@ -1,12 +1,16 @@
 //! Execution statistics threaded through every backend call.
 //!
-//! [`ExecStats`] doubles as a *view* over the global `vbatch-trace`
-//! metrics registry: every `record_*` call both updates the local
-//! histograms (scoped to this stats object, mergeable, CSV-friendly)
-//! and forwards the same observation to the process-wide registry as a
-//! labeled counter or phase-duration histogram. With the `trace`
-//! feature off the forwarding calls are inert inline stubs, so the
-//! local histograms remain the only cost.
+//! [`ExecStats`] keeps what a backend ran and measured: the kernel and
+//! layout histograms, nominal flops, per-phase wall-clock, the apply
+//! count and workspace high-water mark, and the SIMT device cost. What
+//! happened to each block — health, recovery chain, storage precision,
+//! promotion, fallback — lives in its [`BlockStatus`] and nowhere else.
+//!
+//! The stats also *forward* to the global `vbatch-trace` metrics
+//! registry: `record_statuses` books every fact of a factorization's
+//! statuses there as labeled counters, and [`ExecStats::add_phase`]
+//! books phase durations as latency histograms. With the `trace`
+//! feature off the forwarding calls are inert inline stubs.
 //!
 //! The histograms are filled at setup. What an *apply* touches — phase
 //! times, apply count, workspace high-water mark, flops — is plain
@@ -15,11 +19,10 @@
 //! counts are not kept: both follow from `applies` and the holder's
 //! `LevelSchedule`.
 
-use crate::factors::{BlockHealth, RecoveryStep};
+use crate::factors::BlockStatus;
 use crate::plan::{ClassLayout, KernelChoice};
 use std::collections::BTreeMap;
 use std::time::Duration;
-use vbatch_core::StoragePrecision;
 use vbatch_simt::CostCounter;
 
 /// Phases a backend reports timings for.
@@ -68,19 +71,15 @@ impl Phase {
 }
 
 /// Counters a backend fills in while executing a plan: which kernels
-/// ran on how many blocks, nominal flops, factorization failures (blocks
-/// that fell back to scalar Jacobi), wall-clock per phase, and — for the
-/// SIMT backend — the accumulated device cost counter.
+/// ran on how many blocks, in which layouts, nominal flops, wall-clock
+/// per phase, and — for the SIMT backend — the accumulated device cost
+/// counter.
 #[derive(Clone, Debug, Default)]
 pub struct ExecStats {
     kernels: BTreeMap<&'static str, u64>,
     layouts: BTreeMap<&'static str, u64>,
-    health: BTreeMap<&'static str, u64>,
-    recoveries: BTreeMap<&'static str, u64>,
     /// Nominal floating-point operations of the executed batched calls.
     pub flops: f64,
-    /// Blocks whose factorization failed and degraded to the fallback.
-    pub failures: usize,
     phase_times: [Duration; Phase::COUNT],
     /// Summed device cost counters (SIMT backend only).
     pub device_cost: Option<CostCounter>,
@@ -89,12 +88,6 @@ pub struct ExecStats {
     pub workspace_hwm_elems: usize,
     /// Prepared-apply invocations folded into these stats.
     pub applies: u64,
-    /// Storage-precision histogram: label → blocks whose factors are
-    /// stored in that precision.
-    precisions: BTreeMap<&'static str, u64>,
-    /// Blocks a mixed-precision policy promoted back to native-precision
-    /// factors (condition estimate above the promotion threshold).
-    pub promotions: u64,
 }
 
 /// Add the counts of `from` into `into`.
@@ -104,8 +97,9 @@ fn merge_counts(into: &mut BTreeMap<&'static str, u64>, from: &BTreeMap<&'static
     }
 }
 
-/// A histogram as a compact `label=count;label=count` string for CSV.
-fn compact(map: &BTreeMap<&'static str, u64>) -> String {
+/// A histogram as a compact `label=count;label=count` string for CSV,
+/// in label order — the one format of every histogram column.
+pub fn compact(map: &BTreeMap<&'static str, u64>) -> String {
     map.iter()
         .map(|(k, c)| format!("{k}={c}"))
         .collect::<Vec<_>>()
@@ -119,10 +113,34 @@ impl ExecStats {
     }
 
     /// Record `blocks` blocks executed with kernel `k`.
-    pub fn record_kernel(&mut self, k: KernelChoice, blocks: u64) {
+    fn record_kernel(&mut self, k: KernelChoice, blocks: u64) {
         if blocks > 0 {
             *self.kernels.entry(k.label()).or_insert(0) += blocks;
             vbatch_trace::labeled_add("exec.kernel", k.label(), blocks);
+        }
+    }
+
+    /// Book one factorization's per-block outcomes: every block that
+    /// kept its kernel's factors counts toward that kernel, so a
+    /// fallback block stays out of the histogram and
+    /// `FactorizedBatch::fallback_count` is its complement. Every fact
+    /// of every status — fallback, health, recovery steps, storage
+    /// precision, promotion — is forwarded to the trace registry.
+    pub(crate) fn record_statuses(&mut self, status: &[BlockStatus]) {
+        for s in status {
+            if s.is_fallback() {
+                vbatch_trace::counter!("exec.failures", 1);
+            } else {
+                self.record_kernel(s.kernel, 1);
+            }
+            vbatch_trace::labeled_add("exec.health", s.health.label(), 1);
+            for step in &s.recovery {
+                vbatch_trace::labeled_add("exec.recovery", step.label(), 1);
+            }
+            vbatch_trace::labeled_add("exec.precision", s.precision.label(), 1);
+            if s.promoted {
+                vbatch_trace::counter!("exec.promotions", 1);
+            }
         }
     }
 
@@ -132,38 +150,6 @@ impl ExecStats {
             *self.layouts.entry(l.label()).or_insert(0) += blocks;
             vbatch_trace::labeled_add("exec.layout", l.label(), blocks);
         }
-    }
-
-    /// Record one singular-block fallback.
-    pub fn record_failure(&mut self) {
-        self.failures += 1;
-        vbatch_trace::counter!("exec.failures", 1);
-    }
-
-    /// Record one block triaged into health state `h`.
-    pub fn record_health(&mut self, h: BlockHealth) {
-        *self.health.entry(h.label()).or_insert(0) += 1;
-        vbatch_trace::labeled_add("exec.health", h.label(), 1);
-    }
-
-    /// Record one recovery step applied to a block.
-    pub fn record_recovery(&mut self, step: RecoveryStep) {
-        *self.recoveries.entry(step.label()).or_insert(0) += 1;
-        vbatch_trace::labeled_add("exec.recovery", step.label(), 1);
-    }
-
-    /// Record `blocks` blocks whose factors are stored in precision `p`.
-    pub fn record_precision(&mut self, p: StoragePrecision, blocks: u64) {
-        if blocks > 0 {
-            *self.precisions.entry(p.label()).or_insert(0) += blocks;
-            vbatch_trace::labeled_add("exec.precision", p.label(), blocks);
-        }
-    }
-
-    /// Record one condest-gated promotion back to native precision.
-    pub fn record_promotion(&mut self) {
-        self.promotions += 1;
-        vbatch_trace::counter!("exec.promotions", 1);
     }
 
     /// Accumulate nominal flops.
@@ -238,36 +224,11 @@ impl ExecStats {
         compact(&self.layouts)
     }
 
-    /// Health histogram (label → block count).
-    pub fn health_histogram(&self) -> &BTreeMap<&'static str, u64> {
-        &self.health
-    }
-
-    /// Health histogram as a compact `label=count;...` string for CSV.
-    pub fn health_compact(&self) -> String {
-        compact(&self.health)
-    }
-
-    /// Storage-precision histogram (label → block count).
-    pub fn precision_histogram(&self) -> &BTreeMap<&'static str, u64> {
-        &self.precisions
-    }
-
-    /// Recovery-step histogram (label → application count).
-    pub fn recovery_histogram(&self) -> &BTreeMap<&'static str, u64> {
-        &self.recoveries
-    }
-
     /// Fold another stats object into this one.
     pub fn merge(&mut self, other: &ExecStats) {
         merge_counts(&mut self.kernels, &other.kernels);
         merge_counts(&mut self.layouts, &other.layouts);
-        merge_counts(&mut self.health, &other.health);
-        merge_counts(&mut self.recoveries, &other.recoveries);
-        merge_counts(&mut self.precisions, &other.precisions);
-        self.promotions += other.promotions;
         self.flops += other.flops;
-        self.failures += other.failures;
         for (mine, theirs) in self.phase_times.iter_mut().zip(other.phase_times) {
             *mine += theirs;
         }
@@ -291,7 +252,6 @@ mod tests {
         a.record_kernel(KernelChoice::SmallLu, 3);
         a.record_kernel(KernelChoice::GaussHuard, 2);
         a.add_flops(100.0);
-        a.record_failure();
         a.add_phase(Phase::Factorize, Duration::from_millis(5));
 
         let mut b = ExecStats::new();
@@ -307,51 +267,12 @@ mod tests {
         assert_eq!(a.layout_compact(), "blocked=1;interleaved=5");
         assert_eq!(a.kernel_histogram()["small-lu"], 4);
         assert_eq!(a.kernel_histogram()["gauss-huard"], 2);
-        assert_eq!(a.failures, 1);
         assert_eq!(a.phase_time(Phase::Factorize), Duration::from_millis(8));
         assert_eq!(a.phase_time(Phase::Solve), Duration::from_millis(2));
         assert_eq!(a.phase_time(Phase::Reduce), Duration::ZERO);
         assert_eq!(a.phase_total(), Duration::from_millis(10));
         // BTreeMap ordering: alphabetical by label
         assert_eq!(a.histogram_compact(), "gauss-huard=2;small-lu=4");
-    }
-
-    #[test]
-    fn health_and_recovery_histograms_merge() {
-        let mut a = ExecStats::new();
-        a.record_health(BlockHealth::Healthy);
-        a.record_health(BlockHealth::Healthy);
-        a.record_health(BlockHealth::Singular);
-        a.record_recovery(RecoveryStep::ScalarJacobi);
-        let mut b = ExecStats::new();
-        b.record_health(BlockHealth::IllConditioned);
-        b.record_recovery(RecoveryStep::Equilibrated);
-        b.record_recovery(RecoveryStep::ScalarJacobi);
-        a.merge(&b);
-        assert_eq!(a.health_histogram()["healthy"], 2);
-        assert_eq!(a.health_histogram()["singular"], 1);
-        assert_eq!(a.health_compact(), "healthy=2;ill_conditioned=1;singular=1");
-        assert_eq!(a.recovery_histogram()["equilibrated"], 1);
-        assert_eq!(a.recovery_histogram()["scalar_jacobi"], 2);
-    }
-
-    #[test]
-    fn precision_histogram_and_promotions_merge() {
-        let mut a = ExecStats::new();
-        a.record_precision(StoragePrecision::Lower, 3);
-        a.record_precision(StoragePrecision::Native, 1);
-        a.record_promotion();
-        let mut b = ExecStats::new();
-        b.record_precision(StoragePrecision::Lower, 2);
-        b.record_promotion();
-        b.record_promotion();
-        a.merge(&b);
-        assert_eq!(a.precision_histogram()["lower"], 5);
-        assert_eq!(a.precision_histogram()["native"], 1);
-        assert_eq!(a.promotions, 3);
-        // zero-count records stay out of the histogram
-        a.record_precision(StoragePrecision::Native, 0);
-        assert_eq!(a.precision_histogram()["native"], 1);
     }
 
     #[test]

@@ -157,7 +157,7 @@ fn sweep_digest<T: Scalar>(method: PlanMethod) -> u64 {
         ] {
             for precision in [
                 PrecisionPolicy::FullDp,
-                PrecisionPolicy::mixed::<T>(),
+                PrecisionPolicy::MixedPromote,
                 PrecisionPolicy::ForceSp,
             ] {
                 for health in [HealthPolicy::Off, HealthPolicy::guarded::<T>()] {

@@ -19,8 +19,8 @@
 
 use vbatch_core::{BatchLayout, MatrixBatch, StoragePrecision, VectorBatch};
 use vbatch_exec::{
-    Backend, BatchPlan, CpuSequential, CpuSimd, ExecStats, HealthPolicy, PlanMethod,
-    PrecisionPolicy, SimtSim,
+    Backend, BatchPlan, CpuSequential, CpuSimd, ExecStats, FactorizedBatch, HealthPolicy,
+    PlanMethod, PrecisionPolicy, SimtSim,
 };
 use vbatch_rt::{run_cases, testgen, SmallRng};
 
@@ -35,12 +35,7 @@ const LAYOUTS: [BatchLayout; 2] = [
     BatchLayout::Interleaved { class_capacity: 2 },
 ];
 
-const POLICIES: [PrecisionPolicy; 2] = [
-    PrecisionPolicy::MixedPromote {
-        condest_threshold: 724.0,
-    },
-    PrecisionPolicy::ForceSp,
-];
+const POLICIES: [PrecisionPolicy; 2] = [PrecisionPolicy::MixedPromote, PrecisionPolicy::ForceSp];
 
 fn random_batch(rng: &mut SmallRng, sizes: &[usize]) -> MatrixBatch<f64> {
     let raw = testgen::dd_batch_of(rng, sizes);
@@ -57,6 +52,11 @@ fn rhs_for(rng: &mut SmallRng, sizes: &[usize]) -> VectorBatch<f64> {
         *v = rng.gen_range(-4.0..4.0);
     }
     rhs
+}
+
+/// Blocks a mixed-precision policy promoted back to native factors.
+fn promotions<T: vbatch_core::Scalar>(factors: &FactorizedBatch<T>) -> usize {
+    factors.status.iter().filter(|s| s.promoted).count()
 }
 
 /// Scale rows of block `i` so its condition estimate lands far above
@@ -76,7 +76,7 @@ fn solve_under(
     rhs: &VectorBatch<f64>,
     layout: BatchLayout,
     precision: PrecisionPolicy,
-) -> (Vec<f64>, vbatch_exec::FactorizedBatch<f64>, ExecStats) {
+) -> (Vec<f64>, FactorizedBatch<f64>) {
     let plan = BatchPlan::for_method_with_layout::<f64>(batch.sizes(), PlanMethod::Auto, layout)
         .with_precision(precision);
     let mut stats = ExecStats::new();
@@ -96,7 +96,7 @@ fn solve_under(
         layout.label(),
         precision.label()
     );
-    (x.as_slice().to_vec(), factors, stats)
+    (x.as_slice().to_vec(), factors)
 }
 
 #[test]
@@ -111,15 +111,13 @@ fn promotion_never_moves_solutions_beyond_tolerance() {
         let backends: [&dyn Backend<f64>; 3] = [&CpuSequential, &CpuSimd, &SimtSim::new()];
         for layout in LAYOUTS {
             for backend in backends {
-                let (dp, _, _) =
-                    solve_under(backend, &batch, &rhs, layout, PrecisionPolicy::FullDp);
+                let (dp, _) = solve_under(backend, &batch, &rhs, layout, PrecisionPolicy::FullDp);
                 for policy in POLICIES {
-                    let (mixed, factors, stats) =
-                        solve_under(backend, &batch, &rhs, layout, policy);
-                    let promoting = matches!(policy, PrecisionPolicy::MixedPromote { .. });
+                    let (mixed, factors) = solve_under(backend, &batch, &rhs, layout, policy);
+                    let promoting = matches!(policy, PrecisionPolicy::MixedPromote);
                     if promoting {
                         assert_eq!(
-                            stats.promotions,
+                            promotions(&factors),
                             1,
                             "{}/{}: exactly the poisoned block promotes",
                             backend.name(),
@@ -168,21 +166,21 @@ fn force_sp_matches_mixed_promote_bitwise_when_nothing_promotes() {
         let batch = random_batch(rng, &sizes);
         let rhs = rhs_for(rng, &sizes);
         for layout in LAYOUTS {
-            let (sp, sp_f, _) = solve_under(
+            let (sp, sp_f) = solve_under(
                 &CpuSequential,
                 &batch,
                 &rhs,
                 layout,
                 PrecisionPolicy::ForceSp,
             );
-            let (mx, mx_f, stats) = solve_under(
+            let (mx, mx_f) = solve_under(
                 &CpuSequential,
                 &batch,
                 &rhs,
                 layout,
-                PrecisionPolicy::mixed::<f64>(),
+                PrecisionPolicy::MixedPromote,
             );
-            assert_eq!(stats.promotions, 0, "diagonally dominant: no promotions");
+            assert_eq!(promotions(&mx_f), 0, "diagonally dominant: no promotions");
             for (a, b) in sp.iter().zip(&mx) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{}: sp vs mixed", layout.label());
             }
@@ -204,13 +202,13 @@ fn promotion_condest_is_cached_and_reused_by_triage() {
     let plan =
         BatchPlan::for_method_with_layout::<f64>(&sizes, PlanMethod::SmallLu, BatchLayout::Blocked)
             .with_health(HealthPolicy::guarded::<f64>())
-            .with_precision(PrecisionPolicy::mixed::<f64>());
+            .with_precision(PrecisionPolicy::MixedPromote);
     let mut stats = ExecStats::new();
     let factors = CpuSequential.factorize(batch, &plan, &mut stats);
     // the promotion pass estimated every lowered block and cached the
     // estimate; triage consumed the cache, so each status carries one
     assert!(factors.status.iter().all(|s| s.condest.is_some()));
-    assert_eq!(stats.promotions, 1);
+    assert_eq!(promotions(&factors), 1);
     assert!(factors.status[1].promoted);
     // the promoted block then failed DP triage too and was recovered in
     // native precision; the well-conditioned neighbours stayed lowered
@@ -219,8 +217,6 @@ fn promotion_condest_is_cached_and_reused_by_triage() {
         assert_eq!(factors.status[i].precision, StoragePrecision::Lower);
         assert!(!factors.status[i].promoted);
     }
-    assert_eq!(stats.precision_histogram()["lower"], 2);
-    assert_eq!(stats.precision_histogram()["native"], 1);
 }
 
 #[test]
@@ -231,8 +227,8 @@ fn simt_delegates_lowered_policies_to_host_bitwise() {
         let rhs = rhs_for(rng, &sizes);
         for layout in LAYOUTS {
             for policy in POLICIES {
-                let (host, hf, _) = solve_under(&CpuSequential, &batch, &rhs, layout, policy);
-                let (simt, sf, _) = solve_under(&SimtSim::new(), &batch, &rhs, layout, policy);
+                let (host, hf) = solve_under(&CpuSequential, &batch, &rhs, layout, policy);
+                let (simt, sf) = solve_under(&SimtSim::new(), &batch, &rhs, layout, policy);
                 for (a, b) in host.iter().zip(&simt) {
                     assert_eq!(
                         a.to_bits(),
@@ -278,7 +274,7 @@ fn f32_floor_policies_are_bitwise_noops() {
         CpuSequential.solve(&f, &mut x, &mut stats);
         x.as_slice().to_vec()
     };
-    for policy in [PrecisionPolicy::mixed::<f32>(), PrecisionPolicy::ForceSp] {
+    for policy in [PrecisionPolicy::MixedPromote, PrecisionPolicy::ForceSp] {
         let plan = BatchPlan::for_method::<f32>(&sizes, PlanMethod::SmallLu).with_precision(policy);
         let mut stats = ExecStats::new();
         let f = CpuSequential.factorize(batch.clone(), &plan, &mut stats);
@@ -292,6 +288,5 @@ fn f32_floor_policies_are_bitwise_noops() {
             .status
             .iter()
             .all(|s| s.precision == StoragePrecision::Native && !s.promoted));
-        assert_eq!(stats.promotions, 0);
     }
 }

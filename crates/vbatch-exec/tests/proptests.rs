@@ -269,7 +269,7 @@ fn multi_rhs_normalisation_is_bitwise_the_column_solves() {
                     ] {
                         for precision in [
                             PrecisionPolicy::FullDp,
-                            PrecisionPolicy::mixed::<f64>(),
+                            PrecisionPolicy::MixedPromote,
                             PrecisionPolicy::ForceSp,
                         ] {
                             for health in [HealthPolicy::Off, HealthPolicy::guarded::<f64>()] {

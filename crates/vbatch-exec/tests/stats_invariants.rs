@@ -7,7 +7,8 @@
 //!   phases of their own (the SPIKE setup's `Reduce`, the simulator's
 //!   prepared apply);
 //! * for a batch with no fallbacks, the kernel histogram totals exactly
-//!   the block count (and `failures` accounts for the rest otherwise);
+//!   the block count, and the fallback blocks account for the rest
+//!   otherwise — on every backend's `factorize` and `invert`;
 //! * when tracing is compiled in and enabled, the number of ring events
 //!   emitted by one prepared apply matches the spans and counters the
 //!   instrumented path is documented to emit — no hidden event sources,
@@ -15,7 +16,9 @@
 
 use std::time::Instant;
 use vbatch_core::{BatchLayout, MatrixBatch, VectorBatch};
-use vbatch_exec::{Backend, BatchPlan, CpuSequential, ExecStats, Phase, PlanMethod, SimtSim};
+use vbatch_exec::{
+    Backend, BatchPlan, CpuSequential, CpuSimd, ExecStats, Phase, PlanMethod, SimtSim,
+};
 use vbatch_rt::{testgen, SmallRng};
 
 fn uniform_batch(count: usize, n: usize, seed: u64) -> MatrixBatch<f64> {
@@ -68,6 +71,24 @@ fn phase_times_are_nonnegative_and_bounded_by_wall_time() {
     assert_eq!(stats.workspace_hwm_elems, prep.workspace_hwm_elems());
 }
 
+/// Every producer of a kernel histogram — `factorize` and `invert` on
+/// each backend — run on `batch`: `(what, stats, fallback blocks)`.
+fn each_producer(batch: &MatrixBatch<f64>, plan: &BatchPlan) -> Vec<(String, ExecStats, usize)> {
+    let backends: [&dyn Backend<f64>; 3] = [&CpuSequential, &CpuSimd, &SimtSim::new()];
+    let mut runs = Vec::new();
+    for backend in backends {
+        let mut stats = ExecStats::new();
+        let factors = backend.factorize(batch.clone(), plan, &mut stats);
+        let fallbacks = factors.fallback_count();
+        runs.push((format!("{} factorize", backend.name()), stats, fallbacks));
+        let mut stats = ExecStats::new();
+        let (_, status) = backend.invert(batch, &mut stats);
+        let fallbacks = status.iter().filter(|s| s.is_fallback()).count();
+        runs.push((format!("{} invert", backend.name()), stats, fallbacks));
+    }
+    runs
+}
+
 #[test]
 fn kernel_histogram_totals_the_block_count() {
     for layout in [
@@ -77,38 +98,36 @@ fn kernel_histogram_totals_the_block_count() {
         let batch = uniform_batch(48, 6, 23);
         let plan =
             BatchPlan::for_method_with_layout::<f64>(batch.sizes(), PlanMethod::SmallLu, layout);
-        let mut stats = ExecStats::new();
-        let factors = CpuSequential.factorize(batch, &plan, &mut stats);
-        assert_eq!(factors.fallback_count(), 0);
-        let total: u64 = stats.kernel_histogram().values().sum();
-        assert_eq!(
-            total + stats.failures as u64,
-            48,
-            "kernel histogram + failures must cover every block ({layout:?})"
-        );
-        // the layout histogram covers every block too
-        let layout_total: u64 = stats.layout_histogram().values().sum();
-        assert_eq!(layout_total, 48, "{layout:?}");
+        for (what, stats, fallbacks) in each_producer(&batch, &plan) {
+            assert_eq!(fallbacks, 0, "{what}");
+            let total: u64 = stats.kernel_histogram().values().sum();
+            assert_eq!(total, 48, "{what} ({layout:?})");
+            // a factorization's layout histogram covers every block too
+            if what.ends_with("factorize") {
+                let layout_total: u64 = stats.layout_histogram().values().sum();
+                assert_eq!(layout_total, 48, "{what} ({layout:?})");
+            }
+        }
     }
 }
 
 #[test]
 fn failures_complete_the_kernel_histogram() {
     let mut batch = uniform_batch(8, 4, 31);
-    // make one block exactly singular (two equal rows)
+    // make one block exactly singular for every kernel: a zero row
+    // (two equal rows leave Gauss-Jordan a rounding-sized pivot)
     {
         let b = batch.block_mut(3);
         for c in 0..4 {
-            b[c * 4 + 1] = b[c * 4];
+            b[c * 4 + 1] = 0.0;
         }
     }
     let plan = BatchPlan::for_method::<f64>(batch.sizes(), PlanMethod::SmallLu);
-    let mut stats = ExecStats::new();
-    let factors = CpuSequential.factorize(batch, &plan, &mut stats);
-    assert_eq!(factors.fallback_count(), 1);
-    let total: u64 = stats.kernel_histogram().values().sum();
-    assert_eq!(total + stats.failures as u64, 8);
-    assert_eq!(stats.failures, 1);
+    for (what, stats, fallbacks) in each_producer(&batch, &plan) {
+        assert_eq!(fallbacks, 1, "{what}");
+        let total: u64 = stats.kernel_histogram().values().sum();
+        assert_eq!(total + fallbacks as u64, 8, "{what}");
+    }
 }
 
 /// One prepared apply on `CpuSequential` emits a documented set of ring

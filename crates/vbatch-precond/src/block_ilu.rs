@@ -34,10 +34,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use vbatch_core::lu::implicit::getrf_implicit_inplace_scratch;
 use vbatch_core::{gemm_neg_acc, trsm_right_lu_inplace, FactorError, MatrixBatch, Scalar};
-use vbatch_exec::{
-    Backend, BlockHealth, BlockSolve, BlockStatus, BlockTriangular, ExecStats, FaultClass, Phase,
-    RecoveryStep,
-};
+use vbatch_exec::{Backend, BlockSolve, BlockStatus, BlockTriangular, ExecStats, Phase};
 use vbatch_sparse::{BlockPartition, BlockPattern, CsrMatrix, LevelSchedule, TriKind};
 
 /// Sweep-time factorizations of the finished pivot blocks, used to form
@@ -136,17 +133,67 @@ pub struct BlockIlu0<T: Scalar> {
     pub sanitized_offdiag_blocks: usize,
     /// Execution statistics of the setup phase.
     pub stats: ExecStats,
-    fault_map: Vec<Option<FaultClass>>,
 }
 
 impl<T: Scalar> BlockIlu0<T> {
-    /// Canonical options-driven setup; see
-    /// [`BlockPreconditioner::setup_opts`]. Fault injection (when
-    /// configured) corrupts the extracted diagonal blocks before the
-    /// sweep, exactly as in the block-Jacobi setup; corruption then
-    /// propagates into the off-diagonal updates, where the non-finite
-    /// sanitization pass contains it.
-    pub fn setup_opts(
+    /// The factorization method driving the diagonal-block solves.
+    pub fn method(&self) -> BjMethod {
+        self.method
+    }
+
+    /// The strict lower factor `L̃`.
+    pub fn lower(&self) -> &BlockTriangular<T> {
+        &self.lower
+    }
+
+    /// The normalized strict upper factor `Ũ`.
+    pub fn upper_tilde(&self) -> &BlockTriangular<T> {
+        &self.upper_tilde
+    }
+
+    /// The level schedules of the two sweeps (lower, upper).
+    pub fn schedules(&self) -> (&LevelSchedule, &LevelSchedule) {
+        (&self.lower_sched, &self.upper_sched)
+    }
+}
+
+impl<T: Scalar> Preconditioner<T> for BlockIlu0<T> {
+    /// Apply `M^{-1} v = U^{-1} L^{-1} v` as lower sweep → batched
+    /// prepared diagonal solve → normalized upper sweep, all through
+    /// the backend. Allocation-free on the CPU backends once warm.
+    fn apply_inplace(&self, v: &mut [T]) {
+        debug_assert_eq!(v.len(), self.part.total());
+        let _span = vbatch_trace::span!("bilu.apply", v.len());
+        let mut stats = self.apply_stats.lock().expect("apply stats poisoned");
+        let backend = self.diag.backend();
+        backend.sweep_triangular(&self.lower, &self.lower_sched, v, &mut stats);
+        self.diag.apply(v, &mut stats);
+        backend.sweep_triangular(&self.upper_tilde, &self.upper_sched, v, &mut stats);
+    }
+
+    fn dim(&self) -> usize {
+        self.part.total()
+    }
+
+    fn label(&self) -> String {
+        format!(
+            "block-ilu0({}, max {}, levels {}/{})",
+            self.method.label(),
+            self.part.max_size(),
+            self.lower_sched.num_levels(),
+            self.upper_sched.num_levels()
+        )
+    }
+}
+
+impl<T: Scalar> BlockPreconditioner<T> for BlockIlu0<T> {
+    /// Extract the diagonal blocks and the two triangles, run the IKJ
+    /// sweep, factorize the updated diagonal and normalize the upper
+    /// factor. Fault injection (when configured) corrupts the extracted
+    /// diagonal blocks before the sweep, exactly as in the block-Jacobi
+    /// setup; corruption then propagates into the off-diagonal updates,
+    /// where the non-finite sanitization pass contains it.
+    fn setup_opts(
         a: &CsrMatrix<T>,
         part: &BlockPartition,
         backend: Arc<dyn Backend<T>>,
@@ -159,7 +206,7 @@ impl<T: Scalar> BlockIlu0<T> {
         let nb = part.len();
 
         let mut blocks = backend.extract_blocks(a, part, &mut stats);
-        let fault_map = opts.inject(&mut blocks);
+        opts.inject(&mut blocks);
 
         let extract_t0 = std::time::Instant::now();
         let pattern = BlockPattern::build(a, part);
@@ -223,8 +270,6 @@ impl<T: Scalar> BlockIlu0<T> {
             // row i finished: realize its pivot factor for later rows
             if !pivots.factorize(i, blocks.block(i)) {
                 sweep_fallback_pivots += 1;
-                stats.record_health(BlockHealth::Singular);
-                stats.record_recovery(RecoveryStep::ScalarJacobi);
             }
         }
         stats.add_flops(sweep_flops);
@@ -264,10 +309,6 @@ impl<T: Scalar> BlockIlu0<T> {
         // block-Jacobi instead of poisoning every downstream row.
         let sanitized_offdiag_blocks =
             lower.sanitize_non_finite() + upper_tilde.sanitize_non_finite();
-        for _ in 0..sanitized_offdiag_blocks {
-            stats.record_health(BlockHealth::NonFinite);
-            stats.record_recovery(RecoveryStep::Identity);
-        }
 
         let lower_sched = LevelSchedule::lower(&pattern);
         let upper_sched = LevelSchedule::upper(&pattern);
@@ -286,82 +327,7 @@ impl<T: Scalar> BlockIlu0<T> {
             sweep_fallback_pivots,
             sanitized_offdiag_blocks,
             stats,
-            fault_map,
         })
-    }
-
-    /// The factorization method driving the diagonal-block solves.
-    pub fn method(&self) -> BjMethod {
-        self.method
-    }
-
-    /// The strict lower factor `L̃`.
-    pub fn lower(&self) -> &BlockTriangular<T> {
-        &self.lower
-    }
-
-    /// The normalized strict upper factor `Ũ`.
-    pub fn upper_tilde(&self) -> &BlockTriangular<T> {
-        &self.upper_tilde
-    }
-
-    /// The level schedules of the two sweeps (lower, upper).
-    pub fn schedules(&self) -> (&LevelSchedule, &LevelSchedule) {
-        (&self.lower_sched, &self.upper_sched)
-    }
-
-    /// The fault assignment injected during setup (empty unless
-    /// configured).
-    pub fn fault_map(&self) -> &[Option<FaultClass>] {
-        &self.fault_map
-    }
-
-    /// Snapshot of the accumulated steady-state apply statistics.
-    pub fn apply_stats(&self) -> ExecStats {
-        self.apply_stats
-            .lock()
-            .expect("apply stats poisoned")
-            .clone()
-    }
-}
-
-impl<T: Scalar> Preconditioner<T> for BlockIlu0<T> {
-    /// Apply `M^{-1} v = U^{-1} L^{-1} v` as lower sweep → batched
-    /// prepared diagonal solve → normalized upper sweep, all through
-    /// the backend. Allocation-free on the CPU backends once warm.
-    fn apply_inplace(&self, v: &mut [T]) {
-        debug_assert_eq!(v.len(), self.part.total());
-        let _span = vbatch_trace::span!("bilu.apply", v.len());
-        let mut stats = self.apply_stats.lock().expect("apply stats poisoned");
-        let backend = self.diag.backend();
-        backend.sweep_triangular(&self.lower, &self.lower_sched, v, &mut stats);
-        self.diag.apply(v, &mut stats);
-        backend.sweep_triangular(&self.upper_tilde, &self.upper_sched, v, &mut stats);
-    }
-
-    fn dim(&self) -> usize {
-        self.part.total()
-    }
-
-    fn label(&self) -> String {
-        format!(
-            "block-ilu0({}, max {}, levels {}/{})",
-            self.method.label(),
-            self.part.max_size(),
-            self.lower_sched.num_levels(),
-            self.upper_sched.num_levels()
-        )
-    }
-}
-
-impl<T: Scalar> BlockPreconditioner<T> for BlockIlu0<T> {
-    fn setup_opts(
-        a: &CsrMatrix<T>,
-        part: &BlockPartition,
-        backend: Arc<dyn Backend<T>>,
-        opts: PrecondOptions,
-    ) -> Result<Self, FactorError> {
-        BlockIlu0::setup_opts(a, part, backend, opts)
     }
 
     fn partition(&self) -> &BlockPartition {
@@ -381,8 +347,12 @@ impl<T: Scalar> BlockPreconditioner<T> for BlockIlu0<T> {
         }
     }
 
+    /// Snapshot of the accumulated steady-state apply statistics.
     fn apply_stats(&self) -> ExecStats {
-        BlockIlu0::apply_stats(self)
+        self.apply_stats
+            .lock()
+            .expect("apply stats poisoned")
+            .clone()
     }
 }
 

@@ -14,7 +14,7 @@
 //! batch and the per-iteration batched block solves. Singular diagonal
 //! blocks degrade to a scalar-Jacobi fallback per block instead of
 //! aborting the whole setup; callers that need an exact factorization
-//! everywhere check [`BlockJacobi::statuses`] /
+//! everywhere check [`BlockPreconditioner::statuses`] /
 //! [`BlockJacobi::fallback_blocks`].
 
 use crate::options::{BjMethod, PrecondOptions};
@@ -22,7 +22,7 @@ use crate::traits::{BlockPreconditioner, Preconditioner, SetupReport};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use vbatch_core::{FactorError, Scalar};
-use vbatch_exec::{Backend, BlockSolve, BlockStatus, ExecStats, FaultClass};
+use vbatch_exec::{Backend, BlockSolve, BlockStatus, ExecStats};
 use vbatch_sparse::{BlockPartition, CsrMatrix};
 
 /// The assembled block-Jacobi preconditioner.
@@ -42,79 +42,12 @@ pub struct BlockJacobi<T: Scalar> {
     /// Execution statistics of the setup phase (kernel histogram,
     /// flops, per-phase timings).
     pub stats: ExecStats,
-    /// The fault assignment injected at setup (empty unless
-    /// [`PrecondOptions::fault`] was set).
-    fault_map: Vec<Option<FaultClass>>,
 }
 
 impl<T: Scalar> BlockJacobi<T> {
-    /// The one constructor (also the
-    /// [`BlockPreconditioner::setup_opts`] entry point): extract the
-    /// diagonal blocks of `a` under `part` on `backend`, factorize them
-    /// and prepare the apply. Method, layout, precision policy, health
-    /// triage and optional pre-factorization fault injection all come
-    /// from `opts`. Singular diagonal blocks degrade to a scalar-Jacobi
-    /// fallback (reported per block in [`BlockJacobi::statuses`])
-    /// instead of failing the setup. The fault assignment actually
-    /// applied is retained in [`BlockJacobi::fault_map`] so
-    /// differential tests can cross-check the per-block statuses
-    /// against the injected map.
-    pub fn setup_opts(
-        a: &CsrMatrix<T>,
-        part: &BlockPartition,
-        backend: Arc<dyn Backend<T>>,
-        opts: PrecondOptions,
-    ) -> Result<Self, FactorError> {
-        assert_eq!(part.total(), a.nrows(), "partition must cover the matrix");
-        let _span = vbatch_trace::span!("bj.setup", part.len());
-        let start = std::time::Instant::now();
-        let mut stats = ExecStats::new();
-        let mut blocks = backend.extract_blocks(a, part, &mut stats);
-        let fault_map = opts.inject(&mut blocks);
-        let plan = opts.plan::<T>(blocks.sizes());
-        let diag = BlockSolve::new(backend, blocks, &plan, &mut stats);
-        Ok(BlockJacobi {
-            part: part.clone(),
-            method: opts.method,
-            fallback_blocks: diag.fallback_count(),
-            diag,
-            apply_stats: Mutex::new(ExecStats::new()),
-            setup_time: start.elapsed(),
-            stats,
-            fault_map,
-        })
-    }
-
-    /// The partition this preconditioner was built for.
-    pub fn partition(&self) -> &BlockPartition {
-        &self.part
-    }
-
     /// The factorization method in use.
     pub fn method(&self) -> BjMethod {
         self.method
-    }
-
-    /// Per-block factorization status: which kernel factorized each
-    /// block, or which error degraded it to the scalar-Jacobi fallback.
-    pub fn statuses(&self) -> &[BlockStatus] {
-        self.diag.statuses()
-    }
-
-    /// The fault assignment injected during setup: one entry per block
-    /// when [`PrecondOptions::fault`] was set, empty otherwise.
-    pub fn fault_map(&self) -> &[Option<FaultClass>] {
-        &self.fault_map
-    }
-
-    /// Snapshot of the accumulated apply-phase statistics: total
-    /// [`vbatch_exec::Phase::Apply`] wall-clock, number of applies, and
-    /// the workspace high-water mark in elements.
-    pub fn apply_stats(&self) -> ExecStats {
-        self.apply_stats
-            .lock()
-            .expect("apply stats poisoned")
-            .clone()
     }
 }
 
@@ -122,7 +55,7 @@ impl<T: Scalar> Preconditioner<T> for BlockJacobi<T> {
     /// Apply `M^{-1} v` through the prepared batched solve: no private
     /// block loop, no per-call dispatch rebuild, and — on the CPU
     /// backends — no heap allocation. Timings and workspace high-water
-    /// marks accumulate in [`BlockJacobi::apply_stats`].
+    /// marks accumulate in [`BlockPreconditioner::apply_stats`].
     fn apply_inplace(&self, v: &mut [T]) {
         debug_assert_eq!(v.len(), self.part.total());
         let _span = vbatch_trace::span!("bj.apply", v.len());
@@ -144,13 +77,35 @@ impl<T: Scalar> Preconditioner<T> for BlockJacobi<T> {
 }
 
 impl<T: Scalar> BlockPreconditioner<T> for BlockJacobi<T> {
+    /// Extract the diagonal blocks of `a` under `part` on `backend`,
+    /// factorize them and prepare the apply. Method, layout, precision
+    /// policy, health triage and optional pre-factorization fault
+    /// injection all come from `opts`. Singular diagonal blocks degrade
+    /// to a scalar-Jacobi fallback (reported per block in
+    /// [`BlockPreconditioner::statuses`]) instead of failing the setup.
     fn setup_opts(
         a: &CsrMatrix<T>,
         part: &BlockPartition,
         backend: Arc<dyn Backend<T>>,
         opts: PrecondOptions,
     ) -> Result<Self, FactorError> {
-        BlockJacobi::setup_opts(a, part, backend, opts)
+        assert_eq!(part.total(), a.nrows(), "partition must cover the matrix");
+        let _span = vbatch_trace::span!("bj.setup", part.len());
+        let start = std::time::Instant::now();
+        let mut stats = ExecStats::new();
+        let mut blocks = backend.extract_blocks(a, part, &mut stats);
+        opts.inject(&mut blocks);
+        let plan = opts.plan::<T>(blocks.sizes());
+        let diag = BlockSolve::new(backend, blocks, &plan, &mut stats);
+        Ok(BlockJacobi {
+            part: part.clone(),
+            method: opts.method,
+            fallback_blocks: diag.fallback_count(),
+            diag,
+            apply_stats: Mutex::new(ExecStats::new()),
+            setup_time: start.elapsed(),
+            stats,
+        })
     }
 
     fn partition(&self) -> &BlockPartition {
@@ -170,8 +125,14 @@ impl<T: Scalar> BlockPreconditioner<T> for BlockJacobi<T> {
         }
     }
 
+    /// Snapshot of the accumulated apply-phase statistics: total
+    /// [`vbatch_exec::Phase::Apply`] wall-clock, number of applies, and
+    /// the workspace high-water mark in elements.
     fn apply_stats(&self) -> ExecStats {
-        BlockJacobi::apply_stats(self)
+        self.apply_stats
+            .lock()
+            .expect("apply stats poisoned")
+            .clone()
     }
 }
 
@@ -179,7 +140,7 @@ impl<T: Scalar> BlockPreconditioner<T> for BlockJacobi<T> {
 mod tests {
     use super::*;
     use vbatch_core::BatchLayout;
-    use vbatch_exec::{CpuSequential, CpuSimd, FaultPlan, Phase};
+    use vbatch_exec::{CpuSequential, CpuSimd, FaultClass, FaultPlan, Phase};
     use vbatch_sparse::gen::fem::{fem_block_matrix, MeshGraph};
     use vbatch_sparse::gen::laplace::laplace_2d;
     use vbatch_sparse::supervariable_blocking;
@@ -356,10 +317,10 @@ mod tests {
             seq(),
             PrecondOptions::guarded::<f64>()
                 .with_method(BjMethod::SmallLu)
-                .with_fault(plan),
+                .with_fault(plan.clone()),
         )
         .unwrap();
-        let map = m.fault_map().to_vec();
+        let map = plan.assign(m.partition().len());
         assert_eq!(map.len(), 16);
         let victims = map.iter().filter(|f| f.is_some()).count();
         assert_eq!(victims, 2, "round(0.1 * 16)");

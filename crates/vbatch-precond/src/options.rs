@@ -7,7 +7,7 @@
 //! injection — into one builder.
 
 use vbatch_core::{BatchLayout, MatrixBatch, Scalar};
-use vbatch_exec::{inject_batch, BatchPlan, FaultClass, FaultPlan, HealthPolicy, PrecisionPolicy};
+use vbatch_exec::{inject_batch, BatchPlan, FaultPlan, HealthPolicy, PrecisionPolicy};
 
 /// The batched factorization driving the diagonal-block solves (the
 /// four methods of §IV plus the Cholesky extension and the planner):
@@ -101,14 +101,13 @@ impl PrecondOptions {
             .with_precision(self.precision)
     }
 
-    /// Corrupt `blocks` with the configured fault plan, if any, and
-    /// return the assignment applied: one entry per block, or empty
-    /// when no plan is set.
-    pub fn inject<T: Scalar>(&self, blocks: &mut MatrixBatch<T>) -> Vec<Option<FaultClass>> {
-        self.fault
-            .as_ref()
-            .map(|plan| inject_batch(blocks, plan))
-            .unwrap_or_default()
+    /// Corrupt `blocks` with the configured fault plan, if any. The
+    /// assignment applied is `plan.assign(blocks.len())`: a caller that
+    /// needs it recomputes it from the plan.
+    pub fn inject<T: Scalar>(&self, blocks: &mut MatrixBatch<T>) {
+        if let Some(plan) = &self.fault {
+            inject_batch(blocks, plan);
+        }
     }
 }
 
@@ -122,7 +121,7 @@ mod tests {
             .with_method(BjMethod::SmallLu)
             .with_layout(BatchLayout::Blocked)
             .with_health(HealthPolicy::guarded::<f64>())
-            .with_precision(PrecisionPolicy::mixed::<f64>());
+            .with_precision(PrecisionPolicy::MixedPromote);
         assert_eq!(o.method, BjMethod::SmallLu);
         assert_eq!(o.layout, BatchLayout::Blocked);
         assert!(o.fault.is_none());
@@ -133,6 +132,8 @@ mod tests {
         // the plan carries the planner knobs; no fault plan, no faults
         let plan = o.plan::<f64>(&[4, 4, 9]);
         assert_eq!((plan.health(), plan.precision()), (o.health, o.precision));
-        assert!(o.inject(&mut MatrixBatch::<f64>::zeros(&[2, 2])).is_empty());
+        let mut blocks = MatrixBatch::<f64>::zeros(&[2, 2]);
+        o.inject(&mut blocks);
+        assert!(blocks.as_slice().iter().all(|&v| v == 0.0));
     }
 }

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 use vbatch_core::{BatchLayout, DenseMat};
 use vbatch_exec::{Backend, CpuSequential, CpuSimd, SimtSim};
-use vbatch_precond::{BjMethod, BlockIlu0, PrecondOptions, Preconditioner};
+use vbatch_precond::{BjMethod, BlockIlu0, BlockPreconditioner, PrecondOptions, Preconditioner};
 use vbatch_rt::{run_cases, testgen, SmallRng};
 use vbatch_sparse::{BlockPartition, BlockPattern, CooMatrix, CsrMatrix};
 

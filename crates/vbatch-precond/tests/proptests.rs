@@ -5,7 +5,9 @@
 use std::sync::Arc;
 use vbatch_core::{DenseMat, FactorError};
 use vbatch_exec::{Backend, CpuSequential, CpuSimd};
-use vbatch_precond::{BjMethod, BlockJacobi, Jacobi, PrecondOptions, Preconditioner};
+use vbatch_precond::{
+    BjMethod, BlockJacobi, BlockPreconditioner, Jacobi, PrecondOptions, Preconditioner,
+};
 use vbatch_rt::{run_cases, testgen, SmallRng};
 use vbatch_sparse::{supervariable_blocking, BlockPartition, CooMatrix, CsrMatrix};
 

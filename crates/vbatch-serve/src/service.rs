@@ -287,10 +287,6 @@ impl<T: Scalar + 'static> Service<T> {
 
 impl<T: Scalar> Drop for Service<T> {
     fn drop(&mut self) {
-        self.cancel.cancel();
-        self.senders.clear();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.drain();
     }
 }

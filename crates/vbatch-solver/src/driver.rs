@@ -237,23 +237,24 @@ mod tests {
 
     #[test]
     fn mixed_precision_policy_converges_degraded_free() {
-        use vbatch_exec::PrecisionPolicy;
+        use vbatch_core::StoragePrecision;
+        use vbatch_exec::{BlockStatus, PrecisionPolicy};
         let a = laplace_2d::<f64>(8, 8);
         let b = vec![1.0; 64];
         let part = BlockPartition::uniform(64, 4);
         let lowered = |h: &IdrSolver<f64, BlockJacobi<f64>>| {
-            let report = h.precond().setup_report();
-            let hist = report.stats.precision_histogram();
+            let statuses = h.precond().statuses();
+            let count = |f: fn(&BlockStatus) -> bool| statuses.iter().filter(|s| f(s)).count();
             (
-                hist.get("lower").copied().unwrap_or(0),
-                report.stats.promotions,
+                count(|s| s.precision == StoragePrecision::Lower),
+                count(|s| s.promoted),
             )
         };
         let mut dp = handle::<BlockJacobi<f64>>(&a, &part, small_lu());
         let mut mixed = handle::<BlockJacobi<f64>>(
             &a,
             &part,
-            small_lu().with_precision(PrecisionPolicy::mixed::<f64>()),
+            small_lu().with_precision(PrecisionPolicy::MixedPromote),
         );
         let (dp_x, mixed_r) = (dp.solve(&a, &b).x, mixed.solve(&a, &b));
         assert!(mixed_r.converged());

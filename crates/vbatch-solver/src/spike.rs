@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use vbatch_core::{FactorError, Scalar};
-use vbatch_exec::{Backend, BlockSolve, BlockStatus, ExecStats, FaultClass, Phase};
+use vbatch_exec::{Backend, BlockSolve, BlockStatus, ExecStats, Phase};
 use vbatch_precond::{BlockPreconditioner, PrecondOptions, Preconditioner, SetupReport};
 use vbatch_sparse::{
     extract_spike_blocks, nrm2, spmv, BlockPartition, CsrMatrix, SpikeError, SpikePartition,
@@ -90,7 +90,6 @@ pub struct SpikeSolver<T: Scalar> {
     /// `&self` applies stay allocation-free.
     ws: Mutex<Vec<T>>,
     apply_stats: Mutex<ExecStats>,
-    fault_map: Vec<Option<FaultClass>>,
     /// Wall-clock time of the whole setup (extraction, partition
     /// factorization, spike formation, reduced assembly).
     pub setup_time: Duration,
@@ -123,7 +122,7 @@ impl<T: Scalar> SpikeSolver<T> {
         let mut blocks = extract_spike_blocks(a, sp).map_err(spike_to_factor_error)?;
         stats.add_phase(Phase::Extract, t_ex.elapsed());
 
-        let fault_map = opts.inject(&mut blocks.diag);
+        opts.inject(&mut blocks.diag);
 
         let part = sp.part();
         let sizes = part.sizes();
@@ -224,23 +223,9 @@ impl<T: Scalar> SpikeSolver<T> {
             reduced,
             ws: Mutex::new(vec![T::ZERO; 2 * k * ifaces]),
             apply_stats: Mutex::new(ExecStats::new()),
-            fault_map,
             setup_time: start.elapsed(),
             stats,
         })
-    }
-
-    /// Per-partition factorization status (the PR-3 triage path:
-    /// which kernel factorized each partition, or which error degraded
-    /// it to a sanitized fallback).
-    pub fn statuses(&self) -> &[BlockStatus] {
-        self.partitions.statuses()
-    }
-
-    /// The fault assignment injected during setup (one entry per
-    /// partition when [`PrecondOptions::fault`] was set, else empty).
-    pub fn fault_map(&self) -> &[Option<FaultClass>] {
-        &self.fault_map
     }
 
     /// One truncated SPIKE pass, in place: `v` enters as a right-hand
@@ -433,6 +418,9 @@ impl<T: Scalar> BlockPreconditioner<T> for SpikeSolver<T> {
         self.spart.part()
     }
 
+    /// Per-partition factorization status: which kernel factorized
+    /// each partition, or which error degraded it to a sanitized
+    /// fallback.
     fn statuses(&self) -> &[BlockStatus] {
         self.partitions.statuses()
     }

@@ -23,7 +23,9 @@
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use vbatch_core::MatrixBatch;
 use vbatch_exec::{Backend, BatchPlan, CpuSequential, CpuSimd, ExecStats, HealthPolicy};
-use vbatch_precond::{BjMethod, BlockIlu0, BlockJacobi, PrecondOptions, Preconditioner};
+use vbatch_precond::{
+    BjMethod, BlockIlu0, BlockJacobi, BlockPreconditioner, PrecondOptions, Preconditioner,
+};
 use vbatch_rt::CountingAlloc;
 use vbatch_solver::{IdrSolver, SolveParams, StopReason};
 use vbatch_sparse::gen::laplace::laplace_2d;
@@ -405,7 +407,7 @@ fn warm_mixed_precision_apply_allocates_nothing() {
         vbatch_core::BatchLayout::Blocked,
         vbatch_core::BatchLayout::interleaved(),
     ] {
-        for policy in [PrecisionPolicy::mixed::<f64>(), PrecisionPolicy::ForceSp] {
+        for policy in [PrecisionPolicy::MixedPromote, PrecisionPolicy::ForceSp] {
             let m = BlockJacobi::setup_opts(
                 &a,
                 &part,
@@ -448,7 +450,7 @@ fn warm_mixed_idr_iterations_allocate_nothing() {
     let part = BlockPartition::uniform(n, 8);
     let opts = PrecondOptions::default()
         .with_method(BjMethod::SmallLu)
-        .with_precision(PrecisionPolicy::mixed::<f64>());
+        .with_precision(PrecisionPolicy::MixedPromote);
 
     let short = SolveParams::default().with_max_iters(4);
     let long = SolveParams::default().with_max_iters(24);

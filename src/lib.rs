@@ -48,7 +48,8 @@ pub mod prelude {
         KernelChoice, PlanMethod, SimtSim,
     };
     pub use vbatch_precond::{
-        BjMethod, BlockJacobi, Identity, Jacobi, PrecondOptions, Preconditioner,
+        BjMethod, BlockJacobi, BlockPreconditioner, Identity, Jacobi, PrecondOptions,
+        Preconditioner,
     };
     pub use vbatch_simt::{
         estimate_factor, estimate_solve, DeviceModel, FactorKernel, SolveKernel,

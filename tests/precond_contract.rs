@@ -75,19 +75,21 @@ fn seq() -> Arc<dyn Backend<f64>> {
 }
 
 /// One setup of `M` and two chained applies, folded into `h`:
-/// statuses, the injected fault map, the setup histograms, the fallback
-/// count and the bits of `M⁻¹v` and `M⁻¹(M⁻¹v)` (the second apply runs
-/// on the scratch the first one left behind).
+/// statuses, the injected fault map (the plan's assignment over the
+/// partition; nothing without a plan), the setup histograms, the
+/// fallback count and the bits of `M⁻¹v` and `M⁻¹(M⁻¹v)` (the second
+/// apply runs on the scratch the first one left behind).
 fn fold_setup<M: BlockPreconditioner<f64>>(
     h: &mut Fnv,
     a: &CsrMatrix<f64>,
     part: &BlockPartition,
     opts: PrecondOptions,
-    fault_map: fn(&M) -> &[Option<FaultClass>],
 ) -> M {
+    let fault = opts.fault.clone();
     let m = M::setup_opts(a, part, seq(), opts).expect("contract problems set up");
     h.statuses(m.statuses());
-    for f in fault_map(&m) {
+    let fault_map = fault.map_or_else(Vec::new, |plan| plan.assign(m.partition().len()));
+    for f in fault_map {
         h.text(f.map_or("-", FaultClass::label));
     }
     let report = m.setup_report();
@@ -118,19 +120,18 @@ fn fold_setup<M: BlockPreconditioner<f64>>(
 fn family_digest<M: BlockPreconditioner<f64>>(
     a: &CsrMatrix<f64>,
     part: &BlockPartition,
-    fault_map: fn(&M) -> &[Option<FaultClass>],
     extra: fn(&mut Fnv, &M),
 ) -> u64 {
     let mut h = Fnv::new();
     let interleaved = BatchLayout::Interleaved { class_capacity: 2 };
     for layout in [BatchLayout::Blocked, interleaved] {
-        for precision in [PrecisionPolicy::FullDp, PrecisionPolicy::mixed::<f64>()] {
+        for precision in [PrecisionPolicy::FullDp, PrecisionPolicy::MixedPromote] {
             for health in [HealthPolicy::Off, HealthPolicy::guarded::<f64>()] {
                 let opts = PrecondOptions::default()
                     .with_layout(layout)
                     .with_precision(precision)
                     .with_health(health);
-                let m = fold_setup(&mut h, a, part, opts, fault_map);
+                let m: M = fold_setup(&mut h, a, part, opts);
                 extra(&mut h, &m);
             }
         }
@@ -141,7 +142,7 @@ fn family_digest<M: BlockPreconditioner<f64>>(
     let opts = PrecondOptions::guarded::<f64>()
         .with_layout(interleaved)
         .with_fault(faults);
-    let m = fold_setup(&mut h, a, part, opts, fault_map);
+    let m: M = fold_setup(&mut h, a, part, opts);
     assert!(m.setup_report().fallback_blocks > 0, "faults must land");
     extra(&mut h, &m);
     h.0
@@ -162,12 +163,12 @@ fn fem_problem() -> (CsrMatrix<f64>, BlockPartition) {
 
 fn bj() -> u64 {
     let (a, part) = fem_problem();
-    family_digest::<BlockJacobi<f64>>(&a, &part, BlockJacobi::fault_map, |_, _| {})
+    family_digest::<BlockJacobi<f64>>(&a, &part, |_, _| {})
 }
 
 fn bilu() -> u64 {
     let (a, part) = fem_problem();
-    family_digest::<BlockIlu0<f64>>(&a, &part, BlockIlu0::fault_map, |h, m| {
+    family_digest::<BlockIlu0<f64>>(&a, &part, |h, m| {
         h.word(m.sweep_fallback_pivots as u64);
         h.word(m.sanitized_offdiag_blocks as u64);
     })
@@ -184,7 +185,7 @@ fn spike() -> u64 {
     }
     let a = coo.to_csr();
     let part = BlockPartition::uniform(n, 12);
-    family_digest::<SpikeSolver<f64>>(&a, &part, SpikeSolver::fault_map, |h, m| {
+    family_digest::<SpikeSolver<f64>>(&a, &part, |h, m| {
         let b: Vec<f64> = (0..m.dim()).map(|i| ((i * 5) % 11) as f64 - 5.0).collect();
         let out = m.solve_with(&b, 1e-10, 40);
         h.word(out.refinements as u64);
