@@ -17,11 +17,10 @@
 //! class spread over all threads.
 
 use vbatch_bench::{
-    factor_health_compact, measure_factor_gflops, measure_precond_apply, parse_precision_flag,
-    parse_precond_flag, uniform_bench_batch, write_csv, BATCH_SWEEP, FIG4_HEADER,
+    parse_precision_flag, parse_precond_flag, write_csv, PlannedRow, BATCH_SWEEP, FIG4_HEADER,
 };
-use vbatch_core::{BatchLayout, Scalar};
-use vbatch_exec::{estimate_planned_factor, BatchPlan, CpuSequential, CpuSimd, PrecisionPolicy};
+use vbatch_core::Scalar;
+use vbatch_exec::PrecisionPolicy;
 use vbatch_precond::PrecondKind;
 use vbatch_simt::{estimate_factor, DeviceModel, FactorKernel};
 
@@ -61,33 +60,12 @@ fn sweep<T: Scalar>(
             line.push_str(&format!(" {g:>15.1}"));
             row.push(format!("{g:.2}"));
         }
-        let plan = BatchPlan::auto::<T>(&sizes);
-        let planned = estimate_planned_factor::<T>(device, &plan, &sizes);
-        let g = planned.report.gflops();
-        line.push_str(&format!(" {g:>15.1}"));
-        row.push(format!("{g:.2}"));
-        row.push(planned.histogram.clone());
-        let bench = uniform_bench_batch::<T>(batch, block);
-        let g_blocked =
-            measure_factor_gflops(&CpuSequential, &bench, BatchLayout::Blocked, precision);
-        let g_il = measure_factor_gflops(
-            &CpuSequential,
-            &bench,
-            BatchLayout::interleaved(),
-            precision,
-        );
-        let g_simd = measure_factor_gflops(&CpuSimd, &bench, BatchLayout::interleaved(), precision);
-        line.push_str(&format!(" {g_blocked:>12.2} {g_il:>12.2} {g_simd:>12.2}"));
-        row.push(format!("{g_blocked:.3}"));
-        row.push(format!("{g_il:.3}"));
-        row.push(format!("{g_simd:.3}"));
-        row.push(plan.layout_compact());
-        row.push(factor_health_compact(&bench));
-        let (g_apply, ws_hwm) = measure_precond_apply::<T>(precond, batch, block);
-        line.push_str(&format!(" apply {g_apply:.2}"));
-        row.push(format!("{g_apply:.3}"));
-        row.push(ws_hwm.to_string());
-        row.push(precond.label().to_string());
+        let r = PlannedRow::measure::<T>(device, batch, block, precond, precision);
+        line.push_str(&format!(
+            " {:>15.1} {:>12.2} {:>12.2} {:>12.2} apply {:.2}",
+            r.planner, r.cpu_blocked, r.cpu_interleaved, r.cpu_simd, r.cpu_apply
+        ));
+        row.extend(r.cells());
         println!("{line}");
         rows.push(row);
     }

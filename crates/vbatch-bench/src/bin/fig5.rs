@@ -16,11 +16,10 @@
 //! threads).
 
 use vbatch_bench::{
-    factor_health_compact, measure_factor_gflops, measure_precond_apply, parse_precision_flag,
-    parse_precond_flag, size_sweep, uniform_bench_batch, write_csv, FIG5_HEADER,
+    parse_precision_flag, parse_precond_flag, size_sweep, write_csv, PlannedRow, FIG5_HEADER,
 };
-use vbatch_core::{BatchLayout, Scalar};
-use vbatch_exec::{estimate_planned_factor, BatchPlan, CpuSequential, CpuSimd, PrecisionPolicy};
+use vbatch_core::Scalar;
+use vbatch_exec::PrecisionPolicy;
 use vbatch_precond::PrecondKind;
 use vbatch_simt::{estimate_factor, DeviceModel, FactorKernel};
 
@@ -64,33 +63,12 @@ fn sweep<T: Scalar>(
         if crossover.is_none() && n >= 4 && g_lu >= g_gh {
             crossover = Some(n);
         }
-        let plan = BatchPlan::auto::<T>(&sizes);
-        let planned = estimate_planned_factor::<T>(device, &plan, &sizes);
-        let g = planned.report.gflops();
-        line.push_str(&format!(" {g:>15.1}  {}", planned.histogram));
-        row.push(format!("{g:.2}"));
-        row.push(planned.histogram.clone());
-        let bench = uniform_bench_batch::<T>(BATCH, n);
-        let g_blocked =
-            measure_factor_gflops(&CpuSequential, &bench, BatchLayout::Blocked, precision);
-        let g_il = measure_factor_gflops(
-            &CpuSequential,
-            &bench,
-            BatchLayout::interleaved(),
-            precision,
-        );
-        let g_simd = measure_factor_gflops(&CpuSimd, &bench, BatchLayout::interleaved(), precision);
-        line.push_str(&format!("  cpu {g_blocked:.2}/{g_il:.2}/{g_simd:.2}"));
-        row.push(format!("{g_blocked:.3}"));
-        row.push(format!("{g_il:.3}"));
-        row.push(format!("{g_simd:.3}"));
-        row.push(plan.layout_compact());
-        row.push(factor_health_compact(&bench));
-        let (g_apply, ws_hwm) = measure_precond_apply::<T>(precond, BATCH, n);
-        line.push_str(&format!("  apply {g_apply:.2}"));
-        row.push(format!("{g_apply:.3}"));
-        row.push(ws_hwm.to_string());
-        row.push(precond.label().to_string());
+        let r = PlannedRow::measure::<T>(device, BATCH, n, precond, precision);
+        line.push_str(&format!(
+            " {:>15.1}  {}  cpu {:.2}/{:.2}/{:.2}  apply {:.2}",
+            r.planner, r.plan_kernels, r.cpu_blocked, r.cpu_interleaved, r.cpu_simd, r.cpu_apply
+        ));
+        row.extend(r.cells());
         println!("{line}");
         rows.push(row);
     }

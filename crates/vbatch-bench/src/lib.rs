@@ -19,6 +19,9 @@ use vbatch_precond::{
 use vbatch_solver::{idr, SolveParams, SpikeSolver, StopReason};
 use vbatch_sparse::{BlockPartition, CooMatrix, CsrMatrix, SpikePartition};
 
+mod estimate;
+pub use estimate::{estimate_planned_factor, PlannedEstimate, PlannedRow};
+
 /// Batch-size sweep used by Figs. 4 and 6 (the paper's x-axis reaches
 /// 40,000 systems).
 pub const BATCH_SWEEP: [usize; 11] = [
@@ -41,7 +44,8 @@ pub const BLOCK_BOUNDS: [usize; 5] = [8, 12, 16, 24, 32];
 /// `plan_layouts` records the planner's per-class layout histogram;
 /// `cpu_apply` is the measured prepared-apply throughput
 /// ([`measure_cpu_apply`]) and `ws_hwm` its resident workspace
-/// high-water mark in scalar elements.
+/// high-water mark in scalar elements. [`PlannedRow`] fills every
+/// column from `planner` on, the same ten as in [`FIG5_HEADER`].
 pub const FIG4_HEADER: [&str; 18] = [
     "precision",
     "precision_policy",

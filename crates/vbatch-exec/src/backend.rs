@@ -4,19 +4,19 @@
 use crate::apply::PreparedApply;
 use crate::factors::{BlockStatus, FactorizedBatch};
 use crate::plan::BatchPlan;
-use crate::stats::{ExecStats, Phase};
+use crate::stats::ExecStats;
 use crate::tri::BlockTriangular;
-use std::time::Instant;
 use vbatch_core::{MatrixBatch, Scalar, VectorBatch};
 use vbatch_sparse::{BlockPartition, CsrMatrix, LevelSchedule};
 
 /// An executor for variable-size batched work. Implementations:
-/// [`crate::CpuSequential`], [`crate::CpuSimd`] and [`crate::SimtSim`].
-/// All methods take an [`ExecStats`] sink; every backend fills in the
-/// kernel histogram, flops, failures and phase timings the same way, so
-/// consumers can compare runs across backends.
+/// [`crate::CpuSequential`] and [`crate::CpuSimd`], one host kernel set
+/// on the calling thread or on the pool. All methods take an
+/// [`ExecStats`] sink; every backend fills in the kernel and layout
+/// histograms, flops and phase timings the same way, so consumers can
+/// compare runs across backends.
 pub trait Backend<T: Scalar>: Send + Sync {
-    /// Short display name ("cpu-seq", "cpu-simd", "simt-sim").
+    /// Short display name ("cpu-seq", "cpu-simd").
     fn name(&self) -> &'static str;
 
     /// Extract the diagonal blocks described by `part` from `a`.
@@ -40,10 +40,9 @@ pub trait Backend<T: Scalar>: Send + Sync {
     ) -> FactorizedBatch<T>;
 
     /// Solve every block system in place: `rhs[i] := A_i^{-1} rhs[i]` —
-    /// the one-shot form, and the simulator's native path. On the CPU
-    /// backends it is [`Backend::prepare_apply`] + the prepared apply
-    /// path with the preparation paid per call (timed as
-    /// [`Phase::Solve`]) and has no production caller: every holder
+    /// the one-shot form: [`Backend::prepare_apply`] + the prepared
+    /// apply path with the preparation paid per call (timed as
+    /// [`crate::Phase::Solve`]). No production caller: every holder
     /// goes through a [`crate::BlockSolve`], which owns the factors and
     /// the [`PreparedApply`] built from them.
     fn solve(&self, factors: &FactorizedBatch<T>, rhs: &mut VectorBatch<T>, stats: &mut ExecStats);
@@ -57,48 +56,32 @@ pub trait Backend<T: Scalar>: Send + Sync {
 
     /// Solve every block system of the flat vector `v` in place through
     /// a prepared apply workspace — the steady-state (per-Krylov-
-    /// iteration) form. The CPU backends run this without heap
-    /// allocations and book it as [`Phase::Apply`]; the default
-    /// implementation (used by the simulator) round-trips through
-    /// [`Backend::solve`], which books its own [`Phase::Solve`], and
-    /// books only the round trip's remainder as [`Phase::Apply`]. The
-    /// workspace high-water mark lands in [`ExecStats::record_apply`].
+    /// iteration) form, run without heap allocations and booked as
+    /// [`crate::Phase::Apply`]. The workspace high-water mark lands in
+    /// [`ExecStats::record_apply`].
     fn solve_prepared(
         &self,
         factors: &FactorizedBatch<T>,
         prepared: &PreparedApply<T>,
         v: &mut [T],
         stats: &mut ExecStats,
-    ) {
-        debug_assert_eq!(v.len(), prepared.total());
-        let t0 = Instant::now();
-        let booked = stats.phase_total();
-        let mut rhs = VectorBatch::from_flat(&factors.sizes, v);
-        self.solve(factors, &mut rhs, stats);
-        v.copy_from_slice(rhs.as_slice());
-        let nested = stats.phase_total() - booked;
-        stats.add_phase(Phase::Apply, t0.elapsed().saturating_sub(nested));
-        stats.record_apply(prepared.workspace_hwm_elems());
-    }
+    );
 
     /// Accumulate one global block triangular sweep into the flat
     /// vector: `v_i := v_i − Σ_j T_ij v_j` over the stored blocks of
     /// `tri`, scheduled by `sched` — the off-diagonal half of a
     /// block-ILU(0) apply. Results are bitwise identical across
     /// backends and to [`BlockTriangular::sweep_sequential`]; backends
-    /// differ only in how independent rows of one level are executed
-    /// (and, for the simulator, in the device cost charged). Timing
-    /// lands in [`Phase::Sweep`]. Allocation-free where the backend
-    /// sweeps on the calling thread.
+    /// differ only in how independent rows of one level are executed.
+    /// Timing lands in [`crate::Phase::Sweep`]. Allocation-free where
+    /// the backend sweeps on the calling thread.
     fn sweep_triangular(
         &self,
         tri: &BlockTriangular<T>,
         sched: &LevelSchedule,
         v: &mut [T],
         stats: &mut ExecStats,
-    ) {
-        crate::tri::sweep_cpu(tri, sched, v, false, stats)
-    }
+    );
 
     /// Explicitly invert every block, with the same per-block fallback
     /// semantics as [`Backend::factorize`] (a failed block's "inverse"

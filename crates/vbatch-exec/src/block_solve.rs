@@ -104,14 +104,12 @@ impl<T: Scalar> BlockSolve<T> {
 mod tests {
     use super::*;
     use crate::plan::HealthPolicy;
-    use crate::{CpuSequential, CpuSimd, SimtSim};
+    use crate::{CpuSequential, CpuSimd};
     use vbatch_core::BatchLayout;
     use vbatch_rt::{testgen, SmallRng};
 
     /// `BlockSolve` is the raw calls and nothing else: same statuses,
-    /// same bits over two applies, same counters — on the two host
-    /// backends and on the simulator, whose apply is the trait's default
-    /// `solve_prepared`.
+    /// same bits over two applies, same counters — on both backends.
     #[test]
     fn block_solve_equals_the_raw_protocol_bitwise_on_every_backend() {
         // an interleavable class, a ragged tail, one singular block
@@ -130,11 +128,7 @@ mod tests {
         let plan = BatchPlan::auto_with_layout::<f64>(&sizes, layout)
             .with_health(HealthPolicy::guarded::<f64>());
 
-        let backends: [Arc<dyn Backend<f64>>; 3] = [
-            Arc::new(CpuSequential),
-            Arc::new(CpuSimd),
-            Arc::new(SimtSim::new()),
-        ];
+        let backends: [Arc<dyn Backend<f64>>; 2] = [Arc::new(CpuSequential), Arc::new(CpuSimd)];
         for backend in backends {
             let name = backend.name();
             let mut raw_stats = ExecStats::new();

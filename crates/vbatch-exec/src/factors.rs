@@ -653,15 +653,6 @@ impl<T: Scalar> FactorizedBatch<T> {
         }
     }
 
-    /// Host reference solve of block `block` against segment `seg`
-    /// (the simulator's host path).
-    pub fn solve_block_inplace(&self, block: usize, seg: &mut [T]) {
-        // compat path: the prepared apply uses the scratch form
-        #[allow(clippy::disallowed_macros)]
-        let mut scratch = vec![T::ZERO; self.solve_scratch_elems(block)];
-        self.solve_block_inplace_with(block, seg, &mut scratch);
-    }
-
     /// The kernel family's own solve, without the wrapper.
     fn solve_bare(&self, block: usize, seg: &mut [T], scratch: &mut [T]) {
         match &self.factors[block] {
@@ -810,7 +801,7 @@ mod tests {
             vec![BlockStatus::factorized(KernelChoice::GjeInvert)],
         );
         let mut seg = [8.0f64, 8.0];
-        fb.solve_block_inplace(0, &mut seg);
+        fb.solve_block_inplace_with(0, &mut seg, &mut [0.0; 2]);
         assert_eq!(seg, [4.0, 2.0]);
         assert_eq!(fb.fallback_count(), 0);
     }
@@ -881,7 +872,7 @@ mod tests {
             a[(0, 0)] * x_true[0] + a[(0, 1)] * x_true[1],
             a[(1, 0)] * x_true[0] + a[(1, 1)] * x_true[1],
         ];
-        fb.solve_block_inplace(0, &mut seg);
+        fb.solve_block_inplace_with(0, &mut seg, &mut [0.0; 8]);
         assert!((seg[0] - x_true[0]).abs() < 1e-10, "{seg:?}");
         assert!((seg[1] - x_true[1]).abs() < 1e-10, "{seg:?}");
     }

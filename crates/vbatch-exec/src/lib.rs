@@ -9,13 +9,13 @@
 //!   classes, one kernel and one layout per class. The kernel follows
 //!   the paper's crossovers — Gauss-Huard below ≈16 (SP) / ≈23 (DP),
 //!   else LU, labelled with its launch shape (packed n ≤ 16, small-size
-//!   up to 32, blocked above) for the simulator; on the host every LU
-//!   class with enough members is interleaved, at any order.
+//!   up to 32, blocked above) for the benchmark's launch estimator; on
+//!   the host every LU class with enough members is interleaved, at any
+//!   order.
 //! * [`Backend`] — the *executor*. One interface over
-//!   [`vbatch_core::MatrixBatch`]es: the host backends
-//!   [`CpuSequential`] and [`CpuSimd`] (one kernel set on the calling
-//!   thread or on the pool, see [`cpu`]), and [`SimtSim`] (the
-//!   warp-lockstep functional simulator of `vbatch-simt`).
+//!   [`vbatch_core::MatrixBatch`]es, with two implementations that run
+//!   one host kernel set: [`CpuSequential`] on the calling thread and
+//!   [`CpuSimd`] on the thread pool (see [`cpu`]).
 //! * [`BlockSolve`] — the *owner*. A plan run on a backend: the
 //!   factorized batch and the prepared apply built from it as one
 //!   value with two verbs, `new` (setup) and `apply` (per Krylov
@@ -40,13 +40,11 @@ pub mod apply;
 pub mod backend;
 pub mod block_solve;
 pub mod cpu;
-pub mod estimate;
 pub mod factors;
 pub mod fault;
 pub mod health;
 pub mod plan;
 pub mod serve;
-pub mod simt;
 pub mod stats;
 pub mod tri;
 
@@ -54,7 +52,6 @@ pub use apply::PreparedApply;
 pub use backend::Backend;
 pub use block_solve::BlockSolve;
 pub use cpu::{CpuSequential, CpuSimd};
-pub use estimate::{estimate_planned_factor, PlannedEstimate};
 pub use factors::{
     refine_once, BlockFactor, BlockHealth, BlockStatus, ClassSlab, FactorizedBatch,
     InterleavedLuClass, LuView, RecoveryStep, Wrapper,
@@ -65,7 +62,6 @@ pub use plan::{
     PrecisionPolicy, SizeClass,
 };
 pub use serve::SizeClassHandle;
-pub use simt::SimtSim;
 pub use stats::{ExecStats, Phase};
 pub use tri::BlockTriangular;
 pub use vbatch_rt::fault::{FaultClass, FaultPlan};

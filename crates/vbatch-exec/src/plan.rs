@@ -6,7 +6,8 @@
 //! tails stay blocked. Which of the three LU names a class carries is
 //! the paper's launch shape (packed ≤ 16, one row per lane ≤ 32, two
 //! rows per lane above): the label the crossovers give the class, and
-//! what `SimtSim` and the launch estimator run and charge.
+//! what the benchmark's launch estimator
+//! (`vbatch_bench::estimate_planned_factor`) charges the device model.
 
 use vbatch_core::{BatchLayout, Scalar};
 
@@ -18,8 +19,8 @@ pub enum KernelChoice {
     PackedLu,
     /// Register-resident small-size LU with implicit pivoting (n ≤ 32).
     SmallLu,
-    /// Two-rows-per-lane blocked LU (n > 32; the simulator kernel
-    /// covers up to 64, larger orders run on the host).
+    /// Two-rows-per-lane blocked LU (n > 32; the device model covers up
+    /// to 64).
     BlockedLu,
     /// Gauss-Huard with row-major factor storage.
     GaussHuard,

@@ -1,8 +1,8 @@
 //! Execution statistics threaded through every backend call.
 //!
 //! [`ExecStats`] keeps what a backend ran and measured: the kernel and
-//! layout histograms, nominal flops, per-phase wall-clock, the apply
-//! count and workspace high-water mark, and the SIMT device cost. What
+//! layout histograms, nominal flops, per-phase wall-clock, and the apply
+//! count and workspace high-water mark. What
 //! happened to each block — health, recovery chain, storage precision,
 //! promotion, fallback — lives in its [`BlockStatus`] and nowhere else.
 //!
@@ -23,7 +23,6 @@ use crate::factors::BlockStatus;
 use crate::plan::{ClassLayout, KernelChoice};
 use std::collections::BTreeMap;
 use std::time::Duration;
-use vbatch_simt::CostCounter;
 
 /// Phases a backend reports timings for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -72,8 +71,7 @@ impl Phase {
 
 /// Counters a backend fills in while executing a plan: which kernels
 /// ran on how many blocks, in which layouts, nominal flops, wall-clock
-/// per phase, and — for the SIMT backend — the accumulated device cost
-/// counter.
+/// per phase, and the prepared applies with their workspace footprint.
 #[derive(Clone, Debug, Default)]
 pub struct ExecStats {
     kernels: BTreeMap<&'static str, u64>,
@@ -81,8 +79,6 @@ pub struct ExecStats {
     /// Nominal floating-point operations of the executed batched calls.
     pub flops: f64,
     phase_times: [Duration; Phase::COUNT],
-    /// Summed device cost counters (SIMT backend only).
-    pub device_cost: Option<CostCounter>,
     /// Largest apply-workspace footprint observed, in scalar elements
     /// (the high-water mark of the prepared apply's scratch buffers).
     pub workspace_hwm_elems: usize,
@@ -197,13 +193,6 @@ impl ExecStats {
         self.phase_times.iter().sum()
     }
 
-    /// Merge a device cost counter into the accumulated total.
-    pub fn add_device_cost(&mut self, c: &CostCounter) {
-        self.device_cost
-            .get_or_insert_with(CostCounter::new)
-            .merge(c);
-    }
-
     /// Kernel-choice histogram (label → block count).
     pub fn kernel_histogram(&self) -> &BTreeMap<&'static str, u64> {
         &self.kernels
@@ -231,9 +220,6 @@ impl ExecStats {
         self.flops += other.flops;
         for (mine, theirs) in self.phase_times.iter_mut().zip(other.phase_times) {
             *mine += theirs;
-        }
-        if let Some(c) = &other.device_cost {
-            self.add_device_cost(c);
         }
         self.applies += other.applies;
         if other.workspace_hwm_elems > self.workspace_hwm_elems {

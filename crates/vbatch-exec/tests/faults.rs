@@ -23,7 +23,7 @@ use vbatch_core::{BatchLayout, MatrixBatch, VectorBatch};
 use vbatch_exec::{
     apply_fault, expected_health, inject_batch, inject_rhs, Backend, BatchPlan, BlockHealth,
     CpuSequential, CpuSimd, ExecStats, FaultClass, FaultPlan, HealthPolicy, PlanMethod,
-    RecoveryStep, SimtSim,
+    RecoveryStep,
 };
 use vbatch_precond::{BjMethod, BlockJacobi, BlockPreconditioner, PrecondOptions};
 use vbatch_solver::{idr, IdrSolver, SolveParams, StopReason};
@@ -36,11 +36,7 @@ const LAYOUTS: [BatchLayout; 2] = [
 ];
 
 fn backends() -> Vec<Arc<dyn Backend<f64>>> {
-    vec![
-        Arc::new(CpuSequential),
-        Arc::new(CpuSimd),
-        Arc::new(SimtSim::new()),
-    ]
+    vec![Arc::new(CpuSequential), Arc::new(CpuSimd)]
 }
 
 /// A uniform batch of well-conditioned diagonally dominant blocks

@@ -5,20 +5,19 @@
 //!
 //! Contracts locked down here:
 //!
-//! * the two CPU backends — `CpuSequential`, `CpuSimd` — agree
-//!   **bitwise** across both layouts: identical pivot sequences and
-//!   identical solution bits, because the interleaved lane kernels
-//!   execute the exact per-slot operation order of the blocked kernels;
+//! * both backends — `CpuSequential`, `CpuSimd` — agree **bitwise**
+//!   across both layouts: identical pivot sequences and identical
+//!   solution bits, because the interleaved lane kernels execute the
+//!   exact per-slot operation order of the blocked kernels;
 //! * every combination stays within `c · n · eps` of the dense
 //!   reference solve (`vbatch_core::solve_system`);
-//! * the SIMT simulator agrees with the CPU combinations to roundoff;
 //! * singular blocks degrade to the scalar-Jacobi fallback identically
 //!   in every combination, with finite outputs everywhere.
 
 use vbatch_core::{BatchLayout, MatrixBatch, Scalar, VectorBatch};
 use vbatch_exec::{
     Backend, BatchPlan, CpuSequential, CpuSimd, ExecStats, FactorizedBatch, HealthPolicy,
-    PlanMethod, SimtSim,
+    PlanMethod,
 };
 use vbatch_rt::{run_cases, testgen, SmallRng};
 
@@ -63,9 +62,6 @@ struct Combo {
     /// path, second pass through the same workspace — must be bitwise
     /// identical to `solution` on every backend.
     prepared: Vec<f64>,
-    /// `true` for combinations whose results must agree bitwise with
-    /// each other (the host CPU paths).
-    bitwise: bool,
 }
 
 fn run_all_combos(
@@ -75,15 +71,11 @@ fn run_all_combos(
     health: HealthPolicy,
 ) -> Vec<Combo> {
     let mut combos = Vec::new();
-    let backends: [(&dyn Backend<f64>, bool); 3] = [
-        (&CpuSequential, true),
-        (&CpuSimd, true),
-        (&SimtSim::new(), false),
-    ];
+    let backends: [&dyn Backend<f64>; 2] = [&CpuSequential, &CpuSimd];
     for layout in LAYOUTS {
         let plan = BatchPlan::for_method_with_layout::<f64>(batch.sizes(), method, layout)
             .with_health(health);
-        for (backend, bitwise) in backends {
+        for backend in backends {
             let mut stats = ExecStats::new();
             let factors = backend.factorize(batch.clone(), &plan, &mut stats);
             let label = format!("{}/{}", backend.name(), layout.label());
@@ -105,7 +97,6 @@ fn run_all_combos(
                 factors,
                 solution: x.as_slice().to_vec(),
                 prepared: p1,
-                bitwise,
             });
         }
     }
@@ -157,28 +148,17 @@ fn all_backend_layout_combos_agree_on_random_batches() {
                     "{}",
                     combo.label
                 );
-                for (p, q) in combo.solution.iter().zip(&baseline.solution) {
-                    assert!(
-                        (p - q).abs() < 1e-8,
-                        "{} vs {}: {p} vs {q}",
-                        combo.label,
-                        baseline.label
-                    );
-                }
-            }
-
-            // CPU combinations: bitwise-identical pivots and solutions
-            let cpu: Vec<&Combo> = combos.iter().filter(|c| c.bitwise).collect();
-            for combo in &cpu[1..] {
+                // bitwise-identical solutions and pivots in every
+                // combination
                 assert_eq!(
-                    combo.solution, cpu[0].solution,
+                    combo.solution, baseline.solution,
                     "{} vs {} must agree bitwise",
-                    combo.label, cpu[0].label
+                    combo.label, baseline.label
                 );
                 for blk in 0..batch.len() {
                     assert_eq!(
                         combo.factors.row_of_step(blk),
-                        cpu[0].factors.row_of_step(blk),
+                        baseline.factors.row_of_step(blk),
                         "{} block {blk} pivots",
                         combo.label
                     );
@@ -242,10 +222,9 @@ fn singular_blocks_fall_back_identically_in_every_combo() {
                 );
             }
         }
-        // CPU paths stay bitwise-identical even with fallbacks present
-        let cpu: Vec<&Combo> = combos.iter().filter(|c| c.bitwise).collect();
-        for combo in &cpu[1..] {
-            assert_eq!(combo.solution, cpu[0].solution, "{}", combo.label);
+        // every combination stays bitwise-identical with fallbacks present
+        for combo in &combos[1..] {
+            assert_eq!(combo.solution, combos[0].solution, "{}", combo.label);
         }
     });
 }
@@ -279,14 +258,13 @@ fn prepared_apply_is_bitwise_across_health_policies() {
                     combo.label
                 );
             }
-            // the CPU paths agree bitwise with each other under either
-            // policy (equilibrated solves included)
-            let cpu: Vec<&Combo> = combos.iter().filter(|c| c.bitwise).collect();
-            for combo in &cpu[1..] {
+            // every combination agrees bitwise under either policy
+            // (equilibrated solves included)
+            for combo in &combos[1..] {
                 assert_eq!(
-                    combo.solution, cpu[0].solution,
+                    combo.solution, combos[0].solution,
                     "{} vs {} (health {health:?})",
-                    combo.label, cpu[0].label
+                    combo.label, combos[0].label
                 );
             }
         }

@@ -12,15 +12,13 @@
 //!   factors (and therefore the solutions) are identical bits;
 //! * the triage condest is computed once by the promotion pass and
 //!   reused by health triage (satellite of PR 9);
-//! * the SIMT simulator delegates lowered-storage policies to the host
-//!   path bitwise;
 //! * at the `f32` precision floor the lowered policies degenerate to
 //!   the unchanged native path, bitwise.
 
 use vbatch_core::{BatchLayout, MatrixBatch, StoragePrecision, VectorBatch};
 use vbatch_exec::{
     Backend, BatchPlan, CpuSequential, CpuSimd, ExecStats, FactorizedBatch, HealthPolicy,
-    PlanMethod, PrecisionPolicy, SimtSim,
+    PlanMethod, PrecisionPolicy,
 };
 use vbatch_rt::{run_cases, testgen, SmallRng};
 
@@ -108,7 +106,7 @@ fn promotion_never_moves_solutions_beyond_tolerance() {
         let mut batch = random_batch(rng, &sizes);
         poison_conditioning(&mut batch, 4);
         let rhs = rhs_for(rng, &sizes);
-        let backends: [&dyn Backend<f64>; 3] = [&CpuSequential, &CpuSimd, &SimtSim::new()];
+        let backends: [&dyn Backend<f64>; 2] = [&CpuSequential, &CpuSimd];
         for layout in LAYOUTS {
             for backend in backends {
                 let (dp, _) = solve_under(backend, &batch, &rhs, layout, PrecisionPolicy::FullDp);
@@ -217,34 +215,6 @@ fn promotion_condest_is_cached_and_reused_by_triage() {
         assert_eq!(factors.status[i].precision, StoragePrecision::Lower);
         assert!(!factors.status[i].promoted);
     }
-}
-
-#[test]
-fn simt_delegates_lowered_policies_to_host_bitwise() {
-    let sizes = vec![4usize, 4, 9, 17, 26];
-    run_cases("simt_mixed_delegation", 6, |rng, _case| {
-        let batch = random_batch(rng, &sizes);
-        let rhs = rhs_for(rng, &sizes);
-        for layout in LAYOUTS {
-            for policy in POLICIES {
-                let (host, hf) = solve_under(&CpuSequential, &batch, &rhs, layout, policy);
-                let (simt, sf) = solve_under(&SimtSim::new(), &batch, &rhs, layout, policy);
-                for (a, b) in host.iter().zip(&simt) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{}/{}: simt diverged from host",
-                        layout.label(),
-                        policy.label()
-                    );
-                }
-                for (h, s) in hf.status.iter().zip(&sf.status) {
-                    assert_eq!(h.precision, s.precision);
-                    assert_eq!(h.promoted, s.promoted);
-                }
-            }
-        }
-    });
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! * per-phase wall-clock entries are non-negative and their sum never
 //!   exceeds the wall time of the run that produced them — every
 //!   instant is booked once, also where one stage wraps calls that book
-//!   phases of their own (the SPIKE setup's `Reduce`, the simulator's
-//!   prepared apply);
+//!   phases of their own (the SPIKE setup's `Reduce`) — on both
+//!   backends, the pooled one included;
 //! * for a batch with no fallbacks, the kernel histogram totals exactly
 //!   the block count, and the fallback blocks account for the rest
 //!   otherwise — on every backend's `factorize` and `invert`;
@@ -16,9 +16,7 @@
 
 use std::time::Instant;
 use vbatch_core::{BatchLayout, MatrixBatch, VectorBatch};
-use vbatch_exec::{
-    Backend, BatchPlan, CpuSequential, CpuSimd, ExecStats, Phase, PlanMethod, SimtSim,
-};
+use vbatch_exec::{Backend, BatchPlan, CpuSequential, CpuSimd, ExecStats, Phase, PlanMethod};
 use vbatch_rt::{testgen, SmallRng};
 
 fn uniform_batch(count: usize, n: usize, seed: u64) -> MatrixBatch<f64> {
@@ -31,50 +29,54 @@ fn uniform_batch(count: usize, n: usize, seed: u64) -> MatrixBatch<f64> {
     batch
 }
 
+/// Factorize, one-shot solve and two prepared applies on each backend:
+/// all three phases are booked, and together (Duration is unsigned:
+/// non-negativity is structural) they stay within the run's wall time.
 #[test]
 fn phase_times_are_nonnegative_and_bounded_by_wall_time() {
     let batch = uniform_batch(64, 8, 11);
     let sizes = batch.sizes().to_vec();
     let plan = BatchPlan::auto::<f64>(&sizes);
-    let mut stats = ExecStats::new();
+    let backends: [&dyn Backend<f64>; 2] = [&CpuSequential, &CpuSimd];
+    for backend in backends {
+        let name = backend.name();
+        let mut stats = ExecStats::new();
 
-    let wall0 = Instant::now();
-    let factors = CpuSequential.factorize(batch.clone(), &plan, &mut stats);
-    let mut rhs = VectorBatch::from_flat(&sizes, &vec![1.0; 64 * 8]);
-    CpuSequential.solve(&factors, &mut rhs, &mut stats);
-    let prep = CpuSequential.prepare_apply(&factors);
-    let mut v = vec![1.0f64; 64 * 8];
-    CpuSequential.solve_prepared(&factors, &prep, &mut v, &mut stats);
-    CpuSequential.solve_prepared(&factors, &prep, &mut v, &mut stats);
-    let wall = wall0.elapsed();
+        let wall0 = Instant::now();
+        let factors = backend.factorize(batch.clone(), &plan, &mut stats);
+        let mut rhs = VectorBatch::from_flat(&sizes, &vec![1.0; 64 * 8]);
+        backend.solve(&factors, &mut rhs, &mut stats);
+        let prep = backend.prepare_apply(&factors);
+        let mut v = vec![1.0f64; 64 * 8];
+        backend.solve_prepared(&factors, &prep, &mut v, &mut stats);
+        backend.solve_prepared(&factors, &prep, &mut v, &mut stats);
+        let wall = wall0.elapsed();
 
-    let phases = [
-        Phase::Extract,
-        Phase::Factorize,
-        Phase::Solve,
-        Phase::Invert,
-        Phase::Gemv,
-        Phase::Apply,
-    ];
-    let mut sum = std::time::Duration::ZERO;
-    for p in phases {
-        let t = stats.phase_time(p);
-        sum += t; // Duration is unsigned: non-negativity is structural
+        for p in [Phase::Factorize, Phase::Solve, Phase::Apply] {
+            assert!(
+                stats.phase_time(p).as_nanos() > 0,
+                "{name}: {} not booked",
+                p.label()
+            );
+        }
+        assert!(
+            stats.phase_total() <= wall,
+            "{name}: phase sum {:?} exceeds wall time {wall:?} of the run",
+            stats.phase_total()
+        );
+        assert_eq!(stats.applies, 2, "{name}");
+        assert_eq!(
+            stats.workspace_hwm_elems,
+            prep.workspace_hwm_elems(),
+            "{name}"
+        );
     }
-    assert!(stats.phase_time(Phase::Factorize).as_nanos() > 0);
-    assert!(stats.phase_time(Phase::Apply).as_nanos() > 0);
-    assert!(
-        sum <= wall,
-        "phase sum {sum:?} exceeds wall time {wall:?} of the run"
-    );
-    assert_eq!(stats.applies, 2);
-    assert_eq!(stats.workspace_hwm_elems, prep.workspace_hwm_elems());
 }
 
 /// Every producer of a kernel histogram — `factorize` and `invert` on
 /// each backend — run on `batch`: `(what, stats, fallback blocks)`.
 fn each_producer(batch: &MatrixBatch<f64>, plan: &BatchPlan) -> Vec<(String, ExecStats, usize)> {
-    let backends: [&dyn Backend<f64>; 3] = [&CpuSequential, &CpuSimd, &SimtSim::new()];
+    let backends: [&dyn Backend<f64>; 2] = [&CpuSequential, &CpuSimd];
     let mut runs = Vec::new();
     for backend in backends {
         let mut stats = ExecStats::new();
@@ -206,40 +208,6 @@ fn bilu_setup_phases_explain_the_setup_within_wall_time() {
         "phase sum {sum:?} exceeds wall time {wall:?} of the setup"
     );
     assert!(sum <= m.setup_time);
-}
-
-/// The simulator has no prepared path of its own: the trait's default
-/// `solve_prepared` round-trips through `solve`, which books `Solve`.
-/// The round trip books only its remainder as `Apply`, so the two
-/// together stay within the wall time of the applies — booking the
-/// whole round trip as `Apply` on top of `Solve` counted every device
-/// solve twice.
-#[test]
-fn simt_prepared_apply_books_each_instant_once() {
-    let batch = uniform_batch(24, 8, 53);
-    let plan = BatchPlan::auto::<f64>(batch.sizes());
-    let sim = SimtSim::new();
-    let factors = sim.factorize(batch, &plan, &mut ExecStats::new());
-    let prep = Backend::<f64>::prepare_apply(&sim, &factors);
-    let mut v = vec![1.0f64; 24 * 8];
-
-    let mut stats = ExecStats::new();
-    let wall0 = Instant::now();
-    sim.solve_prepared(&factors, &prep, &mut v, &mut stats);
-    sim.solve_prepared(&factors, &prep, &mut v, &mut stats);
-    let wall = wall0.elapsed();
-
-    assert!(stats.phase_time(Phase::Solve).as_nanos() > 0);
-    assert_eq!(
-        stats.phase_total(),
-        stats.phase_time(Phase::Solve) + stats.phase_time(Phase::Apply)
-    );
-    assert!(
-        stats.phase_total() <= wall,
-        "phase sum {:?} exceeds wall time {wall:?} of the applies",
-        stats.phase_total()
-    );
-    assert_eq!(stats.applies, 2);
 }
 
 /// SPIKE setup books extraction (`Extract`), both batched

@@ -359,7 +359,7 @@ mod tests {
         let part = BlockPartition::uniform(6, 3);
         let v: Vec<f64> = vec![2.0, -1.0, 0.5, 1.0, 1.0, 1.0];
         let mut outputs = Vec::new();
-        for backend in [seq(), par(), Arc::new(vbatch_exec::SimtSim::new())] {
+        for backend in [seq(), par()] {
             let m = setup(&a, &part, BjMethod::SmallLu, backend);
             assert_eq!(m.fallback_blocks, 1);
             assert!(m.statuses()[0].is_fallback());

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 use vbatch_core::{BatchLayout, DenseMat};
-use vbatch_exec::{Backend, CpuSequential, CpuSimd, SimtSim};
+use vbatch_exec::{Backend, CpuSequential, CpuSimd};
 use vbatch_precond::{BjMethod, BlockIlu0, BlockPreconditioner, PrecondOptions, Preconditioner};
 use vbatch_rt::{run_cases, testgen, SmallRng};
 use vbatch_sparse::{BlockPartition, BlockPattern, CooMatrix, CsrMatrix};
@@ -150,7 +150,6 @@ fn backends() -> Vec<(&'static str, Arc<dyn Backend<f64>>)> {
     vec![
         ("cpu-seq", Arc::new(CpuSequential)),
         ("cpu-simd", Arc::new(CpuSimd)),
-        ("simt-sim", Arc::new(SimtSim::new())),
     ]
 }
 

@@ -68,9 +68,10 @@ impl TenantRegistry {
                     }
                 }
             }
-            // Ill-conditioned systems solve in one pass (no recovery
-            // escalation), so they neither quarantine nor count toward
-            // a release streak.
+            // Ill-conditioned systems are recovered by the service's
+            // guarded triage (equilibrated, refactorized and refined;
+            // Householder QR if that fails): they neither quarantine
+            // nor count toward a release streak.
             BlockHealth::IllConditioned => {}
         }
     }

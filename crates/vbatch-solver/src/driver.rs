@@ -4,8 +4,8 @@
 //! `vbatch-exec` backend through its one options-driven constructor and
 //! runs the paper's IDR(s) on it, as often as asked, reusing the
 //! prepared apply and one [`KrylovWorkspace`]. This is the seam
-//! experiments use to swap both the CPU backends / SIMT simulator and
-//! the preconditioner without touching solver code;
+//! experiments use to swap both the host backend and the
+//! preconditioner without touching solver code;
 //! [`IdrSolver::solve_robust`] adds the breakdown-recovery policy. The
 //! setup statistics (time, kernel histogram, fallback blocks, backend)
 //! are the preconditioner's own [`BlockPreconditioner::setup_report`].

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use vbatch_core::{solve_system, BatchLayout};
 use vbatch_exec::{
     expected_health, Backend, CpuSequential, CpuSimd, FaultClass, FaultPlan, HealthPolicy,
-    PrecisionPolicy, SimtSim,
+    PrecisionPolicy,
 };
 use vbatch_precond::{BlockJacobi, BlockPreconditioner, PrecondOptions, Preconditioner};
 use vbatch_solver::SpikeSolver;
@@ -43,7 +43,6 @@ fn backends() -> Vec<(&'static str, Arc<dyn Backend<f64>>)> {
     vec![
         ("seq", Arc::new(CpuSequential)),
         ("simd", Arc::new(CpuSimd)),
-        ("simt", Arc::new(SimtSim::default())),
     ]
 }
 

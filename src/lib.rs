@@ -9,11 +9,12 @@
 //! * [`core`] — variable-size batched dense kernels (LU with implicit
 //!   pivoting, triangular solves, Gauss-Huard, Gauss-Jordan, Cholesky);
 //! * [`simt`] — the warp-lockstep GPU simulator + P100 cost model that
-//!   stands in for the paper's CUDA layer;
+//!   stands in for the paper's CUDA layer: the kernel figures' timings
+//!   come from its estimators, and no execution path runs on it;
 //! * [`sparse`] — CSR, supervariable blocking, extraction, generators;
-//! * [`exec`] — the execution layer: [`exec::Backend`] implementations
-//!   (one host kernel set on the calling thread or on the thread pool,
-//!   SIMT simulator) behind a [`exec::BatchPlan`] that picks kernels
+//! * [`exec`] — the execution layer: the two [`exec::Backend`]
+//!   implementations (one host kernel set on the calling thread or on
+//!   the thread pool) behind a [`exec::BatchPlan`] that picks kernels
 //!   per block using the paper's crossovers, and [`exec::BlockSolve`],
 //!   the factorized batch every preconditioner holds;
 //! * [`precond`] — scalar and block-Jacobi preconditioners;
@@ -45,7 +46,7 @@ pub mod prelude {
     };
     pub use vbatch_exec::{
         Backend, BatchPlan, BlockSolve, BlockStatus, CpuSequential, CpuSimd, ExecStats,
-        KernelChoice, PlanMethod, SimtSim,
+        KernelChoice, PlanMethod,
     };
     pub use vbatch_precond::{
         BjMethod, BlockJacobi, BlockPreconditioner, Identity, Jacobi, PrecondOptions,

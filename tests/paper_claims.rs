@@ -190,7 +190,6 @@ fn meta_backends() -> Vec<(&'static str, Arc<dyn Backend<f64>>)> {
     vec![
         ("seq", Arc::new(CpuSequential)),
         ("simd", Arc::new(CpuSimd)),
-        ("simt", Arc::new(SimtSim::new())),
     ]
 }
 
