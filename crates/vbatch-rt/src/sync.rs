@@ -6,8 +6,8 @@
 //! probe (admission control must reject with a retry-after hint rather
 //! than block a client thread), an exact live-depth reading (the
 //! bounded-memory chaos property asserts queue depth against the
-//! configured capacity), and a `recv_timeout` that wakes the batcher for
-//! idle-tick flushes. So the channel here is a small Mutex + Condvar
+//! configured capacity), and a `recv_timeout` the batcher parks in
+//! between arrivals. So the channel here is a small Mutex + Condvar
 //! ring with those three operations, plus a [`CancelToken`] the service
 //! hands to shard workers for graceful drain.
 
@@ -156,8 +156,8 @@ impl<T> Receiver<T> {
     }
 
     /// Dequeue, waiting up to `timeout` for a message — the batcher's
-    /// idle-tick wait: a timeout wakeup is the signal to consider
-    /// flushing a partially filled batch.
+    /// park on an empty queue: an arrival or a sender disconnect wakes
+    /// it early.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvError> {
         let mut inner = self.shared.inner.lock().expect("channel poisoned");
         loop {

@@ -6,13 +6,18 @@
 //!
 //! * **class full** — a size class reached `class_capacity` members;
 //! * **deadline watermark** — the oldest member's remaining deadline
-//!   budget dropped below `flush_watermark`;
-//! * **idle tick** — no arrivals for `idle_tick`, flush whatever is
-//!   pending;
+//!   budget dropped below `flush_watermark`, judged at every admission
+//!   on the clock reading the admission took, so a class of a rare
+//!   order cannot expire behind a backlog of other orders;
+//! * **queue drained** — the worker found its admission queue empty:
+//!   nothing more can join a batch without waiting, so every partial
+//!   class flushes. Batches therefore form exactly while the worker is
+//!   busy; a lightly loaded shard answers each request with one solve,
+//!   a backlogged one still fills classes to `class_capacity`;
 //! * **quarantine** — a quarantined tenant's request flushes solo,
 //!   immediately, so its recovery-chain latency is paid alone;
-//! * **drain** — the service is shutting down, everything pending
-//!   flushes now.
+//! * **drain** — the service is shutting down and the last queued
+//!   request was admitted; everything pending flushes now.
 //!
 //! Expired requests are cancelled cooperatively: checked at admission
 //! *and* re-checked at flush time, so a request that aged out while
@@ -49,8 +54,8 @@ pub enum FlushReason {
     ClassFull,
     /// The oldest member's deadline budget crossed the watermark.
     DeadlineWatermark,
-    /// No arrivals for an idle tick; pending work flushed anyway.
-    IdleTick,
+    /// The admission queue ran dry; every partial class flushed.
+    QueueDrained,
     /// A quarantined tenant's request, flushed solo.
     Quarantine,
     /// Service shutdown: everything pending flushes.
@@ -63,7 +68,7 @@ impl FlushReason {
         match self {
             FlushReason::ClassFull => "class_full",
             FlushReason::DeadlineWatermark => "deadline_watermark",
-            FlushReason::IdleTick => "idle_tick",
+            FlushReason::QueueDrained => "queue_drained",
             FlushReason::Quarantine => "quarantine",
             FlushReason::Drain => "drain",
         }
@@ -126,64 +131,48 @@ impl<T: Scalar + 'static> ShardBatcher<T> {
 
     /// Accept one dequeued envelope: cancel it if expired, flush it
     /// solo if its tenant is quarantined, otherwise stage it in its
-    /// size class (flushing the class if that fills it).
+    /// size class (flushing the class if that fills it). Then flush
+    /// every class whose oldest member's deadline budget has crossed
+    /// the watermark, judged on the same clock reading.
     pub(crate) fn admit(&mut self, env: Envelope<T>) {
         let now = self.clock.now_ns();
+        let n = env.req.n;
         if now >= env.req.deadline_ns {
             vbatch_trace::counter!("serve.expired", 1);
             env.slot
                 .fill(Outcome::Rejected(RejectReason::DeadlineExpired));
-            return;
-        }
-        if self.registry.is_quarantined(env.req.tenant) {
-            let n = env.req.n;
+        } else if self.registry.is_quarantined(env.req.tenant) {
             self.batch.push(env);
             self.flush_now(n, FlushReason::Quarantine);
-            return;
-        }
-        let n = env.req.n;
-        let class = self.pending.entry(n).or_default();
-        class.push_back(env);
-        if class.len() >= self.cfg.class_capacity {
-            self.flush_class(n, FlushReason::ClassFull);
-        }
-    }
-
-    /// Flush every class whose oldest member's deadline budget has
-    /// crossed the watermark.
-    pub(crate) fn poll_watermark(&mut self) {
-        let now = self.clock.now_ns();
-        let watermark = self.cfg.flush_watermark.as_nanos() as u64;
-        // collect first: flushing mutates the map
-        let mut due: Vec<usize> = Vec::with_capacity(self.pending.len());
-        for (&n, class) in &self.pending {
-            if let Some(oldest) = class.front() {
-                if oldest.req.deadline_ns.saturating_sub(now) <= watermark {
-                    due.push(n);
-                }
+        } else {
+            let class = self.pending.entry(n).or_default();
+            class.push_back(env);
+            if class.len() >= self.cfg.class_capacity {
+                self.flush_class(n, FlushReason::ClassFull);
             }
         }
-        for n in due {
+        let watermark = self.cfg.flush_watermark.as_nanos() as u64;
+        while let Some(n) =
+            self.first_class(|oldest| oldest.req.deadline_ns.saturating_sub(now) <= watermark)
+        {
             self.flush_class(n, FlushReason::DeadlineWatermark);
         }
     }
 
-    /// Flush every non-empty class (idle tick or drain).
+    /// Flush every non-empty class (queue drained or service drain).
     pub(crate) fn flush_all(&mut self, reason: FlushReason) {
-        let mut due: Vec<usize> = Vec::with_capacity(self.pending.len());
-        for (&n, class) in &self.pending {
-            if !class.is_empty() {
-                due.push(n);
-            }
-        }
-        for n in due {
+        while let Some(n) = self.first_class(|_| true) {
             self.flush_class(n, reason);
         }
     }
 
-    /// `true` while any class holds staged requests.
-    pub(crate) fn has_pending(&self) -> bool {
-        self.pending.values().any(|c| !c.is_empty())
+    /// Order of the first class whose oldest member is `due`. Each
+    /// flush takes that member, so the loops above end.
+    fn first_class(&self, due: impl Fn(&Envelope<T>) -> bool) -> Option<usize> {
+        self.pending
+            .iter()
+            .find(|(_, class)| class.front().is_some_and(&due))
+            .map(|(&n, _)| n)
     }
 
     fn flush_class(&mut self, n: usize, reason: FlushReason) {
@@ -273,6 +262,9 @@ impl<T: Scalar + 'static> ShardBatcher<T> {
         let done = self.clock.now_ns();
         for (env, (solution, status)) in batch.drain(..).zip(self.sols.drain(..).zip(statuses)) {
             self.registry.record(env.req.tenant, status.health);
+            // queue wait ends at the flush's cancellation reading; the
+            // rest of the latency is this flush's solve
+            vbatch_trace::duration!("serve.queue_wait", now.saturating_sub(env.submitted_ns));
             vbatch_trace::duration!(
                 "serve.request_latency",
                 done.saturating_sub(env.submitted_ns)

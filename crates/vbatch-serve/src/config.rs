@@ -19,13 +19,19 @@ pub struct ServeConfig {
     /// [`crate::RejectReason::Oversized`].
     pub max_order: usize,
     /// Members per size-class batch: a class flushes as soon as it
-    /// holds this many requests.
+    /// holds this many requests. Partial classes flush whenever the
+    /// shard's admission queue runs dry, so a class fills only while
+    /// requests arrive faster than the worker drains them.
     pub class_capacity: usize,
     /// Deadline watermark: a class also flushes when its oldest
-    /// member's remaining deadline budget drops below this.
+    /// member's remaining deadline budget drops below this, checked at
+    /// every admission — the trigger that matters under a backlog,
+    /// where the queue never runs dry.
     pub flush_watermark: Duration,
-    /// Idle flush period: with no arrivals, pending requests wait at
-    /// most this long before a flush.
+    /// How long an idle worker parks before it looks at its queue
+    /// again, and the unit of the shed backoff hint
+    /// ([`crate::RejectReason::QueueFull`]'s `retry_after`). It delays
+    /// no request: nothing is pending while the worker parks.
     pub idle_tick: Duration,
 }
 

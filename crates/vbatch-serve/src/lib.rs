@@ -17,9 +17,11 @@
 //!   with a backlog-proportional retry-after hint, so memory is
 //!   bounded by construction;
 //! * **batching** ([`batcher`]) — per-shard size-class coalescing with
-//!   deadline-driven flush (class full / deadline watermark / idle
-//!   tick), cooperative cancellation of requests that expired while
-//!   queued, and solo flushes for quarantined tenants;
+//!   work-conserving flush (class full / deadline watermark / queue
+//!   drained: a batch holds what arrived while the worker was busy, so
+//!   an idle shard answers a lone request with one solve), cooperative
+//!   cancellation of requests that expired while queued, and solo
+//!   flushes for quarantined tenants;
 //! * **isolation** ([`tenants`]) — tenants whose systems triage as
 //!   singular or non-finite are quarantined to solo batches until they
 //!   produce a streak of clean solves; and because kernel selection is

@@ -8,6 +8,10 @@
 //! keeps draining its queue until the channel reports disconnected,
 //! flushes everything still pending with [`FlushReason::Drain`], and
 //! exits — so every admitted request still receives its outcome.
+//!
+//! The worker flushes whenever its queue runs dry
+//! ([`FlushReason::QueueDrained`]), so nothing is pending while it
+//! parks: `idle_tick` is only the period of that park.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -129,27 +133,30 @@ fn run_worker<T: Scalar + 'static>(
     idle: std::time::Duration,
 ) {
     loop {
-        match rx.recv_timeout(idle) {
-            Ok(env) => {
-                vbatch_trace::gauge_max!("serve.queue_depth", (rx.len() + 1) as u64);
-                batcher.admit(env);
-                // coalesce whatever else is queued right now, so a
-                // burst becomes one batch instead of many singletons
-                while let Ok(env) = rx.try_recv() {
-                    batcher.admit(env);
+        // nothing is pending here: every drain below ends in a flush
+        let env = match rx.recv_timeout(idle) {
+            Ok(env) => env,
+            Err(RecvError::Empty) => continue,
+            Err(RecvError::Disconnected) => return,
+        };
+        vbatch_trace::gauge_max!("serve.queue_depth", (rx.len() + 1) as u64);
+        batcher.admit(env);
+        // coalesce whatever else is queued right now, so a burst becomes
+        // one batch instead of many singletons; once the queue runs dry
+        // nothing more can join without waiting, so flush what is staged
+        loop {
+            match rx.try_recv() {
+                Ok(env) => batcher.admit(env),
+                Err(RecvError::Empty) => {
+                    batcher.flush_all(FlushReason::QueueDrained);
+                    break;
                 }
-            }
-            Err(RecvError::Empty) => {
-                if batcher.has_pending() {
-                    batcher.flush_all(FlushReason::IdleTick);
+                Err(RecvError::Disconnected) => {
+                    batcher.flush_all(FlushReason::Drain);
+                    return;
                 }
-            }
-            Err(RecvError::Disconnected) => {
-                batcher.flush_all(FlushReason::Drain);
-                return;
             }
         }
-        batcher.poll_watermark();
     }
 }
 

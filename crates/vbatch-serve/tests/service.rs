@@ -7,6 +7,7 @@ use std::time::Duration;
 
 use vbatch_core::BatchLayout;
 use vbatch_exec::{BlockHealth, CpuSequential, HealthPolicy, PrecisionPolicy, SizeClassHandle};
+use vbatch_rt::chaos::ChaosPlan;
 use vbatch_rt::testgen::hashed_dense;
 use vbatch_serve::{
     ConfigError, Outcome, RejectReason, ServeConfig, Service, SolveRequest, TenantId,
@@ -193,6 +194,47 @@ fn stop_admission_rejects_new_but_answers_queued() {
             !t.wait().is_rejected(),
             "queued work must still reach its outcome"
         );
+    }
+    service.shutdown();
+}
+
+/// Under a backlog the queue never runs dry, so only the deadline
+/// watermark can flush a partial class of a rare order in time. Delayed
+/// flushes of two-member order-4 classes keep the queue busy for about
+/// 300 ms; an order-5 request queued near the front, with 100 ms of
+/// budget against a 1 s watermark, must flush at its admission instead
+/// of expiring in the batcher behind the stream.
+#[test]
+fn the_deadline_watermark_fires_under_a_backlog() {
+    let cfg = ServeConfig {
+        shards: 1,
+        queue_capacity: 1024,
+        class_capacity: 2,
+        flush_watermark: Duration::from_secs(1),
+        idle_tick: Duration::from_secs(600),
+        ..ServeConfig::default()
+    };
+    let chaos = Arc::new(ChaosPlan::new(11).with_worker_delays(1.0, Duration::from_millis(4)));
+    let service = Service::<f64>::builder(cfg)
+        .chaos(chaos)
+        .start()
+        .expect("start");
+    let stream = |from: u64, to: u64| -> Vec<_> {
+        (from..to)
+            .map(|s| service.submit(request(&service, s % 4, 4, s)))
+            .collect()
+    };
+    let mut tickets = stream(0, 8);
+    let mut rare = request(&service, 9, 5, 77);
+    rare.deadline_ns = service.deadline_in(Duration::from_millis(100));
+    let rare = service.submit(rare);
+    tickets.extend(stream(8, 308));
+    match rare.wait() {
+        Outcome::Solved { .. } => {}
+        other => panic!("the rare-order request must flush at the watermark: {other:?}"),
+    }
+    for t in tickets {
+        assert!(t.wait().is_solved());
     }
     service.shutdown();
 }
