@@ -29,11 +29,9 @@ use vbatch_bench::{
 };
 use vbatch_core::VectorBatch;
 use vbatch_exec::{
-    Backend, BatchPlan, BlockSolve, CpuSequential, CpuSimd, ExecStats, PrecisionPolicy,
+    Backend, BatchPlan, BlockSolve, CpuSequential, CpuSimd, ExecStats, PlanMethod, PrecisionPolicy,
 };
-use vbatch_precond::{
-    BjMethod, BlockIlu0, BlockJacobi, BlockPreconditioner, PrecondKind, PrecondOptions,
-};
+use vbatch_precond::{BlockIlu0, BlockJacobi, BlockPreconditioner, PrecondKind, PrecondOptions};
 use vbatch_rt::CountingAlloc;
 use vbatch_simt::kernels::{gemv, getrf, trsv};
 use vbatch_simt::{CostTable, DeviceModel};
@@ -265,7 +263,7 @@ fn main() {
     let a = laplace_2d::<f64>(64, 64);
     let part = BlockPartition::uniform(a.nrows(), 16);
     let backend = Arc::new(CpuSequential) as Arc<dyn Backend<f64>>;
-    let opts = PrecondOptions::default().with_method(BjMethod::SmallLu);
+    let opts = PrecondOptions::default().with_method(PlanMethod::Lu);
     let b = vec![1.0; a.nrows()];
     let r = match precond {
         PrecondKind::BlockJacobi => {

@@ -9,8 +9,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 use vbatch_bench::write_csv;
-use vbatch_exec::CpuSimd;
-use vbatch_precond::{BjMethod, BlockJacobi, BlockPreconditioner, PrecondOptions};
+use vbatch_exec::{CpuSimd, PlanMethod};
+use vbatch_precond::{BlockJacobi, BlockPreconditioner, PrecondOptions};
 use vbatch_solver::{cg, idr, SolveParams};
 use vbatch_sparse::{supervariable_blocking, table1_suite, ProblemClass};
 
@@ -49,10 +49,10 @@ fn main() {
                 .expect("the partition covers the matrix")
         };
         let t = Instant::now();
-        let lu = setup(BjMethod::SmallLu);
+        let lu = setup(PlanMethod::Lu);
         let lu_setup = t.elapsed().as_secs_f64();
         let t = Instant::now();
-        let chol = setup(BjMethod::Cholesky);
+        let chol = setup(PlanMethod::Cholesky);
         if chol.fallback_blocks > 0 {
             println!("{:<18} blocks not SPD, skipped", p.name);
             continue;

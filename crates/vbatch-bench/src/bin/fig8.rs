@@ -11,8 +11,8 @@
 
 use std::sync::Arc;
 use vbatch_bench::{run_precond_idr, write_csv, BLOCK_BOUNDS};
-use vbatch_exec::{CpuSimd, PrecisionPolicy};
-use vbatch_precond::{BjMethod, BlockJacobi};
+use vbatch_exec::{CpuSimd, PlanMethod, PrecisionPolicy};
+use vbatch_precond::BlockJacobi;
 use vbatch_sparse::{supervariable_blocking, table1_suite};
 
 fn main() {
@@ -56,7 +56,7 @@ fn main() {
         for p in &problems {
             let a = p.build();
             let part = supervariable_blocking(&a, bound);
-            let [lu, gh] = [BjMethod::SmallLu, BjMethod::GaussHuard].map(|method| {
+            let [lu, gh] = [PlanMethod::Lu, PlanMethod::GaussHuard].map(|method| {
                 let (backend, dp) = (Arc::new(CpuSimd), PrecisionPolicy::FullDp);
                 run_precond_idr::<BlockJacobi<f64>>(&a, &part, method, backend, dp)
             });

@@ -21,8 +21,8 @@ use vbatch_bench::{
     fmt_outcome, parse_precision_flag, run_precond_idr, write_csv, BLOCK_BOUNDS,
     FIG8_PRECOND_HEADER,
 };
-use vbatch_exec::{Backend, CpuSimd};
-use vbatch_precond::{BjMethod, BlockIlu0, BlockJacobi};
+use vbatch_exec::{Backend, CpuSimd, PlanMethod};
+use vbatch_precond::{BlockIlu0, BlockJacobi};
 use vbatch_sparse::{supervariable_blocking, table1_suite};
 
 fn main() {
@@ -66,14 +66,14 @@ fn main() {
             let bj = run_precond_idr::<BlockJacobi<f64>>(
                 &a,
                 &part,
-                BjMethod::SmallLu,
+                PlanMethod::Lu,
                 backend.clone(),
                 precision,
             );
             let bilu = run_precond_idr::<BlockIlu0<f64>>(
                 &a,
                 &part,
-                BjMethod::SmallLu,
+                PlanMethod::Lu,
                 backend.clone(),
                 precision,
             );

@@ -10,8 +10,8 @@
 
 use std::sync::Arc;
 use vbatch_bench::{run_precond_idr, write_csv};
-use vbatch_exec::{CpuSimd, PrecisionPolicy};
-use vbatch_precond::{BjMethod, BlockJacobi};
+use vbatch_exec::{CpuSimd, PlanMethod, PrecisionPolicy};
+use vbatch_precond::BlockJacobi;
 use vbatch_sparse::{supervariable_blocking, table1_suite};
 
 fn main() {
@@ -35,9 +35,9 @@ fn main() {
         times: [Option<f64>; 3],
     }
     let methods = [
-        BjMethod::SmallLu,
-        BjMethod::GaussHuard,
-        BjMethod::GaussHuardT,
+        PlanMethod::Lu,
+        PlanMethod::GaussHuard,
+        PlanMethod::GaussHuardT,
     ];
     let mut entries = Vec::new();
     for p in &problems {

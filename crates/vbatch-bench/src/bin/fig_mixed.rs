@@ -23,8 +23,8 @@ use vbatch_bench::{
     measure_factor_gflops, run_precond_idr, uniform_bench_batch, write_csv, FIG_MIXED_HEADER,
 };
 use vbatch_core::BatchLayout;
-use vbatch_exec::{CpuSequential, CpuSimd, PrecisionPolicy};
-use vbatch_precond::{BjMethod, BlockJacobi};
+use vbatch_exec::{CpuSequential, CpuSimd, PlanMethod, PrecisionPolicy};
+use vbatch_precond::BlockJacobi;
 use vbatch_sparse::gen::laplace::laplace_2d;
 use vbatch_sparse::BlockPartition;
 
@@ -103,7 +103,7 @@ fn main() {
             let solve = run_precond_idr::<BlockJacobi<f64>>(
                 &a,
                 &part,
-                BjMethod::SmallLu,
+                PlanMethod::Lu,
                 Arc::new(CpuSequential),
                 precision,
             )

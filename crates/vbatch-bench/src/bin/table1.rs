@@ -10,8 +10,8 @@
 
 use std::sync::Arc;
 use vbatch_bench::{fmt_outcome, run_jacobi_idr, run_precond_idr, write_csv, BLOCK_BOUNDS};
-use vbatch_exec::{CpuSimd, PrecisionPolicy};
-use vbatch_precond::{BjMethod, BlockJacobi};
+use vbatch_exec::{CpuSimd, PlanMethod, PrecisionPolicy};
+use vbatch_precond::BlockJacobi;
 use vbatch_sparse::{supervariable_blocking, table1_suite};
 
 fn main() {
@@ -67,7 +67,7 @@ fn main() {
             let o = run_precond_idr::<BlockJacobi<f64>>(
                 &a,
                 &supervariable_blocking(&a, bound),
-                BjMethod::SmallLu,
+                PlanMethod::Lu,
                 Arc::new(CpuSimd),
                 PrecisionPolicy::FullDp,
             );

@@ -11,16 +11,17 @@ use std::time::Instant;
 
 use vbatch_core::{BatchLayout, MatrixBatch, Scalar};
 use vbatch_exec::{
-    Backend, BatchPlan, BlockSolve, CpuSequential, ExecStats, HealthPolicy, PrecisionPolicy,
+    Backend, BatchPlan, BlockSolve, CpuSequential, ExecStats, HealthPolicy, PlanMethod,
+    PrecisionPolicy,
 };
 use vbatch_precond::{
-    BjMethod, BlockIlu0, BlockPreconditioner, Jacobi, PrecondKind, PrecondOptions, Preconditioner,
+    BlockIlu0, BlockPreconditioner, Jacobi, PrecondKind, PrecondOptions, Preconditioner,
 };
 use vbatch_solver::{idr, SolveParams, SpikeSolver, StopReason};
 use vbatch_sparse::{BlockPartition, CooMatrix, CsrMatrix, SpikePartition};
 
 mod estimate;
-pub use estimate::{estimate_planned_factor, PlannedEstimate, PlannedRow};
+pub use estimate::{estimate_planned_factor, PlannedRow};
 
 /// Batch-size sweep used by Figs. 4 and 6 (the paper's x-axis reaches
 /// 40,000 systems).
@@ -330,7 +331,7 @@ pub fn banded_bench_system<T: Scalar>(
 pub fn measure_precond_apply<T: Scalar>(kind: PrecondKind, count: usize, n: usize) -> (f64, usize) {
     let seq = Arc::new(CpuSequential) as Arc<dyn Backend<T>>;
     let opts = PrecondOptions::default()
-        .with_method(BjMethod::SmallLu)
+        .with_method(PlanMethod::Lu)
         .with_layout(BatchLayout::Blocked);
     match kind {
         PrecondKind::BlockJacobi => {
@@ -470,7 +471,7 @@ pub fn run_jacobi_idr(a: &CsrMatrix<f64>) -> Option<SolveOutcome> {
 pub fn run_precond_idr<M: BlockPreconditioner<f64>>(
     a: &CsrMatrix<f64>,
     part: &BlockPartition,
-    method: BjMethod,
+    method: PlanMethod,
     backend: Arc<dyn Backend<f64>>,
     precision: PrecisionPolicy,
 ) -> Option<SolveOutcome> {
@@ -523,7 +524,7 @@ mod tests {
     ) -> SolveOutcome {
         let backend = Arc::new(CpuSequential);
         let part = supervariable_blocking(a, 16);
-        run_precond_idr::<M>(a, &part, BjMethod::SmallLu, backend, precision).unwrap()
+        run_precond_idr::<M>(a, &part, PlanMethod::Lu, backend, precision).unwrap()
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! of `vbatch_rt::par`.
 //!
 //! Each block runs what its size class says ([`BatchPlan::class`]): the
-//! kernel *family* — the three LU launch shapes are one kernel here —
-//! and the layout. Blocked classes go through the per-block kernels. A
+//! kernel family — the paper's three LU launch shapes are the one
+//! [`KernelChoice::Lu`] kernel here — and the layout. Blocked classes go through the per-block kernels. A
 //! class the plan marked [`ClassLayout::Interleaved`], of any order,
 //! maps one *slot per vector lane* — the CPU realization of the paper's
 //! one-matrix-per-SIMT-lane mapping — through the lane GETRF/TRSV of
@@ -101,9 +101,7 @@ pub(crate) fn factor_block<T: Scalar, S: Stored<T>>(
             Ok(f) => factorized(BlockFactor::Chol(f), StoragePrecision::Native),
             Err(e) => fallback(e),
         },
-        // the LU family: three launch shapes on a GPU, one kernel here
-        _ => {
-            assert!(kernel.is_lu(), "no host kernel for {kernel:?}");
+        KernelChoice::Lu => {
             let mut lu = narrow_slice::<T, S>(block);
             match getrf_implicit_inplace(n, &mut lu) {
                 Ok(perm) => {
@@ -792,7 +790,7 @@ mod tests {
         let batch = random_batch(&sizes, 7);
         for method in [
             PlanMethod::Auto,
-            PlanMethod::SmallLu,
+            PlanMethod::Lu,
             PlanMethod::GaussHuard,
             PlanMethod::GaussHuardT,
             PlanMethod::GjeInvert,

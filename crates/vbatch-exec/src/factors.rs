@@ -809,7 +809,7 @@ mod tests {
     #[test]
     fn fallback_status_classifies_health_and_chain() {
         let s = BlockStatus::fallback(
-            KernelChoice::SmallLu,
+            KernelChoice::Lu,
             FactorError::SingularPivot { step: 1 },
             0,
             4,
@@ -819,7 +819,7 @@ mod tests {
         assert!(s.is_fallback());
 
         let s = BlockStatus::fallback(
-            KernelChoice::SmallLu,
+            KernelChoice::Lu,
             FactorError::NonFinite { row: 0, col: 1 },
             2,
             4,
@@ -832,7 +832,7 @@ mod tests {
 
         // fully sanitized diagonal: pure identity fallback
         let s = BlockStatus::fallback(
-            KernelChoice::SmallLu,
+            KernelChoice::Lu,
             FactorError::NonFinite { row: 0, col: 0 },
             3,
             3,
@@ -841,7 +841,7 @@ mod tests {
         assert!(s.is_fallback());
 
         // clean factorization is not a fallback
-        assert!(!BlockStatus::factorized(KernelChoice::SmallLu).is_fallback());
+        assert!(!BlockStatus::factorized(KernelChoice::Lu).is_fallback());
     }
 
     #[test]
@@ -858,7 +858,7 @@ mod tests {
                 lu: Storage::Native(f.lu.as_slice().to_vec()),
                 perm: f.perm,
             }],
-            vec![BlockStatus::factorized(KernelChoice::SmallLu)],
+            vec![BlockStatus::factorized(KernelChoice::Lu)],
         );
         fb.wrappers[0] = Some(Wrapper::Equilibrated {
             r,

@@ -306,12 +306,9 @@ mod tests {
     #[test]
     fn guarded_plan_equilibrates_ill_conditioned_blocks() {
         let (sizes, batch) = batch_with_scaled_block();
-        let plan = BatchPlan::for_method_with_layout::<f64>(
-            &sizes,
-            PlanMethod::SmallLu,
-            BatchLayout::Blocked,
-        )
-        .with_health(HealthPolicy::guarded::<f64>());
+        let plan =
+            BatchPlan::for_method_with_layout::<f64>(&sizes, PlanMethod::Lu, BatchLayout::Blocked)
+                .with_health(HealthPolicy::guarded::<f64>());
         let mut stats = ExecStats::new();
         let fact = CpuSequential.factorize(batch.clone(), &plan, &mut stats);
         assert_eq!(fact.status[1].health, BlockHealth::IllConditioned);
@@ -342,7 +339,7 @@ mod tests {
         // interleaved layout: all three order-3 blocks form one class
         let il = BatchPlan::for_method_with_layout::<f64>(
             &sizes,
-            PlanMethod::SmallLu,
+            PlanMethod::Lu,
             BatchLayout::Interleaved { class_capacity: 2 },
         )
         .with_health(HealthPolicy::guarded::<f64>());
@@ -385,7 +382,7 @@ mod tests {
         let (factor, mut status) = crate::cpu::factor_block::<f64, f64>(
             n,
             &[2.0, 0.0, 0.0, 2.0],
-            crate::plan::KernelChoice::SmallLu,
+            crate::plan::KernelChoice::Lu,
         );
         status.condest = Some(1e30);
         let mut batch = FactorizedBatch::blocked(sizes, vec![factor], vec![status]);
@@ -414,12 +411,9 @@ mod tests {
                 .block_mut(i)
                 .copy_from_slice(&[1.0, 0.0, 0.0, 1.0 / k]);
         }
-        let plan = BatchPlan::for_method_with_layout::<f64>(
-            &sizes,
-            PlanMethod::SmallLu,
-            BatchLayout::Blocked,
-        )
-        .with_precision(crate::plan::PrecisionPolicy::MixedPromote);
+        let plan =
+            BatchPlan::for_method_with_layout::<f64>(&sizes, PlanMethod::Lu, BatchLayout::Blocked)
+                .with_precision(crate::plan::PrecisionPolicy::MixedPromote);
         let fact = CpuSequential.factorize(batch, &plan, &mut ExecStats::new());
         let promoted: Vec<bool> = fact.status.iter().map(|s| s.promoted).collect();
         assert_eq!(promoted, [false, true], "{:?}", fact.status);
@@ -430,7 +424,7 @@ mod tests {
     #[test]
     fn health_off_leaves_factors_untouched() {
         let (sizes, batch) = batch_with_scaled_block();
-        let plan = BatchPlan::for_method::<f64>(&sizes, PlanMethod::SmallLu);
+        let plan = BatchPlan::for_method::<f64>(&sizes, PlanMethod::Lu);
         let mut stats = ExecStats::new();
         let fact = CpuSequential.factorize(batch, &plan, &mut stats);
         for s in &fact.status {

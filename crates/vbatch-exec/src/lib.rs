@@ -6,12 +6,12 @@
 //! instead of matching on kernels directly:
 //!
 //! * [`BatchPlan`] — the *planner*: the table of a batch's size
-//!   classes, one kernel and one layout per class. The kernel follows
-//!   the paper's crossovers — Gauss-Huard below ≈16 (SP) / ≈23 (DP),
-//!   else LU, labelled with its launch shape (packed n ≤ 16, small-size
-//!   up to 32, blocked above) for the benchmark's launch estimator; on
-//!   the host every LU class with enough members is interleaved, at any
-//!   order.
+//!   classes, one kernel family and one layout per class. The family
+//!   follows the paper's P100 crossovers — Gauss-Huard below ≈16 (SP) /
+//!   ≈23 (DP) unless a class of order ≤ 16 has ≥ 2 members, else LU;
+//!   every LU class with enough members is interleaved, at any order.
+//!   The paper's LU launch shapes are one host kernel; only the
+//!   benchmark's launch estimator tells them apart.
 //! * [`Backend`] — the *executor*. One interface over
 //!   [`vbatch_core::MatrixBatch`]es, with two implementations that run
 //!   one host kernel set: [`CpuSequential`] on the calling thread and
@@ -58,8 +58,7 @@ pub use factors::{
 };
 pub use fault::{apply_fault, expected_health, inject_batch, inject_rhs};
 pub use plan::{
-    gh_crossover_order, BatchPlan, ClassLayout, HealthPolicy, KernelChoice, PlanMethod,
-    PrecisionPolicy, SizeClass,
+    BatchPlan, ClassLayout, HealthPolicy, KernelChoice, PlanMethod, PrecisionPolicy, SizeClass,
 };
 pub use serve::SizeClassHandle;
 pub use stats::{ExecStats, Phase};

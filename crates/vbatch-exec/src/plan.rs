@@ -1,27 +1,21 @@
 //! Kernel planning: a [`BatchPlan`] is the table of a batch's size
 //! classes, one `(kernel, layout)` per class. The host reads two things
-//! off a class: its kernel *family* (LU, Gauss-Huard, inversion,
+//! off a class: its kernel family (LU, Gauss-Huard, inversion,
 //! Cholesky) and its layout — any LU class whose population reaches the
 //! requested `class_capacity` is interleaved, at every order; ragged
-//! tails stay blocked. Which of the three LU names a class carries is
-//! the paper's launch shape (packed ≤ 16, one row per lane ≤ 32, two
-//! rows per lane above): the label the crossovers give the class, and
-//! what the benchmark's launch estimator
-//! (`vbatch_bench::estimate_planned_factor`) charges the device model.
+//! tails stay blocked. The paper's three LU launch shapes (packed,
+//! small-size, blocked) are one kernel on the host and are not planned
+//! here: the benchmark's launch estimator
+//! (`vbatch_bench::estimate_planned_factor`) derives them from a
+//! class's order and count.
 
 use vbatch_core::{BatchLayout, Scalar};
 
 /// A concrete kernel selected for a size class of a batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum KernelChoice {
-    /// Multi-problem-per-warp packed LU (`⌊32/n⌋` problems per warp,
-    /// n ≤ 16).
-    PackedLu,
-    /// Register-resident small-size LU with implicit pivoting (n ≤ 32).
-    SmallLu,
-    /// Two-rows-per-lane blocked LU (n > 32; the device model covers up
-    /// to 64).
-    BlockedLu,
+    /// LU with implicit partial pivoting, per block or as lane sweeps.
+    Lu,
     /// Gauss-Huard with row-major factor storage.
     GaussHuard,
     /// Gauss-Huard-T: dual storage with a coalesced column copy.
@@ -33,55 +27,30 @@ pub enum KernelChoice {
 }
 
 impl KernelChoice {
-    /// Every choice, in display order.
-    pub const ALL: [KernelChoice; 7] = [
-        KernelChoice::PackedLu,
-        KernelChoice::SmallLu,
-        KernelChoice::BlockedLu,
-        KernelChoice::GaussHuard,
-        KernelChoice::GaussHuardT,
-        KernelChoice::GjeInvert,
-        KernelChoice::Cholesky,
-    ];
-
     /// Stable label used in stats histograms and CSV columns.
     pub fn label(self) -> &'static str {
         match self {
-            KernelChoice::PackedLu => "packed-lu",
-            KernelChoice::SmallLu => "small-lu",
-            KernelChoice::BlockedLu => "blocked-lu",
+            KernelChoice::Lu => "lu",
             KernelChoice::GaussHuard => "gauss-huard",
             KernelChoice::GaussHuardT => "gauss-huard-t",
             KernelChoice::GjeInvert => "gje-invert",
             KernelChoice::Cholesky => "cholesky",
         }
     }
-
-    /// `true` for the three launch shapes of the LU family, which the
-    /// host runs as one kernel (per block or as lane sweeps).
-    pub fn is_lu(self) -> bool {
-        matches!(
-            self,
-            KernelChoice::PackedLu | KernelChoice::SmallLu | KernelChoice::BlockedLu
-        )
-    }
 }
 
 /// What the caller asks the planner for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlanMethod {
-    /// Let the planner pick per size class (paper crossovers): warp
-    /// packing below the packing bound, Gauss-Huard below the crossover
-    /// order, small-size LU up to 32, blocked LU above.
+    /// Let the planner pick the family per size class: Gauss-Huard below
+    /// the paper's crossover order, LU otherwise.
     Auto,
-    /// Force the LU family: small-size LU with implicit partial
-    /// pivoting (this paper) up to 32, blocked LU above.
-    SmallLu,
-    /// Force Gauss-Huard with column pivoting (falls back to blocked LU
-    /// above 32).
+    /// Force LU with implicit partial pivoting (this paper).
+    Lu,
+    /// Force Gauss-Huard with column pivoting (LU above order 32).
     GaussHuard,
     /// Force Gauss-Huard with transposed (solve-friendly) factor
-    /// storage (falls back to blocked LU above 32).
+    /// storage (LU above order 32).
     GaussHuardT,
     /// Force explicit inversion via Gauss-Jordan; applied as batched
     /// GEMV.
@@ -91,21 +60,10 @@ pub enum PlanMethod {
 }
 
 impl PlanMethod {
-    /// All fixed-kernel methods, in the paper's comparison order (the
-    /// planner-driven [`PlanMethod::Auto`] is intentionally excluded:
-    /// it mixes the others).
-    pub const ALL: [PlanMethod; 5] = [
-        PlanMethod::SmallLu,
-        PlanMethod::GaussHuard,
-        PlanMethod::GaussHuardT,
-        PlanMethod::GjeInvert,
-        PlanMethod::Cholesky,
-    ];
-
     /// Short label used in experiment output.
     pub fn label(self) -> &'static str {
         match self {
-            PlanMethod::SmallLu => "LU",
+            PlanMethod::Lu => "LU",
             PlanMethod::GaussHuard => "GH",
             PlanMethod::GaussHuardT => "GH-T",
             PlanMethod::GjeInvert => "GJE-inv",
@@ -115,9 +73,11 @@ impl PlanMethod {
     }
 }
 
-/// Crossover order below which Gauss-Huard beats the small-size LU
-/// (Fig. 6: ≈16 in single precision, ≈23 in double).
-pub fn gh_crossover_order(element_bytes: usize) -> usize {
+/// Order below which Gauss-Huard beats the small-size LU on a P100
+/// (Fig. 6: ≈16 in single precision, ≈23 in double). This and the two
+/// constants below are the paper's P100 crossovers, not host
+/// measurements; a measured per-host profile is to replace them.
+fn gh_crossover_order(element_bytes: usize) -> usize {
     if element_bytes <= 4 {
         16
     } else {
@@ -125,11 +85,13 @@ pub fn gh_crossover_order(element_bytes: usize) -> usize {
     }
 }
 
-/// Largest order eligible for multi-problem-per-warp packing.
+/// Largest order the P100 packs several problems per warp; such a class
+/// with ≥ 2 members beats Gauss-Huard as packed LU (§IV-B).
 const PACK_MAX: usize = 16;
 
-/// Largest order the one-row-per-lane kernels handle (warp width).
-const SMALL_MAX: usize = 32;
+/// Largest order of the one-row-per-lane Gauss-Huard kernels (warp
+/// width); a forced Gauss-Huard above it runs LU.
+const GH_MAX: usize = 32;
 
 /// The memory layout the planner settled on for one size class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -267,7 +229,7 @@ pub struct BatchPlan {
 fn pick_layout(kernel: KernelChoice, count: usize, layout: BatchLayout) -> ClassLayout {
     match layout {
         BatchLayout::Interleaved { class_capacity }
-            if kernel.is_lu() && count >= class_capacity =>
+            if kernel == KernelChoice::Lu && count >= class_capacity =>
         {
             ClassLayout::Interleaved
         }
@@ -275,23 +237,17 @@ fn pick_layout(kernel: KernelChoice, count: usize, layout: BatchLayout) -> Class
     }
 }
 
+/// The family of a class of `count` blocks of order `n`: Gauss-Huard
+/// where the paper's crossovers give it, LU everywhere else.
 fn pick<T: Scalar>(n: usize, count: usize, method: PlanMethod) -> KernelChoice {
     match method {
         PlanMethod::GjeInvert => KernelChoice::GjeInvert,
         PlanMethod::Cholesky => KernelChoice::Cholesky,
-        _ if n > SMALL_MAX => KernelChoice::BlockedLu,
-        PlanMethod::SmallLu => KernelChoice::SmallLu,
-        PlanMethod::GaussHuard => KernelChoice::GaussHuard,
-        PlanMethod::GaussHuardT => KernelChoice::GaussHuardT,
-        PlanMethod::Auto => {
-            if n <= PACK_MAX && count >= 2 {
-                KernelChoice::PackedLu
-            } else if n < gh_crossover_order(T::BYTES) {
-                KernelChoice::GaussHuard
-            } else {
-                KernelChoice::SmallLu
-            }
-        }
+        PlanMethod::GaussHuard if n <= GH_MAX => KernelChoice::GaussHuard,
+        PlanMethod::GaussHuardT if n <= GH_MAX => KernelChoice::GaussHuardT,
+        PlanMethod::Auto if n <= PACK_MAX && count >= 2 => KernelChoice::Lu,
+        PlanMethod::Auto if n < gh_crossover_order(T::BYTES) => KernelChoice::GaussHuard,
+        _ => KernelChoice::Lu,
     }
 }
 
@@ -370,13 +326,13 @@ impl BatchPlan {
     /// Service-runtime plan for one uniform size class: kernel and
     /// layout are chosen as if the class were at its full `capacity`
     /// population, regardless of how many members this flush actually
-    /// carries. The automatic crossovers consult the class count (the
-    /// packed kernel needs ≥ 2 members to pay off; interleaving needs a
-    /// full class), so a solo flush and a full flush of the same class
-    /// would otherwise run *different* kernels and diverge by an ULP —
-    /// breaking the isolation contract of `vbatch-serve`, which
-    /// promises a member's bits never depend on who it was co-batched
-    /// with.
+    /// carries. The automatic rule consults the class count (an order
+    /// ≤ 16 may run Gauss-Huard alone but runs LU with ≥ 2 members;
+    /// interleaving needs a full class), so a solo flush and a full flush
+    /// of the same class would otherwise run *different* kernels and
+    /// diverge by an ULP — breaking the isolation contract of
+    /// `vbatch-serve`, which promises a member's bits never depend on who
+    /// it was co-batched with.
     pub fn uniform_at_capacity<T: Scalar>(
         n: usize,
         count: usize,
@@ -420,51 +376,27 @@ impl BatchPlan {
         self.classes.is_empty()
     }
 
-    /// Blocks per value of `key`, in `keys` order, zero counts omitted.
-    fn tally<K: Copy + PartialEq>(
-        &self,
-        keys: &[K],
-        key: impl Fn(&SizeClass) -> K,
-    ) -> Vec<(K, usize)> {
-        keys.iter()
-            .map(|&k| {
-                let of_k = self.classes.iter().filter(|c| key(c) == k);
-                (k, of_k.map(|c| c.count).sum())
+    /// Layout histogram over blocks, zero-count entries omitted.
+    pub fn layout_histogram(&self) -> Vec<(ClassLayout, usize)> {
+        [ClassLayout::Blocked, ClassLayout::Interleaved]
+            .into_iter()
+            .map(|layout| {
+                let of_layout = self.classes.iter().filter(|c| c.layout == layout);
+                (layout, of_layout.map(|c| c.count).sum())
             })
             .filter(|&(_, blocks)| blocks > 0)
             .collect()
     }
 
-    /// Kernel-choice histogram over blocks, in [`KernelChoice::ALL`]
-    /// order, zero-count entries omitted.
-    pub fn histogram(&self) -> Vec<(KernelChoice, usize)> {
-        self.tally(&KernelChoice::ALL, |c| c.kernel)
-    }
-
-    /// Histogram as a compact `label=count;label=count` string for CSV
-    /// columns.
-    pub fn histogram_compact(&self) -> String {
-        compact(&self.histogram(), KernelChoice::label)
-    }
-
-    /// Layout histogram over blocks, zero-count entries omitted.
-    pub fn layout_histogram(&self) -> Vec<(ClassLayout, usize)> {
-        let layouts = [ClassLayout::Blocked, ClassLayout::Interleaved];
-        self.tally(&layouts, |c| c.layout)
-    }
-
     /// Layout histogram as a compact `label=count;...` string for CSV.
     pub fn layout_compact(&self) -> String {
-        compact(&self.layout_histogram(), ClassLayout::label)
+        let entries: Vec<String> = self
+            .layout_histogram()
+            .into_iter()
+            .map(|(layout, count)| format!("{}={count}", layout.label()))
+            .collect();
+        entries.join(";")
     }
-}
-
-fn compact<K: Copy>(histogram: &[(K, usize)], label: fn(K) -> &'static str) -> String {
-    let entries: Vec<String> = histogram
-        .iter()
-        .map(|&(k, c)| format!("{}={c}", label(k)))
-        .collect();
-    entries.join(";")
 }
 
 #[cfg(test)]
@@ -478,41 +410,40 @@ mod tests {
 
     #[test]
     fn auto_follows_paper_crossovers() {
-        // singleton classes so packing (count >= 2) does not kick in
+        // singleton classes so the populous-class rule does not kick in
         let plan = BatchPlan::auto::<f64>(&[100, 4, 22, 23, 32, 33, 64]);
         let want = [
             (4, GaussHuard),
             (22, GaussHuard), // 22 < 23
-            (23, SmallLu),
-            (32, SmallLu),
-            (33, BlockedLu),
-            (64, BlockedLu),
-            (100, BlockedLu),
+            (23, Lu),
+            (32, Lu),
+            (33, Lu),
+            (64, Lu),
+            (100, Lu),
         ];
         assert_eq!(kernels(&plan), want);
         assert_eq!(plan.len(), 7);
         assert_eq!(plan.precision(), PrecisionPolicy::FullDp);
         // the crossover is lower in single precision
         let sp = BatchPlan::auto::<f32>(&[16, 22]);
-        assert_eq!(kernels(&sp), [(16, SmallLu), (22, SmallLu)]);
+        assert_eq!(kernels(&sp), [(16, Lu), (22, Lu)]);
         let dp = BatchPlan::auto::<f64>(&[16, 22]);
         assert_eq!(kernels(&dp), [(16, GaussHuard), (22, GaussHuard)]);
     }
 
     #[test]
-    fn packing_requires_multiplicity() {
+    fn gauss_huard_gives_way_to_populous_classes_up_to_16() {
         let plan = BatchPlan::auto::<f64>(&[8, 17, 8, 16, 8, 16, 17]);
-        // 17 > PACK_MAX: two of them still are not packed
-        let want = [(8, PackedLu), (16, PackedLu), (17, GaussHuard)];
+        // 17 > PACK_MAX: two of them still run Gauss-Huard
+        let want = [(8, Lu), (16, Lu), (17, GaussHuard)];
         assert_eq!(kernels(&plan), want);
         assert_eq!((plan.class(8).count, plan.class(17).count), (3, 2));
-        assert_eq!(plan.histogram_compact(), "packed-lu=5;gauss-huard=2");
     }
 
     #[test]
     fn forced_methods_respect_size_limits() {
         let plan = BatchPlan::for_method::<f64>(&[8, 40], PlanMethod::GaussHuardT);
-        assert_eq!(kernels(&plan), [(8, GaussHuardT), (40, BlockedLu)]);
+        assert_eq!(kernels(&plan), [(8, GaussHuardT), (40, Lu)]);
         let plan = BatchPlan::for_method::<f64>(&[8, 40], PlanMethod::GjeInvert);
         assert_eq!(kernels(&plan), [(8, GjeInvert), (40, GjeInvert)]);
     }
@@ -556,9 +487,9 @@ mod tests {
 
     #[test]
     fn uniform_plan_is_taken_at_capacity() {
-        // a solo flush is planned as the full class: packed (needs 2
-        // members) and interleaved (needs `class_capacity`)
-        for (n, kernel) in [(8usize, PackedLu), (40, BlockedLu)] {
+        // a solo flush is planned as the full class: LU at order 8 (not
+        // Gauss-Huard) and interleaved (needs `class_capacity`)
+        for (n, kernel) in [(8usize, Lu), (40, Lu)] {
             let solo = BatchPlan::uniform_at_capacity::<f64>(n, 1, 64, BatchLayout::interleaved());
             assert_eq!(solo.len(), 1);
             assert_eq!(solo.class(n).kernel, kernel);

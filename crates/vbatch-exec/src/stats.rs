@@ -235,13 +235,13 @@ mod tests {
     #[test]
     fn histogram_and_merge() {
         let mut a = ExecStats::new();
-        a.record_kernel(KernelChoice::SmallLu, 3);
+        a.record_kernel(KernelChoice::Lu, 3);
         a.record_kernel(KernelChoice::GaussHuard, 2);
         a.add_flops(100.0);
         a.add_phase(Phase::Factorize, Duration::from_millis(5));
 
         let mut b = ExecStats::new();
-        b.record_kernel(KernelChoice::SmallLu, 1);
+        b.record_kernel(KernelChoice::Lu, 1);
         b.add_phase(Phase::Factorize, Duration::from_millis(3));
         b.add_phase(Phase::Solve, Duration::from_millis(2));
 
@@ -251,20 +251,20 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.layout_histogram()["interleaved"], 5);
         assert_eq!(a.layout_compact(), "blocked=1;interleaved=5");
-        assert_eq!(a.kernel_histogram()["small-lu"], 4);
+        assert_eq!(a.kernel_histogram()["lu"], 4);
         assert_eq!(a.kernel_histogram()["gauss-huard"], 2);
         assert_eq!(a.phase_time(Phase::Factorize), Duration::from_millis(8));
         assert_eq!(a.phase_time(Phase::Solve), Duration::from_millis(2));
         assert_eq!(a.phase_time(Phase::Reduce), Duration::ZERO);
         assert_eq!(a.phase_total(), Duration::from_millis(10));
         // BTreeMap ordering: alphabetical by label
-        assert_eq!(a.histogram_compact(), "gauss-huard=2;small-lu=4");
+        assert_eq!(a.histogram_compact(), "gauss-huard=2;lu=4");
     }
 
     #[test]
     fn zero_counts_are_not_recorded() {
         let mut s = ExecStats::new();
-        s.record_kernel(KernelChoice::SmallLu, 0);
+        s.record_kernel(KernelChoice::Lu, 0);
         assert!(s.kernel_histogram().is_empty());
         assert_eq!(s.histogram_compact(), "");
     }

@@ -25,7 +25,7 @@ use vbatch_exec::{
     CpuSequential, CpuSimd, ExecStats, FaultClass, FaultPlan, HealthPolicy, PlanMethod,
     RecoveryStep,
 };
-use vbatch_precond::{BjMethod, BlockJacobi, BlockPreconditioner, PrecondOptions};
+use vbatch_precond::{BlockJacobi, BlockPreconditioner, PrecondOptions};
 use vbatch_solver::{idr, IdrSolver, SolveParams, StopReason};
 use vbatch_sparse::gen::laplace::laplace_2d;
 use vbatch_sparse::BlockPartition;
@@ -68,7 +68,7 @@ fn statuses_match_injected_fault_map_exactly() {
                 assert_eq!(map.iter().filter(|f| f.is_some()).count(), 4);
                 let bplan = BatchPlan::for_method_with_layout::<f64>(
                     blocks.sizes(),
-                    PlanMethod::SmallLu,
+                    PlanMethod::Lu,
                     layout,
                 )
                 .with_health(HealthPolicy::guarded::<f64>());
@@ -128,7 +128,7 @@ fn mixed_faults_still_converge_through_block_jacobi_idr() {
                 &part,
                 backend.clone(),
                 PrecondOptions::guarded::<f64>()
-                    .with_method(BjMethod::SmallLu)
+                    .with_method(PlanMethod::Lu)
                     .with_layout(layout)
                     .with_fault(plan.clone()),
             )
@@ -182,7 +182,7 @@ fn lane_group_faults_poison_only_their_own_slot() {
     let flat_rhs: Vec<f64> = (0..COUNT * N).map(|i| 0.5 + (i % 7) as f64).collect();
     let bplan = BatchPlan::for_method_with_layout::<f64>(
         &[N; COUNT],
-        PlanMethod::SmallLu,
+        PlanMethod::Lu,
         BatchLayout::Interleaved { class_capacity: 2 },
     )
     .with_health(HealthPolicy::guarded::<f64>());
@@ -257,7 +257,7 @@ fn rhs_faults_are_reported_not_iterated_on() {
         &a,
         &part,
         Arc::new(CpuSequential) as Arc<dyn Backend<f64>>,
-        PrecondOptions::guarded::<f64>().with_method(BjMethod::SmallLu),
+        PrecondOptions::guarded::<f64>().with_method(PlanMethod::Lu),
     )
     .unwrap();
     // the matrix faults are absent: every block is healthy
@@ -288,7 +288,7 @@ fn robust_policy_f32_nan_rhs_exhausts_fallback_without_restarting() {
         4,
         &part,
         Arc::new(CpuSequential),
-        PrecondOptions::default().with_method(BjMethod::SmallLu),
+        PrecondOptions::default().with_method(PlanMethod::Lu),
         &SolveParams::default(),
     )
     .unwrap()
@@ -332,7 +332,7 @@ fn robust_policy_f32_stagnation_forces_restart_then_gmres() {
         4,
         &part,
         Arc::new(CpuSequential),
-        PrecondOptions::default().with_method(BjMethod::SmallLu),
+        PrecondOptions::default().with_method(PlanMethod::Lu),
         &params,
     )
     .unwrap()

@@ -37,7 +37,7 @@ const FROZEN: [(&str, u64, u64); 6] = [
 
 const METHODS: [PlanMethod; 6] = [
     PlanMethod::Auto,
-    PlanMethod::SmallLu,
+    PlanMethod::Lu,
     PlanMethod::GaussHuard,
     PlanMethod::GaussHuardT,
     PlanMethod::GjeInvert,

@@ -129,7 +129,7 @@ fn all_backend_layout_combos_agree_on_random_batches() {
     run_cases("golden_backend_layout_agreement", 24, |rng, _case| {
         let batch = random_batch(rng, 12, 24);
         let rhs = rhs_for(rng, batch.sizes());
-        for method in [PlanMethod::SmallLu, PlanMethod::Auto] {
+        for method in [PlanMethod::Lu, PlanMethod::Auto] {
             let combos = run_all_combos(&batch, &rhs, method, HealthPolicy::Off);
             let baseline = &combos[0];
 
@@ -183,7 +183,7 @@ fn singular_blocks_fall_back_identically_in_every_combo() {
                 block[c * n + 1] = block[c * n];
             }
         }
-        let combos = run_all_combos(&batch, &rhs, PlanMethod::SmallLu, HealthPolicy::Off);
+        let combos = run_all_combos(&batch, &rhs, PlanMethod::Lu, HealthPolicy::Off);
         let expected_fallbacks = combos[0].factors.fallback_count();
         assert!(expected_fallbacks >= 1);
         for combo in &combos {

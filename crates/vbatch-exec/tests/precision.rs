@@ -198,7 +198,7 @@ fn promotion_condest_is_cached_and_reused_by_triage() {
     let mut batch = random_batch(&mut rng, &sizes);
     poison_conditioning(&mut batch, 1);
     let plan =
-        BatchPlan::for_method_with_layout::<f64>(&sizes, PlanMethod::SmallLu, BatchLayout::Blocked)
+        BatchPlan::for_method_with_layout::<f64>(&sizes, PlanMethod::Lu, BatchLayout::Blocked)
             .with_health(HealthPolicy::guarded::<f64>())
             .with_precision(PrecisionPolicy::MixedPromote);
     let mut stats = ExecStats::new();
@@ -237,7 +237,7 @@ fn f32_floor_policies_are_bitwise_noops() {
         *v = 1.0 + (i % 5) as f32;
     }
     let reference = {
-        let plan = BatchPlan::for_method::<f32>(&sizes, PlanMethod::SmallLu);
+        let plan = BatchPlan::for_method::<f32>(&sizes, PlanMethod::Lu);
         let mut stats = ExecStats::new();
         let f = CpuSequential.factorize(batch.clone(), &plan, &mut stats);
         let mut x = rhs.clone();
@@ -245,7 +245,7 @@ fn f32_floor_policies_are_bitwise_noops() {
         x.as_slice().to_vec()
     };
     for policy in [PrecisionPolicy::MixedPromote, PrecisionPolicy::ForceSp] {
-        let plan = BatchPlan::for_method::<f32>(&sizes, PlanMethod::SmallLu).with_precision(policy);
+        let plan = BatchPlan::for_method::<f32>(&sizes, PlanMethod::Lu).with_precision(policy);
         let mut stats = ExecStats::new();
         let f = CpuSequential.factorize(batch.clone(), &plan, &mut stats);
         let mut x = rhs.clone();

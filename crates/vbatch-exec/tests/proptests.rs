@@ -1,9 +1,9 @@
 //! Property-based tests of the execution layer: the two backends
 //! (`CpuSequential`, `CpuSimd`) must produce bitwise-identical
-//! solutions on random variable-size batches under every plan method, and the planner must honor the paper's kernel-selection
-//! rules (blocked LU above order 32, warp packing for uniform n ≤ 16)
-//! and the host layout rule (populous LU classes interleave, at every
-//! order).
+//! solutions on random variable-size batches under every plan method,
+//! and the planner must honor the host family rule (Gauss-Huard below
+//! the crossover unless a class of order ≤ 16 is populous) and the host
+//! layout rule (populous LU classes interleave, at every order).
 
 use vbatch_core::{BatchLayout, DenseMat, MatrixBatch, Scalar, StoragePrecision, VectorBatch};
 use vbatch_exec::{
@@ -79,7 +79,7 @@ fn backends_agree_under_every_plan_method() {
             let rhs = rhs_for(&sizes);
             for method in [
                 PlanMethod::Auto,
-                PlanMethod::SmallLu,
+                PlanMethod::Lu,
                 PlanMethod::GaussHuard,
                 PlanMethod::GaussHuardT,
                 PlanMethod::GjeInvert,
@@ -92,31 +92,6 @@ fn backends_agree_under_every_plan_method() {
             }
         },
     );
-}
-
-#[test]
-fn plan_selects_blocked_lu_above_32() {
-    run_cases("plan_selects_blocked_lu_above_32", 64, |rng, _case| {
-        let count = rng.gen_range(1usize..20);
-        let sizes: Vec<usize> = (0..count).map(|_| rng.gen_range(1usize..80)).collect();
-        let plan = BatchPlan::auto::<f64>(&sizes);
-        assert_eq!(plan.len(), count);
-        for &n in &sizes {
-            let blocked = plan.class(n).kernel == KernelChoice::BlockedLu;
-            assert_eq!(blocked, n > 32, "class of order {n}");
-        }
-    });
-}
-
-#[test]
-fn plan_packs_uniform_small_batches() {
-    run_cases("plan_packs_uniform_small_batches", 64, |rng, _case| {
-        let n = rng.gen_range(1usize..17);
-        let count = rng.gen_range(2usize..50);
-        let plan = BatchPlan::auto::<f64>(&vec![n; count]);
-        assert_eq!(plan.class(n).kernel, KernelChoice::PackedLu, "n={n}");
-        assert_eq!(plan.class(n).count, count);
-    });
 }
 
 #[test]
@@ -143,7 +118,8 @@ fn plan_layout_follows_capacity_and_kernel_family() {
                 PlanMethod::GaussHuard => n > 32,
                 _ => false,
             };
-            assert_eq!(class.kernel.is_lu(), lu, "{method:?} n={n} count={count}");
+            let runs_lu = class.kernel == KernelChoice::Lu;
+            assert_eq!(runs_lu, lu, "{method:?} n={n} count={count}");
             let expected = if lu && count >= cap {
                 ClassLayout::Interleaved
             } else {
@@ -162,13 +138,13 @@ fn plan_layout_follows_capacity_and_kernel_family() {
 #[test]
 fn crossover_depends_on_precision() {
     // order 20 sits between the SP (~16) and DP (~23) crossovers: the
-    // planner must keep GH in double precision but switch to the
-    // small-size LU in single precision (paper Fig. 6)
+    // planner must keep GH in double precision but switch to LU in
+    // single precision (paper Fig. 6)
     let sizes = vec![20usize; 1];
     let dp = BatchPlan::auto::<f64>(&sizes);
     let sp = BatchPlan::auto::<f32>(&sizes);
     assert_eq!(dp.class(20).kernel, KernelChoice::GaussHuard);
-    assert_eq!(sp.class(20).kernel, KernelChoice::SmallLu);
+    assert_eq!(sp.class(20).kernel, KernelChoice::Lu);
     assert_eq!(f32::BYTES, 4);
     assert_eq!(f64::BYTES, 8);
 }
@@ -211,9 +187,10 @@ fn multi_rhs_normalisation_is_bitwise_the_column_solves() {
         "multi_rhs_normalisation_is_bitwise_the_column_solves",
         6,
         |rng, _case| {
-            // classes: packed (3×3), Gauss-Huard (12), small LU with a
-            // populous class (24×3) and a lone member (30), blocked LU
-            // (40), a lone order-2 block, plus a ragged tail
+            // classes: LU below the crossover (3×3), Gauss-Huard (12),
+            // LU with a populous class (24×3) and a lone member (30), LU
+            // past the warp width (40), a lone order-2 block, plus a
+            // ragged tail
             let mut sizes = vec![3, 3, 3, 12, 24, 24, 24, 30, 40, 1, 7, 2];
             sizes.extend(testgen::ragged_sizes(rng, 33, 4));
             let raw = testgen::dd_batch_of(rng, &sizes);

@@ -98,8 +98,7 @@ fn kernel_histogram_totals_the_block_count() {
         BatchLayout::Interleaved { class_capacity: 2 },
     ] {
         let batch = uniform_batch(48, 6, 23);
-        let plan =
-            BatchPlan::for_method_with_layout::<f64>(batch.sizes(), PlanMethod::SmallLu, layout);
+        let plan = BatchPlan::for_method_with_layout::<f64>(batch.sizes(), PlanMethod::Lu, layout);
         for (what, stats, fallbacks) in each_producer(&batch, &plan) {
             assert_eq!(fallbacks, 0, "{what}");
             let total: u64 = stats.kernel_histogram().values().sum();
@@ -124,7 +123,7 @@ fn failures_complete_the_kernel_histogram() {
             b[c * 4 + 1] = 0.0;
         }
     }
-    let plan = BatchPlan::for_method::<f64>(batch.sizes(), PlanMethod::SmallLu);
+    let plan = BatchPlan::for_method::<f64>(batch.sizes(), PlanMethod::Lu);
     for (what, stats, fallbacks) in each_producer(&batch, &plan) {
         assert_eq!(fallbacks, 1, "{what}");
         let total: u64 = stats.kernel_histogram().values().sum();

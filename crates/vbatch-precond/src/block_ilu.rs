@@ -28,13 +28,15 @@
 //! the same one [`BlockSolve`], planned by the same
 //! [`PrecondOptions::plan`].
 
-use crate::options::{BjMethod, PrecondOptions};
+use crate::options::PrecondOptions;
 use crate::traits::{BlockPreconditioner, Preconditioner, SetupReport};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use vbatch_core::lu::implicit::getrf_implicit_inplace_scratch;
 use vbatch_core::{gemm_neg_acc, trsm_right_lu_inplace, FactorError, MatrixBatch, Scalar};
-use vbatch_exec::{Backend, BlockSolve, BlockStatus, BlockTriangular, ExecStats, Phase};
+use vbatch_exec::{
+    Backend, BlockSolve, BlockStatus, BlockTriangular, ExecStats, Phase, PlanMethod,
+};
 use vbatch_sparse::{BlockPartition, BlockPattern, CsrMatrix, LevelSchedule, TriKind};
 
 /// Sweep-time factorizations of the finished pivot blocks, used to form
@@ -109,7 +111,7 @@ impl<'a, T: Scalar> SweepPivots<'a, T> {
 /// The assembled block-ILU(0) preconditioner.
 pub struct BlockIlu0<T: Scalar> {
     part: BlockPartition,
-    method: BjMethod,
+    method: PlanMethod,
     /// The factorized *updated* diagonal blocks and their prepared
     /// apply (the zero-allocation path).
     diag: BlockSolve<T>,
@@ -137,7 +139,7 @@ pub struct BlockIlu0<T: Scalar> {
 
 impl<T: Scalar> BlockIlu0<T> {
     /// The factorization method driving the diagonal-block solves.
-    pub fn method(&self) -> BjMethod {
+    pub fn method(&self) -> PlanMethod {
         self.method
     }
 
@@ -382,7 +384,7 @@ mod tests {
         let a = coo.to_csr();
         let part = BlockPartition::uniform(n, 3);
         let backend = seq();
-        let opts = PrecondOptions::default().with_method(BjMethod::SmallLu);
+        let opts = PrecondOptions::default().with_method(PlanMethod::Lu);
         let bilu = BlockIlu0::setup_opts(&a, &part, backend.clone(), opts.clone()).unwrap();
         let bj = crate::BlockJacobi::setup_opts(&a, &part, backend, opts).unwrap();
         assert_eq!(bilu.lower().nnz_blocks(), 0);
@@ -416,7 +418,7 @@ mod tests {
             &a,
             &part,
             backend,
-            PrecondOptions::default().with_method(BjMethod::SmallLu),
+            PrecondOptions::default().with_method(PlanMethod::Lu),
         )
         .unwrap();
         assert_eq!(m.fallback_blocks, 0);
@@ -445,7 +447,7 @@ mod tests {
         // CpuSequential apply exactly.
         let a = laplace_2d::<f64>(10, 9);
         let part = BlockPartition::uniform(90, 7);
-        let opts = PrecondOptions::default().with_method(BjMethod::SmallLu);
+        let opts = PrecondOptions::default().with_method(PlanMethod::Lu);
         let seq = BlockIlu0::setup_opts(&a, &part, seq(), opts.clone()).unwrap();
         let par = BlockIlu0::setup_opts(&a, &part, Arc::new(CpuSimd), opts).unwrap();
         let v: Vec<f64> = (0..90).map(|i| (i as f64 * 0.37).sin()).collect();
@@ -480,7 +482,7 @@ mod tests {
             &a,
             &part,
             seq(),
-            PrecondOptions::default().with_method(BjMethod::SmallLu),
+            PrecondOptions::default().with_method(PlanMethod::Lu),
         )
         .unwrap();
         assert!(m.sweep_fallback_pivots >= 1);

@@ -17,18 +17,18 @@
 //! everywhere check [`BlockPreconditioner::statuses`] /
 //! [`BlockJacobi::fallback_blocks`].
 
-use crate::options::{BjMethod, PrecondOptions};
+use crate::options::PrecondOptions;
 use crate::traits::{BlockPreconditioner, Preconditioner, SetupReport};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use vbatch_core::{FactorError, Scalar};
-use vbatch_exec::{Backend, BlockSolve, BlockStatus, ExecStats};
+use vbatch_exec::{Backend, BlockSolve, BlockStatus, ExecStats, PlanMethod};
 use vbatch_sparse::{BlockPartition, CsrMatrix};
 
 /// The assembled block-Jacobi preconditioner.
 pub struct BlockJacobi<T: Scalar> {
     part: BlockPartition,
-    method: BjMethod,
+    method: PlanMethod,
     /// The factorized diagonal blocks and their prepared apply.
     diag: BlockSolve<T>,
     /// Accumulated apply-phase statistics (timings, workspace
@@ -46,7 +46,7 @@ pub struct BlockJacobi<T: Scalar> {
 
 impl<T: Scalar> BlockJacobi<T> {
     /// The factorization method in use.
-    pub fn method(&self) -> BjMethod {
+    pub fn method(&self) -> PlanMethod {
         self.method
     }
 }
@@ -156,7 +156,7 @@ mod tests {
     fn setup(
         a: &CsrMatrix<f64>,
         part: &BlockPartition,
-        method: BjMethod,
+        method: PlanMethod,
         backend: Arc<dyn Backend<f64>>,
     ) -> BlockJacobi<f64> {
         let opts = PrecondOptions::default().with_method(method);
@@ -176,11 +176,11 @@ mod tests {
         let d = a.to_dense();
         // reference: solve each diagonal block densely
         for method in [
-            BjMethod::SmallLu,
-            BjMethod::GaussHuard,
-            BjMethod::GaussHuardT,
-            BjMethod::GjeInvert,
-            BjMethod::Auto,
+            PlanMethod::Lu,
+            PlanMethod::GaussHuard,
+            PlanMethod::GaussHuardT,
+            PlanMethod::GjeInvert,
+            PlanMethod::Auto,
         ] {
             let m = setup(&a, &part, method, seq());
             let v: Vec<f64> = (0..a.nrows()).map(|i| (i as f64) * 0.1 - 2.0).collect();
@@ -207,9 +207,9 @@ mod tests {
     fn cholesky_method_on_spd_blocks() {
         let a = laplace_2d::<f64>(6, 6);
         let part = BlockPartition::uniform(36, 6);
-        let m = setup(&a, &part, BjMethod::Cholesky, par());
+        let m = setup(&a, &part, PlanMethod::Cholesky, par());
         assert_eq!(m.fallback_blocks, 0, "every block must be SPD");
-        let lu = setup(&a, &part, BjMethod::SmallLu, par());
+        let lu = setup(&a, &part, PlanMethod::Lu, par());
         let v = vec![1.0; 36];
         let wc = m.apply(&v);
         let wl = lu.apply(&v);
@@ -225,11 +225,11 @@ mod tests {
             .map(|i| ((i * 7) % 13) as f64 - 6.0)
             .collect();
         let results: Vec<Vec<f64>> = [
-            BjMethod::SmallLu,
-            BjMethod::GaussHuard,
-            BjMethod::GaussHuardT,
-            BjMethod::GjeInvert,
-            BjMethod::Auto,
+            PlanMethod::Lu,
+            PlanMethod::GaussHuard,
+            PlanMethod::GaussHuardT,
+            PlanMethod::GjeInvert,
+            PlanMethod::Auto,
         ]
         .iter()
         .map(|&m| setup(&a, &part, m, par()).apply(&v))
@@ -255,7 +255,7 @@ mod tests {
         let a = coo.to_csr();
         let part = BlockPartition::uniform(4, 2);
         // setup degrades only the offending block and reports why
-        let m = setup(&a, &part, BjMethod::SmallLu, seq());
+        let m = setup(&a, &part, PlanMethod::Lu, seq());
         assert_eq!(m.fallback_blocks, 1);
         assert!(m.statuses()[0].error.is_none());
         assert!(matches!(
@@ -274,7 +274,7 @@ mod tests {
     #[test]
     fn setup_records_kernel_histogram() {
         let (a, part) = test_problem();
-        let m = setup(&a, &part, BjMethod::Auto, seq());
+        let m = setup(&a, &part, PlanMethod::Auto, seq());
         let hist = m.stats.histogram_compact();
         assert!(!hist.is_empty(), "setup must record kernel choices");
         assert!(m.stats.flops > 0.0);
@@ -285,7 +285,7 @@ mod tests {
         let a = laplace_2d::<f64>(8, 8);
         let part = BlockPartition::uniform(64, 4); // 16 uniform blocks
         let v: Vec<f64> = (0..64).map(|i| ((i * 5) % 17) as f64 - 8.0).collect();
-        let lu = PrecondOptions::default().with_method(BjMethod::SmallLu);
+        let lu = PrecondOptions::default().with_method(PlanMethod::Lu);
         let blocked = BlockJacobi::setup_opts(
             &a,
             &part,
@@ -316,7 +316,7 @@ mod tests {
             &part,
             seq(),
             PrecondOptions::guarded::<f64>()
-                .with_method(BjMethod::SmallLu)
+                .with_method(PlanMethod::Lu)
                 .with_fault(plan.clone()),
         )
         .unwrap();
@@ -360,7 +360,7 @@ mod tests {
         let v: Vec<f64> = vec![2.0, -1.0, 0.5, 1.0, 1.0, 1.0];
         let mut outputs = Vec::new();
         for backend in [seq(), par()] {
-            let m = setup(&a, &part, BjMethod::SmallLu, backend);
+            let m = setup(&a, &part, PlanMethod::Lu, backend);
             assert_eq!(m.fallback_blocks, 1);
             assert!(m.statuses()[0].is_fallback());
             let w = m.apply(&v);
@@ -377,7 +377,7 @@ mod tests {
     #[test]
     fn apply_accumulates_workspace_stats() {
         let (a, part) = test_problem();
-        let m = setup(&a, &part, BjMethod::SmallLu, seq());
+        let m = setup(&a, &part, PlanMethod::Lu, seq());
         let v: Vec<f64> = (0..a.nrows()).map(|i| i as f64 * 0.25 - 1.0).collect();
         let _ = m.apply(&v);
         let _ = m.apply(&v);
@@ -393,7 +393,7 @@ mod tests {
     #[test]
     fn label_reports_method_and_bound() {
         let (a, part) = test_problem();
-        let m = setup(&a, &part, BjMethod::SmallLu, seq());
+        let m = setup(&a, &part, PlanMethod::Lu, seq());
         let l = Preconditioner::<f64>::label(&m);
         assert!(l.contains("LU"), "{l}");
         assert!(m.setup_time.as_nanos() > 0);

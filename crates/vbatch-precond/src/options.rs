@@ -7,12 +7,7 @@
 //! injection — into one builder.
 
 use vbatch_core::{BatchLayout, MatrixBatch, Scalar};
-use vbatch_exec::{inject_batch, BatchPlan, FaultPlan, HealthPolicy, PrecisionPolicy};
-
-/// The batched factorization driving the diagonal-block solves (the
-/// four methods of §IV plus the Cholesky extension and the planner):
-/// the planner's own request type under its historical name here.
-pub use vbatch_exec::PlanMethod as BjMethod;
+use vbatch_exec::{inject_batch, BatchPlan, FaultPlan, HealthPolicy, PlanMethod, PrecisionPolicy};
 
 /// Every knob of a block-preconditioner setup: batched factorization
 /// method, batch layout, health triage policy, and an optional
@@ -21,8 +16,9 @@ pub use vbatch_exec::PlanMethod as BjMethod;
 /// production setups).
 #[derive(Clone, Debug)]
 pub struct PrecondOptions {
-    /// Batched factorization method for the diagonal blocks.
-    pub method: BjMethod,
+    /// Batched factorization method for the diagonal blocks (the four
+    /// methods of §IV, the Cholesky extension, or the planner).
+    pub method: PlanMethod,
     /// Storage layout policy passed through to the backend.
     pub layout: BatchLayout,
     /// Post-factorization health triage ([`HealthPolicy::Off`] keeps
@@ -42,7 +38,7 @@ impl Default for PrecondOptions {
     /// triage, full-precision storage, no faults.
     fn default() -> Self {
         PrecondOptions {
-            method: BjMethod::Auto,
+            method: PlanMethod::Auto,
             layout: BatchLayout::interleaved(),
             health: HealthPolicy::Off,
             precision: PrecisionPolicy::FullDp,
@@ -62,7 +58,7 @@ impl PrecondOptions {
     }
 
     /// Set the batched factorization method.
-    pub fn with_method(mut self, method: BjMethod) -> Self {
+    pub fn with_method(mut self, method: PlanMethod) -> Self {
         self.method = method;
         self
     }
@@ -118,16 +114,16 @@ mod tests {
     #[test]
     fn builder_covers_every_knob() {
         let o = PrecondOptions::default()
-            .with_method(BjMethod::SmallLu)
+            .with_method(PlanMethod::Lu)
             .with_layout(BatchLayout::Blocked)
             .with_health(HealthPolicy::guarded::<f64>())
             .with_precision(PrecisionPolicy::MixedPromote);
-        assert_eq!(o.method, BjMethod::SmallLu);
+        assert_eq!(o.method, PlanMethod::Lu);
         assert_eq!(o.layout, BatchLayout::Blocked);
         assert!(o.fault.is_none());
         assert!(!matches!(o.health, HealthPolicy::Off));
         assert!(o.precision.lowers_storage());
-        assert_eq!(PrecondOptions::default().method, BjMethod::Auto);
+        assert_eq!(PrecondOptions::default().method, PlanMethod::Auto);
         assert_eq!(PrecondOptions::default().precision, PrecisionPolicy::FullDp);
         // the plan carries the planner knobs; no fault plan, no faults
         let plan = o.plan::<f64>(&[4, 4, 9]);

@@ -7,8 +7,8 @@
 
 use std::sync::Arc;
 use vbatch_core::{BatchLayout, DenseMat};
-use vbatch_exec::{Backend, CpuSequential, CpuSimd};
-use vbatch_precond::{BjMethod, BlockIlu0, BlockPreconditioner, PrecondOptions, Preconditioner};
+use vbatch_exec::{Backend, CpuSequential, CpuSimd, PlanMethod};
+use vbatch_precond::{BlockIlu0, BlockPreconditioner, PrecondOptions, Preconditioner};
 use vbatch_rt::{run_cases, testgen, SmallRng};
 use vbatch_sparse::{BlockPartition, BlockPattern, CooMatrix, CsrMatrix};
 
@@ -175,7 +175,7 @@ fn bilu_matches_dense_reference_on_every_backend_and_layout() {
                         &part,
                         backend.clone(),
                         PrecondOptions::default()
-                            .with_method(BjMethod::SmallLu)
+                            .with_method(PlanMethod::Lu)
                             .with_layout(layout),
                     )
                     .unwrap();
@@ -209,7 +209,7 @@ fn bilu_apply_is_bitwise_identical_across_backends() {
             let n = a.nrows();
             let part = BlockPartition::uniform(n, dof);
             let v: Vec<f64> = (0..n).map(|i| ((i * 11) % 17) as f64 / 3.0 - 2.0).collect();
-            let opts = PrecondOptions::default().with_method(BjMethod::SmallLu);
+            let opts = PrecondOptions::default().with_method(PlanMethod::Lu);
             let mut outputs = Vec::new();
             for (name, backend) in backends() {
                 let m = BlockIlu0::setup_opts(&a, &part, backend, opts.clone()).unwrap();
@@ -324,7 +324,7 @@ fn level_scheduled_sweeps_match_sequential_inside_the_preconditioner() {
                 &a,
                 &part,
                 Arc::new(CpuSequential),
-                PrecondOptions::default().with_method(BjMethod::SmallLu),
+                PrecondOptions::default().with_method(PlanMethod::Lu),
             )
             .unwrap();
             let (lo_sched, up_sched) = m.schedules();
@@ -358,7 +358,7 @@ fn bilu_works_in_single_precision() {
         &a,
         &part,
         Arc::new(CpuSequential),
-        PrecondOptions::default().with_method(BjMethod::SmallLu),
+        PrecondOptions::default().with_method(PlanMethod::Lu),
     )
     .unwrap();
     let v: Vec<f32> = (0..12).map(|i| i as f32 - 5.0).collect();

@@ -4,10 +4,8 @@
 
 use std::sync::Arc;
 use vbatch_core::{DenseMat, FactorError};
-use vbatch_exec::{Backend, CpuSequential, CpuSimd};
-use vbatch_precond::{
-    BjMethod, BlockJacobi, BlockPreconditioner, Jacobi, PrecondOptions, Preconditioner,
-};
+use vbatch_exec::{Backend, CpuSequential, CpuSimd, PlanMethod};
+use vbatch_precond::{BlockJacobi, BlockPreconditioner, Jacobi, PrecondOptions, Preconditioner};
 use vbatch_rt::{run_cases, testgen, SmallRng};
 use vbatch_sparse::{supervariable_blocking, BlockPartition, CooMatrix, CsrMatrix};
 
@@ -22,7 +20,7 @@ fn par() -> Arc<dyn Backend<f64>> {
 fn bj(
     a: &CsrMatrix<f64>,
     part: &BlockPartition,
-    method: BjMethod,
+    method: PlanMethod,
     backend: Arc<dyn Backend<f64>>,
 ) -> Result<BlockJacobi<f64>, FactorError> {
     BlockJacobi::setup_opts(
@@ -61,7 +59,7 @@ fn block_jacobi_applies_exact_block_inverse() {
             let part = BlockPartition::uniform(n, dof);
             let d = a.to_dense();
             let v: Vec<f64> = (0..n).map(|i| (i as f64) * 0.17 - 1.0).collect();
-            let m = bj(&a, &part, BjMethod::SmallLu, seq()).unwrap();
+            let m = bj(&a, &part, PlanMethod::Lu, seq()).unwrap();
             let w = m.apply(&v);
             for b in 0..part.len() {
                 let r = part.range(b);
@@ -84,11 +82,11 @@ fn all_methods_agree() {
         let part = supervariable_blocking(&a, (dof * 2).max(2));
         let n = a.nrows();
         let v: Vec<f64> = (0..n).map(|i| 1.0 - (i % 4) as f64 / 2.0).collect();
-        let reference = bj(&a, &part, BjMethod::SmallLu, seq()).unwrap().apply(&v);
+        let reference = bj(&a, &part, PlanMethod::Lu, seq()).unwrap().apply(&v);
         for method in [
-            BjMethod::GaussHuard,
-            BjMethod::GaussHuardT,
-            BjMethod::GjeInvert,
+            PlanMethod::GaussHuard,
+            PlanMethod::GaussHuardT,
+            PlanMethod::GjeInvert,
         ] {
             let w = bj(&a, &part, method, par()).unwrap().apply(&v);
             for (p, q) in reference.iter().zip(&w) {
@@ -108,7 +106,7 @@ fn size_one_partition_equals_scalar_jacobi() {
             let a = random_block_system(nodes, dof, &extra);
             let n = a.nrows();
             let part = BlockPartition::uniform(n, 1);
-            let bj = bj(&a, &part, BjMethod::SmallLu, seq()).unwrap();
+            let bj = bj(&a, &part, PlanMethod::Lu, seq()).unwrap();
             let jac = Jacobi::setup(&a).unwrap();
             let v: Vec<f64> = (0..n).map(|i| (i % 9) as f64 - 4.0).collect();
             let w1 = bj.apply(&v);
@@ -128,7 +126,7 @@ fn apply_is_linear() {
         let a = random_block_system(nodes, dof, &extra);
         let n = a.nrows();
         let part = supervariable_blocking(&a, 8);
-        let m = bj(&a, &part, BjMethod::SmallLu, seq()).unwrap();
+        let m = bj(&a, &part, PlanMethod::Lu, seq()).unwrap();
         let v: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
         let u: Vec<f64> = (0..n).map(|i| (i as f64 / 3.0).sin()).collect();
         // M^{-1}(alpha v + u) = alpha M^{-1} v + M^{-1} u

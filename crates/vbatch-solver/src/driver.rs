@@ -164,8 +164,8 @@ fn merge_attempts<T: Scalar>(
 mod tests {
     use super::*;
     use crate::{idr, StopReason};
-    use vbatch_exec::CpuSequential;
-    use vbatch_precond::{BjMethod, BlockIlu0, BlockJacobi, Preconditioner};
+    use vbatch_exec::{CpuSequential, PlanMethod};
+    use vbatch_precond::{BlockIlu0, BlockJacobi, Preconditioner};
     use vbatch_sparse::gen::laplace::laplace_2d;
 
     fn backend() -> Arc<dyn Backend<f64>> {
@@ -173,7 +173,7 @@ mod tests {
     }
 
     fn small_lu() -> PrecondOptions {
-        PrecondOptions::default().with_method(BjMethod::SmallLu)
+        PrecondOptions::default().with_method(PlanMethod::Lu)
     }
 
     fn handle<M: BlockPreconditioner<f64>>(

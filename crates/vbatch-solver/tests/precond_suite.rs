@@ -6,8 +6,8 @@
 //! problems, but must never be a systematic regression.
 
 use std::sync::Arc;
-use vbatch_exec::{Backend, CpuSimd};
-use vbatch_precond::{BjMethod, BlockIlu0, BlockJacobi, PrecondOptions};
+use vbatch_exec::{Backend, CpuSimd, PlanMethod};
+use vbatch_precond::{BlockIlu0, BlockJacobi, PrecondOptions};
 use vbatch_solver::{IdrSolver, SolveParams};
 use vbatch_sparse::{by_name, supervariable_blocking};
 
@@ -16,7 +16,7 @@ fn bilu_converges_and_matches_or_beats_bj_on_half_the_suite() {
     // small SPD / diagonally-dominant members of the Table-I suite
     let names = ["bcsstk38", "Kuu", "nasa2910", "nd3k"];
     let backend: Arc<dyn Backend<f64>> = Arc::new(CpuSimd);
-    let opts = PrecondOptions::default().with_method(BjMethod::SmallLu);
+    let opts = PrecondOptions::default().with_method(PlanMethod::Lu);
     let params = SolveParams::default();
     let mut no_worse = 0usize;
     for name in names {

@@ -22,10 +22,10 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use vbatch_core::MatrixBatch;
-use vbatch_exec::{Backend, BatchPlan, CpuSequential, CpuSimd, ExecStats, HealthPolicy};
-use vbatch_precond::{
-    BjMethod, BlockIlu0, BlockJacobi, BlockPreconditioner, PrecondOptions, Preconditioner,
+use vbatch_exec::{
+    Backend, BatchPlan, CpuSequential, CpuSimd, ExecStats, HealthPolicy, PlanMethod,
 };
+use vbatch_precond::{BlockIlu0, BlockJacobi, BlockPreconditioner, PrecondOptions, Preconditioner};
 use vbatch_rt::CountingAlloc;
 use vbatch_solver::{IdrSolver, SolveParams, StopReason};
 use vbatch_sparse::gen::laplace::laplace_2d;
@@ -66,7 +66,7 @@ fn simd_backend() -> Arc<dyn Backend<f64>> {
 }
 
 fn small_lu() -> PrecondOptions {
-    PrecondOptions::default().with_method(BjMethod::SmallLu)
+    PrecondOptions::default().with_method(PlanMethod::Lu)
 }
 
 fn bj(
@@ -163,7 +163,7 @@ fn warm_bilu_apply_allocates_nothing() {
         &a,
         &part,
         backend(),
-        PrecondOptions::default().with_method(BjMethod::SmallLu),
+        PrecondOptions::default().with_method(PlanMethod::Lu),
     )
     .unwrap();
     let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
@@ -193,7 +193,7 @@ fn warm_bilu_idr_iterations_allocate_nothing() {
     let n = a.nrows();
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
     let part = BlockPartition::uniform(n, 8);
-    let opts = PrecondOptions::default().with_method(BjMethod::SmallLu);
+    let opts = PrecondOptions::default().with_method(PlanMethod::Lu);
 
     let short = SolveParams::default().with_max_iters(4);
     let long = SolveParams::default().with_max_iters(20);
@@ -266,7 +266,7 @@ fn warm_simd_bilu_apply_allocates_nothing() {
         &a,
         &part,
         simd_backend(),
-        PrecondOptions::default().with_method(BjMethod::SmallLu),
+        PrecondOptions::default().with_method(PlanMethod::Lu),
     )
     .unwrap();
     let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
@@ -413,7 +413,7 @@ fn warm_mixed_precision_apply_allocates_nothing() {
                 &part,
                 backend(),
                 PrecondOptions::default()
-                    .with_method(BjMethod::SmallLu)
+                    .with_method(PlanMethod::Lu)
                     .with_layout(layout)
                     .with_precision(policy),
             )
@@ -449,7 +449,7 @@ fn warm_mixed_idr_iterations_allocate_nothing() {
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
     let part = BlockPartition::uniform(n, 8);
     let opts = PrecondOptions::default()
-        .with_method(BjMethod::SmallLu)
+        .with_method(PlanMethod::Lu)
         .with_precision(PrecisionPolicy::MixedPromote);
 
     let short = SolveParams::default().with_max_iters(4);

@@ -41,10 +41,10 @@ fn main() {
         part.max_size()
     );
     for method in [
-        BjMethod::SmallLu,
-        BjMethod::GaussHuard,
-        BjMethod::GaussHuardT,
-        BjMethod::GjeInvert,
+        PlanMethod::Lu,
+        PlanMethod::GaussHuard,
+        PlanMethod::GaussHuardT,
+        PlanMethod::GjeInvert,
     ] {
         let t = std::time::Instant::now();
         let opts = PrecondOptions::default().with_method(method);

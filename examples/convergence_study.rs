@@ -31,7 +31,7 @@ fn main() {
         for bound in [8usize, 12, 16, 24, 32] {
             let part = supervariable_blocking(&a, bound);
             let t = std::time::Instant::now();
-            let opts = PrecondOptions::default().with_method(BjMethod::SmallLu);
+            let opts = PrecondOptions::default().with_method(PlanMethod::Lu);
             let bj = BlockJacobi::setup_opts(&a, &part, Arc::new(CpuSimd), opts).unwrap();
             let r = idr(&a, &b, 4, &bj, &params);
             print_row(&format!("block-Jacobi({bound})"), &r, t.elapsed());

@@ -53,7 +53,7 @@ fn main() {
     let n = a.nrows();
     let b = vec![1.0; n];
     let params = SolveParams::default();
-    let opts = PrecondOptions::default().with_method(BjMethod::SmallLu);
+    let opts = PrecondOptions::default().with_method(PlanMethod::Lu);
     let bj = BlockJacobi::setup_opts(&a, &part, Arc::new(CpuSimd), opts)
         .expect("the partition covers the matrix");
     let t = std::time::Instant::now();

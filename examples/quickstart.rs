@@ -54,7 +54,7 @@ fn main() {
     // construct an execution backend explicitly — CpuSequential and
     // CpuSimd (one kernel set, on the calling thread or on the pool) are
     // interchangeable behind the `Backend` trait — let the planner pick
-    // a kernel per block (packed LU / GH / small LU), and factorize: a
+    // a kernel family per size class (LU / Gauss-Huard), and factorize: a
     // `BlockSolve` owns the factors and their apply.
     let backend: std::sync::Arc<dyn Backend<f64>> = std::sync::Arc::new(CpuSimd);
     let plan = BatchPlan::auto::<f64>(&sizes);

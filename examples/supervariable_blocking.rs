@@ -54,7 +54,7 @@ fn main() {
         blocks.len(),
         blocks.total_elements()
     );
-    let plan = BatchPlan::for_method::<f64>(blocks.sizes(), PlanMethod::SmallLu);
+    let plan = BatchPlan::for_method::<f64>(blocks.sizes(), PlanMethod::Lu);
     let mut stats = ExecStats::new();
     let t = std::time::Instant::now();
     let solve = BlockSolve::new(std::sync::Arc::new(CpuSimd), blocks, &plan, &mut stats);

@@ -49,8 +49,7 @@ pub mod prelude {
         KernelChoice, PlanMethod,
     };
     pub use vbatch_precond::{
-        BjMethod, BlockJacobi, BlockPreconditioner, Identity, Jacobi, PrecondOptions,
-        Preconditioner,
+        BlockJacobi, BlockPreconditioner, Identity, Jacobi, PrecondOptions, Preconditioner,
     };
     pub use vbatch_simt::{
         estimate_factor, estimate_solve, DeviceModel, FactorKernel, SolveKernel,

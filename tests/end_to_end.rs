@@ -9,7 +9,7 @@ use vbatch_sparse::gen::fem::{fem_block_matrix, MeshGraph};
 fn bj(
     a: &CsrMatrix<f64>,
     part: &BlockPartition,
-    method: BjMethod,
+    method: PlanMethod,
     backend: impl Backend<f64> + 'static,
 ) -> BlockJacobi<f64> {
     let opts = PrecondOptions::default().with_method(method);
@@ -32,7 +32,7 @@ fn block_jacobi_idr_beats_scalar_jacobi() {
     let r_scalar = idr(&a, &b, 4, &jac, &params);
 
     let part = supervariable_blocking(&a, 32);
-    let bj = bj(&a, &part, BjMethod::SmallLu, CpuSimd);
+    let bj = bj(&a, &part, PlanMethod::Lu, CpuSimd);
     let r_block = idr(&a, &b, 4, &bj, &params);
 
     assert!(
@@ -58,9 +58,9 @@ fn all_factorization_methods_give_same_preconditioner_quality() {
     let params = SolveParams::default();
     let mut iters = Vec::new();
     for m in [
-        BjMethod::SmallLu,
-        BjMethod::GaussHuard,
-        BjMethod::GaussHuardT,
+        PlanMethod::Lu,
+        PlanMethod::GaussHuard,
+        PlanMethod::GaussHuardT,
     ] {
         let bj = bj(&a, &part, m, CpuSimd);
         let r = idr(&a, &b, 4, &bj, &params);
@@ -109,7 +109,7 @@ fn simt_factorization_pipeline_solves_extracted_blocks() {
     let mut solve = LuTrsvBatch::from_factorization(&fact, &rhs);
     solve.run_all().unwrap();
     // compare against the CPU block-Jacobi application
-    let bj = bj(&a, &part, BjMethod::SmallLu, CpuSequential);
+    let bj = bj(&a, &part, PlanMethod::Lu, CpuSequential);
     let want = bj.apply(&rhs);
     let mut off = 0usize;
     for blk in 0..part.len() {

@@ -8,7 +8,7 @@ use vbatch_sparse::gen::fem::{fem_variable_block_matrix, mixed_dofs, MeshGraph};
 fn bj(
     a: &CsrMatrix<f64>,
     part: &BlockPartition,
-    method: BjMethod,
+    method: PlanMethod,
     backend: impl Backend<f64> + 'static,
 ) -> BlockJacobi<f64> {
     let opts = PrecondOptions::default().with_method(method);
@@ -27,7 +27,7 @@ fn large_blocks_flow_through_block_jacobi_via_blocked_lu() {
         part.max_size() > 32,
         "test needs blocks beyond the warp limit"
     );
-    let m = bj(&a, &part, BjMethod::SmallLu, CpuSimd);
+    let m = bj(&a, &part, PlanMethod::Lu, CpuSimd);
     let b = vec![1.0; a.nrows()];
     let r = idr(&a, &b, 4, &m, &SolveParams::default());
     assert!(r.converged());
@@ -80,7 +80,7 @@ fn gemv_kernel_equals_block_jacobi_inversion_apply() {
     let mut dev = GemvBatch::upload(&inv, &v);
     dev.run_all().unwrap();
     // CPU block-Jacobi (inversion-based) reference
-    let bj = bj(&a, &part, BjMethod::GjeInvert, CpuSequential);
+    let bj = bj(&a, &part, PlanMethod::GjeInvert, CpuSequential);
     let want = bj.apply(&v);
     let mut off = 0usize;
     for blk in 0..part.len() {
@@ -96,7 +96,7 @@ fn smoothed_idr_with_block_jacobi() {
     let p = vbatch_sparse::by_name("Chebyshev2").unwrap();
     let a = p.build();
     let part = supervariable_blocking(&a, 32);
-    let m = bj(&a, &part, BjMethod::SmallLu, CpuSimd);
+    let m = bj(&a, &part, PlanMethod::Lu, CpuSimd);
     let b = vec![1.0; a.nrows()];
     let plain = idr(&a, &b, 4, &m, &SolveParams::default());
     let smooth = idr_smoothed(&a, &b, 4, &m, &SolveParams::default());

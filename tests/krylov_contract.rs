@@ -202,7 +202,7 @@ fn robust_path_is_frozen() {
         .iter()
         .map(|(a, b, params)| {
             let part = BlockPartition::uniform(a.nrows(), 4);
-            let opts = PrecondOptions::default().with_method(BjMethod::SmallLu);
+            let opts = PrecondOptions::default().with_method(PlanMethod::Lu);
             let backend = Arc::new(CpuSequential);
             let mut solver =
                 IdrSolver::<f32, BlockJacobi<f32>>::setup_opts(a, 4, &part, backend, opts, params)

@@ -99,7 +99,7 @@ fn claim_block_jacobi_helps() {
             &a,
             &part,
             Arc::new(CpuSimd),
-            PrecondOptions::default().with_method(BjMethod::SmallLu),
+            PrecondOptions::default().with_method(PlanMethod::Lu),
         )
         .unwrap();
         let r_b = idr(&a, &b, 4, &bj, &params);
@@ -128,14 +128,14 @@ fn claim_lu_gh_preconditioners_equivalent() {
             &a,
             &part,
             Arc::new(CpuSimd),
-            PrecondOptions::default().with_method(BjMethod::SmallLu),
+            PrecondOptions::default().with_method(PlanMethod::Lu),
         )
         .unwrap();
         let gh = BlockJacobi::setup_opts(
             &a,
             &part,
             Arc::new(CpuSimd),
-            PrecondOptions::default().with_method(BjMethod::GaussHuard),
+            PrecondOptions::default().with_method(PlanMethod::GaussHuard),
         )
         .unwrap();
         let r_lu = idr(&a, &b, 4, &lu, &params);
@@ -217,7 +217,7 @@ fn bj_idr(
     a: &CsrMatrix<f64>,
     b: &[f64],
     part: &BlockPartition,
-    method: BjMethod,
+    method: PlanMethod,
     backend: Arc<dyn Backend<f64>>,
     opts: PrecondOptions,
 ) -> SolveResult<f64> {
@@ -254,7 +254,7 @@ fn metamorphic_block_permutation_invariance() {
         &a,
         &b,
         &part,
-        BjMethod::SmallLu,
+        PlanMethod::Lu,
         Arc::new(CpuSequential),
         PrecondOptions::default(),
     );
@@ -266,7 +266,7 @@ fn metamorphic_block_permutation_invariance() {
                 &ap,
                 &bp,
                 &part_p,
-                BjMethod::SmallLu,
+                PlanMethod::Lu,
                 backend.clone(),
                 PrecondOptions::default().with_layout(layout),
             );
@@ -313,7 +313,7 @@ fn metamorphic_symmetric_scaling_invariance() {
         &a,
         &b,
         &part,
-        BjMethod::SmallLu,
+        PlanMethod::Lu,
         Arc::new(CpuSequential),
         PrecondOptions::default(),
     );
@@ -329,7 +329,7 @@ fn metamorphic_symmetric_scaling_invariance() {
                     &asc,
                     &bs,
                     &part,
-                    BjMethod::SmallLu,
+                    PlanMethod::Lu,
                     backend.clone(),
                     opts.with_layout(layout),
                 );
@@ -364,14 +364,14 @@ fn metamorphic_gh_ght_transpose_consistency() {
                 &a,
                 &part,
                 backend.clone(),
-                opts.clone().with_method(BjMethod::GaussHuard),
+                opts.clone().with_method(PlanMethod::GaussHuard),
             )
             .unwrap();
             let ght = BlockJacobi::setup_opts(
                 &a,
                 &part,
                 backend.clone(),
-                opts.with_method(BjMethod::GaussHuardT),
+                opts.with_method(PlanMethod::GaussHuardT),
             )
             .unwrap();
             // the raw preconditioner action agrees to roundoff

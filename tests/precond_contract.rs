@@ -8,11 +8,15 @@
 //! this file is the tier-1 proof that they still do *what they did*:
 //! one moved status field, one fault assigned to a different block, one
 //! apply bit, one kernel or layout count changes a digest. The
-//! constants were recorded by running this file against the sources of
-//! the commit before the three preconditioners and the serve handle
-//! moved onto `BlockSolve` (PR 16) and must stay equal. `mul_add` is
-//! fused on every target and everything below runs on one thread, so
-//! they are host-, profile- and lane-width-independent.
+//! constants were first recorded against the sources from before the
+//! three preconditioners and the serve handle moved onto `BlockSolve`.
+//! They were re-recorded once when the planner's three LU launch labels
+//! (`packed-lu`, `small-lu`, `blocked-lu`) became the one host label
+//! `lu`: the new values are those of the previous sources with only
+//! `KernelChoice::label` mapping the three to `lu` (`idr_handle` hashes
+//! no label and did not move). `mul_add` is fused on every target and
+//! everything below runs on one thread, so they are host-, profile- and
+//! lane-width-independent.
 
 use std::sync::Arc;
 use vbatch_core::BatchLayout;
@@ -25,11 +29,11 @@ use vbatch_sparse::gen::fem::{fem_variable_block_matrix, mixed_dofs, MeshGraph};
 
 /// `(what, digest)`; see the functions of the same names.
 const FROZEN: [(&str, u64); 5] = [
-    ("bj", 0x4c609981d4941ce7),
-    ("bilu", 0xf7d8f1d0ddf7cf72),
-    ("spike", 0x838bf4bfcd0ef506),
+    ("bj", 0xba89699f2f2c346f),
+    ("bilu", 0x68862594c229794a),
+    ("spike", 0x44bd0e0f4dbefd34),
     ("idr_handle", 0x45f3ae88162e2055),
-    ("serve_flush", 0xc5e711582efb1ecd),
+    ("serve_flush", 0x343d73d93d2c2dad),
 ];
 
 struct Fnv(u64);
