@@ -25,13 +25,14 @@
 use std::sync::Arc;
 use std::time::Instant;
 use vbatch_bench::{
-    parse_precision_flag, parse_precond_flag, uniform_bench_batch, write_csv, ABLATION_APPLY_HEADER,
+    parse_precision_flag, parse_precond_flag, uniform_bench_batch, write_csv, PrecondKind,
+    ABLATION_APPLY_HEADER,
 };
 use vbatch_core::VectorBatch;
 use vbatch_exec::{
     Backend, BatchPlan, BlockSolve, CpuSequential, CpuSimd, ExecStats, PlanMethod, PrecisionPolicy,
 };
-use vbatch_precond::{BlockIlu0, BlockJacobi, BlockPreconditioner, PrecondKind, PrecondOptions};
+use vbatch_precond::{BlockIlu0, BlockJacobi, BlockPreconditioner, PrecondOptions};
 use vbatch_rt::CountingAlloc;
 use vbatch_simt::kernels::{gemv, getrf, trsv};
 use vbatch_simt::{CostTable, DeviceModel};
@@ -118,7 +119,7 @@ fn measure_trace_overhead(n: usize) -> (f64, f64) {
     let total = n * MEASURED_BATCH;
     let mut v: Vec<f64> = (0..total).map(|i| 1.0 + (i % 5) as f64).collect();
     let mut best = |on: bool| {
-        vbatch_trace::set_enabled(on);
+        vbatch_rt::trace::set_enabled(on);
         solve.apply(&mut v, &mut stats); // warm-up
         let mut s = f64::INFINITY;
         for _ in 0..5 {
@@ -258,8 +259,8 @@ fn main() {
     // by --precond), exported as chrome-trace JSON (load in a trace
     // viewer: extraction, factorization, sweep, apply and iteration
     // spans all appear)
-    vbatch_trace::set_enabled(true);
-    vbatch_trace::reset();
+    vbatch_rt::trace::set_enabled(true);
+    vbatch_rt::trace::reset();
     let a = laplace_2d::<f64>(64, 64);
     let part = BlockPartition::uniform(a.nrows(), 16);
     let backend = Arc::new(CpuSequential) as Arc<dyn Backend<f64>>;
@@ -286,8 +287,8 @@ fn main() {
         r.iterations,
         r.final_relres
     );
-    let snap = vbatch_trace::snapshot();
-    if vbatch_trace::enabled() {
+    let snap = vbatch_rt::trace::snapshot();
+    if vbatch_rt::trace::enabled() {
         println!("{snap}");
     }
 

@@ -17,11 +17,11 @@
 //! class spread over all threads.
 
 use vbatch_bench::{
-    parse_precision_flag, parse_precond_flag, write_csv, PlannedRow, BATCH_SWEEP, FIG4_HEADER,
+    parse_precision_flag, parse_precond_flag, write_csv, PlannedRow, PrecondKind, BATCH_SWEEP,
+    FIG4_HEADER,
 };
 use vbatch_core::Scalar;
 use vbatch_exec::PrecisionPolicy;
-use vbatch_precond::PrecondKind;
 use vbatch_simt::{estimate_factor, DeviceModel, FactorKernel};
 
 fn sweep<T: Scalar>(

@@ -16,11 +16,11 @@
 //! threads).
 
 use vbatch_bench::{
-    parse_precision_flag, parse_precond_flag, size_sweep, write_csv, PlannedRow, FIG5_HEADER,
+    parse_precision_flag, parse_precond_flag, size_sweep, write_csv, PlannedRow, PrecondKind,
+    FIG5_HEADER,
 };
 use vbatch_core::Scalar;
 use vbatch_exec::PrecisionPolicy;
-use vbatch_precond::PrecondKind;
 use vbatch_simt::{estimate_factor, DeviceModel, FactorKernel};
 
 const BATCH: usize = 40_000;

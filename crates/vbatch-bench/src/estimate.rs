@@ -7,11 +7,11 @@
 
 use crate::{
     factor_health_compact, measure_factor_gflops, measure_precond_apply, uniform_bench_batch,
+    PrecondKind,
 };
 use std::collections::BTreeMap;
 use vbatch_core::{BatchLayout, Scalar};
 use vbatch_exec::{BatchPlan, CpuSequential, CpuSimd, KernelChoice, PrecisionPolicy};
-use vbatch_precond::PrecondKind;
 use vbatch_simt::kernels::{gauss_huard, getrf, large, multi};
 use vbatch_simt::{
     factor_nominal_flops, CostCounter, CostTable, DeviceModel, GhStorage, LaunchReport, WARP_SIZE,

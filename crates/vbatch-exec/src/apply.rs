@@ -102,7 +102,7 @@ impl<T: Scalar> PreparedApply<T> {
         // Pre-size this thread's and the pool workers' trace rings now so
         // the per-unit spans of later applies never allocate (the
         // tracing-on zero-alloc guarantee): 4 events per unit per apply.
-        vbatch_trace::reserve_pool_rings(4 * factors.len() + 1024);
+        vbatch_rt::trace::reserve_pool_rings(4 * factors.len() + 1024);
         let mut offsets = Vec::with_capacity(factors.len() + 1);
         let mut acc = 0usize;
         offsets.push(0);
@@ -197,14 +197,14 @@ pub(crate) fn run_apply_unit<T: Scalar>(
         ApplyUnit::Block {
             block, offset, len, ..
         } => {
-            let _span = vbatch_trace::span!("apply.block", *len);
+            let _span = vbatch_rt::span!("apply.block", *len);
             factors.solve_block_inplace_with(*block, &mut v[*offset..*offset + *len], scratch);
         }
         ApplyUnit::Class { class, members, .. } => {
             let slab = &factors.interleaved;
             let cls = &slab.classes()[*class];
             let (n, count) = (cls.n, cls.count());
-            let _span = vbatch_trace::span!("apply.class", n * count);
+            let _span = vbatch_rt::span!("apply.class", n * count);
             let (x, perm_scratch) = scratch.split_at_mut(n * count);
             // Gather into full-width lanes: absent slots (fallbacks,
             // sanitized to identity factors) solve a zero rhs and are

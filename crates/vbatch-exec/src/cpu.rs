@@ -205,7 +205,7 @@ fn factor_interleaved_chunk<'a, T: Scalar, S: Stored<T>>(
         data,
         piv,
     } = job;
-    let _span = vbatch_trace::span!("factorize.chunk", n * members.len());
+    let _span = vbatch_rt::span!("factorize.chunk", n * members.len());
     let (count, nn) = (members.len(), n * n);
     let staging = &mut scratch.staging[..data.len()];
     match originals {
@@ -265,7 +265,7 @@ fn factorize_in<T: Scalar, S: Stored<T>>(
 ) -> ClassSlab<S> {
     if let Some(blocks) = originals {
         let block_work = |i: usize| {
-            let _span = vbatch_trace::span!("factorize.block", sizes[i]);
+            let _span = vbatch_rt::span!("factorize.block", sizes[i]);
             let kernel = plan.class(sizes[i]).kernel;
             let (f, s) = factor_block::<T, S>(sizes[i], blocks.block(i), kernel);
             (i, f, s)
@@ -383,7 +383,7 @@ pub(crate) fn factorize_cpu<T: Scalar>(
     stats: &mut ExecStats,
 ) -> FactorizedBatch<T> {
     assert_eq!(plan.len(), blocks.len(), "plan does not match batch");
-    let _span = vbatch_trace::span!("exec.factorize", blocks.len());
+    let _span = vbatch_rt::span!("exec.factorize", blocks.len());
     let t0 = Instant::now();
     stats.add_flops(blocks.getrf_flops());
     let sizes = blocks.sizes().to_vec();
@@ -563,7 +563,7 @@ pub(crate) fn solve_cpu<T: Scalar>(
     stats: &mut ExecStats,
 ) {
     assert_eq!(factors.sizes, rhs.sizes(), "factors do not match rhs");
-    let _span = vbatch_trace::span!("exec.solve", factors.sizes.len());
+    let _span = vbatch_rt::span!("exec.solve", factors.sizes.len());
     let t0 = Instant::now();
     let prepared = PreparedApply::new(factors);
     run_prepared(factors, &prepared, rhs.as_mut_slice(), parallel);
@@ -580,7 +580,7 @@ pub(crate) fn solve_prepared_cpu<T: Scalar>(
     parallel: bool,
     stats: &mut ExecStats,
 ) {
-    let _span = vbatch_trace::span!("exec.apply", prepared.unit_count());
+    let _span = vbatch_rt::span!("exec.apply", prepared.unit_count());
     let t0 = Instant::now();
     run_prepared(factors, prepared, v, parallel);
     stats.add_flops(solve_flops(factors));
@@ -596,7 +596,7 @@ pub(crate) fn invert_cpu<T: Scalar>(
     parallel: bool,
     stats: &mut ExecStats,
 ) -> (MatrixBatch<T>, Vec<BlockStatus>) {
-    let _span = vbatch_trace::span!("exec.invert", blocks.len());
+    let _span = vbatch_rt::span!("exec.invert", blocks.len());
     let t0 = Instant::now();
     let sizes = blocks.sizes();
     let work = |i: usize| factor_block::<T, T>(sizes[i], blocks.block(i), KernelChoice::GjeInvert);
@@ -633,7 +633,7 @@ pub(crate) fn gemv_cpu<T: Scalar>(
     parallel: bool,
     stats: &mut ExecStats,
 ) {
-    let _span = vbatch_trace::span!("exec.gemv", blocks.len());
+    let _span = vbatch_rt::span!("exec.gemv", blocks.len());
     let t0 = Instant::now();
     assert_eq!(blocks.sizes(), x.sizes());
     assert_eq!(blocks.sizes(), y.sizes());
@@ -653,7 +653,7 @@ pub(crate) fn extract_cpu<T: Scalar>(
     part: &BlockPartition,
     stats: &mut ExecStats,
 ) -> MatrixBatch<T> {
-    let _span = vbatch_trace::span!("exec.extract", part.len());
+    let _span = vbatch_rt::span!("exec.extract", part.len());
     let t0 = Instant::now();
     let batch = extract_diag_blocks(a, part);
     stats.add_phase(Phase::Extract, t0.elapsed());

@@ -147,7 +147,7 @@ pub(crate) fn promote_unsafe_blocks<T: Scalar>(
     blocks: &MatrixBatch<T>,
     batch: &mut FactorizedBatch<T>,
 ) {
-    let _span = vbatch_trace::span!("exec.promote", batch.len());
+    let _span = vbatch_rt::span!("exec.promote", batch.len());
     let threshold = promote_threshold::<T>();
     for i in 0..batch.len() {
         if batch.status[i].precision != StoragePrecision::Lower {
@@ -210,7 +210,7 @@ pub(crate) fn triage_batch<T: Scalar>(
     let HealthPolicy::Guarded { ill_threshold } = policy else {
         return;
     };
-    let _span = vbatch_trace::span!("exec.triage", batch.len());
+    let _span = vbatch_rt::span!("exec.triage", batch.len());
     for i in 0..batch.len() {
         if batch.status[i].is_fallback() {
             continue;

@@ -6,7 +6,7 @@
 //! happened to each block — health, recovery chain, storage precision,
 //! promotion, fallback — lives in its [`BlockStatus`] and nowhere else.
 //!
-//! The stats also *forward* to the global `vbatch-trace` metrics
+//! The stats also *forward* to the global `vbatch_rt::trace` metrics
 //! registry: `record_statuses` books every fact of a factorization's
 //! statuses there as labeled counters, and [`ExecStats::add_phase`]
 //! books phase durations as latency histograms. With the `trace`
@@ -112,7 +112,7 @@ impl ExecStats {
     fn record_kernel(&mut self, k: KernelChoice, blocks: u64) {
         if blocks > 0 {
             *self.kernels.entry(k.label()).or_insert(0) += blocks;
-            vbatch_trace::labeled_add("exec.kernel", k.label(), blocks);
+            vbatch_rt::trace::labeled_add("exec.kernel", k.label(), blocks);
         }
     }
 
@@ -125,17 +125,17 @@ impl ExecStats {
     pub(crate) fn record_statuses(&mut self, status: &[BlockStatus]) {
         for s in status {
             if s.is_fallback() {
-                vbatch_trace::counter!("exec.failures", 1);
+                vbatch_rt::counter!("exec.failures", 1);
             } else {
                 self.record_kernel(s.kernel, 1);
             }
-            vbatch_trace::labeled_add("exec.health", s.health.label(), 1);
+            vbatch_rt::trace::labeled_add("exec.health", s.health.label(), 1);
             for step in &s.recovery {
-                vbatch_trace::labeled_add("exec.recovery", step.label(), 1);
+                vbatch_rt::trace::labeled_add("exec.recovery", step.label(), 1);
             }
-            vbatch_trace::labeled_add("exec.precision", s.precision.label(), 1);
+            vbatch_rt::trace::labeled_add("exec.precision", s.precision.label(), 1);
             if s.promoted {
-                vbatch_trace::counter!("exec.promotions", 1);
+                vbatch_rt::counter!("exec.promotions", 1);
             }
         }
     }
@@ -144,7 +144,7 @@ impl ExecStats {
     pub fn record_layout(&mut self, l: ClassLayout, blocks: u64) {
         if blocks > 0 {
             *self.layouts.entry(l.label()).or_insert(0) += blocks;
-            vbatch_trace::labeled_add("exec.layout", l.label(), blocks);
+            vbatch_rt::trace::labeled_add("exec.layout", l.label(), blocks);
         }
     }
 
@@ -160,14 +160,14 @@ impl ExecStats {
         // one static site per phase so the registry keeps separate
         // latency histograms without runtime string formatting
         match phase {
-            Phase::Extract => vbatch_trace::duration!("phase.extract", ns),
-            Phase::Factorize => vbatch_trace::duration!("phase.factorize", ns),
-            Phase::Solve => vbatch_trace::duration!("phase.solve", ns),
-            Phase::Invert => vbatch_trace::duration!("phase.invert", ns),
-            Phase::Gemv => vbatch_trace::duration!("phase.gemv", ns),
-            Phase::Apply => vbatch_trace::duration!("phase.apply", ns),
-            Phase::Sweep => vbatch_trace::duration!("phase.sweep", ns),
-            Phase::Reduce => vbatch_trace::duration!("phase.reduce", ns),
+            Phase::Extract => vbatch_rt::duration!("phase.extract", ns),
+            Phase::Factorize => vbatch_rt::duration!("phase.factorize", ns),
+            Phase::Solve => vbatch_rt::duration!("phase.solve", ns),
+            Phase::Invert => vbatch_rt::duration!("phase.invert", ns),
+            Phase::Gemv => vbatch_rt::duration!("phase.gemv", ns),
+            Phase::Apply => vbatch_rt::duration!("phase.apply", ns),
+            Phase::Sweep => vbatch_rt::duration!("phase.sweep", ns),
+            Phase::Reduce => vbatch_rt::duration!("phase.reduce", ns),
         }
     }
 
@@ -178,7 +178,7 @@ impl ExecStats {
         if hwm_elems > self.workspace_hwm_elems {
             self.workspace_hwm_elems = hwm_elems;
         }
-        vbatch_trace::counter!("exec.applies", 1);
+        vbatch_rt::counter!("exec.applies", 1);
     }
 
     /// Total recorded time for a phase.

@@ -319,7 +319,7 @@ pub(crate) fn sweep_cpu<T: Scalar>(
     stats: &mut crate::stats::ExecStats,
 ) {
     debug_assert_eq!(v.len(), tri.dim(), "sweep vector does not match factor");
-    let _span = vbatch_trace::span!("exec.sweep", tri.nnz_blocks());
+    let _span = vbatch_rt::span!("exec.sweep", tri.nnz_blocks());
     let t0 = std::time::Instant::now();
     if parallel {
         tri.sweep_levels_parallel(sched, v);

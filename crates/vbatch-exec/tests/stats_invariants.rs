@@ -148,14 +148,14 @@ fn trace_event_count_matches_spans_emitted() {
     // warm-up creates this thread's ring (if the feature is on)
     CpuSequential.solve_prepared(&factors, &prep, &mut v, &mut stats);
 
-    if !vbatch_trace::enabled() {
+    if !vbatch_rt::trace::enabled() {
         // feature off: the counter must stay identically zero
-        assert_eq!(vbatch_trace::thread_events_written(), 0);
+        assert_eq!(vbatch_rt::trace::thread_events_written(), 0);
         return;
     }
-    let before = vbatch_trace::thread_events_written();
+    let before = vbatch_rt::trace::thread_events_written();
     CpuSequential.solve_prepared(&factors, &prep, &mut v, &mut stats);
-    let emitted = vbatch_trace::thread_events_written() - before;
+    let emitted = vbatch_rt::trace::thread_events_written() - before;
     let expected = 2 * (1 + prep.unit_count() as u64) + 1;
     assert_eq!(
         emitted,

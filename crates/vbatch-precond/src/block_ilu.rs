@@ -165,7 +165,7 @@ impl<T: Scalar> Preconditioner<T> for BlockIlu0<T> {
     /// the backend. Allocation-free on the CPU backends once warm.
     fn apply_inplace(&self, v: &mut [T]) {
         debug_assert_eq!(v.len(), self.part.total());
-        let _span = vbatch_trace::span!("bilu.apply", v.len());
+        let _span = vbatch_rt::span!("bilu.apply", v.len());
         let mut stats = self.apply_stats.lock().expect("apply stats poisoned");
         let backend = self.diag.backend();
         backend.sweep_triangular(&self.lower, &self.lower_sched, v, &mut stats);
@@ -202,7 +202,7 @@ impl<T: Scalar> BlockPreconditioner<T> for BlockIlu0<T> {
         opts: PrecondOptions,
     ) -> Result<Self, FactorError> {
         assert_eq!(part.total(), a.nrows(), "partition must cover the matrix");
-        let _span = vbatch_trace::span!("bilu.setup", part.len());
+        let _span = vbatch_rt::span!("bilu.setup", part.len());
         let start = std::time::Instant::now();
         let mut stats = ExecStats::new();
         let nb = part.len();

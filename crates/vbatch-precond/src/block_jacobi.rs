@@ -58,7 +58,7 @@ impl<T: Scalar> Preconditioner<T> for BlockJacobi<T> {
     /// marks accumulate in [`BlockPreconditioner::apply_stats`].
     fn apply_inplace(&self, v: &mut [T]) {
         debug_assert_eq!(v.len(), self.part.total());
-        let _span = vbatch_trace::span!("bj.apply", v.len());
+        let _span = vbatch_rt::span!("bj.apply", v.len());
         let mut stats = self.apply_stats.lock().expect("apply stats poisoned");
         self.diag.apply(v, &mut stats);
     }
@@ -90,7 +90,7 @@ impl<T: Scalar> BlockPreconditioner<T> for BlockJacobi<T> {
         opts: PrecondOptions,
     ) -> Result<Self, FactorError> {
         assert_eq!(part.total(), a.nrows(), "partition must cover the matrix");
-        let _span = vbatch_trace::span!("bj.setup", part.len());
+        let _span = vbatch_rt::span!("bj.setup", part.len());
         let start = std::time::Instant::now();
         let mut stats = ExecStats::new();
         let mut blocks = backend.extract_blocks(a, part, &mut stats);

@@ -20,4 +20,4 @@ pub use block_ilu::BlockIlu0;
 pub use block_jacobi::BlockJacobi;
 pub use jacobi::{Jacobi, JacobiError};
 pub use options::PrecondOptions;
-pub use traits::{BlockPreconditioner, Identity, PrecondKind, Preconditioner, SetupReport};
+pub use traits::{BlockPreconditioner, Identity, Preconditioner, SetupReport};

@@ -37,50 +37,6 @@ pub trait Preconditioner<T: Scalar>: Send + Sync {
     }
 }
 
-/// Which block preconditioner a driver should build — the dispatch
-/// token behind the benchmark bins' `--precond {bj,bilu,spike}` flag.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PrecondKind {
-    /// Block-Jacobi: batched diagonal-block solves only.
-    BlockJacobi,
-    /// Block-ILU(0): batched diagonal-block solves plus level-scheduled
-    /// global triangular sweeps.
-    BlockIlu0,
-    /// SPIKE splitting (banded systems): batched partition solves plus
-    /// a reduced interface correction. Implemented downstream in
-    /// `vbatch-solver::spike`.
-    Spike,
-}
-
-impl PrecondKind {
-    /// All kinds, comparison order.
-    pub const ALL: [PrecondKind; 3] = [
-        PrecondKind::BlockJacobi,
-        PrecondKind::BlockIlu0,
-        PrecondKind::Spike,
-    ];
-
-    /// Stable short label ("bj" / "bilu" / "spike"), used in CSV output
-    /// and flag parsing.
-    pub fn label(self) -> &'static str {
-        match self {
-            PrecondKind::BlockJacobi => "bj",
-            PrecondKind::BlockIlu0 => "bilu",
-            PrecondKind::Spike => "spike",
-        }
-    }
-
-    /// Parse a `--precond` flag value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "bj" | "block-jacobi" => Some(PrecondKind::BlockJacobi),
-            "bilu" | "bilu0" | "block-ilu" => Some(PrecondKind::BlockIlu0),
-            "spike" => Some(PrecondKind::Spike),
-            _ => None,
-        }
-    }
-}
-
 /// Everything a setup reports about itself, in one backend-independent
 /// bundle (the solver driver's handle exposes it through its
 /// preconditioner).

@@ -7,7 +7,7 @@
 //! any backwards step by clamping to the largest reading seen so far,
 //! so deltas are never negative. [`monotonic_ns`] exposes the
 //! process-wide clamped clock — the timestamp source for the
-//! `vbatch-trace` event rings and the `vbatch-serve` deadlines.
+//! [`crate::trace`] event rings and the `vbatch-serve` deadlines.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;

@@ -25,6 +25,10 @@
 //!   drain substrate of the batched-solve service;
 //! * [`clock`] — the process-wide monotonic-clamped nanosecond clock
 //!   behind the trace timestamps and the service deadlines;
+//! * [`trace`] — lock-free, allocation-free spans, counters, gauges and
+//!   latency histograms ([`span!`], [`counter!`], [`duration!`],
+//!   [`gauge_max!`]), compiled in by the `trace` feature and inert
+//!   stubs without it;
 //! * [`alloc_guard`] — a counting `GlobalAlloc` wrapper the zero-alloc
 //!   tests install to *prove* that the steady-state hot loops (the
 //!   preconditioner apply, the Krylov iteration bodies) perform no heap
@@ -46,6 +50,7 @@ pub mod rng;
 pub mod simd;
 pub mod sync;
 pub mod testgen;
+pub mod trace;
 
 pub use alloc_guard::{AllocSnapshot, CountingAlloc};
 pub use chaos::{ChaosPlan, SkewClock};

@@ -138,7 +138,7 @@ impl<T: Scalar + 'static> ShardBatcher<T> {
         let now = self.clock.now_ns();
         let n = env.req.n;
         if now >= env.req.deadline_ns {
-            vbatch_trace::counter!("serve.expired", 1);
+            vbatch_rt::counter!("serve.expired", 1);
             env.slot
                 .fill(Outcome::Rejected(RejectReason::DeadlineExpired));
         } else if self.registry.is_quarantined(env.req.tenant) {
@@ -192,7 +192,7 @@ impl<T: Scalar + 'static> ShardBatcher<T> {
 
     /// Solve whatever sits in `self.batch` (already all of order `n`).
     fn flush_now(&mut self, n: usize, reason: FlushReason) {
-        vbatch_trace::labeled_add("serve.flush", reason.label(), 1);
+        vbatch_rt::trace::labeled_add("serve.flush", reason.label(), 1);
         if let Some(chaos) = &self.chaos {
             if let Some(delay) = chaos.worker_delay(self.shard, self.flushes) {
                 thread::sleep(delay);
@@ -206,7 +206,7 @@ impl<T: Scalar + 'static> ShardBatcher<T> {
         let mut batch = mem::take(&mut self.batch);
         batch.retain_mut(|env| {
             if now >= env.req.deadline_ns {
-                vbatch_trace::counter!("serve.expired", 1);
+                vbatch_rt::counter!("serve.expired", 1);
                 env.slot
                     .fill(Outcome::Rejected(RejectReason::DeadlineExpired));
                 false
@@ -254,7 +254,7 @@ impl<T: Scalar + 'static> ShardBatcher<T> {
                 }
                 refs
             };
-            let _span = vbatch_trace::span!("serve.flush_solve", block_refs.len() as u64);
+            let _span = vbatch_rt::span!("serve.flush_solve", block_refs.len() as u64);
             handle.solve_batch(&block_refs, &mut sol_refs)
         };
         self.mats.clear();
@@ -264,18 +264,18 @@ impl<T: Scalar + 'static> ShardBatcher<T> {
             self.registry.record(env.req.tenant, status.health);
             // queue wait ends at the flush's cancellation reading; the
             // rest of the latency is this flush's solve
-            vbatch_trace::duration!("serve.queue_wait", now.saturating_sub(env.submitted_ns));
-            vbatch_trace::duration!(
+            vbatch_rt::duration!("serve.queue_wait", now.saturating_sub(env.submitted_ns));
+            vbatch_rt::duration!(
                 "serve.request_latency",
                 done.saturating_sub(env.submitted_ns)
             );
             let outcome = match status.health {
                 BlockHealth::Healthy => {
-                    vbatch_trace::counter!("serve.solved", 1);
+                    vbatch_rt::counter!("serve.solved", 1);
                     Outcome::Solved { solution, status }
                 }
                 reason => {
-                    vbatch_trace::counter!("serve.degraded", 1);
+                    vbatch_rt::counter!("serve.degraded", 1);
                     Outcome::Degraded {
                         solution,
                         reason,

@@ -139,7 +139,7 @@ fn run_worker<T: Scalar + 'static>(
             Err(RecvError::Empty) => continue,
             Err(RecvError::Disconnected) => return,
         };
-        vbatch_trace::gauge_max!("serve.queue_depth", (rx.len() + 1) as u64);
+        vbatch_rt::gauge_max!("serve.queue_depth", (rx.len() + 1) as u64);
         batcher.admit(env);
         // coalesce whatever else is queued right now, so a burst becomes
         // one batch instead of many singletons; once the queue runs dry
@@ -224,7 +224,7 @@ impl<T: Scalar + 'static> Service<T> {
     /// exactly one [`Outcome`]; admission failures (shutdown, shape
     /// errors, expired deadline, full queue) resolve it immediately.
     pub fn submit(&self, req: SolveRequest<T>) -> Ticket<T> {
-        vbatch_trace::counter!("serve.submitted", 1);
+        vbatch_rt::counter!("serve.submitted", 1);
         if self.cancel.is_cancelled() {
             return Ticket::resolved(Outcome::Rejected(RejectReason::ShuttingDown));
         }
@@ -239,7 +239,7 @@ impl<T: Scalar + 'static> Service<T> {
         }
         let now = self.clock.now_ns();
         if now >= req.deadline_ns {
-            vbatch_trace::counter!("serve.expired", 1);
+            vbatch_rt::counter!("serve.expired", 1);
             return Ticket::resolved(Outcome::Rejected(RejectReason::DeadlineExpired));
         }
         let shard = self.shard_of(req.tenant);
@@ -252,7 +252,7 @@ impl<T: Scalar + 'static> Service<T> {
         match self.senders[shard].try_send(env) {
             Ok(()) => Ticket::new(slot),
             Err(TrySendError::Full(_)) => {
-                vbatch_trace::counter!("serve.shed", 1);
+                vbatch_rt::counter!("serve.shed", 1);
                 let retry_after = self.cfg.retry_after(self.senders[shard].len());
                 Ticket::resolved(Outcome::Rejected(RejectReason::QueueFull { retry_after }))
             }

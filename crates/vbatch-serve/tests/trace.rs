@@ -1,12 +1,12 @@
 //! What the service books in the trace registry when
-//! `vbatch-trace/trace` is compiled in. The registry is process-wide,
+//! `vbatch-rt/trace` is compiled in. The registry is process-wide,
 //! so this binary holds one test and asserts deltas.
 
 use std::time::Duration;
 
 use vbatch_rt::testgen::hashed_dense;
+use vbatch_rt::trace::TraceSnapshot;
 use vbatch_serve::{ServeConfig, Service, SolveRequest, TenantId};
-use vbatch_trace::TraceSnapshot;
 
 fn flushes(snap: &TraceSnapshot, label: &str) -> u64 {
     snap.labeled
@@ -24,7 +24,7 @@ fn a_lone_request_books_one_drained_flush_and_its_queue_wait() {
         ..ServeConfig::default()
     };
     let service = Service::<f64>::start(cfg).expect("start");
-    let before = vbatch_trace::snapshot();
+    let before = vbatch_rt::trace::snapshot();
     let outcome = service
         .submit(SolveRequest {
             tenant: TenantId(1),
@@ -36,8 +36,8 @@ fn a_lone_request_books_one_drained_flush_and_its_queue_wait() {
         .wait();
     assert!(outcome.is_solved(), "{outcome:?}");
     service.shutdown();
-    let after = vbatch_trace::snapshot();
-    if !vbatch_trace::enabled() {
+    let after = vbatch_rt::trace::snapshot();
+    if !vbatch_rt::trace::enabled() {
         // feature off: nothing is recorded
         assert!(after.labeled.is_empty() && after.histograms.is_empty());
         return;

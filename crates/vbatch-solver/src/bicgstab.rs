@@ -22,7 +22,7 @@ pub fn bicgstab<T: Scalar, M: Preconditioner<T>>(
     params: &SolveParams,
 ) -> SolveResult<T> {
     let n = a.nrows();
-    let _span = vbatch_trace::span!("solver.bicgstab", n);
+    let _span = vbatch_rt::span!("solver.bicgstab", n);
     let ws = &mut KrylovWorkspace::new();
     let mut run = match Run::begin(a, b, params, ws) {
         Ok(run) => run,
@@ -50,8 +50,8 @@ pub fn bicgstab<T: Scalar, M: Preconditioner<T>>(
     let mut stop: Option<StopReason> = None;
 
     while normr > run.target && iter < params.max_iters {
-        let _step = vbatch_trace::span!("bicgstab.step", iter);
-        vbatch_trace::counter!("solver.iterations", 1);
+        let _step = vbatch_rt::span!("bicgstab.step", iter);
+        vbatch_rt::counter!("solver.iterations", 1);
         let rho_new = dot(&r_hat, &r);
         stop = divisor_fault(rho_new);
         if stop.is_some() {

@@ -22,7 +22,7 @@ pub fn cg<T: Scalar, M: Preconditioner<T>>(
     params: &SolveParams,
 ) -> SolveResult<T> {
     let n = a.nrows();
-    let _span = vbatch_trace::span!("solver.cg", n);
+    let _span = vbatch_rt::span!("solver.cg", n);
     let ws = &mut KrylovWorkspace::new();
     let mut run = match Run::begin(a, b, params, ws) {
         Ok(run) => run,
@@ -45,8 +45,8 @@ pub fn cg<T: Scalar, M: Preconditioner<T>>(
     let mut stop: Option<StopReason> = None;
 
     while normr > run.target && iter < params.max_iters {
-        let _step = vbatch_trace::span!("cg.step", iter);
-        vbatch_trace::counter!("solver.iterations", 1);
+        let _step = vbatch_rt::span!("cg.step", iter);
+        vbatch_rt::counter!("solver.iterations", 1);
         spmv(a, &p, &mut ap);
         iter += 1;
         let pap = dot(&p, &ap);

@@ -30,7 +30,7 @@ pub fn gmres<T: Scalar, M: Preconditioner<T>>(
 ) -> SolveResult<T> {
     assert!(restart >= 1);
     let n = a.nrows();
-    let _span = vbatch_trace::span!("solver.gmres", n);
+    let _span = vbatch_rt::span!("solver.gmres", n);
     let ws = &mut KrylovWorkspace::new();
     let mut run = match Run::begin(a, b, params, ws) {
         Ok(run) => run,
@@ -76,8 +76,8 @@ pub fn gmres<T: Scalar, M: Preconditioner<T>>(
             if iter >= params.max_iters {
                 break;
             }
-            let _step = vbatch_trace::span!("gmres.step", iter);
-            vbatch_trace::counter!("solver.iterations", 1);
+            let _step = vbatch_rt::span!("gmres.step", iter);
+            vbatch_rt::counter!("solver.iterations", 1);
             spmv(a, &basis[k], &mut w);
             iter += 1;
             m.apply_inplace(&mut w);

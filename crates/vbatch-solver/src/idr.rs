@@ -124,7 +124,7 @@ fn idr_impl<T: Scalar, M: Preconditioner<T>>(
     assert!(s >= 1, "IDR needs s >= 1");
     assert_eq!(m.dim(), a.nrows());
     let n = a.nrows();
-    let _span = vbatch_trace::span!("solver.idr", n);
+    let _span = vbatch_rt::span!("solver.idr", n);
     let mut run = match Run::begin(a, b, params, ws) {
         Ok(run) => run,
         Err(done) => return done,
@@ -168,8 +168,8 @@ fn idr_impl<T: Scalar, M: Preconditioner<T>>(
         // f = P^T r
         fused::dots(&p, &r, |i, d| f[i] = d);
         for k in 0..s {
-            let _step = vbatch_trace::span!("idr.step", iter);
-            vbatch_trace::counter!("solver.iterations", 1);
+            let _step = vbatch_rt::span!("idr.step", iter);
+            vbatch_rt::counter!("solver.iterations", 1);
             // solve the lower-triangular system Ms[k.., k..] c = f[k..];
             // every c entry is written before it is read, so the reused
             // buffer needs no clearing
@@ -232,8 +232,8 @@ fn idr_impl<T: Scalar, M: Preconditioner<T>>(
             }
         }
         // dimension-reduction step: enter G_{j+1}
-        let _step = vbatch_trace::span!("idr.reduce", iter);
-        vbatch_trace::counter!("solver.iterations", 1);
+        let _step = vbatch_rt::span!("idr.reduce", iter);
+        vbatch_rt::counter!("solver.iterations", 1);
         v.copy_from_slice(&r);
         m.apply_inplace(&mut v);
         spmv(a, &v, &mut t);

@@ -29,8 +29,8 @@
 //!    truncated pass to machine-level relative residuals.
 //!
 //! One SPIKE pass (`apply_inplace`) is also a preconditioner, exposed
-//! through [`BlockPreconditioner`] ([`vbatch_precond::PrecondKind::Spike`]
-//! selects its apply in the benchmark bins' `--precond`). Warm applies
+//! through [`BlockPreconditioner`] (the benchmark bins' `--precond
+//! spike` selects its apply). Warm applies
 //! are allocation-free: both prepared batched solves and the spike
 //! GEMV recovery run on buffers sized at setup (the module is opted
 //! into the workspace allocation tripwires).
@@ -112,7 +112,7 @@ impl<T: Scalar> SpikeSolver<T> {
         backend: Arc<dyn Backend<T>>,
         opts: PrecondOptions,
     ) -> Result<Self, FactorError> {
-        let _span = vbatch_trace::span!("spike.setup", sp.len());
+        let _span = vbatch_rt::span!("spike.setup", sp.len());
         let start = Instant::now();
         let mut stats = ExecStats::new();
 
@@ -297,7 +297,7 @@ impl<T: Scalar> SpikeSolver<T> {
     /// the classic mixed-precision refinement loop).
     #[allow(clippy::disallowed_methods, clippy::disallowed_macros)] // per-solve buffers, not warm-apply path
     pub fn solve_with(&self, b: &[T], tol: f64, max_refine: usize) -> SpikeSolve<T> {
-        let _span = vbatch_trace::span!("spike.solve", b.len());
+        let _span = vbatch_rt::span!("spike.solve", b.len());
         let start = Instant::now();
         let n = b.len();
         debug_assert_eq!(n, self.spart.part().total());
@@ -309,7 +309,7 @@ impl<T: Scalar> SpikeSolver<T> {
         let mut r = vec![T::ZERO; n];
         let mut refinements = 0usize;
         let (converged, relres) = loop {
-            let _rspan = vbatch_trace::span!("spike.refine", refinements);
+            let _rspan = vbatch_rt::span!("spike.refine", refinements);
             spmv(&self.a, &x, &mut r);
             for (ri, &bi) in r.iter_mut().zip(b) {
                 *ri = bi - *ri;
@@ -381,7 +381,7 @@ impl<T: Scalar> Preconditioner<T> for SpikeSolver<T> {
     /// on the CPU backends, no heap allocation.
     fn apply_inplace(&self, v: &mut [T]) {
         debug_assert_eq!(v.len(), self.spart.part().total());
-        let _span = vbatch_trace::span!("spike.apply", v.len());
+        let _span = vbatch_rt::span!("spike.apply", v.len());
         let mut red = self.ws.lock().expect("spike workspace poisoned");
         let mut stats = self.apply_stats.lock().expect("apply stats poisoned");
         self.apply_pass(v, &mut red, &mut stats);

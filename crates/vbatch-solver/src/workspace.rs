@@ -57,7 +57,7 @@ impl<T: Scalar> KrylovWorkspace<T> {
         // Workspace construction is also when the Krylov hot loop's
         // trace ring is pre-sized, so iteration spans never allocate
         // once the loop is running.
-        vbatch_trace::reserve_thread_ring(0);
+        vbatch_rt::trace::reserve_thread_ring(0);
         for _ in 0..count {
             self.free.push(vec![T::ZERO; len]);
         }

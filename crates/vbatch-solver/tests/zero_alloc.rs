@@ -44,7 +44,7 @@ fn serial() -> MutexGuard<'static, ()> {
     // With tracing compiled in, a thread's first span builds its event
     // ring — inside whatever window is being measured, unless this
     // thread and the pool's workers have theirs by now.
-    vbatch_trace::reserve_pool_rings(0);
+    vbatch_rt::trace::reserve_pool_rings(0);
     // The harness reacts to the previous test's end — joins its thread,
     // spawns the next one — while this test is already running, and
     // every step of that allocates. Let it finish before any snapshot.
@@ -118,31 +118,35 @@ fn warm_prepared_apply_allocates_nothing() {
 #[test]
 fn warm_apply_with_tracing_enabled_allocates_nothing() {
     let _serial = serial();
-    vbatch_trace::set_enabled(true);
+    vbatch_rt::trace::set_enabled(true);
     let a = laplace_2d::<f64>(16, 16);
     let n = a.nrows();
     let part = BlockPartition::uniform(n, 8);
     let m = bj(&a, &part, backend());
     let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
     m.apply_inplace(&mut v); // warm-up (ring already reserved at setup)
-    let ev0 = vbatch_trace::thread_events_written();
+    let ev0 = vbatch_rt::trace::thread_events_written();
     let before = ALLOC.snapshot();
     m.apply_inplace(&mut v);
     m.apply_inplace(&mut v);
     let after = ALLOC.snapshot();
-    let ev1 = vbatch_trace::thread_events_written();
+    let ev1 = vbatch_rt::trace::thread_events_written();
     assert_eq!(
         after.allocs_since(&before),
         0,
         "warm traced apply must not allocate ({} bytes leaked in)",
         after.bytes_since(&before)
     );
-    if vbatch_trace::enabled() {
+    if vbatch_rt::trace::enabled() {
         assert!(
             ev1 > ev0,
             "tracing is enabled but the measured applies recorded no events"
         );
-        assert_eq!(vbatch_trace::dropped(), 0, "pre-sized ring dropped events");
+        assert_eq!(
+            vbatch_rt::trace::dropped(),
+            0,
+            "pre-sized ring dropped events"
+        );
     } else {
         assert_eq!(ev1, 0, "trace feature off: the event counter must stay 0");
     }
@@ -529,7 +533,7 @@ fn warm_spike_apply_allocates_nothing() {
 fn warm_spike_apply_with_tracing_enabled_allocates_nothing() {
     let _serial = serial();
     use vbatch_sparse::{CooMatrix, SpikePartition};
-    vbatch_trace::set_enabled(true);
+    vbatch_rt::trace::set_enabled(true);
     let n = 96;
     let mut coo = CooMatrix::new(n, n);
     for (i, j, v) in vbatch_rt::testgen::banded_system_triplets(n, 2, 2.0, 13) {

@@ -13,7 +13,7 @@ use vbatch_rt::par::par_map_vec;
 /// pattern are zero.
 pub fn extract_diag_blocks<T: Scalar>(a: &CsrMatrix<T>, part: &BlockPartition) -> MatrixBatch<T> {
     assert_eq!(part.total(), a.nrows(), "partition must cover the matrix");
-    let _span = vbatch_trace::span!("sparse.extract", part.len());
+    let _span = vbatch_rt::span!("sparse.extract", part.len());
     let mut batch = MatrixBatch::zeros(&part.sizes());
     let blocks: Vec<_> = batch.blocks_mut().into_iter().enumerate().collect();
     par_map_vec(blocks, |(b, (bs, data))| {

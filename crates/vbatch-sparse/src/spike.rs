@@ -237,7 +237,7 @@ pub fn extract_spike_blocks<T: Scalar>(
             n,
         });
     }
-    let _span = vbatch_trace::span!("sparse.spike_extract", part.len());
+    let _span = vbatch_rt::span!("sparse.spike_extract", part.len());
     let k = sp.bandwidth();
     let p = part.len();
     let tip_sizes = vec![k; sp.interfaces()];
