@@ -422,7 +422,7 @@ pub fn factor_health_compact<T: Scalar>(batch: &MatrixBatch<T>) -> String {
     let plan = BatchPlan::auto::<T>(batch.sizes()).with_health(HealthPolicy::guarded::<T>());
     let factors = CpuSequential.factorize(batch.clone(), &plan, &mut ExecStats::new());
     let mut tally = std::collections::BTreeMap::new();
-    for s in &factors.status {
+    for s in factors.statuses() {
         *tally.entry(s.health.label()).or_insert(0u64) += 1;
     }
     vbatch_exec::stats::compact(&tally)

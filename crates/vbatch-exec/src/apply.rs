@@ -24,7 +24,7 @@
 //! once and drops it.
 #![deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 
-use crate::factors::{BlockFactor, FactorizedBatch};
+use crate::factors::FactorizedBatch;
 use std::ops::Range;
 use std::sync::{Mutex, MutexGuard};
 use vbatch_core::{lu_solve_interleaved_class_scratch_simd, Scalar};
@@ -39,9 +39,9 @@ pub(crate) const APPLY_GRAIN_ELEMS: usize = 8 * 1024;
 /// One unit of prepared apply work: a single blocked system, or all
 /// healthy slots of one interleaved size class.
 pub(crate) enum ApplyUnit {
-    /// One system solved on its own — any factor that is not a slot of
-    /// a native interleaved class: segment `offset .. offset + len` of
-    /// the flat vector, through
+    /// One system solved on its own — any block that is not a clean
+    /// slot of a native interleaved class: segment
+    /// `offset .. offset + len` of the flat vector, through
     /// `FactorizedBatch::solve_block_inplace_with`.
     Block {
         /// Block index into the factorized batch.
@@ -56,7 +56,8 @@ pub(crate) enum ApplyUnit {
     /// One interleaved size class: gather the member segments into
     /// full-width lanes, run the class-wide sweep, scatter back.
     Class {
-        /// Class index into `FactorizedBatch::interleaved`.
+        /// Class index into the native slab
+        /// (`FactorizedBatch::interleaved`).
         class: usize,
         /// Healthy members as `(slot, flat-vector offset)`; fallback
         /// slots solve a zero RHS and are not scattered back.
@@ -106,7 +107,7 @@ impl<T: Scalar> PreparedApply<T> {
         let mut offsets = Vec::with_capacity(factors.len() + 1);
         let mut acc = 0usize;
         offsets.push(0);
-        for &n in &factors.sizes {
+        for &n in factors.sizes() {
             acc += n;
             offsets.push(acc);
         }
@@ -115,23 +116,26 @@ impl<T: Scalar> PreparedApply<T> {
         let mut units = Vec::new();
         let mut work = vec![0usize];
         let mut hwm_elems = 0usize;
-        for (c, cls) in factors.interleaved.classes().iter().enumerate() {
-            let mut members = Vec::with_capacity(cls.count());
-            for (slot, &blk) in cls.blocks.iter().enumerate() {
-                if matches!(factors.factors[blk], BlockFactor::InterleavedLu { .. }) {
-                    members.push((slot, offsets[blk]));
-                    claimed[blk] = true;
+        // one class unit over the clean slots of each native class
+        if let Some(slab) = factors.interleaved() {
+            for (c, cls) in slab.classes().iter().enumerate() {
+                let mut members = Vec::with_capacity(cls.count());
+                for (slot, &blk) in slab.members(c).iter().enumerate() {
+                    if factors.factor(blk).is_none() {
+                        members.push((slot, offsets[blk]));
+                        claimed[blk] = true;
+                    }
                 }
-            }
-            if !members.is_empty() {
-                let scratch = hwm_elems..hwm_elems + 2 * cls.n * cls.count();
-                hwm_elems = scratch.end;
-                units.push(ApplyUnit::Class {
-                    class: c,
-                    members,
-                    scratch,
-                });
-                work.push(work[work.len() - 1] + cls.n * cls.n * cls.count());
+                if !members.is_empty() {
+                    let scratch = hwm_elems..hwm_elems + 2 * cls.n * cls.count();
+                    hwm_elems = scratch.end;
+                    units.push(ApplyUnit::Class {
+                        class: c,
+                        members,
+                        scratch,
+                    });
+                    work.push(work[work.len() - 1] + cls.n * cls.n * cls.count());
+                }
             }
         }
         for blk in 0..factors.len() {
@@ -141,10 +145,10 @@ impl<T: Scalar> PreparedApply<T> {
                 units.push(ApplyUnit::Block {
                     block: blk,
                     offset: offsets[blk],
-                    len: factors.sizes[blk],
+                    len: factors.sizes()[blk],
                     scratch,
                 });
-                work.push(work[work.len() - 1] + factors.sizes[blk] * factors.sizes[blk]);
+                work.push(work[work.len() - 1] + factors.sizes()[blk] * factors.sizes()[blk]);
             }
         }
         PreparedApply {
@@ -201,7 +205,7 @@ pub(crate) fn run_apply_unit<T: Scalar>(
             factors.solve_block_inplace_with(*block, &mut v[*offset..*offset + *len], scratch);
         }
         ApplyUnit::Class { class, members, .. } => {
-            let slab = &factors.interleaved;
+            let slab = factors.interleaved().expect("a class unit is native");
             let cls = &slab.classes()[*class];
             let (n, count) = (cls.n, cls.count());
             let _span = vbatch_rt::span!("apply.class", n * count);
@@ -332,7 +336,7 @@ mod tests {
                 ApplyUnit::Block { block, .. } => seen[*block] += 1,
                 ApplyUnit::Class { class, members, .. } => {
                     for &(slot, _) in members {
-                        seen[factors.interleaved.classes()[*class].blocks[slot]] += 1;
+                        seen[factors.interleaved().unwrap().members(*class)[slot]] += 1;
                     }
                 }
             }

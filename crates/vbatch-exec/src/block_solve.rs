@@ -72,15 +72,9 @@ impl<T: Scalar> BlockSolve<T> {
         &self.factors
     }
 
-    /// Per-block factorization status.
-    pub fn statuses(&self) -> &[BlockStatus] {
-        &self.factors.status
-    }
-
-    /// The per-block statuses by value, for a holder that is done with
-    /// the factors (the serve handle hands them to its caller).
-    pub fn into_statuses(self) -> Vec<BlockStatus> {
-        self.factors.status
+    /// Every block's factorization status, in block order.
+    pub fn statuses(&self) -> impl ExactSizeIterator<Item = BlockStatus> + '_ {
+        self.factors.statuses()
     }
 
     /// Blocks degraded to a fallback during factorization.
@@ -141,7 +135,8 @@ mod tests {
 
             let mut stats = ExecStats::new();
             let solve = BlockSolve::new(backend, batch.clone(), &plan, &mut stats);
-            assert_eq!(solve.statuses(), &factors.status[..], "{name}");
+            let statuses: Vec<BlockStatus> = factors.statuses().collect();
+            assert_eq!(solve.statuses().collect::<Vec<_>>(), statuses, "{name}");
             assert_eq!(solve.fallback_count(), 1, "{name}");
             assert_eq!(solve.workspace_hwm_elems(), prepared.workspace_hwm_elems());
             assert_eq!(solve.backend().name(), name);
@@ -153,7 +148,6 @@ mod tests {
             assert_eq!((stats.applies, stats.flops), (2, raw_stats.flops), "{name}");
             assert_eq!(stats.kernel_histogram(), raw_stats.kernel_histogram());
             assert_eq!(stats.workspace_hwm_elems, raw_stats.workspace_hwm_elems);
-            assert_eq!(solve.into_statuses(), factors.status, "{name}");
         }
     }
 }

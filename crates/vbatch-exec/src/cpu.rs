@@ -38,16 +38,17 @@ use crate::apply::{run_apply_unit, FlatVecPtr, PreparedApply, APPLY_GRAIN_ELEMS}
 use crate::backend::Backend;
 use crate::factors::{
     block_diag, scalar_jacobi_from_diag, BlockFactor, BlockStatus, ClassSlab, FactorizedBatch,
-    InterleavedLuClass, Wrapper,
+    Home, InterleavedLuClass, Record,
 };
 use crate::plan::{BatchPlan, ClassLayout, KernelChoice, PrecisionPolicy};
 use crate::stats::{ExecStats, Phase};
+use std::ops::Range;
 use std::time::Instant;
 use vbatch_core::lu::implicit::getrf_implicit_inplace;
 use vbatch_core::{
     gemv, getrf_interleaved_class_simd_scratch, gh_factorize, gje_invert, narrow_slice, potrf,
-    DenseMat, FactorError, GhLayout, LaneGetrfScratch, MatrixBatch, Scalar, StoragePrecision,
-    Stored, VectorBatch,
+    DenseMat, FactorError, GhLayout, LaneGetrfScratch, MatrixBatch, Scalar, Storage,
+    StoragePrecision, Stored, VectorBatch,
 };
 use vbatch_rt::par::{num_threads, par_map_vec, run_ranges};
 use vbatch_sparse::{extract_diag_blocks, BlockPartition, CsrMatrix};
@@ -138,7 +139,7 @@ fn interleaved_chunk_slots<T>(n: usize) -> usize {
 /// the class slab's value and pivot arrays.
 struct ChunkJob<'s, S> {
     n: usize,
-    members: Vec<usize>,
+    members: &'s [usize],
     data: &'s mut [S],
     piv: &'s mut [usize],
 }
@@ -152,9 +153,9 @@ struct ChunkScratch<'a, T, S> {
     lanes: LaneGetrfScratch<S>,
 }
 
-/// A factorized chunk's order, the caller's own member list, and per
-/// failed slot, ascending, the error and the block's original diagonal.
-type ChunkOutcome<T> = (usize, Vec<usize>, Vec<(usize, FactorError, Vec<T>)>);
+/// Per failed slot of a factorized chunk, ascending: the slot, the
+/// error and the block's original diagonal.
+type ChunkFailures<T> = Vec<(usize, FactorError, Vec<T>)>;
 
 /// Transpose `count` column-major blocks into element-interleaved
 /// lanes, narrowing while gathering: lane `e` of `lanes` collects
@@ -188,17 +189,16 @@ fn pack_lanes<'m, X: Scalar, S: Stored<X>, I: Iterator<Item = &'m [X]>>(
 /// diagonal, and in place the range is the only copy of it: the failed
 /// slots' diagonals are read before the range is overwritten.
 ///
-/// Nothing but those (and the caller's own `members`) leaves the worker
-/// thread: a healthy chunk must hand the calling thread no small heap
-/// block of the worker's to free. One such block parked in the caller's
-/// allocator cache keeps glibc from returning the worker's heap, and
-/// then thread timing decides what the next factorization finds
-/// resident (EXPERIMENTS.md §J).
+/// Nothing but those leaves the worker thread: a healthy chunk must
+/// hand the calling thread no small heap block of the worker's to free.
+/// One such block parked in the caller's allocator cache keeps glibc
+/// from returning the worker's heap, and then thread timing decides
+/// what the next factorization finds resident (EXPERIMENTS.md §J).
 fn factor_interleaved_chunk<'a, T: Scalar, S: Stored<T>>(
     originals: Option<&'a MatrixBatch<T>>,
     job: ChunkJob<'_, S>,
     scratch: &mut ChunkScratch<'a, T, S>,
-) -> ChunkOutcome<T> {
+) -> ChunkFailures<T> {
     let ChunkJob {
         n,
         members,
@@ -235,80 +235,92 @@ fn factor_interleaved_chunk<'a, T: Scalar, S: Stored<T>>(
         })
         .collect();
     data.copy_from_slice(staging);
-    (n, members, failed)
+    failed
+}
+
+/// A batch as [`factorize_cpu`] splits it: the blocked blocks in block
+/// order, the interleaved ones grouped by order (each class in block
+/// order), and the chunks, each `(order, range of members)`.
+struct Partition {
+    sizes: Vec<usize>,
+    blocked: Vec<usize>,
+    members: Vec<usize>,
+    chunks: Vec<(usize, Range<usize>)>,
 }
 
 /// The factorization phase in storage scalar `S`: one isolated
 /// factorization per blocked block (the worker narrows straight out of
-/// the shared batch), one class-wide sweep per interleaved chunk, with
-/// every block's outcome handed to `place`; returns the factorized
-/// classes over `values`.
+/// the shared batch), one class-wide sweep per interleaved chunk; the
+/// factorized classes over `values` become the batch's slab through
+/// `store`.
 ///
-/// `chunks` are laid out back to back in `values` in the order given.
-/// With `originals` the chunks gather their members out of the batch
-/// into a slab of their own; without, `values` *is* the batch's value
-/// array and the caller has ordered the chunks so that each one's range
-/// is exactly its members' (see [`factorize_cpu`]). Either way each
-/// worker thread packs, factorizes and writes back through one
+/// The chunks are laid out back to back in `values` in the order
+/// given. With `originals` the chunks gather their members out of the
+/// batch into a slab of their own; without, `values` *is* the batch's
+/// value array and the caller has ordered the chunks so that each one's
+/// range is exactly its members' (see [`factorize_cpu`]). Either way
+/// each worker thread packs, factorizes and writes back through one
 /// [`ChunkScratch`] of its own, and the ranges are disjoint `&mut`
 /// borrows of the two arrays.
-#[allow(clippy::too_many_arguments)]
 fn factorize_in<T: Scalar, S: Stored<T>>(
     originals: Option<&MatrixBatch<T>>,
-    sizes: &[usize],
+    part: Partition,
     plan: &BatchPlan,
-    blocked_idx: Vec<usize>,
-    chunks: Vec<(usize, Vec<usize>)>,
     mut values: Vec<S>,
     parallel: bool,
-    mut place: impl FnMut(usize, BlockFactor<T>, BlockStatus),
-) -> ClassSlab<S> {
-    if let Some(blocks) = originals {
-        let block_work = |i: usize| {
-            let _span = vbatch_rt::span!("factorize.block", sizes[i]);
-            let kernel = plan.class(sizes[i]).kernel;
-            let (f, s) = factor_block::<T, S>(sizes[i], blocks.block(i), kernel);
-            (i, f, s)
-        };
-        let block_results: Vec<(usize, BlockFactor<T>, BlockStatus)> = if parallel {
-            par_map_vec(blocked_idx, block_work)
-        } else {
-            blocked_idx.into_iter().map(block_work).collect()
-        };
-        for (i, f, s) in block_results {
-            place(i, f, s);
-        }
-    } else {
-        assert!(blocked_idx.is_empty(), "a blocked block needs its original");
+    store: impl FnOnce(ClassSlab<S>) -> Storage<ClassSlab<T>, ClassSlab<T::Lower>>,
+) -> FactorizedBatch<T> {
+    let Partition {
+        sizes,
+        blocked,
+        members,
+        chunks,
+    } = part;
+    // every block is blocked or a chunk member, so every entry is set
+    // below
+    let mut homes = vec![Home::Record(u32::MAX); sizes.len()];
+    for (r, &i) in blocked.iter().enumerate() {
+        homes[i] = Home::Record(r as u32);
     }
+    let block_work = |i: usize| {
+        let _span = vbatch_rt::span!("factorize.block", sizes[i]);
+        let kernel = plan.class(sizes[i]).kernel;
+        let blocks = originals.expect("a blocked block needs its original");
+        let (factor, status) = factor_block::<T, S>(sizes[i], blocks.block(i), kernel);
+        Record { factor, status }
+    };
+    let mut records: Vec<Record<T>> = if parallel {
+        par_map_vec(blocked, block_work)
+    } else {
+        blocked.into_iter().map(block_work).collect()
+    };
 
     // carve each chunk's ranges, then deal the chunks out in contiguous
     // runs, one per worker thread
     let pivot_elems = chunks.iter().map(|(n, m)| n * m.len()).sum();
     let mut pivots = vec![0usize; pivot_elems];
-    let chunk_count = chunks.len();
     let workers = if parallel { num_threads().max(1) } else { 1 };
-    let per_worker = chunk_count.div_ceil(workers).max(1);
+    let per_worker = chunks.len().div_ceil(workers).max(1);
     let mut runs: Vec<Vec<ChunkJob<'_, S>>> = Vec::new();
     let (mut rest, mut rest_piv) = (values.as_mut_slice(), pivots.as_mut_slice());
-    for (i, (n, members)) in chunks.into_iter().enumerate() {
-        let (data, tail) = std::mem::take(&mut rest).split_at_mut(n * n * members.len());
-        let (piv, tail_piv) = std::mem::take(&mut rest_piv).split_at_mut(n * members.len());
+    for (i, (n, range)) in chunks.iter().enumerate() {
+        let (data, tail) = std::mem::take(&mut rest).split_at_mut(n * n * range.len());
+        let (piv, tail_piv) = std::mem::take(&mut rest_piv).split_at_mut(n * range.len());
         (rest, rest_piv) = (tail, tail_piv);
         if i % per_worker == 0 {
             runs.push(Vec::with_capacity(per_worker));
         }
         let run = runs.last_mut().expect("a run was opened for chunk 0");
         run.push(ChunkJob {
-            n,
-            members,
+            n: *n,
+            members: &members[range.clone()],
             data,
             piv,
         });
     }
     assert!(rest.is_empty(), "the chunks must tile the class slab");
 
-    let run_work = |jobs: Vec<ChunkJob<'_, S>>| -> Vec<ChunkOutcome<T>> {
+    let run_work = |jobs: Vec<ChunkJob<'_, S>>| -> Vec<ChunkFailures<T>> {
         let staging_elems = jobs.iter().map(|j| j.data.len()).max().unwrap_or(0);
         let mut scratch = ChunkScratch {
             staging: vec![S::ZERO; staging_elems],
@@ -319,63 +331,65 @@ fn factorize_in<T: Scalar, S: Stored<T>>(
             .map(|job| factor_interleaved_chunk(originals, job, &mut scratch))
             .collect()
     };
-    let outcomes: Vec<Vec<ChunkOutcome<T>>> = if parallel {
+    let failures: Vec<Vec<ChunkFailures<T>>> = if parallel {
         par_map_vec(runs, run_work)
     } else {
         runs.into_iter().map(run_work).collect()
     };
 
     // the chunks came back in the order they were carved: back to back
-    let mut classes = Vec::with_capacity(chunk_count);
+    let mut classes = Vec::with_capacity(chunks.len());
     let (mut at, mut piv_at) = (0usize, 0usize);
-    for (n, members, failed) in outcomes.into_iter().flatten() {
-        let data = at..at + n * n * members.len();
-        let piv = piv_at..piv_at + n * members.len();
+    for ((n, range), failed) in chunks.iter().zip(failures.into_iter().flatten()) {
+        let data = at..at + n * n * range.len();
+        let piv = piv_at..piv_at + n * range.len();
         (at, piv_at) = (data.end, piv.end);
-        let class_idx = classes.len();
+        let class = classes.len() as u32;
         let mut failed = failed.into_iter().peekable();
-        let kernel = plan.class(n).kernel;
-        for (slot, &blk) in members.iter().enumerate() {
-            match failed.next_if(|(s, ..)| *s == slot) {
-                None => {
-                    let factor = BlockFactor::InterleavedLu {
-                        class: class_idx,
-                        slot,
-                        storage: S::STORAGE,
-                    };
-                    let mut status = BlockStatus::factorized(kernel);
-                    status.precision = S::STORAGE;
-                    place(blk, factor, status);
-                }
+        for (slot, &blk) in members[range.clone()].iter().enumerate() {
+            homes[blk] = match failed.next_if(|(s, ..)| *s == slot) {
+                None => Home::Slot {
+                    class,
+                    slot: slot as u32,
+                },
                 Some((_, error, diag)) => {
                     let (factor, sanitized) = scalar_jacobi_from_diag(&diag);
-                    let status = BlockStatus::fallback(kernel, error, sanitized, n);
-                    place(blk, factor, status);
+                    let kernel = plan.class(*n).kernel;
+                    let status = BlockStatus::fallback(kernel, error, sanitized, *n);
+                    records.push(Record { factor, status });
+                    Home::Record(records.len() as u32 - 1)
                 }
-            }
+            };
         }
         classes.push(InterleavedLuClass {
-            n,
-            blocks: members,
+            n: *n,
+            members: range.clone(),
             data,
             piv,
         });
     }
-    ClassSlab::new(values, pivots, classes)
+    let slab = store(ClassSlab::new(values, pivots, members, classes));
+    FactorizedBatch::new(sizes, homes, records, slab)
 }
 
-/// Factorize on the host. The batch arrives by value, and where nothing
-/// reads the originals afterwards and nothing would be left dead in
-/// them the factors are built *in its value array*: native storage
-/// (`FullDp`, or the `f32` floor), [`HealthPolicy::Off`], and every
-/// block a member of an interleaved chunk whose members are consecutive
-/// block indices — then a chunk's `count · n²` elements of the slab are
-/// exactly its members' blocks, and the chunks, taken in block order,
-/// tile the array. Every populous uniform batch, every SPIKE partition
-/// batch and any batch stored by order whose classes all interleave is
-/// on that side. Otherwise (scattered members, a blocked class, lowered
-/// storage, guarded triage) the chunks gather into one fresh slab and
-/// the originals stay readable for the passes that need them.
+/// Factorize on the host, writing the factor store directly: a record
+/// per blocked block and per failed slot, a `(class, slot)` for every
+/// clean member of an interleaved chunk ([`FactorizedBatch`]).
+///
+/// The batch arrives by value, and where nothing reads the originals
+/// afterwards and nothing would be left dead in them the factors are
+/// built *in its value array*: native storage (`FullDp`, or the `f32`
+/// floor), [`HealthPolicy::Off`], and every block a member of an
+/// interleaved chunk whose members are consecutive block indices — then
+/// a chunk's `count · n²` elements of the slab are exactly its members'
+/// blocks, and the chunks, taken in block order, tile the array. Every
+/// populous uniform batch, every SPIKE partition batch and any batch
+/// stored by order whose classes all interleave is on that side.
+/// Otherwise (scattered members, a blocked class, lowered storage,
+/// guarded triage) the chunks gather into one fresh slab and the
+/// originals stay readable for the passes that need them.
+///
+/// [`HealthPolicy::Off`]: crate::plan::HealthPolicy::Off
 pub(crate) fn factorize_cpu<T: Scalar>(
     blocks: MatrixBatch<T>,
     plan: &BatchPlan,
@@ -383,36 +397,34 @@ pub(crate) fn factorize_cpu<T: Scalar>(
     stats: &mut ExecStats,
 ) -> FactorizedBatch<T> {
     assert_eq!(plan.len(), blocks.len(), "plan does not match batch");
+    // homes index classes, slots and records as u32
+    assert!(u32::try_from(blocks.len()).is_ok(), "too many blocks");
     let _span = vbatch_rt::span!("exec.factorize", blocks.len());
     let t0 = Instant::now();
     stats.add_flops(blocks.getrf_flops());
     let sizes = blocks.sizes().to_vec();
 
-    // Partition blocks by the plan's per-class layout choice.
-    let mut blocked_idx: Vec<usize> = Vec::new();
-    let mut class_members = std::collections::BTreeMap::<usize, Vec<usize>>::new();
-    for i in 0..blocks.len() {
-        match plan.class(sizes[i]).layout {
-            ClassLayout::Blocked => blocked_idx.push(i),
-            ClassLayout::Interleaved => class_members.entry(sizes[i]).or_default().push(i),
-        }
-    }
-    stats.record_layout(ClassLayout::Blocked, blocked_idx.len() as u64);
-    stats.record_layout(
-        ClassLayout::Interleaved,
-        (blocks.len() - blocked_idx.len()) as u64,
-    );
+    // Partition blocks by the plan's per-class layout choice; the
+    // interleaved ones grouped by order, each class in block order
+    let (mut members, blocked): (Vec<usize>, Vec<usize>) =
+        (0..sizes.len()).partition(|&i| plan.class(sizes[i]).layout == ClassLayout::Interleaved);
+    members.sort_by_key(|&i| sizes[i]);
+    stats.record_layout(ClassLayout::Blocked, blocked.len() as u64);
+    stats.record_layout(ClassLayout::Interleaved, members.len() as u64);
 
     // Interleaved classes: split each class into cache-sized chunks
     // (further divided for the thread pool when parallel).
     let chunk_target = if parallel { num_threads().max(1) } else { 1 };
-    let mut chunks: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (n, members) in class_members {
-        let per_thread = members.len().div_ceil(chunk_target).max(1);
+    let mut chunks: Vec<(usize, Range<usize>)> = Vec::new();
+    let mut start = 0;
+    for class in members.chunk_by(|&a, &b| sizes[a] == sizes[b]) {
+        let (n, end) = (sizes[class[0]], start + class.len());
+        let per_thread = class.len().div_ceil(chunk_target);
         let chunk_len = per_thread.min(interleaved_chunk_slots::<T>(n));
-        for c in members.chunks(chunk_len) {
-            chunks.push((n, c.to_vec()));
+        for lo in (start..end).step_by(chunk_len) {
+            chunks.push((n, lo..end.min(lo + chunk_len)));
         }
+        start = end;
     }
     let slab_elems: usize = chunks.iter().map(|(n, m)| n * n * m.len()).sum();
 
@@ -425,71 +437,31 @@ pub(crate) fn factorize_cpu<T: Scalar>(
     // is consecutive when its ends are `len - 1` apart
     let in_place = !lowered
         && !plan.health().is_guarded()
-        && blocked_idx.is_empty()
+        && blocked.is_empty()
         && chunks
             .iter()
-            .all(|(_, m)| m[m.len() - 1] - m[0] + 1 == m.len());
+            .all(|(_, m)| members[m.end - 1] - members[m.start] + 1 == m.len());
     let (originals, native_values) = if in_place {
         // block order: chunk k then starts where its first member does
-        chunks.sort_unstable_by_key(|(_, m)| m[0]);
+        chunks.sort_unstable_by_key(|(_, m)| members[m.start]);
         (None, blocks.into_values())
     } else {
         let native_elems = if lowered { 0 } else { slab_elems };
         (Some(blocks), vec![T::ZERO; native_elems])
     };
 
-    let mut placed: Vec<Option<(BlockFactor<T>, BlockStatus)>> =
-        (0..sizes.len()).map(|_| None).collect();
-    let place = |i: usize, f: BlockFactor<T>, s: BlockStatus| placed[i] = Some((f, s));
     let blocks = originals.as_ref();
-    let (interleaved, interleaved_lower) = if lowered {
-        let values = vec![<T::Lower as Scalar>::ZERO; slab_elems];
-        let classes = factorize_in::<T, T::Lower>(
-            blocks,
-            &sizes,
-            plan,
-            blocked_idx,
-            chunks,
-            values,
-            parallel,
-            place,
-        );
-        (ClassSlab::empty(), classes)
-    } else {
-        let classes = factorize_in::<T, T>(
-            blocks,
-            &sizes,
-            plan,
-            blocked_idx,
-            chunks,
-            native_values,
-            parallel,
-            place,
-        );
-        (classes, ClassSlab::empty())
-    };
-
-    // Every index was routed to exactly one of the two layout
-    // partitions, so every slot is populated.
-    let (factors, status): (Vec<_>, Vec<_>) = placed
-        .into_iter()
-        .map(|p| p.expect("block covered by neither layout partition"))
-        .unzip();
-    // every lowered factor refines against the retained original
-    let wrappers = status
-        .iter()
-        .map(|s: &BlockStatus| {
-            (s.precision == StoragePrecision::Lower).then_some(Wrapper::RefineRetained)
-        })
-        .collect();
-    let mut batch = FactorizedBatch {
+    let part = Partition {
         sizes,
-        factors,
-        wrappers,
-        status,
-        interleaved,
-        interleaved_lower,
-        retained: None,
+        blocked,
+        members,
+        chunks,
+    };
+    let mut batch = if lowered {
+        let values = vec![<T::Lower as Scalar>::ZERO; slab_elems];
+        factorize_in(blocks, part, plan, values, parallel, Storage::Lower)
+    } else {
+        factorize_in(blocks, part, plan, native_values, parallel, Storage::Native)
     };
     // the passes that read the originals; in place there are none to
     // run (native storage, health off)
@@ -499,12 +471,12 @@ pub(crate) fn factorize_cpu<T: Scalar>(
         }
         crate::health::triage_batch(&blocks, &mut batch, plan.health());
         if lowered {
-            // the refinement wrappers read their residuals out of the
-            // retained batch; the native path consumes it as before
-            batch.retained = Some(blocks);
+            // lowered factors refine against the retained original; the
+            // native path consumes it as before
+            batch.retain(blocks);
         }
     }
-    stats.record_statuses(&batch.status);
+    batch.book(stats);
     stats.add_phase(Phase::Factorize, t0.elapsed());
     batch
 }
@@ -551,7 +523,7 @@ fn run_prepared<T: Scalar>(
 }
 
 fn solve_flops<T: Scalar>(factors: &FactorizedBatch<T>) -> f64 {
-    factors.sizes.iter().map(|&n| 2.0 * (n * n) as f64).sum()
+    factors.sizes().iter().map(|&n| 2.0 * (n * n) as f64).sum()
 }
 
 /// One-shot [`Backend::solve`]: prepare, then the prepared apply path,
@@ -562,8 +534,8 @@ pub(crate) fn solve_cpu<T: Scalar>(
     parallel: bool,
     stats: &mut ExecStats,
 ) {
-    assert_eq!(factors.sizes, rhs.sizes(), "factors do not match rhs");
-    let _span = vbatch_rt::span!("exec.solve", factors.sizes.len());
+    assert_eq!(factors.sizes(), rhs.sizes(), "factors do not match rhs");
+    let _span = vbatch_rt::span!("exec.solve", factors.len());
     let t0 = Instant::now();
     let prepared = PreparedApply::new(factors);
     run_prepared(factors, &prepared, rhs.as_mut_slice(), parallel);
@@ -618,9 +590,9 @@ pub(crate) fn invert_cpu<T: Scalar>(
             }
             _ => unreachable!("the GJE arm yields an inverse or its fallback"),
         }
+        stats.record_status(&st, 1);
         status.push(st);
     }
-    stats.record_statuses(&status);
     stats.add_flops(sizes.iter().map(|&n| 2.0 * (n * n * n) as f64).sum());
     stats.add_phase(Phase::Invert, t0.elapsed());
     (out, status)
@@ -828,9 +800,9 @@ mod tests {
         let fact = CpuSequential.factorize(batch, &plan, &mut stats);
         assert_eq!(fact.fallback_count(), 1);
         assert_eq!(stats.kernel_histogram().values().sum::<u64>(), 2);
-        assert!(fact.status[1].is_fallback());
-        assert!(!fact.status[0].is_fallback());
-        assert!(!fact.status[2].is_fallback());
+        assert!(fact.status(1).is_fallback());
+        assert!(!fact.status(0).is_fallback());
+        assert!(!fact.status(2).is_fallback());
         // solving still works and leaves finite values everywhere
         let total: usize = sizes.iter().sum();
         let mut rhs = VectorBatch::from_flat(&sizes, &vec![1.0; total]);
@@ -868,7 +840,8 @@ mod tests {
             let mut si = ExecStats::new();
             let fb = backend.factorize(batch.clone(), &blocked_plan, &mut sb);
             let fi = backend.factorize(batch.clone(), &il_plan, &mut si);
-            let slots: usize = fi.interleaved.classes().iter().map(|c| c.count()).sum();
+            let slab = fi.interleaved().expect("native slots");
+            let slots: usize = slab.classes().iter().map(|c| c.count()).sum();
             assert!(slots >= 12);
             assert_eq!(fb.fallback_count(), 1);
             assert_eq!(fi.fallback_count(), 1);
@@ -877,7 +850,7 @@ mod tests {
             // bitwise-identical pivots for every LU block
             for blk in 0..sizes.len() {
                 assert_eq!(fb.row_of_step(blk), fi.row_of_step(blk), "block {blk}");
-                assert_eq!(fb.status[blk].is_fallback(), fi.status[blk].is_fallback());
+                assert_eq!(fb.status(blk).is_fallback(), fi.status(blk).is_fallback());
             }
             // bitwise-identical solutions
             let mut rb = VectorBatch::from_flat(&sizes, &flat);

@@ -1,21 +1,22 @@
 //! The factor store: what [`crate::Backend::factorize`] produces and
 //! every solve path consumes, with per-block status.
 //!
-//! A block's entry is three orthogonal pieces of data:
+//! A block has a record only when it has something of its own. A
+//! *clean slot* — a member of an interleaved class that factorized
+//! cleanly — is its `(class, slot)` in the batch's [`ClassSlab`], and
+//! its status is implied: kernel LU, healthy, no error, no recovery, the
+//! slab's storage precision, not promoted (plus a condition estimate, if
+//! a triage or promotion pass made one). Every other block — a member
+//! of a blocked class, a fallback, a triage recovery, a promotion — has
+//! a [`BlockFactor`] of its own and its [`BlockStatus`].
 //!
-//! * [`BlockFactor`] — the *kernel family* whose solve applies it (LU in
-//!   the block's own storage, LU in a slot of an interleaved class,
-//!   Gauss-Huard, explicit inverse, Cholesky, QR, scalar Jacobi);
-//! * the *storage precision* of its values, carried by the
-//!   [`Storage`] arm the values sit in — the solve kernels are generic
-//!   over it ([`vbatch_core::Stored`]), so a lowered factor runs the
-//!   same code as a native one;
-//! * an optional [`Wrapper`] around the family's bare solve: one
-//!   refinement step against the working-precision original, with or
-//!   without row/column scalings ([`refine_once`]).
-//!
-//! The LU families are read through one [`LuView`] (element accessor +
-//! pivot row per step), whatever their storage and layout.
+//! A factor's storage precision is the [`Storage`] arm its values sit
+//! in (the slab's, for a slot); the solve kernels are generic over it
+//! ([`vbatch_core::Stored`]), and a lowered factor's apply refines once
+//! against the retained working-precision original ([`refine_once`]),
+//! as an equilibrated one does against its own copy of the block. The
+//! LU forms are read through one [`LuView`], whatever their storage and
+//! layout.
 //!
 //! The solves in this module are apply-phase hot paths (they run on
 //! every preconditioned Krylov iteration): the `disallowed_methods` /
@@ -26,6 +27,7 @@
 #![deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 
 use crate::plan::KernelChoice;
+use crate::stats::ExecStats;
 use std::ops::Range;
 use vbatch_core::{
     lu_solve_inplace_scratch, lu_solve_interleaved_slot_scratch, lu_solve_multi_inplace_scratch,
@@ -97,6 +99,18 @@ impl RecoveryStep {
             RecoveryStep::Identity => "identity",
         }
     }
+
+    /// The steps of a scalar-Jacobi fallback that replaced `sanitized`
+    /// of its `n` diagonal entries by ones.
+    pub(crate) fn jacobi(sanitized: usize, n: usize) -> impl Iterator<Item = RecoveryStep> {
+        let steps = [
+            (sanitized < n, RecoveryStep::ScalarJacobi),
+            (sanitized > 0, RecoveryStep::Identity),
+        ];
+        steps
+            .into_iter()
+            .filter_map(|(taken, step)| taken.then_some(step))
+    }
 }
 
 /// Outcome of factorizing one block: the kernel that ran, the triaged
@@ -120,8 +134,8 @@ pub struct BlockStatus {
     /// Precision the block's factors are *stored* in. The working
     /// precision of the apply is always the batch scalar `T`;
     /// [`StoragePrecision::Lower`] means the solve widens SP factors
-    /// element-by-element and refines against the retained DP block
-    /// ([`Wrapper::RefineRetained`]).
+    /// element-by-element and refines once against the retained DP
+    /// block.
     pub precision: StoragePrecision,
     /// `true` when a mixed-precision policy promoted this block back to
     /// native-precision factors because its condition estimate exceeded
@@ -148,28 +162,16 @@ impl BlockStatus {
     /// A block whose factorization failed with `error` and degraded to
     /// the scalar-Jacobi fallback; `sanitized` counts diagonal entries
     /// that had to be replaced by identity rows.
-    // status construction is setup-time, not an apply path
-    #[allow(clippy::disallowed_methods)]
     pub fn fallback(kernel: KernelChoice, error: FactorError, sanitized: usize, n: usize) -> Self {
         let health = match error {
             FactorError::NonFinite { .. } => BlockHealth::NonFinite,
             _ => BlockHealth::Singular,
         };
-        let mut recovery = Vec::new();
-        if sanitized < n {
-            recovery.push(RecoveryStep::ScalarJacobi);
-        }
-        if sanitized > 0 {
-            recovery.push(RecoveryStep::Identity);
-        }
         BlockStatus {
-            kernel,
             health,
-            condest: None,
             error: Some(error),
-            recovery,
-            precision: StoragePrecision::Native,
-            promoted: false,
+            recovery: RecoveryStep::jacobi(sanitized, n).collect(),
+            ..BlockStatus::factorized(kernel)
         }
     }
 
@@ -196,8 +198,9 @@ macro_rules! on_storage {
 }
 pub(crate) use on_storage;
 
-/// One block's factors: the kernel family that applies them and where
-/// their values live.
+/// One block's own factors: the kernel family that applies them and
+/// where their values live. A clean slot of an interleaved class has
+/// none (see the module docs).
 #[derive(Clone, Debug)]
 pub enum BlockFactor<T: Scalar> {
     /// Combined `L\U` (column-major, pivot order) in the block's own
@@ -208,16 +211,20 @@ pub enum BlockFactor<T: Scalar> {
         /// Row-of-step pivot sequence.
         perm: Permutation,
     },
-    /// Combined `L\U` in slot `slot` of an interleaved size class:
-    /// class `class` of [`FactorizedBatch::interleaved`] for native
-    /// storage, of [`FactorizedBatch::interleaved_lower`] for lowered.
-    InterleavedLu {
-        /// Index into the class slab `storage` selects.
-        class: usize,
-        /// Slot of this block within the class.
-        slot: usize,
-        /// Which class slab holds the values.
-        storage: StoragePrecision,
+    /// LU of the equilibrated block `diag(r) · A · diag(c)` — health
+    /// triage's first recovery: the solve runs through the scalings and
+    /// refines once against `a`, the block as given.
+    Equilibrated {
+        /// Combined factors of the scaled block, column-major.
+        lu: Vec<T>,
+        /// Row-of-step pivot sequence of the scaled block.
+        perm: Permutation,
+        /// Row scalings.
+        r: Vec<T>,
+        /// Column scalings.
+        c: Vec<T>,
+        /// The original (unequilibrated) block, column-major.
+        a: Vec<T>,
     },
     /// Gauss-Huard factors (either layout, either storage precision).
     Gh(StoredGh<T>),
@@ -241,26 +248,15 @@ pub enum BlockFactor<T: Scalar> {
     },
 }
 
-/// What the apply wraps around a block's bare kernel solve: one step of
-/// iterative refinement ([`refine_once`]) against the block's
-/// working-precision original.
-#[derive(Clone, Debug)]
-pub enum Wrapper<T> {
-    /// Refine against the block's original in
-    /// [`FactorizedBatch::retained`] — every lowered-precision factor;
-    /// lowered factors never carry a working-precision duplicate.
-    RefineRetained,
-    /// The factors are of the equilibrated block
-    /// `diag(r) * A * diag(c)` (health triage recovery): solve through
-    /// the scalings and refine against the block's own copy of `A`.
-    Equilibrated {
-        /// Row scalings.
-        r: Vec<T>,
-        /// Column scalings.
-        c: Vec<T>,
-        /// The original (unequilibrated) block, column-major.
-        a: Vec<T>,
-    },
+impl<T: Scalar> BlockFactor<T> {
+    /// Precision the factor's values are stored in.
+    pub fn storage(&self) -> StoragePrecision {
+        match self {
+            BlockFactor::Lu { lu, .. } => lu.precision(),
+            BlockFactor::Gh(gh) => gh.precision(),
+            _ => StoragePrecision::Native,
+        }
+    }
 }
 
 /// `x := solve(b)`, then one step of iterative refinement against the
@@ -316,11 +312,6 @@ impl<'a, S: Scalar> LuView<'a, S> {
             stride: 1,
             offset: 0,
         }
-    }
-
-    /// Block order.
-    pub fn order(&self) -> usize {
-        self.n
     }
 
     /// Element `(i, j)` of the combined factor.
@@ -407,7 +398,7 @@ impl<'a, S: Scalar> LuView<'a, S> {
 }
 
 /// One interleaved size class (in practice one cache-sized chunk of
-/// one): `blocks.len()` systems of order `n` whose combined `L\U`
+/// one): `count` systems of order `n` whose members, combined `L\U`
 /// values and row-of-step pivot lanes are ranges of the [`ClassSlab`]
 /// that lists it — element-interleaved,
 /// `values[data][(j*n + i) * count + slot]` and
@@ -416,8 +407,8 @@ impl<'a, S: Scalar> LuView<'a, S> {
 pub struct InterleavedLuClass {
     /// Block order of the class.
     pub n: usize,
-    /// Slot → original block index.
-    pub blocks: Vec<usize>,
+    /// The class's slots of the slab's member array (slot → block).
+    pub members: Range<usize>,
     /// The class's `n² · count` elements of the slab's value array.
     pub data: Range<usize>,
     /// The class's `n · count` elements of the slab's pivot array.
@@ -427,19 +418,21 @@ pub struct InterleavedLuClass {
 impl InterleavedLuClass {
     /// Number of slots in the class.
     pub fn count(&self) -> usize {
-        self.blocks.len()
+        self.members.len()
     }
 }
 
-/// Every interleaved class of one storage precision: one value array
-/// and one pivot array, each class a range of both. Under the native
-/// precision the value array may be the factorized batch's own (see
-/// [`crate::Backend::factorize`] on the host backends): the classes
-/// then tile it exactly and no second copy of the batch was made.
+/// Every interleaved class of one storage precision: one member array,
+/// one value array and one pivot array, each class a range of all
+/// three. Under the native precision the value array may be the
+/// factorized batch's own (see [`crate::Backend::factorize`] on the host
+/// backends): the classes then tile it exactly and no second copy of
+/// the batch was made.
 #[derive(Clone, Debug)]
 pub struct ClassSlab<S> {
     values: Vec<S>,
     pivots: Vec<usize>,
+    members: Vec<usize>,
     classes: Vec<InterleavedLuClass>,
 }
 
@@ -451,30 +444,34 @@ impl<S: Scalar> ClassSlab<S> {
         ClassSlab {
             values: Vec::new(),
             pivots: Vec::new(),
+            members: Vec::new(),
             classes: Vec::new(),
         }
     }
 
-    /// `classes` over `values` and `pivots`; every class's ranges must
-    /// lie inside them.
+    /// `classes` over `values`, `pivots` and `members`; every class's
+    /// ranges must lie inside them.
     pub(crate) fn new(
         values: Vec<S>,
         pivots: Vec<usize>,
+        members: Vec<usize>,
         classes: Vec<InterleavedLuClass>,
     ) -> Self {
         for c in &classes {
             assert_eq!(c.data.len(), c.n * c.n * c.count());
             assert_eq!(c.piv.len(), c.n * c.count());
             assert!(c.data.end <= values.len() && c.piv.end <= pivots.len());
+            assert!(c.members.end <= members.len());
         }
         ClassSlab {
             values,
             pivots,
+            members,
             classes,
         }
     }
 
-    /// The classes, in the order [`BlockFactor::InterleavedLu`] indexes
+    /// The classes, in the order a clean slot's `(class, slot)` indexes
     /// them.
     pub fn classes(&self) -> &[InterleavedLuClass] {
         &self.classes
@@ -483,6 +480,11 @@ impl<S: Scalar> ClassSlab<S> {
     /// The whole value array every class is a range of.
     pub fn values(&self) -> &[S] {
         &self.values
+    }
+
+    /// Slot → block index of class `class`.
+    pub fn members(&self, class: usize) -> &[usize] {
+        &self.members[self.classes[class].members.clone()]
     }
 
     /// Interleaved combined `L\U` factors of class `class`.
@@ -497,7 +499,7 @@ impl<S: Scalar> ClassSlab<S> {
 
     /// The factor of slot `slot` of class `class`, read in place with
     /// stride `count`.
-    pub fn slot_view(&self, class: usize, slot: usize) -> LuView<'_, S> {
+    fn slot_view(&self, class: usize, slot: usize) -> LuView<'_, S> {
         let cls = &self.classes[class];
         LuView {
             n: cls.n,
@@ -533,55 +535,86 @@ pub(crate) fn block_diag<T: Scalar>(n: usize, data: &[T]) -> Vec<T> {
     (0..n).map(|i| data[i * n + i]).collect()
 }
 
+/// Where a block's factor and status live: a clean slot of the slab,
+/// or an index into the records.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Home {
+    Slot { class: u32, slot: u32 },
+    Record(u32),
+}
+
+/// A block with something of its own: its factor and its status.
+#[derive(Clone, Debug)]
+pub(crate) struct Record<T: Scalar> {
+    pub(crate) factor: BlockFactor<T>,
+    pub(crate) status: BlockStatus,
+}
+
 /// A factorized variable-size batch with per-block status, produced by
 /// [`crate::Backend::factorize`] and consumed by
-/// [`crate::Backend::solve`] / [`crate::Backend::solve_prepared`].
+/// [`crate::Backend::solve`] / [`crate::Backend::solve_prepared`]; see
+/// the module docs for what a block costs.
 #[derive(Clone, Debug)]
 pub struct FactorizedBatch<T: Scalar> {
-    /// Block orders.
-    pub sizes: Vec<usize>,
-    /// Per-block factors.
-    pub factors: Vec<BlockFactor<T>>,
-    /// Per-block wrapper around the factor's bare solve (`None`: the
-    /// bare solve is the apply).
-    pub wrappers: Vec<Option<Wrapper<T>>>,
-    /// Per-block factorization status.
-    pub status: Vec<BlockStatus>,
-    /// Native-precision interleaved size classes (empty for a fully
-    /// blocked factorization).
-    pub interleaved: ClassSlab<T>,
-    /// Lowered-precision interleaved size classes (empty under the
-    /// full-precision policy).
-    pub interleaved_lower: ClassSlab<T::Lower>,
+    sizes: Vec<usize>,
+    homes: Vec<Home>,
+    records: Vec<Record<T>>,
+    /// The interleaved classes, in the storage precision of every clean
+    /// slot (an empty native slab for a fully blocked factorization).
+    slab: Storage<ClassSlab<T>, ClassSlab<T::Lower>>,
+    /// Condition estimates of clean slots by block, once a pass made one.
+    slot_condest: Vec<Option<f64>>,
     /// The original batch in working precision, retained only under a
-    /// storage-lowering precision policy: [`Wrapper::RefineRetained`]
-    /// reads its residuals out of it — which is why a lowered plan
-    /// never factorizes in the batch's own storage. `None` under
-    /// `FullDp` (and at the `f32` floor), where factorization consumes
-    /// the batch: it is dropped, or its value array lives on as
-    /// [`FactorizedBatch::interleaved`]'s.
-    pub retained: Option<MatrixBatch<T>>,
+    /// storage-lowering precision policy: a lowered factor's apply reads
+    /// its residuals out of it — which is why a lowered plan never
+    /// factorizes in the batch's own storage. `None` under `FullDp` (and
+    /// at the `f32` floor), where factorization consumes the batch: it
+    /// is dropped, or its value array lives on as the slab's.
+    retained: Option<MatrixBatch<T>>,
 }
 
 impl<T: Scalar> FactorizedBatch<T> {
-    /// A batch whose factors all live in per-block storage: no
-    /// interleaved classes, no wrappers, nothing retained.
+    /// A batch over `slab` whose block `i` lives at `homes[i]`.
     // setup-time construction, not an apply path
-    #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
-    pub fn blocked(
+    #[allow(clippy::disallowed_methods)]
+    pub(crate) fn new(
+        sizes: Vec<usize>,
+        homes: Vec<Home>,
+        records: Vec<Record<T>>,
+        slab: Storage<ClassSlab<T>, ClassSlab<T::Lower>>,
+    ) -> Self {
+        assert_eq!(sizes.len(), homes.len());
+        FactorizedBatch {
+            sizes,
+            homes,
+            records,
+            slab,
+            slot_condest: Vec::new(),
+            retained: None,
+        }
+    }
+
+    /// A batch of records only: no slab, nothing retained.
+    #[cfg(test)]
+    pub(crate) fn blocked(
         sizes: Vec<usize>,
         factors: Vec<BlockFactor<T>>,
         status: Vec<BlockStatus>,
     ) -> Self {
-        FactorizedBatch {
-            wrappers: vec![None; sizes.len()],
+        let homes = (0..sizes.len() as u32).map(Home::Record).collect();
+        let records = factors.into_iter().zip(status);
+        let records = records.map(|(factor, status)| Record { factor, status });
+        FactorizedBatch::new(
             sizes,
-            factors,
-            status,
-            interleaved: ClassSlab::empty(),
-            interleaved_lower: ClassSlab::empty(),
-            retained: None,
-        }
+            homes,
+            records.collect(),
+            Storage::Native(ClassSlab::empty()),
+        )
+    }
+
+    /// Keep the originals the lowered factors refine against.
+    pub(crate) fn retain(&mut self, originals: MatrixBatch<T>) {
+        self.retained = Some(originals);
     }
 
     /// Number of blocks.
@@ -594,74 +627,165 @@ impl<T: Scalar> FactorizedBatch<T> {
         self.sizes.is_empty()
     }
 
-    /// Number of blocks that degraded to the scalar-Jacobi fallback.
-    pub fn fallback_count(&self) -> usize {
-        self.status.iter().filter(|s| s.is_fallback()).count()
+    /// Block orders.
+    pub fn sizes(&self) -> &[usize] {
+        &self.sizes
     }
 
-    /// The block's combined `L\U` factor, when its kernel family is one
-    /// of the two LU forms.
+    /// Number of blocks that degraded to the scalar-Jacobi fallback.
+    pub fn fallback_count(&self) -> usize {
+        self.records
+            .iter()
+            .filter(|r| r.status.is_fallback())
+            .count()
+    }
+
+    /// The status of every clean slot, its condition estimate aside.
+    fn slot_status(&self) -> BlockStatus {
+        let mut status = BlockStatus::factorized(KernelChoice::Lu);
+        status.precision = self.slab.precision();
+        status
+    }
+
+    /// Book every block's outcome in `stats`, the clean slots as one
+    /// count.
+    pub(crate) fn book(&self, stats: &mut ExecStats) {
+        let slots = self.homes.iter().filter(|h| matches!(h, Home::Slot { .. }));
+        stats.record_status(&self.slot_status(), slots.count() as u64);
+        self.records
+            .iter()
+            .for_each(|r| stats.record_status(&r.status, 1));
+    }
+
+    /// Block `block`'s factorization status.
+    pub fn status(&self, block: usize) -> BlockStatus {
+        match self.homes[block] {
+            Home::Slot { .. } => BlockStatus {
+                condest: self.slot_condest.get(block).copied().flatten(),
+                ..self.slot_status()
+            },
+            Home::Record(r) => self.records[r as usize].status.clone(),
+        }
+    }
+
+    /// Every block's status, in block order.
+    pub fn statuses(&self) -> impl ExactSizeIterator<Item = BlockStatus> + '_ {
+        (0..self.len()).map(|block| self.status(block))
+    }
+
+    /// Cache a condition estimate on block `block`'s status.
+    pub(crate) fn set_condest(&mut self, block: usize, k: f64) {
+        match self.homes[block] {
+            Home::Slot { .. } => {
+                self.slot_condest.resize(self.sizes.len(), None);
+                self.slot_condest[block] = Some(k);
+            }
+            Home::Record(r) => self.records[r as usize].status.condest = Some(k),
+        }
+    }
+
+    /// Give block `block` a factor of its own (a promotion, a recovery).
+    pub(crate) fn replace(&mut self, block: usize, factor: BlockFactor<T>, status: BlockStatus) {
+        let record = Record { factor, status };
+        match self.homes[block] {
+            Home::Record(r) => self.records[r as usize] = record,
+            Home::Slot { .. } => {
+                self.homes[block] = Home::Record(self.records.len() as u32);
+                self.records.push(record);
+            }
+        }
+    }
+
+    /// Block `block`'s own factor; `None` for a clean slot, whose factor
+    /// is its slot of the slab ([`FactorizedBatch::lu_view`]).
+    pub fn factor(&self, block: usize) -> Option<&BlockFactor<T>> {
+        match self.homes[block] {
+            Home::Slot { .. } => None,
+            Home::Record(r) => Some(&self.records[r as usize].factor),
+        }
+    }
+
+    /// Precision block `block`'s factor values are stored in.
+    pub fn storage(&self, block: usize) -> StoragePrecision {
+        self.factor(block)
+            .map_or(self.slab.precision(), BlockFactor::storage)
+    }
+
+    /// The class slab, when its slots are stored natively.
+    pub fn interleaved(&self) -> Option<&ClassSlab<T>> {
+        match &self.slab {
+            Storage::Native(slab) => Some(slab),
+            Storage::Lower(_) => None,
+        }
+    }
+
+    /// The block's combined `L\U` factor, when it is a clean slot or an
+    /// LU of its own.
     pub fn lu_view(&self, block: usize) -> Option<Storage<LuView<'_, T>, LuView<'_, T::Lower>>> {
-        match &self.factors[block] {
-            BlockFactor::Lu { lu, perm } => Some(match lu {
+        match (self.homes[block], self.factor(block)) {
+            (Home::Slot { class, slot }, _) => {
+                let (class, slot) = (class as usize, slot as usize);
+                Some(match &self.slab {
+                    Storage::Native(s) => Storage::Native(s.slot_view(class, slot)),
+                    Storage::Lower(s) => Storage::Lower(s.slot_view(class, slot)),
+                })
+            }
+            (_, Some(BlockFactor::Lu { lu, perm })) => Some(match lu {
                 Storage::Native(lu) => Storage::Native(LuView::own(lu, perm)),
                 Storage::Lower(lu) => Storage::Lower(LuView::own(lu, perm)),
-            }),
-            &BlockFactor::InterleavedLu {
-                class,
-                slot,
-                storage,
-            } => Some(match storage {
-                StoragePrecision::Native => {
-                    Storage::Native(self.interleaved.slot_view(class, slot))
-                }
-                StoragePrecision::Lower => {
-                    Storage::Lower(self.interleaved_lower.slot_view(class, slot))
-                }
             }),
             _ => None,
         }
     }
 
     /// The block's LU factor when its apply is exactly the bare native
-    /// LU solve (native storage, no wrapper) — the form the read-once
-    /// multi-RHS solve takes over.
-    pub fn bare_native_lu(&self, block: usize) -> Option<LuView<'_, T>> {
-        match (&self.wrappers[block], self.lu_view(block)) {
-            (None, Some(Storage::Native(view))) => Some(view),
+    /// LU solve — the form the read-once multi-RHS solve takes over.
+    fn bare_native_lu(&self, block: usize) -> Option<LuView<'_, T>> {
+        match self.lu_view(block)? {
+            Storage::Native(view) => Some(view),
+            Storage::Lower(_) => None,
+        }
+    }
+
+    /// What the apply of block `block` refines once against, and the
+    /// row and column scalings it solves through (empty but for an
+    /// equilibrated factor); `None` when the bare solve is the apply.
+    fn refinement(&self, block: usize) -> Option<(&[T], &[T], &[T])> {
+        match self.factor(block) {
+            Some(BlockFactor::Equilibrated { r, c, a, .. }) => Some((a, r, c)),
+            _ if self.storage(block) == StoragePrecision::Lower => {
+                let retained = self.retained.as_ref();
+                let retained = retained.expect("lowered factors refine against the originals");
+                Some((retained.block(block), &[], &[]))
+            }
             _ => None,
         }
     }
 
-    /// Scratch elements the bare kernel solve of block `block` needs:
-    /// `n` for the single-copy forms (permutation gather, GH un-permute,
+    /// Scratch elements [`FactorizedBatch::solve_block_inplace_with`]
+    /// needs for block `block`: `4 n` when the apply refines; else `n`
+    /// for the single-copy forms (permutation gather, GH un-permute,
     /// GEMV input, QR reflector workspace), `0` for the copy-free ones.
-    fn bare_scratch_elems(&self, block: usize) -> usize {
-        match &self.factors[block] {
-            BlockFactor::Chol(_) | BlockFactor::ScalarJacobi { .. } => 0,
+    pub fn solve_scratch_elems(&self, block: usize) -> usize {
+        match self.factor(block) {
+            _ if self.refinement(block).is_some() => 4 * self.sizes[block],
+            Some(BlockFactor::Chol(_) | BlockFactor::ScalarJacobi { .. }) => 0,
             _ => self.sizes[block],
         }
     }
 
-    /// Scratch elements [`FactorizedBatch::solve_block_inplace_with`]
-    /// needs for block `block`: the bare solve's, or `4 n` under a
-    /// refining [`Wrapper`].
-    pub fn solve_scratch_elems(&self, block: usize) -> usize {
-        match self.wrappers[block] {
-            None => self.bare_scratch_elems(block),
-            Some(_) => 4 * self.sizes[block],
-        }
-    }
-
-    /// The kernel family's own solve, without the wrapper.
+    /// The kernel family's own solve, without the refinement step.
     fn solve_bare(&self, block: usize, seg: &mut [T], scratch: &mut [T]) {
-        match &self.factors[block] {
-            BlockFactor::Lu { .. } | BlockFactor::InterleavedLu { .. } => {
-                let view = self.lu_view(block).expect("LU families have a view");
+        match self.factor(block) {
+            None | Some(BlockFactor::Lu { .. }) => {
+                let view = self.lu_view(block).expect("LU forms have a view");
                 on_storage!(view, v => v.solve_inplace(seg, scratch));
             }
-            BlockFactor::Gh(f) => on_storage!(f, f => f.solve_inplace_scratch(seg, scratch)),
-            BlockFactor::Inv { n, inv } => {
+            Some(BlockFactor::Equilibrated { lu, perm, .. }) => {
+                LuView::own(lu, perm).solve_inplace(seg, scratch)
+            }
+            Some(BlockFactor::Gh(f)) => on_storage!(f, f => f.solve_inplace_scratch(seg, scratch)),
+            Some(BlockFactor::Inv { n, inv }) => {
                 let x = &mut scratch[..*n];
                 x.copy_from_slice(seg);
                 for (i, out) in seg.iter_mut().enumerate() {
@@ -672,9 +796,9 @@ impl<T: Scalar> FactorizedBatch<T> {
                     *out = acc;
                 }
             }
-            BlockFactor::Chol(f) => f.solve_inplace(TrsvVariant::Eager, seg),
-            BlockFactor::Qr(f) => f.solve_inplace_scratch(seg, scratch),
-            BlockFactor::ScalarJacobi { inv_diag } => {
+            Some(BlockFactor::Chol(f)) => f.solve_inplace(TrsvVariant::Eager, seg),
+            Some(BlockFactor::Qr(f)) => f.solve_inplace_scratch(seg, scratch),
+            Some(BlockFactor::ScalarJacobi { inv_diag }) => {
                 for (s, &d) in seg.iter_mut().zip(inv_diag) {
                     *s *= d;
                 }
@@ -685,36 +809,20 @@ impl<T: Scalar> FactorizedBatch<T> {
     /// Solve block `block` against segment `seg` in place with
     /// caller-provided scratch
     /// (`scratch.len() >= solve_scratch_elems(block)`): every temporary
-    /// of the bare solve and of the refinement wrapper lands in
-    /// `scratch`, so the apply performs zero heap allocations.
+    /// of the bare solve and of the refinement step lands in `scratch`,
+    /// so the apply performs zero heap allocations.
     pub fn solve_block_inplace_with(&self, block: usize, seg: &mut [T], scratch: &mut [T]) {
         let n = self.sizes[block];
         debug_assert_eq!(seg.len(), n);
         debug_assert!(scratch.len() >= self.solve_scratch_elems(block));
-        let (a, scaling) = match &self.wrappers[block] {
-            None => return self.solve_bare(block, seg, scratch),
-            Some(Wrapper::RefineRetained) => {
-                let retained = self
-                    .retained
-                    .as_ref()
-                    .expect("lowered factors require the retained working-precision batch");
-                (retained.block(block), None)
-            }
-            Some(Wrapper::Equilibrated { r, c, a }) => (a.as_slice(), Some((r, c))),
+        let Some((a, r, c)) = self.refinement(block) else {
+            return self.solve_bare(block, seg, scratch);
         };
         refine_once(n, a, seg, scratch, |x, inner| {
             // x := diag(c) * solve(diag(r) * x)
-            if let Some((r, _)) = scaling {
-                for (xi, &ri) in x.iter_mut().zip(r) {
-                    *xi *= ri;
-                }
-            }
+            x.iter_mut().zip(r).for_each(|(xi, &ri)| *xi *= ri);
             self.solve_bare(block, x, inner);
-            if let Some((_, c)) = scaling {
-                for (xi, &ci) in x.iter_mut().zip(c) {
-                    *xi *= ci;
-                }
-            }
+            x.iter_mut().zip(c).for_each(|(xi, &ci)| *xi *= ci);
         });
     }
 
@@ -763,9 +871,6 @@ impl<T: Scalar> FactorizedBatch<T> {
     /// are those of the scaled block, so it reports `None`). Used by
     /// the golden differential suite to assert bitwise pivot agreement.
     pub fn row_of_step(&self, block: usize) -> Option<Vec<usize>> {
-        if matches!(self.wrappers[block], Some(Wrapper::Equilibrated { .. })) {
-            return None;
-        }
         self.lu_view(block)
             .map(|view| on_storage!(view, v => v.pivots()))
     }
@@ -852,19 +957,17 @@ mod tests {
         let (r, c) = vbatch_core::equilibrate(&a).unwrap();
         let e = vbatch_core::apply_equilibration(&a, &r, &c);
         let f = getrf(&e, PivotStrategy::Implicit).unwrap();
-        let mut fb = FactorizedBatch::blocked(
+        let fb = FactorizedBatch::blocked(
             vec![2],
-            vec![BlockFactor::Lu {
-                lu: Storage::Native(f.lu.as_slice().to_vec()),
+            vec![BlockFactor::Equilibrated {
+                lu: f.lu.as_slice().to_vec(),
                 perm: f.perm,
+                r,
+                c,
+                a: a.as_slice().to_vec(),
             }],
             vec![BlockStatus::factorized(KernelChoice::Lu)],
         );
-        fb.wrappers[0] = Some(Wrapper::Equilibrated {
-            r,
-            c,
-            a: a.as_slice().to_vec(),
-        });
         assert_eq!(fb.solve_scratch_elems(0), 8);
         assert!(fb.row_of_step(0).is_none(), "pivots of the scaled block");
         let x_true = [1.5f64, -0.25];

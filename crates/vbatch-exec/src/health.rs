@@ -5,14 +5,15 @@
 //! gets a Hager/Higham 1-norm condition estimate. Blocks whose estimate
 //! exceeds the policy threshold are *recovered in place*: the original
 //! block is equilibrated (LAPACK `geequ`-style row/column scalings),
-//! refactorized, and replaced by a native [`BlockFactor::Lu`] under a
-//! [`Wrapper::Equilibrated`] whose apply adds one step of iterative
-//! refinement. Blocks that cannot be recovered escalate through the
-//! rank-revealing QR and the scalar-Jacobi fallback down to identity
-//! rows, and every step taken is recorded in the block's
-//! [`BlockStatus::recovery`] chain — so the caller can always tell the
-//! difference between "factorized cleanly", "recovered exactly" and
-//! "degraded".
+//! refactorized, and replaced by a [`BlockFactor::Equilibrated`] record
+//! whose apply adds one step of iterative refinement. Blocks that cannot
+//! be recovered escalate through the rank-revealing QR and the
+//! scalar-Jacobi fallback down to identity rows, and every step taken
+//! is recorded in the block's [`crate::BlockStatus::recovery`] chain — so the
+//! caller can always tell the difference between "factorized cleanly",
+//! "recovered exactly" and "degraded". A clean slot keeps no record
+//! through either pass, only its condition estimate; a promoted or
+//! recovered block gets a record of its own.
 //!
 //! The triage pass never touches blocks that already fell back during
 //! factorization (their health was classified from the factor error),
@@ -20,8 +21,8 @@
 //! layout-equivalence contract of the unguarded path.
 
 use crate::factors::{
-    block_diag, on_storage, scalar_jacobi_from_diag, BlockFactor, BlockHealth, BlockStatus,
-    FactorizedBatch, RecoveryStep, Wrapper,
+    block_diag, on_storage, scalar_jacobi_from_diag, BlockFactor, BlockHealth, FactorizedBatch,
+    RecoveryStep,
 };
 use crate::plan::HealthPolicy;
 use vbatch_core::lu::LuFactors;
@@ -55,26 +56,23 @@ fn condest_in<T: Scalar, S: Stored<T>>(n: usize, a: &[T], factors: Option<LuFact
 /// factors that are not an exact inverse of the block as given (the
 /// scalar-Jacobi fallback) or were already triaged.
 fn condest_block<T: Scalar>(a: &[T], block: usize, batch: &FactorizedBatch<T>) -> Option<f64> {
-    if matches!(batch.wrappers[block], Some(Wrapper::Equilibrated { .. })) {
-        return None;
-    }
-    let n = batch.sizes[block];
-    match &batch.factors[block] {
-        BlockFactor::Lu { .. } | BlockFactor::InterleavedLu { .. } => {
-            let view = batch.lu_view(block).expect("LU families have a view");
+    let n = batch.sizes()[block];
+    match batch.factor(block) {
+        None | Some(BlockFactor::Lu { .. }) => {
+            let view = batch.lu_view(block).expect("LU forms have a view");
             Some(on_storage!(view, v => condest_in(n, a, Some(v.to_factors()))))
         }
-        BlockFactor::Gh(Storage::Native(_)) | BlockFactor::Chol(_) => {
+        Some(BlockFactor::Gh(Storage::Native(_)) | BlockFactor::Chol(_)) => {
             Some(condest_in::<T, T>(n, a, None))
         }
-        BlockFactor::Gh(Storage::Lower(_)) => Some(condest_in::<T, T::Lower>(n, a, None)),
-        BlockFactor::Inv { inv, .. } => {
+        Some(BlockFactor::Gh(Storage::Lower(_))) => Some(condest_in::<T, T::Lower>(n, a, None)),
+        Some(BlockFactor::Inv { inv, .. }) => {
             // exact: the explicit inverse is already materialized
             let a = DenseMat::from_col_major(n, n, a);
             let inv = DenseMat::from_col_major(n, n, inv);
             Some((norm1(&a) * norm1(&inv)).to_f64())
         }
-        BlockFactor::ScalarJacobi { .. } | BlockFactor::Qr(_) => None,
+        _ => None,
     }
 }
 
@@ -101,13 +99,13 @@ fn pivot_spread<T: Scalar>(block: usize, batch: &FactorizedBatch<T>) -> Option<f
         lo = lo.min(v);
         hi = hi.max(v);
     };
-    let n = batch.sizes[block];
-    match &batch.factors[block] {
-        BlockFactor::Lu { .. } | BlockFactor::InterleavedLu { .. } => {
-            let view = batch.lu_view(block).expect("LU families have a view");
+    let n = batch.sizes()[block];
+    match batch.factor(block) {
+        None | Some(BlockFactor::Lu { .. }) => {
+            let view = batch.lu_view(block).expect("LU forms have a view");
             on_storage!(view, v => (0..n).for_each(|k| feed(v.at(v.row_of_step(k), k).to_f64())));
         }
-        BlockFactor::Gh(gh) => {
+        Some(BlockFactor::Gh(gh)) => {
             on_storage!(gh, gh => (0..n).for_each(|k| feed(gh.m[(k, k)].to_f64())));
         }
         _ => return None,
@@ -150,7 +148,7 @@ pub(crate) fn promote_unsafe_blocks<T: Scalar>(
     let _span = vbatch_rt::span!("exec.promote", batch.len());
     let threshold = promote_threshold::<T>();
     for i in 0..batch.len() {
-        if batch.status[i].precision != StoragePrecision::Lower {
+        if batch.storage(i) != StoragePrecision::Lower {
             continue;
         }
         if let Some(spread) = pivot_spread(i, batch) {
@@ -158,41 +156,21 @@ pub(crate) fn promote_unsafe_blocks<T: Scalar>(
                 continue;
             }
         }
-        let n = batch.sizes[i];
+        let n = batch.sizes()[i];
         let Some(k) = condest_block(blocks.block(i), i, batch) else {
             continue;
         };
-        batch.status[i].condest = Some(k);
+        batch.set_condest(i, k);
         // NaN-safe: only a definite exceedance promotes
         if !(k > threshold) {
             continue;
         }
-        let kernel = batch.status[i].kernel;
+        let kernel = batch.status(i).kernel;
         let (factor, mut status) = crate::cpu::factor_block::<T, T>(n, blocks.block(i), kernel);
         status.condest = Some(k);
         status.promoted = true;
-        batch.factors[i] = factor;
-        batch.wrappers[i] = None;
-        batch.status[i] = status;
+        batch.replace(i, factor, status);
     }
-}
-
-/// Escalate one unrecoverable block to scalar Jacobi (and, for rows
-/// whose diagonal is unusable, identity), extending its recovery chain.
-fn escalate_to_scalar_jacobi<T: Scalar>(
-    n: usize,
-    block: &[T],
-    status: &mut BlockStatus,
-) -> BlockFactor<T> {
-    let diag = block_diag(n, block);
-    let (factor, sanitized) = scalar_jacobi_from_diag(&diag);
-    if sanitized < n {
-        status.recovery.push(RecoveryStep::ScalarJacobi);
-    }
-    if sanitized > 0 {
-        status.recovery.push(RecoveryStep::Identity);
-    }
-    factor
 }
 
 /// Run health triage over a freshly factorized batch. `blocks` must be
@@ -212,13 +190,14 @@ pub(crate) fn triage_batch<T: Scalar>(
     };
     let _span = vbatch_rt::span!("exec.triage", batch.len());
     for i in 0..batch.len() {
-        if batch.status[i].is_fallback() {
+        let mut status = batch.status(i);
+        if status.is_fallback() {
             continue;
         }
-        let n = batch.sizes[i];
+        let n = batch.sizes()[i];
         // reuse the condest a mixed-precision promotion pass already
         // computed and cached; estimate only where nothing is cached
-        let k = match batch.status[i].condest {
+        let k = match status.condest {
             Some(k) => k,
             None => {
                 let Some(k) = condest_block(blocks.block(i), i, batch) else {
@@ -227,12 +206,16 @@ pub(crate) fn triage_batch<T: Scalar>(
                 k
             }
         };
-        batch.status[i].condest = Some(k);
+        // a block that kept its factors stays healthy below the threshold
         if !(k > ill_threshold) {
-            batch.status[i].health = BlockHealth::Healthy;
+            batch.set_condest(i, k);
             continue;
         }
-        batch.status[i].health = BlockHealth::IllConditioned;
+        status.condest = Some(k);
+        status.health = BlockHealth::IllConditioned;
+        // a recovered block stores working-precision factors again,
+        // whatever policy factorized it
+        status.precision = StoragePrecision::Native;
         let a = DenseMat::from_col_major(n, n, blocks.block(i));
         // recover: equilibrate + refactorize, then rank-revealing QR,
         // then surrender to scalar Jacobi
@@ -240,34 +223,31 @@ pub(crate) fn triage_batch<T: Scalar>(
             let e = apply_equilibration(&a, &r, &c);
             getrf(&e, PivotStrategy::Implicit).ok().map(|f| (f, r, c))
         });
-        // a recovered block stores working-precision factors again,
-        // whatever policy factorized it
-        batch.status[i].precision = StoragePrecision::Native;
-        batch.wrappers[i] = None;
-        match recovered {
+        let factor = match recovered {
             Some((f, r, c)) => {
-                batch.factors[i] = BlockFactor::Lu {
-                    lu: Storage::Native(f.lu.as_slice().to_vec()),
+                status.recovery.push(RecoveryStep::Equilibrated);
+                BlockFactor::Equilibrated {
+                    lu: f.lu.as_slice().to_vec(),
                     perm: f.perm,
-                };
-                batch.wrappers[i] = Some(Wrapper::Equilibrated {
                     r,
                     c,
                     a: blocks.block(i).to_vec(),
-                });
-                batch.status[i].recovery.push(RecoveryStep::Equilibrated);
+                }
             }
             None => match geqp3(n, blocks.block(i)) {
                 Ok(f) => {
-                    batch.factors[i] = BlockFactor::Qr(f);
-                    batch.status[i].recovery.push(RecoveryStep::HouseholderQr);
+                    status.recovery.push(RecoveryStep::HouseholderQr);
+                    BlockFactor::Qr(f)
                 }
                 Err(_) => {
-                    batch.factors[i] =
-                        escalate_to_scalar_jacobi(n, blocks.block(i), &mut batch.status[i]);
+                    let diag = block_diag(n, blocks.block(i));
+                    let (factor, sanitized) = scalar_jacobi_from_diag(&diag);
+                    status.recovery.extend(RecoveryStep::jacobi(sanitized, n));
+                    factor
                 }
             },
-        }
+        };
+        batch.replace(i, factor, status);
     }
 }
 
@@ -311,15 +291,15 @@ mod tests {
                 .with_health(HealthPolicy::guarded::<f64>());
         let mut stats = ExecStats::new();
         let fact = CpuSequential.factorize(batch.clone(), &plan, &mut stats);
-        assert_eq!(fact.status[1].health, BlockHealth::IllConditioned);
-        assert_eq!(fact.status[1].recovery, vec![RecoveryStep::Equilibrated]);
-        assert!(!fact.status[1].is_fallback(), "equilibration is exact");
+        assert_eq!(fact.status(1).health, BlockHealth::IllConditioned);
+        assert_eq!(fact.status(1).recovery, vec![RecoveryStep::Equilibrated]);
+        assert!(!fact.status(1).is_fallback(), "equilibration is exact");
         assert_eq!(fact.fallback_count(), 0);
-        assert!(fact.status[1].condest.unwrap() > 1e12);
+        assert!(fact.status(1).condest.unwrap() > 1e12);
         for i in [0usize, 2] {
-            assert_eq!(fact.status[i].health, BlockHealth::Healthy);
-            assert!(fact.status[i].condest.unwrap() < 10.0);
-            assert!(fact.status[i].recovery.is_empty());
+            assert_eq!(fact.status(i).health, BlockHealth::Healthy);
+            assert!(fact.status(i).condest.unwrap() < 10.0);
+            assert!(fact.status(i).recovery.is_empty());
         }
 
         // the recovered block still applies the exact block inverse
@@ -345,28 +325,28 @@ mod tests {
         .with_health(HealthPolicy::guarded::<f64>());
         let mut stats = ExecStats::new();
         let fact = CpuSequential.factorize(batch.clone(), &il, &mut stats);
-        assert_eq!(fact.status[1].health, BlockHealth::IllConditioned);
-        assert!(matches!(fact.factors[1], BlockFactor::Lu { .. }));
+        assert_eq!(fact.status(1).health, BlockHealth::IllConditioned);
         assert!(matches!(
-            fact.wrappers[1],
-            Some(Wrapper::Equilibrated { .. })
+            fact.factor(1),
+            Some(BlockFactor::Equilibrated { .. })
         ));
-        // healthy slots stay in the interleaved class
-        assert!(matches!(fact.factors[0], BlockFactor::InterleavedLu { .. }));
+        // healthy slots stay in the interleaved class, with no record
+        assert!(fact.factor(0).is_none());
+        assert!(fact.status(0).condest.is_some());
 
         // explicit-inverse method: condest is exact
         let gje = BatchPlan::for_method::<f64>(&sizes, PlanMethod::GjeInvert)
             .with_health(HealthPolicy::guarded::<f64>());
         let fact = CpuSequential.factorize(batch.clone(), &gje, &mut stats);
-        assert_eq!(fact.status[1].health, BlockHealth::IllConditioned);
-        assert_eq!(fact.status[0].health, BlockHealth::Healthy);
+        assert_eq!(fact.status(1).health, BlockHealth::IllConditioned);
+        assert_eq!(fact.status(0).health, BlockHealth::Healthy);
 
         // GH method: triage refactorizes on the host
         let gh = BatchPlan::for_method::<f64>(&sizes, PlanMethod::GaussHuard)
             .with_health(HealthPolicy::guarded::<f64>());
         let fact = CpuSequential.factorize(batch, &gh, &mut stats);
-        assert_eq!(fact.status[1].health, BlockHealth::IllConditioned);
-        assert_eq!(fact.status[1].kernel, KernelChoice::GaussHuard);
+        assert_eq!(fact.status(1).health, BlockHealth::IllConditioned);
+        assert_eq!(fact.status(1).kernel, KernelChoice::GaussHuard);
     }
 
     #[test]
@@ -387,12 +367,13 @@ mod tests {
         status.condest = Some(1e30);
         let mut batch = FactorizedBatch::blocked(sizes, vec![factor], vec![status]);
         triage_batch(&blocks, &mut batch, HealthPolicy::guarded::<f64>());
-        assert_eq!(batch.status[0].health, BlockHealth::IllConditioned);
-        assert!(matches!(batch.factors[0], BlockFactor::Qr(_)));
-        assert_eq!(batch.status[0].recovery, vec![RecoveryStep::HouseholderQr]);
-        assert_eq!(batch.status[0].precision, StoragePrecision::Native);
+        let status = batch.status(0);
+        assert_eq!(status.health, BlockHealth::IllConditioned);
+        assert!(matches!(batch.factor(0), Some(BlockFactor::Qr(_))));
+        assert_eq!(status.recovery, vec![RecoveryStep::HouseholderQr]);
+        assert_eq!(status.precision, StoragePrecision::Native);
         // the cached estimate was consumed, not replaced
-        assert_eq!(batch.status[0].condest, Some(1e30));
+        assert_eq!(status.condest, Some(1e30));
     }
 
     #[test]
@@ -415,10 +396,10 @@ mod tests {
             BatchPlan::for_method_with_layout::<f64>(&sizes, PlanMethod::Lu, BatchLayout::Blocked)
                 .with_precision(crate::plan::PrecisionPolicy::MixedPromote);
         let fact = CpuSequential.factorize(batch, &plan, &mut ExecStats::new());
-        let promoted: Vec<bool> = fact.status.iter().map(|s| s.promoted).collect();
-        assert_eq!(promoted, [false, true], "{:?}", fact.status);
-        assert_eq!(fact.status[0].precision, StoragePrecision::Lower);
-        assert_eq!(fact.status[1].precision, StoragePrecision::Native);
+        let promoted: Vec<bool> = fact.statuses().map(|s| s.promoted).collect();
+        assert_eq!(promoted, [false, true]);
+        assert_eq!(fact.status(0).precision, StoragePrecision::Lower);
+        assert_eq!(fact.status(1).precision, StoragePrecision::Native);
     }
 
     #[test]
@@ -427,7 +408,7 @@ mod tests {
         let plan = BatchPlan::for_method::<f64>(&sizes, PlanMethod::Lu);
         let mut stats = ExecStats::new();
         let fact = CpuSequential.factorize(batch, &plan, &mut stats);
-        for s in &fact.status {
+        for s in fact.statuses() {
             assert_eq!(s.health, BlockHealth::Healthy);
             assert!(s.condest.is_none());
             assert!(s.recovery.is_empty());

@@ -18,17 +18,18 @@
 //! What a flush allocates: the staged `MatrixBatch` (`count · n²`
 //! values and its two index vectors — `Backend::factorize` takes it by
 //! value, so it cannot be recycled), the factor store built from it,
-//! and the prepared apply. The factor store is per-block tables plus
-//! the factors themselves: under the service's engine (blocked
-//! layout, guarded triage) one vector per block, the staged batch
+//! the prepared apply and the returned statuses. Under the service's
+//! engine (blocked layout, guarded triage) the factor store is one
+//! record per member — its factor and its status — the staged batch
 //! staying readable for the triage pass and dropped after it; under an
-//! interleaved layout with health `Off` and native storage the host
-//! backends build the factors *in* the staged value array and add only
-//! pivots and one staging chunk per worker thread; any other
-//! interleaved flush gathers into one slab. Keeping the factor store
-//! across flushes needs a `factorize` that borrows its input and writes
-//! into a reusable output (ROADMAP item 3(a)) — this is where that
-//! `BlockSolve` would live.
+//! interleaved layout with health `Off` and native storage a clean
+//! member is its slot of the class slab, which the host backends build
+//! *in* the staged value array, adding only pivots, the member index
+//! and one staging chunk per worker thread; any other interleaved flush
+//! gathers into one slab. Keeping the factor store across flushes needs
+//! a `factorize` that borrows its input and writes into a reusable
+//! output (ROADMAP item 3(a)) — this is where that `BlockSolve` would
+//! live.
 //!
 //! Isolation contract: with the blocked layout every block is
 //! factorized and solved independently, so a member's result is a pure
@@ -152,7 +153,7 @@ impl<T: Scalar> SizeClassHandle<T> {
             r.copy_from_slice(x);
         }
         self.flushes += 1;
-        solve.into_statuses()
+        solve.statuses().collect()
     }
 }
 

@@ -7,7 +7,7 @@
 //! promotion, fallback — lives in its [`BlockStatus`] and nowhere else.
 //!
 //! The stats also *forward* to the global `vbatch_rt::trace` metrics
-//! registry: `record_statuses` books every fact of a factorization's
+//! registry: `record_status` books every fact of a factorization's
 //! statuses there as labeled counters, and [`ExecStats::add_phase`]
 //! books phase durations as latency histograms. With the `trace`
 //! feature off the forwarding calls are inert inline stubs.
@@ -116,27 +116,28 @@ impl ExecStats {
         }
     }
 
-    /// Book one factorization's per-block outcomes: every block that
+    /// Book `blocks` blocks that share the outcome `s`: a block that
     /// kept its kernel's factors counts toward that kernel, so a
     /// fallback block stays out of the histogram and
     /// `FactorizedBatch::fallback_count` is its complement. Every fact
-    /// of every status — fallback, health, recovery steps, storage
+    /// of the status — fallback, health, recovery steps, storage
     /// precision, promotion — is forwarded to the trace registry.
-    pub(crate) fn record_statuses(&mut self, status: &[BlockStatus]) {
-        for s in status {
-            if s.is_fallback() {
-                vbatch_rt::counter!("exec.failures", 1);
-            } else {
-                self.record_kernel(s.kernel, 1);
-            }
-            vbatch_rt::trace::labeled_add("exec.health", s.health.label(), 1);
-            for step in &s.recovery {
-                vbatch_rt::trace::labeled_add("exec.recovery", step.label(), 1);
-            }
-            vbatch_rt::trace::labeled_add("exec.precision", s.precision.label(), 1);
-            if s.promoted {
-                vbatch_rt::counter!("exec.promotions", 1);
-            }
+    pub(crate) fn record_status(&mut self, s: &BlockStatus, blocks: u64) {
+        if blocks == 0 {
+            return;
+        }
+        if s.is_fallback() {
+            vbatch_rt::counter!("exec.failures", blocks);
+        } else {
+            self.record_kernel(s.kernel, blocks);
+        }
+        vbatch_rt::trace::labeled_add("exec.health", s.health.label(), blocks);
+        for step in &s.recovery {
+            vbatch_rt::trace::labeled_add("exec.recovery", step.label(), blocks);
+        }
+        vbatch_rt::trace::labeled_add("exec.precision", s.precision.label(), blocks);
+        if s.promoted {
+            vbatch_rt::counter!("exec.promotions", blocks);
         }
     }
 

@@ -140,11 +140,6 @@ impl<T: Scalar> BlockTriangular<T> {
         self.part_ptr.last().copied().unwrap_or(0)
     }
 
-    /// Scalar order of block row/column `i`.
-    pub fn block_size(&self, i: usize) -> usize {
-        self.part_ptr[i + 1] - self.part_ptr[i]
-    }
-
     /// Entry range of block row `i`.
     pub fn row_entries(&self, i: usize) -> Range<usize> {
         self.row_ptr[i]..self.row_ptr[i + 1]

@@ -74,7 +74,7 @@ fn statuses_match_injected_fault_map_exactly() {
                 .with_health(HealthPolicy::guarded::<f64>());
                 let factors = backend.factorize(blocks, &bplan, &mut ExecStats::new());
                 for (i, fault) in map.iter().enumerate() {
-                    let status = &factors.status[i];
+                    let status = factors.status(i);
                     let ctx = format!(
                         "{:?} on {}/{}, block {i}",
                         class,
@@ -136,9 +136,9 @@ fn mixed_faults_still_converge_through_block_jacobi_idr() {
             let map = plan.assign(m.partition().len());
             let victims = map.iter().filter(|f| f.is_some()).count();
             assert_eq!(victims, 4, "10% of 40 blocks");
-            for (i, fault) in map.iter().enumerate() {
+            for (i, (fault, status)) in map.iter().zip(m.statuses()).enumerate() {
                 assert_eq!(
-                    m.statuses()[i].health,
+                    status.health,
                     expected_health(*fault),
                     "{name}/{} block {i}",
                     layout.label()
@@ -208,10 +208,10 @@ fn lane_group_faults_poison_only_their_own_slot() {
 
     for blk in 0..COUNT {
         let want = expected_health(map[blk]);
-        assert_eq!(f_faulty.status[blk].health, want, "block {blk}");
+        assert_eq!(f_faulty.status(blk).health, want, "block {blk}");
         if map[blk].is_some() {
             assert!(
-                f_faulty.status[blk].is_fallback(),
+                f_faulty.status(blk).is_fallback(),
                 "victim {blk} must degrade"
             );
             assert!(
@@ -221,7 +221,7 @@ fn lane_group_faults_poison_only_their_own_slot() {
         } else {
             // healthy lane-mates: pivots and solve bits untouched by
             // the poisoned slots sharing their vector registers
-            assert!(!f_faulty.status[blk].is_fallback(), "block {blk}");
+            assert!(!f_faulty.status(blk).is_fallback(), "block {blk}");
             assert_eq!(
                 f_faulty.row_of_step(blk),
                 f_clean.row_of_step(blk),
@@ -261,10 +261,7 @@ fn rhs_faults_are_reported_not_iterated_on() {
     )
     .unwrap();
     // the matrix faults are absent: every block is healthy
-    assert!(m
-        .statuses()
-        .iter()
-        .all(|s| s.health == BlockHealth::Healthy));
+    assert!(m.statuses().all(|s| s.health == BlockHealth::Healthy));
 
     let r = idr(&a, rhs.as_slice(), 4, &m, &SolveParams::default());
     assert_eq!(r.reason, StopReason::NonFinite);

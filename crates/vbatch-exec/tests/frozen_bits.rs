@@ -171,7 +171,7 @@ fn sweep_digest<T: Scalar>(method: PlanMethod) -> u64 {
                             Some(piv) => piv.iter().for_each(|&p| h.word(p as u64)),
                             None => h.word(u64::MAX),
                         }
-                        let s = &f.status[i];
+                        let s = f.status(i);
                         h.word(health_code(s.health));
                         h.word(s.recovery.len() as u64);
                         s.recovery.iter().for_each(|&r| h.word(recovery_code(r)));

@@ -106,7 +106,7 @@ fn run_all_combos(
 fn assert_matches_dense_reference(batch: &MatrixBatch<f64>, rhs: &VectorBatch<f64>, combo: &Combo) {
     let solved = VectorBatch::from_flat(batch.sizes(), &combo.solution);
     for blk in 0..batch.len() {
-        if combo.factors.status[blk].is_fallback() {
+        if combo.factors.status(blk).is_fallback() {
             continue;
         }
         let n = batch.size(blk);
@@ -199,7 +199,7 @@ fn singular_blocks_fall_back_identically_in_every_combo() {
                 combo.label
             );
             assert!(
-                combo.factors.status[victim].is_fallback(),
+                combo.factors.status(victim).is_fallback(),
                 "{}: victim block must degrade",
                 combo.label
             );
@@ -215,8 +215,8 @@ fn singular_blocks_fall_back_identically_in_every_combo() {
         for combo in &combos {
             for blk in 0..batch.len() {
                 assert_eq!(
-                    combo.factors.status[blk].is_fallback(),
-                    combos[0].factors.status[blk].is_fallback(),
+                    combo.factors.status(blk).is_fallback(),
+                    combos[0].factors.status(blk).is_fallback(),
                     "{} block {blk} fallback map",
                     combo.label
                 );

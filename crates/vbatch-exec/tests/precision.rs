@@ -54,7 +54,7 @@ fn rhs_for(rng: &mut SmallRng, sizes: &[usize]) -> VectorBatch<f64> {
 
 /// Blocks a mixed-precision policy promoted back to native factors.
 fn promotions<T: vbatch_core::Scalar>(factors: &FactorizedBatch<T>) -> usize {
-    factors.status.iter().filter(|s| s.promoted).count()
+    factors.statuses().filter(|s| s.promoted).count()
 }
 
 /// Scale rows of block `i` so its condition estimate lands far above
@@ -121,9 +121,9 @@ fn promotion_never_moves_solutions_beyond_tolerance() {
                             backend.name(),
                             layout.label()
                         );
-                        assert!(factors.status[4].promoted);
-                        assert_eq!(factors.status[4].precision, StoragePrecision::Native);
-                        assert!(factors.status[4].condest.unwrap() > 724.0);
+                        assert!(factors.status(4).promoted);
+                        assert_eq!(factors.status(4).precision, StoragePrecision::Native);
+                        assert!(factors.status(4).condest.unwrap() > 724.0);
                     }
                     let mut off = 0usize;
                     for blk in 0..batch.len() {
@@ -182,7 +182,7 @@ fn force_sp_matches_mixed_promote_bitwise_when_nothing_promotes() {
             for (a, b) in sp.iter().zip(&mx) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{}: sp vs mixed", layout.label());
             }
-            for (s, m) in sp_f.status.iter().zip(&mx_f.status) {
+            for (s, m) in sp_f.statuses().zip(mx_f.statuses()) {
                 assert_eq!(s.precision, StoragePrecision::Lower);
                 assert_eq!(m.precision, StoragePrecision::Lower);
                 assert!(!s.promoted && !m.promoted);
@@ -205,15 +205,15 @@ fn promotion_condest_is_cached_and_reused_by_triage() {
     let factors = CpuSequential.factorize(batch, &plan, &mut stats);
     // the promotion pass estimated every lowered block and cached the
     // estimate; triage consumed the cache, so each status carries one
-    assert!(factors.status.iter().all(|s| s.condest.is_some()));
+    assert!(factors.statuses().all(|s| s.condest.is_some()));
     assert_eq!(promotions(&factors), 1);
-    assert!(factors.status[1].promoted);
+    assert!(factors.status(1).promoted);
     // the promoted block then failed DP triage too and was recovered in
     // native precision; the well-conditioned neighbours stayed lowered
-    assert_eq!(factors.status[1].precision, StoragePrecision::Native);
+    assert_eq!(factors.status(1).precision, StoragePrecision::Native);
     for i in [0usize, 2] {
-        assert_eq!(factors.status[i].precision, StoragePrecision::Lower);
-        assert!(!factors.status[i].promoted);
+        assert_eq!(factors.status(i).precision, StoragePrecision::Lower);
+        assert!(!factors.status(i).promoted);
     }
 }
 
@@ -255,8 +255,7 @@ fn f32_floor_policies_are_bitwise_noops() {
         }
         // everything reports native storage; nothing promotes
         assert!(f
-            .status
-            .iter()
+            .statuses()
             .all(|s| s.precision == StoragePrecision::Native && !s.promoted));
     }
 }

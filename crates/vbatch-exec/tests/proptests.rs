@@ -8,7 +8,7 @@
 use vbatch_core::{BatchLayout, DenseMat, MatrixBatch, Scalar, StoragePrecision, VectorBatch};
 use vbatch_exec::{
     Backend, BatchPlan, BlockFactor, BlockTriangular, ClassLayout, CpuSequential, CpuSimd,
-    ExecStats, FactorizedBatch, HealthPolicy, KernelChoice, PlanMethod, PrecisionPolicy, Wrapper,
+    ExecStats, FactorizedBatch, HealthPolicy, KernelChoice, PlanMethod, PrecisionPolicy,
 };
 use vbatch_rt::{run_cases, testgen, SmallRng};
 
@@ -149,24 +149,25 @@ fn crossover_depends_on_precision() {
     assert_eq!(f64::BYTES, 8);
 }
 
-/// `family/storage/wrapper` of block `i` — one label per form the
+/// `family/storage/refinement` of block `i` — one label per form the
 /// factor store can hold.
 fn factor_kind(f: &FactorizedBatch<f64>, i: usize) -> String {
-    let (family, storage) = match &f.factors[i] {
-        BlockFactor::Lu { lu, .. } => ("lu", lu.precision()),
-        BlockFactor::InterleavedLu { storage, .. } => ("interleaved_lu", *storage),
-        BlockFactor::Gh(gh) => ("gh", gh.precision()),
-        BlockFactor::Inv { .. } => ("inv", StoragePrecision::Native),
-        BlockFactor::Chol(_) => ("chol", StoragePrecision::Native),
-        BlockFactor::Qr(_) => ("qr", StoragePrecision::Native),
-        BlockFactor::ScalarJacobi { .. } => ("scalar_jacobi", StoragePrecision::Native),
+    let family = match f.factor(i) {
+        None => "interleaved_lu",
+        Some(BlockFactor::Lu { .. } | BlockFactor::Equilibrated { .. }) => "lu",
+        Some(BlockFactor::Gh(_)) => "gh",
+        Some(BlockFactor::Inv { .. }) => "inv",
+        Some(BlockFactor::Chol(_)) => "chol",
+        Some(BlockFactor::Qr(_)) => "qr",
+        Some(BlockFactor::ScalarJacobi { .. }) => "scalar_jacobi",
     };
-    let wrapper = match &f.wrappers[i] {
-        None => "bare",
-        Some(Wrapper::RefineRetained) => "refine_retained",
-        Some(Wrapper::Equilibrated { .. }) => "equilibrated",
+    let storage = f.storage(i);
+    let refinement = match f.factor(i) {
+        Some(BlockFactor::Equilibrated { .. }) => "equilibrated",
+        _ if storage == StoragePrecision::Lower => "refine_retained",
+        _ => "bare",
     };
-    format!("{family}/{}/{wrapper}", storage.label())
+    format!("{family}/{}/{refinement}", storage.label())
 }
 
 /// The block-ILU(0) normalisation solves a whole block row per call;

@@ -336,7 +336,7 @@ impl<T: Scalar> BlockPreconditioner<T> for BlockIlu0<T> {
         &self.part
     }
 
-    fn statuses(&self) -> &[BlockStatus] {
+    fn statuses(&self) -> impl ExactSizeIterator<Item = BlockStatus> + '_ {
         self.diag.statuses()
     }
 

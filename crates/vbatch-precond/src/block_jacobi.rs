@@ -112,7 +112,7 @@ impl<T: Scalar> BlockPreconditioner<T> for BlockJacobi<T> {
         &self.part
     }
 
-    fn statuses(&self) -> &[BlockStatus] {
+    fn statuses(&self) -> impl ExactSizeIterator<Item = BlockStatus> + '_ {
         self.diag.statuses()
     }
 
@@ -257,13 +257,14 @@ mod tests {
         // setup degrades only the offending block and reports why
         let m = setup(&a, &part, PlanMethod::Lu, seq());
         assert_eq!(m.fallback_blocks, 1);
-        assert!(m.statuses()[0].error.is_none());
+        let statuses: Vec<_> = m.statuses().collect();
+        assert!(statuses[0].error.is_none());
         assert!(matches!(
-            m.statuses()[1].error,
+            statuses[1].error,
             Some(FactorError::SingularPivot { .. })
         ));
-        assert!(!m.statuses()[0].is_fallback());
-        assert!(m.statuses()[1].is_fallback());
+        assert!(!statuses[0].is_fallback());
+        assert!(statuses[1].is_fallback());
         // the fallback block acts like scalar Jacobi
         let w = m.apply(&[1.0, 1.0, 1.0, 4.0]);
         assert!((w[0] - 0.5).abs() < 1e-14);
@@ -324,7 +325,7 @@ mod tests {
         assert_eq!(map.len(), 16);
         let victims = map.iter().filter(|f| f.is_some()).count();
         assert_eq!(victims, 2, "round(0.1 * 16)");
-        for (i, (st, f)) in m.statuses().iter().zip(&map).enumerate() {
+        for (i, (st, f)) in m.statuses().zip(&map).enumerate() {
             assert_eq!(st.health, vbatch_exec::expected_health(*f), "block {i}");
         }
         assert_eq!(m.fallback_blocks, victims);
@@ -362,7 +363,7 @@ mod tests {
         for backend in [seq(), par()] {
             let m = setup(&a, &part, PlanMethod::Lu, backend);
             assert_eq!(m.fallback_blocks, 1);
-            assert!(m.statuses()[0].is_fallback());
+            assert!(m.statuses().next().unwrap().is_fallback());
             let w = m.apply(&v);
             assert!(w.iter().all(|x| x.is_finite()), "{w:?}");
             // the singular block degraded to scalar Jacobi on its

@@ -69,8 +69,9 @@ pub trait BlockPreconditioner<T: Scalar>: Preconditioner<T> + Sized {
     /// The partition this preconditioner was built for.
     fn partition(&self) -> &BlockPartition;
 
-    /// Per-block factorization status of the diagonal blocks.
-    fn statuses(&self) -> &[BlockStatus];
+    /// Per-block factorization status of the diagonal blocks, in block
+    /// order.
+    fn statuses(&self) -> impl ExactSizeIterator<Item = BlockStatus> + '_;
 
     /// The setup-phase report (time, fallbacks, stats, backend).
     fn setup_report(&self) -> SetupReport;

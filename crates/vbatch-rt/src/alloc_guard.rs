@@ -6,15 +6,21 @@
 //! prove that — an innocent `entry().or_default()` or buffer
 //! move-assign hides an alloc/free pair — so the zero-alloc tests
 //! install [`CountingAlloc`] as their `#[global_allocator]` and assert
-//! the counter delta across the measured region is exactly zero:
+//! the counter delta across the measured region is exactly zero. The
+//! window reads the *enrolled* threads only: the one that called
+//! [`enrol`], and the pool workers of [`crate::par`] while they run a
+//! share of a job it submitted. A test harness thread reporting a
+//! finished test beside the window does not count;
+//! [`CountingAlloc::snapshot`] still counts the whole process.
 //!
 //! ```ignore
 //! #[global_allocator]
 //! static ALLOC: CountingAlloc = CountingAlloc::new();
 //!
-//! let before = ALLOC.snapshot();
+//! let _enrolled = vbatch_rt::alloc_guard::enrol();
+//! let before = ALLOC.enrolled_snapshot();
 //! hot_loop();
-//! assert_eq!(ALLOC.snapshot().allocs_since(&before), 0);
+//! assert_eq!(ALLOC.enrolled_snapshot().allocs_since(&before), 0);
 //! ```
 //!
 //! The counters are relaxed atomics over [`std::alloc::System`]; the
@@ -22,14 +28,80 @@
 //! test binary and deliberately not installed anywhere else.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Wraps the system allocator and counts every allocation.
+thread_local! {
+    /// Whether this thread counts as enrolled: `const` and without a
+    /// destructor, so the allocator reads it allocation-free.
+    static ENROLLED: Cell<bool> = const { Cell::new(false) };
+}
+
+pub(crate) fn is_enrolled() -> bool {
+    ENROLLED.try_with(Cell::get).unwrap_or(false)
+}
+
+/// The calling thread's enrolment, restored to what it was on drop.
 #[derive(Debug)]
-pub struct CountingAlloc {
+#[must_use = "the thread is enrolled only while the guard lives"]
+pub struct Enrolment(bool);
+
+impl Enrolment {
+    pub(crate) fn set(on: bool) -> Self {
+        Enrolment(ENROLLED.replace(on))
+    }
+}
+
+impl Drop for Enrolment {
+    fn drop(&mut self) {
+        ENROLLED.set(self.0);
+    }
+}
+
+/// Enrol the calling thread until the guard drops: its allocations, and
+/// those of the pool shares it submits, count in
+/// [`CountingAlloc::enrolled_snapshot`].
+pub fn enrol() -> Enrolment {
+    Enrolment::set(true)
+}
+
+/// One set of allocation counters.
+#[derive(Debug)]
+struct Counters {
     allocs: AtomicU64,
     deallocs: AtomicU64,
     bytes: AtomicU64,
+}
+
+impl Counters {
+    const fn new() -> Self {
+        Counters {
+            allocs: AtomicU64::new(0),
+            deallocs: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+        }
+    }
+
+    fn snapshot(&self) -> AllocSnapshot {
+        AllocSnapshot {
+            allocs: self.allocs.load(Ordering::Relaxed),
+            deallocs: self.deallocs.load(Ordering::Relaxed),
+            bytes: self.bytes.load(Ordering::Relaxed),
+        }
+    }
+
+    fn alloc(&self, size: usize) {
+        self.allocs.fetch_add(1, Ordering::Relaxed);
+        self.bytes.fetch_add(size as u64, Ordering::Relaxed);
+    }
+}
+
+/// Wraps the system allocator and counts every allocation, once more
+/// if the allocating thread is enrolled.
+#[derive(Debug)]
+pub struct CountingAlloc {
+    all: Counters,
+    enrolled: Counters,
 }
 
 /// A point-in-time reading of the allocation counters.
@@ -59,24 +131,26 @@ impl CountingAlloc {
     /// A fresh counting allocator (all counters zero).
     pub const fn new() -> Self {
         CountingAlloc {
-            allocs: AtomicU64::new(0),
-            deallocs: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
+            all: Counters::new(),
+            enrolled: Counters::new(),
         }
     }
 
-    /// Read the current counters.
+    /// Read the process-wide counters.
     pub fn snapshot(&self) -> AllocSnapshot {
-        AllocSnapshot {
-            allocs: self.allocs.load(Ordering::Relaxed),
-            deallocs: self.deallocs.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-        }
+        self.all.snapshot()
+    }
+
+    /// Read the counters of the enrolled threads (see [`enrol`]).
+    pub fn enrolled_snapshot(&self) -> AllocSnapshot {
+        self.enrolled.snapshot()
     }
 
     fn count_alloc(&self, size: usize) {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(size as u64, Ordering::Relaxed);
+        self.all.alloc(size);
+        if is_enrolled() {
+            self.enrolled.alloc(size);
+        }
     }
 }
 
@@ -87,7 +161,8 @@ impl Default for CountingAlloc {
 }
 
 // SAFETY: defers every operation to `System`; the counters are plain
-// relaxed atomics with no allocation of their own.
+// relaxed atomics and the enrolment flag a `const` thread-local, none
+// with an allocation of its own.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         self.count_alloc(layout.size());
@@ -96,7 +171,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        self.deallocs.fetch_add(1, Ordering::Relaxed);
+        self.all.deallocs.fetch_add(1, Ordering::Relaxed);
+        if is_enrolled() {
+            self.enrolled.deallocs.fetch_add(1, Ordering::Relaxed);
+        }
         // SAFETY: `ptr` came from `System` through this allocator with
         // this `layout` (the caller's `dealloc` contract, forwarded).
         unsafe { System.dealloc(ptr, layout) }

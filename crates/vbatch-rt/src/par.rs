@@ -21,7 +21,11 @@
 //!
 //! The job hand-off and the disjoint split of [`run_balanced`] are the
 //! only `unsafe` code; [`par_map_vec`] is safe code over [`run`].
+//!
+//! A share runs under its submitter's [`crate::alloc_guard`] enrolment,
+//! so an allocation proof sees what the pool does for it.
 
+use crate::alloc_guard::{is_enrolled, Enrolment};
 use std::any::Any;
 use std::cell::UnsafeCell;
 use std::ops::Range;
@@ -69,6 +73,10 @@ struct Pool {
     pending: AtomicUsize,
     /// First panic payload of the current job's shares.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// The current job's submitter's allocation-count enrolment; like
+    /// `job`, written before the `generation` bump and read after a
+    /// share of that generation is claimed, so the bump orders it.
+    enrolled: AtomicBool,
     /// Workers parked (or about to park) on `wake`.
     sleepers: AtomicUsize,
     lock: Mutex<()>,
@@ -100,6 +108,7 @@ fn pool() -> &'static Pool {
             claimed: (0..threads).map(|_| AtomicUsize::new(0)).collect(),
             pending: AtomicUsize::new(0),
             panic: Mutex::new(None),
+            enrolled: AtomicBool::new(false),
             sleepers: AtomicUsize::new(0),
             lock: Mutex::new(()),
             wake: Condvar::new(),
@@ -124,6 +133,7 @@ impl Pool {
 
     /// Run one claimed share of `job` and count it finished.
     fn run_share(&self, job: Job, thread: usize) {
+        let _enrolled = Enrolment::set(self.enrolled.load(Ordering::Relaxed));
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(thread, self.claimed.len()))) {
             let mut first = self.panic.lock().unwrap_or_else(PoisonError::into_inner);
             first.get_or_insert(payload);
@@ -231,6 +241,7 @@ fn dispatch(f: Job, steal: bool) {
     // SAFETY: `busy` is held and `pending` is zero, so no worker holds a
     // share and none reads `job` (see the `Sync` impl).
     unsafe { *pool.job.get() = job };
+    pool.enrolled.store(is_enrolled(), Ordering::Relaxed);
     pool.pending.store(threads, Ordering::Relaxed);
     let generation = pool.generation.fetch_add(1, Ordering::SeqCst) + 1;
     if pool.sleepers.load(Ordering::SeqCst) > 0 {

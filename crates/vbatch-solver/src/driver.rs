@@ -243,8 +243,7 @@ mod tests {
         let b = vec![1.0; 64];
         let part = BlockPartition::uniform(64, 4);
         let lowered = |h: &IdrSolver<f64, BlockJacobi<f64>>| {
-            let statuses = h.precond().statuses();
-            let count = |f: fn(&BlockStatus) -> bool| statuses.iter().filter(|s| f(s)).count();
+            let count = |f: fn(&BlockStatus) -> bool| h.precond().statuses().filter(f).count();
             (
                 count(|s| s.precision == StoragePrecision::Lower),
                 count(|s| s.promoted),

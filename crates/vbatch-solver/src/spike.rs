@@ -421,7 +421,7 @@ impl<T: Scalar> BlockPreconditioner<T> for SpikeSolver<T> {
     /// Per-partition factorization status: which kernel factorized
     /// each partition, or which error degraded it to a sanitized
     /// fallback.
-    fn statuses(&self) -> &[BlockStatus] {
+    fn statuses(&self) -> impl ExactSizeIterator<Item = BlockStatus> + '_ {
         self.partitions.statuses()
     }
 

@@ -198,7 +198,7 @@ fn fault_injection_triages_exactly_and_refinement_still_converges() {
         faulted >= 1 && faulted * 10 <= p * 2,
         "expected ~10% of {p} partitions faulted, got {faulted}"
     );
-    for (j, status) in m.statuses().iter().enumerate() {
+    for (j, status) in m.statuses().enumerate() {
         assert_eq!(
             status.health,
             expected_health(map[j]),

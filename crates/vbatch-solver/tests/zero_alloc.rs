@@ -12,13 +12,19 @@
 //!   setup/teardown (`SolveResult`, final true-residual check), never
 //!   per-iteration.
 //!
-//! The factorization side has a budget too: a batch whose factors can be
-//! built in its own value array must not be copied
-//! (`factorize_in_the_storage_given_allocates_no_second_copy`).
+//! The setup side has budgets too: a batch whose factors can be built
+//! in its own value array must not be copied
+//! (`factorize_in_the_storage_given_allocates_no_second_copy`), a clean
+//! interleaved block costs no per-block record
+//! (`a_clean_interleaved_block_costs_under_96_bytes`), and a warm serve
+//! flush stays inside its allocation count
+//! (`a_warm_serve_flush_stays_inside_its_allocation_budget`).
 //!
-//! The counter is process-wide and the test harness runs tests on
-//! parallel threads, so every test holds [`serial`] for its whole body:
-//! a snapshot pair then brackets exactly one test's allocations.
+//! Every window reads the *enrolled* counter: the test's own thread
+//! and the pool shares it submits, not the harness threads that report
+//! and start tests beside it. Every test still holds [`serial`] for its
+//! whole body, because the pool is shared: a share runs under the
+//! enrolment of whoever submitted its job.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use vbatch_core::MatrixBatch;
@@ -26,6 +32,7 @@ use vbatch_exec::{
     Backend, BatchPlan, CpuSequential, CpuSimd, ExecStats, HealthPolicy, PlanMethod,
 };
 use vbatch_precond::{BlockIlu0, BlockJacobi, BlockPreconditioner, PrecondOptions, Preconditioner};
+use vbatch_rt::alloc_guard::{enrol, Enrolment};
 use vbatch_rt::CountingAlloc;
 use vbatch_solver::{IdrSolver, SolveParams, StopReason};
 use vbatch_sparse::gen::laplace::laplace_2d;
@@ -36,25 +43,17 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Exclusive use of the allocation counter. A test that failed while
-/// holding the lock poisons it; the `()` inside cannot be left invalid,
-/// so the remaining tests recover the guard and still run.
-fn serial() -> MutexGuard<'static, ()> {
+/// Exclusive use of the pool, with this thread enrolled in the
+/// allocation counter. A test that failed while holding the lock
+/// poisons it; the `()` inside cannot be left invalid, so the remaining
+/// tests recover the guard and still run.
+fn serial() -> (MutexGuard<'static, ()>, Enrolment) {
     let guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     // With tracing compiled in, a thread's first span builds its event
     // ring — inside whatever window is being measured, unless this
     // thread and the pool's workers have theirs by now.
     vbatch_rt::trace::reserve_pool_rings(0);
-    // The harness reacts to the previous test's end — joins its thread,
-    // spawns the next one — while this test is already running, and
-    // every step of that allocates. Let it finish before any snapshot.
-    loop {
-        let seen = ALLOC.snapshot();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        if ALLOC.snapshot() == seen {
-            return guard;
-        }
-    }
+    (guard, enrol())
 }
 
 fn backend() -> Arc<dyn Backend<f64>> {
@@ -96,10 +95,10 @@ fn warm_prepared_apply_allocates_nothing() {
     let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
     // warm-up: first apply may fault in lazy state
     m.apply_inplace(&mut v);
-    let before = ALLOC.snapshot();
+    let before = ALLOC.enrolled_snapshot();
     m.apply_inplace(&mut v);
     m.apply_inplace(&mut v);
-    let after = ALLOC.snapshot();
+    let after = ALLOC.enrolled_snapshot();
     assert_eq!(
         after.allocs_since(&before),
         0,
@@ -126,10 +125,10 @@ fn warm_apply_with_tracing_enabled_allocates_nothing() {
     let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
     m.apply_inplace(&mut v); // warm-up (ring already reserved at setup)
     let ev0 = vbatch_rt::trace::thread_events_written();
-    let before = ALLOC.snapshot();
+    let before = ALLOC.enrolled_snapshot();
     m.apply_inplace(&mut v);
     m.apply_inplace(&mut v);
-    let after = ALLOC.snapshot();
+    let after = ALLOC.enrolled_snapshot();
     let ev1 = vbatch_rt::trace::thread_events_written();
     assert_eq!(
         after.allocs_since(&before),
@@ -172,10 +171,10 @@ fn warm_bilu_apply_allocates_nothing() {
     .unwrap();
     let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
     m.apply_inplace(&mut v); // warm-up
-    let before = ALLOC.snapshot();
+    let before = ALLOC.enrolled_snapshot();
     m.apply_inplace(&mut v);
     m.apply_inplace(&mut v);
-    let after = ALLOC.snapshot();
+    let after = ALLOC.enrolled_snapshot();
     assert_eq!(
         after.allocs_since(&before),
         0,
@@ -208,18 +207,18 @@ fn warm_bilu_idr_iterations_allocate_nothing() {
     let warm = handle.solve(&a, &b);
     assert_eq!(warm.reason, StopReason::MaxIterations);
 
-    let s0 = ALLOC.snapshot();
+    let s0 = ALLOC.enrolled_snapshot();
     let r_short = handle.solve(&a, &b);
-    let allocs_short = ALLOC.snapshot().allocs_since(&s0);
+    let allocs_short = ALLOC.enrolled_snapshot().allocs_since(&s0);
 
     let mut handle_long =
         IdrSolver::<f64, BlockIlu0<f64>>::setup_opts(&a, 4, &part, backend(), opts, &long).unwrap();
     let warm_long = handle_long.solve(&a, &b);
     assert_eq!(warm_long.reason, StopReason::MaxIterations);
 
-    let s1 = ALLOC.snapshot();
+    let s1 = ALLOC.enrolled_snapshot();
     let r_long = handle_long.solve(&a, &b);
-    let allocs_long = ALLOC.snapshot().allocs_since(&s1);
+    let allocs_long = ALLOC.enrolled_snapshot().allocs_since(&s1);
 
     assert!(r_long.iterations > r_short.iterations + 10);
     assert_eq!(
@@ -245,10 +244,10 @@ fn warm_simd_prepared_apply_allocates_nothing() {
     let m = bj(&a, &part, simd_backend());
     let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
     m.apply_inplace(&mut v); // warm-up
-    let before = ALLOC.snapshot();
+    let before = ALLOC.enrolled_snapshot();
     m.apply_inplace(&mut v);
     m.apply_inplace(&mut v);
-    let after = ALLOC.snapshot();
+    let after = ALLOC.enrolled_snapshot();
     assert_eq!(
         after.allocs_since(&before),
         0,
@@ -275,10 +274,10 @@ fn warm_simd_bilu_apply_allocates_nothing() {
     .unwrap();
     let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
     m.apply_inplace(&mut v); // warm-up
-    let before = ALLOC.snapshot();
+    let before = ALLOC.enrolled_snapshot();
     m.apply_inplace(&mut v);
     m.apply_inplace(&mut v);
-    let after = ALLOC.snapshot();
+    let after = ALLOC.enrolled_snapshot();
     assert_eq!(
         after.allocs_since(&before),
         0,
@@ -306,17 +305,17 @@ fn warm_simd_idr_iterations_allocate_nothing() {
     let warm = handle.solve(&a, &b);
     assert_eq!(warm.reason, StopReason::MaxIterations);
 
-    let s0 = ALLOC.snapshot();
+    let s0 = ALLOC.enrolled_snapshot();
     let r_short = handle.solve(&a, &b);
-    let allocs_short = ALLOC.snapshot().allocs_since(&s0);
+    let allocs_short = ALLOC.enrolled_snapshot().allocs_since(&s0);
 
     let mut handle_long = idr_bj(&a, &part, simd_backend(), &long);
     let warm_long = handle_long.solve(&a, &b);
     assert_eq!(warm_long.reason, StopReason::MaxIterations);
 
-    let s1 = ALLOC.snapshot();
+    let s1 = ALLOC.enrolled_snapshot();
     let r_long = handle_long.solve(&a, &b);
-    let allocs_long = ALLOC.snapshot().allocs_since(&s1);
+    let allocs_long = ALLOC.enrolled_snapshot().allocs_since(&s1);
 
     assert!(r_long.iterations > r_short.iterations + 10);
     assert_eq!(
@@ -341,10 +340,10 @@ fn warm_pooled_prepared_apply_allocates_nothing() {
     let m = bj(&a, &part, simd_backend());
     let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
     m.apply_inplace(&mut v); // warm-up: starts the pool
-    let before = ALLOC.snapshot();
+    let before = ALLOC.enrolled_snapshot();
     m.apply_inplace(&mut v);
     m.apply_inplace(&mut v);
-    let after = ALLOC.snapshot();
+    let after = ALLOC.enrolled_snapshot();
     assert_eq!(
         after.allocs_since(&before),
         0,
@@ -372,17 +371,17 @@ fn warm_pooled_idr_iterations_allocate_nothing() {
     let warm = handle.solve(&a, &b);
     assert_eq!(warm.reason, StopReason::MaxIterations);
 
-    let s0 = ALLOC.snapshot();
+    let s0 = ALLOC.enrolled_snapshot();
     let r_short = handle.solve(&a, &b);
-    let allocs_short = ALLOC.snapshot().allocs_since(&s0);
+    let allocs_short = ALLOC.enrolled_snapshot().allocs_since(&s0);
 
     let mut handle_long = idr_bj(&a, &part, simd_backend(), &long);
     let warm_long = handle_long.solve(&a, &b);
     assert_eq!(warm_long.reason, StopReason::MaxIterations);
 
-    let s1 = ALLOC.snapshot();
+    let s1 = ALLOC.enrolled_snapshot();
     let r_long = handle_long.solve(&a, &b);
-    let allocs_long = ALLOC.snapshot().allocs_since(&s1);
+    let allocs_long = ALLOC.enrolled_snapshot().allocs_since(&s1);
 
     assert!(r_long.iterations > r_short.iterations + 10);
     assert_eq!(
@@ -424,10 +423,10 @@ fn warm_mixed_precision_apply_allocates_nothing() {
             .unwrap();
             let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
             m.apply_inplace(&mut v); // warm-up
-            let before = ALLOC.snapshot();
+            let before = ALLOC.enrolled_snapshot();
             m.apply_inplace(&mut v);
             m.apply_inplace(&mut v);
-            let after = ALLOC.snapshot();
+            let after = ALLOC.enrolled_snapshot();
             assert_eq!(
                 after.allocs_since(&before),
                 0,
@@ -471,9 +470,9 @@ fn warm_mixed_idr_iterations_allocate_nothing() {
     let warm = handle.solve(&a, &b);
     assert_eq!(warm.reason, StopReason::MaxIterations);
 
-    let s0 = ALLOC.snapshot();
+    let s0 = ALLOC.enrolled_snapshot();
     let r_short = handle.solve(&a, &b);
-    let allocs_short = ALLOC.snapshot().allocs_since(&s0);
+    let allocs_short = ALLOC.enrolled_snapshot().allocs_since(&s0);
 
     let mut handle_long =
         IdrSolver::<f64, BlockJacobi<f64>>::setup_opts(&a, 4, &part, backend(), opts, &long)
@@ -481,9 +480,9 @@ fn warm_mixed_idr_iterations_allocate_nothing() {
     let warm_long = handle_long.solve(&a, &b);
     assert_eq!(warm_long.reason, StopReason::MaxIterations);
 
-    let s1 = ALLOC.snapshot();
+    let s1 = ALLOC.enrolled_snapshot();
     let r_long = handle_long.solve(&a, &b);
-    let allocs_long = ALLOC.snapshot().allocs_since(&s1);
+    let allocs_long = ALLOC.enrolled_snapshot().allocs_since(&s1);
 
     assert!(r_long.iterations > r_short.iterations + 10);
     assert_eq!(
@@ -514,10 +513,10 @@ fn warm_spike_apply_allocates_nothing() {
         vbatch_solver::SpikeSolver::setup(&a, &sp, backend(), PrecondOptions::default()).unwrap();
     let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
     m.apply_inplace(&mut v); // warm-up
-    let before = ALLOC.snapshot();
+    let before = ALLOC.enrolled_snapshot();
     m.apply_inplace(&mut v);
     m.apply_inplace(&mut v);
-    let after = ALLOC.snapshot();
+    let after = ALLOC.enrolled_snapshot();
     assert_eq!(
         after.allocs_since(&before),
         0,
@@ -545,10 +544,10 @@ fn warm_spike_apply_with_tracing_enabled_allocates_nothing() {
         vbatch_solver::SpikeSolver::setup(&a, &sp, backend(), PrecondOptions::default()).unwrap();
     let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
     m.apply_inplace(&mut v); // warm-up (rings reserved at setup)
-    let before = ALLOC.snapshot();
+    let before = ALLOC.enrolled_snapshot();
     m.apply_inplace(&mut v);
     m.apply_inplace(&mut v);
-    let after = ALLOC.snapshot();
+    let after = ALLOC.enrolled_snapshot();
     assert_eq!(
         after.allocs_since(&before),
         0,
@@ -577,17 +576,17 @@ fn warm_idr_iterations_allocate_nothing() {
     let warm = handle.solve(&a, &b);
     assert_eq!(warm.reason, StopReason::MaxIterations);
 
-    let s0 = ALLOC.snapshot();
+    let s0 = ALLOC.enrolled_snapshot();
     let r_short = handle.solve(&a, &b);
-    let allocs_short = ALLOC.snapshot().allocs_since(&s0);
+    let allocs_short = ALLOC.enrolled_snapshot().allocs_since(&s0);
 
     let mut handle_long = idr_bj(&a, &part, backend(), &long);
     let warm_long = handle_long.solve(&a, &b);
     assert_eq!(warm_long.reason, StopReason::MaxIterations);
 
-    let s1 = ALLOC.snapshot();
+    let s1 = ALLOC.enrolled_snapshot();
     let r_long = handle_long.solve(&a, &b);
-    let allocs_long = ALLOC.snapshot().allocs_since(&s1);
+    let allocs_long = ALLOC.enrolled_snapshot().allocs_since(&s1);
 
     assert!(r_long.iterations > r_short.iterations + 10);
     assert_eq!(
@@ -625,9 +624,9 @@ fn factorize_in_the_storage_given_allocates_no_second_copy() {
         let bytes_of = |plan: &BatchPlan| {
             let input = batch.clone();
             let mut stats = ExecStats::new();
-            let before = ALLOC.snapshot();
+            let before = ALLOC.enrolled_snapshot();
             let factors = backend.factorize(input, plan, &mut stats);
-            let bytes = ALLOC.snapshot().bytes_since(&before);
+            let bytes = ALLOC.enrolled_snapshot().bytes_since(&before);
             assert_eq!(factors.fallback_count(), 0);
             assert_eq!(stats.layout_histogram()["interleaved"], count as u64);
             bytes
@@ -643,6 +642,85 @@ fn factorize_in_the_storage_given_allocates_no_second_copy() {
             gathered >= array_bytes,
             "{}: guarded triage reads the originals, yet only {gathered} B were allocated",
             backend.name()
+        );
+    }
+}
+
+/// The factor store's cost per block: a clean member of an interleaved
+/// class is its slot in the class slab, so factorizing 4 096 order-4
+/// blocks in place allocates, beyond the pivot array, only the block
+/// orders, the slot index, the class member lists and the staging
+/// chunk — under 96 B per block.
+#[test]
+fn a_clean_interleaved_block_costs_under_96_bytes() {
+    let _serial = serial();
+    let (n, count) = (4, 4096);
+    let batch = MatrixBatch::<f64>::uniform_from_fn(count, n, |b, i, j| {
+        let h = (i * 131 + j * 37 + b * 17) % 1024;
+        h as f64 / 1024.0 - 0.5 + if i == j { n as f64 } else { 0.0 }
+    });
+    let plan = BatchPlan::auto::<f64>(batch.sizes());
+    let mut stats = ExecStats::new();
+    let before = ALLOC.enrolled_snapshot();
+    let factors = CpuSequential.factorize(batch, &plan, &mut stats);
+    let bytes = ALLOC.enrolled_snapshot().bytes_since(&before);
+    assert_eq!(factors.fallback_count(), 0);
+    assert_eq!(stats.layout_histogram()["interleaved"], count as u64);
+    let pivots = (count * n * std::mem::size_of::<usize>()) as u64;
+    let per_block = bytes.saturating_sub(pivots) / count as u64;
+    assert!(
+        per_block < 96,
+        "{per_block} B per block beyond the pivot array ({bytes} B in all)"
+    );
+}
+
+/// The serve flush's allocation budget: a warm `SizeClassHandle` flush
+/// on the service's engine (`CpuSequential`, guarded triage, blocked
+/// layout, full precision) allocates no more often than it did when
+/// every block carried four per-block records. A flush serves one
+/// request in about 20 µs, so one more pass or allocation per flush
+/// shows in the served latency.
+#[test]
+fn a_warm_serve_flush_stays_inside_its_allocation_budget() {
+    use vbatch_core::BatchLayout;
+    use vbatch_exec::{PrecisionPolicy, SizeClassHandle};
+    let _serial = serial();
+    let block = |n: usize, salt: usize| -> Vec<f64> {
+        (0..n * n)
+            .map(|e| {
+                let (i, j) = (e % n, e / n);
+                let h = (i * 131 + j * 37 + salt * 17 + 3) % 1024;
+                h as f64 / 512.0 - 1.0 + if i == j { (n + 2) as f64 } else { 0.0 }
+            })
+            .collect()
+    };
+    // (order, capacity, members, allocations at most)
+    for (n, capacity, members, budget) in [(4, 16, 1, 38), (4, 16, 2, 59), (16, 32, 32, 705)] {
+        let mut handle = SizeClassHandle::new(
+            n,
+            capacity,
+            backend(),
+            HealthPolicy::guarded::<f64>(),
+            BatchLayout::Blocked,
+            PrecisionPolicy::FullDp,
+        );
+        let blocks: Vec<Vec<f64>> = (0..members).map(|s| block(n, s)).collect();
+        let refs: Vec<&[f64]> = blocks.iter().map(Vec::as_slice).collect();
+        let mut flush = || {
+            let mut rhs: Vec<Vec<f64>> = vec![vec![1.0; n]; members];
+            let mut rhs_refs: Vec<&mut [f64]> = rhs.iter_mut().map(Vec::as_mut_slice).collect();
+            let before = ALLOC.enrolled_snapshot();
+            let statuses = handle.solve_batch(&refs, &mut rhs_refs);
+            let allocs = ALLOC.enrolled_snapshot().allocs_since(&before);
+            assert_eq!(statuses.len(), members);
+            allocs
+        };
+        flush();
+        let allocs = flush();
+        assert!(
+            allocs <= budget,
+            "order {n}, {members} of {capacity}: a warm flush made {allocs} allocations \
+             (budget {budget})"
         );
     }
 }

@@ -63,7 +63,7 @@ fn host_backends_and_layouts_agree_bitwise_with_faulty_blocks() {
         let mut v = flat.clone();
         backend.solve_prepared(&factors, &prepared, &mut v, &mut stats);
         let bits: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
-        (pivots, factors.status.clone(), bits)
+        (pivots, factors.statuses().collect::<Vec<_>>(), bits)
     };
 
     let (ref_pivots, ref_status, ref_bits) = run(&CpuSequential, BatchLayout::Blocked);
@@ -109,7 +109,9 @@ fn factor_and_solve(
     let input = batch.as_slice().as_ptr();
     let mut stats = ExecStats::new();
     let factors = backend.factorize(batch, &plan, &mut stats);
-    let shares_input = factors.interleaved.values().as_ptr() == input;
+    let shares_input = factors
+        .interleaved()
+        .is_some_and(|slab| slab.values().as_ptr() == input);
     let prepared = backend.prepare_apply(&factors);
     let mut v: Vec<f64> = rhs.concat();
     backend.solve_prepared(&factors, &prepared, &mut v, &mut stats);
@@ -119,11 +121,9 @@ fn factor_and_solve(
         solved.push(v[at..at + n].iter().map(|x| x.to_bits()).collect());
         at += n;
     }
-    let inv_diag = factors
-        .factors
-        .iter()
-        .map(|f| match f {
-            BlockFactor::ScalarJacobi { inv_diag } => {
+    let inv_diag = (0..sizes.len())
+        .map(|b| match factors.factor(b) {
+            Some(BlockFactor::ScalarJacobi { inv_diag }) => {
                 Some(inv_diag.iter().map(|d| d.to_bits()).collect())
             }
             _ => None,
@@ -131,7 +131,7 @@ fn factor_and_solve(
         .collect();
     let outcome = Outcome {
         pivots: (0..sizes.len()).map(|b| factors.row_of_step(b)).collect(),
-        status: factors.status.clone(),
+        status: factors.statuses().collect(),
         inv_diag,
         solved,
     };
@@ -295,11 +295,11 @@ fn a_lane_group_that_leaves_the_wide_sweep_finishes_like_the_per_block_kernel() 
     // identity pivot lane, so a class-wide sweep over them stays finite
     let plan = BatchPlan::auto_with_layout::<f64>(&sizes, interleaved);
     let factors = CpuSequential.factorize(batch, &plan, &mut ExecStats::new());
-    let slab = &factors.interleaved;
+    let slab = factors.interleaved().expect("a native slab");
     let mut dead = Vec::new();
     for (c, class) in slab.classes().iter().enumerate() {
         let at = |e: usize, slot: usize| e * class.count() + slot;
-        for (slot, &b) in class.blocks.iter().enumerate() {
+        for (slot, &b) in slab.members(c).iter().enumerate() {
             if fallbacks.contains(&b) {
                 dead.push(b);
                 for e in 0..n * n {

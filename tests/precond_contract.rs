@@ -59,7 +59,7 @@ impl Fnv {
         v.iter().for_each(|x| self.word(x.to_bits()));
     }
 
-    fn statuses(&mut self, statuses: &[BlockStatus]) {
+    fn statuses(&mut self, statuses: impl ExactSizeIterator<Item = BlockStatus>) {
         self.word(statuses.len() as u64);
         for s in statuses {
             self.text(s.kernel.label());
@@ -268,12 +268,12 @@ fn serve_flush() -> u64 {
         let mut rhs_refs: Vec<&mut [f64]> = co.iter_mut().map(Vec::as_mut_slice).collect();
         handle().solve_batch(&block_refs, &mut rhs_refs)
     };
-    h.statuses(&status);
+    h.statuses(status.into_iter());
     co.iter().for_each(|x| h.values(x));
     for i in [0, 2, 4] {
         let mut solo = rhs0[i].clone();
         let st = handle().solve_batch(&[blocks[i].as_slice()], &mut [solo.as_mut_slice()]);
-        h.statuses(&st);
+        h.statuses(st.into_iter());
         assert_eq!(solo, co[i], "member {i}: solo and co-batched bits differ");
     }
     h.0

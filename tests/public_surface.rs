@@ -13,9 +13,9 @@ use std::path::Path;
 const EXPECTED: [(&str, usize); 9] = [
     ("vbatch-bench", 29),
     ("vbatch-core", 99),
-    ("vbatch-exec", 53),
+    ("vbatch-exec", 52),
     ("vbatch-precond", 19),
-    ("vbatch-rt", 102),
+    ("vbatch-rt", 104),
     ("vbatch-serve", 23),
     ("vbatch-simt", 99),
     ("vbatch-solver", 31),
