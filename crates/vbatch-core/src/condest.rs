@@ -9,7 +9,7 @@
 use crate::dense::DenseMat;
 use crate::lu::LuFactors;
 use crate::scalar::Scalar;
-use crate::trsv::TrsvVariant;
+use crate::trsv::{lu_solve_inplace_scratch, TrsvVariant};
 
 /// 1-norm of a matrix (max column sum).
 pub fn norm1<T: Scalar>(a: &DenseMat<T>) -> T {
@@ -21,56 +21,60 @@ pub fn norm1<T: Scalar>(a: &DenseMat<T>) -> T {
     best
 }
 
-/// Estimate `||A^{-1}||_1` from an LU factorization (Hager's method).
-pub fn inverse_norm1_est<T: Scalar>(f: &LuFactors<T>) -> T {
-    let n = f.order();
+/// Estimate `||A^{-1}||_1` (Hager's method) from a combined `L\U`
+/// factor — `lu` column-major `n x n` in pivot order, `row_of_step` its
+/// pivot sequence — on the caller's `work` (`len >= 4 n`: the iterate,
+/// the forward solve, the transposed solve and the solve's scratch), so
+/// a caller estimating block after block allocates nothing per block.
+pub fn inverse_norm1_est<T: Scalar>(
+    n: usize,
+    lu: &[T],
+    row_of_step: &[usize],
+    work: &mut [T],
+) -> T {
     if n == 0 {
         return T::ZERO;
     }
-    // transposed solves reuse the factorization: A^T = (P^T L U)^T
-    // => A^T x = b  solved via  U^T y = b, L^T z = y, x = P^T z
-    let solve_t = |b: &[T]| -> Vec<T> {
-        let lu = &f.lu;
-        let mut y = b.to_vec();
-        // U^T is lower triangular with U's diagonal
-        for k in 0..n {
-            let mut acc = y[k];
-            for j in 0..k {
-                acc -= lu[(j, k)] * y[j];
-            }
-            y[k] = acc / lu[(k, k)];
-        }
-        // L^T is unit upper triangular
-        for k in (0..n).rev() {
-            let mut acc = y[k];
-            for j in k + 1..n {
-                acc -= lu[(j, k)] * y[j];
-            }
-            y[k] = acc;
-        }
-        // x = P^T z: position row_of_step(k) receives z_k
-        let mut x = vec![T::ZERO; n];
-        for k in 0..n {
-            x[f.perm.row_of_step(k)] = y[k];
-        }
-        x
-    };
-
+    debug_assert_eq!(lu.len(), n * n);
+    let (x, rest) = work[..4 * n].split_at_mut(n);
+    let (y, rest) = rest.split_at_mut(n);
+    let (t, scratch) = rest.split_at_mut(n);
     let inv_n = T::ONE / T::from_f64(n as f64);
-    let mut x = vec![inv_n; n];
+    x.fill(inv_n);
     let mut est = T::ZERO;
     for _ in 0..5 {
         // y = A^{-1} x
-        let mut y = x.clone();
-        f.solve_inplace(TrsvVariant::Eager, &mut y);
+        y.copy_from_slice(x);
+        lu_solve_inplace_scratch(TrsvVariant::Eager, n, lu, row_of_step, y, scratch);
         let new_est = y.iter().fold(T::ZERO, |acc, &v| acc + v.abs());
         // xi = sign(y)
-        let xi: Vec<T> = y
-            .iter()
-            .map(|&v| if v >= T::ZERO { T::ONE } else { -T::ONE })
-            .collect();
-        // z = A^{-T} xi
-        let z = solve_t(&xi);
+        for (ti, &v) in t.iter_mut().zip(y.iter()) {
+            *ti = if v >= T::ZERO { T::ONE } else { -T::ONE };
+        }
+        // z = A^{-T} xi: the transposed solves reuse the factorization,
+        // A^T = (P^T L U)^T, so U^T w = xi, L^T v = w, z = P^T v.
+        // U^T is lower triangular with U's diagonal
+        for k in 0..n {
+            let mut acc = t[k];
+            for j in 0..k {
+                acc -= lu[k * n + j] * t[j];
+            }
+            t[k] = acc / lu[k * n + k];
+        }
+        // L^T is unit upper triangular
+        for k in (0..n).rev() {
+            let mut acc = t[k];
+            for j in k + 1..n {
+                acc -= lu[k * n + j] * t[j];
+            }
+            t[k] = acc;
+        }
+        // z = P^T v, into y (read above): position row_of_step(k)
+        // receives v_k
+        let z = &mut *y;
+        for (k, &r) in row_of_step.iter().enumerate() {
+            z[r] = t[k];
+        }
         let (jmax, zmax) = z
             .iter()
             .enumerate()
@@ -81,13 +85,16 @@ pub fn inverse_norm1_est<T: Scalar>(f: &LuFactors<T>) -> T {
                     (bj, bv)
                 }
             });
-        let zx = z.iter().zip(&x).fold(T::ZERO, |acc, (&a, &b)| acc + a * b);
+        let zx = z
+            .iter()
+            .zip(x.iter())
+            .fold(T::ZERO, |acc, (&a, &b)| acc + a * b);
         if new_est <= est || zmax <= zx.abs() {
             est = Scalar::max(est, new_est);
             break;
         }
         est = new_est;
-        x = vec![T::ZERO; n];
+        x.fill(T::ZERO);
         x[jmax] = T::ONE;
     }
     est
@@ -95,7 +102,9 @@ pub fn inverse_norm1_est<T: Scalar>(f: &LuFactors<T>) -> T {
 
 /// Estimated 1-norm condition number `||A||_1 * ||A^{-1}||_1`.
 pub fn condest1<T: Scalar>(a: &DenseMat<T>, f: &LuFactors<T>) -> T {
-    norm1(a) * inverse_norm1_est(f)
+    let n = f.order();
+    let mut work = vec![T::ZERO; 4 * n];
+    norm1(a) * inverse_norm1_est(n, f.lu.as_slice(), f.perm.as_slice(), &mut work)
 }
 
 /// Row/column equilibration scalings (LAPACK `geequ`-style): returns

@@ -12,15 +12,21 @@
 //! ... remainder slots at W = 1
 //! ```
 //!
-//! * **The blocked kernel is the oracle.** Slots never interact, every
+//! * **The masked kernel is the oracle.** Slots never interact, every
 //!   lane op is the exact scalar IEEE op (true divide, single-rounding
 //!   `mul_add`, compare-and-blend selects), and per slot the operation
-//!   sequence is that of [`crate::lu::implicit::getrf_implicit_inplace`]
-//!   and of [`crate::trsv::lu_solve_inplace_scratch`] with
+//!   sequence is that of the masked formulation
+//!   ([`crate::lu::implicit::getrf_implicit_resume_scratch`] from step
+//!   0 behind the finite pre-scan) and of
+//!   [`crate::trsv::lu_solve_inplace_scratch`] with
 //!   [`crate::trsv::TrsvVariant::Eager`]. So a slot's factors, pivot
 //!   sequence, [`FactorError`] and solution are bitwise those of the
 //!   per-block kernels on the same block, at *every* width including
-//!   the W = 1 remainder path. The one difference is what a failed
+//!   the W = 1 remainder path. The suites compare against the masked
+//!   form rather than [`crate::lu::implicit::getrf_implicit_inplace`]
+//!   because that kernel runs the same in-order sweep as this one
+//!   while the diagonal wins, so it would share any fault of the
+//!   sweep's. The one difference is what a failed
 //!   slot leaves behind: the per-block kernel returns `Err` with the
 //!   block half-eliminated, the class kernel reports the same error in
 //!   its per-slot map and sanitizes the slot to identity factors and an
@@ -31,7 +37,10 @@
 //!   layout is planned for do (diagonally dominant blocks never leave
 //!   it). A group that stops — a lane prefers another row, a pivot is
 //!   zero or non-finite, the input held a NaN — is finished slot by
-//!   slot by the per-block kernel itself, from the step it stopped at.
+//!   slot by the per-block kernel itself, from the step it stopped at
+//!   (the per-block kernel sweeps the same way at one lane and leaves
+//!   at its own first off-diagonal step; both resume in the one masked
+//!   formulation).
 //! * **Locality.** One chunk's working set is `(n+1)*n*W` elements:
 //!   17 KiB at n = 16, W = 8, f64, so the whole elimination runs out of
 //!   L1 there; 66 KiB at n = 32, past a 48 KiB L1d, where it runs out
@@ -511,8 +520,23 @@ fn solve_chunk<T: Scalar, const W: usize>(
 #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 pub(crate) mod tests {
     use super::*;
-    use crate::lu::implicit::getrf_implicit_inplace;
+    use crate::error::check_finite;
     use crate::trsv::{lu_solve_inplace_scratch, TrsvVariant};
+
+    /// The masked per-block formulation from step 0 behind the finite
+    /// pre-scan — the oracle both in-order sweeps (this kernel's and the
+    /// per-block kernel's) are held against: the row-of-step pivot
+    /// sequence, or the error.
+    fn masked_getrf<T: Scalar>(n: usize, blk: &mut [T]) -> Result<Vec<usize>, FactorError> {
+        let (mut steps, mut col) = (vec![0usize; n], vec![T::ZERO; n]);
+        check_finite(n, blk)?;
+        getrf_implicit_resume_scratch(n, blk, 0, &mut steps, &mut col)?;
+        let mut rows = vec![0usize; n];
+        for (r, &k) in steps.iter().enumerate() {
+            rows[k] = r;
+        }
+        Ok(rows)
+    }
 
     /// Deterministic class data `data[(j*n+i)*count + s]`: entries in
     /// `[-0.5, 0.5)`, diagonal shifted by `shift` — `n + 2` keeps every
@@ -548,7 +572,8 @@ pub(crate) mod tests {
     }
 
     /// Factorize and solve the class at `width` and hold every slot
-    /// against the per-block kernels on the same block: factors, pivot
+    /// against the masked per-block kernel ([`masked_getrf`]) and the
+    /// per-block solve on the same block: factors, pivot
     /// sequence and solution bitwise where the block factorizes; the
     /// same `FactorError`, identity factors, an identity pivot lane and
     /// an untouched right-hand side where it does not. Returns the
@@ -585,15 +610,15 @@ pub(crate) mod tests {
             let lane: Vec<usize> = (0..n).map(|k| piv[k * count + s]).collect();
             let mut blk = slot_of(base, n * n);
             let mut want_x = slot_of(&x0, n);
-            match getrf_implicit_inplace(n, &mut blk) {
-                Ok(perm) => {
+            match masked_getrf(n, &mut blk) {
+                Ok(rows) => {
                     assert_eq!(errs[s], None, "slot {s} {ctx}");
-                    assert_eq!(lane, perm.as_slice(), "slot {s} pivots {ctx}");
+                    assert_eq!(lane, rows, "slot {s} pivots {ctx}");
                     lu_solve_inplace_scratch(
                         TrsvVariant::Eager,
                         n,
                         &blk,
-                        perm.as_slice(),
+                        &rows,
                         &mut want_x,
                         &mut scratch,
                     );

@@ -1,9 +1,10 @@
-//! The per-block oracle of the interleaved class kernels, shared by the
-//! suites that drive them.
+//! The per-block oracle of the interleaved class kernels — the masked
+//! implicit-pivot formulation, which neither in-order sweep shares —
+//! shared by the suites that drive them.
 
-use vbatch_core::lu::implicit::getrf_implicit_inplace;
+use vbatch_core::lu::implicit::getrf_implicit_resume_scratch;
 use vbatch_core::{
-    getrf_interleaved_class_simd_width, lu_solve_inplace_scratch,
+    check_finite, getrf_interleaved_class_simd_width, lu_solve_inplace_scratch,
     lu_solve_interleaved_class_scratch_simd_width, FactorError, Scalar, TrsvVariant,
 };
 use vbatch_rt::{testgen, SmallRng};
@@ -75,9 +76,25 @@ pub fn run_class<T: Scalar>(
     (d, piv, errs, x)
 }
 
+/// The masked per-block formulation from step 0 behind the finite
+/// pre-scan (`check_finite` + `getrf_implicit_resume_scratch(n, a, 0,
+/// ..)`): the oracle, independent of the in-order sweeps that both the
+/// lane kernel and `getrf_implicit_inplace` run while the diagonal
+/// wins. Returns the row-of-step pivot sequence, or the error.
+pub fn masked_getrf<T: Scalar>(n: usize, blk: &mut [T]) -> Result<Vec<usize>, FactorError> {
+    let (mut steps, mut col) = (vec![0usize; n], vec![T::ZERO; n]);
+    check_finite(n, blk)?;
+    getrf_implicit_resume_scratch(n, blk, 0, &mut steps, &mut col)?;
+    let mut rows = vec![0usize; n];
+    for (r, &k) in steps.iter().enumerate() {
+        rows[k] = r;
+    }
+    Ok(rows)
+}
+
 /// Run the class kernels at `width` over `blocks` (one slot each, RHS
 /// lanes `x0[i * count + slot]`) and hold every slot against
-/// `getrf_implicit_inplace` + `lu_solve_inplace_scratch(Eager)` on the
+/// [`masked_getrf`] + `lu_solve_inplace_scratch(Eager)` on the
 /// same block: factors, pivot sequence and solution bitwise where the
 /// block factorizes; the same `FactorError`, identity factors, an
 /// identity pivot lane and an untouched right-hand side where it does
@@ -97,15 +114,15 @@ pub fn assert_class_matches_per_block<T: Scalar>(
         let lane: Vec<usize> = (0..n).map(|k| piv[k * count + s]).collect();
         let mut blk = block.clone();
         let mut want_x: Vec<T> = (0..n).map(|i| x0[i * count + s]).collect();
-        match getrf_implicit_inplace(n, &mut blk) {
-            Ok(perm) => {
+        match masked_getrf(n, &mut blk) {
+            Ok(rows) => {
                 assert_eq!(errs[s], None, "slot {s} {ctx}");
-                assert_eq!(lane, perm.as_slice(), "slot {s} pivots {ctx}");
+                assert_eq!(lane, rows, "slot {s} pivots {ctx}");
                 lu_solve_inplace_scratch(
                     TrsvVariant::Eager,
                     n,
                     &blk,
-                    perm.as_slice(),
+                    &rows,
                     &mut want_x,
                     &mut scratch,
                 );

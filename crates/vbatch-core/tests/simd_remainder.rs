@@ -7,7 +7,8 @@
 //! For every width in `SUPPORTED_WIDTHS`, both precisions, and
 //! randomized testgen batches, the counts exercised are the boundary
 //! set {1, W−1, W+1, 2W−1} plus a random count — each compared
-//! slot-by-slot against (a) the per-block kernels on the same block
+//! slot-by-slot against (a) the masked per-block kernel and the
+//! per-block solve on the same block
 //! (`common::assert_class_matches_per_block`) and (b) the same slots
 //! factorized inside a *larger* class, proving chunk boundaries are
 //! invisible. The orders past the warp width (33..=64, one of 96 and

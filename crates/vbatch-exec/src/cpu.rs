@@ -44,10 +44,10 @@ use crate::plan::{BatchPlan, ClassLayout, KernelChoice, PrecisionPolicy};
 use crate::stats::{ExecStats, Phase};
 use std::ops::Range;
 use std::time::Instant;
-use vbatch_core::lu::implicit::getrf_implicit_inplace;
+use vbatch_core::lu::implicit::getrf_implicit_inplace_scratch;
 use vbatch_core::{
     gemv, getrf_interleaved_class_simd_scratch, gh_factorize, gje_invert, narrow_slice, potrf,
-    DenseMat, FactorError, GhLayout, LaneGetrfScratch, MatrixBatch, Scalar, Storage,
+    DenseMat, FactorError, GhLayout, LaneGetrfScratch, MatrixBatch, Permutation, Scalar, Storage,
     StoragePrecision, Stored, VectorBatch,
 };
 use vbatch_rt::par::{num_threads, par_map_vec, run_ranges};
@@ -60,14 +60,46 @@ pub struct CpuSequential;
 /// a warm apply allocates nothing (`vbatch-solver` pins it).
 pub struct CpuSimd;
 
+/// The per-block LU kernel's two scratch vectors
+/// ([`getrf_implicit_inplace_scratch`]: the step-of-row flags and the
+/// row swap's column), kept for a whole factorize call — one per worker
+/// thread — so a block allocates only the factor it keeps.
+pub(crate) struct GetrfScratch<S> {
+    step_of_row: Vec<usize>,
+    col: Vec<S>,
+}
+
+impl<S: Scalar> GetrfScratch<S> {
+    /// Empty scratch; the first block sizes it.
+    pub(crate) fn new() -> Self {
+        GetrfScratch {
+            step_of_row: Vec::new(),
+            col: Vec::new(),
+        }
+    }
+
+    /// Factorize the column-major `n x n` block `a` in place (the
+    /// per-block implicit-pivot kernel); on success, the step at which
+    /// each original row became the pivot.
+    pub(crate) fn getrf(&mut self, n: usize, a: &mut [S]) -> Result<&[usize], FactorError> {
+        self.step_of_row.resize(n, 0);
+        self.col.resize(n, S::ZERO);
+        getrf_implicit_inplace_scratch(n, a, &mut self.step_of_row, &mut self.col)?;
+        Ok(&self.step_of_row)
+    }
+}
+
 /// Factorize one block with the planned kernel, storing LU/GH-family
 /// factors in scalar `S` (computed on the block narrowed to `S`) and
 /// degrading to scalar Jacobi on failure. Inversion and Cholesky have no
-/// widening apply path and always stay native.
+/// widening apply path and always stay native. The LU arm runs the
+/// per-block kernel on the caller's `scratch`, so its only allocations
+/// are the factor and the pivots it returns.
 pub(crate) fn factor_block<T: Scalar, S: Stored<T>>(
     n: usize,
     block: &[T],
     kernel: KernelChoice,
+    scratch: &mut GetrfScratch<S>,
 ) -> (BlockFactor<T>, BlockStatus) {
     let fallback = |error: FactorError| {
         let (factor, sanitized) = scalar_jacobi_from_diag(&block_diag(n, block));
@@ -104,8 +136,9 @@ pub(crate) fn factor_block<T: Scalar, S: Stored<T>>(
         },
         KernelChoice::Lu => {
             let mut lu = narrow_slice::<T, S>(block);
-            match getrf_implicit_inplace(n, &mut lu) {
-                Ok(perm) => {
+            match scratch.getrf(n, &mut lu) {
+                Ok(step_of_row) => {
+                    let perm = Permutation::from_step_of_row(step_of_row);
                     let lu = S::store_vec(lu);
                     factorized(BlockFactor::Lu { lu, perm }, S::STORAGE)
                 }
@@ -282,17 +315,27 @@ fn factorize_in<T: Scalar, S: Stored<T>>(
     for (r, &i) in blocked.iter().enumerate() {
         homes[i] = Home::Record(r as u32);
     }
-    let block_work = |i: usize| {
-        let _span = vbatch_rt::span!("factorize.block", sizes[i]);
-        let kernel = plan.class(sizes[i]).kernel;
-        let blocks = originals.expect("a blocked block needs its original");
-        let (factor, status) = factor_block::<T, S>(sizes[i], blocks.block(i), kernel);
-        Record { factor, status }
+    // one contiguous run of blocked blocks per worker thread, each run
+    // on one per-block scratch
+    let block_run = |run: &[usize]| -> Vec<Record<T>> {
+        let mut scratch = GetrfScratch::new();
+        run.iter()
+            .map(|&i| {
+                let blocks = originals.expect("a blocked block needs its original");
+                let _span = vbatch_rt::span!("factorize.block", sizes[i]);
+                let kernel = plan.class(sizes[i]).kernel;
+                let (factor, status) =
+                    factor_block::<T, S>(sizes[i], blocks.block(i), kernel, &mut scratch);
+                Record { factor, status }
+            })
+            .collect()
     };
-    let mut records: Vec<Record<T>> = if parallel {
-        par_map_vec(blocked, block_work)
+    let mut records: Vec<Record<T>> = if parallel && blocked.len() > 1 {
+        let per_worker = blocked.len().div_ceil(num_threads().max(1));
+        let runs: Vec<&[usize]> = blocked.chunks(per_worker).collect();
+        par_map_vec(runs, block_run).into_iter().flatten().collect()
     } else {
-        blocked.into_iter().map(block_work).collect()
+        block_run(&blocked)
     };
 
     // carve each chunk's ranges, then deal the chunks out in contiguous
@@ -571,7 +614,15 @@ pub(crate) fn invert_cpu<T: Scalar>(
     let _span = vbatch_rt::span!("exec.invert", blocks.len());
     let t0 = Instant::now();
     let sizes = blocks.sizes();
-    let work = |i: usize| factor_block::<T, T>(sizes[i], blocks.block(i), KernelChoice::GjeInvert);
+    let work = |i: usize| {
+        let block = blocks.block(i);
+        factor_block::<T, T>(
+            sizes[i],
+            block,
+            KernelChoice::GjeInvert,
+            &mut GetrfScratch::new(),
+        )
+    };
     let results: Vec<(BlockFactor<T>, BlockStatus)> = if parallel {
         par_map_vec((0..blocks.len()).collect(), work)
     } else {

@@ -31,8 +31,8 @@ use crate::stats::ExecStats;
 use std::ops::Range;
 use vbatch_core::{
     lu_solve_inplace_scratch, lu_solve_interleaved_slot_scratch, lu_solve_multi_inplace_scratch,
-    residual_into, CholeskyFactors, DenseMat, FactorError, LuFactors, MatrixBatch, Permutation,
-    QrFactors, Scalar, Storage, StoragePrecision, Stored, StoredGh, StoredVec, TrsvVariant,
+    residual_into, CholeskyFactors, FactorError, MatrixBatch, Permutation, QrFactors, Scalar,
+    Storage, StoragePrecision, Stored, StoredGh, StoredVec, TrsvVariant,
 };
 
 /// Numerical health classification of one factorized block, assigned by
@@ -378,15 +378,24 @@ impl<'a, S: Scalar> LuView<'a, S> {
         }
     }
 
-    /// Contiguous copy of the factor and its pivots, for the host
-    /// condition estimator.
-    // setup-time triage, not an apply path
-    #[allow(clippy::disallowed_methods)]
-    pub fn to_factors(&self) -> LuFactors<S> {
-        LuFactors {
-            lu: DenseMat::from_fn(self.n, self.n, |i, j| self.at(i, j)),
-            perm: Permutation::from_row_of_step(self.pivots()),
+    /// The factor as contiguous column-major values and its row-of-step
+    /// pivots, for the host condition estimator: borrowed where the view
+    /// is a block's own storage, gathered element for element into `lu`
+    /// and `rows` for a class slot (no allocation once they have held a
+    /// block this large).
+    pub fn contiguous<'s>(
+        &'s self,
+        lu: &'s mut Vec<S>,
+        rows: &'s mut Vec<usize>,
+    ) -> (&'s [S], &'s [usize]) {
+        if self.stride == 1 {
+            return (self.data, self.piv);
         }
+        lu.clear();
+        lu.extend((0..self.n * self.n).map(|e| self.data[e * self.stride + self.offset]));
+        rows.clear();
+        rows.extend((0..self.n).map(|k| self.row_of_step(k)));
+        (lu, rows)
     }
 
     /// The whole row-of-step pivot sequence.
@@ -880,7 +889,7 @@ impl<T: Scalar> FactorizedBatch<T> {
 #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 mod tests {
     use super::*;
-    use vbatch_core::{getrf, PivotStrategy};
+    use vbatch_core::{getrf, DenseMat, PivotStrategy};
 
     #[test]
     fn scalar_jacobi_guards_bad_diagonal() {

@@ -20,57 +20,142 @@
 //! and [`HealthPolicy::Off`] skips it entirely, preserving the bitwise
 //! layout-equivalence contract of the unguarded path.
 
+use crate::cpu::{factor_block, GetrfScratch};
 use crate::factors::{
     block_diag, on_storage, scalar_jacobi_from_diag, BlockFactor, BlockHealth, FactorizedBatch,
-    RecoveryStep,
+    LuView, RecoveryStep,
 };
 use crate::plan::HealthPolicy;
-use vbatch_core::lu::LuFactors;
 use vbatch_core::{
-    apply_equilibration, condest1, equilibrate, geqp3, getrf, narrow_slice, norm1, DenseMat,
-    MatrixBatch, PivotStrategy, Scalar, Storage, StoragePrecision, Stored,
+    apply_equilibration, equilibrate, geqp3, getrf, inverse_norm1_est, DenseMat, MatrixBatch,
+    PivotStrategy, Scalar, Storage, StoragePrecision, Stored,
 };
 
-/// Hager/Higham estimate evaluated entirely in the factor's storage
-/// scalar `S`: the block narrowed to `S` against its `S` factors — or,
-/// for the families that expose no LU solve shape (Gauss-Huard,
-/// Cholesky), against a host refactorization of the narrowed block. For
-/// lowered factors this is the right scale for promotion decisions — it
-/// measures how the factors the apply actually widens behave, and it
-/// costs a handful of SP triangular solves rather than a DP
-/// refactorization.
-fn condest_in<T: Scalar, S: Stored<T>>(n: usize, a: &[T], factors: Option<LuFactors<S>>) -> f64 {
-    let a = DenseMat::from_col_major(n, n, &narrow_slice::<T, S>(a));
-    let factors = match factors {
-        Some(f) => f,
-        None => match getrf(&a, PivotStrategy::Implicit) {
-            Ok(f) => f,
-            Err(_) => return f64::INFINITY,
-        },
-    };
-    condest1(&a, &factors).to_f64()
+/// `norm1` of the column-major `n x n` block `a` narrowed to `S`,
+/// narrowing each entry as it is read rather than into a copy.
+fn norm1_in<T: Scalar, S: Stored<T>>(n: usize, a: &[T]) -> S {
+    let mut best = S::ZERO;
+    for j in 0..n {
+        let s = a[j * n..(j + 1) * n]
+            .iter()
+            .fold(S::ZERO, |acc, &v| acc + S::narrow(v).abs());
+        best = Scalar::max(best, s);
+    }
+    best
+}
+
+/// What one block's condition estimate works in, for one storage
+/// scalar `S`: a contiguous factor (`lu`, `rows`) where the block has
+/// none of its own — a class slot gathered, or a Gauss-Huard or
+/// Cholesky block refactorized — the estimator's work vector and the
+/// LU kernel's scratch. One set serves a whole triage pass, so after
+/// the first block an estimate allocates nothing.
+struct EstimateScratch<S> {
+    lu: Vec<S>,
+    rows: Vec<usize>,
+    work: Vec<S>,
+    getrf: GetrfScratch<S>,
+}
+
+impl<S: Scalar> EstimateScratch<S> {
+    fn new() -> Self {
+        EstimateScratch {
+            lu: Vec::new(),
+            rows: Vec::new(),
+            work: Vec::new(),
+            getrf: GetrfScratch::new(),
+        }
+    }
+
+    /// Hager/Higham estimate evaluated entirely in the factor's storage
+    /// scalar `S`: the block narrowed to `S` against its `S` factors.
+    /// For lowered factors this is the right scale for promotion
+    /// decisions — it measures how the factors the apply actually widens
+    /// behave, and it costs a handful of SP triangular solves rather
+    /// than a DP refactorization. A factor in the block's own storage is
+    /// read where it lies.
+    fn estimate<T: Scalar>(&mut self, n: usize, a: &[T], view: &LuView<'_, S>) -> f64
+    where
+        S: Stored<T>,
+    {
+        let (lu, rows) = view.contiguous(&mut self.lu, &mut self.rows);
+        condest_in(n, a, lu, rows, &mut self.work)
+    }
+
+    /// The estimate for the families that expose no LU solve shape
+    /// (Gauss-Huard, Cholesky): against a host refactorization of the
+    /// block narrowed to `S`; infinite when that fails.
+    fn estimate_refactorized<T: Scalar>(&mut self, n: usize, a: &[T]) -> f64
+    where
+        S: Stored<T>,
+    {
+        self.lu.clear();
+        self.lu.extend(a.iter().map(|&v| S::narrow(v)));
+        let Ok(step_of_row) = self.getrf.getrf(n, &mut self.lu) else {
+            return f64::INFINITY;
+        };
+        self.rows.resize(n, 0);
+        for (r, &k) in step_of_row.iter().enumerate() {
+            self.rows[k] = r;
+        }
+        condest_in(n, a, &self.lu, &self.rows, &mut self.work)
+    }
+}
+
+/// `||A||_1 · ||A^{-1}||_1` in `S`: `a` the original block, `lu` and
+/// `row_of_step` its factor in `S`.
+fn condest_in<T: Scalar, S: Stored<T>>(
+    n: usize,
+    a: &[T],
+    lu: &[S],
+    row_of_step: &[usize],
+    work: &mut Vec<S>,
+) -> f64 {
+    work.resize(4 * n, S::ZERO);
+    (norm1_in::<T, S>(n, a) * inverse_norm1_est(n, lu, row_of_step, work)).to_f64()
+}
+
+/// The estimate scratch of a triage or promotion pass, one per storage
+/// scalar a factor can be in.
+struct TriageScratch<T: Scalar> {
+    native: EstimateScratch<T>,
+    lower: EstimateScratch<T::Lower>,
+}
+
+impl<T: Scalar> TriageScratch<T> {
+    fn new() -> Self {
+        TriageScratch {
+            native: EstimateScratch::new(),
+            lower: EstimateScratch::new(),
+        }
+    }
 }
 
 /// Condition estimate of block `block` (column-major original `a`),
 /// reusing the factors where they are an LU form. Returns `None` for
 /// factors that are not an exact inverse of the block as given (the
 /// scalar-Jacobi fallback) or were already triaged.
-fn condest_block<T: Scalar>(a: &[T], block: usize, batch: &FactorizedBatch<T>) -> Option<f64> {
+fn condest_block<T: Scalar>(
+    a: &[T],
+    block: usize,
+    batch: &FactorizedBatch<T>,
+    scratch: &mut TriageScratch<T>,
+) -> Option<f64> {
     let n = batch.sizes()[block];
     match batch.factor(block) {
         None | Some(BlockFactor::Lu { .. }) => {
-            let view = batch.lu_view(block).expect("LU forms have a view");
-            Some(on_storage!(view, v => condest_in(n, a, Some(v.to_factors()))))
+            Some(match batch.lu_view(block).expect("LU forms have a view") {
+                Storage::Native(view) => scratch.native.estimate(n, a, &view),
+                Storage::Lower(view) => scratch.lower.estimate(n, a, &view),
+            })
         }
         Some(BlockFactor::Gh(Storage::Native(_)) | BlockFactor::Chol(_)) => {
-            Some(condest_in::<T, T>(n, a, None))
+            Some(scratch.native.estimate_refactorized(n, a))
         }
-        Some(BlockFactor::Gh(Storage::Lower(_))) => Some(condest_in::<T, T::Lower>(n, a, None)),
+        Some(BlockFactor::Gh(Storage::Lower(_))) => Some(scratch.lower.estimate_refactorized(n, a)),
         Some(BlockFactor::Inv { inv, .. }) => {
             // exact: the explicit inverse is already materialized
-            let a = DenseMat::from_col_major(n, n, a);
-            let inv = DenseMat::from_col_major(n, n, inv);
-            Some((norm1(&a) * norm1(&inv)).to_f64())
+            Some((norm1_in::<T, T>(n, a) * norm1_in::<T, T>(n, inv)).to_f64())
         }
         _ => None,
     }
@@ -147,6 +232,7 @@ pub(crate) fn promote_unsafe_blocks<T: Scalar>(
 ) {
     let _span = vbatch_rt::span!("exec.promote", batch.len());
     let threshold = promote_threshold::<T>();
+    let mut scratch = TriageScratch::new();
     for i in 0..batch.len() {
         if batch.storage(i) != StoragePrecision::Lower {
             continue;
@@ -157,7 +243,7 @@ pub(crate) fn promote_unsafe_blocks<T: Scalar>(
             }
         }
         let n = batch.sizes()[i];
-        let Some(k) = condest_block(blocks.block(i), i, batch) else {
+        let Some(k) = condest_block(blocks.block(i), i, batch, &mut scratch) else {
             continue;
         };
         batch.set_condest(i, k);
@@ -166,7 +252,8 @@ pub(crate) fn promote_unsafe_blocks<T: Scalar>(
             continue;
         }
         let kernel = batch.status(i).kernel;
-        let (factor, mut status) = crate::cpu::factor_block::<T, T>(n, blocks.block(i), kernel);
+        let (factor, mut status) =
+            factor_block::<T, T>(n, blocks.block(i), kernel, &mut scratch.native.getrf);
         status.condest = Some(k);
         status.promoted = true;
         batch.replace(i, factor, status);
@@ -189,6 +276,7 @@ pub(crate) fn triage_batch<T: Scalar>(
         return;
     };
     let _span = vbatch_rt::span!("exec.triage", batch.len());
+    let mut scratch = TriageScratch::new();
     for i in 0..batch.len() {
         let mut status = batch.status(i);
         if status.is_fallback() {
@@ -200,7 +288,7 @@ pub(crate) fn triage_batch<T: Scalar>(
         let k = match status.condest {
             Some(k) => k,
             None => {
-                let Some(k) = condest_block(blocks.block(i), i, batch) else {
+                let Some(k) = condest_block(blocks.block(i), i, batch, &mut scratch) else {
                     continue;
                 };
                 k
@@ -359,10 +447,11 @@ mod tests {
         let sizes = vec![n];
         let mut blocks = MatrixBatch::<f64>::zeros(&sizes);
         blocks.block_mut(0).copy_from_slice(&[1.0, 1.0, 1.0, 1.0]);
-        let (factor, mut status) = crate::cpu::factor_block::<f64, f64>(
+        let (factor, mut status) = factor_block::<f64, f64>(
             n,
             &[2.0, 0.0, 0.0, 2.0],
             crate::plan::KernelChoice::Lu,
+            &mut GetrfScratch::new(),
         );
         status.condest = Some(1e30);
         let mut batch = FactorizedBatch::blocked(sizes, vec![factor], vec![status]);

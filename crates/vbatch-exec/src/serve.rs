@@ -20,8 +20,14 @@
 //! value, so it cannot be recycled), the factor store built from it,
 //! the prepared apply and the returned statuses. Under the service's
 //! engine (blocked layout, guarded triage) the factor store is one
-//! record per member — its factor and its status — the staged batch
-//! staying readable for the triage pass and dropped after it; under an
+//! record per member — its factor values and its pivots, beside its
+//! status — the staged batch staying readable for the triage pass and
+//! dropped after it. The per-block LU runs on one scratch per
+//! factorize call and the condition estimate reads each record where
+//! it lies, on one scratch per triage pass, so a member adds its record
+//! and a share of the per-member vectors' growth (a warm flush of 32
+//! order-16 members: 92 allocations, `vbatch-solver/tests/
+//! zero_alloc.rs`); under an
 //! interleaved layout with health `Off` and native storage a clean
 //! member is its slot of the class slab, which the host backends build
 //! *in* the staged value array, adding only pivots, the member index

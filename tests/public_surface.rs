@@ -12,7 +12,7 @@ use std::path::Path;
 /// Top-level `pub` items per crate.
 const EXPECTED: [(&str, usize); 9] = [
     ("vbatch-bench", 29),
-    ("vbatch-core", 99),
+    ("vbatch-core", 100),
     ("vbatch-exec", 52),
     ("vbatch-precond", 19),
     ("vbatch-rt", 104),
