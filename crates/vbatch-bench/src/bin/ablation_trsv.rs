@@ -3,14 +3,11 @@
 //!
 //! The eager variant wins on the warp: its AXPY needs no reduction and
 //! its column reads are coalesced, while the lazy variant pays one
-//! butterfly reduction and one strided row read per step.
+//! butterfly reduction and one strided row read per step. Both sides
+//! are the SIMT cost model's; the host kernels run the eager variant
+//! only (EXPERIMENTS.md §B has the last host timing of both).
 
-use std::time::Instant;
 use vbatch_bench::write_csv;
-use vbatch_core::{
-    getrf_inplace, lu_solve_inplace, DenseMat, MatrixBatch, PivotStrategy, TrsvVariant, VectorBatch,
-};
-use vbatch_rt::par::par_map_vec;
 use vbatch_simt::kernels::trsv::{lu_trsv_lazy_warp_cost, lu_trsv_warp_cost};
 use vbatch_simt::{CostTable, DeviceModel, InstrClass};
 
@@ -52,39 +49,6 @@ fn main() {
         ]);
     }
 
-    // CPU: the two variants of the native kernels
-    println!("\nCPU batched GETRS wall clock (10,000 x 32x32, parallel):");
-    let mats: Vec<DenseMat<f64>> = (0..10_000)
-        .map(|s| {
-            DenseMat::from_fn(32, 32, |i, j| {
-                let h = (i * 61 + j * 13 + s) % 512;
-                h as f64 / 256.0 - 1.0 + if i == j { 3.0 } else { 0.0 }
-            })
-        })
-        .collect();
-    let mut factors = MatrixBatch::from_matrices(&mats);
-    let perms = par_map_vec(factors.blocks_mut(), |(n, data)| {
-        getrf_inplace(PivotStrategy::Implicit, n, data)
-            .expect("diagonally dominant bench batch factorizes")
-    });
-    for variant in TrsvVariant::ALL {
-        let mut rhs = VectorBatch::zeros(factors.sizes());
-        rhs.as_mut_slice().iter_mut().for_each(|v| *v = 1.0);
-        let t = Instant::now();
-        par_map_vec(
-            rhs.segs_mut().into_iter().enumerate().collect(),
-            |(i, seg): (usize, &mut [f64])| {
-                lu_solve_inplace(
-                    variant,
-                    seg.len(),
-                    factors.block(i),
-                    perms[i].as_slice(),
-                    seg,
-                )
-            },
-        );
-        println!("  {variant:?}: {:?}", t.elapsed());
-    }
     let path = write_csv(
         "ablation_trsv",
         &[

@@ -3,8 +3,7 @@
 //!
 //! The sweep works on variable-size column-major blocks in place:
 //! `A_ik := A_ik · A_kk^{-1}` (a TRSM against the combined `L\U`
-//! factors of the finished diagonal block, applied through the
-//! transposed solve below) and `A_ij := A_ij − A_ik · A_kj` (a negated
+//! factors of the finished diagonal block, column by column) and `A_ij := A_ij − A_ik · A_kj` (a negated
 //! GEMM accumulation). The triangular apply additionally needs the
 //! negated GEMV accumulation `y := y − A x`, and an explicitly inverted
 //! block is applied as `y := A x`. All kernels are allocation-free;
@@ -68,52 +67,6 @@ pub fn gemv<T: Scalar>(n: usize, a: &[T], x: &[T], y: &mut [T]) {
     }
 }
 
-/// Solve `A^T x = b` in place given the combined `L\U` factors of `A`
-/// with `P A = L U` (`row_of_step` in the pivot convention of
-/// [`crate::perm::Permutation`]).
-///
-/// `A^T = U^T L^T P`, so the solve runs a forward sweep with `U^T`
-/// (lower triangular, diagonal of `U`), a backward sweep with `L^T`
-/// (unit upper triangular), and finally scatters through the
-/// permutation: `x[row_of_step[k]] = y[k]`. The scatter lands in
-/// `scratch` (`scratch.len() >= n`); no heap allocation.
-pub fn lu_solve_transposed_inplace_scratch<T: Scalar>(
-    n: usize,
-    lu: &[T],
-    row_of_step: &[usize],
-    b: &mut [T],
-    scratch: &mut [T],
-) {
-    debug_assert_eq!(lu.len(), n * n);
-    debug_assert_eq!(row_of_step.len(), n);
-    debug_assert_eq!(b.len(), n);
-    debug_assert!(scratch.len() >= n);
-    // forward: U^T z = b, row k of U^T is column k of U
-    for k in 0..n {
-        let col = &lu[k * n..k * n + n];
-        let mut acc = b[k];
-        for j in 0..k {
-            acc = (-col[j]).mul_add(b[j], acc);
-        }
-        b[k] = acc / col[k];
-    }
-    // backward: L^T y = z, row k of L^T is column k of L (unit diagonal)
-    for k in (0..n).rev() {
-        let col = &lu[k * n..k * n + n];
-        let mut acc = b[k];
-        for i in k + 1..n {
-            acc = (-col[i]).mul_add(b[i], acc);
-        }
-        b[k] = acc;
-    }
-    // x = P^T y: x[row_of_step[k]] = y[k]
-    let out = &mut scratch[..n];
-    for (k, &r) in row_of_step.iter().enumerate() {
-        out[r] = b[k];
-    }
-    b.copy_from_slice(out);
-}
-
 /// `B := B · A^{-1}` with `B` (`m×n`) column-major and `A` (`n×n`)
 /// given by its combined `L\U` factors: the right-division of the
 /// block-ILU(0) sweep, `A_ik := A_ik · A_kk^{-1}`.
@@ -125,8 +78,8 @@ pub fn lu_solve_transposed_inplace_scratch<T: Scalar>(
 /// (column `k` takes an AXPY from every column `i > k`), and a column
 /// scatter through the pivots (column `k` lands at `row_of_step[k]`).
 /// Every element sees exactly the fma sequence of solving its row
-/// against `A^T` with [`lu_solve_transposed_inplace_scratch`], so the
-/// result is bitwise that of the row-by-row solve while every inner
+/// against `A^T` (the row-by-row reference in this module's tests), so
+/// the result is bitwise that of the row-by-row solve while every inner
 /// loop runs over the `m` contiguous rows of a column.
 /// `scratch.len() >= m * n` (the scatter target); no heap allocation.
 pub fn trsm_right_lu_inplace<T: Scalar>(
@@ -186,6 +139,53 @@ mod tests {
     use crate::dense::DenseMat;
     use crate::lu::implicit::getrf_implicit_inplace;
     use vbatch_rt::SmallRng;
+
+    /// Solve `A^T x = b` in place given the combined `L\U` factors of `A`
+    /// with `P A = L U` (`row_of_step` in the pivot convention of
+    /// `crate::perm::Permutation`): the row-by-row reference of
+    /// [`trsm_right_lu_inplace`].
+    ///
+    /// `A^T = U^T L^T P`, so the solve runs a forward sweep with `U^T`
+    /// (lower triangular, diagonal of `U`), a backward sweep with `L^T`
+    /// (unit upper triangular), and finally scatters through the
+    /// permutation: `x[row_of_step[k]] = y[k]`. The scatter lands in
+    /// `scratch` (`scratch.len() >= n`); no heap allocation.
+    fn lu_solve_transposed_inplace_scratch<T: Scalar>(
+        n: usize,
+        lu: &[T],
+        row_of_step: &[usize],
+        b: &mut [T],
+        scratch: &mut [T],
+    ) {
+        debug_assert_eq!(lu.len(), n * n);
+        debug_assert_eq!(row_of_step.len(), n);
+        debug_assert_eq!(b.len(), n);
+        debug_assert!(scratch.len() >= n);
+        // forward: U^T z = b, row k of U^T is column k of U
+        for k in 0..n {
+            let col = &lu[k * n..k * n + n];
+            let mut acc = b[k];
+            for j in 0..k {
+                acc = (-col[j]).mul_add(b[j], acc);
+            }
+            b[k] = acc / col[k];
+        }
+        // backward: L^T y = z, row k of L^T is column k of L (unit diagonal)
+        for k in (0..n).rev() {
+            let col = &lu[k * n..k * n + n];
+            let mut acc = b[k];
+            for i in k + 1..n {
+                acc = (-col[i]).mul_add(b[i], acc);
+            }
+            b[k] = acc;
+        }
+        // x = P^T y: x[row_of_step[k]] = y[k]
+        let out = &mut scratch[..n];
+        for (k, &r) in row_of_step.iter().enumerate() {
+            out[r] = b[k];
+        }
+        b.copy_from_slice(out);
+    }
 
     /// The row-wise right-division the column-oriented kernel replaced,
     /// kept as its bitwise oracle: gather row `i` of `B` (stride `m`),

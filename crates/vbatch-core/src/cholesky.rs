@@ -9,7 +9,6 @@
 use crate::dense::DenseMat;
 use crate::error::{check_finite, FactorError, FactorResult};
 use crate::scalar::Scalar;
-use crate::trsv::TrsvVariant;
 
 /// Lower Cholesky factor of one SPD block.
 #[derive(Clone, Debug)]
@@ -65,58 +64,33 @@ impl<T: Scalar> CholeskyFactors<T> {
         self.l.rows()
     }
 
-    /// Solve `A x = b` in place via `L y = b`, `L^T x = y`.
-    pub fn solve_inplace(&self, variant: TrsvVariant, b: &mut [T]) {
+    /// Solve `A x = b` in place via `L y = b`, `L^T x = y` (eager
+    /// sweeps).
+    pub fn solve_inplace(&self, b: &mut [T]) {
         let n = self.order();
         debug_assert_eq!(b.len(), n);
         // forward sweep with non-unit lower factor
-        match variant {
-            TrsvVariant::Lazy => {
-                for k in 0..n {
-                    let mut acc = b[k];
-                    for j in 0..k {
-                        acc = (-self.l[(k, j)]).mul_add(b[j], acc);
-                    }
-                    b[k] = acc / self.l[(k, k)];
-                }
-            }
-            TrsvVariant::Eager => {
-                for k in 0..n {
-                    let bk = b[k] / self.l[(k, k)];
-                    b[k] = bk;
-                    for i in k + 1..n {
-                        b[i] = (-self.l[(i, k)]).mul_add(bk, b[i]);
-                    }
-                }
+        for k in 0..n {
+            let bk = b[k] / self.l[(k, k)];
+            b[k] = bk;
+            for i in k + 1..n {
+                b[i] = (-self.l[(i, k)]).mul_add(bk, b[i]);
             }
         }
         // backward sweep with L^T: U = L^T so U(i,j) = L(j,i)
-        match variant {
-            TrsvVariant::Lazy => {
-                for k in (0..n).rev() {
-                    let mut acc = b[k];
-                    for j in k + 1..n {
-                        acc = (-self.l[(j, k)]).mul_add(b[j], acc);
-                    }
-                    b[k] = acc / self.l[(k, k)];
-                }
-            }
-            TrsvVariant::Eager => {
-                for k in (0..n).rev() {
-                    let bk = b[k] / self.l[(k, k)];
-                    b[k] = bk;
-                    for i in 0..k {
-                        b[i] = (-self.l[(k, i)]).mul_add(bk, b[i]);
-                    }
-                }
+        for k in (0..n).rev() {
+            let bk = b[k] / self.l[(k, k)];
+            b[k] = bk;
+            for i in 0..k {
+                b[i] = (-self.l[(k, i)]).mul_add(bk, b[i]);
             }
         }
     }
 
-    /// Solve into a fresh vector with the eager variant.
+    /// Solve into a fresh vector.
     pub fn solve(&self, b: &[T]) -> Vec<T> {
         let mut x = b.to_vec();
-        self.solve_inplace(TrsvVariant::Eager, &mut x);
+        self.solve_inplace(&mut x);
         x
     }
 
@@ -175,17 +149,12 @@ mod tests {
     }
 
     #[test]
-    fn solve_recovers_solution_both_variants() {
+    fn solve_recovers_solution() {
         let a = spd(10, 9);
         let x_true: Vec<f64> = (0..10).map(|i| (i as f64 - 4.0) / 2.0).collect();
-        let b = a.matvec(&x_true);
-        let f = potrf(&a).unwrap();
-        for v in TrsvVariant::ALL {
-            let mut x = b.clone();
-            f.solve_inplace(v, &mut x);
-            for i in 0..10 {
-                assert!((x[i] - x_true[i]).abs() < 1e-9, "{v:?} x[{i}]={}", x[i]);
-            }
+        let x = potrf(&a).unwrap().solve(&a.matvec(&x_true));
+        for i in 0..10 {
+            assert!((x[i] - x_true[i]).abs() < 1e-9, "x[{i}]={}", x[i]);
         }
     }
 

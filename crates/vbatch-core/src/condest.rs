@@ -9,7 +9,7 @@
 use crate::dense::DenseMat;
 use crate::lu::LuFactors;
 use crate::scalar::Scalar;
-use crate::trsv::{lu_solve_inplace_scratch, TrsvVariant};
+use crate::trsv::LuView;
 
 /// 1-norm of a matrix (max column sum).
 pub fn norm1<T: Scalar>(a: &DenseMat<T>) -> T {
@@ -22,20 +22,25 @@ pub fn norm1<T: Scalar>(a: &DenseMat<T>) -> T {
 }
 
 /// Estimate `||A^{-1}||_1` (Hager's method) from a combined `L\U`
-/// factor — `lu` column-major `n x n` in pivot order, `row_of_step` its
-/// pivot sequence — on the caller's `work` (`len >= 4 n`: the iterate,
-/// the forward solve, the transposed solve and the solve's scratch), so
-/// a caller estimating block after block allocates nothing per block.
-pub fn inverse_norm1_est<T: Scalar>(
-    n: usize,
-    lu: &[T],
-    row_of_step: &[usize],
-    work: &mut [T],
-) -> T {
+/// factor read in place — a block's own storage or an interleaved class
+/// slot — on the caller's `work` (`len >= 4 n`: the iterate, the forward
+/// solve, the transposed solve and the solve's scratch), so a caller
+/// estimating block after block allocates nothing per block.
+pub fn inverse_norm1_est<T: Scalar>(lu: &LuView<'_, T>, work: &mut [T]) -> T {
+    if lu.is_unit() {
+        estimate::<T, true>(lu, work)
+    } else {
+        estimate::<T, false>(lu, work)
+    }
+}
+
+#[inline(always)]
+fn estimate<T: Scalar, const UNIT: bool>(lu: &LuView<'_, T>, work: &mut [T]) -> T {
+    let n = lu.order();
     if n == 0 {
         return T::ZERO;
     }
-    debug_assert_eq!(lu.len(), n * n);
+    let (stride, _) = lu.layout::<UNIT>();
     let (x, rest) = work[..4 * n].split_at_mut(n);
     let (y, rest) = rest.split_at_mut(n);
     let (t, scratch) = rest.split_at_mut(n);
@@ -45,7 +50,7 @@ pub fn inverse_norm1_est<T: Scalar>(
     for _ in 0..5 {
         // y = A^{-1} x
         y.copy_from_slice(x);
-        lu_solve_inplace_scratch(TrsvVariant::Eager, n, lu, row_of_step, y, scratch);
+        lu.solve_eager::<T, UNIT>(y, scratch);
         let new_est = y.iter().fold(T::ZERO, |acc, &v| acc + v.abs());
         // xi = sign(y)
         for (ti, &v) in t.iter_mut().zip(y.iter()) {
@@ -53,27 +58,30 @@ pub fn inverse_norm1_est<T: Scalar>(
         }
         // z = A^{-T} xi: the transposed solves reuse the factorization,
         // A^T = (P^T L U)^T, so U^T w = xi, L^T v = w, z = P^T v.
-        // U^T is lower triangular with U's diagonal
+        // U^T is lower triangular with U's diagonal; row k of U^T and
+        // of L^T is column k of the factor
         for k in 0..n {
+            let col = lu.column::<UNIT>(k);
             let mut acc = t[k];
             for j in 0..k {
-                acc -= lu[k * n + j] * t[j];
+                acc -= col[j * stride] * t[j];
             }
-            t[k] = acc / lu[k * n + k];
+            t[k] = acc / col[k * stride];
         }
         // L^T is unit upper triangular
         for k in (0..n).rev() {
+            let col = lu.column::<UNIT>(k);
             let mut acc = t[k];
             for j in k + 1..n {
-                acc -= lu[k * n + j] * t[j];
+                acc -= col[j * stride] * t[j];
             }
             t[k] = acc;
         }
         // z = P^T v, into y (read above): position row_of_step(k)
         // receives v_k
         let z = &mut *y;
-        for (k, &r) in row_of_step.iter().enumerate() {
-            z[r] = t[k];
+        for (k, &tk) in t.iter().enumerate() {
+            z[lu.row_of_step(k)] = tk;
         }
         let (jmax, zmax) = z
             .iter()
@@ -104,7 +112,7 @@ pub fn inverse_norm1_est<T: Scalar>(
 pub fn condest1<T: Scalar>(a: &DenseMat<T>, f: &LuFactors<T>) -> T {
     let n = f.order();
     let mut work = vec![T::ZERO; 4 * n];
-    norm1(a) * inverse_norm1_est(n, f.lu.as_slice(), f.perm.as_slice(), &mut work)
+    norm1(a) * inverse_norm1_est(&LuView::new(f.lu.as_slice(), f.perm.as_slice()), &mut work)
 }
 
 /// Row/column equilibration scalings (LAPACK `geequ`-style): returns

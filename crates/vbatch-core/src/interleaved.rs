@@ -23,10 +23,11 @@
 //! `row_of_step[k * count + slot]` is the original row slot `slot`
 //! chose at step `k`.
 //!
-//! This module holds the layout ([`BatchLayout`], [`InterleavedClass`])
-//! and the strided one-slot solve ([`lu_solve_interleaved_slot_scratch`]);
-//! the class-wide GETRF and TRSV that run on the layout are the lane
-//! kernels of [`crate::interleaved_simd`].
+//! This module holds the layout ([`BatchLayout`], [`InterleavedClass`]).
+//! The class-wide GETRF and TRSV that run on the layout are the lane
+//! kernels of [`crate::interleaved_simd`]; one slot is read in place by
+//! [`crate::LuView::slot`], whose solves and condition estimate are
+//! those of a block's own factor at stride `count`.
 
 use crate::batch::MatrixBatch;
 use crate::scalar::Scalar;
@@ -171,56 +172,15 @@ impl<T: Scalar> InterleavedClass<T> {
     }
 }
 
-/// Solve one slot of a factorized interleaved class in place, reading
-/// the factors with stride `count` (for per-block host paths):
-/// `b := P b`, eager unit-lower sweep, eager upper sweep — per element
-/// the operation sequence of [`crate::trsv::lu_solve_inplace_scratch`]
-/// with [`crate::trsv::TrsvVariant::Eager`], hence of the class-wide
-/// sweep, so all three agree bitwise. `scratch.len() >= n` holds the
-/// permutation gather. The class may be stored in a narrower scalar `S`
-/// than the working scalar `T` of `b` (see [`crate::widen`]).
-#[inline]
-pub fn lu_solve_interleaved_slot_scratch<T: Scalar, S: Stored<T>>(
-    n: usize,
-    count: usize,
-    slot: usize,
-    data: &[S],
-    row_of_step: &[usize],
-    b: &mut [T],
-    scratch: &mut [T],
-) {
-    debug_assert_eq!(b.len(), n);
-    debug_assert!(scratch.len() >= n);
-    let at = |i: usize, j: usize| data[(j * n + i) * count + slot].widen();
-    let permuted = &mut scratch[..n];
-    for (k, p) in permuted.iter_mut().enumerate() {
-        *p = b[row_of_step[k * count + slot]];
-    }
-    b.copy_from_slice(permuted);
-    for k in 0..n.saturating_sub(1) {
-        let bk = b[k];
-        for i in k + 1..n {
-            b[i] = (-at(i, k)).mul_add(bk, b[i]);
-        }
-    }
-    for k in (0..n).rev() {
-        let bk = b[k] / at(k, k);
-        b[k] = bk;
-        for i in 0..k {
-            b[i] = (-at(i, k)).mul_add(bk, b[i]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::condest::inverse_norm1_est;
     use crate::dense::DenseMat;
     use crate::error::FactorError;
     use crate::interleaved_simd::tests::assert_class_matches_per_block;
     use crate::interleaved_simd::{getrf_interleaved_class_simd, SUPPORTED_WIDTHS};
-    use crate::lu::implicit::getrf_implicit_inplace;
-    use crate::trsv::{lu_solve_inplace, TrsvVariant};
+    use crate::trsv::LuView;
 
     fn mixed_batch() -> MatrixBatch<f64> {
         let mats: Vec<DenseMat<f64>> = [2usize, 3, 2, 3, 3, 1]
@@ -280,40 +240,78 @@ mod tests {
         assert!(check_class(&b).iter().all(|e| e.is_none()));
     }
 
-    #[test]
-    fn strided_slot_solve_matches_blocked_bitwise() {
-        let n = 6;
-        let count = 5;
-        let b = MatrixBatch::<f64>::uniform_from_fn(count, n, |s, i, j| {
-            let h = (i * 89 + j * 211 + s * 433 + 1) % 512;
-            h as f64 / 256.0 - 1.0 + if i == j { 4.0 } else { 0.0 }
-        });
+    /// Factorize `b` as one class stored in `S` and hold every slot,
+    /// read in place, against the same factor unpacked to contiguous
+    /// storage: the solve, the multi-RHS solve (whose columns are also
+    /// the single solves) and the condition estimate agree bitwise.
+    fn assert_slot_views_agree<S: Stored<f64>>(b: &MatrixBatch<f64>, ctx: &str) {
+        let (n, count) = (b.size(0), b.len());
         let members: Vec<usize> = (0..count).collect();
-        let mut cls = InterleavedClass::<f64>::pack_from(&b, &members);
+        let mut cls = InterleavedClass::<S>::pack_from(b, &members);
         let mut piv = vec![0usize; n * count];
         let errs = getrf_interleaved_class_simd(n, count, cls.data_mut(), &mut piv);
-        assert!(errs.iter().all(|e| e.is_none()));
+        assert_eq!(errs.len(), count, "{ctx}");
+        assert_eq!(
+            errs.get(1).is_some_and(|e| e.is_some()),
+            count > 1 && n > 0,
+            "{ctx}"
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut lu, mut work) = (vec![S::ZERO; n * n], vec![S::ZERO; 4 * n]);
+        let mut scratch = vec![0.0f64; 7 * n];
+        for (slot, err) in errs.iter().enumerate() {
+            let ctx = format!("{ctx} slot {slot}");
+            cls.unpack_slot(slot, &mut lu);
+            let rows: Vec<usize> = (0..n).map(|k| piv[k * count + slot]).collect();
+            if err.is_some() {
+                assert_eq!(rows, (0..n).collect::<Vec<_>>(), "{ctx}: identity pivots");
+                let identity =
+                    (0..n * n).all(|e| lu[e] == if e % (n + 1) == 0 { S::ONE } else { S::ZERO });
+                assert!(identity, "{ctx}: identity factors");
+            }
+            let strided = LuView::slot(n, count, slot, cls.data(), &piv);
+            let contiguous = LuView::new(&lu, &rows);
+            for nrhs in [1usize, 7] {
+                let rhs: Vec<f64> = (0..n * nrhs)
+                    .map(|e| ((e * 3 + slot) % 7) as f64 - 3.0)
+                    .collect();
+                let (mut x, mut y) = (rhs.clone(), rhs.clone());
+                strided.solve_multi_inplace(nrhs, &mut x, &mut scratch);
+                contiguous.solve_multi_inplace(nrhs, &mut y, &mut scratch);
+                assert_eq!(bits(&x), bits(&y), "{ctx} nrhs {nrhs}");
+                for c in 0..nrhs {
+                    let col = c * n..(c + 1) * n;
+                    let (mut s, mut t) = (rhs[col.clone()].to_vec(), rhs[col.clone()].to_vec());
+                    strided.solve_inplace(&mut s, &mut scratch);
+                    contiguous.solve_inplace(&mut t, &mut scratch);
+                    assert_eq!(bits(&s), bits(&x[col.clone()]), "{ctx} column {c}");
+                    assert_eq!(bits(&t), bits(&x[col]), "{ctx} column {c}");
+                }
+            }
+            let est = inverse_norm1_est(&strided, &mut work).to_f64();
+            let want = inverse_norm1_est(&contiguous, &mut work).to_f64();
+            assert_eq!(est.to_bits(), want.to_bits(), "{ctx} condest");
+        }
+    }
 
-        let mut scratch = vec![0.0; n];
-        for slot in 0..count {
-            let rhs0: Vec<f64> = (0..n).map(|i| ((i * 3 + slot) % 7) as f64 - 3.0).collect();
-            // blocked reference
-            let mut blocked = b.block(slot).to_vec();
-            let perm = getrf_implicit_inplace(n, &mut blocked).unwrap();
-            let mut rhs = rhs0.clone();
-            lu_solve_inplace(TrsvVariant::Eager, n, &blocked, perm.as_slice(), &mut rhs);
-            // strided single-slot solve
-            let mut slot_x = rhs0;
-            lu_solve_interleaved_slot_scratch(
-                n,
-                count,
-                slot,
-                cls.data(),
-                &piv,
-                &mut slot_x,
-                &mut scratch,
-            );
-            assert_eq!(slot_x, rhs, "slot {slot}");
+    #[test]
+    fn strided_slot_solve_matches_blocked_bitwise() {
+        for n in [0usize, 1, 2, 5, 8, 16, 17, 32, 33] {
+            for count in [1usize, 3, 8] {
+                // slot 1 is zero: singular at step 0, sanitized to identity
+                let b = MatrixBatch::<f64>::uniform_from_fn(count, n, |s, i, j| {
+                    let h = (i * 89 + j * 211 + s * 433 + 1) % 512;
+                    let v = h as f64 / 256.0 - 1.0 + if i == j { 4.0 } else { 0.0 };
+                    if s == 1 {
+                        0.0
+                    } else {
+                        v
+                    }
+                });
+                let ctx = format!("n={n} count={count}");
+                assert_slot_views_agree::<f64>(&b, &format!("{ctx} f64"));
+                assert_slot_views_agree::<f32>(&b, &format!("{ctx} f32"));
+            }
         }
     }
 

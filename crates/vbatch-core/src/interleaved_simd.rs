@@ -17,9 +17,8 @@
 //!   `mul_add`, compare-and-blend selects), and per slot the operation
 //!   sequence is that of the masked formulation
 //!   ([`crate::lu::implicit::getrf_implicit_resume_scratch`] from step
-//!   0 behind the finite pre-scan) and of
-//!   [`crate::trsv::lu_solve_inplace_scratch`] with
-//!   [`crate::trsv::TrsvVariant::Eager`]. So a slot's factors, pivot
+//!   0 behind the finite pre-scan) and of the eager
+//!   [`crate::LuView::solve_inplace`]. So a slot's factors, pivot
 //!   sequence, [`FactorError`] and solution are bitwise those of the
 //!   per-block kernels on the same block, at *every* width including
 //!   the W = 1 remainder path. The suites compare against the masked
@@ -416,9 +415,8 @@ pub fn lu_solve_interleaved_class_scratch_simd<T: Scalar>(
 /// (`scratch.len() >= n * count`) so the warm apply stays allocation
 /// free, in place on right-hand-side lanes `x[i*count + slot]`.
 ///
-/// Per slot this performs exactly
-/// [`crate::trsv::lu_solve_inplace_scratch`] with
-/// [`crate::trsv::TrsvVariant::Eager`] — permute `b := P b`, unit-lower
+/// Per slot this performs exactly the eager
+/// [`crate::LuView::solve_inplace`] — permute `b := P b`, unit-lower
 /// sweep, upper sweep — so the solution bits are those of the blocked
 /// solve.
 pub fn lu_solve_interleaved_class_scratch_simd_width<T: Scalar>(
@@ -521,7 +519,7 @@ fn solve_chunk<T: Scalar, const W: usize>(
 pub(crate) mod tests {
     use super::*;
     use crate::error::check_finite;
-    use crate::trsv::{lu_solve_inplace_scratch, TrsvVariant};
+    use crate::trsv::LuView;
 
     /// The masked per-block formulation from step 0 behind the finite
     /// pre-scan — the oracle both in-order sweeps (this kernel's and the
@@ -614,14 +612,7 @@ pub(crate) mod tests {
                 Ok(rows) => {
                     assert_eq!(errs[s], None, "slot {s} {ctx}");
                     assert_eq!(lane, rows, "slot {s} pivots {ctx}");
-                    lu_solve_inplace_scratch(
-                        TrsvVariant::Eager,
-                        n,
-                        &blk,
-                        &rows,
-                        &mut want_x,
-                        &mut scratch,
-                    );
+                    LuView::new(&blk, &rows).solve_inplace(&mut want_x, &mut scratch);
                 }
                 Err(e) => {
                     assert_eq!(errs[s], Some(e), "slot {s} {ctx}");

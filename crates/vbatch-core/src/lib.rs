@@ -12,8 +12,9 @@
 //!
 //! * [`lu`] — LU factorization with **explicit** (Fig. 1 top) and the
 //!   paper's **implicit** partial pivoting (Fig. 1 bottom);
-//! * [`trsv`] — "lazy" (DOT) and "eager" (AXPY) triangular solves
-//!   (Fig. 2) plus the permuted `getrs`-style combined solve;
+//! * [`trsv`] — the eager (AXPY) triangular solves of Fig. 2 and the
+//!   permuted `getrs`-style combined solve, on one [`LuView`] of a
+//!   factor in a block's own storage or in an interleaved class slot;
 //! * [`gauss_huard`] — the Gauss-Huard baseline with column pivoting and
 //!   its transposed-storage variant (GH-T);
 //! * [`gje`] — Gauss-Jordan explicit inversion (the inversion-based
@@ -44,18 +45,14 @@ pub mod trsv;
 pub mod widen;
 
 pub use batch::{MatrixBatch, VectorBatch};
-pub use blockops::{
-    gemm_neg_acc, gemv, gemv_neg_acc, lu_solve_transposed_inplace_scratch, trsm_right_lu_inplace,
-};
+pub use blockops::{gemm_neg_acc, gemv, gemv_neg_acc, trsm_right_lu_inplace};
 pub use cholesky::{make_spd, potrf, CholeskyFactors};
 pub use condest::{apply_equilibration, condest1, equilibrate, inverse_norm1_est, norm1};
 pub use dense::DenseMat;
 pub use error::{check_finite, FactorError, FactorResult};
 pub use gauss_huard::{gh_factorize, GhFactors, GhLayout};
 pub use gje::gje_invert;
-pub use interleaved::{
-    lu_solve_interleaved_slot_scratch, BatchLayout, InterleavedClass, DEFAULT_CLASS_CAPACITY,
-};
+pub use interleaved::{BatchLayout, InterleavedClass, DEFAULT_CLASS_CAPACITY};
 pub use interleaved_simd::{
     getrf_interleaved_class_simd, getrf_interleaved_class_simd_scratch,
     getrf_interleaved_class_simd_width, lu_solve_interleaved_class_scratch_simd,
@@ -66,10 +63,7 @@ pub use lu::{getrf, getrf_inplace, solve_system, LuFactors, PivotStrategy};
 pub use perm::Permutation;
 pub use qr::{geqp3, QrFactors};
 pub use scalar::Scalar;
-pub use trsv::{
-    lu_solve_inplace, lu_solve_inplace_scratch, lu_solve_multi_inplace_scratch, trsv_lower_unit,
-    trsv_upper, TrsvVariant,
-};
+pub use trsv::{lu_solve_inplace, trsv_lower_unit, trsv_upper, LuView};
 pub use widen::{
     narrow_slice, residual_into, Storage, StoragePrecision, Stored, StoredGh, StoredVec,
 };

@@ -26,7 +26,7 @@ use crate::dense::DenseMat;
 use crate::error::{FactorError, FactorResult};
 use crate::perm::Permutation;
 use crate::scalar::Scalar;
-use crate::trsv::{lu_solve_inplace, TrsvVariant};
+use crate::trsv::lu_solve_inplace;
 
 /// Pivoting strategy selector for the LU drivers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,22 +66,16 @@ impl<T: Scalar> LuFactors<T> {
         self.lu.rows()
     }
 
-    /// Solve `A x = b`, overwriting `b` with `x`.
-    pub fn solve_inplace(&self, variant: TrsvVariant, b: &mut [T]) {
-        lu_solve_inplace(
-            variant,
-            self.order(),
-            self.lu.as_slice(),
-            self.perm.as_slice(),
-            b,
-        );
+    /// Solve `A x = b`, overwriting `b` with `x` (the permuted eager
+    /// solve of [`crate::trsv`]).
+    pub fn solve_inplace(&self, b: &mut [T]) {
+        lu_solve_inplace(self.order(), self.lu.as_slice(), self.perm.as_slice(), b);
     }
 
-    /// Solve `A x = b` into a fresh vector, using the eager variant the
-    /// paper selects for its GPU kernels.
+    /// Solve `A x = b` into a fresh vector.
     pub fn solve(&self, b: &[T]) -> Vec<T> {
         let mut x = b.to_vec();
-        self.solve_inplace(TrsvVariant::Eager, &mut x);
+        self.solve_inplace(&mut x);
         x
     }
 
@@ -108,7 +102,7 @@ impl<T: Scalar> LuFactors<T> {
         for j in 0..n {
             e.iter_mut().for_each(|v| *v = T::ZERO);
             e[j] = T::ONE;
-            self.solve_inplace(TrsvVariant::Eager, &mut e);
+            self.solve_inplace(&mut e);
             inv.col_mut(j).copy_from_slice(&e);
         }
         inv

@@ -1,225 +1,295 @@
 //! Triangular solves for combined LU storage (paper §III-B, Fig. 2).
 //!
-//! Two algorithmic variants exist for each triangle:
+//! The paper weighs two variants of each triangular sweep: the *lazy*
+//! one finishes `y_k` with a DOT product against the computed prefix
+//! (one factor *row* per step), the *eager* one retires `y_k` and
+//! updates the trailing vector with an AXPY (one factor *column* per
+//! step). It selects the eager variant because the AXPY needs no warp
+//! reduction and its column read is coalesced; the warp cost of both is
+//! modelled in `vbatch-simt`'s `kernels::trsv`. The host runs the eager
+//! variant only.
 //!
-//! * **lazy** — step `k` finishes `y_k` with a DOT product against the
-//!   already-computed prefix (reads one *row* of the factor per step);
-//! * **eager** — step `k` retires `y_k` and immediately updates the
-//!   trailing vector with an AXPY (reads one *column* per step).
-//!
-//! The paper selects the eager variant for the GPU kernels because the
-//! AXPY parallelizes trivially across the warp and, with column-major
-//! storage, the column read is coalesced. Numerically the two variants
-//! compute the same recurrence (up to rounding-order differences), which
-//! the tests exploit.
-//!
-//! All functions operate on the *combined* LU matrix produced by the
-//! `lu` module: the unit lower factor is the strict lower triangle (unit
-//! diagonal implied) and the upper factor is the upper triangle including
-//! the diagonal.
+//! Every solve reads a *combined* LU factor — the unit lower factor in
+//! the strict lower triangle (unit diagonal implied), the upper factor
+//! on and above the diagonal — through one [`LuView`], whether the
+//! factor is a block's own column-major storage or one slot of an
+//! interleaved class ([`crate::interleaved`]). The permuted eager solve
+//! is written once on the view and instantiated for the unit stride
+//! (contiguous column slices) and for the class stride; per element
+//! both run the same operations on the same operands, so the layouts
+//! agree bitwise.
 
 use crate::scalar::Scalar;
 use crate::widen::Stored;
 
-/// Which algorithmic variant of the triangular sweep to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TrsvVariant {
-    /// DOT-based: finish one entry per step (Fig. 2 top).
-    Lazy,
-    /// AXPY-based: update the trailing vector per step (Fig. 2 bottom).
-    Eager,
-}
-
-impl TrsvVariant {
-    /// All variants, for exhaustive tests and benches.
-    pub const ALL: [TrsvVariant; 2] = [TrsvVariant::Lazy, TrsvVariant::Eager];
-}
-
-#[inline]
-fn at<T: Scalar, S: Stored<T>>(a: &[S], n: usize, i: usize, j: usize) -> T {
-    debug_assert!(i < n && j < n);
-    a[j * n + i].widen()
-}
-
-/// Solve `L y = b` in place with `L` unit lower triangular, stored in the
-/// strict lower triangle of the column-major `n x n` matrix `a`.
-///
-/// Like every solve in this module the factor may be stored in a
-/// narrower scalar `S` than the working scalar `T` of `b`
-/// (see [`crate::widen`]); arithmetic is always in `T`.
-#[inline]
-pub fn trsv_lower_unit<T: Scalar, S: Stored<T>>(
-    variant: TrsvVariant,
+/// One combined `L\U` factor wherever it lives, read in place:
+/// column-major element `e` sits at `data[e * stride + offset]` and the
+/// pivot row of step `k` at `piv[k * stride + offset]` — `stride = 1`
+/// for a block's own storage ([`LuView::new`]), the class population
+/// with `offset` the slot for an interleaved class ([`LuView::slot`]).
+/// The storage scalar `S` may be narrower than the working scalar `T`
+/// of a solve (see [`crate::widen`]); arithmetic is always in `T`.
+#[derive(Clone, Copy, Debug)]
+pub struct LuView<'a, S> {
     n: usize,
-    a: &[S],
-    b: &mut [T],
-) {
-    debug_assert_eq!(a.len(), n * n);
-    debug_assert_eq!(b.len(), n);
-    match variant {
-        TrsvVariant::Lazy => {
-            // b(k) -= L(k, 0..k) . b(0..k)
-            for k in 1..n {
-                let mut acc = b[k];
-                for j in 0..k {
-                    acc = (-at::<T, S>(a, n, k, j)).mul_add(b[j], acc);
-                }
-                b[k] = acc;
+    data: &'a [S],
+    piv: &'a [usize],
+    stride: usize,
+    offset: usize,
+}
+
+impl<'a, S: Scalar> LuView<'a, S> {
+    /// A block's own column-major factor `lu` and its row-of-step pivot
+    /// sequence (`row_of_step[k]` is the original row chosen at step
+    /// `k`, see [`crate::perm::Permutation`]).
+    pub fn new(lu: &'a [S], row_of_step: &'a [usize]) -> Self {
+        let n = row_of_step.len();
+        debug_assert_eq!(lu.len(), n * n);
+        LuView {
+            n,
+            data: lu,
+            piv: row_of_step,
+            stride: 1,
+            offset: 0,
+        }
+    }
+
+    /// Slot `slot` of a factorized interleaved class of `count` systems
+    /// of order `n`: `data[(j*n + i) * count + slot]`,
+    /// `piv[k * count + slot]`.
+    pub fn slot(n: usize, count: usize, slot: usize, data: &'a [S], piv: &'a [usize]) -> Self {
+        debug_assert!(slot < count);
+        debug_assert_eq!(data.len(), n * n * count);
+        debug_assert_eq!(piv.len(), n * count);
+        LuView {
+            n,
+            data,
+            piv,
+            stride: count,
+            offset: slot,
+        }
+    }
+
+    /// Order of the factored block.
+    pub fn order(&self) -> usize {
+        self.n
+    }
+
+    /// Element `(i, j)` of the combined factor.
+    #[inline]
+    pub fn at(&self, i: usize, j: usize) -> S {
+        self.data[(j * self.n + i) * self.stride + self.offset]
+    }
+
+    /// Original row chosen as pivot of step `k`.
+    #[inline]
+    pub fn row_of_step(&self, k: usize) -> usize {
+        self.piv[k * self.stride + self.offset]
+    }
+
+    /// The whole row-of-step pivot sequence.
+    pub fn pivots(&self) -> Vec<usize> {
+        (0..self.n).map(|k| self.row_of_step(k)).collect()
+    }
+
+    /// `true` for a contiguous factor, which the solves read through
+    /// their `UNIT` instantiation.
+    #[inline]
+    pub(crate) fn is_unit(&self) -> bool {
+        self.stride == 1
+    }
+
+    /// `(stride, offset)`; the constants `(1, 0)` when `UNIT`.
+    #[inline(always)]
+    pub(crate) fn layout<const UNIT: bool>(&self) -> (usize, usize) {
+        if UNIT {
+            debug_assert!(self.is_unit());
+            (1, 0)
+        } else {
+            (self.stride, self.offset)
+        }
+    }
+
+    /// Column `k` of the factor: element `(i, k)` is `col[i * stride]`
+    /// (for `UNIT`, the slice `data[k*n..k*n + n]`).
+    #[inline(always)]
+    pub(crate) fn column<const UNIT: bool>(&self, k: usize) -> &'a [S] {
+        let (stride, offset) = self.layout::<UNIT>();
+        let start = k * self.n * stride + offset;
+        &self.data[start..start + (self.n - 1) * stride + 1]
+    }
+
+    /// Eager unit-lower sweep: `b(k+1..n) -= L(k+1..n, k) * b(k)`.
+    #[inline(always)]
+    fn lower_sweep<T: Scalar, const UNIT: bool>(&self, b: &mut [T])
+    where
+        S: Stored<T>,
+    {
+        let (n, (stride, _)) = (self.n, self.layout::<UNIT>());
+        for k in 0..n.saturating_sub(1) {
+            let bk = b[k];
+            let col = self.column::<UNIT>(k);
+            for i in k + 1..n {
+                b[i] = (-col[i * stride].widen()).mul_add(bk, b[i]);
             }
         }
-        TrsvVariant::Eager => {
-            // b(k+1..n) -= L(k+1..n, k) * b(k)
-            for k in 0..n.saturating_sub(1) {
-                let bk = b[k];
-                let col = &a[k * n..k * n + n];
-                for i in k + 1..n {
-                    b[i] = (-col[i].widen()).mul_add(bk, b[i]);
+    }
+
+    /// Eager upper sweep: `b(k) /= U(k, k); b(0..k) -= U(0..k, k) * b(k)`.
+    #[inline(always)]
+    fn upper_sweep<T: Scalar, const UNIT: bool>(&self, b: &mut [T])
+    where
+        S: Stored<T>,
+    {
+        let (n, (stride, _)) = (self.n, self.layout::<UNIT>());
+        for k in (0..n).rev() {
+            let col = self.column::<UNIT>(k);
+            let bk = b[k] / col[k * stride].widen();
+            b[k] = bk;
+            for i in 0..k {
+                b[i] = (-col[i * stride].widen()).mul_add(bk, b[i]);
+            }
+        }
+    }
+
+    /// The permuted eager `getrs` body: `b := P b` out of place into
+    /// `scratch` (like the register gather on the GPU), then the two
+    /// sweeps.
+    #[inline(always)]
+    pub(crate) fn solve_eager<T: Scalar, const UNIT: bool>(&self, b: &mut [T], scratch: &mut [T])
+    where
+        S: Stored<T>,
+    {
+        let n = self.n;
+        debug_assert_eq!(b.len(), n);
+        let (stride, offset) = self.layout::<UNIT>();
+        let permuted = &mut scratch[..n];
+        for (k, p) in permuted.iter_mut().enumerate() {
+            *p = b[self.piv[k * stride + offset]];
+        }
+        b.copy_from_slice(permuted);
+        self.lower_sweep::<T, UNIT>(b);
+        self.upper_sweep::<T, UNIT>(b);
+    }
+
+    /// Solve `A x = b` in place (working scalar `T`) with the permuted
+    /// eager `getrs`; `scratch.len() >= n` holds the permutation gather,
+    /// no heap allocation.
+    #[inline]
+    pub fn solve_inplace<T: Scalar>(&self, b: &mut [T], scratch: &mut [T])
+    where
+        S: Stored<T>,
+    {
+        if self.is_unit() {
+            self.solve_eager::<T, true>(b, scratch)
+        } else {
+            self.solve_eager::<T, false>(b, scratch)
+        }
+    }
+
+    /// [`LuView::solve_inplace`] on every column of the column-major
+    /// `n × nrhs` matrix `rhs`, reading each factor entry once for all
+    /// columns.
+    ///
+    /// The permuted right-hand sides are gathered *transposed* into
+    /// `scratch` (`scratch[k * nrhs + c] = rhs[c * n + row_of_step(k)]`),
+    /// so each step of the two eager sweeps reads one factor entry and
+    /// updates a whole unit-stride row of `nrhs` values. Every element
+    /// sees exactly the operation sequence of `solve_inplace` on its own
+    /// column, so the results are bitwise identical to solving column by
+    /// column. `scratch.len() >= n * nrhs`; no heap allocation.
+    pub fn solve_multi_inplace<T: Scalar>(&self, nrhs: usize, rhs: &mut [T], scratch: &mut [T])
+    where
+        S: Stored<T>,
+    {
+        let (n, stride) = (self.n, self.stride);
+        debug_assert_eq!(rhs.len(), n * nrhs);
+        debug_assert!(scratch.len() >= n * nrhs);
+        if n == 0 || nrhs == 0 {
+            return;
+        }
+        let w = &mut scratch[..n * nrhs];
+        for (k, wk) in w.chunks_exact_mut(nrhs).enumerate() {
+            let r = self.row_of_step(k);
+            for (c, x) in wk.iter_mut().enumerate() {
+                *x = rhs[c * n + r];
+            }
+        }
+        // w(k+1..n, :) -= L(k+1..n, k) * w(k, :)
+        for k in 0..n - 1 {
+            let col = self.column::<false>(k);
+            let (head, tail) = w.split_at_mut((k + 1) * nrhs);
+            let wk = &head[k * nrhs..];
+            for (i, wi) in (k + 1..n).zip(tail.chunks_exact_mut(nrhs)) {
+                let l = -col[i * stride].widen();
+                for (x, &y) in wi.iter_mut().zip(wk) {
+                    *x = l.mul_add(y, *x);
                 }
+            }
+        }
+        // w(k, :) /= U(k, k); w(0..k, :) -= U(0..k, k) * w(k, :)
+        for k in (0..n).rev() {
+            let col = self.column::<false>(k);
+            let (head, tail) = w.split_at_mut(k * nrhs);
+            let wk = &mut tail[..nrhs];
+            let d = col[k * stride].widen();
+            for x in wk.iter_mut() {
+                *x /= d;
+            }
+            for (i, wi) in head.chunks_exact_mut(nrhs).enumerate() {
+                let u = -col[i * stride].widen();
+                for (x, &y) in wi.iter_mut().zip(wk.iter()) {
+                    *x = u.mul_add(y, *x);
+                }
+            }
+        }
+        for (i, wi) in w.chunks_exact(nrhs).enumerate() {
+            for (c, &x) in wi.iter().enumerate() {
+                rhs[c * n + i] = x;
             }
         }
     }
 }
 
-/// Solve `U x = b` in place with `U` upper triangular (diagonal included)
-/// stored in the upper triangle of the column-major `n x n` matrix `a`.
-#[inline]
-pub fn trsv_upper<T: Scalar, S: Stored<T>>(variant: TrsvVariant, n: usize, a: &[S], b: &mut [T]) {
+/// A contiguous `n × n` factor without pivots, for the bare sweeps.
+fn unpivoted<S>(n: usize, a: &[S]) -> LuView<'_, S> {
     debug_assert_eq!(a.len(), n * n);
-    debug_assert_eq!(b.len(), n);
-    match variant {
-        TrsvVariant::Lazy => {
-            for k in (0..n).rev() {
-                let mut acc = b[k];
-                for j in k + 1..n {
-                    acc = (-at::<T, S>(a, n, k, j)).mul_add(b[j], acc);
-                }
-                b[k] = acc / at::<T, S>(a, n, k, k);
-            }
-        }
-        TrsvVariant::Eager => {
-            for k in (0..n).rev() {
-                let bk = b[k] / at::<T, S>(a, n, k, k);
-                b[k] = bk;
-                let col = &a[k * n..k * n + n];
-                for i in 0..k {
-                    b[i] = (-col[i].widen()).mul_add(bk, b[i]);
-                }
-            }
-        }
+    LuView {
+        n,
+        data: a,
+        piv: &[],
+        stride: 1,
+        offset: 0,
     }
 }
 
-/// Full `getrs`-style solve: permute the right-hand side (`b := P b`),
-/// then the unit-lower and upper sweeps, in place.
-///
-/// `row_of_step[k]` is the original row index selected as pivot of step
-/// `k` (see [`crate::perm::Permutation`]); the permutation is applied
-/// while "reading `b` into the registers", exactly as in §III-B.
-pub fn lu_solve_inplace<T: Scalar>(
-    variant: TrsvVariant,
-    n: usize,
-    lu: &[T],
-    row_of_step: &[usize],
-    b: &mut [T],
-) {
-    let mut scratch = vec![T::ZERO; n];
-    lu_solve_inplace_scratch(variant, n, lu, row_of_step, b, &mut scratch);
+/// Solve `L y = b` in place (eager) with `L` unit lower triangular,
+/// stored in the strict lower triangle of the column-major `n x n`
+/// matrix `a`, which may be stored narrower than `b` (see
+/// [`crate::widen`]).
+#[inline]
+pub fn trsv_lower_unit<T: Scalar, S: Stored<T>>(n: usize, a: &[S], b: &mut [T]) {
+    debug_assert_eq!(b.len(), n);
+    unpivoted(n, a).lower_sweep::<T, true>(b);
 }
 
-/// [`lu_solve_inplace`] with caller-provided scratch (`scratch.len() >=
-/// n`): the permutation gather lands in `scratch` instead of a fresh
-/// vector, so the steady-state apply path performs no heap allocation.
-/// Element-exact copies only — results are bitwise identical to the
-/// allocating form.
+/// Solve `U x = b` in place (eager) with `U` upper triangular (diagonal
+/// included) stored in the upper triangle of the column-major `n x n`
+/// matrix `a`.
 #[inline]
-pub fn lu_solve_inplace_scratch<T: Scalar, S: Stored<T>>(
-    variant: TrsvVariant,
-    n: usize,
-    lu: &[S],
-    row_of_step: &[usize],
-    b: &mut [T],
-    scratch: &mut [T],
-) {
+pub fn trsv_upper<T: Scalar, S: Stored<T>>(n: usize, a: &[S], b: &mut [T]) {
+    debug_assert_eq!(b.len(), n);
+    unpivoted(n, a).upper_sweep::<T, true>(b);
+}
+
+/// Full `getrs`-style solve of `A x = b` in place from the contiguous
+/// combined factor `lu` and its row-of-step pivots: [`LuView::new`]'s
+/// [`LuView::solve_inplace`] on a fresh scratch vector (callers that
+/// solve block after block keep their scratch and call the view).
+pub fn lu_solve_inplace<T: Scalar>(n: usize, lu: &[T], row_of_step: &[usize], b: &mut [T]) {
     debug_assert_eq!(row_of_step.len(), n);
-    debug_assert!(scratch.len() >= n);
-    // b := P b, performed out of place like the register gather on the GPU
-    let permuted = &mut scratch[..n];
-    for (k, &r) in row_of_step.iter().enumerate() {
-        permuted[k] = b[r];
-    }
-    b.copy_from_slice(permuted);
-    trsv_lower_unit(variant, n, lu, b);
-    trsv_upper(variant, n, lu, b);
-}
-
-/// Eager `getrs` of `nrhs` right-hand sides at once: `b` is the
-/// column-major `n × nrhs` matrix of right-hand sides, solved in place.
-///
-/// The permuted right-hand sides are gathered *transposed* into
-/// `scratch` (`scratch[k * nrhs + c] = b[c * n + row_of_step(k)]`), so
-/// each step of the two eager sweeps reads one factor entry and updates
-/// a whole unit-stride row of `nrhs` values — the factor is streamed
-/// once for all right-hand sides instead of once per column. Every
-/// element sees exactly the operation sequence of
-/// [`lu_solve_inplace_scratch`] with [`TrsvVariant::Eager`] on its own
-/// column, so the results are bitwise identical to solving column by
-/// column. `row_of_step(k)` is the pivot row of step `k` (a closure, so
-/// strided pivot lanes need no copy); `scratch.len() >= n * nrhs`; no
-/// heap allocation.
-pub fn lu_solve_multi_inplace_scratch<T: Scalar>(
-    n: usize,
-    nrhs: usize,
-    lu: &[T],
-    row_of_step: impl Fn(usize) -> usize,
-    b: &mut [T],
-    scratch: &mut [T],
-) {
-    debug_assert_eq!(lu.len(), n * n);
-    debug_assert_eq!(b.len(), n * nrhs);
-    debug_assert!(scratch.len() >= n * nrhs);
-    if n == 0 || nrhs == 0 {
-        return;
-    }
-    let w = &mut scratch[..n * nrhs];
-    for (k, wk) in w.chunks_exact_mut(nrhs).enumerate() {
-        let r = row_of_step(k);
-        for (c, x) in wk.iter_mut().enumerate() {
-            *x = b[c * n + r];
-        }
-    }
-    // w(k+1..n, :) -= L(k+1..n, k) * w(k, :)
-    for k in 0..n - 1 {
-        let col = &lu[k * n..k * n + n];
-        let (head, tail) = w.split_at_mut((k + 1) * nrhs);
-        let wk = &head[k * nrhs..];
-        for (wi, &l) in tail.chunks_exact_mut(nrhs).zip(&col[k + 1..]) {
-            let l = -l;
-            for (x, &y) in wi.iter_mut().zip(wk) {
-                *x = l.mul_add(y, *x);
-            }
-        }
-    }
-    // w(k, :) /= U(k, k); w(0..k, :) -= U(0..k, k) * w(k, :)
-    for k in (0..n).rev() {
-        let col = &lu[k * n..k * n + n];
-        let (head, tail) = w.split_at_mut(k * nrhs);
-        let wk = &mut tail[..nrhs];
-        let d = col[k];
-        for x in wk.iter_mut() {
-            *x /= d;
-        }
-        for (wi, &u) in head.chunks_exact_mut(nrhs).zip(&col[..k]) {
-            let u = -u;
-            for (x, &y) in wi.iter_mut().zip(wk.iter()) {
-                *x = u.mul_add(y, *x);
-            }
-        }
-    }
-    for (i, wi) in w.chunks_exact(nrhs).enumerate() {
-        for (c, &x) in wi.iter().enumerate() {
-            b[c * n + i] = x;
-        }
-    }
+    let mut scratch = vec![T::ZERO; n];
+    LuView::new(lu, row_of_step).solve_inplace(b, &mut scratch);
 }
 
 #[cfg(test)]
@@ -244,10 +314,11 @@ mod tests {
                 let mut b: Vec<f64> = (0..n * nrhs).map(|_| rng.gen_f64() - 0.5).collect();
                 let mut expect = b.clone();
                 let mut scratch = vec![0.0; n * nrhs];
+                let view = LuView::new(&lu, &perm);
                 for col in expect.chunks_exact_mut(n) {
-                    lu_solve_inplace_scratch(TrsvVariant::Eager, n, &lu, &perm, col, &mut scratch);
+                    view.solve_inplace(col, &mut scratch);
                 }
-                lu_solve_multi_inplace_scratch(n, nrhs, &lu, |k| perm[k], &mut b, &mut scratch);
+                view.solve_multi_inplace(nrhs, &mut b, &mut scratch);
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&b), bits(&expect), "n={n} nrhs={nrhs}");
             }
@@ -270,37 +341,24 @@ mod tests {
     }
 
     #[test]
-    fn lower_unit_lazy_eager_agree() {
+    fn lower_unit_sweep_solves_l() {
         let (n, a) = sample_lu();
         let b0 = vec![1.0, 2.0, 3.0];
-        let mut b_lazy = b0.clone();
-        let mut b_eager = b0.clone();
-        trsv_lower_unit(TrsvVariant::Lazy, n, &a, &mut b_lazy);
-        trsv_lower_unit(TrsvVariant::Eager, n, &a, &mut b_eager);
-        for i in 0..n {
-            assert!((b_lazy[i] - b_eager[i]).abs() < 1e-14);
-        }
-        // verify against L y = b directly
-        let l = DenseMat::from_col_major(3, 3, &a).unit_lower();
-        let ly = l.matvec(&b_lazy);
+        let mut y = b0.clone();
+        trsv_lower_unit(n, &a, &mut y);
+        let ly = DenseMat::from_col_major(3, 3, &a).unit_lower().matvec(&y);
         for i in 0..n {
             assert!((ly[i] - b0[i]).abs() < 1e-13);
         }
     }
 
     #[test]
-    fn upper_lazy_eager_agree() {
+    fn upper_sweep_solves_u() {
         let (n, a) = sample_lu();
         let b0 = vec![3.0, -1.0, 4.0];
-        let mut b_lazy = b0.clone();
-        let mut b_eager = b0.clone();
-        trsv_upper(TrsvVariant::Lazy, n, &a, &mut b_lazy);
-        trsv_upper(TrsvVariant::Eager, n, &a, &mut b_eager);
-        for i in 0..n {
-            assert!((b_lazy[i] - b_eager[i]).abs() < 1e-14);
-        }
-        let u = DenseMat::from_col_major(3, 3, &a).upper();
-        let ux = u.matvec(&b_lazy);
+        let mut x = b0.clone();
+        trsv_upper(n, &a, &mut x);
+        let ux = DenseMat::from_col_major(3, 3, &a).upper().matvec(&x);
         for i in 0..n {
             assert!((ux[i] - b0[i]).abs() < 1e-13);
         }
@@ -310,9 +368,9 @@ mod tests {
     fn size_one_system() {
         let a = vec![5.0f64];
         let mut b = vec![10.0];
-        trsv_lower_unit(TrsvVariant::Eager, 1, &a, &mut b);
+        trsv_lower_unit(1, &a, &mut b);
         assert_eq!(b[0], 10.0); // unit diagonal: nothing to do
-        trsv_upper(TrsvVariant::Eager, 1, &a, &mut b);
+        trsv_upper(1, &a, &mut b);
         assert_eq!(b[0], 2.0);
     }
 
@@ -320,8 +378,8 @@ mod tests {
     fn empty_system_is_noop() {
         let a: Vec<f64> = vec![];
         let mut b: Vec<f64> = vec![];
-        trsv_lower_unit(TrsvVariant::Lazy, 0, &a, &mut b);
-        trsv_upper(TrsvVariant::Eager, 0, &a, &mut b);
+        trsv_lower_unit(0, &a, &mut b);
+        trsv_upper(0, &a, &mut b);
     }
 
     #[test]
@@ -340,7 +398,7 @@ mod tests {
         }
         let x_true = vec![1.0, -2.0, 0.5];
         let mut b = a.matvec(&x_true);
-        lu_solve_inplace(TrsvVariant::Eager, n, &lu, &perm, &mut b);
+        lu_solve_inplace(n, &lu, &perm, &mut b);
         for i in 0..n {
             assert!((b[i] - x_true[i]).abs() < 1e-12, "x[{i}] = {}", b[i]);
         }
@@ -352,7 +410,7 @@ mod tests {
         let a = lu.unit_lower().matmul(&lu.upper());
         let x_true = vec![2.0f32, -1.0];
         let mut b = a.matvec(&x_true);
-        lu_solve_inplace(TrsvVariant::Eager, 2, lu.as_slice(), &[0, 1], &mut b);
+        lu_solve_inplace(2, lu.as_slice(), &[0, 1], &mut b);
         for i in 0..2 {
             assert!((b[i] - x_true[i]).abs() < 1e-5);
         }

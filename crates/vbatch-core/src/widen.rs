@@ -5,8 +5,9 @@
 //! block-Jacobi *apply*, however, must stay accurate in the working
 //! precision of the Krylov solver. So factors may be *stored* narrower
 //! than they are *applied*: every solve kernel of this crate
-//! ([`crate::trsv`], [`crate::gauss_huard`], the per-slot solve of
-//! [`crate::interleaved`]) takes the factor's storage scalar `S` and the
+//! ([`crate::trsv`]'s [`crate::LuView`] solves, whether the view is a
+//! block's own factor or an interleaved class slot, and
+//! [`crate::gauss_huard`]) takes the factor's storage scalar `S` and the
 //! working scalar `T` as separate type parameters, related by
 //! [`Stored`], and widens each factor element as it reads it — the
 //! right-hand side and every accumulation stay in `T`. The `S = T`
@@ -152,10 +153,9 @@ mod tests {
     use super::*;
     use crate::dense::DenseMat;
     use crate::gauss_huard::{gh_factorize, GhLayout};
-    use crate::interleaved::lu_solve_interleaved_slot_scratch;
     use crate::interleaved::InterleavedClass;
     use crate::lu::implicit::getrf_implicit_inplace;
-    use crate::trsv::{lu_solve_inplace_scratch, TrsvVariant};
+    use crate::trsv::LuView;
     use crate::MatrixBatch;
 
     fn dd_mat(n: usize, seed: usize) -> DenseMat<f64> {
@@ -182,14 +182,7 @@ mod tests {
             let perm = getrf_implicit_inplace(n, &mut lu_sp).unwrap();
             let mut x = b.clone();
             let mut scratch = vec![0.0f64; n];
-            lu_solve_inplace_scratch::<f64, f32>(
-                TrsvVariant::Eager,
-                n,
-                &lu_sp,
-                perm.as_slice(),
-                &mut x,
-                &mut scratch,
-            );
+            LuView::new(&lu_sp, perm.as_slice()).solve_inplace(&mut x, &mut scratch);
             for (got, want) in x.iter().zip(&x_true) {
                 assert!(
                     (got - want).abs() < 1e-4 * (1.0 + want.abs()),
@@ -201,14 +194,7 @@ mod tests {
             let mut resid = vec![0.0f64; n];
             residual_into(n, a.as_slice(), &x, &b, &mut resid);
             let mut e = resid.clone();
-            lu_solve_inplace_scratch::<f64, f32>(
-                TrsvVariant::Eager,
-                n,
-                &lu_sp,
-                perm.as_slice(),
-                &mut e,
-                &mut scratch,
-            );
+            LuView::new(&lu_sp, perm.as_slice()).solve_inplace(&mut e, &mut scratch);
             for i in 0..n {
                 x[i] += e[i];
             }
@@ -271,15 +257,8 @@ mod tests {
             let b0: Vec<f64> = (0..n).map(|i| 1.0 + ((slot + i) % 3) as f64).collect();
             let mut x = b0.clone();
             let mut scratch = vec![0.0f64; n];
-            lu_solve_interleaved_slot_scratch::<f64, f32>(
-                n,
-                count,
-                slot,
-                &data,
-                &row_of_step,
-                &mut x,
-                &mut scratch,
-            );
+            LuView::slot(n, count, slot, &data, &row_of_step)
+                .solve_inplace::<f64>(&mut x, &mut scratch);
             let x_true = crate::lu::solve_system(&dd_mat(n, slot), &b0).unwrap();
             for (got, want) in x.iter().zip(&x_true) {
                 assert!(

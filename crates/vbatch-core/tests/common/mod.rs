@@ -4,8 +4,8 @@
 
 use vbatch_core::lu::implicit::getrf_implicit_resume_scratch;
 use vbatch_core::{
-    check_finite, getrf_interleaved_class_simd_width, lu_solve_inplace_scratch,
-    lu_solve_interleaved_class_scratch_simd_width, FactorError, Scalar, TrsvVariant,
+    check_finite, getrf_interleaved_class_simd_width,
+    lu_solve_interleaved_class_scratch_simd_width, FactorError, LuView, Scalar,
 };
 use vbatch_rt::{testgen, SmallRng};
 
@@ -94,7 +94,7 @@ pub fn masked_getrf<T: Scalar>(n: usize, blk: &mut [T]) -> Result<Vec<usize>, Fa
 
 /// Run the class kernels at `width` over `blocks` (one slot each, RHS
 /// lanes `x0[i * count + slot]`) and hold every slot against
-/// [`masked_getrf`] + `lu_solve_inplace_scratch(Eager)` on the
+/// [`masked_getrf`] + the eager `LuView::solve_inplace` on the
 /// same block: factors, pivot sequence and solution bitwise where the
 /// block factorizes; the same `FactorError`, identity factors, an
 /// identity pivot lane and an untouched right-hand side where it does
@@ -118,14 +118,7 @@ pub fn assert_class_matches_per_block<T: Scalar>(
             Ok(rows) => {
                 assert_eq!(errs[s], None, "slot {s} {ctx}");
                 assert_eq!(lane, rows, "slot {s} pivots {ctx}");
-                lu_solve_inplace_scratch(
-                    TrsvVariant::Eager,
-                    n,
-                    &blk,
-                    &rows,
-                    &mut want_x,
-                    &mut scratch,
-                );
+                LuView::new(&blk, &rows).solve_inplace(&mut want_x, &mut scratch);
             }
             Err(e) => {
                 assert_eq!(errs[s], Some(e), "slot {s} {ctx}");

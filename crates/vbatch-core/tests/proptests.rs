@@ -4,8 +4,8 @@
 //! (seeded, reproducible cases via `vbatch_rt::run_cases`).
 
 use vbatch_core::{
-    getrf, gh_factorize, gje_invert, lu_solve_inplace, make_spd, potrf, trsv_lower_unit,
-    trsv_upper, DenseMat, GhLayout, MatrixBatch, Permutation, PivotStrategy, Scalar, TrsvVariant,
+    getrf, gh_factorize, gje_invert, make_spd, potrf, trsv_lower_unit, trsv_upper, DenseMat,
+    GhLayout, MatrixBatch, Permutation, PivotStrategy, Scalar,
 };
 use vbatch_rt::{run_cases, testgen, SmallRng};
 
@@ -99,35 +99,6 @@ fn cholesky_solves_spd() {
 }
 
 #[test]
-fn trsv_variants_agree() {
-    run_cases("trsv_variants_agree", 64, |rng, _case| {
-        let n = dim(rng);
-        let a = well_conditioned(n, rng);
-        let f = getrf(&a, PivotStrategy::Implicit).unwrap();
-        let b: Vec<f64> = (0..n).map(|i| (i * i % 7) as f64 - 3.0).collect();
-        let mut lazy = b.clone();
-        let mut eager = b;
-        lu_solve_inplace(
-            TrsvVariant::Lazy,
-            n,
-            f.lu.as_slice(),
-            f.perm.as_slice(),
-            &mut lazy,
-        );
-        lu_solve_inplace(
-            TrsvVariant::Eager,
-            n,
-            f.lu.as_slice(),
-            f.perm.as_slice(),
-            &mut eager,
-        );
-        for (p, q) in lazy.iter().zip(&eager) {
-            assert!((p - q).abs() < 1e-8);
-        }
-    });
-}
-
-#[test]
 fn lower_then_upper_inverts_matvec() {
     run_cases("lower_then_upper_inverts_matvec", 64, |rng, _case| {
         // y = L (U x) then the two sweeps must return x
@@ -137,8 +108,8 @@ fn lower_then_upper_inverts_matvec() {
         let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
         let ux = f.lu.upper().matvec(&x);
         let mut y = f.lu.unit_lower().matvec(&ux);
-        trsv_lower_unit(TrsvVariant::Eager, n, f.lu.as_slice(), &mut y);
-        trsv_upper(TrsvVariant::Eager, n, f.lu.as_slice(), &mut y);
+        trsv_lower_unit(n, f.lu.as_slice(), &mut y);
+        trsv_upper(n, f.lu.as_slice(), &mut y);
         for (p, q) in y.iter().zip(&x) {
             assert!((p - q).abs() < 1e-7);
         }

@@ -30,9 +30,8 @@ use crate::plan::KernelChoice;
 use crate::stats::ExecStats;
 use std::ops::Range;
 use vbatch_core::{
-    lu_solve_inplace_scratch, lu_solve_interleaved_slot_scratch, lu_solve_multi_inplace_scratch,
-    residual_into, CholeskyFactors, FactorError, MatrixBatch, Permutation, QrFactors, Scalar,
-    Storage, StoragePrecision, Stored, StoredGh, StoredVec, TrsvVariant,
+    residual_into, CholeskyFactors, FactorError, LuView, MatrixBatch, Permutation, QrFactors,
+    Scalar, Storage, StoragePrecision, StoredGh, StoredVec,
 };
 
 /// Numerical health classification of one factorized block, assigned by
@@ -288,124 +287,6 @@ pub fn refine_once<T: Scalar>(
     }
 }
 
-/// One block's combined `L\U` factor wherever it lives, read through
-/// one accessor: column-major element `e` sits at
-/// `data[e * stride + offset]` and the pivot row of step `k` at
-/// `piv[k * stride + offset]` — `stride = 1` for a block's own storage,
-/// the class population (with `offset` the slot) for an interleaved
-/// class.
-#[derive(Clone, Copy, Debug)]
-pub struct LuView<'a, S> {
-    n: usize,
-    data: &'a [S],
-    piv: &'a [usize],
-    stride: usize,
-    offset: usize,
-}
-
-impl<'a, S: Scalar> LuView<'a, S> {
-    fn own(lu: &'a [S], perm: &'a Permutation) -> Self {
-        LuView {
-            n: perm.len(),
-            data: lu,
-            piv: perm.as_slice(),
-            stride: 1,
-            offset: 0,
-        }
-    }
-
-    /// Element `(i, j)` of the combined factor.
-    #[inline]
-    pub fn at(&self, i: usize, j: usize) -> S {
-        self.data[(j * self.n + i) * self.stride + self.offset]
-    }
-
-    /// Original row chosen as pivot of step `k`.
-    #[inline]
-    pub fn row_of_step(&self, k: usize) -> usize {
-        self.piv[k * self.stride + self.offset]
-    }
-
-    /// The permuted eager `getrs` solve against this factor, in place on
-    /// `b` (working scalar `T`); `scratch.len() >= n`, no heap
-    /// allocation. A strided view runs the same operation sequence as a
-    /// contiguous one, so the layouts agree bitwise.
-    #[inline]
-    pub fn solve_inplace<T: Scalar>(&self, b: &mut [T], scratch: &mut [T])
-    where
-        S: Stored<T>,
-    {
-        if self.stride == 1 {
-            lu_solve_inplace_scratch(TrsvVariant::Eager, self.n, self.data, self.piv, b, scratch);
-        } else {
-            lu_solve_interleaved_slot_scratch(
-                self.n,
-                self.stride,
-                self.offset,
-                self.data,
-                self.piv,
-                b,
-                scratch,
-            );
-        }
-    }
-
-    /// Scratch elements [`LuView::solve_multi_inplace`] needs for `nrhs`
-    /// right-hand sides: the transposed right-hand sides, plus the
-    /// unpacked factor for a strided view.
-    pub fn multi_scratch_elems(&self, nrhs: usize) -> usize {
-        let gather = if self.stride == 1 { 0 } else { self.n * self.n };
-        gather + self.n * nrhs
-    }
-
-    /// Solve against every column of the column-major `n × nrhs` matrix
-    /// `rhs` in place, reading the factor once for all columns
-    /// ([`lu_solve_multi_inplace_scratch`]): a strided view is gathered
-    /// into contiguous scratch a single time. Each column's result is
-    /// bitwise [`LuView::solve_inplace`]'s. No heap allocation.
-    pub fn solve_multi_inplace(&self, nrhs: usize, rhs: &mut [S], scratch: &mut [S]) {
-        let (n, stride, offset) = (self.n, self.stride, self.offset);
-        let piv = self.piv;
-        let row_of_step = |k: usize| piv[k * stride + offset];
-        if stride == 1 {
-            lu_solve_multi_inplace_scratch(n, nrhs, self.data, row_of_step, rhs, scratch);
-        } else {
-            let (lu, w) = scratch.split_at_mut(n * n);
-            for (e, x) in lu.iter_mut().enumerate() {
-                *x = self.data[e * stride + offset];
-            }
-            lu_solve_multi_inplace_scratch(n, nrhs, lu, row_of_step, rhs, w);
-        }
-    }
-
-    /// The factor as contiguous column-major values and its row-of-step
-    /// pivots, for the host condition estimator: borrowed where the view
-    /// is a block's own storage, gathered element for element into `lu`
-    /// and `rows` for a class slot (no allocation once they have held a
-    /// block this large).
-    pub fn contiguous<'s>(
-        &'s self,
-        lu: &'s mut Vec<S>,
-        rows: &'s mut Vec<usize>,
-    ) -> (&'s [S], &'s [usize]) {
-        if self.stride == 1 {
-            return (self.data, self.piv);
-        }
-        lu.clear();
-        lu.extend((0..self.n * self.n).map(|e| self.data[e * self.stride + self.offset]));
-        rows.clear();
-        rows.extend((0..self.n).map(|k| self.row_of_step(k)));
-        (lu, rows)
-    }
-
-    /// The whole row-of-step pivot sequence.
-    // test/diagnostic and setup-time API, not an apply path
-    #[allow(clippy::disallowed_methods)]
-    pub fn pivots(&self) -> Vec<usize> {
-        (0..self.n).map(|k| self.row_of_step(k)).collect()
-    }
-}
-
 /// One interleaved size class (in practice one cache-sized chunk of
 /// one): `count` systems of order `n` whose members, combined `L\U`
 /// values and row-of-step pivot lanes are ranges of the [`ClassSlab`]
@@ -510,13 +391,7 @@ impl<S: Scalar> ClassSlab<S> {
     /// stride `count`.
     fn slot_view(&self, class: usize, slot: usize) -> LuView<'_, S> {
         let cls = &self.classes[class];
-        LuView {
-            n: cls.n,
-            data: self.data(class),
-            piv: self.piv(class),
-            stride: cls.count(),
-            offset: slot,
-        }
+        LuView::slot(cls.n, cls.count(), slot, self.data(class), self.piv(class))
     }
 }
 
@@ -740,8 +615,8 @@ impl<T: Scalar> FactorizedBatch<T> {
                 })
             }
             (_, Some(BlockFactor::Lu { lu, perm })) => Some(match lu {
-                Storage::Native(lu) => Storage::Native(LuView::own(lu, perm)),
-                Storage::Lower(lu) => Storage::Lower(LuView::own(lu, perm)),
+                Storage::Native(lu) => Storage::Native(LuView::new(lu, perm.as_slice())),
+                Storage::Lower(lu) => Storage::Lower(LuView::new(lu, perm.as_slice())),
             }),
             _ => None,
         }
@@ -791,7 +666,7 @@ impl<T: Scalar> FactorizedBatch<T> {
                 on_storage!(view, v => v.solve_inplace(seg, scratch));
             }
             Some(BlockFactor::Equilibrated { lu, perm, .. }) => {
-                LuView::own(lu, perm).solve_inplace(seg, scratch)
+                LuView::new(lu, perm.as_slice()).solve_inplace(seg, scratch)
             }
             Some(BlockFactor::Gh(f)) => on_storage!(f, f => f.solve_inplace_scratch(seg, scratch)),
             Some(BlockFactor::Inv { n, inv }) => {
@@ -805,7 +680,7 @@ impl<T: Scalar> FactorizedBatch<T> {
                     *out = acc;
                 }
             }
-            Some(BlockFactor::Chol(f)) => f.solve_inplace(TrsvVariant::Eager, seg),
+            Some(BlockFactor::Chol(f)) => f.solve_inplace(seg),
             Some(BlockFactor::Qr(f)) => f.solve_inplace_scratch(seg, scratch),
             Some(BlockFactor::ScalarJacobi { inv_diag }) => {
                 for (s, &d) in seg.iter_mut().zip(inv_diag) {
@@ -839,7 +714,7 @@ impl<T: Scalar> FactorizedBatch<T> {
     /// needs for `nrhs` right-hand sides against block `block`.
     pub fn solve_multi_scratch_elems(&self, block: usize, nrhs: usize) -> usize {
         match self.bare_native_lu(block) {
-            Some(view) => view.multi_scratch_elems(nrhs),
+            Some(_) => self.sizes[block] * nrhs,
             None => self.solve_scratch_elems(block),
         }
     }

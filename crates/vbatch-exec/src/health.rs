@@ -23,12 +23,12 @@
 use crate::cpu::{factor_block, GetrfScratch};
 use crate::factors::{
     block_diag, on_storage, scalar_jacobi_from_diag, BlockFactor, BlockHealth, FactorizedBatch,
-    LuView, RecoveryStep,
+    RecoveryStep,
 };
 use crate::plan::HealthPolicy;
 use vbatch_core::{
-    apply_equilibration, equilibrate, geqp3, getrf, inverse_norm1_est, DenseMat, MatrixBatch,
-    PivotStrategy, Scalar, Storage, StoragePrecision, Stored,
+    apply_equilibration, equilibrate, geqp3, getrf, inverse_norm1_est, DenseMat, LuView,
+    MatrixBatch, PivotStrategy, Scalar, Storage, StoragePrecision, Stored,
 };
 
 /// `norm1` of the column-major `n x n` block `a` narrowed to `S`,
@@ -45,11 +45,10 @@ fn norm1_in<T: Scalar, S: Stored<T>>(n: usize, a: &[T]) -> S {
 }
 
 /// What one block's condition estimate works in, for one storage
-/// scalar `S`: a contiguous factor (`lu`, `rows`) where the block has
-/// none of its own — a class slot gathered, or a Gauss-Huard or
-/// Cholesky block refactorized — the estimator's work vector and the
-/// LU kernel's scratch. One set serves a whole triage pass, so after
-/// the first block an estimate allocates nothing.
+/// scalar `S`: an LU factor (`lu`, `rows`) for a Gauss-Huard or
+/// Cholesky block refactorized, the estimator's work vector and the LU
+/// kernel's scratch. One set serves a whole triage pass, so after the
+/// first block an estimate allocates nothing.
 struct EstimateScratch<S> {
     lu: Vec<S>,
     rows: Vec<usize>,
@@ -65,21 +64,6 @@ impl<S: Scalar> EstimateScratch<S> {
             work: Vec::new(),
             getrf: GetrfScratch::new(),
         }
-    }
-
-    /// Hager/Higham estimate evaluated entirely in the factor's storage
-    /// scalar `S`: the block narrowed to `S` against its `S` factors.
-    /// For lowered factors this is the right scale for promotion
-    /// decisions — it measures how the factors the apply actually widens
-    /// behave, and it costs a handful of SP triangular solves rather
-    /// than a DP refactorization. A factor in the block's own storage is
-    /// read where it lies.
-    fn estimate<T: Scalar>(&mut self, n: usize, a: &[T], view: &LuView<'_, S>) -> f64
-    where
-        S: Stored<T>,
-    {
-        let (lu, rows) = view.contiguous(&mut self.lu, &mut self.rows);
-        condest_in(n, a, lu, rows, &mut self.work)
     }
 
     /// The estimate for the families that expose no LU solve shape
@@ -98,21 +82,21 @@ impl<S: Scalar> EstimateScratch<S> {
         for (r, &k) in step_of_row.iter().enumerate() {
             self.rows[k] = r;
         }
-        condest_in(n, a, &self.lu, &self.rows, &mut self.work)
+        condest_in(a, &LuView::new(&self.lu, &self.rows), &mut self.work)
     }
 }
 
-/// `||A||_1 · ||A^{-1}||_1` in `S`: `a` the original block, `lu` and
-/// `row_of_step` its factor in `S`.
-fn condest_in<T: Scalar, S: Stored<T>>(
-    n: usize,
-    a: &[T],
-    lu: &[S],
-    row_of_step: &[usize],
-    work: &mut Vec<S>,
-) -> f64 {
+/// `||A||_1 · ||A^{-1}||_1` evaluated entirely in the factor's storage
+/// scalar `S`: `a`, the original block, narrowed to `S` against its `S`
+/// factor `lu`, read where it lies (a block's own storage or its class
+/// slot). For lowered factors this is the right scale for promotion
+/// decisions — it measures how the factors the apply actually widens
+/// behave, and it costs a handful of SP triangular solves rather than a
+/// DP refactorization.
+fn condest_in<T: Scalar, S: Stored<T>>(a: &[T], lu: &LuView<'_, S>, work: &mut Vec<S>) -> f64 {
+    let n = lu.order();
     work.resize(4 * n, S::ZERO);
-    (norm1_in::<T, S>(n, a) * inverse_norm1_est(n, lu, row_of_step, work)).to_f64()
+    (norm1_in::<T, S>(n, a) * inverse_norm1_est(lu, work)).to_f64()
 }
 
 /// The estimate scratch of a triage or promotion pass, one per storage
@@ -145,8 +129,8 @@ fn condest_block<T: Scalar>(
     match batch.factor(block) {
         None | Some(BlockFactor::Lu { .. }) => {
             Some(match batch.lu_view(block).expect("LU forms have a view") {
-                Storage::Native(view) => scratch.native.estimate(n, a, &view),
-                Storage::Lower(view) => scratch.lower.estimate(n, a, &view),
+                Storage::Native(view) => condest_in(a, &view, &mut scratch.native.work),
+                Storage::Lower(view) => condest_in(a, &view, &mut scratch.lower.work),
             })
         }
         Some(BlockFactor::Gh(Storage::Native(_)) | BlockFactor::Chol(_)) => {

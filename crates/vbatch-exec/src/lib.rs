@@ -54,7 +54,7 @@ pub use block_solve::BlockSolve;
 pub use cpu::{CpuSequential, CpuSimd};
 pub use factors::{
     refine_once, BlockFactor, BlockHealth, BlockStatus, ClassSlab, FactorizedBatch,
-    InterleavedLuClass, LuView, RecoveryStep,
+    InterleavedLuClass, RecoveryStep,
 };
 pub use fault::{apply_fault, expected_health, inject_batch, inject_rhs};
 pub use plan::{

@@ -386,7 +386,6 @@ mod tests {
     #[test]
     fn solve_through_simt_factors_works() {
         use vbatch_core::trsv::lu_solve_inplace;
-        use vbatch_core::TrsvVariant;
         let batch = batch_of(&[7]);
         let a = batch.block_as_mat(0);
         let x_true: Vec<f64> = (0..7).map(|i| i as f64 - 3.0).collect();
@@ -395,7 +394,7 @@ mod tests {
         dev.run_all().unwrap();
         let lu = dev.factors_host(0);
         let perm = dev.perm_host(0);
-        lu_solve_inplace(TrsvVariant::Eager, 7, &lu, perm.as_slice(), &mut b);
+        lu_solve_inplace(7, &lu, perm.as_slice(), &mut b);
         for i in 0..7 {
             assert!((b[i] - x_true[i]).abs() < 1e-10);
         }

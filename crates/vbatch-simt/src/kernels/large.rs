@@ -257,13 +257,7 @@ mod tests {
         let lu = dev.factors_host(0);
         let perm = dev.perm_host(0);
         let mut x = b.clone();
-        vbatch_core::lu_solve_inplace(
-            vbatch_core::TrsvVariant::Eager,
-            n,
-            &lu,
-            perm.as_slice(),
-            &mut x,
-        );
+        vbatch_core::lu_solve_inplace(n, &lu, perm.as_slice(), &mut x);
         for (p, q) in x.iter().zip(&x_true) {
             assert!((p - q).abs() < 1e-8);
         }

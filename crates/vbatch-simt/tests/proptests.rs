@@ -3,7 +3,7 @@
 //! well-conditioned inputs — the simulator is an independent second
 //! implementation of the whole kernel zoo.
 
-use vbatch_core::{getrf, DenseMat, GhLayout, MatrixBatch, PivotStrategy, TrsvVariant};
+use vbatch_core::{getrf, DenseMat, GhLayout, MatrixBatch, PivotStrategy};
 use vbatch_rt::{run_cases, testgen, SmallRng};
 use vbatch_simt::{
     GetrfSmallSize, GhBatch, GhSolveBatch, GhStorage, LuTrsvBatch, VendorGetrs, VendorLu,
@@ -49,7 +49,7 @@ fn simt_lu_solve_equals_cpu() {
         let x_simt = solve.solution_host(0);
         let cpu = getrf(&a, PivotStrategy::Implicit).unwrap();
         let mut x_cpu = rhs.clone();
-        cpu.solve_inplace(TrsvVariant::Eager, &mut x_cpu);
+        cpu.solve_inplace(&mut x_cpu);
         for (p, q) in x_simt.iter().zip(&x_cpu) {
             assert!((p - q).abs() < 1e-11);
         }

@@ -41,8 +41,7 @@ pub use vbatch_sparse as sparse;
 pub mod prelude {
     pub use vbatch_core::{
         condest1, getrf, getrf_blocked, gh_factorize, gje_invert, potrf, solve_system, DenseMat,
-        GhLayout, LuFactors, MatrixBatch, Permutation, PivotStrategy, Scalar, TrsvVariant,
-        VectorBatch,
+        GhLayout, LuFactors, MatrixBatch, Permutation, PivotStrategy, Scalar, VectorBatch,
     };
     pub use vbatch_exec::{
         Backend, BatchPlan, BlockSolve, BlockStatus, CpuSequential, CpuSimd, ExecStats,

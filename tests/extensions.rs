@@ -52,13 +52,7 @@ fn simt_large_kernel_matches_cpu_blocked_on_extracted_blocks() {
         let lu = dev.factors_host(i);
         let perm = dev.perm_host(i);
         let mut x_dev = rhs.clone();
-        vbatch_lu::core::lu_solve_inplace(
-            TrsvVariant::Eager,
-            m.rows(),
-            &lu,
-            perm.as_slice(),
-            &mut x_dev,
-        );
+        vbatch_lu::core::lu_solve_inplace(m.rows(), &lu, perm.as_slice(), &mut x_dev);
         for (p, q) in x_dev.iter().zip(&x_cpu) {
             assert!((p - q).abs() < 1e-8, "block {i}");
         }

@@ -12,8 +12,8 @@ use std::path::Path;
 /// Top-level `pub` items per crate.
 const EXPECTED: [(&str, usize); 9] = [
     ("vbatch-bench", 29),
-    ("vbatch-core", 100),
-    ("vbatch-exec", 52),
+    ("vbatch-core", 96),
+    ("vbatch-exec", 51),
     ("vbatch-precond", 19),
     ("vbatch-rt", 104),
     ("vbatch-serve", 23),
