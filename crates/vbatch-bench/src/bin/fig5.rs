@@ -8,13 +8,21 @@
 //! baseline stays low and flat with local peaks at its specialized
 //! sizes.
 //!
-//! Each row also reports the `vbatch-exec` planner's pick for the batch
-//! (the `planner` GFLOPS column plus its kernel-choice histogram), the
-//! planner's layout histogram, and measured host GFLOPS of the same
-//! batch factorized blocked vs interleaved on `CpuSequential` (one
-//! thread) and interleaved on `CpuSimd` (the same lane kernels on all
-//! threads).
+//! Each row also reports the paper's planner pick for the batch (the
+//! `planner` GFLOPS column plus its launch histogram), the host plan's
+//! layout histogram, and measured host GFLOPS of the same batch
+//! factorized blocked vs interleaved on `CpuSequential` (one thread) and
+//! interleaved on `CpuSimd` (the same lane kernels on all threads).
+//!
+//! The host columns of each row are measured in a fresh process: the bin
+//! re-executes itself once per order and precision with `--row
+//! {single,double} <n>` appended to its own arguments, and that child
+//! prints the row's cells as its last stdout line. A row measured after
+//! the others in one process inherits their allocator and cache state:
+//! in one process the DP rows of orders 17–22 read 0.80–0.87× what a
+//! fresh process measures (EXPERIMENTS.md §U.2).
 
+use std::process::{Command, Stdio};
 use vbatch_bench::{
     parse_precision_flag, parse_precond_flag, size_sweep, write_csv, PlannedRow, PrecondKind,
     FIG5_HEADER,
@@ -25,9 +33,50 @@ use vbatch_simt::{estimate_factor, DeviceModel, FactorKernel};
 
 const BATCH: usize = 40_000;
 
+/// The argument that makes the bin measure one row and exit.
+const ROW_FLAG: &str = "--row";
+
+/// The `planner` to `precond` cells of the order-`n` row in precision
+/// `T`, measured by a child process of this bin.
+fn measure_in_child<T: Scalar>(n: usize) -> Vec<String> {
+    let row = format!("fig5 row {} n={n}", T::PRECISION);
+    let exe = std::env::current_exe().expect("path of the running fig5");
+    let out = Command::new(exe)
+        .args(std::env::args().skip(1))
+        .args([ROW_FLAG, T::PRECISION, &n.to_string()])
+        .stderr(Stdio::inherit())
+        .output()
+        .expect("start a fig5 row process");
+    assert!(out.status.success(), "{row}: {}", out.status);
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 row");
+    let last = stdout.lines().last().unwrap_or_default();
+    let cells: Vec<String> = last.split(',').map(str::to_string).collect();
+    assert_eq!(cells.len(), FIG5_HEADER.len() - 7, "{row}: {last:?}");
+    cells
+}
+
+/// Child mode: measure the row that `--row <precision> <n>` names and
+/// print its cells.
+fn measure_row(args: &[String], precond: PrecondKind, precision: PrecisionPolicy) {
+    let device = DeviceModel::p100();
+    let n: usize = args
+        .get(1)
+        .and_then(|v| v.parse().ok())
+        .expect("--row <precision> <n>");
+    let row = match args.first().map(String::as_str) {
+        Some(p) if p == f32::PRECISION => {
+            PlannedRow::measure::<f32>(&device, BATCH, n, precond, precision)
+        }
+        Some(p) if p == f64::PRECISION => {
+            PlannedRow::measure::<f64>(&device, BATCH, n, precond, precision)
+        }
+        other => panic!("--row precision {other:?}: expected single or double"),
+    };
+    println!("{}", row.cells().join(","));
+}
+
 fn sweep<T: Scalar>(
     device: &DeviceModel,
-    precond: PrecondKind,
     precision: PrecisionPolicy,
 ) -> (Vec<Vec<String>>, Option<usize>) {
     println!("\n-- {} precision, batch = {BATCH} --", T::PRECISION);
@@ -63,12 +112,12 @@ fn sweep<T: Scalar>(
         if crossover.is_none() && n >= 4 && g_lu >= g_gh {
             crossover = Some(n);
         }
-        let r = PlannedRow::measure::<T>(device, BATCH, n, precond, precision);
+        let cells = measure_in_child::<T>(n);
         line.push_str(&format!(
-            " {:>15.1}  {}  cpu {:.2}/{:.2}/{:.2}  apply {:.2}",
-            r.planner, r.plan_kernels, r.cpu_blocked, r.cpu_interleaved, r.cpu_simd, r.cpu_apply
+            " {:>15}  {}  cpu {}/{}/{}  apply {}",
+            cells[0], cells[1], cells[2], cells[3], cells[4], cells[7]
         ));
-        row.extend(r.cells());
+        row.extend(cells);
         println!("{line}");
         rows.push(row);
     }
@@ -79,6 +128,11 @@ fn main() {
     let device = DeviceModel::p100();
     let precond = parse_precond_flag();
     let precision = parse_precision_flag();
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(at) = args.iter().position(|a| a == ROW_FLAG) {
+        measure_row(&args[at + 1..], precond, precision);
+        return;
+    }
     println!("Figure 5: batched factorization GFLOPS vs matrix size");
     println!(
         "device: {} (apply column preconditioner: {}, precision policy: {})",
@@ -86,8 +140,8 @@ fn main() {
         precond.label(),
         precision.label()
     );
-    let (mut rows, sp_cross) = sweep::<f32>(&device, precond, precision);
-    let (dp_rows, dp_cross) = sweep::<f64>(&device, precond, precision);
+    let (mut rows, sp_cross) = sweep::<f32>(&device, precision);
+    let (dp_rows, dp_cross) = sweep::<f64>(&device, precision);
     rows.extend(dp_rows);
     println!(
         "\nLU-vs-GH crossover: SP at size {:?} (paper: ~16), DP at size {:?} (paper: ~23)",

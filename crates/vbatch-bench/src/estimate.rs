@@ -1,6 +1,7 @@
 //! The planner columns of Figs. 4 and 5. [`estimate_planned_factor`]
 //! charges the device model with the per-warp cost of the P100 launch
-//! each size class of a host plan maps to (the `planner` GFLOPS), and
+//! the paper's planner gives each size class of a host plan (the
+//! `planner` GFLOPS), and
 //! [`PlannedRow`] adds what the host measures for the same batch: every
 //! column from `planner` to `precond` of [`crate::FIG4_HEADER`] and
 //! [`crate::FIG5_HEADER`].
@@ -17,8 +18,25 @@ use vbatch_simt::{
     factor_nominal_flops, CostCounter, CostTable, DeviceModel, GhStorage, LaunchReport, WARP_SIZE,
 };
 
+/// Order below which Gauss-Huard beats the small-size LU on a P100
+/// (Fig. 6: ≈16 in single precision, ≈23 in double). This and
+/// [`PACK_MAX`] are the paper's P100 crossovers, not host measurements:
+/// the host plans LU at every order.
+fn gh_crossover_order(element_bytes: usize) -> usize {
+    if element_bytes <= 4 {
+        16
+    } else {
+        23
+    }
+}
+
+/// Largest order the P100 packs several problems per warp; such a class
+/// with ≥ 2 members beats Gauss-Huard as packed LU (§IV-B).
+const PACK_MAX: usize = 16;
+
 /// The GPU launch of one size class: one of the paper's three launch
-/// shapes for the LU family (which the host runs as one kernel), the
+/// shapes for the LU family (which the host runs as one kernel), or
+/// Gauss-Huard where the paper's planner gives an LU class to it, the
 /// family itself for the others. Ordered as the histogram lists them.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 enum Launch {
@@ -34,10 +52,17 @@ enum Launch {
 
 impl Launch {
     /// The launch of a class of `count` blocks of order `n` run with
-    /// `family`: packed where a warp holds two problems and the class
-    /// two blocks, then the narrowest LU kernel that fits `n`.
-    fn of(family: KernelChoice, n: usize, count: usize) -> Self {
+    /// `family` in precision `T`. An LU class takes the paper's `auto`
+    /// rule: Gauss-Huard below the crossover unless it packs (order ≤
+    /// [`PACK_MAX`], ≥ 2 members); else packed where a warp holds two
+    /// problems and the class two blocks, then the narrowest LU kernel
+    /// that fits `n`.
+    fn of<T: Scalar>(family: KernelChoice, n: usize, count: usize) -> Self {
+        let packs = n <= PACK_MAX && count >= 2;
         match family {
+            KernelChoice::Lu if !packs && n < gh_crossover_order(T::BYTES) => {
+                Launch::Family(KernelChoice::GaussHuard)
+            }
             KernelChoice::Lu if multi::problems_per_warp(n) >= 2 && count >= 2 => Launch::PackedLu,
             KernelChoice::Lu if n <= WARP_SIZE => Launch::SmallLu,
             KernelChoice::Lu => Launch::BlockedLu,
@@ -72,10 +97,11 @@ impl Launch {
     }
 }
 
-/// Estimate the factorization launch of `plan` on `device`: the device
-/// model's timing and nominal flops of the charged classes, and the
-/// launch histogram (`label=count;...`, the `plan_kernels` column). A
-/// class the simulator does not model is only listed.
+/// Estimate the factorization launch of `plan` on `device`, each LU
+/// class launched as the paper's P100 planner would (see `Launch::of`):
+/// the device model's timing and nominal flops of the charged classes,
+/// and the launch histogram (`label=count;...`, the `plan_kernels`
+/// column). A class the simulator does not model is only listed.
 pub fn estimate_planned_factor<T: Scalar>(
     device: &DeviceModel,
     plan: &BatchPlan,
@@ -84,7 +110,7 @@ pub fn estimate_planned_factor<T: Scalar>(
     let mut charged_orders = Vec::new();
     let mut launches = BTreeMap::new();
     for class in &plan.classes {
-        let launch = Launch::of(class.kernel, class.n, class.count);
+        let launch = Launch::of::<T>(class.kernel, class.n, class.count);
         *launches.entry(launch).or_insert(0) += class.count;
         if let Some(cost) = launch.cost::<T>(class.n, class.count) {
             costs.push(cost);
@@ -233,7 +259,7 @@ mod tests {
             let count = rng.gen_range(1usize..20);
             let sizes: Vec<usize> = (0..count).map(|_| rng.gen_range(1usize..80)).collect();
             for c in &BatchPlan::auto::<f64>(&sizes).classes {
-                let blocked = Launch::of(c.kernel, c.n, c.count) == Launch::BlockedLu;
+                let blocked = Launch::of::<f64>(c.kernel, c.n, c.count) == Launch::BlockedLu;
                 assert_eq!(blocked, c.n > 32, "class of order {}", c.n);
             }
         });
@@ -245,9 +271,29 @@ mod tests {
             let n = rng.gen_range(1usize..17);
             let count = rng.gen_range(2usize..50);
             let class = *BatchPlan::auto::<f64>(&vec![n; count]).class(n);
-            let launch = Launch::of(class.kernel, n, class.count);
+            let launch = Launch::of::<f64>(class.kernel, n, class.count);
             assert_eq!((launch, class.count), (Launch::PackedLu, count), "n={n}");
         });
+    }
+
+    #[test]
+    fn the_paper_rule_gives_gauss_huard_what_it_wins_on_a_p100() {
+        // order 20 sits between the SP (~16) and DP (~23) crossovers
+        // (paper Fig. 6): a lone block launches Gauss-Huard in DP and
+        // small-size LU in SP; a pair packs up to order 16 only, and
+        // from order 23 on DP runs LU too
+        fn listed<T: Scalar>(sizes: &[usize]) -> String {
+            let plan = BatchPlan::auto::<T>(sizes);
+            estimate_planned_factor::<T>(&DeviceModel::p100(), &plan).1
+        }
+        assert_eq!(listed::<f64>(&[20]), "gauss-huard=1");
+        assert_eq!(listed::<f32>(&[20]), "small-lu=1");
+        assert_eq!(
+            listed::<f64>(&[8, 16, 8, 16, 17, 17]),
+            "packed-lu=4;gauss-huard=2"
+        );
+        assert_eq!(listed::<f64>(&[4, 22, 23]), "small-lu=1;gauss-huard=2");
+        assert_eq!(listed::<f32>(&[15, 16]), "small-lu=1;gauss-huard=1");
     }
 
     /// The `planner` and `plan_kernels` columns of every uniform auto

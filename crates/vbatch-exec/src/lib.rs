@@ -6,12 +6,12 @@
 //! instead of matching on kernels directly:
 //!
 //! * [`BatchPlan`] — the *planner*: the table of a batch's size
-//!   classes, one kernel family and one layout per class. The family
-//!   follows the paper's P100 crossovers — Gauss-Huard below ≈16 (SP) /
-//!   ≈23 (DP) unless a class of order ≤ 16 has ≥ 2 members, else LU;
-//!   every LU class with enough members is interleaved, at any order.
-//!   The paper's LU launch shapes are one host kernel; only the
-//!   benchmark's launch estimator tells them apart.
+//!   classes, one kernel family and one layout per class. `auto` plans
+//!   LU at every order (a forced method pins another family); every LU
+//!   class with enough members is interleaved, at any order. The
+//!   paper's P100 crossovers (Gauss-Huard below ≈16 SP / ≈23 DP) and
+//!   its LU launch shapes live in the benchmark's launch estimator
+//!   alone.
 //! * [`Backend`] — the *executor*. One interface over
 //!   [`vbatch_core::MatrixBatch`]es, with two implementations that run
 //!   one host kernel set: [`CpuSequential`] on the calling thread and

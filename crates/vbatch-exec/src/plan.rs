@@ -3,8 +3,11 @@
 //! off a class: its kernel family (LU, Gauss-Huard, inversion,
 //! Cholesky) and its layout — any LU class whose population reaches the
 //! requested `class_capacity` is interleaved, at every order; ragged
-//! tails stay blocked. The paper's three LU launch shapes (packed,
-//! small-size, blocked) are one kernel on the host and are not planned
+//! tails stay blocked. [`PlanMethod::Auto`] plans LU at every order,
+//! count and precision: the host's per-block LU factorizes faster than
+//! its Gauss-Huard at every order the paper's P100 gives to Gauss-Huard.
+//! The paper's P100 planner (Gauss-Huard below its crossovers) and its
+//! three LU launch shapes (packed, small-size, blocked) are not planned
 //! here: the benchmark's launch estimator
 //! (`vbatch_bench::estimate_planned_factor`) derives them from a
 //! class's order and count.
@@ -42,8 +45,8 @@ impl KernelChoice {
 /// What the caller asks the planner for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlanMethod {
-    /// Let the planner pick the family per size class: Gauss-Huard below
-    /// the paper's crossover order, LU otherwise.
+    /// Let the planner pick the family: on the host, LU with implicit
+    /// partial pivoting at every order, count and precision.
     Auto,
     /// Force LU with implicit partial pivoting (this paper).
     Lu,
@@ -72,22 +75,6 @@ impl PlanMethod {
         }
     }
 }
-
-/// Order below which Gauss-Huard beats the small-size LU on a P100
-/// (Fig. 6: ≈16 in single precision, ≈23 in double). This and the two
-/// constants below are the paper's P100 crossovers, not host
-/// measurements; a measured per-host profile is to replace them.
-fn gh_crossover_order(element_bytes: usize) -> usize {
-    if element_bytes <= 4 {
-        16
-    } else {
-        23
-    }
-}
-
-/// Largest order the P100 packs several problems per warp; such a class
-/// with ≥ 2 members beats Gauss-Huard as packed LU (§IV-B).
-const PACK_MAX: usize = 16;
 
 /// Largest order of the one-row-per-lane Gauss-Huard kernels (warp
 /// width); a forced Gauss-Huard above it runs LU.
@@ -237,16 +224,14 @@ fn pick_layout(kernel: KernelChoice, count: usize, layout: BatchLayout) -> Class
     }
 }
 
-/// The family of a class of `count` blocks of order `n`: Gauss-Huard
-/// where the paper's crossovers give it, LU everywhere else.
-fn pick<T: Scalar>(n: usize, count: usize, method: PlanMethod) -> KernelChoice {
+/// The family of a class of order `n`: a forced family where the order
+/// allows it, LU everywhere else — `Auto` included.
+fn pick(n: usize, method: PlanMethod) -> KernelChoice {
     match method {
         PlanMethod::GjeInvert => KernelChoice::GjeInvert,
         PlanMethod::Cholesky => KernelChoice::Cholesky,
         PlanMethod::GaussHuard if n <= GH_MAX => KernelChoice::GaussHuard,
         PlanMethod::GaussHuardT if n <= GH_MAX => KernelChoice::GaussHuardT,
-        PlanMethod::Auto if n <= PACK_MAX && count >= 2 => KernelChoice::Lu,
-        PlanMethod::Auto if n < gh_crossover_order(T::BYTES) => KernelChoice::GaussHuard,
         _ => KernelChoice::Lu,
     }
 }
@@ -270,7 +255,7 @@ impl BatchPlan {
         let classes = counts
             .iter()
             .map(|(&n, &count)| {
-                let kernel = pick::<T>(n, count, method);
+                let kernel = pick(n, method);
                 SizeClass {
                     n,
                     count,
@@ -308,7 +293,8 @@ impl BatchPlan {
         self.precision
     }
 
-    /// Paper-crossover automatic plan for scalar type `T`.
+    /// Automatic plan for scalar type `T`: LU for every size class,
+    /// populous classes interleaved at the default `class_capacity`.
     pub fn auto<T: Scalar>(sizes: &[usize]) -> Self {
         Self::for_method::<T>(sizes, PlanMethod::Auto)
     }
@@ -323,16 +309,14 @@ impl BatchPlan {
         Self::for_method_with_layout::<T>(sizes, PlanMethod::Auto, layout)
     }
 
-    /// Service-runtime plan for one uniform size class: kernel and
-    /// layout are chosen as if the class were at its full `capacity`
-    /// population, regardless of how many members this flush actually
-    /// carries. The automatic rule consults the class count (an order
-    /// ≤ 16 may run Gauss-Huard alone but runs LU with ≥ 2 members;
-    /// interleaving needs a full class), so a solo flush and a full flush
-    /// of the same class would otherwise run *different* kernels and
-    /// diverge by an ULP — breaking the isolation contract of
-    /// `vbatch-serve`, which promises a member's bits never depend on who
-    /// it was co-batched with.
+    /// Service-runtime plan for one uniform size class: the automatic
+    /// family (LU) with the layout chosen as if the class were at its
+    /// full `capacity` population, regardless of how many members this
+    /// flush actually carries. Interleaving needs a full class, so a solo
+    /// flush and a full flush of the same class would otherwise run
+    /// *different* layouts and could diverge by an ULP — breaking the
+    /// isolation contract of `vbatch-serve`, which promises a member's
+    /// bits never depend on who it was co-batched with.
     pub fn uniform_at_capacity<T: Scalar>(
         n: usize,
         count: usize,
@@ -344,7 +328,7 @@ impl BatchPlan {
             count <= capacity,
             "class population {count} exceeds capacity {capacity}"
         );
-        let kernel = pick::<T>(n, capacity, PlanMethod::Auto);
+        let kernel = pick(n, PlanMethod::Auto);
         BatchPlan {
             classes: vec![SizeClass {
                 n,
@@ -409,38 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_follows_paper_crossovers() {
-        // singleton classes so the populous-class rule does not kick in
-        let plan = BatchPlan::auto::<f64>(&[100, 4, 22, 23, 32, 33, 64]);
-        let want = [
-            (4, GaussHuard),
-            (22, GaussHuard), // 22 < 23
-            (23, Lu),
-            (32, Lu),
-            (33, Lu),
-            (64, Lu),
-            (100, Lu),
-        ];
-        assert_eq!(kernels(&plan), want);
-        assert_eq!(plan.len(), 7);
-        assert_eq!(plan.precision(), PrecisionPolicy::FullDp);
-        // the crossover is lower in single precision
-        let sp = BatchPlan::auto::<f32>(&[16, 22]);
-        assert_eq!(kernels(&sp), [(16, Lu), (22, Lu)]);
-        let dp = BatchPlan::auto::<f64>(&[16, 22]);
-        assert_eq!(kernels(&dp), [(16, GaussHuard), (22, GaussHuard)]);
-    }
-
-    #[test]
-    fn gauss_huard_gives_way_to_populous_classes_up_to_16() {
-        let plan = BatchPlan::auto::<f64>(&[8, 17, 8, 16, 8, 16, 17]);
-        // 17 > PACK_MAX: two of them still run Gauss-Huard
-        let want = [(8, Lu), (16, Lu), (17, GaussHuard)];
-        assert_eq!(kernels(&plan), want);
-        assert_eq!((plan.class(8).count, plan.class(17).count), (3, 2));
-    }
-
-    #[test]
     fn forced_methods_respect_size_limits() {
         let plan = BatchPlan::for_method::<f64>(&[8, 40], PlanMethod::GaussHuardT);
         assert_eq!(kernels(&plan), [(8, GaussHuardT), (40, Lu)]);
@@ -455,40 +407,9 @@ mod tests {
     }
 
     #[test]
-    fn layout_interleaves_populous_lu_classes_at_every_order() {
-        // 40 blocks of order 8 and 32 of order 40 (both LU, >= capacity),
-        // 33 of order 20 (populous, but Gauss-Huard in f64), 2 of order 48
-        // (LU, ragged)
-        let mut sizes = vec![8usize; 40];
-        sizes.extend([40; 32]);
-        sizes.extend([20; 33]);
-        sizes.extend([48, 48]);
-        let plan = BatchPlan::auto::<f64>(&sizes);
-        for (n, layout) in [
-            (8, "interleaved"),
-            (40, "interleaved"),
-            (20, "blocked"),
-            (48, "blocked"),
-        ] {
-            assert_eq!(plan.class(n).layout.label(), layout, "order {n}");
-        }
-        assert_eq!(plan.layout_compact(), "blocked=35;interleaved=72");
-        // the inversion and Cholesky families have no lane sweep, and a
-        // blocked request or an unreached capacity interleaves nothing
-        let gje = BatchPlan::for_method::<f64>(&sizes, PlanMethod::GjeInvert);
-        let chol = BatchPlan::for_method::<f64>(&sizes, PlanMethod::Cholesky);
-        let blocked = BatchPlan::auto_with_layout::<f64>(&sizes, BatchLayout::Blocked);
-        let cap = BatchLayout::Interleaved { class_capacity: 41 };
-        let small_cap = BatchPlan::auto_with_layout::<f64>(&sizes, cap);
-        for plan in [gje, chol, blocked, small_cap] {
-            assert_eq!(plan.layout_compact(), "blocked=107");
-        }
-    }
-
-    #[test]
     fn uniform_plan_is_taken_at_capacity() {
-        // a solo flush is planned as the full class: LU at order 8 (not
-        // Gauss-Huard) and interleaved (needs `class_capacity`)
+        // a solo flush is planned as the full class: interleaved (needs
+        // `class_capacity`)
         for (n, kernel) in [(8usize, Lu), (40, Lu)] {
             let solo = BatchPlan::uniform_at_capacity::<f64>(n, 1, 64, BatchLayout::interleaved());
             assert_eq!(solo.len(), 1);

@@ -13,7 +13,9 @@
 //! from the staged matrices under the flush's plan, applied once to the
 //! staged right-hand sides. The plan is one size class taken at the
 //! handle's capacity ([`BatchPlan::uniform_at_capacity`], O(1)), so it
-//! is built per flush rather than cached.
+//! is built per flush rather than cached. Its family is LU at every
+//! order, so the triage pass estimates each member's condition number
+//! on the member's own factors; no member is refactorized for it.
 //!
 //! What a flush allocates: the staged `MatrixBatch` (`count · n²`
 //! values and its two index vectors — `Backend::factorize` takes it by

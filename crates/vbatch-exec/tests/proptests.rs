@@ -1,9 +1,9 @@
 //! Property-based tests of the execution layer: the two backends
 //! (`CpuSequential`, `CpuSimd`) must produce bitwise-identical
 //! solutions on random variable-size batches under every plan method,
-//! and the planner must honor the host family rule (Gauss-Huard below
-//! the crossover unless a class of order ≤ 16 is populous) and the host
-//! layout rule (populous LU classes interleave, at every order).
+//! and the planner must honor the host family rule (`auto` plans LU at
+//! every order) and the host layout rule (populous LU classes
+//! interleave, at every order).
 
 use vbatch_core::{BatchLayout, DenseMat, MatrixBatch, Scalar, StoragePrecision, VectorBatch};
 use vbatch_exec::{
@@ -94,59 +94,84 @@ fn backends_agree_under_every_plan_method() {
     );
 }
 
+/// The host family rule and the layout rule, at every order 1..=80: in
+/// f32 and f64, `auto`, `auto_with_layout` and `uniform_at_capacity`
+/// plan LU whatever the count, and a class interleaves exactly when its
+/// population (for `uniform_at_capacity`: the capacity) reaches the
+/// requested `class_capacity`. A forced Gauss-Huard keeps its family up
+/// to order 32; inversion, Cholesky and a blocked policy never
+/// interleave.
 #[test]
-fn plan_layout_follows_capacity_and_kernel_family() {
-    run_cases("plan_layout_follows_capacity", 48, |rng, _case| {
+fn auto_plans_lu_at_every_order_and_layout_follows_capacity() {
+    fn check<T: Scalar>(rng: &mut SmallRng, n: usize) {
         let count = rng.gen_range(1usize..60);
-        let n = rng.gen_range(1usize..80);
         let cap = rng.gen_range(1usize..40);
-        let sizes = vec![n; count];
         let layout = BatchLayout::Interleaved {
             class_capacity: cap,
         };
-        for method in [
-            PlanMethod::Auto,
-            PlanMethod::GaussHuard,
-            PlanMethod::GjeInvert,
-        ] {
-            let plan = BatchPlan::for_method_with_layout::<f64>(&sizes, method, layout);
-            let class = plan.class(n);
-            // the rule reads family and population; the order only
-            // through the family the f64 crossovers give it
-            let lu = match method {
-                PlanMethod::Auto => (n <= 16 && count >= 2) || n >= 23,
-                PlanMethod::GaussHuard => n > 32,
-                _ => false,
-            };
-            let runs_lu = class.kernel == KernelChoice::Lu;
-            assert_eq!(runs_lu, lu, "{method:?} n={n} count={count}");
-            let expected = if lu && count >= cap {
+        let expected = |count: usize| {
+            if count >= cap {
                 ClassLayout::Interleaved
             } else {
                 ClassLayout::Blocked
-            };
-            assert_eq!(class.layout, expected, "n={n} count={count} cap={cap}");
-            // layout histogram covers every block exactly once
-            assert_eq!(plan.layout_histogram(), vec![(expected, count)]);
+            }
+        };
+        // a second class, of another order, mostly below capacity
+        let other = (n + rng.gen_range(1usize..79)) % 80 + 1;
+        let others = rng.gen_range(1usize..cap.max(2));
+        let mut sizes = vec![n; count];
+        sizes.extend(std::iter::repeat_n(other, others));
+        let default_layout = BatchPlan::auto::<T>(&sizes);
+        let plan = BatchPlan::auto_with_layout::<T>(&sizes, layout);
+        let orders: Vec<usize> = plan.classes.iter().map(|c| c.n).collect();
+        let ascending = [n.min(other), n.max(other)];
+        assert_eq!(orders, ascending, "classes ascending, one per order");
+        assert_eq!(plan.len(), count + others);
+        let what = format!("{} n={n} count={count} cap={cap}", T::PRECISION);
+        for c in plan.classes.iter().chain(&default_layout.classes) {
+            assert_eq!(c.kernel, KernelChoice::Lu, "{what}");
         }
-        // a Blocked policy never interleaves anything
-        let blocked = BatchPlan::auto_with_layout::<f64>(&sizes, BatchLayout::Blocked);
-        assert_eq!(blocked.class(n).layout, ClassLayout::Blocked);
+        assert_eq!(plan.class(n).layout, expected(count), "{what}");
+        assert_eq!(plan.class(other).layout, expected(others));
+        // the layout histogram covers every block exactly once
+        let mut want = std::collections::BTreeMap::new();
+        *want.entry(expected(count)).or_insert(0) += count;
+        *want.entry(expected(others)).or_insert(0) += others;
+        let want: Vec<(ClassLayout, usize)> = want.into_iter().collect();
+        assert_eq!(plan.layout_histogram(), want);
+        let compact: Vec<String> = want
+            .iter()
+            .map(|(l, k)| format!("{}={k}", l.label()))
+            .collect();
+        assert_eq!(plan.layout_compact(), compact.join(";"));
+        // a service flush of any membership is planned as its full class
+        let capacity = rng.gen_range(1usize..60);
+        let members = rng.gen_range(1..capacity + 1);
+        let flush = BatchPlan::uniform_at_capacity::<T>(n, members, capacity, layout);
+        assert_eq!(flush.class(n).count, members);
+        assert_eq!(flush.class(n).kernel, KernelChoice::Lu);
+        assert_eq!(flush.class(n).layout, expected(capacity));
+        // forced families
+        let sizes = vec![n; count];
+        let gh = BatchPlan::for_method_with_layout::<T>(&sizes, PlanMethod::GaussHuard, layout);
+        let (gh_family, gh_layout) = if n <= 32 {
+            (KernelChoice::GaussHuard, ClassLayout::Blocked)
+        } else {
+            (KernelChoice::Lu, expected(count))
+        };
+        assert_eq!(gh.class(n).kernel, gh_family, "forced GH n={n}");
+        assert_eq!(gh.class(n).layout, gh_layout);
+        for method in [PlanMethod::GjeInvert, PlanMethod::Cholesky] {
+            let plan = BatchPlan::for_method_with_layout::<T>(&sizes, method, layout);
+            assert_eq!(plan.layout_histogram(), [(ClassLayout::Blocked, count)]);
+        }
+        let blocked = BatchPlan::auto_with_layout::<T>(&sizes, BatchLayout::Blocked);
+        assert_eq!(blocked.layout_histogram(), [(ClassLayout::Blocked, count)]);
+    }
+    run_cases("auto_plans_lu_at_every_order", 80, |rng, case| {
+        check::<f32>(rng, case + 1);
+        check::<f64>(rng, case + 1);
     });
-}
-
-#[test]
-fn crossover_depends_on_precision() {
-    // order 20 sits between the SP (~16) and DP (~23) crossovers: the
-    // planner must keep GH in double precision but switch to LU in
-    // single precision (paper Fig. 6)
-    let sizes = vec![20usize; 1];
-    let dp = BatchPlan::auto::<f64>(&sizes);
-    let sp = BatchPlan::auto::<f32>(&sizes);
-    assert_eq!(dp.class(20).kernel, KernelChoice::GaussHuard);
-    assert_eq!(sp.class(20).kernel, KernelChoice::Lu);
-    assert_eq!(f32::BYTES, 4);
-    assert_eq!(f64::BYTES, 8);
 }
 
 /// `family/storage/refinement` of block `i` — one label per form the
@@ -188,10 +213,10 @@ fn multi_rhs_normalisation_is_bitwise_the_column_solves() {
         "multi_rhs_normalisation_is_bitwise_the_column_solves",
         6,
         |rng, _case| {
-            // classes: LU below the crossover (3×3), Gauss-Huard (12),
-            // LU with a populous class (24×3) and a lone member (30), LU
+            // classes: a populous small class (3×3), a lone order-12
+            // block, a populous class (24×3) and a lone member (30), LU
             // past the warp width (40), a lone order-2 block, plus a
-            // ragged tail
+            // ragged tail; forced Gauss-Huard takes every order ≤ 32
             let mut sizes = vec![3, 3, 3, 12, 24, 24, 24, 30, 40, 1, 7, 2];
             sizes.extend(testgen::ragged_sizes(rng, 33, 4));
             let raw = testgen::dd_batch_of(rng, &sizes);
@@ -226,6 +251,7 @@ fn multi_rhs_normalisation_is_bitwise_the_column_solves() {
             for backend in backends {
                 for method in [
                     PlanMethod::Auto,
+                    PlanMethod::GaussHuard,
                     PlanMethod::GjeInvert,
                     PlanMethod::Cholesky,
                 ] {

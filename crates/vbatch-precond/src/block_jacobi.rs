@@ -9,8 +9,8 @@
 //!
 //! The preconditioner is extraction plus one [`BlockSolve`]: the
 //! backend extracts, [`PrecondOptions::plan`] picks the kernel for
-//! every size class (the paper's crossovers, warp packing and
-//! blocked-LU escalation), and the `BlockSolve` owns the factorized
+//! every size class (LU under the default `auto`, or a forced family),
+//! and the `BlockSolve` owns the factorized
 //! batch and the per-iteration batched block solves. Singular diagonal
 //! blocks degrade to a scalar-Jacobi fallback per block instead of
 //! aborting the whole setup; callers that need an exact factorization

@@ -681,8 +681,11 @@ fn a_clean_interleaved_block_costs_under_96_bytes() {
 /// reads a block's LU record where it lies, so a member costs the
 /// flush its factor values and its pivots plus the amortized growth of
 /// the flush's per-member vectors, and the rest is per flush (20 / 22 /
-/// 20 / 92 allocations for the rows below): per-block kernel scratch, a
-/// copied factor or per-iteration estimator vectors break the budgets.
+/// 20 / 92 / 20 / 92 allocations for the rows below): per-block kernel
+/// scratch, a copied factor or per-iteration estimator vectors break the
+/// budgets. Order 20 is LU like any other order: a flush that factorized
+/// it with Gauss-Huard and refactorized every member with LU for its
+/// condition estimate made 158 allocations for 32 members.
 /// A flush serves one request in about 20 µs, so one more pass or
 /// allocation per flush shows in the served latency.
 #[test]
@@ -706,6 +709,8 @@ fn a_warm_serve_flush_stays_inside_its_allocation_budget() {
         (4, 16, 2, 38),
         (16, 32, 1, 35),
         (16, 32, 32, 351),
+        (20, 32, 1, 35),
+        (20, 32, 32, 100),
     ] {
         let mut handle = SizeClassHandle::new(
             n,

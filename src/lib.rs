@@ -14,8 +14,8 @@
 //! * [`sparse`] — CSR, supervariable blocking, extraction, generators;
 //! * [`exec`] — the execution layer: the two [`exec::Backend`]
 //!   implementations (one host kernel set on the calling thread or on
-//!   the thread pool) behind a [`exec::BatchPlan`] that picks kernels
-//!   per block using the paper's crossovers, and [`exec::BlockSolve`],
+//!   the thread pool) behind a [`exec::BatchPlan`] that picks a kernel
+//!   family and a layout per size class, and [`exec::BlockSolve`],
 //!   the factorized batch every preconditioner holds;
 //! * [`precond`] — scalar and block-Jacobi preconditioners;
 //! * [`solver`] — IDR(s), BiCGSTAB, CG, GMRES(m).
